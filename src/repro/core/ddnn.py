@@ -14,15 +14,34 @@ function identical to ``N`` (Theorem 4.4).  Modifying the parameters of a
 single value-channel layer changes the output *linearly* (Theorem 4.5) and
 never moves the linear-region boundaries (Theorem 4.6) — the two facts the
 repair algorithms exploit.
+
+Theorem 4.5 also means the inputs of the repaired layer never change during
+a single-layer repair: a :class:`~repro.core.prefix_cache.PrefixCache` bound
+to a network (its :attr:`DecoupledNetwork.prefix_cache`) lets
+:meth:`DecoupledNetwork.compute` and
+:meth:`DecoupledNetwork.batch_channel_traces` start at that layer from
+features computed once per batch, with byte-identical results.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import ShapeError, UnsupportedLayerError
 from repro.nn.layer import LayerKind, as_batch
 from repro.nn.network import Network
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.prefix_cache import PrefixCache
+
+#: Rows per forward batch for every caller that evaluates many points at once
+#: (verification sweeps, the pool's satisfaction check, Jacobian encoding).
+#: It bounds the transient im2col memory of convolutional networks, and
+#: sharing one value makes those callers present identical batches, which is
+#: what the frozen-prefix cache keys on.
+POINT_BATCH = 1024
 
 
 class DecoupledNetwork:
@@ -44,6 +63,14 @@ class DecoupledNetwork:
                 raise ShapeError("activation and value channel layer sizes must match")
         self.activation = activation_network
         self.value = value_network
+        #: The frozen-prefix cache batched evaluations go through, if any
+        #: (set by :meth:`PrefixCache.bind`; never copied or pickled).
+        self.prefix_cache: PrefixCache | None = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["prefix_cache"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -108,9 +135,10 @@ class DecoupledNetwork:
                 f"expected inputs of size {self.input_size}, got {value_batch.shape[1]}"
             )
 
-        current_activation = activation_batch
-        current_value = value_batch
-        for act_layer, val_layer in zip(self.activation.layers, self.value.layers):
+        start, current_activation, current_value = self._layer_inputs(
+            value_batch, None if activation_values is None else activation_batch
+        )
+        for act_layer, val_layer in zip(self.activation.layers[start:], self.value.layers[start:]):
             if act_layer.kind is LayerKind.ACTIVATION:
                 next_activation = act_layer.forward(current_activation)
                 next_value = act_layer.decoupled_forward(current_activation, current_value)
@@ -122,6 +150,24 @@ class DecoupledNetwork:
         return current_value[0] if was_vector else current_value
 
     __call__ = compute
+
+    def _layer_inputs(
+        self,
+        value_batch: np.ndarray,
+        activation_batch: np.ndarray | None,
+        needed_from: int | None = None,
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(start, activation, value)``: where evaluation of a batch begins.
+
+        Without a usable prefix cache that is layer 0 and the batches
+        themselves; with one, the repaired layer and its cached inputs.
+        """
+        cache = self.prefix_cache
+        if cache is not None and (needed_from is None or cache.layer_index <= needed_from):
+            inputs = cache.layer_inputs(self, value_batch, activation_batch)
+            if inputs is not None:
+                return (cache.layer_index, *inputs)
+        return 0, (value_batch if activation_batch is None else activation_batch), value_batch
 
     def predict(self, values: np.ndarray, activation_values: np.ndarray | None = None) -> np.ndarray:
         """Argmax class predictions of the DDNN."""
@@ -172,8 +218,12 @@ class DecoupledNetwork:
     # Channel traces (batch of input vectors)
     # ------------------------------------------------------------------
     def batch_channel_traces(
-        self, value_points: np.ndarray, activation_points: np.ndarray | None = None
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        self,
+        value_points: np.ndarray,
+        activation_points: np.ndarray | None = None,
+        *,
+        needed_from: int | None = None,
+    ) -> tuple[list[np.ndarray | None], list[np.ndarray | None]]:
         """Per-layer inputs of both channels for a batch of input vectors.
 
         The batched analogue of :meth:`channel_traces`: ``value_points`` is a
@@ -182,6 +232,12 @@ class DecoupledNetwork:
         ``(k, layer_input_size)``.  All ``k`` points flow through the layer
         stack together, so the cost of the Python layer loop is paid once per
         layer instead of once per point.
+
+        With a :attr:`prefix_cache` serving the batch, evaluation starts at
+        the cache's layer and the entries below it are ``None`` (the
+        backward pass of :meth:`batch_parameter_jacobian` never reads them).
+        ``needed_from`` is the lowest layer whose entry the caller reads; the
+        cache is skipped when its layer lies above it.
         """
         value_batch = np.atleast_2d(np.asarray(value_points, dtype=np.float64))
         if activation_points is None:
@@ -197,11 +253,12 @@ class DecoupledNetwork:
             raise ShapeError(
                 f"expected inputs of size {self.input_size}, got {value_batch.shape[1]}"
             )
-        activation_inputs = [activation_batch]
-        value_inputs = [value_batch]
-        current_activation = activation_batch
-        current_value = value_batch
-        for act_layer, val_layer in zip(self.activation.layers, self.value.layers):
+        start, current_activation, current_value = self._layer_inputs(
+            value_batch, None if activation_points is None else activation_batch, needed_from
+        )
+        activation_inputs = [None] * start + [current_activation]
+        value_inputs = [None] * start + [current_value]
+        for act_layer, val_layer in zip(self.activation.layers[start:], self.value.layers[start:]):
             if act_layer.kind is LayerKind.ACTIVATION:
                 next_value = act_layer.decoupled_forward(current_activation, current_value)
                 next_activation = act_layer.forward(current_activation)
@@ -277,7 +334,9 @@ class DecoupledNetwork:
         this is the hot path of the batched repair engine.
         """
         layer_index = self._check_repairable(layer_index)
-        activation_inputs, value_inputs = self.batch_channel_traces(points, activation_points)
+        activation_inputs, value_inputs = self.batch_channel_traces(
+            points, activation_points, needed_from=layer_index
+        )
         outputs = value_inputs[-1]
         num_points = outputs.shape[0]
 

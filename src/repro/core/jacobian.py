@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import repro.obs as obs
-from repro.core.ddnn import DecoupledNetwork
+from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
 from repro.core.specs import PointRepairSpec
 
 #: Default per-chunk budget for :class:`JacobianChunkStream` — sized so the
@@ -65,10 +65,22 @@ def encode_constraints_batched(
     Returns ``(lhs, rhs)`` such that the repair constraints are exactly
     ``lhs @ Δ ≤ rhs``, with rows in specification order (point 0's rows
     first) — the same layout the legacy per-point loop produces.  The
-    Jacobians come from one vectorized multi-point pass, and the per-point
-    products ``A_x J_x`` are computed with einsums over groups of points
-    sharing a constraint-row count, so no Python loop runs per point.
+    Jacobians come from one vectorized multi-point pass per
+    :data:`~repro.core.ddnn.POINT_BATCH` points (the batches verification
+    and the pool check evaluate, so a bound prefix cache serves them), and
+    the per-point products ``A_x J_x`` are computed with einsums over groups
+    of points sharing a constraint-row count, so no Python loop runs per
+    point.
     """
+    if spec.num_points > POINT_BATCH:
+        blocks = [
+            encode_constraints_padded(ddnn, layer_index, _slice_spec(spec, start, stop))
+            for start, stop in _batch_spans(spec.num_points, POINT_BATCH)
+        ]
+        return (
+            np.vstack([lhs for lhs, _ in blocks]),
+            np.concatenate([rhs for _, rhs in blocks]),
+        )
     outputs, jacobians = ddnn.batch_parameter_jacobian(
         layer_index, spec.points, spec.activation_points
     )
@@ -121,6 +133,14 @@ def encode_constraints_padded(
     return lhs[:rows], rhs[:rows]
 
 
+def _batch_spans(num_points: int, points_per_batch: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` spans cutting ``num_points`` into consecutive batches."""
+    return [
+        (start, min(start + points_per_batch, num_points))
+        for start in range(0, num_points, points_per_batch)
+    ]
+
+
 def _slice_spec(spec: PointRepairSpec, start: int, stop: int) -> PointRepairSpec:
     """The sub-specification covering points ``[start, stop)``."""
     return PointRepairSpec(
@@ -141,7 +161,8 @@ class JacobianChunkStream:
     ``(total_rows, num_parameters)`` block before LP assembly — O(rows ×
     params) transient memory, the wall the out-of-core pipeline removes.
     This stream instead walks the spec in *point batches* sized so the
-    transient dense work stays under ``max_chunk_bytes``; each batch is
+    transient dense work stays under ``max_chunk_bytes`` (and never larger
+    than :data:`~repro.core.ddnn.POINT_BATCH` points); each batch is
     encoded with :func:`encode_constraints_padded` (the partition-invariant
     encoder), cut into per-parameter-slice CSR pieces (each also bounded by
     ``max_chunk_bytes``, and counted in ``repro_jacobian_chunks_total``),
@@ -195,11 +216,10 @@ class JacobianChunkStream:
                 ddnn.output_size + int(rows_per_point.max(initial=1))
             )
             points_per_batch = self.max_chunk_bytes // max(1, per_point)
-        self.points_per_batch = int(min(max(1, points_per_batch), spec.num_points))
-        self._spans = [
-            (start, min(start + self.points_per_batch, spec.num_points))
-            for start in range(0, spec.num_points, self.points_per_batch)
-        ]
+        self.points_per_batch = int(
+            min(max(1, points_per_batch), POINT_BATCH, max(1, spec.num_points))
+        )
+        self._spans = _batch_spans(spec.num_points, self.points_per_batch)
         self.chunks_produced = 0
 
     def __len__(self) -> int:

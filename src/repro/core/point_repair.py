@@ -113,10 +113,7 @@ def point_repair(
     watch = Stopwatch()
     timing = timing if timing is not None else RepairTiming()
 
-    if isinstance(network, DecoupledNetwork):
-        ddnn = network.copy()
-    else:
-        ddnn = DecoupledNetwork.from_network(network)
+    ddnn = _working_copy(network)
     layer_index = ddnn._check_repairable(layer_index)
     num_parameters = ddnn.value.layers[layer_index].num_parameters
 
@@ -211,6 +208,21 @@ def _input_size(network: Network | DecoupledNetwork) -> int:
     return network.input_size
 
 
+def _working_copy(network: Network | DecoupledNetwork) -> DecoupledNetwork:
+    """A private DDNN copy to encode against, bound to the caller's prefix cache.
+
+    ``copy()`` never carries a binding; a repair's own working copy is the
+    one exception, so its Jacobian encoding reuses the prefix features the
+    caller's verification already computed.
+    """
+    if not isinstance(network, DecoupledNetwork):
+        return DecoupledNetwork.from_network(network)
+    ddnn = network.copy()
+    if network.prefix_cache is not None:
+        network.prefix_cache.bind(ddnn)
+    return ddnn
+
+
 class IncrementalPointRepairSession:
     """A pointwise repair LP that grows across CEGIS rounds.
 
@@ -247,10 +259,7 @@ class IncrementalPointRepairSession:
         max_chunk_bytes: int | None = None,
         engine=None,
     ) -> None:
-        if isinstance(network, DecoupledNetwork):
-            self.ddnn = network.copy()
-        else:
-            self.ddnn = DecoupledNetwork.from_network(network)
+        self.ddnn = _working_copy(network)
         self.layer_index = self.ddnn._check_repairable(layer_index)
         self.norm = norm
         self.warm_start = bool(warm_start)

@@ -66,6 +66,7 @@ except ImportError:  # pragma: no cover
 import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.point_repair import IncrementalPointRepairSession, point_repair
+from repro.core.prefix_cache import PrefixCache
 from repro.core.result import RepairTiming
 from repro.core.specs import PolytopeRepairSpec
 from repro.driver.config import DEFAULT_REPAIR_MARGIN, DriverConfig
@@ -97,7 +98,8 @@ class DriverTiming:
     (LinRegions/Jacobian/LP/other, as in the paper's RQ4 analysis);
     ``verify_seconds`` is the total verification time across rounds; and
     ``other_seconds`` is driver overhead (pool bookkeeping, checkpointing,
-    holdout evaluation).
+    holdout evaluation, the final check of the pool against the returned
+    network).
     """
 
     verify_seconds: float = 0.0
@@ -343,15 +345,22 @@ class RepairDriver:
         :class:`~repro.core.jacobian.JacobianChunkStream` path with a
         matching ``max_chunk_bytes``, so the dense Jacobian block is never
         materialized (rows stream into the LP as CSR blocks, byte-identical
-        to the in-memory path).  Each tier gets a quarter of the budget;
-        the rest is headroom for the LP itself.  ``None`` (default) keeps
-        every path fully in memory, bit-for-bit as before.  A
+        to the in-memory path), and (3) caps the frozen-prefix features
+        cached for the run (see below).  Each tier gets a quarter of the
+        budget; the rest is headroom for the LP itself.  ``None`` (default)
+        keeps every path fully in memory, bit-for-bit as before.  A
         caller-supplied ``pool`` is never reconfigured.
     on_round:
         Optional callback invoked with each :class:`RoundRecord` as the
         driver finishes with it (its fields final).  This is the progress
         stream the job daemon relays to polling clients; exceptions from
         the callback propagate and abort the run.
+
+    Every run also keeps a :class:`~repro.core.prefix_cache.PrefixCache`
+    for the layer being repaired, bound to the networks it verifies,
+    encodes and checks, so the layers below the repaired one are evaluated
+    once per batch of points instead of once per pass.  The cache lives
+    for one :meth:`run` and one scheduled layer and changes no result byte.
     """
 
     def __init__(
@@ -404,10 +413,13 @@ class RepairDriver:
         self.holdout = holdout
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path is not None else None
         self.memory_budget = config.memory_budget
-        # A quarter of the budget each for the pool's resident window and
-        # for Jacobian chunks; the remaining half is headroom for the LP.
+        # A quarter of the budget each for the pool's resident window, for
+        # Jacobian chunks and for prefix features; the remaining quarter is
+        # headroom for the LP.
         tier = max(1, config.memory_budget // 4) if config.memory_budget else None
         self.max_chunk_bytes = tier
+        self.max_prefix_bytes = tier
+        self._prefix_cache: PrefixCache | None = None
         if pool is not None:
             self.pool = pool
         elif self.checkpoint_path is not None and self.checkpoint_path.exists():
@@ -468,6 +480,9 @@ class RepairDriver:
             with obs.span("driver.run", mode=self.mode, incremental=self.incremental):
                 return self._run()
         finally:
+            if self._prefix_cache is not None:
+                self._prefix_cache.close()
+                self._prefix_cache = None
             if attach:
                 self.verifier.engine = None
             if attach_value_only:
@@ -495,6 +510,8 @@ class RepairDriver:
             if budget.exhausted():
                 status = "budget_exhausted"
                 break
+            if layer_cursor < len(self.layer_schedule):
+                self._serve_prefix(self.layer_schedule[layer_cursor], current)
             with watch.phase("verify"), obs.span("driver.verify", round=round_index):
                 report = self.verifier.verify(current, self.spec)
             final_report = report
@@ -538,6 +555,7 @@ class RepairDriver:
             result = None
             while layer_cursor < len(self.layer_schedule):
                 layer_index = self.layer_schedule[layer_cursor]
+                self._serve_prefix(layer_index, current)
                 with obs.span("driver.repair", round=round_index, layer=layer_index):
                     if self.incremental:
                         result = self._incremental_repair(layer_index, record)
@@ -570,6 +588,8 @@ class RepairDriver:
                 break
 
             current = result.network
+            if self._prefix_cache is not None:
+                self._prefix_cache.bind(current)
             report_is_stale = True
             record.delta_linf = result.delta_linf_norm
             if self.holdout is not None:
@@ -586,6 +606,8 @@ class RepairDriver:
             if final_report.num_violated == 0:
                 status = "certified" if final_report.certified else "clean"
 
+        with obs.span("driver.pool_check"):
+            unsatisfied = self.pool.unsatisfied(current) if len(self.pool) else []
         timing.verify_seconds = watch.total("verify")
         timing.other_seconds = max(
             0.0, watch.elapsed() - timing.verify_seconds - timing.repair.total_seconds
@@ -604,15 +626,34 @@ class RepairDriver:
             final_report=final_report,
             pool_size=len(self.pool),
             counterexamples_found=counterexamples_found,
-            unsatisfied_pool_indices=(
-                self.pool.unsatisfied(current) if len(self.pool) else []
-            ),
+            unsatisfied_pool_indices=unsatisfied,
             timing=timing,
             engine_stats=self._engine_stats(),
             incremental=self.incremental,
             mode=self.mode,
             telemetry=obs.snapshot() if obs.enabled() else None,
         )
+
+    def _serve_prefix(self, layer_index: int, current: DecoupledNetwork) -> None:
+        """Bind the base and ``current`` to a prefix cache for ``layer_index``.
+
+        A different layer retires the previous cache (features and
+        bindings).  Layer 0 has no frozen prefix, so it gets no cache.
+        """
+        if layer_index < 0:
+            layer_index += self.base.num_layers
+        cache = self._prefix_cache
+        if cache is None or cache.layer_index != layer_index:
+            if cache is not None:
+                cache.close()
+                self._prefix_cache = None
+            if not 0 < layer_index < self.base.num_layers:
+                return
+            cache = self._prefix_cache = PrefixCache(
+                self.base, layer_index, max_bytes=self.max_prefix_bytes
+            )
+            cache.bind(self.base)
+        cache.bind(current)
 
     def _emit(self, record: RoundRecord) -> None:
         """Hand a finished round record to the ``on_round`` progress callback.

@@ -53,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 import repro.obs as obs
+from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
 from repro.core.polytope_repair import region_key_points
 from repro.core.specs import PointRepairSpec
 from repro.polytope.hpolytope import HPolytope
@@ -370,7 +371,7 @@ class CounterexamplePool:
         )
 
     def unsatisfied(
-        self, network, tolerance: float = 1e-6, chunk_points: int = 1024
+        self, network, tolerance: float = 1e-6, chunk_points: int = POINT_BATCH
     ) -> list[int]:
         """Indices of pooled counterexamples ``network`` still violates.
 
@@ -384,8 +385,6 @@ class CounterexamplePool:
         (one stacked forward pass each) rather than one ``compute`` call per
         point, which is what keeps this check cheap on 10^5-row pools.
         """
-        from repro.core.ddnn import DecoupledNetwork
-
         decoupled = isinstance(network, DecoupledNetwork)
         batch_points: list[np.ndarray] = []
         batch_activations: list[np.ndarray] = []

@@ -15,7 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layer import ElementwiseLinearization, Layer, LayerKind, Linearization
+from repro.nn.layer import (
+    ElementwiseLinearization,
+    Layer,
+    LayerKind,
+    Linearization,
+    free_of_nan_and_negative_zero,
+)
 
 
 class _ElementwiseActivation(Layer):
@@ -105,6 +111,10 @@ class ReLULayer(_ElementwiseActivation):
             np.asarray(value_preactivation, dtype=np.float64),
             0.0,
         )
+
+    def forward_matches_decoupled(self, preactivation: np.ndarray) -> bool:
+        # max(z, 0) and "z where z > 0, else 0" differ only at -0.0 and NaN.
+        return free_of_nan_and_negative_zero(preactivation)
 
     def piecewise_breakpoints(self) -> tuple[float, ...]:
         return (0.0,)

@@ -233,6 +233,18 @@ class Layer(abc.ABC):
         """
         raise LayerError(f"{type(self).__name__} has no element-wise breakpoints")
 
+    def forward_matches_decoupled(self, preactivation: np.ndarray) -> bool:
+        """Whether ``decoupled_forward(z, z)`` equals ``forward(z)`` bit for bit.
+
+        Checked at ``z = preactivation`` (a batch).  Where it holds, a DDNN
+        whose two channels receive the same bytes keeps them identical
+        through this layer, which lets the frozen-prefix cache
+        (:mod:`repro.core.prefix_cache`) evaluate the prefix once instead of
+        once per channel.  ``False`` is always a safe answer; it is the
+        default.
+        """
+        return False
+
     def decoupled_forward(
         self, activation_preactivation: np.ndarray, value_preactivation: np.ndarray
     ) -> np.ndarray:
@@ -256,6 +268,19 @@ class Layer(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(in={self.input_size}, out={self.output_size})"
+
+
+def free_of_nan_and_negative_zero(values: np.ndarray) -> bool:
+    """Whether ``values`` holds no NaN and no ``-0.0`` (conservatively).
+
+    On such inputs taking a maximum and selecting the maximal entry agree
+    bit for bit (ReLU's ``max(z, 0)`` against its decoupled pass-through,
+    a pooling window's max against its argmax entry).  Infinities of both
+    signs make the sum NaN and the answer ``False``, which is merely
+    conservative.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return not np.isnan(values.sum()) and not np.signbit(values[values == 0.0]).any()
 
 
 def as_batch(values: np.ndarray) -> tuple[np.ndarray, bool]:

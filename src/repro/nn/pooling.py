@@ -12,7 +12,13 @@ import numpy as np
 
 from repro.exceptions import ShapeError
 from repro.nn.conv import window_indices
-from repro.nn.layer import Layer, LayerKind, Linearization, SelectionLinearization
+from repro.nn.layer import (
+    Layer,
+    LayerKind,
+    Linearization,
+    SelectionLinearization,
+    free_of_nan_and_negative_zero,
+)
 
 
 class _Pool2DBase(Layer):
@@ -135,6 +141,11 @@ class MaxPool2DLayer(_Pool2DBase):
         winners = activation_windows.argmax(axis=2)                 # (B, C, P)
         selected = np.take_along_axis(value_windows, winners[:, :, None, :], axis=2)[:, :, 0, :]
         return selected.reshape(value_batch.shape[0], -1)
+
+    def forward_matches_decoupled(self, preactivation: np.ndarray) -> bool:
+        # A window's max and its first argmax entry differ only when the
+        # window mixes -0.0 with 0.0 or holds a NaN.
+        return free_of_nan_and_negative_zero(preactivation)
 
 
 class AvgPool2DLayer(_Pool2DBase):

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.ddnn import DecoupledNetwork
+from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
 from repro.utils.rng import derive_seeds, ensure_rng
@@ -110,14 +110,15 @@ class _SamplingVerifier(Verifier):
         ``(points, outputs)`` pairs are re-sliced out — same points, same
         verdict structure, orders of magnitude fewer passes.
         """
-        # Chunked at 1024 points: convolutional networks expand each chunk
-        # into im2col patch tensors, so the chunk size bounds the sweep's
-        # transient memory.
+        # Chunked at POINT_BATCH points: convolutional networks expand each
+        # chunk into im2col patch tensors, so the chunk size bounds the
+        # sweep's transient memory (and matches the batches the pool check
+        # and the Jacobian encoder present to the frozen-prefix cache).
         stacked = np.vstack([entry.region.lower[None, :] for entry in spec.regions])
         outputs = np.vstack(
             [
-                np.atleast_2d(self._evaluate(network, stacked[start : start + 1024]))
-                for start in range(0, stacked.shape[0], 1024)
+                np.atleast_2d(self._evaluate(network, stacked[start : start + POINT_BATCH]))
+                for start in range(0, stacked.shape[0], POINT_BATCH)
             ]
         )
         return (

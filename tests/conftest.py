@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.core.prefix_cache import PrefixCache
 from repro.lp.backends import backend_capabilities
 from repro.models.toy import paper_network_n1, paper_network_n2
 from repro.nn.activations import ReLULayer, TanhLayer
@@ -26,6 +29,19 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "requires_highspy" in item.keywords:
             item.add_marker(skip)
+
+
+@contextmanager
+def prefix_cache_off():
+    """Evaluate every batch through the full layer loop.
+
+    Every :class:`PrefixCache` lookup declines inside the block, which is
+    exactly the uncached path; differential tests run a workload with and
+    without it and compare bytes.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PrefixCache, "layer_inputs", lambda self, *args: None)
+        yield
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,25 @@ class TestRepairDriver:
                     record.delta_linf for record in report.rounds if record.repair_feasible
                 )
                 assert delta == pytest.approx(last_delta)
+
+    def test_final_pool_check_is_timed(self, plane_scenario, monkeypatch):
+        # The closing pool check runs against the returned network; its time
+        # belongs to the run's timing like every other phase.
+        network, spec, _ = plane_scenario
+        real_unsatisfied = CounterexamplePool.unsatisfied
+        calls = []
+
+        def slow_unsatisfied(pool, *args, **kwargs):
+            calls.append(len(pool))
+            time.sleep(0.2)
+            return real_unsatisfied(pool, *args, **kwargs)
+
+        monkeypatch.setattr(CounterexamplePool, "unsatisfied", slow_unsatisfied)
+        report = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8).run()
+        assert report.status == "certified"
+        assert calls == [report.pool_size]
+        assert report.timing.other_seconds >= 0.2
+        assert report.timing.total_seconds >= report.timing.verify_seconds + 0.2
 
     def test_validation(self, plane_scenario):
         network, spec, _ = plane_scenario

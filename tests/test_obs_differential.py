@@ -16,9 +16,15 @@ Three pins, all run over the same CEGIS repair workload:
    :class:`~repro.obs.SamplingProfiler` actively sampling the repair — the
    profiler reads interpreter frames, so a divergence here would mean
    sampling perturbed numeric state.
+
+The byte-identity matrix is also run with the frozen-prefix cache switched
+off (:func:`tests.conftest.prefix_cache_off`): cached and uncached layer
+loops must produce the same repair bytes at every worker count.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from repro.obs import SamplingProfiler, Trace, use_trace
 from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
 from repro.verify import SyrennVerifier, VerificationSpec
+from tests.conftest import prefix_cache_off
 
 
 def build_workload() -> tuple[Network, VerificationSpec]:
@@ -61,20 +68,22 @@ def build_workload() -> tuple[Network, VerificationSpec]:
 
 
 def run_repair(
-    workers: int, with_obs: bool, with_profiler: bool = False
+    workers: int, with_obs: bool, with_profiler: bool = False, prefix_cache: bool = True
 ) -> tuple[list[bytes], dict]:
     """One full driver run; returns (repaired parameter bytes, obs snapshot).
 
     ``with_profiler`` runs the whole repair under an aggressively-sampling
     :class:`SamplingProfiler` (1ms interval) and asserts it actually
     collected stacks, so the byte-identity comparison is made against a
-    profiler that demonstrably ran.
+    profiler that demonstrably ran.  ``prefix_cache=False`` evaluates every
+    batch through the full layer loop.
     """
     network, spec = build_workload()
     profiler = SamplingProfiler(interval=0.001) if with_profiler else None
-    with obs.isolated(start_enabled=with_obs):
+    cache_context = nullcontext() if prefix_cache else prefix_cache_off()
+    with cache_context, obs.isolated(start_enabled=with_obs):
         trace = Trace("differential") if with_obs else None
-        context = use_trace(trace) if trace is not None else _null_context()
+        context = use_trace(trace) if trace is not None else nullcontext()
         if profiler is not None:
             profiler.start()
         try:
@@ -97,12 +106,6 @@ def run_repair(
         for index in outcome.network.repairable_layer_indices()
     ]
     return parameters, snapshot
-
-
-def _null_context():
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 def comparable_counters(snapshot: dict) -> dict:
@@ -136,6 +139,16 @@ class TestTelemetryNeverTouchesNumerics:
                     assert "repro_driver_rounds_total" in snapshot
                 else:
                     assert snapshot == {}
+
+    def test_byte_identity_without_prefix_cache(self):
+        """cache {on,off} × obs {on,off} × workers {1,4}: one set of bytes."""
+        reference, _ = run_repair(workers=1, with_obs=False)
+        for workers in (1, 4):
+            for with_obs in (False, True):
+                parameters, _ = run_repair(workers, with_obs, prefix_cache=False)
+                assert parameters == reference, (
+                    f"uncached repair bytes diverged at workers={workers} obs={with_obs}"
+                )
 
     def test_byte_identity_with_profiler_sampling(self):
         """A 1ms-interval profiler over the repair changes nothing."""

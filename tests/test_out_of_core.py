@@ -20,9 +20,16 @@ Four layers of pinning:
 * an **end-to-end** driver-certified SqueezeNet-mini repair under a small
   memory budget, with entries spilled to disk and a certified report
   byte-identical to the unbudgeted run.
+
+Every driver matrix is also run with the frozen-prefix cache switched off
+(:func:`tests.conftest.prefix_cache_off`): cached runs must reproduce the
+uncached verdicts and delta bytes on φ8, MNIST-fog and SqueezeNet-mini,
+budgeted or not, serial or through a 2-worker engine.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -39,6 +46,7 @@ from repro.core.jacobian import (
     finite_difference_jacobians,
 )
 from repro.core.point_repair import point_repair
+from repro.core.prefix_cache import PrefixCache
 from repro.core.specs import PointRepairSpec
 from repro.datasets.acas import phi8_property
 from repro.datasets.corruptions import fog_corrupt
@@ -57,7 +65,7 @@ from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
 from repro.verify.base import Counterexample, RegionStatus, VerificationSpec
 from repro.verify.sampling import GridVerifier
-from tests.conftest import make_random_relu_network
+from tests.conftest import make_random_relu_network, prefix_cache_off
 from tests.test_incremental import assert_reports_identical, value_parameters
 
 #: A budget so small every tier degenerates: single-point chunk batches,
@@ -564,3 +572,127 @@ class TestSqueezeNetWorkload:
             classifier_perturbation_workload(0)
         with pytest.raises(ValueError):
             classifier_perturbation_workload(4, num_classes=9, bug_class=9)
+
+
+@contextmanager
+def served_batches():
+    """Collects one entry per batch a prefix cache served (hit or stored)."""
+    served = []
+    real = PrefixCache.layer_inputs
+
+    def counting(self, *args):
+        inputs = real(self, *args)
+        if inputs is not None:
+            served.append(self.layer_index)
+        return inputs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PrefixCache, "layer_inputs", counting)
+        yield served
+
+
+def assert_same_outcome(cached, uncached) -> None:
+    assert cached.status == uncached.status
+    assert cached.num_rounds == uncached.num_rounds
+    assert value_parameters(cached) == value_parameters(uncached)
+    assert cached.unsatisfied_pool_indices == uncached.unsatisfied_pool_indices
+    assert_reports_identical(cached.final_report, uncached.final_report)
+    for cached_round, uncached_round in zip(cached.rounds, uncached.rounds):
+        assert cached_round.pool_size == uncached_round.pool_size
+        assert cached_round.lp_rows_appended == uncached_round.lp_rows_appended
+
+
+def fogged_digits_scenario(count: int = 40):
+    """Fog-corrupted rendered digits, enough per batch to be worth caching."""
+    rng = ensure_rng(2)
+    side = 8
+    network = make_random_relu_network(rng, (side * side, 12, 4))
+    images = np.stack(
+        [
+            fog_corrupt(render_digit(digit % 10, rng, side=side), 0.5, rng)
+            for digit in range(count)
+        ]
+    )
+    labels = np.argmax(network.compute(images), axis=1)
+    return network, pointwise_verification_spec(images, labels, 4, margin=0.05)
+
+
+class TestPrefixCacheDifferential:
+    """The frozen-prefix cache changes no verdict and no delta byte."""
+
+    def run(self, network, spec, **knobs):
+        return TestDriverDifferential().run(network, spec, **knobs)
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    @pytest.mark.parametrize("memory_budget", [None, TINY_BUDGET, RAGGED_BUDGET])
+    def test_acas_cached_matches_uncached(self, acas_phi8, memory_budget, incremental):
+        network, spec = acas_phi8
+        with served_batches() as served:
+            cached = self.run(
+                network, spec, memory_budget=memory_budget, incremental=incremental
+            )
+        with prefix_cache_off():
+            uncached = self.run(
+                network, spec, memory_budget=memory_budget, incremental=incremental
+            )
+        assert cached.status == "certified"
+        assert served
+        assert_same_outcome(cached, uncached)
+
+    def test_acas_two_worker_engine_matches_uncached_serial(self, acas_phi8):
+        network, spec = acas_phi8
+        with ShardedSyrennEngine(workers=2, cache=False) as engine:
+            cached = self.run(
+                network, spec, memory_budget=RAGGED_BUDGET, engine=engine
+            )
+        with prefix_cache_off():
+            uncached = self.run(network, spec, memory_budget=RAGGED_BUDGET)
+        assert cached.status == "certified"
+        assert_same_outcome(cached, uncached)
+
+    @pytest.mark.parametrize("memory_budget", [None, TINY_BUDGET])
+    def test_fogged_digits_cached_matches_uncached(self, memory_budget):
+        network, spec = fogged_digits_scenario()
+
+        def run():
+            return RepairDriver(
+                network,
+                spec,
+                GridVerifier(certify_exhaustive=True),
+                max_rounds=8,
+                incremental=True,
+                sparse=True,
+                memory_budget=memory_budget,
+            ).run()
+
+        with served_batches() as served:
+            cached = run()
+        with prefix_cache_off():
+            uncached = run()
+        assert cached.status == "certified"
+        assert served
+        assert_same_outcome(cached, uncached)
+
+    @pytest.mark.parametrize(
+        "memory_budget, workers", [(None, 1), (64 * 1024, 1), (64 * 1024, 2)]
+    )
+    def test_squeezenet_cached_matches_uncached(self, memory_budget, workers):
+        workload = classifier_perturbation_workload(24, side=8, seed=1)
+
+        def run():
+            if workers == 1:
+                return driver_certified_repair(workload, memory_budget=memory_budget)
+            with ShardedSyrennEngine(workers=workers, cache=False) as engine:
+                return driver_certified_repair(
+                    workload, memory_budget=memory_budget, engine=engine
+                )
+
+        with served_batches() as served:
+            cached, driver = run()
+        with prefix_cache_off():
+            uncached, _ = run()
+        assert cached.status == "certified"
+        assert served
+        if memory_budget is not None:
+            assert driver.pool.spilled_entries > 0
+        assert_same_outcome(cached, uncached)
