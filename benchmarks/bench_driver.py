@@ -37,7 +37,7 @@ import repro.obs as obs
 from conftest import telemetry_document
 from repro.core.point_repair import point_repair
 from repro.core.specs import PointRepairSpec
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.nn.activations import ReLULayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
@@ -98,7 +98,10 @@ def run_driver(network: Network, spec: VerificationSpec) -> dict:
     """Time a full certified-repair driver run."""
     start = time.perf_counter()
     driver = RepairDriver(
-        network, spec, SyrennVerifier(), max_rounds=MAX_ROUNDS, norm="linf"
+        network,
+        spec,
+        SyrennVerifier(),
+        config=DriverConfig(max_rounds=MAX_ROUNDS, norm="linf"),
     )
     report = driver.run()
     total = time.perf_counter() - start

@@ -11,8 +11,8 @@ telemetry of the out-of-core tiers.
 
 Two cross-checks always run (they are correctness gates, not timings):
 
-* the chunked pipeline's repair delta is byte-identical to the fully
-  in-memory path on the smallest workload;
+* a small-chunk repair delta is byte-identical to the default one-chunk
+  repair on the smallest workload;
 * every run's peak RSS stays under the configured memory budget.
 
 Results are written as JSON (default ``BENCH_imagenet_scaling.json``) with
@@ -64,7 +64,7 @@ def peak_rss_bytes() -> int:
 
 
 def check_chunked_matches_dense(workload) -> None:
-    """Gate: the streamed pipeline is byte-identical to the in-memory path."""
+    """Gate: a many-chunk repair is byte-identical to the one-chunk repair."""
     count = min(workload.num_points, 200)
     spec = PointRepairSpec.from_labels(
         workload.points[:count],
@@ -72,13 +72,9 @@ def check_chunked_matches_dense(workload) -> None:
         num_classes=workload.num_classes,
         margin=CLASSIFICATION_MARGIN,
     )
-    dense = point_repair(workload.buggy, workload.classifier_layer, spec, sparse=True)
+    dense = point_repair(workload.buggy, workload.classifier_layer, spec)
     chunked = point_repair(
-        workload.buggy,
-        workload.classifier_layer,
-        spec,
-        sparse=True,
-        max_chunk_bytes=256 * 1024,
+        workload.buggy, workload.classifier_layer, spec, max_chunk_bytes=256 * 1024
     )
     if dense.feasible != chunked.feasible:
         raise AssertionError("chunked and dense paths disagree on feasibility")

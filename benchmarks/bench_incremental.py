@@ -1,42 +1,33 @@
-"""Incremental-CEGIS benchmark: cold vs incremental driver rounds on ACAS φ8.
+"""Incremental-CEGIS benchmark: per-round driver cost on ACAS φ8.
 
 Builds the strengthened φ8 verification workload (every linear region of
 ``--slices`` random 2-D slices of the property box becomes its own
-verification region) and runs the CEGIS repair driver twice over each
-scenario:
-
-* **cold** — today's loop: every round re-decomposes nothing (the verifier
-  caches partitions) but re-walks every linear region's vertices in Python,
-  re-encodes the *whole* pool's Jacobian rows, and rebuilds + re-solves the
-  repair LP from scratch;
-* **incremental** — ``RepairDriver(incremental=True)``: verification takes
-  the value-only fast path (one batched re-evaluation of the cached vertex
-  stack per round), repair appends only the new counterexamples' rows to a
-  standing LP session, and solves thread a warm-start handle.
+verification region) and runs the CEGIS repair driver over each scenario.
+Every round, verification takes the value-only fast path (one batched
+re-evaluation of the cached vertex stack), repair appends only the new
+counterexamples' rows to the driver's standing LP session, and solves
+thread a warm-start handle.
 
 Round counts are scaled by rationing counterexample intake
 (``max_new_counterexamples``): a smaller ration means more, smaller rounds —
-the regime incremental infrastructure exists for.  Because round 0 builds
-the caches both runs share (and is byte-identical between them), the
-headline metric is the **per-round speedup over rounds ≥ 1**; the report
-also carries end-to-end totals.
+the regime the standing session exists for.  Round 0 builds the caches, so
+the headline metric is the **mean per-round cost over rounds ≥ 1**; the
+report also carries end-to-end totals.
 
-The cross-check is strict and always on: both runs must certify, agree on
-every region verdict and margin, take the same number of rounds, and end at
-**byte-identical** value-channel parameters (the default scipy/HiGHS
-backend's warm start is exact, so incremental execution must not change a
-single bit).  With ``--min-round-speedup`` (set by default to 2.0 for
-scenarios reaching ≥ 4 rounds) the script also fails if the speedup target
-is missed.
+The cross-check is strict and always on: the run must certify, leave every
+pooled counterexample satisfied, and end at value-channel parameters
+**byte-identical** to a one-shot ``point_repair(base, layer, final pool)``
+(the default scipy/HiGHS backend's warm start is exact, so appending rows
+round by round must not change a single bit).
 
-On top of the cold/incremental pair (default backend), every scenario also
-sweeps an **LP backend portfolio** (``--backends``, default scipy, the
-native highspy backend, and a ``race:highs_native,scipy`` portfolio): each
-backend gets its own cold + incremental pair, its per-round cost lands in
-the record's ``backends`` table, and — whenever the backend's warm start is
-exact — the same byte-level cross-check the default pair gets.  Degraded
-backends (``highs_native`` without ``highspy``) are benchmarked in whatever
-mode the environment provides and flagged via ``available``.
+On top of the default backend, every scenario also sweeps an **LP backend
+portfolio** (``--backends``, default scipy, the native highspy backend, and
+a ``race:highs_native,scipy`` portfolio): each backend gets its own driver
+run, its per-round cost lands in the record's ``backends`` table, and —
+whenever the backend's warm start is exact — the same byte-level
+cross-check.  Degraded backends (``highs_native`` without ``highspy``) are
+benchmarked in whatever mode the environment provides and flagged via
+``available``.
 
 Results are written as JSON with the same report shape as
 ``bench_lp_scaling.py`` (default ``BENCH_incremental.json``) so CI can
@@ -60,8 +51,9 @@ import numpy as np
 
 import repro.obs as obs
 from conftest import telemetry_document
+from repro.core.point_repair import point_repair
 from repro.datasets.acas import phi8_property
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
 from repro.lp.backends import backend_capabilities
 from repro.models.acas_models import build_acas_network
@@ -95,12 +87,7 @@ def build_workload(
 
 
 def run_driver(
-    network,
-    spec: VerificationSpec,
-    *,
-    incremental: bool,
-    ration: int,
-    backend: str | None = None,
+    network, spec: VerificationSpec, *, ration: int, backend: str | None = None
 ) -> dict:
     """One full driver run; returns timings plus the report for cross-checks."""
     start = time.perf_counter()
@@ -108,15 +95,14 @@ def run_driver(
         network,
         spec,
         SyrennVerifier(),
-        max_rounds=MAX_ROUNDS,
-        incremental=incremental,
-        max_new_counterexamples=ration,
-        backend=backend,
+        config=DriverConfig(
+            max_rounds=MAX_ROUNDS, max_new_counterexamples=ration, backend=backend
+        ),
     )
     report = driver.run()
     total = time.perf_counter() - start
     per_round = [record.seconds + record.repair_seconds for record in report.rounds]
-    later = per_round[1:]  # round 0 builds the shared caches, identically
+    later = per_round[1:]  # round 0 builds the caches
     return {
         "total_seconds": total,
         "rounds": report.num_rounds,
@@ -131,78 +117,67 @@ def run_driver(
         "lp_iterations": report.lp_iterations,
         "timing": report.timing.as_dict(),
         "report": report,
+        "pool_spec": driver.pool.point_spec(margin=driver.repair_margin),
     }
 
 
-def cross_check(cold: dict, incremental: dict) -> None:
-    """Byte-level equivalence of the two runs (raises on any mismatch)."""
-    cold_report, incremental_report = cold["report"], incremental["report"]
-    if cold["rounds"] != incremental["rounds"]:
-        raise AssertionError(
-            f"round counts diverged: cold {cold['rounds']}, "
-            f"incremental {incremental['rounds']}"
-        )
-    if cold_report.final_report.region_statuses != incremental_report.final_report.region_statuses:
-        raise AssertionError("incremental run disagrees with cold verdicts")
-    if cold_report.final_report.region_margins != incremental_report.final_report.region_margins:
-        raise AssertionError("incremental run disagrees with cold margins")
-    for layer_index in cold_report.network.repairable_layer_indices():
-        cold_flat = cold_report.network.value.layers[layer_index].get_parameters()
-        incremental_flat = incremental_report.network.value.layers[
-            layer_index
-        ].get_parameters()
-        if cold_flat.tobytes() != incremental_flat.tobytes():
+def cross_check(network, run: dict, backend: str | None = None) -> None:
+    """Byte-level equivalence with a one-shot repair of the final pool."""
+    report = run["report"]
+    if not report.certified:
+        raise AssertionError(f"the driver ended {report.status!r}, not certified")
+    if report.unsatisfied_pool_indices:
+        raise AssertionError("the final network violates pooled counterexamples")
+    layer = [r.layer_index for r in report.rounds if r.repair_feasible][-1]
+    one_shot = point_repair(network, layer, run["pool_spec"], backend=backend)
+    for layer_index in report.network.repairable_layer_indices():
+        driver_flat = report.network.value.layers[layer_index].get_parameters()
+        one_shot_flat = one_shot.network.value.layers[layer_index].get_parameters()
+        if driver_flat.tobytes() != one_shot_flat.tobytes():
             raise AssertionError(
-                f"parameter deltas of layer {layer_index} are not byte-identical"
+                f"layer {layer_index} is not byte-identical to the one-shot repair"
             )
-    if cold_report.unsatisfied_pool_indices or incremental_report.unsatisfied_pool_indices:
-        raise AssertionError("a final network violates pooled counterexamples")
+
+
+def strip(run: dict) -> dict:
+    """The JSON-ready part of a :func:`run_driver` record."""
+    run.pop("report")
+    run.pop("pool_spec")
+    return run
 
 
 def run_backend_portfolio(network, spec, *, ration: int, backends: list[str]) -> dict:
-    """Per-backend cold + incremental pairs for one scenario.
+    """One driver run per backend for one scenario.
 
-    Returns ``{spec: {...}}`` with per-round costs, the round speedup, and
-    the capability probe.  Backends whose warm start is exact get the full
-    byte-level :func:`cross_check`; inexact ones (the native basis-reuse
-    path steers pivots) are held to verdict-level agreement — both runs
-    must certify.
+    Returns ``{spec: {...}}`` with per-round costs and the capability probe.
+    Backends whose warm start is exact get the full byte-level
+    :func:`cross_check`; inexact ones (the native basis-reuse path steers
+    pivots) are held to verdict-level agreement — the run must certify.
     """
     table: dict[str, dict] = {}
     for backend_spec in backends:
         probe = backend_capabilities(backend_spec)
-        cold = run_driver(
-            network, spec, incremental=False, ration=ration, backend=backend_spec
-        )
-        incremental = run_driver(
-            network, spec, incremental=True, ration=ration, backend=backend_spec
-        )
+        run = run_driver(network, spec, ration=ration, backend=backend_spec)
         if probe["warm_start_is_exact"]:
-            cross_check(cold, incremental)
-        elif not (cold["certified"] and incremental["certified"]):
+            cross_check(network, run, backend_spec)
+        elif not run["certified"]:
             raise AssertionError(
                 f"backend {backend_spec!r} failed to certify the workload"
             )
-        cold.pop("report")
-        incremental.pop("report")
+        strip(run)
         table[backend_spec] = {
             "slug": backend_slug(backend_spec),
             "available": probe["available"],
             "warm_start_is_exact": probe["warm_start_is_exact"],
-            "cold_mean_round_seconds": cold["mean_round_seconds"],
-            "incremental_mean_round_seconds": incremental["mean_round_seconds"],
-            "round_speedup": cold["mean_round_seconds"]
-            / max(incremental["mean_round_seconds"], 1e-12),
-            "rounds": incremental["rounds"],
-            "warm_started_rounds": incremental["warm_started_rounds"],
-            "total_seconds": incremental["total_seconds"],
+            "incremental_mean_round_seconds": run["mean_round_seconds"],
+            "rounds": run["rounds"],
+            "warm_started_rounds": run["warm_started_rounds"],
+            "total_seconds": run["total_seconds"],
         }
         entry = table[backend_spec]
         print(
             f"    backend={backend_spec:<28} "
-            f"cold/round={entry['cold_mean_round_seconds'] * 1e3:7.1f}ms  "
-            f"incremental/round={entry['incremental_mean_round_seconds'] * 1e3:7.1f}ms  "
-            f"round-speedup={entry['round_speedup']:.1f}x"
+            f"per-round={entry['incremental_mean_round_seconds'] * 1e3:7.1f}ms"
             f"{'' if entry['available'] else '  (degraded: native solver missing)'}"
         )
     return table
@@ -215,51 +190,32 @@ def run_benchmark(
     hidden_size: int,
     hidden_layers: int,
     seed: int,
-    min_round_speedup: float | None,
     backends: list[str] | None = None,
 ) -> dict:
     """Sweep counterexample rations and return the JSON-ready report."""
     network, spec = build_workload(num_slices, hidden_size, hidden_layers, seed)
     records = []
     for ration in rations:
-        cold = run_driver(network, spec, incremental=False, ration=ration)
-        incremental = run_driver(network, spec, incremental=True, ration=ration)
-        cross_check(cold, incremental)
-        cold.pop("report")
-        incremental.pop("report")
-        round_speedup = cold["mean_round_seconds"] / max(
-            incremental["mean_round_seconds"], 1e-12
+        run = run_driver(network, spec, ration=ration)
+        cross_check(network, run)
+        strip(run)
+        records.append(
+            {
+                "ration": ration,
+                "rounds": run["rounds"],
+                "incremental": run,
+                "backends": run_backend_portfolio(
+                    network, spec, ration=ration, backends=backends or DEFAULT_PORTFOLIO
+                ),
+            }
         )
-        total_speedup = cold["total_seconds"] / max(incremental["total_seconds"], 1e-12)
-        record = {
-            "ration": ration,
-            "rounds": cold["rounds"],
-            "cold": cold,
-            "incremental": incremental,
-            "round_speedup": round_speedup,
-            "total_speedup": total_speedup,
-            "backends": run_backend_portfolio(
-                network, spec, ration=ration, backends=backends or DEFAULT_PORTFOLIO
-            ),
-        }
-        records.append(record)
         print(
-            f"ration={ration:>3}  rounds={cold['rounds']:>3}  "
-            f"cold/round={cold['mean_round_seconds'] * 1e3:7.1f}ms  "
-            f"incremental/round={incremental['mean_round_seconds'] * 1e3:7.1f}ms  "
-            f"round-speedup={round_speedup:.1f}x  total-speedup={total_speedup:.1f}x  "
-            f"(warm={incremental['warm_started_rounds']}, "
-            f"value-only={incremental['value_only_rounds']})"
+            f"ration={ration:>3}  rounds={run['rounds']:>3}  "
+            f"per-round={run['mean_round_seconds'] * 1e3:7.1f}ms  "
+            f"total={run['total_seconds']:.2f}s  "
+            f"(warm={run['warm_started_rounds']}, "
+            f"value-only={run['value_only_rounds']})"
         )
-        if (
-            min_round_speedup is not None
-            and cold["rounds"] >= 4
-            and round_speedup < min_round_speedup
-        ):
-            raise AssertionError(
-                f"round speedup {round_speedup:.2f}x below the required "
-                f"{min_round_speedup:.2f}x at {cold['rounds']} rounds"
-            )
     return {
         "benchmark": "incremental",
         "network": {
@@ -308,13 +264,6 @@ def main() -> None:
         f"(default: {' '.join(DEFAULT_PORTFOLIO)})",
     )
     parser.add_argument(
-        "--min-round-speedup",
-        type=float,
-        default=2.0,
-        help="fail if the per-round speedup at >=4 rounds drops below this "
-        "(pass 0 to disable; default: 2.0)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="CI smoke: one small workload and a single ration "
@@ -342,7 +291,6 @@ def main() -> None:
         hidden_size=args.hidden,
         hidden_layers=args.layers,
         seed=args.seed,
-        min_round_speedup=args.min_round_speedup or None,
         backends=args.backends,
     )
     report["telemetry"] = telemetry_document()

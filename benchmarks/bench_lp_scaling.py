@@ -1,18 +1,15 @@
-"""LP-scaling benchmark: batched+sparse repair engine vs. the legacy path.
+"""LP-scaling benchmark: end-to-end pointwise repair as the LP grows.
 
 Builds synthetic pointwise repairs whose LP grows from ~10² to ~10⁴
-constraint rows and times both repair engines end to end (Jacobian
-computation, LP assembly, and LP solve):
+constraint rows and times ``point_repair`` end to end (vectorized Jacobian
+computation, constraint rows streamed as CSR chunks into the LP, and the LP
+solve).
 
-* **legacy** — per-point Python-loop Jacobians (``batched=False``) and the
-  dense ``standard_form`` (``sparse=False``);
-* **batched** — one vectorized multi-point Jacobian pass (``batched=True``)
-  and the sparse CSR standard form (``sparse=True``).
-
-The two engines build the same LP row for row, so the benchmark also
-cross-checks that their deltas and LP statuses agree before reporting
-timings.  Results are written as JSON (default ``BENCH_lp_scaling.json``)
-so CI can archive the perf trajectory.
+Every size is cross-checked before timings are reported: the same repair
+with a tiny chunk budget (``--check-chunk-bytes``, many streamed chunks
+instead of one) must return the same LP status and a byte-identical delta.
+Results are written as JSON (default ``BENCH_lp_scaling.json``) so CI can
+archive the perf trajectory.
 
 Usage::
 
@@ -43,7 +40,9 @@ INPUT_SIZE = 10
 NUM_CLASSES = 2   # binary classifier: one argmax constraint row per point
 BOTTLENECK = 10
 REPAIR_LAYER = 0  # the bottleneck layer: few parameters, deep downstream pass
-DELTA_BOUND = 0.05  # box bound on Δ; identical for both engines
+DELTA_BOUND = 0.05  # box bound on Δ
+#: Chunk budget of the cross-check run: small enough for many chunks.
+CHECK_CHUNK_BYTES = 64 * 1024
 
 
 def build_network(depth: int, width: int, rng: np.random.Generator) -> Network:
@@ -66,11 +65,10 @@ def build_network(depth: int, width: int, rng: np.random.Generator) -> Network:
 def build_spec(network: Network, num_points: int, rng: np.random.Generator) -> PointRepairSpec:
     """A verification-style spec: every point must keep its current argmax.
 
-    The spec is satisfiable at Δ = 0, so the LP solve stays cheap and
-    comparable across engines and the benchmark isolates the scaling of the
-    encoding pipeline (Jacobians + constraint assembly) that the batched
-    engine accelerates.  Flipping labels instead makes HiGHS iteration
-    counts — identical for both engines — swamp the measurement.
+    The spec is satisfiable at Δ = 0, so the LP solve stays cheap and the
+    benchmark isolates the scaling of the encoding pipeline (Jacobians +
+    constraint assembly).  Flipping labels instead makes HiGHS iteration
+    counts swamp the measurement.
     """
     points = rng.normal(size=(num_points, network.input_size))
     outputs = np.atleast_2d(network.compute(points))
@@ -79,7 +77,11 @@ def build_spec(network: Network, num_points: int, rng: np.random.Generator) -> P
 
 
 def run_one(
-    network: Network, spec: PointRepairSpec, *, batched: bool, sparse: bool, rounds: int = 2
+    network: Network,
+    spec: PointRepairSpec,
+    *,
+    max_chunk_bytes: int | None = None,
+    rounds: int = 2,
 ) -> dict:
     """Time one end-to-end repair; repeat ``rounds`` times and keep the best.
 
@@ -96,8 +98,7 @@ def run_one(
             spec,
             norm="linf",
             delta_bound=DELTA_BOUND,
-            batched=batched,
-            sparse=sparse,
+            max_chunk_bytes=max_chunk_bytes,
         )
         total = time.perf_counter() - start
         if best is None or total < best["total_seconds"]:
@@ -114,8 +115,10 @@ def run_one(
     return best
 
 
-def run_benchmark(sizes: list[int], depth: int, width: int, seed: int) -> dict:
-    """Run the legacy-vs-batched sweep and return the JSON-ready report."""
+def run_benchmark(
+    sizes: list[int], depth: int, width: int, seed: int, check_chunk_bytes: int
+) -> dict:
+    """Run the size sweep and return the JSON-ready report."""
     rng = ensure_rng(seed)  # seeded through repro.utils.rng for reproducible JSON
     network = build_network(depth, width, rng)
     rows_per_point = NUM_CLASSES - 1  # one argmax constraint row per rival class
@@ -123,36 +126,28 @@ def run_benchmark(sizes: list[int], depth: int, width: int, seed: int) -> dict:
     for target_rows in sizes:
         num_points = max(1, target_rows // rows_per_point)
         spec = build_spec(network, num_points, rng)
-        legacy = run_one(network, spec, batched=False, sparse=False)
-        batched = run_one(network, spec, batched=True, sparse=True)
-
-        if legacy["status"] != batched["status"]:
+        repair = run_one(network, spec)
+        check = run_one(network, spec, max_chunk_bytes=check_chunk_bytes, rounds=1)
+        if check["status"] != repair["status"]:
             raise AssertionError(
-                f"engines disagree on LP status: {legacy['status']} vs {batched['status']}"
+                f"chunk budgets disagree on LP status: {repair['status']} vs {check['status']}"
             )
-        if legacy["feasible"] and not np.allclose(
-            legacy["delta"], batched["delta"], atol=1e-6
-        ):
-            raise AssertionError("engines disagree on the repair delta")
+        if repair["feasible"] and repair["delta"].tobytes() != check["delta"].tobytes():
+            raise AssertionError("chunk budgets disagree on the repair delta bytes")
 
-        for record in (legacy, batched):
-            record.pop("delta")
-        speedup = legacy["total_seconds"] / max(batched["total_seconds"], 1e-12)
+        repair.pop("delta")
         records.append(
             {
                 "target_rows": target_rows,
                 "num_points": num_points,
-                "constraint_rows": batched["num_constraint_rows"],
-                "legacy": legacy,
-                "batched": batched,
-                "speedup": speedup,
+                "constraint_rows": repair["num_constraint_rows"],
+                "repair": repair,
             }
         )
         print(
-            f"rows={batched['num_constraint_rows']:>6}  "
-            f"legacy={legacy['total_seconds']:.3f}s  "
-            f"batched={batched['total_seconds']:.3f}s  "
-            f"speedup={speedup:.1f}x"
+            f"rows={repair['num_constraint_rows']:>6}  "
+            f"repair={repair['total_seconds']:.3f}s  "
+            f"(jacobian={repair['jacobian_seconds']:.3f}s  lp={repair['lp_seconds']:.3f}s)"
         )
     return {
         "benchmark": "lp_scaling",
@@ -176,6 +171,13 @@ def main() -> None:
     parser.add_argument("--width", type=int, default=48, help="hidden layer width")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
+        "--check-chunk-bytes",
+        type=int,
+        default=CHECK_CHUNK_BYTES,
+        help="chunk budget of the byte-identity cross-check run "
+        f"(default: {CHECK_CHUNK_BYTES})",
+    )
+    parser.add_argument(
         "--out",
         type=Path,
         default=Path("BENCH_lp_scaling.json"),
@@ -183,7 +185,9 @@ def main() -> None:
     )
     args = parser.parse_args()
     obs.enable()
-    report = run_benchmark(args.sizes, args.depth, args.width, args.seed)
+    report = run_benchmark(
+        args.sizes, args.depth, args.width, args.seed, args.check_chunk_bytes
+    )
     report["telemetry"] = telemetry_document()
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

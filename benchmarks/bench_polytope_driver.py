@@ -13,29 +13,23 @@ For each workload the script compares:
 * **one-shot** — ``polytope_repair``: decompose *every* specification
   polytope, encode *every* linear region's vertices, solve one LP (the
   paper's Algorithm 2 as a single call), then verify the result exactly;
-* **driver-cold** — ``RepairDriver(mode="polytope")``: the verifier
-  discovers violating regions, the pool dedups and expands them, and the
-  loop iterates to a certified verdict, rebuilding the LP each round;
-* **driver-incremental** — the same loop with the standing LP session,
-  warm starts, and value-only re-verification.
+* **driver** — ``RepairDriver(mode="polytope")``: the verifier discovers
+  violating regions, the pool dedups and expands them, and the loop
+  iterates to a certified verdict through the standing LP session, warm
+  starts, and value-only re-verification.
 
 Cross-checks are strict and always on.  A ``workers=4`` engine-backed run
 must be **byte-identical** to ``workers=1`` on both workloads (round
-counts, verdicts, margins, value-channel parameters).  Cold vs incremental
-has two tiers, matching where the PR 3/4 determinism contracts actually
-hold.  On the narrow ACAS value channel the incremental run must be
-**byte-identical** to the cold run.  On the wide (64-input) digit value
-channel BLAS rounds full-stack and micro-batch matmuls differently in the
-last bit, so cold and incremental runs are only equal to ~1e-14 per
-coefficient; over many rounds that skew can even flip a
-borderline-at-tolerance vertex verdict and fork the round trajectory.
-There the contract is outcome-level: both runs must certify with every
-pooled counterexample satisfied, and whenever the trajectories do match,
-verdicts must agree exactly and margins/parameters to within ``1e-9``.
-``incremental_byte_identical`` / ``incremental_trajectory_forked`` record
-which regime a run landed in.  With ``--min-round-speedup`` (default 2.0,
-asserted once a scenario reaches ≥ 4 rounds) the script also fails if the
-incremental per-round speedup over rounds ≥ 1 misses the target.
+counts, verdicts, margins, value-channel parameters).  The driver's final
+network is also checked against a one-shot ``point_repair(base, layer,
+final pool)``, in two tiers matching where the determinism contracts
+actually hold.  On the narrow ACAS value channel the two must be
+**byte-identical**.  On the wide (64-input) digit value channel BLAS rounds
+full-pool and micro-batch matmuls differently in the last bit, so the two
+are only equal to ~1e-14 per coefficient; there the contract is
+outcome-level: the run certifies, every pooled counterexample is satisfied,
+and the norm objective matches to ``1e-9`` relative.
+``one_shot_byte_identical`` records which regime a run landed in.
 
 Results are written as JSON with the same report shape as the other benches
 (default ``BENCH_polytope_driver.json``) so CI can archive the trajectory.
@@ -59,10 +53,11 @@ import numpy as np
 import repro.obs as obs
 from conftest import telemetry_document
 from repro.core.ddnn import DecoupledNetwork
+from repro.core.point_repair import point_repair
 from repro.core.polytope_repair import count_key_points, polytope_repair
 from repro.core.specs import PolytopeRepairSpec
 from repro.datasets.acas import phi8_property
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.engine import ShardedSyrennEngine
 from repro.experiments.task2_mnist_lines import (
     setup_task2,
@@ -139,7 +134,6 @@ def run_driver(
     layer: int,
     norm: str,
     *,
-    incremental: bool,
     ration: int | None,
     workers: int = 1,
 ) -> dict:
@@ -151,12 +145,13 @@ def run_driver(
             network,
             spec,
             SyrennVerifier(),
-            mode="polytope",
-            layer_schedule=[layer],
-            norm=norm,
-            max_rounds=MAX_ROUNDS,
-            incremental=incremental,
-            max_new_counterexamples=ration,
+            config=DriverConfig(
+                mode="polytope",
+                layer_schedule=[layer],
+                norm=norm,
+                max_rounds=MAX_ROUNDS,
+                max_new_counterexamples=ration,
+            ),
             engine=engine,
         )
         report = driver.run()
@@ -165,7 +160,7 @@ def run_driver(
             engine.close()
     total = time.perf_counter() - start
     per_round = [record.seconds + record.repair_seconds for record in report.rounds]
-    later = per_round[1:]  # round 0 builds the caches both runs share
+    later = per_round[1:]  # round 0 builds the caches
     return {
         "total_seconds": total,
         "rounds": report.num_rounds,
@@ -181,82 +176,74 @@ def run_driver(
         "workers": workers,
         "timing": report.timing.as_dict(),
         "report": report,
+        "pool_spec": driver.pool.point_spec(margin=driver.repair_margin),
     }
 
 
-def value_parameters(report) -> list[bytes]:
+def value_parameters(network) -> list[bytes]:
     return [
-        report.network.value.layers[index].get_parameters().tobytes()
-        for index in report.network.repairable_layer_indices()
+        network.value.layers[index].get_parameters().tobytes()
+        for index in network.repairable_layer_indices()
     ]
 
 
-def cross_check(
-    reference: dict,
-    candidate: dict,
-    label: str,
-    strict: bool = True,
-    atol: float = 1e-9,
-) -> dict:
-    """Equivalence of two driver runs; returns the regime they landed in.
+def norm_objective(delta: np.ndarray, norm: str) -> float:
+    """The LP objective :func:`repro.lp.norms.add_norm_objective` minimizes."""
+    linf, l1 = float(np.abs(delta).max()), float(np.abs(delta).sum())
+    return {"linf": linf, "l1": l1, "l1+linf": delta.size * linf + l1}[norm]
 
-    ``strict=True`` (the workers=1 vs workers=4 contract, and cold vs
-    incremental on the narrow ACAS channel) demands byte identity: equal
-    round trajectory, verdicts, margins, and value-channel parameters.
 
-    ``strict=False`` (cold vs incremental on the wide digit channel, where
-    BLAS batch-shape rounding skews the two runs by ~1e-14 per coefficient)
-    demands the *outcome*: both certified, every pooled counterexample
-    satisfied; and when the round trajectories match, verdicts must agree
-    exactly with margins/parameters within ``atol``.  A forked trajectory —
-    the skew flipped a borderline-at-tolerance vertex verdict in some round
-    — is recorded, not failed.
+def trajectory(report) -> list[tuple]:
+    """Per-round pool intake: which regions were pooled when."""
+    return [
+        (record.new_counterexamples, record.pool_size, record.pool_key_points)
+        for record in report.rounds
+    ]
+
+
+def check_workers(serial: dict, parallel: dict, label: str) -> None:
+    """workers=4 must reproduce workers=1 byte for byte."""
+    ref, cand = serial["report"], parallel["report"]
+    if trajectory(ref) != trajectory(cand):
+        raise AssertionError(f"{label}: round trajectories diverged")
+    if (
+        ref.final_report.region_statuses != cand.final_report.region_statuses
+        or ref.final_report.region_margins != cand.final_report.region_margins
+        or value_parameters(ref.network) != value_parameters(cand.network)
+    ):
+        raise AssertionError(f"{label}: runs are not byte-identical")
+
+
+def check_one_shot(
+    network, run: dict, layer: int, norm: str, label: str, strict: bool
+) -> bool:
+    """The driver's final network vs a one-shot repair of its final pool.
+
+    ``strict=True`` (the narrow ACAS channel) demands byte identity.
+    ``strict=False`` (the wide digit channel, where BLAS batch-shape
+    rounding skews the two by ~1e-14 per coefficient) demands the outcome:
+    certified, every pooled counterexample satisfied, and the norm
+    objective within ``1e-9`` relative.  Returns whether the two were
+    byte-identical.
     """
-    ref, cand = reference["report"], candidate["report"]
-    if ref.unsatisfied_pool_indices or cand.unsatisfied_pool_indices:
-        raise AssertionError(f"{label}: a final network violates pooled counterexamples")
-    # A fork means the two runs pooled different region sequences — compare
-    # the per-round intake trajectory, not just the round count: a flipped
-    # borderline verdict can reroute which regions are pooled when while
-    # still converging in the same number of rounds.
-    def trajectory(report):
-        return [
-            (record.new_counterexamples, record.pool_size, record.pool_key_points)
-            for record in report.rounds
-        ]
-
-    forked = trajectory(ref) != trajectory(cand)
-    if forked:
-        if strict:
-            raise AssertionError(
-                f"{label}: round trajectories diverged "
-                f"({reference['rounds']} vs {candidate['rounds']} rounds)"
-            )
-        if reference["status"] != candidate["status"]:
-            raise AssertionError(f"{label}: final statuses diverged")
-        return {"byte_identical": False, "trajectory_forked": True}
-    if ref.final_report.region_statuses != cand.final_report.region_statuses:
-        raise AssertionError(f"{label}: region verdicts diverged")
-    byte_identical = (
-        ref.final_report.region_margins == cand.final_report.region_margins
-        and value_parameters(ref) == value_parameters(cand)
-    )
-    if not byte_identical:
-        if strict:
-            raise AssertionError(f"{label}: runs are not byte-identical")
-        if not np.allclose(
-            ref.final_report.region_margins,
-            cand.final_report.region_margins,
-            rtol=0.0,
-            atol=atol,
-        ):
-            raise AssertionError(f"{label}: region margins diverged")
-        for ref_bytes, cand_bytes in zip(value_parameters(ref), value_parameters(cand)):
-            ref_flat = np.frombuffer(ref_bytes, dtype=np.float64)
-            cand_flat = np.frombuffer(cand_bytes, dtype=np.float64)
-            if not np.allclose(ref_flat, cand_flat, rtol=0.0, atol=atol):
-                raise AssertionError(f"{label}: value-channel parameters diverged")
-    return {"byte_identical": byte_identical, "trajectory_forked": False}
+    report = run["report"]
+    if report.status != "certified":
+        raise AssertionError(f"{label}: driver ended {report.status}, not certified")
+    if report.unsatisfied_pool_indices:
+        raise AssertionError(f"{label}: the final network violates pooled counterexamples")
+    one_shot = point_repair(network, layer, run["pool_spec"], norm=norm)
+    if value_parameters(report.network) == value_parameters(one_shot.network):
+        return True
+    if strict:
+        raise AssertionError(f"{label}: driver and one-shot are not byte-identical")
+    base = DecoupledNetwork.from_network(network).value.layers[layer].get_parameters()
+    delta = report.network.value.layers[layer].get_parameters() - base
+    objective = norm_objective(delta, norm)
+    if not np.isclose(objective, one_shot.objective_value, rtol=1e-9, atol=0.0):
+        raise AssertionError(
+            f"{label}: objective {objective!r} vs one-shot {one_shot.objective_value!r}"
+        )
+    return False
 
 
 def run_workload(
@@ -267,78 +254,46 @@ def run_workload(
     *,
     norm: str,
     ration: int | None,
-    min_round_speedup: float | None,
-    strict_incremental: bool,
+    strict_one_shot: bool,
     repeats: int = 1,
 ) -> dict:
     """Benchmark one workload; returns the JSON-ready record.
 
-    ``strict_incremental`` demands cold vs incremental byte-identity (the
-    ACAS workload: narrow value channel, the substrate the PR 3/4
-    determinism contracts are pinned on); otherwise the comparison allows
-    the wide-channel ~1e-14 BLAS rounding skew up to ``1e-9``.
+    ``strict_one_shot`` demands byte identity between the driver and a
+    one-shot repair of its final pool (the ACAS workload: narrow value
+    channel, the substrate the determinism contracts are pinned on);
+    otherwise the comparison is outcome-level (see :func:`check_one_shot`).
     """
     total_key_points = count_key_points(network, spec)
     one_shot = run_one_shot(network, spec, layer, norm)
-    cold = run_driver(network, spec, layer, norm, incremental=False, ration=ration)
-    incremental = run_driver(network, spec, layer, norm, incremental=True, ration=ration)
-    incremental_regime = cross_check(
-        cold, incremental, f"{name}: cold vs incremental", strict=strict_incremental
+    driver = run_driver(network, spec, layer, norm, ration=ration)
+    byte_identical = check_one_shot(
+        network, driver, layer, norm, f"{name}: driver vs one-shot", strict_one_shot
     )
-    # Wall-clock is noisy on shared machines; re-time the pair and keep the
-    # fastest per-round mean of each side (the computation is deterministic,
-    # so repeats only strip scheduler jitter — the standard min-of-N
-    # estimator).  The cross-checked reports above stay authoritative.
+    # Wall-clock is noisy on shared machines; re-time and keep the fastest
+    # per-round mean (the computation is deterministic, so repeats only
+    # strip scheduler jitter — the standard min-of-N estimator).  The
+    # cross-checked report above stays authoritative.
     for _ in range(max(0, repeats - 1)):
-        again_cold = run_driver(
-            network, spec, layer, norm, incremental=False, ration=ration
-        )
-        again_incremental = run_driver(
-            network, spec, layer, norm, incremental=True, ration=ration
-        )
-        if again_cold["mean_round_seconds"] < cold["mean_round_seconds"]:
-            cold.update(
-                {k: again_cold[k] for k in ("mean_round_seconds", "per_round_seconds", "total_seconds")}
+        again = run_driver(network, spec, layer, norm, ration=ration)
+        if again["mean_round_seconds"] < driver["mean_round_seconds"]:
+            driver.update(
+                {k: again[k] for k in ("mean_round_seconds", "per_round_seconds", "total_seconds")}
             )
-        if again_incremental["mean_round_seconds"] < incremental["mean_round_seconds"]:
-            incremental.update(
-                {k: again_incremental[k] for k in ("mean_round_seconds", "per_round_seconds", "total_seconds")}
-            )
-    parallel = run_driver(
-        network, spec, layer, norm, incremental=True, ration=ration, workers=4
-    )
-    workers_regime = cross_check(
-        incremental, parallel, f"{name}: workers=1 vs workers=4", strict=True
-    )
-    assert workers_regime["byte_identical"]
-    for run in (cold, incremental, parallel):
-        if run["status"] != "certified":
-            raise AssertionError(f"{name}: driver ended {run['status']}, not certified")
+    parallel = run_driver(network, spec, layer, norm, ration=ration, workers=4)
+    check_workers(driver, parallel, f"{name}: workers=1 vs workers=4")
+    for run in (driver, parallel):
         run.pop("report")
+        run.pop("pool_spec")
 
-    round_speedup = cold["mean_round_seconds"] / max(
-        incremental["mean_round_seconds"], 1e-12
-    )
-    total_speedup = cold["total_seconds"] / max(incremental["total_seconds"], 1e-12)
     print(
         f"{name}: regions-keypoints={total_key_points}  "
         f"one-shot={one_shot['repair_seconds'] * 1e3:7.1f}ms "
-        f"(certified={one_shot['certified']})  rounds={cold['rounds']}  "
-        f"cold/round={cold['mean_round_seconds'] * 1e3:7.1f}ms  "
-        f"incr/round={incremental['mean_round_seconds'] * 1e3:7.1f}ms  "
-        f"round-speedup={round_speedup:.1f}x  total-speedup={total_speedup:.1f}x  "
-        f"workers4=byte-identical  "
-        f"incr-byte-identical={incremental_regime['byte_identical']}"
+        f"(certified={one_shot['certified']})  rounds={driver['rounds']}  "
+        f"driver/round={driver['mean_round_seconds'] * 1e3:7.1f}ms  "
+        f"driver-total={driver['total_seconds']:.2f}s  "
+        f"workers4=byte-identical  one-shot-byte-identical={byte_identical}"
     )
-    if (
-        min_round_speedup is not None
-        and cold["rounds"] >= 4
-        and round_speedup < min_round_speedup
-    ):
-        raise AssertionError(
-            f"{name}: round speedup {round_speedup:.2f}x below the required "
-            f"{min_round_speedup:.2f}x at {cold['rounds']} rounds"
-        )
     return {
         "workload": name,
         "polytopes": spec.num_polytopes,
@@ -347,14 +302,10 @@ def run_workload(
         "norm": norm,
         "ration": ration,
         "one_shot": one_shot,
-        "cold": cold,
-        "incremental": incremental,
+        "driver": driver,
         "workers4": parallel,
         "workers4_byte_identical": True,
-        "incremental_byte_identical": incremental_regime["byte_identical"],
-        "incremental_trajectory_forked": incremental_regime["trajectory_forked"],
-        "round_speedup": round_speedup,
-        "total_speedup": total_speedup,
+        "one_shot_byte_identical": byte_identical,
     }
 
 
@@ -406,14 +357,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="timing repeats per driver variant, best-of-N (default: 5; 1 with --smoke)",
-    )
-    parser.add_argument(
-        "--min-round-speedup",
-        type=float,
-        default=2.0,
-        help="fail if the per-round speedup at >=4 rounds drops below this "
-        "(pass 0 to disable; default: 2.0)",
+        help="timing repeats of the serial driver run, best-of-N (default: 5; 1 with --smoke)",
     )
     parser.add_argument(
         "--smoke",
@@ -438,7 +382,6 @@ def main() -> None:
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
-    min_round_speedup = args.min_round_speedup or None
 
     mnist_network, mnist_spec, mnist_layer = build_mnist_workload(
         num_lines=args.lines,
@@ -457,14 +400,12 @@ def main() -> None:
     records = [
         run_workload(
             "mnist_fog_lines", mnist_network, mnist_spec, mnist_layer,
-            norm=args.norm, ration=args.ration,
-            min_round_speedup=min_round_speedup, strict_incremental=False,
+            norm=args.norm, ration=args.ration, strict_one_shot=False,
             repeats=args.repeats,
         ),
         run_workload(
             "acas_planes", acas_network, acas_spec, acas_layer,
-            norm=args.norm, ration=args.acas_ration,
-            min_round_speedup=min_round_speedup, strict_incremental=True,
+            norm=args.norm, ration=args.acas_ration, strict_one_shot=True,
             repeats=args.repeats,
         ),
     ]

@@ -6,7 +6,7 @@ write-only artifacts.  The sentinel closes the loop:
 
 1. **Extract** a small set of key series from each artifact it is given —
    the warm-cache speedup and warm p99 from ``BENCH_service.json``, the
-   per-round repair seconds and round speedup from
+   per-round repair seconds (overall and per LP backend) from
    ``BENCH_incremental.json``, the largest-workload round seconds and peak
    RSS from ``BENCH_imagenet_scaling.json``, and the LP solve-time
    histogram mass (mean and total seconds from ``repro_lp_solve_seconds``)
@@ -103,18 +103,12 @@ def extract(document: dict) -> dict[str, dict]:
             for entry in results
             if entry.get("incremental", {}).get("mean_round_seconds") is not None
         ]
-        speedups = [
-            entry["round_speedup"] for entry in results
-            if entry.get("round_speedup") is not None
-        ]
         if round_seconds:
             put(
                 "incremental_mean_round_seconds",
                 sum(round_seconds) / len(round_seconds),
                 "lower",
             )
-        if speedups:
-            put("incremental_round_speedup", max(speedups), "higher")
         # Per-backend round costs from the portfolio sweep: one
         # lower-is-better series per backend spec, averaged across rations,
         # so an LP-layer regression is attributable to the backend that

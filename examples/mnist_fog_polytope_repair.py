@@ -12,7 +12,7 @@ Instead of handing the whole specification to one LP (the one-shot
 ``RepairDriver(mode="polytope")``: the exact verifier decomposes each line
 into linear regions and reports the violating regions whole, the
 counterexample pool dedups them by activation pattern and expands each to
-its key points, and the incremental LP session grows round by round until
+its key points, and the driver's LP session grows round by round until
 the verifier *certifies* every region — a machine-checked proof that the
 repaired network classifies all infinitely many line points correctly.
 
@@ -22,7 +22,7 @@ Run with:  python examples/mnist_fog_polytope_repair.py
 
 from __future__ import annotations
 
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.experiments.metrics import drawdown, generalization
 from repro.experiments.reporting import format_seconds, print_table
 from repro.experiments.task2_mnist_lines import (
@@ -46,12 +46,13 @@ def main() -> None:
         setup.network,
         spec,
         SyrennVerifier(),
-        mode="polytope",
-        layer_schedule=[setup.layer_3_index, setup.layer_2_index],
-        norm="l1",
-        incremental=True,
-        max_new_counterexamples=16,
-        max_rounds=40,
+        config=DriverConfig(
+            mode="polytope",
+            layer_schedule=[setup.layer_3_index, setup.layer_2_index],
+            norm="l1",
+            max_new_counterexamples=16,
+            max_rounds=40,
+        ),
     )
     report = driver.run()
 

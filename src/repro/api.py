@@ -17,7 +17,7 @@ its ``to_dict()`` form) or as the historical loose keywords::
 
     import repro
 
-    report = repro.api.repair(network, spec, max_rounds=6, incremental=True)
+    report = repro.api.repair(network, spec, max_rounds=6, warm_start=False)
     report = repro.api.verify(network, spec, verifier="random", seed=7)
     result = repro.api.submit(network, spec, url="http://127.0.0.1:8642",
                               config={"max_rounds": 6})

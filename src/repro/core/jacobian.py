@@ -6,12 +6,13 @@ to the repaired value-channel layer's parameters (line 5 of Algorithm 1).
 The vectorized multi-point computation lives on
 :meth:`repro.core.ddnn.DecoupledNetwork.batch_parameter_jacobian` (the
 single-point version on :meth:`~repro.core.ddnn.DecoupledNetwork.parameter_jacobian`);
-this module dispatches between the two for a whole specification, provides
-the shared constraint-row encoder used by :mod:`repro.core.point_repair` and
-the engine workers, streams the encoded rows as bounded CSR chunks
-(:class:`JacobianChunkStream` — the out-of-core repair data path), and
-provides a finite-difference checker used by the test-suite to validate the
-closed-form Jacobians.
+this module turns them into repair constraint rows.  :class:`JacobianChunkStream`
+is the one encoder of the repair data path: it walks a specification in
+point batches, encodes each with the partition-invariant batch encoder (which
+the engine workers share), and yields bounded CSR row blocks ready for LP
+ingestion.  A specification that fits the chunk budget is simply the
+one-chunk case.  The module also provides a finite-difference checker used
+by the test-suite to validate the closed-form Jacobians.
 """
 
 from __future__ import annotations
@@ -29,58 +30,42 @@ from repro.core.specs import PointRepairSpec
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 
-def specification_jacobians(
-    ddnn: DecoupledNetwork, layer_index: int, spec: PointRepairSpec, *, batched: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs and Jacobians of the DDNN at every point of a specification.
-
-    Returns ``(outputs, jacobians)`` with shapes ``(k, m)`` and
-    ``(k, m, num_parameters)`` respectively.  With ``batched=True`` (the
-    default) all points are propagated through the two channels in one
-    vectorized pass; ``batched=False`` keeps the legacy one-point-at-a-time
-    loop, retained for differential testing of the batched engine.
-    """
-    if batched:
-        return ddnn.batch_parameter_jacobian(
-            layer_index, spec.points, spec.activation_points
-        )
-    outputs = []
-    jacobians = []
-    for index in range(spec.num_points):
-        output, jacobian = ddnn.parameter_jacobian(
-            layer_index,
-            spec.points[index],
-            spec.activation_point(index),
-        )
-        outputs.append(output)
-        jacobians.append(jacobian)
-    return np.array(outputs), np.array(jacobians)
-
-
-def encode_constraints_batched(
+def _encode_batch(
     ddnn: DecoupledNetwork, layer_index: int, spec: PointRepairSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode ``A_x (N(x) + J_x Δ) ≤ b_x`` for every spec point at once.
+    """Encode ``A_x (N(x) + J_x Δ) ≤ b_x`` for one batch of spec points.
 
     Returns ``(lhs, rhs)`` such that the repair constraints are exactly
     ``lhs @ Δ ≤ rhs``, with rows in specification order (point 0's rows
-    first) — the same layout the legacy per-point loop produces.  The
-    Jacobians come from one vectorized multi-point pass per
-    :data:`~repro.core.ddnn.POINT_BATCH` points (the batches verification
-    and the pool check evaluate, so a bound prefix cache serves them), and
-    the per-point products ``A_x J_x`` are computed with einsums over groups
-    of points sharing a constraint-row count, so no Python loop runs per
-    point.
+    first).  The Jacobians come from one vectorized multi-point pass (the
+    batches verification and the pool check evaluate, so a bound prefix
+    cache serves them), and the per-point products ``A_x J_x`` are computed
+    with einsums over groups of points sharing a constraint-row count, so
+    no Python loop runs per point.
+
+    A single-point batch is padded to two (the point duplicated) and the
+    duplicate's rows dropped: NumPy routes one-row matmuls through a
+    different BLAS kernel than larger batches, whose last-bit rounding
+    differs.  Since the grouped einsums contract only over the output
+    dimension, any batch of ≥2 points produces rows bit-identical to the
+    same points inside a larger batch, so this encoder is partition
+    invariant — the property :class:`JacobianChunkStream` and the engine
+    workers rely on.  Callers keep batches at most
+    :data:`~repro.core.ddnn.POINT_BATCH` points.
     """
-    if spec.num_points > POINT_BATCH:
-        blocks = [
-            encode_constraints_padded(ddnn, layer_index, _slice_spec(spec, start, stop))
-            for start, stop in _batch_spans(spec.num_points, POINT_BATCH)
-        ]
-        return (
-            np.vstack([lhs for lhs, _ in blocks]),
-            np.concatenate([rhs for _, rhs in blocks]),
+    if spec.num_points == 1:
+        padded = PointRepairSpec(
+            points=np.repeat(spec.points, 2, axis=0),
+            constraints=list(spec.constraints) * 2,
+            activation_points=(
+                np.repeat(spec.activation_points, 2, axis=0)
+                if spec.activation_points is not None
+                else None
+            ),
         )
+        lhs, rhs = _encode_batch(ddnn, layer_index, padded)
+        rows = spec.constraints[0].num_constraints
+        return lhs[:rows], rhs[:rows]
     outputs, jacobians = ddnn.batch_parameter_jacobian(
         layer_index, spec.points, spec.activation_points
     )
@@ -100,37 +85,6 @@ def encode_constraints_batched(
         lhs[target] = np.einsum("gcm,gmp->gcp", a, jacobians[group]).reshape(-1, num_parameters)
         rhs[target] = (b - np.einsum("gcm,gm->gc", a, outputs[group])).ravel()
     return lhs, rhs
-
-
-def encode_constraints_padded(
-    ddnn: DecoupledNetwork, layer_index: int, spec: PointRepairSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`encode_constraints_batched` with the single-point pad applied.
-
-    A single-point encode is padded to a batch of two (the point duplicated)
-    and the duplicate's rows dropped: NumPy routes one-row matmuls through a
-    different BLAS kernel than larger batches, whose last-bit rounding
-    differs — padding keeps every encoded row on the same batched code path
-    as a whole-pool encoding.  Since the grouped einsums contract only over
-    the output dimension, any batch of ≥2 points produces rows bit-identical
-    to the same points inside a larger batch; this wrapper is therefore the
-    partition-invariant encoder used by incremental appends, the chunk
-    stream, and the engine workers.
-    """
-    if spec.num_points != 1:
-        return encode_constraints_batched(ddnn, layer_index, spec)
-    padded = PointRepairSpec(
-        points=np.repeat(spec.points, 2, axis=0),
-        constraints=list(spec.constraints) * 2,
-        activation_points=(
-            np.repeat(spec.activation_points, 2, axis=0)
-            if spec.activation_points is not None
-            else None
-        ),
-    )
-    lhs, rhs = encode_constraints_batched(ddnn, layer_index, padded)
-    rows = spec.constraints[0].num_constraints
-    return lhs[:rows], rhs[:rows]
 
 
 def _batch_spans(num_points: int, points_per_batch: int) -> list[tuple[int, int]]:
@@ -157,22 +111,21 @@ def _slice_spec(spec: PointRepairSpec, start: int, stop: int) -> PointRepairSpec
 class JacobianChunkStream:
     """Stream the repair constraint rows of a specification as CSR chunks.
 
-    The in-memory repair path encodes the whole specification into one dense
-    ``(total_rows, num_parameters)`` block before LP assembly — O(rows ×
-    params) transient memory, the wall the out-of-core pipeline removes.
+    Encoding a whole specification into one dense ``(total_rows,
+    num_parameters)`` block would cost O(rows × params) transient memory.
     This stream instead walks the spec in *point batches* sized so the
-    transient dense work stays under ``max_chunk_bytes`` (and never larger
-    than :data:`~repro.core.ddnn.POINT_BATCH` points); each batch is
-    encoded with :func:`encode_constraints_padded` (the partition-invariant
-    encoder), cut into per-parameter-slice CSR pieces (each also bounded by
+    transient dense work stays under ``max_chunk_bytes`` (default
+    :data:`DEFAULT_CHUNK_BYTES`, and never more than
+    :data:`~repro.core.ddnn.POINT_BATCH` points); each batch is encoded
+    with the partition-invariant batch encoder, cut into per-parameter-slice CSR pieces (each also bounded by
     ``max_chunk_bytes``, and counted in ``repro_jacobian_chunks_total``),
     and the pieces of one batch are reassembled into a full-width CSR row
     block.  Iterating yields ``(csr_block, rhs)`` pairs in specification
     order, ready for :meth:`repro.lp.model.LPSession.append_rows` streaming
-    ingestion or repeated ``LPModel.add_leq_block`` calls.
+    ingestion.
 
     **Determinism contract.**  The CSR blocks assemble into exactly the same
-    standard-form arrays as the one-shot dense encode: batches of ≥2 points
+    standard-form arrays whatever the budget: batches of ≥2 points
     encode bit-identically to the same points inside a whole-pool encode
     (the einsums contract only over the output dimension; single points are
     padded), column slicing is pure indexing, and vertically stacking
@@ -180,8 +133,10 @@ class JacobianChunkStream:
     matrix in ``tests/test_out_of_core.py`` pins this.
 
     With ``engine`` given (a :class:`~repro.engine.engine.ShardedSyrennEngine`
-    with ``workers > 1``), point batches are encoded worker-side in bounded
-    windows and merged in input order — same bytes, produced in parallel.
+    with ``workers > 1``) and more than one point batch, batches are encoded
+    worker-side in bounded windows and merged in input order — same bytes,
+    produced in parallel.  A single batch always encodes in-process: shipping
+    it to a worker would add a round trip and parallelize nothing.
     """
 
     def __init__(
@@ -204,17 +159,13 @@ class JacobianChunkStream:
         if self.max_chunk_bytes < 1:
             raise ValueError("max_chunk_bytes must be positive")
         self.num_parameters = ddnn.value.layers[self.layer_index].num_parameters
-        rows_per_point = np.array(
-            [constraint.num_constraints for constraint in spec.constraints], dtype=int
-        )
-        self._rows_per_point = rows_per_point
-        self.total_rows = int(rows_per_point.sum())
         if points_per_batch is None:
             # Transient dense footprint per point: the (m, P) Jacobian plus
-            # this point's encoded (rows, P) slice, in float64.
-            per_point = 8 * self.num_parameters * (
-                ddnn.output_size + int(rows_per_point.max(initial=1))
+            # the largest encoded (rows, P) slice of a point, in float64.
+            max_rows = max(
+                (constraint.num_constraints for constraint in spec.constraints), default=1
             )
+            per_point = 8 * self.num_parameters * (ddnn.output_size + max_rows)
             points_per_batch = self.max_chunk_bytes // max(1, per_point)
         self.points_per_batch = int(
             min(max(1, points_per_batch), POINT_BATCH, max(1, spec.num_points))
@@ -262,9 +213,9 @@ class JacobianChunkStream:
     def _encoded_batches(self):
         """Yield the dense ``(lhs, rhs)`` of every point batch, in order."""
         workers = getattr(self.engine, "workers", 1) if self.engine is not None else 1
-        if workers <= 1:
+        if workers <= 1 or len(self._spans) <= 1:
             for start, stop in self._spans:
-                yield encode_constraints_padded(
+                yield _encode_batch(
                     self.ddnn, self.layer_index, _slice_spec(self.spec, start, stop)
                 )
             return

@@ -65,8 +65,6 @@ def iterative_point_repair(
     norm: str = "linf",
     backend: str | None = None,
     stop_when_satisfied: bool = True,
-    batched: bool = True,
-    sparse: bool | None = None,
 ) -> MultiLayerRepairResult:
     """Repair several layers in sequence until the specification holds.
 
@@ -92,9 +90,7 @@ def iterative_point_repair(
     for layer_index in layer_indices:
         if stop_when_satisfied and spec.is_satisfied_by(ddnn):
             break
-        result = point_repair(
-            ddnn, layer_index, spec, norm=norm, backend=backend, batched=batched, sparse=sparse
-        )
+        result = point_repair(ddnn, layer_index, spec, norm=norm, backend=backend)
         results.append(result)
         if result.feasible:
             ddnn = result.network
@@ -133,8 +129,6 @@ def search_repair_layer(
     norm: str = "linf",
     backend: str | None = None,
     stop_at_score: float | None = None,
-    batched: bool = True,
-    sparse: bool | None = None,
 ) -> LayerSearchResult:
     """Try repairing each candidate layer and keep the lowest-scoring repair.
 
@@ -156,9 +150,7 @@ def search_repair_layer(
     scores: dict[int, float] = {}
     infeasible: list[int] = []
     for layer_index in candidate_layers:
-        result = point_repair(
-            ddnn, layer_index, spec, norm=norm, backend=backend, batched=batched, sparse=sparse
-        )
+        result = point_repair(ddnn, layer_index, spec, norm=norm, backend=backend)
         if not result.feasible:
             infeasible.append(layer_index)
             continue

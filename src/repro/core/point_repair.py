@@ -15,14 +15,15 @@ The result is either a repaired DDNN that provably satisfies the
 specification with a minimal single-layer change, or a proof (LP
 infeasibility) that no single-layer repair of layer ``i`` exists.
 
-Two implementations of steps 2–3 exist.  The **batched engine** (default)
-computes all Jacobians in one vectorized multi-point pass
-(:meth:`~repro.core.ddnn.DecoupledNetwork.batch_parameter_jacobian`) and
-assembles the constraint rows of every point with grouped einsums into a
-single LP block, which downstream becomes a sparse CSR standard form.  The
-**legacy engine** (``batched=False``) loops over the points one at a time; it
-is retained as the reference implementation for differential testing — both
-engines produce the same LP, row for row.
+There is one implementation of steps 2–4.  An
+:class:`IncrementalPointRepairSession` holds the LP (delta variables plus
+the norm objective); :meth:`~IncrementalPointRepairSession.append_points`
+streams the constraint rows of a batch of points as bounded CSR blocks
+(:class:`~repro.core.jacobian.JacobianChunkStream`, vectorized multi-point
+Jacobians) into an :class:`~repro.lp.model.LPSession`, and
+:meth:`~IncrementalPointRepairSession.solve` solves it.  :func:`point_repair`
+is the one-shot case — one append, one solve — and the CEGIS driver keeps a
+session alive across rounds, appending only each round's new points.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.jacobian import (
-    JacobianChunkStream,
-    encode_constraints_batched,
-    encode_constraints_padded,
-)
+from repro.core.jacobian import JacobianChunkStream
 from repro.core.result import RepairResult, RepairTiming
 from repro.core.specs import PointRepairSpec
 from repro.exceptions import SpecificationError
@@ -54,8 +51,6 @@ def point_repair(
     backend: str | None = None,
     delta_bound: float | None = None,
     timing: RepairTiming | None = None,
-    batched: bool = True,
-    sparse: bool | None = None,
     max_chunk_bytes: int | None = None,
     engine=None,
 ) -> RepairResult:
@@ -73,7 +68,9 @@ def point_repair(
     norm:
         Norm of ``Δ`` to minimize — ``"linf"``, ``"l1"``, or ``"l1+linf"``.
     backend:
-        LP backend name (``None`` = default scipy/HiGHS backend).
+        LP backend name (``None`` = default scipy/HiGHS backend).  The
+        standard form is CSR exactly when the backend advertises
+        ``supports_sparse``.
     delta_bound:
         Optional box bound ``|Δ_i| ≤ delta_bound`` added to every delta
         variable; occasionally useful to keep very large repairs numerically
@@ -83,129 +80,29 @@ def point_repair(
         An existing :class:`RepairTiming` to accumulate into (used by the
         polytope repair algorithm, which has already spent time computing
         linear regions).
-    batched:
-        ``True`` (the default) computes all spec-point Jacobians in one
-        vectorized pass and encodes the LP constraints as a single block;
-        ``False`` uses the legacy one-point-at-a-time loop.  Both paths
-        build the same LP (identical rows in identical order) — the flag
-        exists for differential testing and performance comparison.
-    sparse:
-        Forwarded to :meth:`repro.lp.model.LPModel.solve`: ``True`` hands
-        the backend a CSR standard form, ``False`` a dense one, ``None``
-        (default) lets the backend's ``supports_sparse`` flag decide.
     max_chunk_bytes:
-        ``None`` (default) keeps the in-memory path: one dense
-        ``(total_rows, params)`` block.  A byte budget switches to the
-        out-of-core path — a :class:`~repro.core.jacobian.JacobianChunkStream`
-        feeds bounded CSR row blocks straight into the model, so the dense
-        intermediate never exceeds the budget.  Both paths assemble the
-        same standard form byte for byte.
+        Per-chunk budget of the constraint-row stream (``None`` =
+        :data:`~repro.core.jacobian.DEFAULT_CHUNK_BYTES`).  Any budget
+        assembles the same standard form byte for byte; a small one bounds
+        the dense intermediate of very large specifications.
     engine:
         Optional :class:`~repro.engine.engine.ShardedSyrennEngine` used to
-        shard chunk encoding across workers (chunked path only; merged in
-        input order, so results stay byte-identical to serial).
+        shard chunk encoding across workers (merged in input order, so
+        results stay byte-identical to serial).
     """
-    if spec.input_dimension != _input_size(network):
-        raise SpecificationError(
-            f"specification points have dimension {spec.input_dimension}, "
-            f"network expects {_input_size(network)}"
-        )
-    watch = Stopwatch()
-    timing = timing if timing is not None else RepairTiming()
-
-    ddnn = _working_copy(network)
-    layer_index = ddnn._check_repairable(layer_index)
-    num_parameters = ddnn.value.layers[layer_index].num_parameters
-
-    model = LPModel()
-    bound = np.inf if delta_bound is None else float(delta_bound)
-    delta_indices = model.add_variables(num_parameters, "delta", lower=-bound, upper=bound)
-    # The norm rows go in *first* so constraint rows always occupy the tail
-    # of the inequality block: an IncrementalPointRepairSession that appends
-    # counterexample rows round after round then produces exactly this row
-    # order, which is what keeps incremental and cold solves byte-identical.
-    add_norm_objective(model, delta_indices, norm)
-
-    with watch.phase("jacobian"):
-        if max_chunk_bytes is not None:
-            stream = JacobianChunkStream(
-                ddnn, layer_index, spec, max_chunk_bytes=max_chunk_bytes, engine=engine
-            )
-            constraint_rows = 0
-            for matrix, rhs in stream:
-                model.add_leq_block(matrix, rhs, delta_indices)
-                constraint_rows += int(rhs.size)
-            encoded_blocks = []
-        elif batched:
-            lhs, rhs = encode_constraints_batched(ddnn, layer_index, spec)
-            encoded_blocks = [(lhs, rhs)]
-            constraint_rows = rhs.size
-        else:
-            constraint_rows = 0
-            encoded_blocks = []
-            for index in range(spec.num_points):
-                output, jacobian = ddnn.parameter_jacobian(
-                    layer_index, spec.points[index], spec.activation_point(index)
-                )
-                constraint = spec.constraints[index]
-                # A_x (N(x) + J Δ) ≤ b_x   ⇔   (A_x J) Δ ≤ b_x - A_x N(x)
-                encoded_blocks.append(
-                    (constraint.a @ jacobian, constraint.b - constraint.a @ output)
-                )
-                constraint_rows += constraint.num_constraints
-    for matrix, rhs in encoded_blocks:
-        model.add_leq_block(matrix, rhs, delta_indices)
-
-    with watch.phase("lp"):
-        solution = model.solve(backend, sparse=sparse)
-
-    timing.jacobian_seconds += watch.total("jacobian")
-    timing.lp_seconds += watch.total("lp")
-    timing.other_seconds += watch.other()
-
-    if not solution.status.is_optimal:
-        feasible = False
-        status = solution.status
-        if status not in (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED):
-            status = LPStatus.ERROR
-        return RepairResult(
-            feasible=feasible,
-            network=None,
-            delta=None,
-            layer_index=layer_index,
-            lp_status=status,
-            timing=timing,
-            num_key_points=spec.num_points,
-            num_constraint_rows=constraint_rows,
-            num_variables=model.num_variables,
-            norm=norm,
-        )
-
-    delta = solution.value_of(delta_indices)
-    ddnn.apply_parameter_delta(layer_index, delta)
-    return RepairResult(
-        feasible=True,
-        network=ddnn,
-        delta=delta,
-        layer_index=layer_index,
-        lp_status=solution.status,
-        timing=timing,
-        num_key_points=spec.num_points,
-        num_constraint_rows=constraint_rows,
-        num_variables=model.num_variables,
-        objective_value=solution.objective,
+    session = IncrementalPointRepairSession(
+        network,
+        layer_index,
         norm=norm,
+        backend=backend,
+        delta_bound=delta_bound,
+        max_chunk_bytes=max_chunk_bytes,
+        engine=engine,
     )
-
-
-# The grouped-einsum encoder moved to repro.core.jacobian so the chunk
-# stream and the engine workers can share it; the old private name stays
-# importable for differential tests written against it.
-_encode_constraints_batched = encode_constraints_batched
-
-
-def _input_size(network: Network | DecoupledNetwork) -> int:
-    return network.input_size
+    if timing is not None:
+        session._pending_timing = timing
+    session.append_points(spec)
+    return session.solve()
 
 
 def _working_copy(network: Network | DecoupledNetwork) -> DecoupledNetwork:
@@ -236,11 +133,12 @@ class IncrementalPointRepairSession:
     :class:`~repro.lp.model.LPSession` that threads each round's
     :class:`~repro.lp.model.WarmStart` handle into the next solve.
 
-    Because :func:`point_repair` emits the norm rows first, the session's
-    standard form is row-for-row identical to what a cold ``point_repair``
-    of the whole accumulated spec would build — so for a backend whose warm
-    start is exact (``warm_start_is_exact``), incremental solves return
-    byte-identical deltas to cold ones.
+    The norm rows go in first, so constraint rows always occupy the tail of
+    the inequality block in append order: a session fed the points in any
+    number of appends builds the same standard form, row for row, as one
+    fed them all at once — so for a backend whose warm start is exact
+    (``warm_start_is_exact``), a driver's final delta is byte-identical to a
+    one-shot :func:`point_repair` of the final pool.
 
     The session encodes against a private copy of the base network and never
     mutates it; each feasible :meth:`solve` returns a *fresh* repaired copy.
@@ -254,7 +152,6 @@ class IncrementalPointRepairSession:
         norm: str = "linf",
         backend: str | None = None,
         delta_bound: float | None = None,
-        sparse: bool | None = None,
         warm_start: bool = True,
         max_chunk_bytes: int | None = None,
         engine=None,
@@ -272,10 +169,9 @@ class IncrementalPointRepairSession:
             num_parameters, "delta", lower=-bound, upper=bound
         )
         add_norm_objective(self.model, self.delta_indices, norm)
-        self.session = self.model.incremental_session(sparse=sparse, backend=backend)
+        self.session = self.model.incremental_session(backend=backend)
         self.num_points = 0
         self.constraint_rows = 0
-        self.rows_appended_last = 0
         self.last_solution = None
         self._handle = None
         self._pending_timing = RepairTiming()
@@ -283,9 +179,11 @@ class IncrementalPointRepairSession:
     def append_points(self, spec: PointRepairSpec) -> int:
         """Encode and append the constraint rows of ``spec``'s points.
 
-        Returns the number of LP rows appended.  ``spec`` must contain only
-        points *not* previously appended — the caller (the driver) slices
-        its pool.
+        The chunk stream yields bounded CSR row blocks which
+        :meth:`~repro.lp.model.LPSession.append_rows` ingests one at a time,
+        so no more than one chunk is ever in flight.  Returns the number of
+        LP rows appended.  ``spec`` must contain only points *not*
+        previously appended — the caller (the driver) slices its pool.
         """
         if spec.input_dimension != self.ddnn.input_size:
             raise SpecificationError(
@@ -293,36 +191,19 @@ class IncrementalPointRepairSession:
                 f"network expects {self.ddnn.input_size}"
             )
         watch = Stopwatch()
-        if self.max_chunk_bytes is not None:
-            # Out-of-core append: the chunk stream yields bounded CSR row
-            # blocks which append_rows ingests one at a time, so neither the
-            # dense intermediate nor more than one chunk is ever in flight.
-            with watch.phase("jacobian"):
-                stream = JacobianChunkStream(
-                    self.ddnn,
-                    self.layer_index,
-                    spec,
-                    max_chunk_bytes=self.max_chunk_bytes,
-                    engine=self.engine,
-                )
-                rows = self.session.append_rows(
-                    stream=(
-                        (matrix, rhs, self.delta_indices) for matrix, rhs in stream
-                    )
-                )
-        else:
-            with watch.phase("jacobian"):
-                # The single-point pad (see encode_constraints_padded): NumPy
-                # routes one-row matmuls through a different BLAS kernel than
-                # larger batches, whose last-bit rounding differs — padding
-                # keeps every appended row on the same batched code path as a
-                # cold whole-pool encoding, preserving byte-identity.
-                lhs, rhs = encode_constraints_padded(self.ddnn, self.layer_index, spec)
-            self.model.add_leq_block(lhs, rhs, self.delta_indices)
-            rows = self.session.append_rows()
+        with watch.phase("jacobian"):
+            stream = JacobianChunkStream(
+                self.ddnn,
+                self.layer_index,
+                spec,
+                max_chunk_bytes=self.max_chunk_bytes,
+                engine=self.engine,
+            )
+            rows = self.session.append_rows(
+                stream=((matrix, rhs, self.delta_indices) for matrix, rhs in stream)
+            )
         self.num_points += spec.num_points
         self.constraint_rows += rows
-        self.rows_appended_last = rows
         self._pending_timing.jacobian_seconds += watch.total("jacobian")
         self._pending_timing.other_seconds += watch.other()
         return rows

@@ -41,8 +41,6 @@ def polytope_repair(
     norm: str = "linf",
     backend: str | None = None,
     delta_bound: float | None = None,
-    batched: bool = True,
-    sparse: bool | None = None,
 ) -> RepairResult:
     """Repair one layer so the network satisfies the polytope specification.
 
@@ -50,11 +48,6 @@ def polytope_repair(
     repair of ``layer_index`` satisfies the specification.  Raises
     :class:`NotPiecewiseLinearError` if the network uses activation functions
     that are not piecewise linear (the paper's assumption for Algorithm 2).
-
-    ``batched`` and ``sparse`` are forwarded to :func:`point_repair`: the
-    key points generated from the linear regions are encoded through the
-    vectorized multi-point Jacobian + sparse LP engine by default, with the
-    legacy per-point path available for differential testing.
     """
     if spec.num_polytopes == 0:
         raise SpecificationError("the polytope specification has no polytopes")
@@ -87,8 +80,6 @@ def polytope_repair(
         backend=backend,
         delta_bound=delta_bound,
         timing=timing,
-        batched=batched,
-        sparse=sparse,
     )
 
 

@@ -2,13 +2,13 @@
 
 :class:`DriverConfig` captures every *algorithm* knob of
 :class:`~repro.driver.driver.RepairDriver` — mode, layer schedule, margins,
-budgets, the incremental/warm-start/batched/sparse switches, the LP backend
-— as one frozen dataclass that round-trips through JSON.  Runtime resources
-(the network, the spec, the verifier, an engine, a pool, a checkpoint path,
-a holdout set) deliberately stay out: a config describes *how* to run a
-repair, not *what* to repair, which is what lets the same dictionary travel
-from a client, through the job daemon's JSON API, into an in-process driver
-— and lets a driver run be reproduced from nothing but the job record.
+budgets, the warm-start switch, the LP backend — as one frozen dataclass
+that round-trips through JSON. Runtime resources (the network, the spec,
+the verifier, an engine, a pool, a checkpoint path, a holdout set)
+deliberately stay out: a config describes *how* to run a repair, not *what*
+to repair, which is what lets the same dictionary travel from a client,
+through the job daemon's JSON API, into an in-process driver — and lets a
+driver run be reproduced from nothing but the job record.
 
 The dataclass validates on construction (the same checks the driver's old
 keyword sprawl applied), so a malformed job fails at decode time with a
@@ -26,6 +26,21 @@ from repro.exceptions import RepairError
 #: so repaired outputs survive re-verification strictly.
 DEFAULT_REPAIR_MARGIN = 1e-6
 
+#: Knobs that chose between repair data paths before there was only one;
+#: naming one is an error that says so, not a silently ignored key.
+REMOVED_KNOBS = {
+    "incremental": "the driver always repairs through its standing LP session",
+    "batched": "constraint rows are always encoded by the batched chunk stream",
+    "sparse": "the LP backend's supports_sparse flag picks the standard form",
+}
+
+
+def _reject_removed(names) -> None:
+    removed = sorted(set(names) & set(REMOVED_KNOBS))
+    if removed:
+        reasons = "; ".join(f"{name!r}: {REMOVED_KNOBS[name]}" for name in removed)
+        raise RepairError(f"driver config knobs {removed} were removed ({reasons})")
+
 
 @dataclass(frozen=True)
 class DriverConfig:
@@ -34,7 +49,9 @@ class DriverConfig:
     Parameters mirror :class:`~repro.driver.driver.RepairDriver` (see its
     docstring for semantics).  ``layer_schedule`` is stored as a tuple (the
     dataclass is frozen and hashable); ``None`` means "derive the §7.1
-    default from the network" at driver-construction time.
+    default from the network" at driver-construction time.  The removed
+    knobs of :data:`REMOVED_KNOBS` are rejected with a :class:`RepairError`
+    naming the removal.
     """
 
     mode: str = "point"
@@ -42,15 +59,16 @@ class DriverConfig:
     repair_margin: float = DEFAULT_REPAIR_MARGIN
     max_rounds: int = 10
     budget_seconds: float | None = None
-    incremental: bool = False
     warm_start: bool = True
     max_new_counterexamples: int | None = None
     norm: str = "linf"
     backend: str | None = None
     delta_bound: float | None = None
-    batched: bool = True
-    sparse: bool | None = None
     memory_budget: int | None = None
+
+    def __new__(cls, *args, **kwargs):
+        _reject_removed(kwargs)
+        return super().__new__(cls)
 
     def __post_init__(self) -> None:
         # Normalize before validating so a config built from JSON (lists,
@@ -69,11 +87,7 @@ class DriverConfig:
             object.__setattr__(
                 self, "max_new_counterexamples", int(self.max_new_counterexamples)
             )
-        object.__setattr__(self, "incremental", bool(self.incremental))
         object.__setattr__(self, "warm_start", bool(self.warm_start))
-        object.__setattr__(self, "batched", bool(self.batched))
-        if self.sparse is not None:
-            object.__setattr__(self, "sparse", bool(self.sparse))
         if self.memory_budget is not None:
             object.__setattr__(self, "memory_budget", int(self.memory_budget))
 
@@ -81,8 +95,6 @@ class DriverConfig:
             raise RepairError(f'mode must be "point" or "polytope", got {self.mode!r}')
         if self.max_rounds < 1:
             raise RepairError("the driver needs at least one round")
-        if self.incremental and not self.batched:
-            raise RepairError("incremental mode requires the batched repair engine")
         if self.max_new_counterexamples is not None and self.max_new_counterexamples < 1:
             raise RepairError("max_new_counterexamples must be positive (or None)")
         if self.layer_schedule is not None and len(self.layer_schedule) == 0:
@@ -135,6 +147,7 @@ class DriverConfig:
                 )
             payload = dict(payload)
             payload["backend"] = payload.pop("lp_backend")
+        _reject_removed(payload)
         known = {entry.name for entry in fields(cls)}
         unknown = set(payload) - known
         if unknown:

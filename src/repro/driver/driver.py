@@ -3,12 +3,12 @@
 Each round the driver (1) runs a :class:`~repro.verify.base.Verifier` over
 the target regions, (2) grows a deduplicating
 :class:`~repro.driver.pool.CounterexamplePool` with whatever violations were
-found, (3) solves one batched pointwise repair (the PR 1 engine) of the
-*original* network against the whole pool, and (4) re-verifies the repaired
-network.  Repairing against the full pool from the original network — rather
-than chaining incremental repairs — keeps the applied delta minimal-norm
-with respect to the buggy network and makes every round's LP a superset of
-the last, so progress is monotone.
+found, (3) solves one pointwise repair of the *original* network against
+the whole pool, and (4) re-verifies the repaired network.  Repairing
+against the full pool from the original network — rather than chaining
+incremental repairs — keeps the applied delta minimal-norm with respect to
+the buggy network and makes every round's LP a superset of the last, so
+progress is monotone.
 
 Counterexamples from the exact verifier carry the interior point of the
 linear region they violate; the pool pins each one to that activation
@@ -26,7 +26,7 @@ pooled region expands to one repair point per vertex under the region's
 pinned activation pattern.  A certified final round then proves the repaired
 network correct on the infinitely many points of every specification
 polytope, with all the loop's machinery — engine-sharded decomposition,
-partition caching, incremental LP sessions, value-only re-verification,
+partition caching, the standing LP session, value-only re-verification,
 checkpoint/resume — applying unchanged.
 
 Rounds are bounded by ``max_rounds`` and a wall-clock
@@ -34,20 +34,19 @@ Rounds are bounded by ``max_rounds`` and a wall-clock
 escalate to the next layer in the layer schedule; and an optional holdout
 set tracks drawdown per round via :mod:`repro.experiments.metrics`.
 
-``incremental=True`` turns the superset property into wall-clock savings:
-the LP of round *k* is round *k-1*'s plus the new counterexamples' rows, so
-the driver keeps one
-:class:`~repro.core.point_repair.IncrementalPointRepairSession` alive per
-scheduled layer (append-only rows, warm-started solves), and — because
-value-channel repair never moves linear-region boundaries — enables the
-exact verifier's value-only fast path, which re-evaluates cached vertex
-sets instead of re-decomposing.  With the default scipy/HiGHS backend an
-incremental run is byte-identical to a cold one on the differential-test
-workloads (narrow ACAS-style value channels); on very wide value channels
-BLAS may round the suffix-append and full-pool Jacobian batches differently
-in the last bit, leaving the two runs equal to ~1e-15 per LP coefficient
-rather than per byte (``bench_polytope_driver`` records which regime a
-workload lands in).
+The superset property is also what makes every round cheap: the LP of
+round *k* is round *k-1*'s plus the new counterexamples' rows, so the driver
+keeps one :class:`~repro.core.point_repair.IncrementalPointRepairSession`
+alive per scheduled layer (append-only rows, warm-started solves), and —
+because value-channel repair never moves linear-region boundaries — enables
+the exact verifier's value-only fast path, which re-evaluates cached vertex
+sets instead of re-decomposing.  With the default scipy/HiGHS backend the
+final delta is byte-identical to a one-shot
+:func:`~repro.core.point_repair.point_repair` of the final pool on narrow
+ACAS-style value channels; on very wide value channels BLAS may round the
+suffix-append and full-pool Jacobian batches differently in the last bit,
+leaving the two equal to ~1e-15 per LP coefficient rather than per byte
+(``bench_polytope_driver`` records which regime a workload lands in).
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ except ImportError:  # pragma: no cover
 
 import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.point_repair import IncrementalPointRepairSession, point_repair
+from repro.core.point_repair import IncrementalPointRepairSession
 from repro.core.prefix_cache import PrefixCache
 from repro.core.result import RepairTiming
 from repro.core.specs import PolytopeRepairSpec
@@ -129,10 +128,9 @@ class RoundRecord:
     ``repair_seconds`` its repair wall-clock (benchmarks compare per-round
     costs from these).  The last four fields describe the incremental
     machinery: how many LP rows this round appended to the standing repair
-    LP (0 on cold rounds, which rebuild from scratch), whether the LP solve
-    actually consumed a warm-start handle, the backend's solver iteration
-    count, and whether verification took the value-only fast path (cached
-    decomposition, batched re-evaluation).
+    LP, whether the LP solve actually consumed a warm-start handle, the
+    backend's solver iteration count, and whether verification took the
+    value-only fast path (cached decomposition, batched re-evaluation).
     """
 
     round_index: int
@@ -187,7 +185,6 @@ class DriverReport:
     unsatisfied_pool_indices: list[int] = field(default_factory=list)
     timing: DriverTiming = field(default_factory=DriverTiming)
     engine_stats: dict | None = None
-    incremental: bool = False
     mode: str = "point"
     #: Full metrics-registry snapshot taken as the run finished (``None``
     #: when telemetry is disabled).
@@ -229,7 +226,6 @@ class DriverReport:
         return {
             "status": self.status,
             "certified": self.certified,
-            "incremental": self.incremental,
             "mode": self.mode,
             "num_rounds": self.num_rounds,
             "pool_size": self.pool_size,
@@ -258,9 +254,7 @@ class RepairDriver:
     JSON-serializable :class:`~repro.driver.config.DriverConfig`, while
     runtime resources (``engine``, ``pool``, ``checkpoint_path``,
     ``holdout``, ``on_round``) stay keyword arguments of the driver itself.
-    The historical keyword sprawl (``mode=...``, ``max_rounds=...``, …)
-    keeps working as a thin shim that builds the config for you; mixing a
-    ``config`` with loose knobs is rejected.
+    The config fields are documented here alongside the runtime arguments.
 
     Parameters
     ----------
@@ -308,47 +302,35 @@ class RepairDriver:
         none yet) so every round's verification runs through the engine's
         worker pool and partition cache, and the engine's scheduler/cache
         statistics are included in the final :class:`DriverReport`.
-    incremental:
-        ``True`` switches both halves of the loop onto the incremental fast
-        paths.  Repair keeps one
-        :class:`~repro.core.point_repair.IncrementalPointRepairSession`
-        alive per scheduled layer, appending only the *new*
-        counterexamples' constraint rows each round and threading the
-        previous round's :class:`~repro.lp.model.WarmStart` into the solve;
-        verification (for a verifier exposing a ``value_only`` flag, i.e.
-        :class:`~repro.verify.exact.SyrennVerifier`) reuses the previous
-        round's decomposition whenever the activation fingerprint is
-        unchanged.  With the default (scipy/HiGHS) backend both fast paths
-        are byte-identical to a cold run; see ``warm_start``.
     warm_start:
-        Whether incremental LP solves consume the previous round's handle
-        (only meaningful with ``incremental=True``).  For backends whose
-        warm start is *not* exact (``LPBackend.warm_start_is_exact`` is
+        Whether each round's LP solve consumes the previous round's
+        :class:`~repro.lp.model.WarmStart` handle.  For backends whose warm
+        start is *not* exact (``LPBackend.warm_start_is_exact`` is
         ``False``, e.g. the simplex backend's dual-simplex hot start), a
         warm-started solve may return a different — equally optimal —
-        vertex of a degenerate optimal face than a cold run would.
+        vertex of a degenerate optimal face than a one-shot solve would.
     max_new_counterexamples:
         Per-round cap on pool growth.  ``None`` (default) pools everything
         a verification pass found; a small cap rations counterexamples the
         way incremental CEGIS implementations often do, trading more rounds
         for smaller per-round LPs (and giving benchmarks a deterministic
         way to scale round counts).
-    norm, backend, delta_bound, batched, sparse:
-        Forwarded to :func:`repro.core.point_repair.point_repair`.
+    norm, backend, delta_bound:
+        Forwarded to the
+        :class:`~repro.core.point_repair.IncrementalPointRepairSession`.
     memory_budget:
         Soft cap, in bytes, on the repair data path's resident footprint —
         the single knob of the out-of-core pipeline.  When set, the driver
         (1) creates (and reloads) its counterexample pool with a
         ``max_resident_bytes`` spill budget, so old entries spill to
         atomic npz segments on disk while dedup keys stay resident, and
-        (2) encodes repair constraints through the chunked
-        :class:`~repro.core.jacobian.JacobianChunkStream` path with a
-        matching ``max_chunk_bytes``, so the dense Jacobian block is never
-        materialized (rows stream into the LP as CSR blocks, byte-identical
-        to the in-memory path), and (3) caps the frozen-prefix features
+        (2) streams repair constraints through the
+        :class:`~repro.core.jacobian.JacobianChunkStream` with a matching
+        ``max_chunk_bytes`` instead of the default chunk budget
+        (byte-identical either way), and (3) caps the frozen-prefix features
         cached for the run (see below).  Each tier gets a quarter of the
         budget; the rest is headroom for the LP itself.  ``None`` (default)
-        keeps every path fully in memory, bit-for-bit as before.  A
+        keeps the pool and prefix features fully in memory.  A
         caller-supplied ``pool`` is never reconfigured.
     on_round:
         Optional callback invoked with each :class:`RoundRecord` as the
@@ -375,15 +357,8 @@ class RepairDriver:
         pool: CounterexamplePool | None = None,
         engine: Engine | None = None,
         on_round: Callable[[RoundRecord], None] | None = None,
-        **knobs,
     ) -> None:
-        if config is None:
-            config = DriverConfig(**knobs)  # the back-compat keyword shim
-        elif knobs:
-            raise RepairError(
-                "pass algorithm knobs either via config=... or as keywords, "
-                f"not both (got {sorted(knobs)} alongside a config)"
-            )
+        config = config if config is not None else DriverConfig()
         self.config = config
         if isinstance(spec, PolytopeRepairSpec):
             if config.mode != "polytope":
@@ -426,14 +401,11 @@ class RepairDriver:
             self.pool = CounterexamplePool.load(self.checkpoint_path, max_resident_bytes=tier)
         else:
             self.pool = CounterexamplePool(max_resident_bytes=tier)
-        self.incremental = config.incremental
         self.warm_start = config.warm_start
         self.max_new_counterexamples = config.max_new_counterexamples
         self.norm = config.norm
         self.backend = config.backend
         self.delta_bound = config.delta_bound
-        self.batched = config.batched
-        self.sparse = config.sparse
         self._session: IncrementalPointRepairSession | None = None
         # Pool *entries* already encoded into the standing session: in
         # polytope mode one entry expands to several LP points, so the
@@ -450,9 +422,9 @@ class RepairDriver:
         mutated.  The reported ``engine_stats`` always describe the engine
         the verification actually ran through.
 
-        An ``incremental`` driver likewise enables the verifier's
-        ``value_only`` fast path (when the verifier exposes that flag and
-        does not already have it on) for the duration of the run only.
+        The driver likewise enables the verifier's ``value_only`` fast path
+        (when the verifier exposes that flag and does not already have it
+        on) for the duration of the run only.
 
         A ``mode="polytope"`` driver additionally enables the verifier's
         ``region_counterexamples`` granularity (again: only when the
@@ -463,9 +435,7 @@ class RepairDriver:
             self.engine is not None
             and getattr(self.verifier, "engine", False) is None
         )
-        attach_value_only = (
-            self.incremental and getattr(self.verifier, "value_only", None) is False
-        )
+        attach_value_only = getattr(self.verifier, "value_only", None) is False
         attach_regions = (
             self.mode == "polytope"
             and getattr(self.verifier, "region_counterexamples", None) is False
@@ -477,7 +447,7 @@ class RepairDriver:
         if attach_regions:
             self.verifier.region_counterexamples = True
         try:
-            with obs.span("driver.run", mode=self.mode, incremental=self.incremental):
+            with obs.span("driver.run", mode=self.mode):
                 return self._run()
         finally:
             if self._prefix_cache is not None:
@@ -557,21 +527,7 @@ class RepairDriver:
                 layer_index = self.layer_schedule[layer_cursor]
                 self._serve_prefix(layer_index, current)
                 with obs.span("driver.repair", round=round_index, layer=layer_index):
-                    if self.incremental:
-                        result = self._incremental_repair(layer_index, record)
-                    else:
-                        result = point_repair(
-                            self.base,
-                            layer_index,
-                            self.pool.point_spec(margin=self.repair_margin),
-                            norm=self.norm,
-                            backend=self.backend,
-                            delta_bound=self.delta_bound,
-                            batched=self.batched,
-                            sparse=self.sparse,
-                            max_chunk_bytes=self.max_chunk_bytes,
-                            engine=self.engine,
-                        )
+                    result = self._repair(layer_index, record)
                 _accumulate(timing.repair, result.timing)
                 record.repair_attempted = True
                 record.repair_feasible = result.feasible
@@ -601,7 +557,7 @@ class RepairDriver:
             # The loop ran out of rounds (or budget) right after a repair:
             # re-verify so the report describes the network actually returned,
             # and upgrade the status if that last repair finished the job.
-            with watch.phase("verify"):
+            with watch.phase("verify"), obs.span("driver.verify", round="final"):
                 final_report = self.verifier.verify(current, self.spec)
             if final_report.num_violated == 0:
                 status = "certified" if final_report.certified else "clean"
@@ -629,7 +585,6 @@ class RepairDriver:
             unsatisfied_pool_indices=unsatisfied,
             timing=timing,
             engine_stats=self._engine_stats(),
-            incremental=self.incremental,
             mode=self.mode,
             telemetry=obs.snapshot() if obs.enabled() else None,
         )
@@ -706,8 +661,8 @@ class RepairDriver:
                     break
         return new
 
-    def _incremental_repair(self, layer_index: int, record: RoundRecord):
-        """One repair attempt through the standing incremental LP session.
+    def _repair(self, layer_index: int, record: RoundRecord):
+        """One repair attempt through the standing LP session.
 
         The session lives for as long as the layer cursor stays put; a layer
         escalation starts a fresh session (a different layer means entirely
@@ -725,7 +680,6 @@ class RepairDriver:
                 norm=self.norm,
                 backend=self.backend,
                 delta_bound=self.delta_bound,
-                sparse=self.sparse,
                 warm_start=self.warm_start,
                 max_chunk_bytes=self.max_chunk_bytes,
                 engine=self.engine,

@@ -338,7 +338,7 @@ class CounterexamplePool:
         repaired outputs land strictly inside their polytopes and survive
         re-verification under a stricter-than-LP-solver tolerance.
         ``start`` slices off an already-encoded prefix of pool *entries*: the
-        incremental repair driver appends each round only the counterexamples
+        repair driver appends each round only the counterexamples
         pooled since the previous round (the pool is insertion-ordered and
         entries are never removed, so a prefix count identifies them
         exactly).

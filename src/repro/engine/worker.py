@@ -155,7 +155,7 @@ def _run(task: tuple):
             return np.atleast_2d(network.compute(points, activations))
         return np.atleast_2d(network.compute(points))
     if kind == "encode":
-        from repro.core.jacobian import encode_constraints_padded
+        from repro.core.jacobian import _encode_batch
         from repro.core.specs import PointRepairSpec
         from repro.polytope.hpolytope import HPolytope
 
@@ -166,7 +166,7 @@ def _run(task: tuple):
             constraints=[HPolytope(a, b) for a, b in constraints],
             activation_points=activation_points,
         )
-        return encode_constraints_padded(network, int(layer_index), spec)
+        return _encode_batch(network, int(layer_index), spec)
     if kind == "sample":
         _, fingerprint, payload, encoded_region, seed, num_samples = task
         network = _resolve_network(fingerprint, payload)

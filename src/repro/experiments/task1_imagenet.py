@@ -462,7 +462,7 @@ def driver_certified_repair(
 
     This is the first driver-certified path through the Task 1 models: the
     exhaustively-certifying grid verifier sweeps the pointwise spec in one
-    stacked pass per round, the incremental sparse LP session absorbs the
+    stacked pass per round, the driver's standing LP session absorbs the
     pooled points, and — when ``memory_budget`` is set — constraint rows
     stream through :class:`~repro.core.jacobian.JacobianChunkStream` while
     old pool entries spill to disk, keeping peak memory bounded at 10⁵+
@@ -472,8 +472,6 @@ def driver_certified_repair(
     verifier = GridVerifier(certify_exhaustive=True)
     config = DriverConfig(
         layer_schedule=(workload.classifier_layer,),
-        incremental=True,
-        sparse=True,
         backend=backend,
         max_rounds=max_rounds,
         budget_seconds=budget_seconds,

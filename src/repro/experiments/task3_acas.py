@@ -24,7 +24,7 @@ from repro.core.point_repair import point_repair
 from repro.core.result import RepairTiming
 from repro.core.specs import PointRepairSpec, PolytopeRepairSpec
 from repro.datasets.acas import SafetyProperty, phi8_property
-from repro.driver import DriverReport, RepairDriver
+from repro.driver import DriverConfig, DriverReport, RepairDriver
 from repro.polytope.hpolytope import HPolytope
 from repro.models.zoo import ModelZoo
 from repro.nn.network import Network
@@ -321,11 +321,13 @@ def driver_slice_repair(
         setup.network,
         spec,
         verifier if verifier is not None else SyrennVerifier(),
-        layer_schedule=schedule,
-        norm=norm,
-        backend=backend,
-        max_rounds=max_rounds,
-        budget_seconds=budget_seconds,
+        config=DriverConfig(
+            layer_schedule=schedule,
+            norm=norm,
+            backend=backend,
+            max_rounds=max_rounds,
+            budget_seconds=budget_seconds,
+        ),
         holdout=(setup.drawdown_points, holdout_labels),
         checkpoint_path=checkpoint_path,
         engine=engine,

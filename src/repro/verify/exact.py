@@ -76,7 +76,7 @@ class SyrennVerifier(Verifier):
     batched forward pass, or as a chunked ``evaluate_regions`` engine job
     when an engine is attached.  This is sound exactly because value-channel
     repairs never move linear-region boundaries (Theorem 4.6); the
-    incremental repair driver enables the flag for the duration of its run.
+    repair driver enables the flag for the duration of its run.
 
     ``region_counterexamples=True`` switches counterexample granularity from
     vertices to linear regions: each violating linear region is reported as

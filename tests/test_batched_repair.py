@@ -1,10 +1,12 @@
-"""Differential tests for the batched repair engine and the sparse LP path.
+"""Differential tests for the repair data path and the sparse LP form.
 
-The batched engine (vectorized multi-point Jacobians + single-block
-constraint encoding + CSR standard form) must be observationally identical
-to the legacy per-point loop and dense assembly it replaces: same Jacobians,
-same LP rows, same statuses, same deltas.  These tests pin that equivalence
-at every level — layer, DDNN, LP model, and the two repair algorithms.
+The one repair path (vectorized multi-point Jacobians, batched constraint
+encoding streamed as CSR chunks into an LP session) must be observationally
+identical to the per-point oracle in :mod:`tests.oracle` — a loop of
+single-point Jacobians solved as one dense or sparse cold LP: same
+Jacobians, same LP rows, same statuses, same deltas.  These tests pin that
+equivalence at every level — layer, DDNN, LP model, and the two repair
+algorithms.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.jacobian import specification_jacobians
+from repro.core.jacobian import JacobianChunkStream
 from repro.core.point_repair import point_repair
-from repro.core.polytope_repair import polytope_repair
+from repro.core.polytope_repair import polytope_repair, reduce_to_key_points
 from repro.core.specs import PointRepairSpec, PolytopeRepairSpec
 from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
@@ -31,6 +33,7 @@ from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 
 from tests.conftest import make_random_relu_network, make_random_tanh_network
+from tests.oracle import oracle_point_repair, specification_jacobians
 
 
 def make_conv_network(rng: np.random.Generator) -> Network:
@@ -104,10 +107,22 @@ class TestBatchedJacobians:
         points = rng.normal(size=(6, network.input_size))
         labels = rng.integers(0, network.output_size, size=6)
         spec = PointRepairSpec.from_labels(points, labels, num_classes=network.output_size)
-        outputs_batched, jacobians_batched = specification_jacobians(ddnn, 0, spec, batched=True)
-        outputs_loop, jacobians_loop = specification_jacobians(ddnn, 0, spec, batched=False)
+        outputs_batched, jacobians_batched = ddnn.batch_parameter_jacobian(
+            0, spec.points, spec.activation_points
+        )
+        outputs_loop, jacobians_loop = specification_jacobians(ddnn, 0, spec)
         np.testing.assert_allclose(outputs_batched, outputs_loop, atol=1e-12)
         np.testing.assert_allclose(jacobians_batched, jacobians_loop, atol=1e-12)
+        # The streamed constraint rows are the oracle's A_x (N(x) + J_x Δ) ≤ b_x.
+        ((block, rhs),) = JacobianChunkStream(ddnn, 0, spec)
+        expected_lhs = np.vstack(
+            [c.a @ j for c, j in zip(spec.constraints, jacobians_loop)]
+        )
+        expected_rhs = np.concatenate(
+            [c.b - c.a @ o for c, o in zip(spec.constraints, outputs_loop)]
+        )
+        np.testing.assert_allclose(block.toarray(), expected_lhs, atol=1e-12)
+        np.testing.assert_allclose(rhs, expected_rhs, atol=1e-12)
 
     def test_batch_channel_traces_match_single(self, rng):
         network = make_random_relu_network(rng)
@@ -123,7 +138,7 @@ class TestBatchedJacobians:
 
 
 class TestDifferentialPointRepair:
-    """batched=True and batched=False must yield identical repairs."""
+    """point_repair and the per-point dense oracle must yield identical repairs."""
 
     @pytest.mark.parametrize("norm", ["linf", "l1", "l1+linf"])
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
@@ -134,10 +149,8 @@ class TestDifferentialPointRepair:
         spec = PointRepairSpec.from_labels(
             points, labels, num_classes=network.output_size, margin=1e-3
         )
-        batched = point_repair(network, 2, spec, norm=norm, backend=backend, batched=True)
-        legacy = point_repair(
-            network, 2, spec, norm=norm, backend=backend, batched=False, sparse=False
-        )
+        batched = point_repair(network, 2, spec, norm=norm, backend=backend)
+        legacy = oracle_point_repair(network, 2, spec, norm=norm, backend=backend, sparse=False)
         assert batched.lp_status == legacy.lp_status
         assert batched.feasible == legacy.feasible
         assert batched.num_constraint_rows == legacy.num_constraint_rows
@@ -155,8 +168,8 @@ class TestDifferentialPointRepair:
                 HPolytope.from_interval(1, 0, 0.5, 1.0),
             ],
         )
-        batched = point_repair(toy_network, 0, spec, batched=True)
-        legacy = point_repair(toy_network, 0, spec, batched=False, sparse=False)
+        batched = point_repair(toy_network, 0, spec)
+        legacy = oracle_point_repair(toy_network, 0, spec, sparse=False)
         assert batched.lp_status is LPStatus.INFEASIBLE
         assert legacy.lp_status is LPStatus.INFEASIBLE
 
@@ -172,15 +185,25 @@ class TestDifferentialPointRepair:
             HPolytope.argmax_region(network.output_size, 2),      # 2 rows
         ]
         spec = PointRepairSpec(points=points, constraints=constraints)
-        batched = point_repair(network, 0, spec, norm="l1", batched=True)
-        legacy = point_repair(network, 0, spec, norm="l1", batched=False, sparse=False)
+        batched = point_repair(network, 0, spec, norm="l1")
+        legacy = oracle_point_repair(network, 0, spec, norm="l1", sparse=False)
         assert batched.lp_status == legacy.lp_status
         if batched.feasible:
             np.testing.assert_allclose(batched.delta, legacy.delta, atol=1e-6)
 
 
+def key_point_spec(network, spec: PolytopeRepairSpec) -> PointRepairSpec:
+    """Algorithm 2's finite reduction, for the oracle to solve directly."""
+    points, activations, constraints = reduce_to_key_points(network, spec)
+    return PointRepairSpec(
+        points=np.array(points),
+        constraints=constraints,
+        activation_points=np.array(activations),
+    )
+
+
 class TestDifferentialPolytopeRepair:
-    """Polytope repair routed through both engines must agree."""
+    """Polytope repair must agree with the oracle on its key points."""
 
     def test_segment_spec_agrees(self, toy_network):
         spec = PolytopeRepairSpec()
@@ -188,8 +211,10 @@ class TestDifferentialPolytopeRepair:
             LineSegment(np.array([0.5]), np.array([1.5])),
             HPolytope.from_interval(1, 0, -0.8, -0.4),
         )
-        batched = polytope_repair(toy_network, 0, spec, norm="l1", batched=True)
-        legacy = polytope_repair(toy_network, 0, spec, norm="l1", batched=False, sparse=False)
+        batched = polytope_repair(toy_network, 0, spec, norm="l1")
+        legacy = oracle_point_repair(
+            toy_network, 0, key_point_spec(toy_network, spec), norm="l1", sparse=False
+        )
         assert batched.lp_status == legacy.lp_status
         assert batched.feasible and legacy.feasible
         np.testing.assert_allclose(batched.delta, legacy.delta, atol=1e-6)
@@ -205,8 +230,8 @@ class TestDifferentialPolytopeRepair:
             HPolytope.from_interval(network.output_size, 0, -50.0, 50.0) for _ in segments
         ]
         spec = PolytopeRepairSpec.from_segments(segments, constraints)
-        batched = polytope_repair(network, 2, spec, batched=True)
-        legacy = polytope_repair(network, 2, spec, batched=False, sparse=False)
+        batched = polytope_repair(network, 2, spec)
+        legacy = oracle_point_repair(network, 2, key_point_spec(network, spec), sparse=False)
         assert batched.lp_status == legacy.lp_status
         if batched.feasible:
             np.testing.assert_allclose(batched.delta, legacy.delta, atol=1e-6)

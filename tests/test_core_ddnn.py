@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.jacobian import finite_difference_jacobian, specification_jacobians
+from repro.core.jacobian import finite_difference_jacobian
 from repro.core.linearize import linearization_exact_at_center, linearize_activation
 from repro.core.specs import PointRepairSpec
 from repro.exceptions import ShapeError, UnsupportedLayerError
@@ -20,6 +20,7 @@ from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
 from tests.conftest import make_random_relu_network, make_random_tanh_network
+from tests.oracle import specification_jacobians
 
 
 def make_conv_network(rng) -> Network:
@@ -210,6 +211,10 @@ class TestTheorem45Linearity:
         outputs, jacobians = specification_jacobians(ddnn, 0, spec)
         assert outputs.shape == (2, 1)
         assert jacobians.shape == (2, 1, 6)
+        # The repair path's vectorized pass agrees with the per-point oracle.
+        batch_outputs, batch_jacobians = ddnn.batch_parameter_jacobian(0, spec.points)
+        np.testing.assert_allclose(batch_outputs, outputs, atol=1e-12)
+        np.testing.assert_allclose(batch_jacobians, jacobians, atol=1e-12)
 
 
 class TestTheorem46RegionsPreserved:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import repro.driver.driver as driver_module
+import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
-from repro.driver import CounterexamplePool, RepairDriver
+from repro.driver import CounterexamplePool, DriverConfig, RepairDriver
 from repro.exceptions import RepairError
 from repro.nn.activations import ReLULayer
 from repro.nn.linear import FullyConnectedLayer
@@ -138,7 +139,12 @@ class TestCounterexamplePool:
 class TestRepairDriver:
     def test_certifies_seeded_scenario(self, plane_scenario):
         network, spec, _ = plane_scenario
-        driver = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8)
+        driver = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        )
         report = driver.run()
         assert report.status == "certified"
         assert report.certified
@@ -151,7 +157,12 @@ class TestRepairDriver:
 
     def test_sampling_verifiers_agree_on_certified_result(self, plane_scenario):
         network, spec, _ = plane_scenario
-        report = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8).run()
+        report = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        ).run()
         assert report.certified
         for verifier in (GridVerifier(resolution=24), RandomVerifier(512, seed=11)):
             cross_check = verifier.verify(report.network, spec)
@@ -159,9 +170,17 @@ class TestRepairDriver:
 
     def test_clean_network_terminates_immediately(self, plane_scenario):
         network, spec, _ = plane_scenario
-        certified = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8).run()
+        certified = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        ).run()
         again = RepairDriver(
-            certified.network, spec, SyrennVerifier(), max_rounds=8
+            certified.network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
         ).run()
         assert again.status == "certified"
         assert again.num_rounds == 1
@@ -170,7 +189,10 @@ class TestRepairDriver:
     def test_sampling_driver_reaches_clean_not_certified(self, plane_scenario):
         network, spec, _ = plane_scenario
         report = RepairDriver(
-            network, spec, GridVerifier(resolution=12), max_rounds=8
+            network,
+            spec,
+            GridVerifier(resolution=12),
+            config=DriverConfig(max_rounds=8),
         ).run()
         assert report.status == "clean"
         assert not report.certified
@@ -178,7 +200,10 @@ class TestRepairDriver:
     def test_budget_exhaustion(self, plane_scenario):
         network, spec, _ = plane_scenario
         report = RepairDriver(
-            network, spec, SyrennVerifier(), max_rounds=8, budget_seconds=0.0
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8, budget_seconds=0.0),
         ).run()
         assert report.status == "budget_exhausted"
         assert report.num_rounds == 0
@@ -186,13 +211,32 @@ class TestRepairDriver:
     def test_single_round_still_reports_final_network(self, plane_scenario):
         """Running out of rounds right after a repair re-verifies the result."""
         network, spec, _ = plane_scenario
-        report = RepairDriver(network, spec, SyrennVerifier(), max_rounds=1).run()
+        report = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=1),
+        ).run()
         assert report.num_rounds == 1
         # The one repair round fixed everything, and the report describes the
         # returned network — not the pre-repair verification.
         assert report.status == "certified"
         assert report.final_report.certified
         assert SyrennVerifier().verify(report.network, spec).certified
+
+    def test_stale_final_verify_is_spanned(self, plane_scenario):
+        """The re-verification after the last round shows in the span tree."""
+        network, spec, _ = plane_scenario
+        driver = RepairDriver(
+            network, spec, SyrennVerifier(), config=DriverConfig(max_rounds=1)
+        )
+        with obs.capture("test.root") as captured:
+            report = driver.run()
+            trace = captured.telemetry()["trace"]
+        assert report.num_rounds == 1 and report.rounds[0].repair_feasible
+        (run_span,) = [c for c in trace["children"] if c["name"] == "driver.run"]
+        verifies = [c for c in run_span["children"] if c["name"] == "driver.verify"]
+        assert [span["attributes"]["round"] for span in verifies] == [0, "final"]
 
     def test_max_rounds_reached_when_violations_persist(self, plane_scenario):
         network, spec, _ = plane_scenario
@@ -217,7 +261,12 @@ class TestRepairDriver:
                 report.region_statuses[0] = RegionStatus.VIOLATED
                 return report
 
-        report = RepairDriver(network, spec, NeverSatisfied(), max_rounds=2).run()
+        report = RepairDriver(
+            network,
+            spec,
+            NeverSatisfied(),
+            config=DriverConfig(max_rounds=2),
+        ).run()
         assert report.status == "max_rounds_reached"
         assert report.num_rounds == 2
         assert report.remaining_violations >= 1
@@ -225,7 +274,10 @@ class TestRepairDriver:
     def test_infeasible_with_tiny_delta_bound(self, plane_scenario):
         network, spec, _ = plane_scenario
         report = RepairDriver(
-            network, spec, SyrennVerifier(), max_rounds=4, delta_bound=1e-12
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=4, delta_bound=1e-12),
         ).run()
         assert report.status == "infeasible"
         # Escalation tried every layer in the schedule before giving up.
@@ -233,17 +285,22 @@ class TestRepairDriver:
 
     def test_layer_escalation_on_infeasible(self, plane_scenario, monkeypatch):
         network, spec, _ = plane_scenario
-        real_point_repair = driver_module.point_repair
+        real_session = driver_module.IncrementalPointRepairSession
         attempted_layers = []
 
-        def failing_on_last(network, layer_index, repair_spec, **kwargs):
+        def failing_on_last(network, layer_index, **kwargs):
             attempted_layers.append(layer_index)
             if layer_index == 4:  # pretend the output layer cannot repair this
                 kwargs["delta_bound"] = 1e-15
-            return real_point_repair(network, layer_index, repair_spec, **kwargs)
+            return real_session(network, layer_index, **kwargs)
 
-        monkeypatch.setattr(driver_module, "point_repair", failing_on_last)
-        report = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8).run()
+        monkeypatch.setattr(driver_module, "IncrementalPointRepairSession", failing_on_last)
+        report = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        ).run()
         assert attempted_layers[:2] == [4, 2]
         assert report.status == "certified"
         assert any(record.layer_index == 2 for record in report.rounds)
@@ -256,7 +313,7 @@ class TestRepairDriver:
             network,
             spec,
             SyrennVerifier(),
-            max_rounds=8,
+            config=DriverConfig(max_rounds=8),
             holdout=(holdout_inputs, holdout_labels),
         ).run()
         repaired_rounds = [r for r in report.rounds if r.repair_feasible]
@@ -271,14 +328,17 @@ class TestRepairDriver:
             network,
             spec,
             SyrennVerifier(),
-            max_rounds=1,
+            config=DriverConfig(max_rounds=1, delta_bound=1e-12),
             checkpoint_path=path,
-            delta_bound=1e-12,
         ).run()
         assert first.status == "infeasible"
         assert path.exists()
         resumed_driver = RepairDriver(
-            network, spec, SyrennVerifier(), max_rounds=8, checkpoint_path=path
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+            checkpoint_path=path,
         )
         assert len(resumed_driver.pool) == first.pool_size
         report = resumed_driver.run()
@@ -292,7 +352,12 @@ class TestRepairDriver:
 
     def test_repair_minimal_from_base_not_cumulative(self, plane_scenario):
         network, spec, _ = plane_scenario
-        report = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8).run()
+        report = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        ).run()
         # The applied delta is measured against the original network.
         base = DecoupledNetwork.from_network(network)
         for layer_index in base.repairable_layer_indices():
@@ -318,7 +383,12 @@ class TestRepairDriver:
             return real_unsatisfied(pool, *args, **kwargs)
 
         monkeypatch.setattr(CounterexamplePool, "unsatisfied", slow_unsatisfied)
-        report = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8).run()
+        report = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        ).run()
         assert report.status == "certified"
         assert calls == [report.pool_size]
         assert report.timing.other_seconds >= 0.2
@@ -327,13 +397,28 @@ class TestRepairDriver:
     def test_validation(self, plane_scenario):
         network, spec, _ = plane_scenario
         with pytest.raises(RepairError):
-            RepairDriver(network, spec, SyrennVerifier(), max_rounds=0)
+            RepairDriver(
+                network,
+                spec,
+                SyrennVerifier(),
+                config=DriverConfig(max_rounds=0),
+            )
         with pytest.raises(RepairError):
-            RepairDriver(network, spec, SyrennVerifier(), layer_schedule=[])
+            RepairDriver(
+                network,
+                spec,
+                SyrennVerifier(),
+                config=DriverConfig(layer_schedule=[]),
+            )
 
     def test_report_as_dict_shape(self, plane_scenario):
         network, spec, _ = plane_scenario
-        report = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8).run()
+        report = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        ).run()
         summary = report.as_dict()
         assert summary["status"] == "certified"
         assert summary["num_rounds"] == len(summary["rounds"])

@@ -74,7 +74,7 @@ class TestDriverConfig:
             mode="polytope",
             layer_schedule=[4, 2],
             max_rounds=7,
-            incremental=True,
+            warm_start=False,
             max_new_counterexamples=3,
             norm="l1",
             delta_bound=0.5,
@@ -95,9 +95,17 @@ class TestDriverConfig:
         with pytest.raises(RepairError):
             DriverConfig(layer_schedule=[])
         with pytest.raises(RepairError):
-            DriverConfig(incremental=True, batched=False)
-        with pytest.raises(RepairError):
             DriverConfig(max_new_counterexamples=0)
+
+    def test_removed_knobs_fail_loudly(self):
+        """The knobs that chose between repair paths are errors, not no-ops."""
+        with pytest.raises(RepairError, match="'incremental'.*removed"):
+            DriverConfig(incremental=True)
+        with pytest.raises(RepairError, match="'batched'.*removed"):
+            DriverConfig.from_dict({"batched": False})
+        with pytest.raises(RepairError, match="'sparse'.*removed"):
+            DriverConfig().replace(sparse=True)
+        assert not {"incremental", "batched", "sparse"} & set(DriverConfig().to_dict())
 
     def test_replace_revalidates(self):
         config = DriverConfig(max_rounds=5)
@@ -111,18 +119,9 @@ class TestDriverConfig:
 
 
 class TestDriverConstruction:
-    def test_legacy_keywords_still_work(self, scenario):
-        """The historical keyword call sites build the equivalent config."""
-        network, spec = scenario
-        driver = RepairDriver(
-            network, spec, SyrennVerifier(), max_rounds=6, norm="l1", incremental=True
-        )
-        assert driver.config == DriverConfig(max_rounds=6, norm="l1", incremental=True)
-        assert driver.max_rounds == 6 and driver.norm == "l1" and driver.incremental
-
     def test_config_and_keywords_cannot_mix(self, scenario):
         network, spec = scenario
-        with pytest.raises(RepairError, match="not both"):
+        with pytest.raises(TypeError):
             RepairDriver(
                 network, spec, SyrennVerifier(), config=DriverConfig(), max_rounds=3
             )
@@ -131,27 +130,20 @@ class TestDriverConstruction:
         network, spec = scenario
         with pytest.raises(TypeError):
             RepairDriver(network, spec, SyrennVerifier(), max_round=3)
+        # Algorithm knobs travel only inside the config.
+        with pytest.raises(TypeError):
+            RepairDriver(network, spec, SyrennVerifier(), max_rounds=6)
 
 
 class TestConfigDifferential:
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_json_config_run_matches_keyword_run(self, scenario, incremental):
-        """Keyword run vs JSON-round-tripped config run: byte-identical."""
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_json_config_run_matches_keyword_run(self, scenario, warm_start):
+        """In-process config run vs JSON-round-tripped config run: byte-identical."""
         network, spec = scenario
-        keyword_report = RepairDriver(
-            network,
-            spec,
-            SyrennVerifier(),
-            max_rounds=8,
-            norm="l1",
-            incremental=incremental,
-        ).run()
+        config = DriverConfig(max_rounds=8, norm="l1", warm_start=warm_start)
+        keyword_report = RepairDriver(network, spec, SyrennVerifier(), config=config).run()
 
-        wire = json.loads(
-            json.dumps(
-                DriverConfig(max_rounds=8, norm="l1", incremental=incremental).to_dict()
-            )
-        )
+        wire = json.loads(json.dumps(config.to_dict()))
         config_report = RepairDriver(
             network, spec, SyrennVerifier(), config=DriverConfig.from_dict(wire)
         ).run()
@@ -166,8 +158,18 @@ class TestConfigDifferential:
         """The spec's JSON form drives the same run as the original spec."""
         network, spec = scenario
         wire_spec = VerificationSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
-        original = RepairDriver(network, spec, SyrennVerifier(), max_rounds=8).run()
-        travelled = RepairDriver(network, wire_spec, SyrennVerifier(), max_rounds=8).run()
+        original = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        ).run()
+        travelled = RepairDriver(
+            network,
+            wire_spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=8),
+        ).run()
         assert comparable(original) == comparable(travelled)
         assert parameter_bytes(original.network) == parameter_bytes(travelled.network)
 
@@ -180,7 +182,7 @@ class TestOnRoundCallback:
             network,
             spec,
             SyrennVerifier(),
-            max_rounds=8,
+            config=DriverConfig(max_rounds=8),
             on_round=streamed.append,
         ).run()
         assert [r.round_index for r in streamed] == [r.round_index for r in report.rounds]
@@ -195,5 +197,9 @@ class TestOnRoundCallback:
 
         with pytest.raises(RuntimeError, match="stop here"):
             RepairDriver(
-                network, spec, SyrennVerifier(), max_rounds=8, on_round=explode
+                network,
+                spec,
+                SyrennVerifier(),
+                config=DriverConfig(max_rounds=8),
+                on_round=explode,
             ).run()

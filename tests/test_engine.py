@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.acas import phi8_property
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.engine import (
     JobScheduler,
     ShardedSyrennEngine,
@@ -326,7 +326,11 @@ class TestEngineWiring:
         verifier = SyrennVerifier()
         with ShardedSyrennEngine(workers=1, cache=False) as engine:
             report = RepairDriver(
-                plane_network, mixed_spec, verifier, engine=engine, max_rounds=6
+                plane_network,
+                mixed_spec,
+                verifier,
+                config=DriverConfig(max_rounds=6),
+                engine=engine,
             ).run()
         assert report.status == "certified"
         assert report.engine_stats is not None
@@ -344,8 +348,8 @@ class TestEngineWiring:
                     plane_network,
                     mixed_spec,
                     SyrennVerifier(engine=used),
+                    config=DriverConfig(max_rounds=6),
                     engine=unused,
-                    max_rounds=6,
                 ).run()
         assert report.engine_stats["jobs_executed"] == used.scheduler.jobs_executed
         assert report.engine_stats["jobs_executed"] > 0
@@ -373,8 +377,8 @@ class TestEngineWiring:
                 plane_network,
                 mixed_spec,
                 EnginelessVerifier(),
+                config=DriverConfig(max_rounds=6),
                 engine=engine,
-                max_rounds=6,
             ).run()
         assert report.status == "certified"
         assert report.engine_stats is None
@@ -469,11 +473,20 @@ class TestParallelDifferential:
             # Repair deltas: the engine-backed CEGIS driver lands on the same
             # certified network, parameter for parameter.
             parallel_driver = RepairDriver(
-                network, spec, SyrennVerifier(engine=engine), engine=engine, max_rounds=4
+                network,
+                spec,
+                SyrennVerifier(engine=engine),
+                config=DriverConfig(max_rounds=4),
+                engine=engine,
             )
             parallel_outcome = parallel_driver.run()
 
-        serial_driver = RepairDriver(network, spec, SyrennVerifier(), max_rounds=4)
+        serial_driver = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_rounds=4),
+        )
         serial_outcome = serial_driver.run()
         assert serial_outcome.status == "certified"
         assert parallel_outcome.status == "certified"

@@ -6,10 +6,10 @@ Three layers of pinning:
   invariance claim — value-channel point repair never changes the
   activation network's linear-region geometry, which is what makes the
   value-only re-verification fast path sound by construction;
-* a **differential matrix** (hls4ml-style ``parametrize`` over backend ×
-  sparse × warm-start × workers) asserting incremental driver runs
-  reproduce cold runs on the strengthened ACAS φ8 spec — byte-identically
-  whenever the backend's warm start is exact;
+* a **differential matrix** (``parametrize`` over backend × oracle
+  assembly × warm-start × workers) asserting the driver's final delta equals
+  a one-shot ``point_repair`` of its final pool on the strengthened ACAS φ8
+  spec — byte-identically whenever the backend's warm start is exact;
 * unit tests for the new pieces: :class:`LPSession` append/solve,
   :class:`WarmStart` handling in both backends, the engine's
   ``evaluate_regions`` job, and the driver's incremental bookkeeping.
@@ -26,10 +26,10 @@ from repro.core.ddnn import DecoupledNetwork
 from repro.core.point_repair import IncrementalPointRepairSession, point_repair
 from repro.core.specs import PointRepairSpec
 from repro.datasets.acas import phi8_property
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.engine import ShardedSyrennEngine
 from repro.engine.jobs import chunk_spans
-from repro.exceptions import EngineError, LPError, RepairError
+from repro.exceptions import EngineError, LPError
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
 from repro.lp.backends import get_backend
 from repro.lp.model import LPModel, WarmStart
@@ -44,6 +44,7 @@ from repro.utils.rng import ensure_rng
 from repro.utils.serialization import network_fingerprint
 from repro.verify import SyrennVerifier
 from tests.conftest import make_random_relu_network
+from tests.oracle import oracle_point_repair
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +60,13 @@ def acas_phi8():
 
 
 def value_parameters(report) -> list[bytes]:
+    return value_parameters_of(report.network)
+
+
+def value_parameters_of(network: DecoupledNetwork) -> list[bytes]:
     return [
-        report.network.value.layers[index].get_parameters().tobytes()
-        for index in report.network.repairable_layer_indices()
+        network.value.layers[index].get_parameters().tobytes()
+        for index in network.repairable_layer_indices()
     ]
 
 
@@ -157,7 +162,7 @@ class TestPartitionInvariance:
 
 
 class TestIncrementalDifferential:
-    """Incremental driver runs must reproduce cold runs on the φ8 spec."""
+    """The driver's final delta must equal a one-shot repair of its final pool."""
 
     @pytest.mark.parametrize(
         "backend,sparse,warm,workers",
@@ -171,59 +176,60 @@ class TestIncrementalDifferential:
         ],
     )
     def test_incremental_matches_cold(self, acas_phi8, backend, sparse, warm, workers):
+        """Driver vs one-shot ``point_repair(base, layer, final pool)``.
+
+        Byte-identical whenever the backend's warm start is exact (or off);
+        otherwise outcome-level: certified, every pooled counterexample
+        satisfied, and the objective equal to 1e-9 relative.  The one-shot
+        LP is in turn checked against the per-point oracle assembled dense
+        or sparse.
+        """
         network, spec = acas_phi8
+        config = DriverConfig(
+            max_rounds=20, warm_start=warm, max_new_counterexamples=4, backend=backend
+        )
 
-        def run(incremental, engine=None):
-            return RepairDriver(
-                network,
-                spec,
-                SyrennVerifier(engine=engine),
-                max_rounds=20,
-                incremental=incremental,
-                warm_start=warm,
-                max_new_counterexamples=4,
-                backend=backend,
-                sparse=sparse,
-            ).run()
+        def run(engine=None):
+            driver = RepairDriver(
+                network, spec, SyrennVerifier(engine=engine), config=config, engine=engine
+            )
+            return driver, driver.run()
 
-        cold = run(False)
         if workers > 1:
             with ShardedSyrennEngine(workers=workers, cache=False) as engine:
-                incremental = run(True, engine=engine)
+                driver, report = run(engine)
         else:
-            incremental = run(True)
+            driver, report = run()
 
-        assert cold.status == "certified"
-        assert incremental.status == "certified"
-        assert incremental.incremental and not cold.incremental
-        assert incremental.value_only_rounds > 0
-        assert incremental.unsatisfied_pool_indices == []
+        assert report.status == "certified"
+        assert report.value_only_rounds > 0
+        assert report.unsatisfied_pool_indices == []
+        layer = [r.layer_index for r in report.rounds if r.repair_feasible][-1]
+        pool_spec = driver.pool.point_spec(margin=driver.repair_margin)
+        one_shot = point_repair(network, layer, pool_spec, backend=backend)
+        assert one_shot.feasible
+        reference = oracle_point_repair(
+            network, layer, pool_spec, backend=backend, sparse=sparse
+        )
+        assert reference.objective_value == pytest.approx(
+            one_shot.objective_value, rel=1e-9, abs=1e-12
+        )
 
         exact = not warm or get_backend(backend).warm_start_is_exact
         if exact:
-            # Bit-for-bit: same verdicts, margins, round trajectory, deltas.
-            assert incremental.num_rounds == cold.num_rounds
-            assert (
-                incremental.final_report.region_statuses
-                == cold.final_report.region_statuses
-            )
-            assert (
-                incremental.final_report.region_margins
-                == cold.final_report.region_margins
-            )
-            assert value_parameters(incremental) == value_parameters(cold)
-            for cold_round, incremental_round in zip(cold.rounds, incremental.rounds):
-                assert incremental_round.pool_size == cold_round.pool_size
-                assert incremental_round.layer_index == cold_round.layer_index
+            # Bit-for-bit: the session's appends built the one-shot LP.
+            assert value_parameters(report) == value_parameters_of(one_shot.network)
         else:
             # The simplex hot start pivots differently, so a degenerate
             # optimal face may resolve to a different — equally optimal —
-            # vertex; the contract is then verdict-level, and at least one
-            # round must actually have consumed the handle.
-            assert incremental.warm_started_rounds > 0
-            assert (
-                incremental.final_report.region_statuses
-                == cold.final_report.region_statuses
+            # vertex; at least one round must actually have consumed a handle.
+            assert report.warm_started_rounds > 0
+            final_delta = (
+                report.network.value.layers[layer].get_parameters()
+                - DecoupledNetwork.from_network(network).value.layers[layer].get_parameters()
+            )
+            assert np.abs(final_delta).max() == pytest.approx(
+                one_shot.objective_value, rel=1e-9, abs=1e-12
             )
 
     def test_rationed_intake_caps_pool_growth(self, acas_phi8):
@@ -232,9 +238,7 @@ class TestIncrementalDifferential:
             network,
             spec,
             SyrennVerifier(),
-            max_rounds=20,
-            incremental=True,
-            max_new_counterexamples=2,
+            config=DriverConfig(max_rounds=20, max_new_counterexamples=2),
         ).run()
         assert report.status == "certified"
         assert all(record.new_counterexamples <= 2 for record in report.rounds)
@@ -247,10 +251,11 @@ class TestIncrementalDifferential:
             network,
             spec,
             SyrennVerifier(),
-            max_rounds=20,
-            incremental=True,
-            backend="simplex",
-            max_new_counterexamples=4,
+            config=DriverConfig(
+                max_rounds=20,
+                backend="simplex",
+                max_new_counterexamples=4,
+            ),
         ).run()
         assert report.status == "certified"
         repaired = [r for r in report.rounds if r.repair_attempted]
@@ -263,7 +268,6 @@ class TestIncrementalDifferential:
         assert report.value_only_rounds == sum(r.verify_value_only for r in report.rounds)
         summary = report.as_dict()
         for key in (
-            "incremental",
             "lp_rows_appended",
             "warm_started_rounds",
             "value_only_rounds",
@@ -276,21 +280,8 @@ class TestIncrementalDifferential:
         network, spec = acas_phi8
         verifier = SyrennVerifier()
         assert verifier.value_only is False
-        RepairDriver(
-            network, spec, verifier, max_rounds=20, incremental=True
-        ).run()
+        RepairDriver(network, spec, verifier, config=DriverConfig(max_rounds=20)).run()
         assert verifier.value_only is False
-
-    def test_incremental_requires_batched_engine(self, acas_phi8):
-        network, spec = acas_phi8
-        with pytest.raises(RepairError):
-            RepairDriver(
-                network, spec, SyrennVerifier(), incremental=True, batched=False
-            )
-        with pytest.raises(RepairError):
-            RepairDriver(
-                network, spec, SyrennVerifier(), max_new_counterexamples=0
-            )
 
 
 class TestIncrementalRepairSession:

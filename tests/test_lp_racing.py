@@ -4,8 +4,9 @@ Two layers of pinning:
 
 * a **differential matrix** on the strengthened ACAS φ8 driver workload:
   a ``race:`` run must be byte-identical to a solo run of its preferred
-  backend across backend-order permutations × workers {1,4} × incremental
-  on/off — racing is a latency hedge, never a second source of truth;
+  backend across backend-order permutations × workers {1,4} × warm start
+  on/off — racing is a latency hedge, never a second source of truth — and
+  the solo run to a one-shot ``point_repair`` of its final pool;
 * **fault injection** through registered stub backends: a racer that
   crashes (or hangs, honouring the cooperative ``cancel_event``) must not
   change the returned answer or raise — the failure lands in telemetry.
@@ -20,8 +21,9 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.core.point_repair import point_repair
 from repro.datasets.acas import phi8_property
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.engine import ShardedSyrennEngine
 from repro.exceptions import LPError
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
@@ -49,30 +51,44 @@ def acas_phi8():
 
 
 def value_parameters(report) -> list[bytes]:
+    return value_parameters_of(report.network)
+
+
+def value_parameters_of(network) -> list[bytes]:
     return [
-        report.network.value.layers[index].get_parameters().tobytes()
-        for index in report.network.repairable_layer_indices()
+        network.value.layers[index].get_parameters().tobytes()
+        for index in network.repairable_layer_indices()
     ]
 
 
-def run_driver(acas_phi8, backend: str, *, incremental: bool, workers: int):
+def run_driver(acas_phi8, backend: str, *, warm_start: bool, workers: int):
     network, spec = acas_phi8
 
     def run(engine=None):
-        return RepairDriver(
+        driver = RepairDriver(
             network,
             spec,
             SyrennVerifier(engine=engine),
-            max_rounds=20,
-            incremental=incremental,
-            max_new_counterexamples=4,
-            backend=backend,
-        ).run()
+            config=DriverConfig(
+                max_rounds=20,
+                warm_start=warm_start,
+                max_new_counterexamples=4,
+                backend=backend,
+            ),
+        )
+        return driver.run(), driver.pool.point_spec(margin=driver.repair_margin)
 
     if workers > 1:
         with ShardedSyrennEngine(workers=workers, cache=False) as engine:
             return run(engine)
     return run()
+
+
+def one_shot_of_final_pool(acas_phi8, report, pool_spec, backend: str):
+    """``point_repair(base, layer, final pool)`` for a finished driver run."""
+    network, _ = acas_phi8
+    layer = [r.layer_index for r in report.rounds if r.repair_feasible][-1]
+    return point_repair(network, layer, pool_spec, backend=backend)
 
 
 def fence_form(sparse: bool = False):
@@ -177,11 +193,11 @@ class TestRacingDeterminismMatrix:
 
     @pytest.mark.parametrize("order", [("scipy", "simplex"), ("simplex", "scipy")])
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_race_matches_solo_preferred(self, acas_phi8, order, workers, incremental):
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_race_matches_solo_preferred(self, acas_phi8, order, workers, warm_start):
         spec = "race:" + ",".join(order)
-        race = run_driver(acas_phi8, spec, incremental=incremental, workers=workers)
-        solo = run_driver(acas_phi8, order[0], incremental=incremental, workers=1)
+        race, _ = run_driver(acas_phi8, spec, warm_start=warm_start, workers=workers)
+        solo, pool_spec = run_driver(acas_phi8, order[0], warm_start=warm_start, workers=1)
 
         assert race.status == "certified" and solo.status == "certified"
         # Byte-identical repaired parameters and identical trajectories:
@@ -194,6 +210,11 @@ class TestRacingDeterminismMatrix:
         for solo_round, race_round in zip(solo.rounds, race.rounds):
             assert race_round.pool_size == solo_round.pool_size
             assert race_round.layer_index == solo_round.layer_index
+        # And the preferred member's answer is the one-shot repair of the
+        # final pool whenever its warm start cannot steer the pivots.
+        one_shot = one_shot_of_final_pool(acas_phi8, solo, pool_spec, order[0])
+        if not warm_start or get_backend(order[0]).warm_start_is_exact:
+            assert value_parameters(solo) == value_parameters_of(one_shot.network)
 
     def test_single_solve_returns_preferred_bytes(self):
         form = fence_form()
@@ -328,9 +349,9 @@ class TestRacingFaultInjection:
 
     def test_driver_run_survives_crashing_racer(self, acas_phi8, registered_stubs):
         """End to end: a crashing member never perturbs a repair."""
-        race = run_driver(
-            acas_phi8, "race:scipy,crashing_stub", incremental=True, workers=1
+        race, _ = run_driver(
+            acas_phi8, "race:scipy,crashing_stub", warm_start=True, workers=1
         )
-        solo = run_driver(acas_phi8, "scipy", incremental=True, workers=1)
+        solo, _ = run_driver(acas_phi8, "scipy", warm_start=True, workers=1)
         assert race.status == "certified"
         assert value_parameters(race) == value_parameters(solo)

@@ -29,7 +29,7 @@ from contextlib import nullcontext
 import numpy as np
 
 import repro.obs as obs
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.engine import ShardedSyrennEngine
 from repro.nn.activations import ReLULayer
 from repro.nn.linear import FullyConnectedLayer
@@ -90,8 +90,11 @@ def run_repair(
             with context:
                 with ShardedSyrennEngine(workers=workers, cache=False) as engine:
                     driver = RepairDriver(
-                        network, spec, SyrennVerifier(engine=engine), engine=engine,
-                        max_rounds=6,
+                        network,
+                        spec,
+                        SyrennVerifier(engine=engine),
+                        config=DriverConfig(max_rounds=6),
+                        engine=engine,
                     )
                     outcome = driver.run()
         finally:

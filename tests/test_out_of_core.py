@@ -4,13 +4,13 @@ Four layers of pinning:
 
 * a **differential matrix**: driver runs with a ``memory_budget`` — tiny
   (single-point chunks plus pool spilling), ragged (a few points per
-  chunk), and huge (one chunk) — × incremental on/off reproduce the
+  chunk), and huge (one chunk) — × LP warm start on/off reproduce the
   unbudgeted run byte for byte on the strengthened ACAS φ8 spec and on an
   MNIST-fog digits spec, including with a 4-worker engine sharding chunk
   production;
 * a **property-based oracle** (hypothesis): *any* chunk partition of the
-  Jacobian→LP row stream yields the same LP solution bytes as the dense
-  in-memory path — the determinism contract of
+  Jacobian→LP row stream yields the same LP solution bytes as one dense
+  block solved cold — the determinism contract of
   :class:`~repro.core.jacobian.JacobianChunkStream`;
 * unit tests for the new tiers: chunk-stream assembly and telemetry, the
   batched finite-difference checker against the closed-form Jacobians,
@@ -42,7 +42,7 @@ from repro.core.ddnn import DecoupledNetwork
 from repro.core.jacobian import (
     DEFAULT_CHUNK_BYTES,
     JacobianChunkStream,
-    encode_constraints_padded,
+    _encode_batch,
     finite_difference_jacobians,
 )
 from repro.core.point_repair import point_repair
@@ -51,7 +51,7 @@ from repro.core.specs import PointRepairSpec
 from repro.datasets.acas import phi8_property
 from repro.datasets.corruptions import fog_corrupt
 from repro.datasets.digits import render_digit
-from repro.driver import RepairDriver
+from repro.driver import DriverConfig, RepairDriver
 from repro.driver.pool import CounterexamplePool
 from repro.engine import ShardedSyrennEngine
 from repro.experiments.task1_imagenet import (
@@ -60,6 +60,8 @@ from repro.experiments.task1_imagenet import (
     pointwise_verification_spec,
 )
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
+from repro.lp.model import LPModel
+from repro.lp.norms import add_norm_objective
 from repro.models.acas_models import build_acas_network
 from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
@@ -127,7 +129,7 @@ class TestChunkStreamAssembly:
     @pytest.mark.parametrize("chunk_bytes", [1, 2_048, DEFAULT_CHUNK_BYTES])
     def test_blocks_assemble_dense_standard_form(self, chunk_bytes):
         ddnn, layer, spec = small_workload()
-        dense_lhs, dense_rhs = encode_constraints_padded(ddnn, layer, spec)
+        dense_lhs, dense_rhs = _encode_batch(ddnn, layer, spec)
         stream = JacobianChunkStream(ddnn, layer, spec, max_chunk_bytes=chunk_bytes)
         blocks = list(stream)
         assert len(blocks) == len(stream)
@@ -136,7 +138,7 @@ class TestChunkStreamAssembly:
     def test_explicit_single_point_batches(self):
         # One point per batch forces the pad-to-two encode for every batch.
         ddnn, layer, spec = small_workload()
-        dense_lhs, dense_rhs = encode_constraints_padded(ddnn, layer, spec)
+        dense_lhs, dense_rhs = _encode_batch(ddnn, layer, spec)
         stream = JacobianChunkStream(ddnn, layer, spec, points_per_batch=1)
         blocks = list(stream)
         assert len(blocks) == spec.num_points
@@ -204,31 +206,38 @@ class TestFiniteDifferenceBatch:
         assert ddnn.value.layers[layer].get_parameters().tobytes() == before.tobytes()
 
 
+def one_block_delta(ddnn, layer, spec, *, sparse: bool):
+    """The whole spec's rows as one dense LP block, solved cold (or ``None``)."""
+    model = LPModel()
+    delta = model.add_variables(ddnn.value.layers[layer].num_parameters, "delta")
+    add_norm_objective(model, delta, "linf")
+    lhs, rhs = _encode_batch(ddnn, layer, spec)
+    model.add_leq_block(lhs, rhs, delta)
+    solution = model.solve(sparse=sparse)
+    return solution.value_of(delta) if solution.status.is_optimal else None
+
+
 class TestChunkedRepairDifferential:
-    """point_repair with any chunk budget solves the same LP, byte for byte."""
+    """point_repair with any chunk budget solves the one-block LP, byte for byte."""
 
     @pytest.mark.parametrize("chunk_bytes", [1, 2_048, HUGE_BUDGET])
     @pytest.mark.parametrize("sparse", [True, False])
     def test_chunked_matches_dense(self, chunk_bytes, sparse):
         ddnn, layer, spec = small_workload()
-        dense = point_repair(ddnn, layer, spec, sparse=sparse)
-        chunked = point_repair(
-            ddnn, layer, spec, sparse=sparse, max_chunk_bytes=chunk_bytes
-        )
-        assert chunked.feasible == dense.feasible
-        assert chunked.delta.tobytes() == dense.delta.tobytes()
+        dense = one_block_delta(ddnn, layer, spec, sparse=sparse)
+        chunked = point_repair(ddnn, layer, spec, max_chunk_bytes=chunk_bytes)
+        assert chunked.feasible and dense is not None
+        assert chunked.delta.tobytes() == dense.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), chunk_bytes=st.integers(1, 1 << 16))
     def test_any_partition_yields_identical_solutions(self, seed, chunk_bytes):
         ddnn, layer, spec = small_workload(seed=seed, num_points=5)
-        dense = point_repair(ddnn, layer, spec, sparse=True)
-        chunked = point_repair(
-            ddnn, layer, spec, sparse=True, max_chunk_bytes=chunk_bytes
-        )
-        assert chunked.feasible == dense.feasible
-        if dense.feasible:
-            assert chunked.delta.tobytes() == dense.delta.tobytes()
+        dense = one_block_delta(ddnn, layer, spec, sparse=True)
+        chunked = point_repair(ddnn, layer, spec, max_chunk_bytes=chunk_bytes)
+        assert chunked.feasible == (dense is not None)
+        if chunked.feasible:
+            assert chunked.delta.tobytes() == dense.tobytes()
 
 
 def make_counterexample(rng, dimension: int = 6, outputs: int = 3) -> Counterexample:
@@ -367,31 +376,32 @@ class TestAtomicCheckpoint:
 class TestDriverDifferential:
     """Budgeted driver runs reproduce unbudgeted runs byte for byte."""
 
-    def run(self, network, spec, *, memory_budget=None, incremental=True, engine=None):
+    def run(self, network, spec, *, memory_budget=None, warm_start=True, engine=None):
         from repro.verify import SyrennVerifier
 
         return RepairDriver(
             network,
             spec,
             SyrennVerifier(engine=engine),
-            max_rounds=20,
-            incremental=incremental,
-            max_new_counterexamples=4,
-            sparse=True,
-            memory_budget=memory_budget,
+            config=DriverConfig(
+                max_rounds=20,
+                warm_start=warm_start,
+                max_new_counterexamples=4,
+                memory_budget=memory_budget,
+            ),
         ).run()
 
-    @pytest.mark.parametrize("incremental", [False, True])
+    @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize(
         "memory_budget", [TINY_BUDGET, RAGGED_BUDGET, HUGE_BUDGET]
     )
     def test_budgeted_matches_unbudgeted_on_acas(
-        self, acas_phi8, memory_budget, incremental
+        self, acas_phi8, memory_budget, warm_start
     ):
         network, spec = acas_phi8
-        reference = self.run(network, spec, incremental=incremental)
+        reference = self.run(network, spec, warm_start=warm_start)
         budgeted = self.run(
-            network, spec, memory_budget=memory_budget, incremental=incremental
+            network, spec, memory_budget=memory_budget, warm_start=warm_start
         )
         assert reference.status == "certified"
         assert budgeted.status == "certified"
@@ -438,10 +448,7 @@ class TestDriverDifferential:
                 network,
                 spec,
                 GridVerifier(certify_exhaustive=True),
-                max_rounds=8,
-                incremental=True,
-                sparse=True,
-                memory_budget=memory_budget,
+                config=DriverConfig(max_rounds=8, memory_budget=memory_budget),
             ).run()
 
         reference = run(None)
@@ -623,17 +630,17 @@ class TestPrefixCacheDifferential:
     def run(self, network, spec, **knobs):
         return TestDriverDifferential().run(network, spec, **knobs)
 
-    @pytest.mark.parametrize("incremental", [False, True])
+    @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("memory_budget", [None, TINY_BUDGET, RAGGED_BUDGET])
-    def test_acas_cached_matches_uncached(self, acas_phi8, memory_budget, incremental):
+    def test_acas_cached_matches_uncached(self, acas_phi8, memory_budget, warm_start):
         network, spec = acas_phi8
         with served_batches() as served:
             cached = self.run(
-                network, spec, memory_budget=memory_budget, incremental=incremental
+                network, spec, memory_budget=memory_budget, warm_start=warm_start
             )
         with prefix_cache_off():
             uncached = self.run(
-                network, spec, memory_budget=memory_budget, incremental=incremental
+                network, spec, memory_budget=memory_budget, warm_start=warm_start
             )
         assert cached.status == "certified"
         assert served
@@ -659,10 +666,7 @@ class TestPrefixCacheDifferential:
                 network,
                 spec,
                 GridVerifier(certify_exhaustive=True),
-                max_rounds=8,
-                incremental=True,
-                sparse=True,
-                memory_budget=memory_budget,
+                config=DriverConfig(max_rounds=8, memory_budget=memory_budget),
             ).run()
 
         with served_batches() as served:

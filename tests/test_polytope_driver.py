@@ -6,13 +6,14 @@ Three layers of pinning:
   bugs (equal counterexamples must never evade dedup, or the driver's stall
   detection can be fooled forever), activation-pattern-aware region keys,
   and the region checkpoint/resume round-trip;
-* a **differential matrix** (backend × sparse × workers × incremental)
-  pinning the polytope driver's round-1 repair byte-identical to one-shot
-  :func:`~repro.core.polytope_repair.polytope_repair` on the same spec — the
-  two must build the same LP row for row when every region is violated;
-* **loop tests** for certification end to end: cold vs incremental vs
-  engine-parallel runs byte-identical, region counterexamples flowing
-  through checkpoint/resume, and the per-region key-point reduction.
+* a **differential matrix** (backend × oracle assembly × workers × chunk
+  budget) pinning the polytope driver's round-1 repair byte-identical to
+  one-shot :func:`~repro.core.polytope_repair.polytope_repair` on the same
+  spec — the two must build the same LP row for row when every region is
+  violated — and the one-shot LP to the per-point oracle, dense or sparse;
+* **loop tests** for certification end to end: rationed vs unrationed and
+  serial vs engine-parallel runs, region counterexamples flowing through
+  checkpoint/resume, and the per-region key-point reduction.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from repro.core.polytope_repair import (
     region_key_points,
 )
 from repro.core.specs import (
+    PointRepairSpec,
     PolytopeRepairSpec,
     classification_constraint,
     dedupe_exact_vertices,
 )
-from repro.driver import CounterexamplePool, RepairDriver
+from repro.driver import CounterexamplePool, DriverConfig, RepairDriver
 from repro.engine import ShardedSyrennEngine
 from repro.engine.jobs import contiguous_spans
 from repro.exceptions import RepairError, SpecificationError
@@ -48,6 +50,7 @@ from repro.verify import (
     VerificationSpec,
 )
 from tests.conftest import make_random_relu_network
+from tests.oracle import oracle_point_repair
 
 CONSTRAINT = HPolytope([[1.0, 0.0]], [0.5])
 
@@ -316,12 +319,13 @@ class TestPolytopeDriverDifferential:
     On an all-regions-violated spec the round-1 pool expands to exactly the
     key points ``reduce_to_key_points`` generates, in the same order, so the
     repair LP — and therefore the applied delta — must be byte-identical,
-    across LP backends, sparse/dense assembly, worker counts, and the
-    incremental session path.
+    across LP backends, worker counts, and chunk budgets (``budgeted`` streams
+    the rows in tiny chunks).  ``sparse`` picks the assembly of the per-point
+    oracle the one-shot LP is checked against.
     """
 
     @pytest.mark.parametrize(
-        "backend,sparse,incremental,workers",
+        "backend,sparse,budgeted,workers",
         [
             ("scipy", True, False, 1),
             ("scipy", False, False, 1),
@@ -333,27 +337,42 @@ class TestPolytopeDriverDifferential:
         ],
     )
     def test_round1_matches_one_shot(
-        self, polytope_scenario, backend, sparse, incremental, workers
+        self, polytope_scenario, backend, sparse, budgeted, workers
     ):
         network, spec = polytope_scenario
         layer = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
-        one_shot = polytope_repair(
-            network, layer, spec, backend=backend, sparse=sparse
-        )
+        one_shot = polytope_repair(network, layer, spec, backend=backend)
         assert one_shot.feasible
+        # The LP itself is pinned on scipy: the educational simplex lands on
+        # last-bit-different LPs at visibly different (inexact) optima.
+        points, activations, constraints = reduce_to_key_points(network, spec)
+        oracle = oracle_point_repair(
+            network,
+            layer,
+            PointRepairSpec(
+                points=np.array(points),
+                constraints=constraints,
+                activation_points=np.array(activations),
+            ),
+            sparse=sparse,
+        )
+        assert oracle.objective_value == pytest.approx(
+            polytope_repair(network, layer, spec).objective_value, rel=1e-9, abs=1e-12
+        )
 
         def run(engine=None):
             return RepairDriver(
                 network,
                 spec,
                 SyrennVerifier(),
-                mode="polytope",
-                layer_schedule=[layer],
-                max_rounds=1,
-                repair_margin=0.0,
-                backend=backend,
-                sparse=sparse,
-                incremental=incremental,
+                config=DriverConfig(
+                    mode="polytope",
+                    layer_schedule=[layer],
+                    max_rounds=1,
+                    repair_margin=0.0,
+                    backend=backend,
+                    memory_budget=4_096 if budgeted else None,
+                ),
                 engine=engine,
             ).run()
 
@@ -371,7 +390,10 @@ class TestPolytopeDriverDifferential:
     def test_polytope_pool_entries_are_regions(self, polytope_scenario):
         network, spec = polytope_scenario
         driver = RepairDriver(
-            network, spec, SyrennVerifier(), mode="polytope", max_rounds=1
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(mode="polytope", max_rounds=1),
         )
         driver.run()
         assert len(driver.pool) > 0
@@ -384,56 +406,64 @@ class TestPolytopeDriverDifferential:
 class TestPolytopeDriverLoop:
     def test_certifies_and_modes_match(self, polytope_scenario):
         network, spec = polytope_scenario
-        cold = RepairDriver(
-            network, spec, SyrennVerifier(), mode="polytope", max_rounds=10
-        ).run()
-        incremental = RepairDriver(
+        unrationed = RepairDriver(
             network,
             spec,
             SyrennVerifier(),
-            mode="polytope",
-            max_rounds=10,
-            incremental=True,
-            max_new_counterexamples=8,
+            config=DriverConfig(mode="polytope", max_rounds=10),
         ).run()
-        assert cold.status == "certified" and cold.certified
-        assert incremental.status == "certified"
-        assert cold.mode == incremental.mode == "polytope"
-        assert cold.unsatisfied_pool_indices == []
-        assert incremental.unsatisfied_pool_indices == []
-        assert incremental.value_only_rounds > 0
-        summary = cold.as_dict()
+        rationed = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(
+                mode="polytope",
+                max_rounds=10,
+                max_new_counterexamples=8,
+            ),
+        ).run()
+        assert unrationed.status == "certified" and unrationed.certified
+        assert rationed.status == "certified"
+        assert unrationed.mode == rationed.mode == "polytope"
+        assert unrationed.unsatisfied_pool_indices == []
+        assert rationed.unsatisfied_pool_indices == []
+        assert rationed.value_only_rounds > 0
+        summary = unrationed.as_dict()
         assert summary["mode"] == "polytope"
         assert summary["rounds"][0]["pool_key_points"] >= summary["rounds"][0]["pool_size"]
 
     def test_incremental_engine_run_matches_cold_serial(self, polytope_scenario):
+        """A 4-worker engine run reproduces the serial run byte for byte."""
         network, spec = polytope_scenario
-        cold = RepairDriver(
+        serial = RepairDriver(
             network,
             spec,
             SyrennVerifier(),
-            mode="polytope",
-            max_rounds=10,
-            max_new_counterexamples=8,
+            config=DriverConfig(
+                mode="polytope",
+                max_rounds=10,
+                max_new_counterexamples=8,
+            ),
         ).run()
         with ShardedSyrennEngine(workers=4, cache=False) as engine:
             parallel = RepairDriver(
                 network,
                 spec,
                 SyrennVerifier(),
-                mode="polytope",
-                max_rounds=10,
-                incremental=True,
-                max_new_counterexamples=8,
+                config=DriverConfig(
+                    mode="polytope",
+                    max_rounds=10,
+                    max_new_counterexamples=8,
+                ),
                 engine=engine,
             ).run()
-        assert cold.status == parallel.status == "certified"
-        assert cold.num_rounds == parallel.num_rounds
+        assert serial.status == parallel.status == "certified"
+        assert serial.num_rounds == parallel.num_rounds
         assert (
-            cold.final_report.region_statuses == parallel.final_report.region_statuses
+            serial.final_report.region_statuses == parallel.final_report.region_statuses
         )
-        assert cold.final_report.region_margins == parallel.final_report.region_margins
-        assert layer_bytes(cold.network) == layer_bytes(parallel.network)
+        assert serial.final_report.region_margins == parallel.final_report.region_margins
+        assert layer_bytes(serial.network) == layer_bytes(parallel.network)
 
     def test_region_checkpoint_resume_through_driver(self, polytope_scenario, tmp_path):
         network, spec = polytope_scenario
@@ -442,10 +472,8 @@ class TestPolytopeDriverLoop:
             network,
             spec,
             SyrennVerifier(),
-            mode="polytope",
-            max_rounds=1,
+            config=DriverConfig(mode="polytope", max_rounds=1, delta_bound=1e-12),
             checkpoint_path=path,
-            delta_bound=1e-12,
         ).run()
         assert first.status == "infeasible"
         assert path.exists()
@@ -453,8 +481,7 @@ class TestPolytopeDriverLoop:
             network,
             spec,
             SyrennVerifier(),
-            mode="polytope",
-            max_rounds=10,
+            config=DriverConfig(mode="polytope", max_rounds=10),
             checkpoint_path=path,
         )
         assert len(resumed.pool) == first.pool_size
@@ -473,7 +500,10 @@ class TestPolytopeDriverLoop:
         verifier = SyrennVerifier()
         assert verifier.region_counterexamples is False
         RepairDriver(
-            network, spec, verifier, mode="polytope", max_rounds=10
+            network,
+            spec,
+            verifier,
+            config=DriverConfig(mode="polytope", max_rounds=10),
         ).run()
         assert verifier.region_counterexamples is False
 
@@ -502,7 +532,12 @@ class TestPolytopeDriverLoop:
     def test_mode_validation(self, polytope_scenario):
         network, spec = polytope_scenario
         with pytest.raises(RepairError):
-            RepairDriver(network, spec, SyrennVerifier(), mode="points")
+            RepairDriver(
+                network,
+                spec,
+                SyrennVerifier(),
+                config=DriverConfig(mode="points"),
+            )
         with pytest.raises(RepairError):
             RepairDriver(network, spec, SyrennVerifier())  # PolytopeRepairSpec, point mode
         # A plain VerificationSpec is accepted in polytope mode.
@@ -510,7 +545,6 @@ class TestPolytopeDriverLoop:
             network,
             VerificationSpec.from_polytope_spec(spec),
             SyrennVerifier(),
-            mode="polytope",
-            max_rounds=1,
+            config=DriverConfig(mode="polytope", max_rounds=1),
         )
         assert driver.mode == "polytope"

@@ -110,7 +110,9 @@ class TestExtract:
     def test_incremental_series(self):
         series = sentinel.extract(incremental_document())
         assert series["incremental_mean_round_seconds"]["value"] == 0.5
-        assert series["incremental_round_speedup"] == {"value": 2.0, "direction": "higher"}
+        # The cold-vs-incremental speedup is retired with the cold driver:
+        # older artifacts still carrying it must not resurrect the series.
+        assert "incremental_round_speedup" not in series
 
     def test_per_backend_round_cost_series(self):
         document = incremental_document(

@@ -338,6 +338,18 @@ class TestHTTPEndToEnd:
             client.submit({"kind": "repair"})
         assert bad_job.value.status == 400
 
+    def test_removed_knob_is_rejected_at_submit(self, http_server):
+        """A job naming a removed driver knob is a 400, never a failed job."""
+        client, _ = http_server
+        network, spec = plane_scenario(7)
+        job = make_job("repair", network, spec)
+        job["config"] = {"sparse": True}  # past the client-side validation
+        known = {entry["id"] for entry in client.jobs()}
+        with pytest.raises(ServiceError, match="removed") as rejected:
+            client.submit(job)
+        assert rejected.value.status == 400
+        assert {entry["id"] for entry in client.jobs()} == known
+
 
 @pytest.mark.slow
 class TestDaemonCrashRecovery:
