@@ -126,13 +126,21 @@ class TestDriverConstruction:
                 network, spec, SyrennVerifier(), config=DriverConfig(), max_rounds=3
             )
 
+    def test_legacy_keywords_rejected(self, scenario):
+        """The historical keyword call sites fail; their config form builds."""
+        network, spec = scenario
+        with pytest.raises(TypeError):
+            RepairDriver(network, spec, SyrennVerifier(), max_rounds=6, norm="l1")
+        driver = RepairDriver(
+            network, spec, SyrennVerifier(), config=DriverConfig(max_rounds=6, norm="l1")
+        )
+        assert driver.config == DriverConfig(max_rounds=6, norm="l1")
+        assert driver.max_rounds == 6 and driver.norm == "l1"
+
     def test_unknown_keyword_rejected(self, scenario):
         network, spec = scenario
         with pytest.raises(TypeError):
             RepairDriver(network, spec, SyrennVerifier(), max_round=3)
-        # Algorithm knobs travel only inside the config.
-        with pytest.raises(TypeError):
-            RepairDriver(network, spec, SyrennVerifier(), max_rounds=6)
 
 
 class TestConfigDifferential:
