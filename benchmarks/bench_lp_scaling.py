@@ -6,7 +6,7 @@ computation, constraint rows streamed as CSR chunks into the LP, and the LP
 solve).
 
 Every size is cross-checked before timings are reported: the same repair
-with a tiny chunk budget (``--check-chunk-bytes``, many streamed chunks
+with a tiny chunk budget (``CHECK_CHUNK_BYTES``, many streamed chunks
 instead of one) must return the same LP status and a byte-identical delta.
 Results are written as JSON (default ``BENCH_lp_scaling.json``) so CI can
 archive the perf trajectory.
@@ -115,9 +115,7 @@ def run_one(
     return best
 
 
-def run_benchmark(
-    sizes: list[int], depth: int, width: int, seed: int, check_chunk_bytes: int
-) -> dict:
+def run_benchmark(sizes: list[int], depth: int, width: int, seed: int) -> dict:
     """Run the size sweep and return the JSON-ready report."""
     rng = ensure_rng(seed)  # seeded through repro.utils.rng for reproducible JSON
     network = build_network(depth, width, rng)
@@ -127,7 +125,7 @@ def run_benchmark(
         num_points = max(1, target_rows // rows_per_point)
         spec = build_spec(network, num_points, rng)
         repair = run_one(network, spec)
-        check = run_one(network, spec, max_chunk_bytes=check_chunk_bytes, rounds=1)
+        check = run_one(network, spec, max_chunk_bytes=CHECK_CHUNK_BYTES, rounds=1)
         if check["status"] != repair["status"]:
             raise AssertionError(
                 f"chunk budgets disagree on LP status: {repair['status']} vs {check['status']}"
@@ -171,13 +169,6 @@ def main() -> None:
     parser.add_argument("--width", type=int, default=48, help="hidden layer width")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--check-chunk-bytes",
-        type=int,
-        default=CHECK_CHUNK_BYTES,
-        help="chunk budget of the byte-identity cross-check run "
-        f"(default: {CHECK_CHUNK_BYTES})",
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=Path("BENCH_lp_scaling.json"),
@@ -185,9 +176,7 @@ def main() -> None:
     )
     args = parser.parse_args()
     obs.enable()
-    report = run_benchmark(
-        args.sizes, args.depth, args.width, args.seed, args.check_chunk_bytes
-    )
+    report = run_benchmark(args.sizes, args.depth, args.width, args.seed)
     report["telemetry"] = telemetry_document()
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

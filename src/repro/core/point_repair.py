@@ -99,10 +99,12 @@ def point_repair(
         max_chunk_bytes=max_chunk_bytes,
         engine=engine,
     )
-    if timing is not None:
-        session._pending_timing = timing
     session.append_points(spec)
-    return session.solve()
+    result = session.solve(final=True)
+    if timing is not None:
+        timing.add(result.timing)
+        result.timing = timing
+    return result
 
 
 def _working_copy(network: Network | DecoupledNetwork) -> DecoupledNetwork:
@@ -208,8 +210,14 @@ class IncrementalPointRepairSession:
         self._pending_timing.other_seconds += watch.other()
         return rows
 
-    def solve(self) -> RepairResult:
-        """Solve the accumulated LP, warm-started from the previous round."""
+    def solve(self, *, final: bool = False) -> RepairResult:
+        """Solve the accumulated LP, warm-started from the previous round.
+
+        ``final=True`` declares this the session's last solve: a feasible
+        delta is applied to the working copy itself, which becomes the
+        repaired network, instead of to a fresh copy.  The one-shot
+        :func:`point_repair` uses it; the session must not be used after.
+        """
         watch = Stopwatch()
         with watch.phase("lp"):
             solution = self.session.solve(
@@ -239,7 +247,7 @@ class IncrementalPointRepairSession:
             )
         self._handle = solution.warm_start
         delta = solution.value_of(self.delta_indices)
-        repaired = self.ddnn.copy()
+        repaired = self.ddnn if final else self.ddnn.copy()
         repaired.apply_parameter_delta(self.layer_index, delta)
         return RepairResult(
             feasible=True,

@@ -34,6 +34,13 @@ class RepairTiming:
             + self.other_seconds
         )
 
+    def add(self, other: "RepairTiming") -> None:
+        """Accumulate ``other``'s phases into this breakdown."""
+        self.linregions_seconds += other.linregions_seconds
+        self.jacobian_seconds += other.jacobian_seconds
+        self.lp_seconds += other.lp_seconds
+        self.other_seconds += other.other_seconds
+
     def as_dict(self) -> dict[str, float]:
         """The breakdown as a plain dictionary (used by the reporting code)."""
         return {

@@ -35,6 +35,12 @@ REMOVED_KNOBS = {
 }
 
 
+#: Values of the removed knobs that the single path reproduces (``to_dict``
+#: wrote every knob, so configs saved before the removal carry them).
+#: ``from_dict`` drops these; any other value is still an error.
+SINGLE_PATH_VALUES = {"incremental": (False, True), "batched": (True,), "sparse": (None,)}
+
+
 def _reject_removed(names) -> None:
     removed = sorted(set(names) & set(REMOVED_KNOBS))
     if removed:
@@ -138,14 +144,23 @@ class DriverConfig:
         a knob must fail loudly, not silently run with the default.  One
         spelling convenience: ``lp_backend`` is accepted as an alias for
         ``backend`` (the name used in docs and racing examples), but never
-        alongside it.
+        alongside it.  A removed knob whose value the single repair path
+        reproduces (:data:`SINGLE_PATH_VALUES`) is dropped, so a config
+        saved before the removal still decodes; any other value is rejected.
         """
+        payload = {
+            key: value
+            for key, value in payload.items()
+            if not (
+                key in SINGLE_PATH_VALUES
+                and any(value is kept for kept in SINGLE_PATH_VALUES[key])
+            )
+        }
         if "lp_backend" in payload:
             if "backend" in payload:
                 raise RepairError(
                     'config gives both "backend" and its alias "lp_backend"'
                 )
-            payload = dict(payload)
             payload["backend"] = payload.pop("lp_backend")
         _reject_removed(payload)
         known = {entry.name for entry in fields(cls)}

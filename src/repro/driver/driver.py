@@ -528,7 +528,7 @@ class RepairDriver:
                 self._serve_prefix(layer_index, current)
                 with obs.span("driver.repair", round=round_index, layer=layer_index):
                     result = self._repair(layer_index, record)
-                _accumulate(timing.repair, result.timing)
+                timing.repair.add(result.timing)
                 record.repair_attempted = True
                 record.repair_feasible = result.feasible
                 record.layer_index = result.layer_index
@@ -723,9 +723,3 @@ def _peak_rss_bytes() -> int | None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(peak) if sys.platform == "darwin" else int(peak) * 1024
 
-
-def _accumulate(total: RepairTiming, part: RepairTiming) -> None:
-    total.linregions_seconds += part.linregions_seconds
-    total.jacobian_seconds += part.jacobian_seconds
-    total.lp_seconds += part.lp_seconds
-    total.other_seconds += part.other_seconds

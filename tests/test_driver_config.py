@@ -107,6 +107,25 @@ class TestDriverConfig:
             DriverConfig().replace(sparse=True)
         assert not {"incremental", "batched", "sparse"} & set(DriverConfig().to_dict())
 
+    def test_saved_config_with_removed_knobs_decodes(self):
+        """A ``to_dict`` payload written while the knobs existed still decodes.
+
+        Those payloads always carried ``incremental``/``batched``/``sparse``;
+        values the single path reproduces are dropped, any other is an error.
+        """
+        config = DriverConfig(mode="polytope", max_rounds=3, backend="scipy")
+        for incremental in (False, True):
+            saved = {
+                **config.to_dict(),
+                "incremental": incremental,
+                "batched": True,
+                "sparse": None,
+            }
+            assert DriverConfig.from_dict(json.loads(json.dumps(saved))) == config
+        for knob, value in (("batched", False), ("sparse", True), ("sparse", False)):
+            with pytest.raises(RepairError, match=f"'{knob}'.*removed"):
+                DriverConfig.from_dict({**config.to_dict(), knob: value})
+
     def test_replace_revalidates(self):
         config = DriverConfig(max_rounds=5)
         assert config.replace(max_rounds=6).max_rounds == 6

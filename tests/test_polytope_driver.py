@@ -319,32 +319,19 @@ class TestPolytopeDriverDifferential:
     On an all-regions-violated spec the round-1 pool expands to exactly the
     key points ``reduce_to_key_points`` generates, in the same order, so the
     repair LP — and therefore the applied delta — must be byte-identical,
-    across LP backends, worker counts, and chunk budgets (``budgeted`` streams
-    the rows in tiny chunks).  ``sparse`` picks the assembly of the per-point
-    oracle the one-shot LP is checked against.
+    across LP backends, chunk budgets (``budgeted`` streams the rows in tiny
+    chunks) and a pooled 4-worker engine.  The one-shot repair itself is
+    checked against the per-point oracle once, assembled dense and sparse.
     """
 
-    @pytest.mark.parametrize(
-        "backend,sparse,budgeted,workers",
-        [
-            ("scipy", True, False, 1),
-            ("scipy", False, False, 1),
-            ("scipy", True, True, 1),
-            ("scipy", False, True, 1),
-            ("scipy", True, True, 4),
-            ("simplex", False, False, 1),
-            ("simplex", True, True, 1),
-        ],
-    )
-    def test_round1_matches_one_shot(
-        self, polytope_scenario, backend, sparse, budgeted, workers
-    ):
-        network, spec = polytope_scenario
-        layer = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
-        one_shot = polytope_repair(network, layer, spec, backend=backend)
-        assert one_shot.feasible
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_one_shot_matches_oracle(self, polytope_scenario, sparse):
         # The LP itself is pinned on scipy: the educational simplex lands on
         # last-bit-different LPs at visibly different (inexact) optima.
+        network, spec = polytope_scenario
+        layer = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
+        one_shot = polytope_repair(network, layer, spec, backend="scipy")
+        assert one_shot.feasible
         points, activations, constraints = reduce_to_key_points(network, spec)
         oracle = oracle_point_repair(
             network,
@@ -354,11 +341,28 @@ class TestPolytopeDriverDifferential:
                 constraints=constraints,
                 activation_points=np.array(activations),
             ),
+            backend="scipy",
             sparse=sparse,
         )
         assert oracle.objective_value == pytest.approx(
-            polytope_repair(network, layer, spec).objective_value, rel=1e-9, abs=1e-12
+            one_shot.objective_value, rel=1e-9, abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "backend,budgeted,pooled",
+        [
+            ("scipy", False, False),
+            ("scipy", True, False),
+            ("scipy", True, True),
+            ("simplex", False, False),
+            ("simplex", True, False),
+        ],
+    )
+    def test_round1_matches_one_shot(self, polytope_scenario, backend, budgeted, pooled):
+        network, spec = polytope_scenario
+        layer = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
+        one_shot = polytope_repair(network, layer, spec, backend=backend)
+        assert one_shot.feasible
 
         def run(engine=None):
             return RepairDriver(
@@ -376,8 +380,8 @@ class TestPolytopeDriverDifferential:
                 engine=engine,
             ).run()
 
-        if workers > 1:
-            with ShardedSyrennEngine(workers=workers, cache=False) as engine:
+        if pooled:
+            with ShardedSyrennEngine(workers=4, cache=False) as engine:
                 report = run(engine)
         else:
             report = run()
