@@ -2,7 +2,6 @@
 
 * Norm objective: ℓ1 vs ℓ∞ vs the combined ℓ1+ℓ∞ objective, measured by the
   drawdown of the resulting Task 2 repair.
-* LP backend: scipy/HiGHS vs the from-scratch simplex on the same repair LP.
 * Repair-layer choice: drawdown of repairing each layer of the digit
   network (the heuristic discussed in §7.1: later layers repair cheaply).
 """
@@ -39,35 +38,6 @@ def test_ablation_norm_objective(benchmark, task2_setup, norm):
         ],
     )
     assert record["feasible"]
-
-
-@pytest.mark.parametrize("backend", ["scipy", "simplex"])
-def test_ablation_lp_backend(benchmark, task2_setup, backend):
-    """HiGHS vs the pure-Python simplex on the same (small) repair LP."""
-    points = task2_setup.dataset.test_images[:6]
-    labels = task2_setup.dataset.test_labels[:6]
-    spec = PointRepairSpec.from_labels(
-        points, labels, num_classes=task2_setup.network.output_size, margin=1e-3
-    )
-
-    def run():
-        return point_repair(
-            task2_setup.network, task2_setup.layer_3_index, spec, norm="linf", backend=backend
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        f"Ablation: LP backend = {backend}",
-        [
-            {
-                "backend": backend,
-                "feasible": result.feasible,
-                "objective": result.objective_value,
-                "lp_time": format_seconds(result.timing.lp_seconds),
-            }
-        ],
-    )
-    assert result.feasible
 
 
 def test_ablation_repair_layer_choice(benchmark, task2_setup):

@@ -5,8 +5,8 @@ Builds the strengthened φ8 verification workload (every linear region of
 verification region) and runs the CEGIS repair driver over each scenario.
 Every round, verification takes the value-only fast path (one batched
 re-evaluation of the cached vertex stack), repair appends only the new
-counterexamples' rows to the driver's standing LP session, and solves
-thread a warm-start handle.
+counterexamples' rows to the driver's standing LP session, and each
+round's LP is a cold scipy/HiGHS solve.
 
 Round counts are scaled by rationing counterexample intake
 (``max_new_counterexamples``): a smaller ration means more, smaller rounds —
@@ -17,17 +17,8 @@ report also carries end-to-end totals.
 The cross-check is strict and always on: the run must certify, leave every
 pooled counterexample satisfied, and end at value-channel parameters
 **byte-identical** to a one-shot ``point_repair(base, layer, final pool)``
-(the default scipy/HiGHS backend's warm start is exact, so appending rows
-round by round must not change a single bit).
-
-On top of the default backend, every scenario also sweeps an **LP backend
-portfolio** (``--backends``, default scipy, the native highspy backend, and
-a ``race:highs_native,scipy`` portfolio): each backend gets its own driver
-run, its per-round cost lands in the record's ``backends`` table, and —
-whenever the backend's warm start is exact — the same byte-level
-cross-check.  Degraded backends (``highs_native`` without ``highspy``) are
-benchmarked in whatever mode the environment provides and flagged via
-``available``.
+(every solve is cold, so appending rows round by round must not change a
+single bit).
 
 Results are written as JSON with the same report shape as
 ``bench_lp_scaling.py`` (default ``BENCH_incremental.json``) so CI can
@@ -55,20 +46,11 @@ from repro.core.point_repair import point_repair
 from repro.datasets.acas import phi8_property
 from repro.driver import DriverConfig, RepairDriver
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
-from repro.lp.backends import backend_capabilities
 from repro.models.acas_models import build_acas_network
 from repro.utils.rng import ensure_rng
 from repro.verify import SyrennVerifier, VerificationSpec
 
 MAX_ROUNDS = 60
-
-#: LP backend specs benchmarked per scenario (see ``--backends``).
-DEFAULT_PORTFOLIO = ["scipy", "highs_native", "race:highs_native,scipy"]
-
-
-def backend_slug(spec: str) -> str:
-    """A metric-name-safe slug for a backend spec (``race:a,b`` → ``race_a_b``)."""
-    return spec.replace(":", "_").replace(",", "_")
 
 
 def build_workload(
@@ -86,18 +68,14 @@ def build_workload(
     return network, strengthened_verification_spec(network, setup)
 
 
-def run_driver(
-    network, spec: VerificationSpec, *, ration: int, backend: str | None = None
-) -> dict:
+def run_driver(network, spec: VerificationSpec, *, ration: int) -> dict:
     """One full driver run; returns timings plus the report for cross-checks."""
     start = time.perf_counter()
     driver = RepairDriver(
         network,
         spec,
         SyrennVerifier(),
-        config=DriverConfig(
-            max_rounds=MAX_ROUNDS, max_new_counterexamples=ration, backend=backend
-        ),
+        config=DriverConfig(max_rounds=MAX_ROUNDS, max_new_counterexamples=ration),
     )
     report = driver.run()
     total = time.perf_counter() - start
@@ -121,7 +99,7 @@ def run_driver(
     }
 
 
-def cross_check(network, run: dict, backend: str | None = None) -> None:
+def cross_check(network, run: dict) -> None:
     """Byte-level equivalence with a one-shot repair of the final pool."""
     report = run["report"]
     if not report.certified:
@@ -129,7 +107,7 @@ def cross_check(network, run: dict, backend: str | None = None) -> None:
     if report.unsatisfied_pool_indices:
         raise AssertionError("the final network violates pooled counterexamples")
     layer = [r.layer_index for r in report.rounds if r.repair_feasible][-1]
-    one_shot = point_repair(network, layer, run["pool_spec"], backend=backend)
+    one_shot = point_repair(network, layer, run["pool_spec"])
     for layer_index in report.network.repairable_layer_indices():
         driver_flat = report.network.value.layers[layer_index].get_parameters()
         one_shot_flat = one_shot.network.value.layers[layer_index].get_parameters()
@@ -146,43 +124,6 @@ def strip(run: dict) -> dict:
     return run
 
 
-def run_backend_portfolio(network, spec, *, ration: int, backends: list[str]) -> dict:
-    """One driver run per backend for one scenario.
-
-    Returns ``{spec: {...}}`` with per-round costs and the capability probe.
-    Backends whose warm start is exact get the full byte-level
-    :func:`cross_check`; inexact ones (the native basis-reuse path steers
-    pivots) are held to verdict-level agreement — the run must certify.
-    """
-    table: dict[str, dict] = {}
-    for backend_spec in backends:
-        probe = backend_capabilities(backend_spec)
-        run = run_driver(network, spec, ration=ration, backend=backend_spec)
-        if probe["warm_start_is_exact"]:
-            cross_check(network, run, backend_spec)
-        elif not run["certified"]:
-            raise AssertionError(
-                f"backend {backend_spec!r} failed to certify the workload"
-            )
-        strip(run)
-        table[backend_spec] = {
-            "slug": backend_slug(backend_spec),
-            "available": probe["available"],
-            "warm_start_is_exact": probe["warm_start_is_exact"],
-            "incremental_mean_round_seconds": run["mean_round_seconds"],
-            "rounds": run["rounds"],
-            "warm_started_rounds": run["warm_started_rounds"],
-            "total_seconds": run["total_seconds"],
-        }
-        entry = table[backend_spec]
-        print(
-            f"    backend={backend_spec:<28} "
-            f"per-round={entry['incremental_mean_round_seconds'] * 1e3:7.1f}ms"
-            f"{'' if entry['available'] else '  (degraded: native solver missing)'}"
-        )
-    return table
-
-
 def run_benchmark(
     rations: list[int],
     *,
@@ -190,7 +131,6 @@ def run_benchmark(
     hidden_size: int,
     hidden_layers: int,
     seed: int,
-    backends: list[str] | None = None,
 ) -> dict:
     """Sweep counterexample rations and return the JSON-ready report."""
     network, spec = build_workload(num_slices, hidden_size, hidden_layers, seed)
@@ -204,9 +144,6 @@ def run_benchmark(
                 "ration": ration,
                 "rounds": run["rounds"],
                 "incremental": run,
-                "backends": run_backend_portfolio(
-                    network, spec, ration=ration, backends=backends or DEFAULT_PORTFOLIO
-                ),
             }
         )
         print(
@@ -257,13 +194,6 @@ def main() -> None:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--backends",
-        nargs="+",
-        default=None,
-        help="LP backend specs to sweep per scenario "
-        f"(default: {' '.join(DEFAULT_PORTFOLIO)})",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="CI smoke: one small workload and a single ration "
@@ -291,7 +221,6 @@ def main() -> None:
         hidden_size=args.hidden,
         hidden_layers=args.layers,
         seed=args.seed,
-        backends=args.backends,
     )
     report["telemetry"] = telemetry_document()
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -15,8 +15,8 @@ For each workload the script compares:
   paper's Algorithm 2 as a single call), then verify the result exactly;
 * **driver** — ``RepairDriver(mode="polytope")``: the verifier discovers
   violating regions, the pool dedups and expands them, and the loop
-  iterates to a certified verdict through the standing LP session, warm
-  starts, and value-only re-verification.
+  iterates to a certified verdict through the standing LP session and
+  value-only re-verification.
 
 Cross-checks are strict and always on.  A ``workers=4`` engine-backed run
 must be **byte-identical** to ``workers=1`` on both workloads (round

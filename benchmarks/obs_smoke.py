@@ -5,7 +5,7 @@ network twice, so the second job hits the shared partition cache), then
 exercises the two telemetry surfaces end to end:
 
 * ``GET /metrics`` — asserts the key series exist: partition-cache hits,
-  the per-backend LP solve-time histogram, and per-status job counters;
+  the LP solve-time histogram, and per-status job counters;
 * ``GET /jobs/<id>/trace`` — asserts the warm job's span tree is present
   and rooted at the job, with verify/repair spans underneath;
 * ``GET /healthz`` / ``GET /readyz`` / ``GET /slo`` — asserts the daemon
@@ -94,7 +94,7 @@ def main() -> None:
     required_series = [
         # the warm job's verify rounds hit the cold job's cached partitions
         'repro_cache_requests_total{result="hit",tier="memory"}',
-        # every LP solve lands in the per-backend histogram
+        # every LP solve lands in the solve-time histogram
         "repro_lp_solve_seconds_bucket",
         'repro_service_jobs_total{status="done"}',
         "repro_driver_rounds_total",

@@ -6,8 +6,7 @@ write-only artifacts.  The sentinel closes the loop:
 
 1. **Extract** a small set of key series from each artifact it is given —
    the warm-cache speedup and warm p99 from ``BENCH_service.json``, the
-   per-round repair seconds (overall and per LP backend) from
-   ``BENCH_incremental.json``, the largest-workload round seconds and peak
+   mean per-round repair seconds from ``BENCH_incremental.json``, the largest-workload round seconds and peak
    RSS from ``BENCH_imagenet_scaling.json``, and the LP solve-time
    histogram mass (mean and total seconds from ``repro_lp_solve_seconds``)
    from any artifact whose telemetry carries it.
@@ -107,24 +106,6 @@ def extract(document: dict) -> dict[str, dict]:
             put(
                 "incremental_mean_round_seconds",
                 sum(round_seconds) / len(round_seconds),
-                "lower",
-            )
-        # Per-backend round costs from the portfolio sweep: one
-        # lower-is-better series per backend spec, averaged across rations,
-        # so an LP-layer regression is attributable to the backend that
-        # caused it.  Degraded entries (native solver missing) still count —
-        # they measure the spec's real cost in this environment, racing
-        # overhead included.
-        per_backend: dict[str, list[float]] = {}
-        for entry in results:
-            for info in (entry.get("backends") or {}).values():
-                value = info.get("incremental_mean_round_seconds")
-                if value is not None:
-                    per_backend.setdefault(info["slug"], []).append(float(value))
-        for slug, values in per_backend.items():
-            put(
-                f"incremental_backend_{slug}_round_seconds",
-                sum(values) / len(values),
                 "lower",
             )
     elif kind == "imagenet_scaling":

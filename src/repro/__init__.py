@@ -18,8 +18,8 @@ The package is organized as:
     A from-scratch NumPy feed-forward network substrate (layers, forward
     evaluation, backpropagation, SGD training).
 ``repro.lp``
-    A linear-programming substrate with ℓ1/ℓ∞ objectives and two backends
-    (scipy HiGHS and a pure-Python two-phase simplex).
+    A linear-programming substrate with ℓ1/ℓ∞ objectives, solved by
+    scipy's HiGHS.
 ``repro.syrenn``
     Exact linear-region decompositions of piecewise-linear networks
     restricted to 1-D lines and 2-D planes.

@@ -12,12 +12,12 @@ Three verbs cover the typical workflows:
 All three take the verifier *declaratively* (a registry kind plus keyword
 parameters, e.g. ``verifier="grid", resolution=32``) or as a ready
 :class:`~repro.verify.base.Verifier` instance; :func:`repair` takes the
-algorithm knobs either as a :class:`~repro.driver.config.DriverConfig` (or
-its ``to_dict()`` form) or as the historical loose keywords::
+algorithm knobs as a :class:`~repro.driver.config.DriverConfig` or its
+``to_dict()`` form::
 
     import repro
 
-    report = repro.api.repair(network, spec, max_rounds=6, warm_start=False)
+    report = repro.api.repair(network, spec, config=repro.DriverConfig(max_rounds=6))
     report = repro.api.verify(network, spec, verifier="random", seed=7)
     result = repro.api.submit(network, spec, url="http://127.0.0.1:8642",
                               config={"max_rounds": 6})
@@ -49,14 +49,9 @@ def _resolve_verifier(verifier, params: dict, engine) -> Verifier:
     return make_verifier(verifier, engine=engine, **params)
 
 
-def _resolve_config(config, knobs: dict) -> DriverConfig:
+def _resolve_config(config: DriverConfig | dict | None) -> DriverConfig:
     if config is None:
-        return DriverConfig(**knobs)
-    if knobs:
-        raise TypeError(
-            "pass algorithm knobs either via config=... or as keywords, "
-            f"not both (got {sorted(knobs)} alongside a config)"
-        )
+        return DriverConfig()
     if isinstance(config, DriverConfig):
         return config
     return DriverConfig.from_dict(config)
@@ -85,19 +80,18 @@ def repair(
     holdout: tuple | None = None,
     checkpoint_path=None,
     on_round=None,
-    **knobs,
 ) -> DriverReport:
     """Run the CEGIS repair driver in-process.
 
-    ``verifier_params`` configures a kind-named verifier (it is a separate
-    mapping, not loose keywords, because the loose keywords are the
-    :class:`DriverConfig` back-compat shim).
+    ``config`` is a :class:`DriverConfig` or its ``to_dict()`` form
+    (``None``: the defaults); ``verifier_params`` configures a kind-named
+    verifier.
     """
     driver = RepairDriver(
         network,
         spec,
         _resolve_verifier(verifier, dict(verifier_params or {}), engine),
-        config=_resolve_config(config, knobs),
+        config=_resolve_config(config),
         engine=engine,
         holdout=holdout,
         checkpoint_path=checkpoint_path,

@@ -63,7 +63,6 @@ def iterative_point_repair(
     spec: PointRepairSpec,
     *,
     norm: str = "linf",
-    backend: str | None = None,
     stop_when_satisfied: bool = True,
 ) -> MultiLayerRepairResult:
     """Repair several layers in sequence until the specification holds.
@@ -90,7 +89,7 @@ def iterative_point_repair(
     for layer_index in layer_indices:
         if stop_when_satisfied and spec.is_satisfied_by(ddnn):
             break
-        result = point_repair(ddnn, layer_index, spec, norm=norm, backend=backend)
+        result = point_repair(ddnn, layer_index, spec, norm=norm)
         results.append(result)
         if result.feasible:
             ddnn = result.network
@@ -127,7 +126,6 @@ def search_repair_layer(
     *,
     candidate_layers: Sequence[int] | None = None,
     norm: str = "linf",
-    backend: str | None = None,
     stop_at_score: float | None = None,
 ) -> LayerSearchResult:
     """Try repairing each candidate layer and keep the lowest-scoring repair.
@@ -150,7 +148,7 @@ def search_repair_layer(
     scores: dict[int, float] = {}
     infeasible: list[int] = []
     for layer_index in candidate_layers:
-        result = point_repair(ddnn, layer_index, spec, norm=norm, backend=backend)
+        result = point_repair(ddnn, layer_index, spec, norm=norm)
         if not result.feasible:
             infeasible.append(layer_index)
             continue

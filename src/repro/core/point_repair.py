@@ -48,7 +48,6 @@ def point_repair(
     spec: PointRepairSpec,
     *,
     norm: str = "linf",
-    backend: str | None = None,
     delta_bound: float | None = None,
     timing: RepairTiming | None = None,
     max_chunk_bytes: int | None = None,
@@ -67,10 +66,6 @@ def point_repair(
         The pointwise repair specification.
     norm:
         Norm of ``Δ`` to minimize — ``"linf"``, ``"l1"``, or ``"l1+linf"``.
-    backend:
-        LP backend name (``None`` = default scipy/HiGHS backend).  The
-        standard form is CSR exactly when the backend advertises
-        ``supports_sparse``.
     delta_bound:
         Optional box bound ``|Δ_i| ≤ delta_bound`` added to every delta
         variable; occasionally useful to keep very large repairs numerically
@@ -94,7 +89,6 @@ def point_repair(
         network,
         layer_index,
         norm=norm,
-        backend=backend,
         delta_bound=delta_bound,
         max_chunk_bytes=max_chunk_bytes,
         engine=engine,
@@ -132,15 +126,14 @@ class IncrementalPointRepairSession:
     norm objective) alive, :meth:`append_points` encodes **only the new
     points'** Jacobian rows (the per-round Jacobian cost scales with the new
     points, not the pool), and :meth:`solve` re-solves through an
-    :class:`~repro.lp.model.LPSession` that threads each round's
-    :class:`~repro.lp.model.WarmStart` handle into the next solve.
+    :class:`~repro.lp.model.LPSession`.
 
     The norm rows go in first, so constraint rows always occupy the tail of
     the inequality block in append order: a session fed the points in any
     number of appends builds the same standard form, row for row, as one
-    fed them all at once — so for a backend whose warm start is exact
-    (``warm_start_is_exact``), a driver's final delta is byte-identical to a
-    one-shot :func:`point_repair` of the final pool.
+    fed them all at once — so, every solve being cold, a driver's final
+    delta is byte-identical to a one-shot :func:`point_repair` of the final
+    pool.
 
     The session encodes against a private copy of the base network and never
     mutates it; each feasible :meth:`solve` returns a *fresh* repaired copy.
@@ -152,16 +145,13 @@ class IncrementalPointRepairSession:
         layer_index: int,
         *,
         norm: str = "linf",
-        backend: str | None = None,
         delta_bound: float | None = None,
-        warm_start: bool = True,
         max_chunk_bytes: int | None = None,
         engine=None,
     ) -> None:
         self.ddnn = _working_copy(network)
         self.layer_index = self.ddnn._check_repairable(layer_index)
         self.norm = norm
-        self.warm_start = bool(warm_start)
         self.max_chunk_bytes = max_chunk_bytes
         self.engine = engine
         num_parameters = self.ddnn.value.layers[self.layer_index].num_parameters
@@ -171,11 +161,10 @@ class IncrementalPointRepairSession:
             num_parameters, "delta", lower=-bound, upper=bound
         )
         add_norm_objective(self.model, self.delta_indices, norm)
-        self.session = self.model.incremental_session(backend=backend)
+        self.session = self.model.incremental_session()
         self.num_points = 0
         self.constraint_rows = 0
         self.last_solution = None
-        self._handle = None
         self._pending_timing = RepairTiming()
 
     def append_points(self, spec: PointRepairSpec) -> int:
@@ -211,7 +200,7 @@ class IncrementalPointRepairSession:
         return rows
 
     def solve(self, *, final: bool = False) -> RepairResult:
-        """Solve the accumulated LP, warm-started from the previous round.
+        """Solve the accumulated LP.
 
         ``final=True`` declares this the session's last solve: a feasible
         delta is applied to the working copy itself, which becomes the
@@ -220,9 +209,7 @@ class IncrementalPointRepairSession:
         """
         watch = Stopwatch()
         with watch.phase("lp"):
-            solution = self.session.solve(
-                warm_start=self._handle if self.warm_start else None
-            )
+            solution = self.session.solve()
         self.last_solution = solution
         timing = self._pending_timing
         timing.lp_seconds += watch.total("lp")
@@ -245,7 +232,6 @@ class IncrementalPointRepairSession:
                 num_variables=self.model.num_variables,
                 norm=self.norm,
             )
-        self._handle = solution.warm_start
         delta = solution.value_of(self.delta_indices)
         repaired = self.ddnn if final else self.ddnn.copy()
         repaired.apply_parameter_delta(self.layer_index, delta)

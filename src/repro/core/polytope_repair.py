@@ -39,7 +39,6 @@ def polytope_repair(
     spec: PolytopeRepairSpec,
     *,
     norm: str = "linf",
-    backend: str | None = None,
     delta_bound: float | None = None,
 ) -> RepairResult:
     """Repair one layer so the network satisfies the polytope specification.
@@ -77,7 +76,6 @@ def polytope_repair(
         layer_index,
         point_spec,
         norm=norm,
-        backend=backend,
         delta_bound=delta_bound,
         timing=timing,
     )

@@ -70,7 +70,7 @@ class RepairResult:
     layer_index:
         Index of the repaired layer.
     lp_status:
-        Raw status from the LP backend.
+        Raw status of the LP solve.
     timing:
         Wall-clock breakdown.
     num_key_points, num_constraint_rows, num_variables:

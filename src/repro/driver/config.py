@@ -2,13 +2,13 @@
 
 :class:`DriverConfig` captures every *algorithm* knob of
 :class:`~repro.driver.driver.RepairDriver` — mode, layer schedule, margins,
-budgets, the warm-start switch, the LP backend — as one frozen dataclass
-that round-trips through JSON. Runtime resources (the network, the spec,
-the verifier, an engine, a pool, a checkpoint path, a holdout set)
-deliberately stay out: a config describes *how* to run a repair, not *what*
-to repair, which is what lets the same dictionary travel from a client,
-through the job daemon's JSON API, into an in-process driver — and lets a
-driver run be reproduced from nothing but the job record.
+budgets, norm — as one frozen dataclass that round-trips through JSON.
+Runtime resources (the network, the spec, the verifier, an engine, a pool,
+a checkpoint path, a holdout set) deliberately stay out: a config describes
+*how* to run a repair, not *what* to repair, which is what lets the same
+dictionary travel from a client, through the job daemon's JSON API, into
+an in-process driver — and lets a driver run be reproduced from nothing
+but the job record.
 
 The dataclass validates on construction (the same checks the driver's old
 keyword sprawl applied), so a malformed job fails at decode time with a
@@ -26,19 +26,36 @@ from repro.exceptions import RepairError
 #: so repaired outputs survive re-verification strictly.
 DEFAULT_REPAIR_MARGIN = 1e-6
 
-#: Knobs that chose between repair data paths before there was only one;
-#: naming one is an error that says so, not a silently ignored key.
+#: Knobs that chose between repair data paths or LP solvers before there was
+#: only one; naming one is an error that says so, not a silently ignored key.
 REMOVED_KNOBS = {
     "incremental": "the driver always repairs through its standing LP session",
     "batched": "constraint rows are always encoded by the batched chunk stream",
-    "sparse": "the LP backend's supports_sparse flag picks the standard form",
+    "sparse": "the LP standard form is always CSR",
+    "warm_start": "every LP solve is a cold scipy/HiGHS solve",
+    "backend": "scipy/HiGHS is the only LP solver",
+    "lp_backend": "scipy/HiGHS is the only LP solver",
 }
 
+#: Saved ``backend`` values that named what is now the only solver.
+_SCIPY = (None, "scipy", "highs")
 
 #: Values of the removed knobs that the single path reproduces (``to_dict``
 #: wrote every knob, so configs saved before the removal carry them).
 #: ``from_dict`` drops these; any other value is still an error.
-SINGLE_PATH_VALUES = {"incremental": (False, True), "batched": (True,), "sparse": (None,)}
+SINGLE_PATH_VALUES = {
+    "incremental": (False, True),
+    "batched": (True,),
+    "sparse": (None,),
+    "warm_start": (False, True),
+    "backend": _SCIPY,
+    "lp_backend": _SCIPY,
+}
+
+
+def _same(value, kept) -> bool:
+    """``value == kept`` for a value decoded from JSON, without ``1 == True``."""
+    return type(value) is type(kept) and value == kept
 
 
 def _reject_removed(names) -> None:
@@ -65,10 +82,8 @@ class DriverConfig:
     repair_margin: float = DEFAULT_REPAIR_MARGIN
     max_rounds: int = 10
     budget_seconds: float | None = None
-    warm_start: bool = True
     max_new_counterexamples: int | None = None
     norm: str = "linf"
-    backend: str | None = None
     delta_bound: float | None = None
     memory_budget: int | None = None
 
@@ -93,7 +108,6 @@ class DriverConfig:
             object.__setattr__(
                 self, "max_new_counterexamples", int(self.max_new_counterexamples)
             )
-        object.__setattr__(self, "warm_start", bool(self.warm_start))
         if self.memory_budget is not None:
             object.__setattr__(self, "memory_budget", int(self.memory_budget))
 
@@ -107,24 +121,6 @@ class DriverConfig:
             raise RepairError("the layer schedule is empty")
         if self.memory_budget is not None and self.memory_budget < 1:
             raise RepairError("memory_budget must be positive bytes (or None)")
-        if self.backend is not None:
-            self._validate_backend(self.backend)
-
-    @staticmethod
-    def _validate_backend(spec: str) -> None:
-        """Reject unknown backend names / malformed ``race:`` specs at decode
-        time, so a job that misspells its LP portfolio fails before round 1.
-
-        Degraded-but-registered backends (``highs_native`` without
-        ``highspy``) pass: degradation is a capability, not a config error.
-        """
-        from repro.exceptions import LPError
-        from repro.lp.backends import get_backend
-
-        try:
-            get_backend(spec)
-        except LPError as error:
-            raise RepairError(f"invalid LP backend spec {spec!r}: {error}") from error
 
     # ------------------------------------------------------------------
     # Serialization
@@ -141,27 +137,19 @@ class DriverConfig:
         """Rebuild a config from :meth:`to_dict` output (or hand-written JSON).
 
         Unknown keys are rejected rather than ignored: a job that misspells
-        a knob must fail loudly, not silently run with the default.  One
-        spelling convenience: ``lp_backend`` is accepted as an alias for
-        ``backend`` (the name used in docs and racing examples), but never
-        alongside it.  A removed knob whose value the single repair path
-        reproduces (:data:`SINGLE_PATH_VALUES`) is dropped, so a config
-        saved before the removal still decodes; any other value is rejected.
+        a knob must fail loudly, not silently run with the default.  A
+        removed knob whose value the single repair path reproduces
+        (:data:`SINGLE_PATH_VALUES`) is dropped, so a config saved before the
+        removal still decodes; any other value is rejected.
         """
         payload = {
             key: value
             for key, value in payload.items()
             if not (
                 key in SINGLE_PATH_VALUES
-                and any(value is kept for kept in SINGLE_PATH_VALUES[key])
+                and any(_same(value, kept) for kept in SINGLE_PATH_VALUES[key])
             )
         }
-        if "lp_backend" in payload:
-            if "backend" in payload:
-                raise RepairError(
-                    'config gives both "backend" and its alias "lp_backend"'
-                )
-            payload["backend"] = payload.pop("lp_backend")
         _reject_removed(payload)
         known = {entry.name for entry in fields(cls)}
         unknown = set(payload) - known

@@ -37,15 +37,14 @@ set tracks drawdown per round via :mod:`repro.experiments.metrics`.
 The superset property is also what makes every round cheap: the LP of
 round *k* is round *k-1*'s plus the new counterexamples' rows, so the driver
 keeps one :class:`~repro.core.point_repair.IncrementalPointRepairSession`
-alive per scheduled layer (append-only rows, warm-started solves), and —
+alive per scheduled layer (append-only rows, each round a cold solve), and —
 because value-channel repair never moves linear-region boundaries — enables
 the exact verifier's value-only fast path, which re-evaluates cached vertex
-sets instead of re-decomposing.  With the default scipy/HiGHS backend the
-final delta is byte-identical to a one-shot
-:func:`~repro.core.point_repair.point_repair` of the final pool on narrow
-ACAS-style value channels; on very wide value channels BLAS may round the
-suffix-append and full-pool Jacobian batches differently in the last bit,
-leaving the two equal to ~1e-15 per LP coefficient rather than per byte
+sets instead of re-decomposing.  The final delta is byte-identical to a
+one-shot :func:`~repro.core.point_repair.point_repair` of the final pool on
+narrow ACAS-style value channels; on very wide value channels BLAS may
+round the suffix-append and full-pool Jacobian batches differently in the
+last bit, leaving the two equal to ~1e-15 per LP coefficient rather than per byte
 (``bench_polytope_driver`` records which regime a workload lands in).
 """
 
@@ -72,6 +71,7 @@ from repro.driver.config import DEFAULT_REPAIR_MARGIN, DriverConfig
 from repro.driver.pool import CounterexamplePool
 from repro.exceptions import RepairError
 from repro.experiments.metrics import drawdown as drawdown_metric
+from repro.lp.status import LPStatus
 from repro.nn.network import Network
 from repro.utils.timing import Stopwatch, TimeBudget
 from repro.verify.base import VerificationReport, VerificationSpec, Verifier
@@ -128,9 +128,10 @@ class RoundRecord:
     ``repair_seconds`` its repair wall-clock (benchmarks compare per-round
     costs from these).  The last four fields describe the incremental
     machinery: how many LP rows this round appended to the standing repair
-    LP, whether the LP solve actually consumed a warm-start handle, the
-    backend's solver iteration count, and whether verification took the
-    value-only fast path (cached decomposition, batched re-evaluation).
+    LP, whether the LP solve started from retained solver state (never, yet:
+    every solve is cold), the solver's iteration count, and whether
+    verification took the value-only fast path (cached decomposition,
+    batched re-evaluation).
     """
 
     round_index: int
@@ -169,10 +170,13 @@ class DriverReport:
 
     ``status`` is one of ``"certified"`` (the final verification pass proved
     every region clean), ``"clean"`` (a sampling verifier found no remaining
-    violations — no proof), ``"infeasible"`` (no layer in the schedule
-    admits a repair of the pool), ``"stalled"`` (violations remain but the
-    verifier found nothing new on any remaining layer),
-    ``"budget_exhausted"``, or ``"max_rounds_reached"``.
+    violations — no proof), ``"infeasible"`` (the LP proved, for every layer
+    in the schedule, that no repair of the pool exists — the paper's ⊥),
+    ``"lp_error"`` (no layer admitted a repair, and at least one LP solve
+    failed without proving anything, e.g. at an iteration limit),
+    ``"stalled"`` (violations remain but the verifier found nothing new on
+    any remaining layer), ``"budget_exhausted"``, or
+    ``"max_rounds_reached"``.
     """
 
     status: str
@@ -207,7 +211,7 @@ class DriverReport:
 
     @property
     def warm_started_rounds(self) -> int:
-        """Rounds whose LP solve consumed a warm-start handle."""
+        """Rounds whose LP solve started from retained solver state."""
         return sum(record.warm_start_used for record in self.rounds)
 
     @property
@@ -280,9 +284,9 @@ class RepairDriver:
         with a *certified* report; sampling verifiers can only reach
         ``"clean"``.
     layer_schedule:
-        Layers to repair, tried in order; an infeasible or stalled round
-        escalates to the next entry.  Defaults to every repairable layer
-        from the output backwards (the §7.1 heuristic).
+        Layers to repair, tried in order; an infeasible (or failed) repair
+        or a stalled round escalates to the next entry.  Defaults to every
+        repairable layer from the output backwards (the §7.1 heuristic).
     repair_margin:
         Constraint tightening applied when the pool becomes a repair LP, so
         repaired outputs clear the verifier's tolerance strictly.
@@ -302,20 +306,13 @@ class RepairDriver:
         none yet) so every round's verification runs through the engine's
         worker pool and partition cache, and the engine's scheduler/cache
         statistics are included in the final :class:`DriverReport`.
-    warm_start:
-        Whether each round's LP solve consumes the previous round's
-        :class:`~repro.lp.model.WarmStart` handle.  For backends whose warm
-        start is *not* exact (``LPBackend.warm_start_is_exact`` is
-        ``False``, e.g. the simplex backend's dual-simplex hot start), a
-        warm-started solve may return a different — equally optimal —
-        vertex of a degenerate optimal face than a one-shot solve would.
     max_new_counterexamples:
         Per-round cap on pool growth.  ``None`` (default) pools everything
         a verification pass found; a small cap rations counterexamples the
         way incremental CEGIS implementations often do, trading more rounds
         for smaller per-round LPs (and giving benchmarks a deterministic
         way to scale round counts).
-    norm, backend, delta_bound:
+    norm, delta_bound:
         Forwarded to the
         :class:`~repro.core.point_repair.IncrementalPointRepairSession`.
     memory_budget:
@@ -401,10 +398,8 @@ class RepairDriver:
             self.pool = CounterexamplePool.load(self.checkpoint_path, max_resident_bytes=tier)
         else:
             self.pool = CounterexamplePool(max_resident_bytes=tier)
-        self.warm_start = config.warm_start
         self.max_new_counterexamples = config.max_new_counterexamples
         self.norm = config.norm
-        self.backend = config.backend
         self.delta_bound = config.delta_bound
         self._session: IncrementalPointRepairSession | None = None
         # Pool *entries* already encoded into the standing session: in
@@ -475,6 +470,8 @@ class RepairDriver:
         # with counterexamples nothing was ever repaired against.
         repaired_at_cursor = False
         report_is_stale = False  # a repair was applied after the last verify
+        # Whether some failed repair ended without proving infeasibility.
+        lp_failed = False
 
         for round_index in range(self.max_rounds):
             if budget.exhausted():
@@ -536,10 +533,11 @@ class RepairDriver:
                 repaired_at_cursor = True
                 if result.feasible:
                     break
+                lp_failed |= result.lp_status not in (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED)
                 layer_cursor += 1
                 repaired_at_cursor = False
             if result is None or not result.feasible:
-                status = "infeasible"
+                status = "lp_error" if lp_failed else "infeasible"
                 self._emit(record)
                 break
 
@@ -678,9 +676,7 @@ class RepairDriver:
                 self.base,
                 layer_index,
                 norm=self.norm,
-                backend=self.backend,
                 delta_bound=self.delta_bound,
-                warm_start=self.warm_start,
                 max_chunk_bytes=self.max_chunk_bytes,
                 engine=self.engine,
             )

@@ -106,7 +106,6 @@ def provable_repair_per_layer(
     *,
     norm: str = "linf",
     margin: float = CLASSIFICATION_MARGIN,
-    backend: str | None = None,
 ) -> list[dict]:
     """Run Provable Repair at each requested layer; one record per layer.
 
@@ -120,7 +119,7 @@ def provable_repair_per_layer(
     layer_indices = layer_indices if layer_indices is not None else setup.repairable_layers
     records = []
     for layer_index in layer_indices:
-        result = point_repair(setup.network, layer_index, spec, norm=norm, backend=backend)
+        result = point_repair(setup.network, layer_index, spec, norm=norm)
         record = {
             "method": "PR",
             "layer_index": layer_index,
@@ -451,7 +450,6 @@ def driver_certified_repair(
     workload: PointwiseRepairWorkload,
     *,
     memory_budget: int | None = None,
-    backend: str | None = None,
     engine=None,
     max_rounds: int = 4,
     budget_seconds: float | None = None,
@@ -472,7 +470,6 @@ def driver_certified_repair(
     verifier = GridVerifier(certify_exhaustive=True)
     config = DriverConfig(
         layer_schedule=(workload.classifier_layer,),
-        backend=backend,
         max_rounds=max_rounds,
         budget_seconds=budget_seconds,
         memory_budget=memory_budget,

@@ -147,11 +147,10 @@ def provable_line_repair(
     layer_index: int,
     *,
     norm: str = "linf",
-    backend: str | None = None,
 ) -> dict:
     """Provable Polytope Repair of ``layer_index`` on the first ``num_lines`` lines."""
     spec = line_specification(setup, num_lines)
-    result = polytope_repair(setup.network, layer_index, spec, norm=norm, backend=backend)
+    result = polytope_repair(setup.network, layer_index, spec, norm=norm)
     record = {
         "method": "PR",
         "layer_index": layer_index,

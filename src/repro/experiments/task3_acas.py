@@ -285,7 +285,6 @@ def driver_slice_repair(
     layer_index: int | None = None,
     *,
     norm: str = "linf",
-    backend: str | None = None,
     verifier: Verifier | None = None,
     max_rounds: int = 5,
     budget_seconds: float | None = None,
@@ -324,7 +323,6 @@ def driver_slice_repair(
         config=DriverConfig(
             layer_schedule=schedule,
             norm=norm,
-            backend=backend,
             max_rounds=max_rounds,
             budget_seconds=budget_seconds,
         ),
@@ -361,16 +359,13 @@ def provable_slice_repair(
     layer_index: int | None = None,
     *,
     norm: str = "linf",
-    backend: str | None = None,
     efficacy_samples_per_slice: int = 64,
 ) -> dict:
     """Provable Polytope Repair of the repair slices (strengthened φ8)."""
     layer_index = layer_index if layer_index is not None else setup.last_layer_index
     spec, linregions_seconds = strengthened_specification(setup.network, setup)
     timing = RepairTiming(linregions_seconds=linregions_seconds)
-    result = point_repair(
-        setup.network, layer_index, spec, norm=norm, backend=backend, timing=timing
-    )
+    result = point_repair(setup.network, layer_index, spec, norm=norm, timing=timing)
     record = {
         "method": "PR",
         "layer_index": layer_index,

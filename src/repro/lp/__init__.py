@@ -1,20 +1,9 @@
 """Linear-programming substrate.
 
-The paper uses Gurobi to solve the repair LPs.  This package provides the
-same capability with two interchangeable backends:
-
-* :class:`repro.lp.backends.scipy_backend.ScipyBackend` — scipy's HiGHS
-  solver (the default; handles the large repair LPs).
-* :class:`repro.lp.backends.highs_native.HighsNativeBackend` — HiGHS via
-  its own ``highspy`` bindings, with real basis handles and append-only
-  row growth (degrades to the scipy path when ``highspy`` is missing).
-* :class:`repro.lp.backends.simplex.SimplexBackend` — a from-scratch dense
-  two-phase simplex implementation, useful for small LPs and as an
-  independent cross-check of the default backend.
-
-Backends can also be raced: ``get_backend("race:highs_native,scipy")``
-runs every member concurrently per solve and always returns the
-first-listed member's answer (see :mod:`repro.lp.racing`).
+The paper uses Gurobi to solve the repair LPs.  This package solves them
+with one solver, scipy's HiGHS
+(:class:`repro.lp.backends.scipy_backend.ScipyBackend`): every solve is a
+cold ``linprog`` call on the CSR standard form.
 
 The modelling layer (:class:`repro.lp.model.LPModel`) supports named scalar
 and vector variables, ``≤``/``≥``/``=`` constraints, box bounds, linear
@@ -22,30 +11,16 @@ objectives, and the ℓ1/ℓ∞ norm objectives used by the repair algorithms
 (encoded with auxiliary variables, see :mod:`repro.lp.norms`).
 """
 
-from repro.lp.model import LPModel, LPSession, LPSolution, WarmStart
+from repro.lp.model import LPModel, LPSession, LPSolution
 from repro.lp.status import LPStatus
 from repro.lp.expression import LinearExpression
-from repro.lp.backends import (
-    available_backends,
-    backend_capabilities,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
-from repro.lp.racing import RacingBackend, parse_race_spec
+from repro.lp.backends import get_backend
 
 __all__ = [
     "LPModel",
     "LPSession",
     "LPSolution",
-    "WarmStart",
     "LPStatus",
     "LinearExpression",
-    "RacingBackend",
-    "available_backends",
-    "backend_capabilities",
     "get_backend",
-    "parse_race_spec",
-    "register_backend",
-    "unregister_backend",
 ]

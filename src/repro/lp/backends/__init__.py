@@ -1,121 +1,23 @@
-"""LP solver backends.
+"""The LP solver.
 
-Three backends are provided, plus a racing combinator:
-
-``"scipy"``
-    scipy's HiGHS solver (dual simplex / interior point).  This is the
-    default and is used for all the repair LPs in the experiments.
-``"highs_native"``
-    The HiGHS C++ solver driven through its own ``highspy`` bindings —
-    real basis handles, append-only row growth without re-presolve.  When
-    ``highspy`` is not installed the backend degrades to the scipy path
-    and says so loudly (log line + ``repro_lp_backend_fallback_total``).
-``"simplex"``
-    A from-scratch dense two-phase simplex implementation.  It exists so the
-    package has no hard algorithmic dependency on scipy's solver, serves as a
-    cross-check in the test-suite, and is used in ablation benchmarks.
-``"race:a,b[,c]"``
-    A racing portfolio over 2–3 registered backends (see
-    :mod:`repro.lp.racing`): every solve runs on all members concurrently,
-    the returned answer is always the first-listed member's, so racing is
-    byte-identical to a solo run of the preferred backend.
+There is one: :class:`~repro.lp.backends.scipy_backend.ScipyBackend`, a cold
+scipy/HiGHS solve of the CSR standard form.  ``_BACKENDS`` is the single
+seam — :func:`get_backend` instantiates whatever class it maps ``"scipy"``
+to, which is how the test-suite substitutes its reference simplex or a
+fault-injection stub.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import LPError
 from repro.lp.backends.base import LPBackend
-from repro.lp.backends.highs_native import HIGHSPY_AVAILABLE, HighsNativeBackend
 from repro.lp.backends.scipy_backend import ScipyBackend
-from repro.lp.backends.simplex import SimplexBackend
 
-_BACKENDS: dict[str, type[LPBackend]] = {
-    "scipy": ScipyBackend,
-    "highs": ScipyBackend,
-    "highs_native": HighsNativeBackend,
-    "simplex": SimplexBackend,
-}
-
-DEFAULT_BACKEND = "scipy"
+_BACKENDS: dict[str, type[LPBackend]] = {"scipy": ScipyBackend}
 
 
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend` (racing specs aside)."""
-    return tuple(sorted(_BACKENDS))
+def get_backend() -> LPBackend:
+    """A fresh instance of the LP solver."""
+    return _BACKENDS["scipy"]()
 
 
-def register_backend(name: str, factory: type[LPBackend]) -> None:
-    """Register (or replace) a backend under ``name``.
-
-    This is how the test-suite injects fault-injection stubs (crashing or
-    hanging racers); production backends are registered at import time
-    above.  Names are case-insensitive and must not look like racing specs.
-    """
-    key = name.lower()
-    if key.startswith("race:"):
-        raise LPError(f"cannot register {name!r}: 'race:' prefix is reserved")
-    _BACKENDS[key] = factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend registered via :func:`register_backend`."""
-    _BACKENDS.pop(name.lower(), None)
-
-
-def get_backend(name: str | None = None) -> LPBackend:
-    """Instantiate a backend by name (``None`` gives the default).
-
-    ``"race:a,b"`` specs instantiate every member and wrap them in a
-    :class:`~repro.lp.racing.RacingBackend`, preference order preserved.
-    """
-    key = (name or DEFAULT_BACKEND).lower()
-    if key.startswith("race:"):
-        from repro.lp.racing import RacingBackend, parse_race_spec
-
-        members = [get_backend(member) for member in parse_race_spec(key)]
-        return RacingBackend(members)
-    if key not in _BACKENDS:
-        raise LPError(f"unknown LP backend {name!r}; available: {available_backends()}")
-    return _BACKENDS[key]()
-
-
-def backend_capabilities(name: str | None = None) -> dict[str, object]:
-    """Capability probe for one backend spec, without running a solve.
-
-    Returns ``{"name", "available", "supports_sparse", "warm_start_is_exact",
-    "members"}`` — ``available`` is ``False`` when the backend (or, for a
-    racing spec, any member) is degraded because its native solver is
-    missing; ``members`` lists the per-member probes for racing specs and is
-    empty otherwise.  The ``requires_highspy`` test marker and the CI matrix
-    leg consult this instead of importing ``highspy`` themselves.
-    """
-    backend = get_backend(name)
-    members = [
-        backend_capabilities(member.name)
-        for member in getattr(backend, "backends", [])
-    ]
-    available = bool(getattr(backend, "available", True)) and all(
-        member["available"] for member in members
-    )
-    return {
-        "name": backend.name,
-        "available": available,
-        "supports_sparse": backend.supports_sparse,
-        "warm_start_is_exact": backend.warm_start_is_exact,
-        "members": members,
-    }
-
-
-__all__ = [
-    "LPBackend",
-    "ScipyBackend",
-    "SimplexBackend",
-    "HighsNativeBackend",
-    "HIGHSPY_AVAILABLE",
-    "available_backends",
-    "backend_capabilities",
-    "get_backend",
-    "register_backend",
-    "unregister_backend",
-    "DEFAULT_BACKEND",
-]
+__all__ = ["LPBackend", "ScipyBackend", "get_backend"]

@@ -1,48 +1,23 @@
-"""Abstract interface implemented by every LP backend."""
+"""The interface of the LP solver."""
 
 from __future__ import annotations
 
 import abc
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.lp.model import LPSolution, WarmStart
+from repro.lp.model import LPSolution
 
 
 class LPBackend(abc.ABC):
-    """Solves LPs given in the standard form produced by ``LPModel``."""
+    """Solves LPs given in the standard form produced by ``LPModel``.
 
-    #: Human-readable backend name.
+    The library has one implementation (scipy/HiGHS); the test-suite's
+    reference simplex and fault-injection stubs implement it too.
+    """
+
+    #: Human-readable solver name (telemetry labels).
     name: str = "abstract"
-
-    #: Whether :meth:`solve` consumes ``scipy.sparse`` constraint matrices
-    #: natively.  ``LPModel.solve`` consults this flag to pick the
-    #: standard-form representation; backends that leave it ``False`` must
-    #: still accept sparse inputs by densifying them (see :meth:`as_dense`).
-    supports_sparse: bool = False
-
-    #: Whether this backend's solver is actually present in the process.
-    #: Backends wrapping an optional native dependency (``highs_native``)
-    #: set this ``False`` when the dependency is missing and degrade to a
-    #: fallback path; the registry's capability probe surfaces the flag so
-    #: callers (and the test-suite's ``requires_highspy`` marker) can tell a
-    #: real native solve from a degraded one.
-    available: bool = True
-
-    @property
-    def warm_start_is_exact(self) -> bool:
-        """Whether warm-started solves are byte-identical to cold solves.
-
-        A warm start that changes the solver's pivot path may land on a
-        *different* vertex of a degenerate optimal face — still optimal, but
-        not the same bytes a cold solve returns.  Backends that exploit a
-        handle must override this to ``False``; the default ``True`` covers
-        backends that ignore handles entirely (a cold solve *is* the warm
-        solve).  Callers that pin byte-level reproducibility (the
-        incremental repair driver's differential tests) consult this flag.
-        """
-        return True
 
     @abc.abstractmethod
     def solve(
@@ -53,40 +28,12 @@ class LPBackend(abc.ABC):
         a_eq,
         b_eq: np.ndarray,
         bounds: np.ndarray,
-        warm_start: WarmStart | None = None,
     ) -> LPSolution:
         """Solve ``min c@x  s.t.  a_ub@x<=b_ub, a_eq@x==b_eq, bounds``.
 
         ``a_ub`` and ``a_eq`` may be dense arrays or ``scipy.sparse``
-        matrices (see ``LPModel.standard_form``); ``bounds`` is an ``(n, 2)``
-        array of per-variable ``(lower, upper)`` pairs; entries may be
-        ``±inf``.
-
-        ``warm_start`` is a handle from a previous solve of a smaller
-        version of the same model (same variables, fewer rows).  Backends
-        may exploit it, but must fall back to a cold solve *silently* when
-        they cannot — an incompatible or stale handle is never an error.
-        The returned solution's ``warm_start_used`` says what happened, and
-        its ``warm_start`` carries the handle for the next solve.
+        matrices (``LPModel.standard_form`` gives CSR); ``bounds`` is an
+        ``(n, 2)`` array of per-variable ``(lower, upper)`` pairs whose
+        entries may be ``±inf``.
         """
         raise NotImplementedError
-
-    def accepts_handle(self, warm_start: WarmStart) -> bool:
-        """Whether a :class:`WarmStart` minted by ``warm_start.backend`` may
-        be handed to this backend's :meth:`solve` at all.
-
-        :class:`~repro.lp.model.LPSession` consults this before threading a
-        handle through, so handles never reach a solver that cannot even
-        recognize their provenance.  The default accepts only this backend's
-        own handles; composite backends (racing portfolios, fallback
-        wrappers) override it to accept their members' names — the handle a
-        racing solve returns is minted by whichever member answered.
-        """
-        return warm_start.backend == self.name
-
-    @staticmethod
-    def as_dense(matrix) -> np.ndarray:
-        """Lazily densify a possibly-sparse constraint matrix."""
-        if sp.issparse(matrix):
-            return matrix.toarray()
-        return np.asarray(matrix, dtype=float)

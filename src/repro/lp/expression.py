@@ -1,7 +1,7 @@
 """Sparse linear expressions over named LP variables.
 
 :class:`LinearExpression` is a small convenience type used when building LPs
-row by row (the test-suite and the simplex backend use it heavily).  The
+row by row (the test-suite uses it heavily).  The
 repair algorithms build their constraint blocks directly as dense matrices
 for speed, so this class intentionally stays simple: a mapping from variable
 index to coefficient plus a constant offset.

@@ -1,12 +1,12 @@
 """LP modelling layer.
 
 :class:`LPModel` collects variables, linear constraints, bounds, and a linear
-objective, and hands a standard-form problem to one of the backends in
+objective, and hands a standard-form problem to the solver in
 :mod:`repro.lp.backends`.  The repair algorithms use it through the helpers
 in :mod:`repro.lp.norms`, which add the auxiliary variables needed for
 ℓ1/ℓ∞ norm minimization.
 
-Standard form passed to backends::
+Standard form passed to the solver::
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
@@ -14,13 +14,9 @@ Standard form passed to backends::
                 lb <= x <= ub        (entries may be ±inf)
 
 Constraint blocks are stored narrow — each block keeps only the columns it
-actually touches — and :meth:`LPModel.standard_form` widens them on demand.
-The dense path materializes full ``(rows, num_variables)`` arrays, which is
-O(rows × vars) memory regardless of sparsity; the sparse fast path
-(``standard_form(sparse=True)``) assembles ``scipy.sparse`` CSR matrices
-directly from the narrow blocks and is what the batched repair engine hands
-to sparse-capable backends.  :meth:`LPModel.solve` picks the representation
-automatically from the backend's ``supports_sparse`` flag.
+actually touches — and :meth:`LPModel.standard_form` assembles them into
+``scipy.sparse`` CSR matrices directly, never materializing full-width
+dense rows.
 """
 
 from __future__ import annotations
@@ -38,12 +34,12 @@ from repro.utils.timing import wall_cpu_now
 
 
 def _observed_solve(solver, solve_callable):
-    """Run one backend solve, mirroring it into the telemetry layer.
+    """Run one solve, mirroring it into the telemetry layer.
 
     The shared wrapper for :meth:`LPModel.solve` and :meth:`LPSession.solve`:
-    an ``lp.solve`` span plus per-backend solve-time histogram and
+    an ``lp.solve`` span plus the solve-time histogram and
     solve/iteration counters.  Telemetry reads the finished solution only —
-    it never influences which backend runs or what it returns.
+    it never influences what the solver returns.
     """
     if not obs.enabled():
         return solve_callable()
@@ -75,33 +71,6 @@ def _observed_solve(solver, solve_callable):
 
 
 @dataclass
-class WarmStart:
-    """Solver state captured from one solve, reusable on an extended model.
-
-    A warm start is only meaningful between two solves of the *same model
-    family*: the same variables (count, order, bounds) and a constraint set
-    that only grew — exactly what an :class:`LPSession` produces round after
-    round.  The handle is backend-specific: ``payload`` is opaque to
-    everything except the backend whose ``backend`` name it carries, and a
-    backend handed a handle it cannot use (or from another backend) must
-    fall back to a cold solve silently.
-
-    Attributes
-    ----------
-    backend:
-        Name of the backend that produced the handle.
-    values:
-        The primal solution of the previous solve.
-    payload:
-        Backend-specific extra state (e.g. the simplex basis labels).
-    """
-
-    backend: str
-    values: np.ndarray
-    payload: dict | None = None
-
-
-@dataclass
 class LPSolution:
     """Result of solving an :class:`LPModel`.
 
@@ -114,16 +83,12 @@ class LPSolution:
     objective:
         Objective value at ``values`` (``None`` unless optimal).
     message:
-        Backend-specific diagnostic text.
+        Solver diagnostic text.
     iterations:
-        Solver iteration count, when the backend reports one.
-    warm_start:
-        A :class:`WarmStart` handle for re-solving an extended version of
-        the same model (``None`` when the backend cannot produce one).
+        Solver iteration count, when the solver reports one.
     warm_start_used:
-        Whether this solve actually consumed a warm-start handle.  Backends
-        fall back to cold solves silently, so callers that thread handles
-        through repeated solves read this flag for reporting.
+        Whether the solve started from retained solver state.  Always
+        ``False``: every solve is cold today.
     """
 
     status: LPStatus
@@ -131,7 +96,6 @@ class LPSolution:
     objective: float | None = None
     message: str = ""
     iterations: int | None = None
-    warm_start: WarmStart | None = None
     warm_start_used: bool = False
 
     def value_of(self, indices) -> np.ndarray:
@@ -304,8 +268,7 @@ class LPModel:
         if columns.size and (columns.min() < 0 or columns.max() >= self._num_variables):
             raise LPError("constraint references an unknown variable index")
         if np.unique(columns).size != columns.size:
-            # Duplicates would make the dense (last-write-wins) and sparse
-            # (summing) assemblies disagree on the same model.
+            # Duplicates would be silently summed by the CSR assembly.
             raise LPError("constraint block columns must be unique")
 
     # ------------------------------------------------------------------
@@ -334,48 +297,23 @@ class LPModel:
     # ------------------------------------------------------------------
     # Standard form assembly & solving
     # ------------------------------------------------------------------
-    def standard_form(self, sparse: bool = False):
+    def standard_form(self):
         """Assemble ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
 
-        With ``sparse=False`` (the default) the constraint matrices are dense
-        ``(rows, num_variables)`` arrays — simple, but O(rows × vars) even
-        when most entries are structural zeros.  With ``sparse=True`` they
-        are ``scipy.sparse`` CSR matrices assembled directly from the narrow
-        constraint blocks, never materializing full-width rows; this is the
-        fast path used for large repair LPs, whose constraint matrices are
-        mostly zero outside each block's column set.  ``c``, the right-hand
-        sides, and ``bounds`` are dense in both modes.
+        The constraint matrices are ``scipy.sparse`` CSR matrices assembled
+        directly from the narrow constraint blocks; ``c``, the right-hand
+        sides and ``bounds`` are dense.
         """
         n = self._num_variables
         c = np.zeros(n)
         for index, coefficient in self._objective.items():
             c[index] = coefficient
         bounds = np.column_stack([self._lower, self._upper]) if n else np.zeros((0, 2))
-
-        if sparse:
-            a_ub, b_ub = self._assemble_sparse(equality=False)
-            a_eq, b_eq = self._assemble_sparse(equality=True)
-            return c, a_ub, b_ub, a_eq, b_eq, bounds
-
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for block in self._blocks:
-            narrow = block.matrix.toarray() if sp.issparse(block.matrix) else block.matrix
-            dense = np.zeros((narrow.shape[0], n))
-            dense[:, block.columns] = narrow
-            if block.equality:
-                eq_rows.append(dense)
-                eq_rhs.append(block.rhs)
-            else:
-                ub_rows.append(dense)
-                ub_rhs.append(block.rhs)
-
-        a_ub = np.vstack(ub_rows) if ub_rows else np.zeros((0, n))
-        b_ub = np.concatenate(ub_rhs) if ub_rhs else np.zeros(0)
-        a_eq = np.vstack(eq_rows) if eq_rows else np.zeros((0, n))
-        b_eq = np.concatenate(eq_rhs) if eq_rhs else np.zeros(0)
+        a_ub, b_ub = self._assemble(equality=False)
+        a_eq, b_eq = self._assemble(equality=True)
         return c, a_ub, b_ub, a_eq, b_eq, bounds
 
-    def _assemble_sparse(self, equality: bool) -> tuple[sp.csr_matrix, np.ndarray]:
+    def _assemble(self, equality: bool) -> tuple[sp.csr_matrix, np.ndarray]:
         """CSR matrix and rhs of all blocks with the given sense."""
         n = self._num_variables
         data_parts: list[np.ndarray] = []
@@ -419,42 +357,32 @@ class LPModel:
         """Total number of constraint rows added so far."""
         return sum(block.matrix.shape[0] for block in self._blocks)
 
-    def solve(self, backend: str | None = None, sparse: bool | None = None) -> LPSolution:
-        """Solve the model with the named backend (default: ``"scipy"``).
-
-        ``sparse`` selects the standard-form representation handed to the
-        backend: ``True`` forces the CSR fast path, ``False`` forces dense,
-        and ``None`` (the default) uses CSR exactly when the backend
-        advertises ``supports_sparse`` — backends without sparse support
-        (e.g. the educational simplex) densify lazily on entry either way.
-        """
+    def solve(self) -> LPSolution:
+        """Solve the model (a cold scipy/HiGHS solve of its CSR form)."""
         from repro.lp.backends import get_backend
 
-        solver = get_backend(backend)
-        if sparse is None:
-            sparse = solver.supports_sparse
+        form = self.standard_form()
         if self._num_variables == 0:
-            return LPSolution(LPStatus.OPTIMAL, np.zeros(0), 0.0, "empty model")
-        form = self.standard_form(sparse=sparse)
+            return _solve_without_variables(form[2], form[4])
+        solver = get_backend()
         return _observed_solve(solver, lambda: solver.solve(*form))
 
-    def incremental_session(
-        self,
-        *,
-        sparse: bool | None = None,
-        tail_blocks: int = 0,
-        backend: str | None = None,
-    ) -> "LPSession":
+    def incremental_session(self, *, tail_blocks: int = 0) -> "LPSession":
         """Open an :class:`LPSession` over this model's current blocks.
 
-        See :class:`LPSession` for the incremental-assembly contract;
-        ``sparse=None`` resolves against the backend's ``supports_sparse``
-        flag exactly like :meth:`solve`.
+        See :class:`LPSession` for the incremental-assembly contract.
         """
-        return LPSession(self, sparse=sparse, tail_blocks=tail_blocks, backend=backend)
+        return LPSession(self, tail_blocks=tail_blocks)
 
 
-def _widen_block_sparse(block: _ConstraintBlock, num_variables: int) -> sp.csr_matrix:
+def _solve_without_variables(b_ub: np.ndarray, b_eq: np.ndarray) -> LPSolution:
+    """An LP with no variables: every row reads ``0 ≤ b_ub`` or ``0 = b_eq``."""
+    if np.any(b_ub < 0) or np.any(b_eq != 0):
+        return LPSolution(LPStatus.INFEASIBLE, message="empty model with an unsatisfiable row")
+    return LPSolution(LPStatus.OPTIMAL, np.zeros(0), 0.0, "empty model")
+
+
+def _widen_block(block: _ConstraintBlock, num_variables: int) -> sp.csr_matrix:
     """One narrow constraint block as a full-width CSR matrix."""
     if sp.issparse(block.matrix):
         matrix = block.matrix
@@ -480,14 +408,6 @@ def _widen_block_sparse(block: _ConstraintBlock, num_variables: int) -> sp.csr_m
     ).tocsr()
 
 
-def _widen_block_dense(block: _ConstraintBlock, num_variables: int) -> np.ndarray:
-    """One narrow constraint block as a full-width dense matrix."""
-    narrow = block.matrix.toarray() if sp.issparse(block.matrix) else block.matrix
-    wide = np.zeros((narrow.shape[0], num_variables))
-    wide[:, block.columns] = narrow
-    return wide
-
-
 class LPSession:
     """An incremental solve session over a growing :class:`LPModel`.
 
@@ -506,28 +426,18 @@ class LPSession:
     after the initial constraint rows; pinning them last makes the session's
     standard form row-for-row identical to what a cold
     :meth:`LPModel.standard_form` over the same model would produce — which
-    is what keeps incremental and cold solves byte-identical for a
-    deterministic backend.
+    is what keeps incremental and cold solves byte-identical.
 
     Sessions do not support adding variables after creation
     (:meth:`append_rows` raises); the repair LPs fix their delta and
     auxiliary variables up front.
     """
 
-    def __init__(
-        self,
-        model: LPModel,
-        *,
-        sparse: bool | None = None,
-        tail_blocks: int = 0,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, model: LPModel, *, tail_blocks: int = 0) -> None:
         from repro.lp.backends import get_backend
 
         self.model = model
-        self.backend_name = backend
-        self._solver = get_backend(backend)
-        self.sparse = self._solver.supports_sparse if sparse is None else bool(sparse)
+        self._solver = get_backend()
         if not 0 <= tail_blocks <= len(model._blocks):
             raise LPError(
                 f"tail_blocks is {tail_blocks}, model has {len(model._blocks)} blocks"
@@ -555,9 +465,7 @@ class LPSession:
         rows = 0
         n = self._num_variables
         for block in blocks:
-            widened = (
-                _widen_block_sparse(block, n) if self.sparse else _widen_block_dense(block, n)
-            )
+            widened = _widen_block(block, n)
             if block.equality:
                 (self._eq_tail if tail else self._eq_parts).append(widened)
                 (self._eq_tail_rhs if tail else self._eq_rhs).append(block.rhs)
@@ -616,13 +524,9 @@ class LPSession:
     def _stack(self, parts: list, rhs_parts: list[np.ndarray]):
         n = self._num_variables
         if not parts:
-            empty = sp.csr_matrix((0, n)) if self.sparse else np.zeros((0, n))
-            return empty, np.zeros(0)
-        stacker = sp.vstack if self.sparse else np.vstack
-        matrix = stacker(parts) if len(parts) > 1 else parts[0]
-        if self.sparse:
-            matrix = matrix.tocsr()
-        return matrix, np.concatenate(rhs_parts)
+            return sp.csr_matrix((0, n)), np.zeros(0)
+        matrix = sp.vstack(parts) if len(parts) > 1 else parts[0]
+        return matrix.tocsr(), np.concatenate(rhs_parts)
 
     def standard_form(self):
         """The assembled ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
@@ -654,20 +558,9 @@ class LPSession:
         )
         return c, a_ub, b_ub, a_eq, b_eq, bounds
 
-    def solve(self, warm_start: WarmStart | None = None) -> LPSolution:
-        """Solve the current form, optionally warm-started.
-
-        The returned solution carries a fresh ``warm_start`` handle (when
-        the backend produces one) for the next, further-extended solve;
-        handles from a different backend are dropped here rather than handed
-        to a solver that cannot interpret them.
-        """
-        if self._num_variables == 0:
-            return LPSolution(LPStatus.OPTIMAL, np.zeros(0), 0.0, "empty model")
-        if warm_start is not None and not self._solver.accepts_handle(warm_start):
-            warm_start = None
+    def solve(self) -> LPSolution:
+        """Solve the current form (a cold scipy/HiGHS solve)."""
         form = self.standard_form()
-        handle = warm_start
-        return _observed_solve(
-            self._solver, lambda: self._solver.solve(*form, warm_start=handle)
-        )
+        if self._num_variables == 0:
+            return _solve_without_variables(form[2], form[4])
+        return _observed_solve(self._solver, lambda: self._solver.solve(*form))

@@ -1,4 +1,4 @@
-"""Solver status codes shared by all LP backends."""
+"""Solver status codes of an LP solve."""
 
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ class LPStatus(enum.Enum):
         The objective can decrease without bound (never expected for the
         norm-minimization objectives used here, but reported faithfully).
     ``ERROR``
-        The backend failed for a numerical or internal reason.
+        The solver failed for a numerical or internal reason (an
+        iteration limit, say); nothing is proven about the LP.
     """
 
     OPTIMAL = "optimal"

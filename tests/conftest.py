@@ -8,27 +8,29 @@ import numpy as np
 import pytest
 
 from repro.core.prefix_cache import PrefixCache
-from repro.lp.backends import backend_capabilities
+from repro.lp.backends import _BACKENDS, ScipyBackend
 from repro.models.toy import paper_network_n1, paper_network_n2
 from repro.nn.activations import ReLULayer, TanhLayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
 from repro.utils.rng import ensure_rng
+from tests.simplex import SimplexBackend
+
+#: The solvers a test can run the library on: its own, and the reference.
+SOLVERS = {"scipy": ScipyBackend, "simplex": SimplexBackend}
 
 
-def pytest_collection_modifyitems(config, items):
-    """Skip ``requires_highspy`` tests when the native bindings are absent.
+@contextmanager
+def lp_solver(name: str):
+    """Solve every LP inside the block with the solver ``SOLVERS[name]``.
 
-    The registry's capability probe — not an import attempt here — is the
-    source of truth, so the marker and the runtime degradation path can
-    never disagree about what "available" means.
+    The library has one solver; ``"simplex"`` substitutes the test-suite's
+    reference for it through the ``_BACKENDS`` seam, so the same repair code
+    can be cross-checked on an independent solver.
     """
-    if backend_capabilities("highs_native")["available"]:
-        return
-    skip = pytest.mark.skip(reason="highspy is not installed (native HiGHS backend degraded)")
-    for item in items:
-        if "requires_highspy" in item.keywords:
-            item.add_marker(skip)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(_BACKENDS, "scipy", SOLVERS[name])
+        yield
 
 
 @contextmanager

@@ -4,17 +4,20 @@ The library has one encoder (the batched chunk stream) and one LP driver
 path (the repair session).  These oracles are the straightforward per-point
 versions of the same math — one :meth:`DecoupledNetwork.parameter_jacobian`
 call per point, one dense constraint block per point, a fresh
-:class:`LPModel` solved once — kept here so the tests can compare the
-optimized path against code simple enough to check by eye.
+:class:`LPModel` solved once, optionally from a dense standard form
+assembled block by block — kept here so the tests can compare the optimized
+path against code simple enough to check by eye.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.result import RepairResult
 from repro.core.specs import PointRepairSpec
+from repro.lp.backends import get_backend
 from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
@@ -35,21 +38,48 @@ def specification_jacobians(
     return np.array(outputs), np.array(jacobians)
 
 
+def dense_standard_form(model: LPModel):
+    """``model.standard_form()`` with full-width dense constraint matrices.
+
+    Each narrow block is widened into a dense array of its own and the
+    arrays are stacked in block order: the reference the CSR assembly is
+    checked against.
+    """
+    n = model.num_variables
+    c, _, _, _, _, bounds = model.standard_form()
+    rows = {False: [], True: []}
+    rhs = {False: [], True: []}
+    for block in model._blocks:
+        narrow = block.matrix.toarray() if sp.issparse(block.matrix) else block.matrix
+        wide = np.zeros((narrow.shape[0], n))
+        wide[:, block.columns] = narrow
+        rows[block.equality].append(wide)
+        rhs[block.equality].append(block.rhs)
+
+    def stack(equality: bool):
+        if not rows[equality]:
+            return np.zeros((0, n)), np.zeros(0)
+        return np.vstack(rows[equality]), np.concatenate(rhs[equality])
+
+    (a_ub, b_ub), (a_eq, b_eq) = stack(False), stack(True)
+    return c, a_ub, b_ub, a_eq, b_eq, bounds
+
+
 def oracle_point_repair(
     network,
     layer_index: int,
     spec: PointRepairSpec,
     *,
     norm: str = "linf",
-    backend: str | None = None,
     delta_bound: float | None = None,
-    sparse: bool | None = None,
+    sparse: bool = True,
 ) -> RepairResult:
     """Algorithm 1 with a per-point encoding loop and one cold LP solve.
 
     Builds the same LP as :func:`repro.core.point_repair.point_repair` (norm
-    rows first, then each point's rows in specification order) and solves it
-    with :meth:`LPModel.solve`, dense or sparse as asked.
+    rows first, then each point's rows in specification order) and solves
+    it from its CSR standard form (:meth:`LPModel.solve`) or, with
+    ``sparse=False``, from :func:`dense_standard_form`.
     """
     ddnn = (
         network.copy()
@@ -73,7 +103,10 @@ def oracle_point_repair(
             delta_indices,
         )
         rows += constraint.num_constraints
-    solution = model.solve(backend, sparse=sparse)
+    if sparse:
+        solution = model.solve()
+    else:
+        solution = get_backend().solve(*dense_standard_form(model))
     common = dict(
         layer_index=layer_index,
         num_key_points=spec.num_points,

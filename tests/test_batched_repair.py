@@ -3,10 +3,10 @@
 The one repair path (vectorized multi-point Jacobians, batched constraint
 encoding streamed as CSR chunks into an LP session) must be observationally
 identical to the per-point oracle in :mod:`tests.oracle` — a loop of
-single-point Jacobians solved as one dense or sparse cold LP: same
-Jacobians, same LP rows, same statuses, same deltas.  These tests pin that
-equivalence at every level — layer, DDNN, LP model, and the two repair
-algorithms.
+single-point Jacobians solved as one cold LP from a dense by-eye standard
+form: same Jacobians, same LP rows, same statuses, same deltas.  These
+tests pin that equivalence at every level — layer, DDNN, LP model, and the
+two repair algorithms.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.core.jacobian import JacobianChunkStream
 from repro.core.point_repair import point_repair
 from repro.core.polytope_repair import polytope_repair, reduce_to_key_points
 from repro.core.specs import PointRepairSpec, PolytopeRepairSpec
+from repro.lp.backends import get_backend
 from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
@@ -32,8 +33,8 @@ from repro.nn.reshape import FlattenLayer
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 
-from tests.conftest import make_random_relu_network, make_random_tanh_network
-from tests.oracle import oracle_point_repair, specification_jacobians
+from tests.conftest import lp_solver, make_random_relu_network, make_random_tanh_network
+from tests.oracle import dense_standard_form, oracle_point_repair, specification_jacobians
 
 
 def make_conv_network(rng: np.random.Generator) -> Network:
@@ -149,8 +150,9 @@ class TestDifferentialPointRepair:
         spec = PointRepairSpec.from_labels(
             points, labels, num_classes=network.output_size, margin=1e-3
         )
-        batched = point_repair(network, 2, spec, norm=norm, backend=backend)
-        legacy = oracle_point_repair(network, 2, spec, norm=norm, backend=backend, sparse=False)
+        with lp_solver(backend):
+            batched = point_repair(network, 2, spec, norm=norm)
+            legacy = oracle_point_repair(network, 2, spec, norm=norm, sparse=False)
         assert batched.lp_status == legacy.lp_status
         assert batched.feasible == legacy.feasible
         assert batched.num_constraint_rows == legacy.num_constraint_rows
@@ -256,13 +258,13 @@ def random_lp_model(rng: np.random.Generator) -> LPModel:
 
 
 class TestSparseStandardForm:
-    """standard_form(sparse=True) must equal the dense assembly exactly."""
+    """The CSR standard form must equal the dense by-eye assembly exactly."""
 
     def test_random_models_agree(self, rng):
         for _ in range(25):
             model = random_lp_model(rng)
-            c, a_ub, b_ub, a_eq, b_eq, bounds = model.standard_form(sparse=False)
-            c_s, a_ub_s, b_ub_s, a_eq_s, b_eq_s, bounds_s = model.standard_form(sparse=True)
+            c, a_ub, b_ub, a_eq, b_eq, bounds = dense_standard_form(model)
+            c_s, a_ub_s, b_ub_s, a_eq_s, b_eq_s, bounds_s = model.standard_form()
             assert sp.issparse(a_ub_s) and sp.issparse(a_eq_s)
             np.testing.assert_array_equal(c, c_s)
             np.testing.assert_array_equal(b_ub, b_ub_s)
@@ -274,7 +276,8 @@ class TestSparseStandardForm:
     def test_empty_model_sparse(self):
         model = LPModel()
         model.add_variables(3)
-        _, a_ub, b_ub, a_eq, b_eq, _ = model.standard_form(sparse=True)
+        _, a_ub, b_ub, a_eq, b_eq, _ = model.standard_form()
+        assert sp.issparse(a_ub) and sp.issparse(a_eq)
         assert a_ub.shape == (0, 3) and a_eq.shape == (0, 3)
         assert b_ub.size == 0 and b_eq.size == 0
 
@@ -284,18 +287,19 @@ class TestSparseStandardForm:
         model = LPModel()
         indices = model.add_variables(2)
         model.add_eq_block(np.zeros((1, 2)), [1.0], indices)
-        _, _, _, a_eq, b_eq, _ = model.standard_form(sparse=True)
+        _, _, _, a_eq, b_eq, _ = model.standard_form()
         assert a_eq.shape == (1, 2)
         np.testing.assert_array_equal(b_eq, [1.0])
-        solution = model.solve("scipy", sparse=True)
+        solution = model.solve()
         assert solution.status is LPStatus.INFEASIBLE
 
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
     def test_solve_sparse_matches_dense(self, rng, backend):
         for _ in range(5):
             model = random_lp_model(rng)
-            dense = model.solve(backend, sparse=False)
-            sparse = model.solve(backend, sparse=True)
+            with lp_solver(backend):
+                dense = get_backend().solve(*dense_standard_form(model))
+                sparse = model.solve()
             assert dense.status == sparse.status
             if dense.status is LPStatus.OPTIMAL:
                 assert dense.objective == pytest.approx(sparse.objective, abs=1e-7)
@@ -336,8 +340,8 @@ class TestVectorizedAddVariables:
             LPModel().add_variables(-1)
 
     def test_duplicate_block_columns_rejected(self):
-        # Duplicate columns would be overwritten by the dense assembly but
-        # summed by the sparse one; the model must refuse them outright.
+        # Duplicate columns would be silently summed by the CSR assembly;
+        # the model must refuse them outright.
         from repro.exceptions import LPError
 
         model = LPModel()

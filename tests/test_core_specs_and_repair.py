@@ -19,7 +19,7 @@ from repro.exceptions import NotPiecewiseLinearError, SpecificationError
 from repro.lp.status import LPStatus
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
-from tests.conftest import make_random_relu_network, make_random_tanh_network
+from tests.conftest import lp_solver, make_random_relu_network, make_random_tanh_network
 
 
 class TestPointRepairSpec:
@@ -173,7 +173,8 @@ class TestPointRepairToyExample:
     def test_simplex_backend_agrees_with_scipy(self, toy_network):
         spec = self.equation2_spec()
         scipy_result = point_repair(toy_network, 0, spec, norm="l1")
-        simplex_result = point_repair(toy_network, 0, spec, norm="l1", backend="simplex")
+        with lp_solver("simplex"):
+            simplex_result = point_repair(toy_network, 0, spec, norm="l1")
         assert scipy_result.feasible and simplex_result.feasible
         assert scipy_result.objective_value == pytest.approx(
             simplex_result.objective_value, abs=1e-6

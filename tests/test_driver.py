@@ -12,6 +12,9 @@ import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
 from repro.driver import CounterexamplePool, DriverConfig, RepairDriver
 from repro.exceptions import RepairError
+from repro.lp.backends import _BACKENDS
+from repro.lp.model import LPSolution
+from repro.lp.status import LPStatus
 from repro.nn.activations import ReLULayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
@@ -282,6 +285,42 @@ class TestRepairDriver:
         assert report.status == "infeasible"
         # Escalation tried every layer in the schedule before giving up.
         assert report.rounds[-1].repair_feasible is False
+
+    def test_solver_error_is_not_reported_infeasible(self, plane_scenario, monkeypatch):
+        """An LP that failed without a proof is ``lp_error``, never the paper's ⊥."""
+        network, spec, _ = plane_scenario
+        solves = []
+
+        class ErrorSolver:
+            name = "error_stub"
+
+            def solve(self, *form):
+                solves.append(form[1].shape)
+                return LPSolution(LPStatus.ERROR, message="iteration limit (stub)")
+
+        monkeypatch.setitem(_BACKENDS, "scipy", ErrorSolver)
+        report = RepairDriver(
+            network, spec, SyrennVerifier(), config=DriverConfig(max_rounds=4)
+        ).run()
+        assert report.status == "lp_error"
+        assert not report.certified
+        assert report.rounds[-1].repair_feasible is False
+        # Every layer of the schedule was attempted before giving up.
+        assert len(solves) == len(report.network.repairable_layer_indices())
+
+    def test_solver_exception_propagates_out_of_run(self, plane_scenario, monkeypatch):
+        network, spec, _ = plane_scenario
+
+        class CrashingSolver:
+            name = "crashing_stub"
+
+            def solve(self, *form):
+                raise RuntimeError("solver crashed (stub)")
+
+        monkeypatch.setitem(_BACKENDS, "scipy", CrashingSolver)
+        driver = RepairDriver(network, spec, SyrennVerifier(), config=DriverConfig(max_rounds=4))
+        with pytest.raises(RuntimeError, match="solver crashed"):
+            driver.run()
 
     def test_layer_escalation_on_infeasible(self, plane_scenario, monkeypatch):
         network, spec, _ = plane_scenario

@@ -10,6 +10,7 @@ that a submitted job equals an in-process run.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from repro.verify import SyrennVerifier, VerificationSpec
 
 @pytest.fixture
 def scenario(rng):
+    return build_scenario(rng)
+
+
+def build_scenario(rng):
     """A seeded plane/box scenario the driver certifies in a few rounds."""
     network = Network(
         [
@@ -74,7 +79,6 @@ class TestDriverConfig:
             mode="polytope",
             layer_schedule=[4, 2],
             max_rounds=7,
-            warm_start=False,
             max_new_counterexamples=3,
             norm="l1",
             delta_bound=0.5,
@@ -98,31 +102,52 @@ class TestDriverConfig:
             DriverConfig(max_new_counterexamples=0)
 
     def test_removed_knobs_fail_loudly(self):
-        """The knobs that chose between repair paths are errors, not no-ops."""
+        """The knobs that chose repair paths or solvers are errors, not no-ops."""
         with pytest.raises(RepairError, match="'incremental'.*removed"):
             DriverConfig(incremental=True)
         with pytest.raises(RepairError, match="'batched'.*removed"):
             DriverConfig.from_dict({"batched": False})
         with pytest.raises(RepairError, match="'sparse'.*removed"):
             DriverConfig().replace(sparse=True)
-        assert not {"incremental", "batched", "sparse"} & set(DriverConfig().to_dict())
+        with pytest.raises(RepairError, match="'warm_start'.*removed"):
+            DriverConfig(warm_start=True)
+        with pytest.raises(RepairError, match="'backend'.*removed"):
+            DriverConfig(backend="scipy")
+        removed = {"incremental", "batched", "sparse", "warm_start", "backend"}
+        assert not removed & set(DriverConfig().to_dict())
+        assert len(fields(DriverConfig)) == 9
 
     def test_saved_config_with_removed_knobs_decodes(self):
         """A ``to_dict`` payload written while the knobs existed still decodes.
 
-        Those payloads always carried ``incremental``/``batched``/``sparse``;
-        values the single path reproduces are dropped, any other is an error.
+        Those payloads carried ``incremental``/``batched``/``sparse`` and
+        ``warm_start``/``backend``; values the single path and the single
+        solver reproduce are dropped, any other is an error.
         """
-        config = DriverConfig(mode="polytope", max_rounds=3, backend="scipy")
-        for incremental in (False, True):
+        config = DriverConfig(mode="polytope", max_rounds=3)
+        for incremental, warm_start in ((False, True), (True, False)):
             saved = {
                 **config.to_dict(),
                 "incremental": incremental,
                 "batched": True,
                 "sparse": None,
+                "warm_start": warm_start,
+                "backend": None,
             }
             assert DriverConfig.from_dict(json.loads(json.dumps(saved))) == config
-        for knob, value in (("batched", False), ("sparse", True), ("sparse", False)):
+        for knob in ("backend", "lp_backend"):
+            for name in ("scipy", "highs"):
+                wire = json.loads(json.dumps({knob: name}))
+                assert DriverConfig.from_dict(wire) == DriverConfig()
+        for knob, value in (
+            ("batched", False),
+            ("sparse", True),
+            ("sparse", False),
+            ("backend", "simplex"),
+            ("backend", "race:scipy,simplex"),
+            ("lp_backend", "highs_native"),
+            ("warm_start", 1),
+        ):
             with pytest.raises(RepairError, match=f"'{knob}'.*removed"):
                 DriverConfig.from_dict({**config.to_dict(), knob: value})
 
@@ -163,11 +188,10 @@ class TestDriverConstruction:
 
 
 class TestConfigDifferential:
-    @pytest.mark.parametrize("warm_start", [False, True])
-    def test_json_config_run_matches_keyword_run(self, scenario, warm_start):
+    def test_json_config_run_matches_keyword_run(self, scenario):
         """In-process config run vs JSON-round-tripped config run: byte-identical."""
         network, spec = scenario
-        config = DriverConfig(max_rounds=8, norm="l1", warm_start=warm_start)
+        config = DriverConfig(max_rounds=8, norm="l1")
         keyword_report = RepairDriver(network, spec, SyrennVerifier(), config=config).run()
 
         wire = json.loads(json.dumps(config.to_dict()))

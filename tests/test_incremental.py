@@ -6,13 +6,13 @@ Three layers of pinning:
   invariance claim — value-channel point repair never changes the
   activation network's linear-region geometry, which is what makes the
   value-only re-verification fast path sound by construction;
-* a **differential matrix** (``parametrize`` over backend × oracle
-  assembly × warm-start × workers) asserting the driver's final delta equals
-  a one-shot ``point_repair`` of its final pool on the strengthened ACAS φ8
-  spec — byte-identically whenever the backend's warm start is exact;
-* unit tests for the new pieces: :class:`LPSession` append/solve,
-  :class:`WarmStart` handling in both backends, the engine's
-  ``evaluate_regions`` job, and the driver's incremental bookkeeping.
+* a **differential matrix** (``parametrize`` over solver × oracle
+  assembly × workers) asserting the driver's final delta equals a one-shot
+  ``point_repair`` of its final pool on the strengthened ACAS φ8 spec, byte
+  for byte;
+* unit tests for the new pieces: :class:`LPSession` append/solve, the
+  engine's ``evaluate_regions`` job, and the driver's incremental
+  bookkeeping.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.engine.jobs import chunk_spans
 from repro.exceptions import EngineError, LPError
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
 from repro.lp.backends import get_backend
-from repro.lp.model import LPModel, WarmStart
+from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from repro.models.acas_models import build_acas_network
@@ -43,8 +43,8 @@ from repro.syrenn.regions import geometry_digest
 from repro.utils.rng import ensure_rng
 from repro.utils.serialization import network_fingerprint
 from repro.verify import SyrennVerifier
-from tests.conftest import make_random_relu_network
-from tests.oracle import oracle_point_repair
+from tests.conftest import lp_solver, make_random_relu_network
+from tests.oracle import dense_standard_form, oracle_point_repair
 
 
 @pytest.fixture(scope="module")
@@ -165,29 +165,25 @@ class TestIncrementalDifferential:
     """The driver's final delta must equal a one-shot repair of its final pool."""
 
     @pytest.mark.parametrize(
-        "backend,sparse,warm,workers",
+        "backend,sparse,workers",
         [
-            ("scipy", True, True, 1),
-            ("scipy", False, True, 1),
-            ("scipy", True, False, 1),
-            ("scipy", True, True, 2),
-            ("simplex", False, False, 1),
-            ("simplex", True, True, 1),
+            ("scipy", True, 1),
+            ("scipy", False, 1),
+            ("scipy", True, 2),
+            ("simplex", False, 1),
+            ("simplex", True, 1),
         ],
     )
-    def test_incremental_matches_cold(self, acas_phi8, backend, sparse, warm, workers):
+    def test_incremental_matches_cold(self, acas_phi8, backend, sparse, workers):
         """Driver vs one-shot ``point_repair(base, layer, final pool)``.
 
-        Byte-identical whenever the backend's warm start is exact (or off);
-        otherwise outcome-level: certified, every pooled counterexample
-        satisfied, and the objective equal to 1e-9 relative.  The one-shot
-        LP is in turn checked against the per-point oracle assembled dense
-        or sparse.
+        Byte-identical on either solver: the session's appends build the
+        one-shot LP row for row, and every solve is cold.  The one-shot LP
+        is in turn checked against the per-point oracle assembled dense or
+        sparse.
         """
         network, spec = acas_phi8
-        config = DriverConfig(
-            max_rounds=20, warm_start=warm, max_new_counterexamples=4, backend=backend
-        )
+        config = DriverConfig(max_rounds=20, max_new_counterexamples=4)
 
         def run(engine=None):
             driver = RepairDriver(
@@ -195,42 +191,25 @@ class TestIncrementalDifferential:
             )
             return driver, driver.run()
 
-        if workers > 1:
-            with ShardedSyrennEngine(workers=workers, cache=False) as engine:
-                driver, report = run(engine)
-        else:
-            driver, report = run()
+        with lp_solver(backend):
+            if workers > 1:
+                with ShardedSyrennEngine(workers=workers, cache=False) as engine:
+                    driver, report = run(engine)
+            else:
+                driver, report = run()
 
-        assert report.status == "certified"
-        assert report.value_only_rounds > 0
-        assert report.unsatisfied_pool_indices == []
-        layer = [r.layer_index for r in report.rounds if r.repair_feasible][-1]
-        pool_spec = driver.pool.point_spec(margin=driver.repair_margin)
-        one_shot = point_repair(network, layer, pool_spec, backend=backend)
+            assert report.status == "certified"
+            assert report.value_only_rounds > 0
+            assert report.unsatisfied_pool_indices == []
+            layer = [r.layer_index for r in report.rounds if r.repair_feasible][-1]
+            pool_spec = driver.pool.point_spec(margin=driver.repair_margin)
+            one_shot = point_repair(network, layer, pool_spec)
+            reference = oracle_point_repair(network, layer, pool_spec, sparse=sparse)
         assert one_shot.feasible
-        reference = oracle_point_repair(
-            network, layer, pool_spec, backend=backend, sparse=sparse
-        )
         assert reference.objective_value == pytest.approx(
             one_shot.objective_value, rel=1e-9, abs=1e-12
         )
-
-        exact = not warm or get_backend(backend).warm_start_is_exact
-        if exact:
-            # Bit-for-bit: the session's appends built the one-shot LP.
-            assert value_parameters(report) == value_parameters_of(one_shot.network)
-        else:
-            # The simplex hot start pivots differently, so a degenerate
-            # optimal face may resolve to a different — equally optimal —
-            # vertex; at least one round must actually have consumed a handle.
-            assert report.warm_started_rounds > 0
-            final_delta = (
-                report.network.value.layers[layer].get_parameters()
-                - DecoupledNetwork.from_network(network).value.layers[layer].get_parameters()
-            )
-            assert np.abs(final_delta).max() == pytest.approx(
-                one_shot.objective_value, rel=1e-9, abs=1e-12
-            )
+        assert value_parameters(report) == value_parameters_of(one_shot.network)
 
     def test_rationed_intake_caps_pool_growth(self, acas_phi8):
         network, spec = acas_phi8
@@ -247,24 +226,20 @@ class TestIncrementalDifferential:
 
     def test_driver_round_records_incremental_fields(self, acas_phi8):
         network, spec = acas_phi8
-        report = RepairDriver(
-            network,
-            spec,
-            SyrennVerifier(),
-            config=DriverConfig(
-                max_rounds=20,
-                backend="simplex",
-                max_new_counterexamples=4,
-            ),
-        ).run()
+        with lp_solver("simplex"):
+            report = RepairDriver(
+                network,
+                spec,
+                SyrennVerifier(),
+                config=DriverConfig(max_rounds=20, max_new_counterexamples=4),
+            ).run()
         assert report.status == "certified"
         repaired = [r for r in report.rounds if r.repair_attempted]
         assert repaired[0].lp_rows_appended > 0
         assert report.lp_rows_appended == sum(r.lp_rows_appended for r in report.rounds)
-        # The simplex backend reports iteration counts and, from round 1 on,
-        # consumes its own warm-start handles.
+        # The simplex reports iteration counts; every solve is cold.
         assert all(r.lp_iterations is not None for r in repaired)
-        assert report.warm_started_rounds >= 1
+        assert report.warm_started_rounds == 0
         assert report.value_only_rounds == sum(r.verify_value_only for r in report.rounds)
         summary = report.as_dict()
         for key in (
@@ -316,21 +291,21 @@ class TestIncrementalRepairSession:
     def test_session_solves_are_monotone_supersets(self, rng):
         network, spec = self.toy_pool_spec(rng, 5)
         layer_index = network.parameterized_layer_indices()[-1]
-        session = IncrementalPointRepairSession(network, layer_index, backend="simplex")
         objectives = []
-        for index in range(spec.num_points):
-            session.append_points(
-                PointRepairSpec(
-                    points=spec.points[index : index + 1],
-                    constraints=spec.constraints[index : index + 1],
+        with lp_solver("simplex"):
+            session = IncrementalPointRepairSession(network, layer_index)
+            for index in range(spec.num_points):
+                session.append_points(
+                    PointRepairSpec(
+                        points=spec.points[index : index + 1],
+                        constraints=spec.constraints[index : index + 1],
+                    )
                 )
-            )
-            result = session.solve()
-            assert result.feasible
-            objectives.append(result.objective_value)
+                result = session.solve()
+                assert result.feasible
+                objectives.append(result.objective_value)
         # Each round adds constraints, so the minimal norm cannot shrink.
         assert all(b >= a - 1e-9 for a, b in zip(objectives, objectives[1:]))
-        assert session.last_solution.warm_start_used  # round 2+ hot-started
 
 
 class TestLPSession:
@@ -346,20 +321,28 @@ class TestLPSession:
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
     @pytest.mark.parametrize("sparse", [True, False])
     def test_appended_session_matches_cold_model(self, rng, backend, sparse):
-        model, delta = self.build_model(6, rng)
-        session = model.incremental_session(sparse=sparse, backend=backend)
-        first = session.solve()
-        extra = rng.normal(size=(3, 5))
-        rhs = rng.normal(size=3) + 4.0
-        model.add_leq_block(extra, rhs, delta)
-        assert session.append_rows() == 3
-        second = session.solve()
+        """The session vs a cold solve of its model, from CSR or dense form."""
 
-        cold_rng = ensure_rng(12345)
-        cold_model, cold_delta = self.build_model(6, cold_rng)
-        cold_first = cold_model.solve(backend, sparse=sparse)
-        cold_model.add_leq_block(extra, rhs, cold_delta)
-        cold_second = cold_model.solve(backend, sparse=sparse)
+        def cold_solve(model):
+            if sparse:
+                return model.solve()
+            return get_backend().solve(*dense_standard_form(model))
+
+        with lp_solver(backend):
+            model, delta = self.build_model(6, rng)
+            session = model.incremental_session()
+            first = session.solve()
+            extra = rng.normal(size=(3, 5))
+            rhs = rng.normal(size=3) + 4.0
+            model.add_leq_block(extra, rhs, delta)
+            assert session.append_rows() == 3
+            second = session.solve()
+
+            cold_rng = ensure_rng(12345)
+            cold_model, cold_delta = self.build_model(6, cold_rng)
+            cold_first = cold_solve(cold_model)
+            cold_model.add_leq_block(extra, rhs, cold_delta)
+            cold_second = cold_solve(cold_model)
         assert first.values.tobytes() == cold_first.values.tobytes()
         assert second.values.tobytes() == cold_second.values.tobytes()
         assert session.num_rows == cold_model.num_constraints
@@ -378,11 +361,12 @@ class TestLPSession:
         delta = model.add_variables(5, "d")
         model.add_leq_block(rng.normal(size=(4, 5)), rng.normal(size=4) + 3.0, delta)
         add_norm_objective(model, delta, "linf")  # two 5-row tail blocks
-        session = model.incremental_session(sparse=False, tail_blocks=2)
-        _, a_before, *_ = session.standard_form()
+        session = model.incremental_session(tail_blocks=2)
+        a_before = session.standard_form()[1].toarray()
         model.add_leq_block(np.ones((1, 5)), [10.0], delta)
         session.append_rows()
         _, a_after, b_after, *_ = session.standard_form()
+        a_after = a_after.toarray()
         # The appended row sits *above* the pinned norm tail...
         np.testing.assert_array_equal(a_after[4], np.concatenate([np.ones(5), [0.0]]))
         # ...and the tail still occupies the bottom rows.
@@ -397,105 +381,6 @@ class TestLPSession:
         solution = session.solve()
         assert solution.status is LPStatus.OPTIMAL
         assert solution.values.size == 0
-
-    def test_foreign_warm_start_is_dropped(self, rng):
-        model, _ = self.build_model(4, rng)
-        session = model.incremental_session(backend="scipy")
-        foreign = WarmStart(backend="simplex", values=np.zeros(5), payload={"n": 5})
-        solution = session.solve(warm_start=foreign)
-        assert solution.status is LPStatus.OPTIMAL
-        assert not solution.warm_start_used
-
-
-class TestWarmStartBackends:
-    def fence_model(self):
-        """min ||d||_inf subject to d_i >= 0.5 — optimum 0.5."""
-        model = LPModel()
-        delta = model.add_variables(4, "d")
-        add_norm_objective(model, delta, "linf")
-        model.add_leq_block(-np.eye(4), -np.full(4, 0.5), delta)
-        return model, delta
-
-    def test_simplex_dual_warm_start_matches_cold_objective(self):
-        model, delta = self.fence_model()
-        session = model.incremental_session(backend="simplex", sparse=False)
-        first = session.solve()
-        assert first.warm_start is not None and first.warm_start.payload is not None
-        model.add_leq_block(np.array([[-1.0, -1.0, 0.0, 0.0]]), [-1.4], delta)
-        session.append_rows()
-        warm = session.solve(warm_start=first.warm_start)
-        assert warm.warm_start_used
-        cold = model.solve("simplex")
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        # The hot start skips phase 1 entirely: far fewer pivots than cold.
-        assert warm.iterations < cold.iterations
-
-    def test_simplex_warm_start_detects_appended_infeasibility(self):
-        model, delta = self.fence_model()
-        session = model.incremental_session(backend="simplex", sparse=False)
-        first = session.solve()
-        model.add_leq_block(np.eye(4)[:1], [0.1], delta)  # d0 <= 0.1 contradicts
-        session.append_rows()
-        warm = session.solve(warm_start=first.warm_start)
-        assert warm.status is LPStatus.INFEASIBLE
-        assert warm.warm_start_used
-
-    def test_simplex_incompatible_payload_falls_back_cold(self):
-        model, _ = self.fence_model()
-        session = model.incremental_session(backend="simplex", sparse=False)
-        stale = WarmStart(
-            backend="simplex", values=np.zeros(4), payload={"n": 99, "num_eq": 0}
-        )
-        solution = session.solve(warm_start=stale)
-        assert solution.status is LPStatus.OPTIMAL
-        assert not solution.warm_start_used
-
-    def test_scipy_highs_ignores_warm_start_exactly(self):
-        model, delta = self.fence_model()
-        session = model.incremental_session(backend="scipy")
-        first = session.solve()
-        model.add_leq_block(np.array([[-1.0, -1.0, 0.0, 0.0]]), [-1.4], delta)
-        session.append_rows()
-        warm = session.solve(warm_start=first.warm_start)
-        cold = model.solve("scipy")
-        assert not warm.warm_start_used
-        assert warm.values.tobytes() == cold.values.tobytes()
-        assert warm.iterations is not None
-
-    def test_warm_start_exactness_flags(self):
-        assert get_backend("scipy").warm_start_is_exact
-        assert not get_backend("simplex").warm_start_is_exact
-
-    def test_scipy_x0_method_falls_back_cold_when_guess_rejected(self):
-        """A warm handle must never produce a spurious failure (base contract).
-
-        ``revised simplex`` is the one linprog method that consumes ``x0``;
-        once appended rows cut off the previous optimum, linprog rejects the
-        guess (status 4) — the backend must silently retry cold instead of
-        surfacing LPStatus.ERROR.
-        """
-        import warnings
-
-        from repro.lp.backends.scipy_backend import ScipyBackend
-
-        backend = ScipyBackend("revised simplex")
-        assert not backend.warm_start_is_exact
-        model, delta = self.fence_model()
-        with warnings.catch_warnings():
-            # scipy deprecates the method; the fallback contract is what we
-            # pin here, not the method's lifecycle.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            first = backend.solve(*model.standard_form(sparse=False))
-            assert first.status is LPStatus.OPTIMAL
-            # The cut makes the prior optimum (0.5, 0.5, ...) infeasible,
-            # so the guess cannot seed a basic feasible solution.
-            model.add_leq_block(np.array([[-1.0, -1.0, 0.0, 0.0]]), [-1.4], delta)
-            warm = backend.solve(
-                *model.standard_form(sparse=False), warm_start=first.warm_start
-            )
-            cold = backend.solve(*model.standard_form(sparse=False))
-        assert warm.status is LPStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
 class TestEvaluateRegionsJob:

@@ -1,4 +1,9 @@
-"""Tests for the LP modelling layer, norm objectives, and the backend portfolio."""
+"""Tests for the LP modelling layer, norm objectives, and the solver.
+
+The library's one solver (scipy/HiGHS) is cross-checked against the
+reference simplex of :mod:`tests.simplex`, substituted through the
+``_BACKENDS`` seam by :func:`tests.conftest.lp_solver`.
+"""
 
 from __future__ import annotations
 
@@ -6,27 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.obs as obs
 from repro.exceptions import LPError
-from repro.lp.backends import (
-    available_backends,
-    backend_capabilities,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
-from repro.lp.backends.highs_native import HIGHSPY_AVAILABLE, HighsNativeBackend
+from repro.lp.backends import ScipyBackend, get_backend
 from repro.lp.expression import LinearExpression
-from repro.lp.model import LPModel, WarmStart
+from repro.lp.model import LPModel
 from repro.lp.norms import add_l1_objective, add_linf_objective, add_norm_objective
 from repro.lp.status import LPStatus
+from tests.conftest import lp_solver
+from tests.oracle import dense_standard_form
+from tests.simplex import SimplexBackend
 
 BACKENDS = ("scipy", "simplex")
-
-#: Every spec the equivalence oracle runs: all registered backends (the
-#: ``highs`` alias included, and ``highs_native`` in whichever mode the
-#: environment provides — native or degraded) plus a racing portfolio.
-PORTFOLIO = available_backends() + ("race:scipy,simplex",)
 
 
 class TestLPModelConstruction:
@@ -70,6 +65,23 @@ class TestLPModelConstruction:
         assert solution.status is LPStatus.OPTIMAL
         assert solution.objective == 0.0
 
+    @pytest.mark.parametrize(
+        "equality,rhs,expected",
+        [
+            (False, -1.0, LPStatus.INFEASIBLE),  # 0 <= -1
+            (False, 0.0, LPStatus.OPTIMAL),  # 0 <= 0
+            (True, 1.0, LPStatus.INFEASIBLE),  # 0 == 1
+            (True, 0.0, LPStatus.OPTIMAL),  # 0 == 0
+        ],
+    )
+    def test_rows_without_variables_decide_feasibility(self, equality, rhs, expected):
+        """With no variables every row is a constant claim about its rhs."""
+        model = LPModel()
+        add_block = model.add_eq_block if equality else model.add_leq_block
+        add_block(np.zeros((1, 0)), [rhs], columns=[])
+        assert model.solve().status is expected
+        assert model.incremental_session().solve().status is expected
+
     def test_standard_form_shapes(self):
         model = LPModel()
         indices = model.add_variables(2, lower=0.0)
@@ -92,7 +104,8 @@ class TestBackendsOnKnownProblems:
         model.add_geq(LinearExpression({x: 1.0, y: 1.0}), 1.0)
         model.set_objective_coefficient(x, 1.0)
         model.set_objective_coefficient(y, 1.0)
-        solution = model.solve(backend)
+        with lp_solver(backend):
+            solution = model.solve()
         assert solution.status is LPStatus.OPTIMAL
         assert solution.objective == pytest.approx(1.0, abs=1e-6)
 
@@ -102,7 +115,8 @@ class TestBackendsOnKnownProblems:
         x = model.add_variable()
         model.add_eq(LinearExpression({x: 1.0}), 3.0)
         model.set_objective_coefficient(x, 1.0)
-        solution = model.solve(backend)
+        with lp_solver(backend):
+            solution = model.solve()
         assert solution.status is LPStatus.OPTIMAL
         assert solution.values[x] == pytest.approx(3.0, abs=1e-6)
 
@@ -111,7 +125,8 @@ class TestBackendsOnKnownProblems:
         x = model.add_variable()
         model.add_leq(LinearExpression({x: 1.0}), 0.0)
         model.add_geq(LinearExpression({x: 1.0}), 1.0)
-        solution = model.solve(backend)
+        with lp_solver(backend):
+            solution = model.solve()
         assert solution.status is LPStatus.INFEASIBLE
 
     def test_unbounded_detected(self, backend):
@@ -119,7 +134,8 @@ class TestBackendsOnKnownProblems:
         x = model.add_variable()
         model.add_leq(LinearExpression({x: 1.0}), 5.0)
         model.set_objective_coefficient(x, 1.0)  # minimize x, unbounded below
-        solution = model.solve(backend)
+        with lp_solver(backend):
+            solution = model.solve()
         assert solution.status in (LPStatus.UNBOUNDED, LPStatus.INFEASIBLE, LPStatus.ERROR)
         assert solution.status is not LPStatus.OPTIMAL
 
@@ -129,7 +145,8 @@ class TestBackendsOnKnownProblems:
         x = model.add_variable(lower=0.0)
         model.add_leq_block(np.array([[-1.0]]), [-2.0], [x])
         model.set_objective_coefficient(x, 1.0)
-        solution = model.solve(backend)
+        with lp_solver(backend):
+            solution = model.solve()
         assert solution.status is LPStatus.OPTIMAL
         assert solution.values[x] == pytest.approx(2.0, abs=1e-6)
 
@@ -137,7 +154,8 @@ class TestBackendsOnKnownProblems:
         model = LPModel()
         x = model.add_variable(lower=-2.0, upper=2.0)
         model.set_objective_coefficient(x, 1.0)
-        solution = model.solve(backend)
+        with lp_solver(backend):
+            solution = model.solve()
         assert solution.status is LPStatus.OPTIMAL
         assert solution.values[x] == pytest.approx(-2.0, abs=1e-6)
 
@@ -193,70 +211,16 @@ class TestNormObjectives:
 
 
 class TestBackendRegistry:
-    def test_available_backends(self):
-        names = available_backends()
-        assert "scipy" in names and "simplex" in names and "highs_native" in names
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(LPError):
-            get_backend("gurobi")
-
     def test_default_backend(self):
-        assert get_backend(None).name == "scipy"
-
-    def test_race_spec_instantiates_members_in_order(self):
-        race = get_backend("race:simplex,scipy")
-        assert race.name == "race:simplex,scipy"
-        assert [member.name for member in race.backends] == ["simplex", "scipy"]
-        assert race.preferred.name == "simplex"
-        # The portfolio's capabilities are the preferred member's.
-        assert race.supports_sparse is get_backend("simplex").supports_sparse
-        assert race.warm_start_is_exact is get_backend("simplex").warm_start_is_exact
-
-    @pytest.mark.parametrize("spec", ["race:", "race:scipy", "race:scipy,scipy"])
-    def test_malformed_race_specs_rejected(self, spec):
-        with pytest.raises(LPError):
-            get_backend(spec)
-
-    def test_race_of_unknown_member_rejected(self):
-        with pytest.raises(LPError):
-            get_backend("race:scipy,gurobi")
-
-    def test_register_backend_roundtrip(self):
-        class StubBackend(get_backend("simplex").__class__):
-            name = "stub_for_registry_test"
-
-        register_backend("stub_for_registry_test", StubBackend)
-        try:
-            assert "stub_for_registry_test" in available_backends()
-            assert isinstance(get_backend("stub_for_registry_test"), StubBackend)
-            # Registered stubs can immediately join a racing portfolio.
-            race = get_backend("race:scipy,stub_for_registry_test")
-            assert [member.name for member in race.backends][1] == "stub_for_registry_test"
-        finally:
-            unregister_backend("stub_for_registry_test")
-        assert "stub_for_registry_test" not in available_backends()
-
-    def test_race_prefix_not_registrable(self):
-        with pytest.raises(LPError):
-            register_backend("race:sneaky", get_backend("simplex").__class__)
-
-    def test_capability_probe_reports_degradation(self):
-        probe = backend_capabilities("highs_native")
-        assert probe["name"] == "highs_native"
-        assert probe["available"] is HIGHSPY_AVAILABLE
-        assert probe["supports_sparse"] is True
-        assert probe["members"] == []
-
-    def test_capability_probe_recurses_into_races(self):
-        probe = backend_capabilities("race:highs_native,scipy")
-        assert [member["name"] for member in probe["members"]] == ["highs_native", "scipy"]
-        # A race is only "available" when every member's solver is present.
-        assert probe["available"] is HIGHSPY_AVAILABLE
+        solver = get_backend()
+        assert isinstance(solver, ScipyBackend) and solver.name == "scipy"
+        # The seam the test-suite substitutes through.
+        with lp_solver("simplex"):
+            assert isinstance(get_backend(), SimplexBackend)
 
 
 class TestBackendAgreement:
-    """Property-based cross-check of the two backends on random feasible LPs."""
+    """Property-based cross-check of the solver and the reference simplex."""
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -274,7 +238,8 @@ class TestBackendAgreement:
             delta = model.add_variables(num_vars, lower=-50.0, upper=50.0)
             model.add_leq_block(matrix, rhs, delta)
             add_l1_objective(model, delta)
-            solutions[backend] = model.solve(backend)
+            with lp_solver(backend):
+                solutions[backend] = model.solve()
 
         for backend, solution in solutions.items():
             assert solution.status is LPStatus.OPTIMAL, backend
@@ -286,15 +251,14 @@ class TestBackendAgreement:
 
 
 class TestBackendPortfolioOracle:
-    """Property-based equivalence oracle over the whole backend portfolio.
+    """Property-based equivalence oracle: the solver against the references.
 
     Random standard forms with a *known* status class (feasible-bounded,
-    infeasible, unbounded) are solved by every registered backend — aliases,
-    the (possibly degraded) native backend, and a racing spec included — in
-    both dense and sparse representations.  All solves must agree on status,
-    and on the objective within tolerance when optimal.  This is the
-    contract solver racing leans on: any member's status answer can stand in
-    for any other's.
+    infeasible, unbounded) are solved three ways: by the library (the CSR
+    form), by the same solver on the dense by-eye form of
+    :func:`tests.oracle.dense_standard_form`, and by the reference simplex.
+    All solves must agree on status, and on the objective within tolerance
+    when optimal.
     """
 
     @staticmethod
@@ -328,7 +292,6 @@ class TestBackendPortfolioOracle:
     @given(data=st.data())
     def test_portfolio_agrees_on_random_standard_forms(self, data):
         kind = data.draw(st.sampled_from(["feasible", "infeasible", "unbounded"]))
-        sparse = data.draw(st.booleans())
         num_vars = data.draw(st.integers(1, 4))
         num_rows = data.draw(st.integers(1, 5))
         seed = data.draw(st.integers(0, 10_000))
@@ -338,12 +301,12 @@ class TestBackendPortfolioOracle:
             "infeasible": LPStatus.INFEASIBLE,
             "unbounded": LPStatus.UNBOUNDED,
         }[kind]
-        solutions = {}
-        for backend in PORTFOLIO:
-            # A fresh, identically-seeded generator per backend: every member
-            # of the portfolio sees the exact same standard form.
-            model = self._build(kind, np.random.default_rng(seed), num_vars, num_rows)
-            solutions[backend] = model.solve(backend, sparse=sparse)
+        model = self._build(kind, np.random.default_rng(seed), num_vars, num_rows)
+        solutions = {
+            "scipy": model.solve(),
+            "scipy-dense": ScipyBackend().solve(*dense_standard_form(model)),
+            "simplex": SimplexBackend().solve(*model.standard_form()),
+        }
 
         statuses = {backend: solution.status for backend, solution in solutions.items()}
         assert set(statuses.values()) == {expected}, statuses
@@ -351,172 +314,3 @@ class TestBackendPortfolioOracle:
             objectives = [solution.objective for solution in solutions.values()]
             for objective in objectives[1:]:
                 assert objective == pytest.approx(objectives[0], abs=1e-5, rel=1e-5)
-
-
-class TestScipyWarmStartFallback:
-    """The scipy backend must account for every handle it cannot exploit."""
-
-    @staticmethod
-    def _simple_form():
-        model = LPModel()
-        x = model.add_variable(lower=0.0)
-        model.add_leq_block(np.array([[-1.0]]), [-2.0], [x])
-        model.set_objective_coefficient(x, 1.0)
-        return model.standard_form()
-
-    def test_default_method_counts_rejected_handle(self):
-        form = self._simple_form()
-        backend = get_backend("scipy")
-        handle = WarmStart(backend="scipy", values=np.array([2.0]))
-        with obs.isolated():
-            solution = backend.solve(*form, warm_start=handle)
-            counted = obs.counter(
-                "repro_lp_warmstart_fallback_total", labels=("backend", "reason")
-            ).value(backend="scipy", reason="method_rejects_x0")
-        # HiGHS takes no x0: the solve is cold, and — unlike a solve that was
-        # never handed a handle — the drop is visible in telemetry.
-        assert solution.status is LPStatus.OPTIMAL
-        assert solution.warm_start_used is False
-        assert counted == 1.0
-
-    def test_no_handle_supplied_counts_nothing(self):
-        form = self._simple_form()
-        backend = get_backend("scipy")
-        with obs.isolated():
-            solution = backend.solve(*form)
-            counted = obs.counter(
-                "repro_lp_warmstart_fallback_total", labels=("backend", "reason")
-            ).value(backend="scipy", reason="method_rejects_x0")
-        assert solution.warm_start_used is False
-        assert counted == 0.0
-
-    # scipy deprecates "revised simplex" (the one linprog method with x0);
-    # the shape-mismatch path is only reachable through it, so tolerate the
-    # deprecation here rather than suite-wide.
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_shape_mismatch_counted(self):
-        from repro.lp.backends.scipy_backend import ScipyBackend
-
-        form = self._simple_form()
-        backend = ScipyBackend(method="revised simplex")
-        stale = WarmStart(backend="scipy", values=np.array([1.0, 2.0, 3.0]))
-        with obs.isolated():
-            solution = backend.solve(*form, warm_start=stale)
-            counted = obs.counter(
-                "repro_lp_warmstart_fallback_total", labels=("backend", "reason")
-            ).value(backend="scipy", reason="shape_mismatch")
-        assert solution.status is LPStatus.OPTIMAL
-        assert solution.warm_start_used is False
-        assert counted == 1.0
-
-
-class TestHighsNativeDegraded:
-    """Without ``highspy`` the native backend degrades — loudly."""
-
-    def test_degradation_is_flagged(self):
-        if HIGHSPY_AVAILABLE:
-            pytest.skip("highspy installed; degraded path not reachable")
-        backend = HighsNativeBackend()
-        assert backend.available is False
-        form = TestScipyWarmStartFallback._simple_form()
-        with obs.isolated():
-            solution = backend.solve(*form)
-            counted = obs.counter(
-                "repro_lp_backend_fallback_total", labels=("backend", "reason")
-            ).value(backend="highs_native", reason="highspy_missing")
-        assert solution.status is LPStatus.OPTIMAL
-        assert counted == 1.0
-
-    def test_degraded_backend_accepts_scipy_handles(self):
-        if HIGHSPY_AVAILABLE:
-            pytest.skip("highspy installed; degraded path not reachable")
-        backend = HighsNativeBackend()
-        assert backend.accepts_handle(WarmStart(backend="scipy", values=np.zeros(1)))
-        assert backend.accepts_handle(WarmStart(backend="highs_native", values=np.zeros(1)))
-        assert not backend.accepts_handle(WarmStart(backend="simplex", values=np.zeros(1)))
-
-
-@pytest.mark.requires_highspy
-class TestHighsNativeBackend:
-    """Native-API behaviour; the whole class skips without ``highspy``."""
-
-    def test_native_solve_matches_scipy(self):
-        model = LPModel()
-        delta = model.add_variables(3, lower=-10.0, upper=10.0)
-        rng = np.random.default_rng(3)
-        matrix = rng.normal(size=(4, 3))
-        rhs = matrix @ rng.uniform(-1, 1, size=3) + 0.5
-        model.add_leq_block(matrix, rhs, delta)
-        add_l1_objective(model, delta)
-        native = model.solve("highs_native")
-        reference = model.solve("scipy")
-        assert native.status is LPStatus.OPTIMAL
-        assert native.objective == pytest.approx(reference.objective, abs=1e-6)
-
-    def test_native_mints_basis_handles(self):
-        model = LPModel()
-        x = model.add_variable(lower=0.0)
-        model.add_leq_block(np.array([[-1.0]]), [-2.0], [x])
-        model.set_objective_coefficient(x, 1.0)
-        backend = get_backend("highs_native")
-        solution = backend.solve(*model.standard_form())
-        assert solution.warm_start is not None
-        assert solution.warm_start.backend == "highs_native"
-        assert "col_status" in solution.warm_start.payload
-        assert "row_status" in solution.warm_start.payload
-        assert "token" in solution.warm_start.payload
-
-    def test_payloadless_handle_on_append_not_reported_used(self):
-        """On the append path a handle whose payload was never installed
-        must not be reported as used — ``warm_start_used`` means *this*
-        handle steered the solve, not merely "warm state existed"."""
-        model = LPModel()
-        delta = model.add_variables(2, lower=-5.0, upper=5.0)
-        model.add_leq_block(np.array([[1.0, 1.0]]), [4.0], delta)
-        add_l1_objective(model, delta)
-        session = model.incremental_session(backend="highs_native")
-        first = session.solve()
-        assert first.status is LPStatus.OPTIMAL
-        model.add_leq_block(np.array([[-1.0, 0.0]]), [-1.0], delta)
-        session.append_rows()
-        bare = WarmStart(backend="highs_native", values=first.values)
-        second = session.solve(warm_start=bare)
-        assert second.status is LPStatus.OPTIMAL
-        assert second.warm_start_used is False
-
-    def test_foreign_handle_on_append_installed_via_basis(self):
-        """A handle minted by a *different* native instance is genuinely
-        installed (basis extended with basic slacks), so reporting it used
-        is honest."""
-        model = LPModel()
-        delta = model.add_variables(2, lower=-5.0, upper=5.0)
-        model.add_leq_block(np.array([[1.0, 1.0]]), [4.0], delta)
-        add_l1_objective(model, delta)
-        foreign = get_backend("highs_native").solve(*model.standard_form(sparse=True))
-        assert foreign.warm_start is not None and foreign.warm_start.payload
-        session = model.incremental_session(backend="highs_native")
-        first = session.solve()
-        assert first.status is LPStatus.OPTIMAL
-        model.add_leq_block(np.array([[-1.0, 0.0]]), [-1.0], delta)
-        session.append_rows()
-        second = session.solve(warm_start=foreign.warm_start)
-        assert second.status is LPStatus.OPTIMAL
-        assert second.warm_start_used is True
-
-    def test_incremental_session_reuses_basis(self):
-        model = LPModel()
-        delta = model.add_variables(2, lower=-5.0, upper=5.0)
-        model.add_leq_block(np.array([[1.0, 1.0]]), [4.0], delta)
-        add_l1_objective(model, delta)
-        session = model.incremental_session(backend="highs_native")
-        first = session.solve()
-        assert first.status is LPStatus.OPTIMAL
-        model.add_leq_block(np.array([[-1.0, 0.0]]), [-1.0], delta)
-        session.append_rows()
-        second = session.solve(warm_start=first.warm_start)
-        assert second.status is LPStatus.OPTIMAL
-        assert second.warm_start_used is True
-
-    def test_exactness_honestly_reported(self):
-        backend = get_backend("highs_native")
-        assert backend.warm_start_is_exact is False

@@ -4,8 +4,7 @@ Four layers of pinning:
 
 * a **differential matrix**: driver runs with a ``memory_budget`` — tiny
   (single-point chunks plus pool spilling), ragged (a few points per
-  chunk), and huge (one chunk) — × LP warm start on/off reproduce the
-  unbudgeted run byte for byte on the strengthened ACAS φ8 spec and on an
+  chunk), and huge (one chunk) — reproduce the unbudgeted run byte for byte on the strengthened ACAS φ8 spec and on an
   MNIST-fog digits spec, including with a 4-worker engine sharding chunk
   production;
 * a **property-based oracle** (hypothesis): *any* chunk partition of the
@@ -60,6 +59,7 @@ from repro.experiments.task1_imagenet import (
     pointwise_verification_spec,
 )
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
+from repro.lp.backends import get_backend
 from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.models.acas_models import build_acas_network
@@ -68,6 +68,7 @@ from repro.utils.rng import ensure_rng
 from repro.verify.base import Counterexample, RegionStatus, VerificationSpec
 from repro.verify.sampling import GridVerifier
 from tests.conftest import make_random_relu_network, prefix_cache_off
+from tests.oracle import dense_standard_form
 from tests.test_incremental import assert_reports_identical, value_parameters
 
 #: A budget so small every tier degenerates: single-point chunk batches,
@@ -207,13 +208,19 @@ class TestFiniteDifferenceBatch:
 
 
 def one_block_delta(ddnn, layer, spec, *, sparse: bool):
-    """The whole spec's rows as one dense LP block, solved cold (or ``None``)."""
+    """The whole spec's rows as one dense LP block, solved cold (or ``None``).
+
+    ``sparse=False`` solves the dense by-eye standard form instead of CSR.
+    """
     model = LPModel()
     delta = model.add_variables(ddnn.value.layers[layer].num_parameters, "delta")
     add_norm_objective(model, delta, "linf")
     lhs, rhs = _encode_batch(ddnn, layer, spec)
     model.add_leq_block(lhs, rhs, delta)
-    solution = model.solve(sparse=sparse)
+    if sparse:
+        solution = model.solve()
+    else:
+        solution = get_backend().solve(*dense_standard_form(model))
     return solution.value_of(delta) if solution.status.is_optimal else None
 
 
@@ -376,7 +383,7 @@ class TestAtomicCheckpoint:
 class TestDriverDifferential:
     """Budgeted driver runs reproduce unbudgeted runs byte for byte."""
 
-    def run(self, network, spec, *, memory_budget=None, warm_start=True, engine=None):
+    def run(self, network, spec, *, memory_budget=None, engine=None):
         from repro.verify import SyrennVerifier
 
         return RepairDriver(
@@ -385,24 +392,18 @@ class TestDriverDifferential:
             SyrennVerifier(engine=engine),
             config=DriverConfig(
                 max_rounds=20,
-                warm_start=warm_start,
                 max_new_counterexamples=4,
                 memory_budget=memory_budget,
             ),
         ).run()
 
-    @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize(
         "memory_budget", [TINY_BUDGET, RAGGED_BUDGET, HUGE_BUDGET]
     )
-    def test_budgeted_matches_unbudgeted_on_acas(
-        self, acas_phi8, memory_budget, warm_start
-    ):
+    def test_budgeted_matches_unbudgeted_on_acas(self, acas_phi8, memory_budget):
         network, spec = acas_phi8
-        reference = self.run(network, spec, warm_start=warm_start)
-        budgeted = self.run(
-            network, spec, memory_budget=memory_budget, warm_start=warm_start
-        )
+        reference = self.run(network, spec)
+        budgeted = self.run(network, spec, memory_budget=memory_budget)
         assert reference.status == "certified"
         assert budgeted.status == "certified"
         assert budgeted.num_rounds == reference.num_rounds
@@ -630,18 +631,13 @@ class TestPrefixCacheDifferential:
     def run(self, network, spec, **knobs):
         return TestDriverDifferential().run(network, spec, **knobs)
 
-    @pytest.mark.parametrize("warm_start", [False, True])
     @pytest.mark.parametrize("memory_budget", [None, TINY_BUDGET, RAGGED_BUDGET])
-    def test_acas_cached_matches_uncached(self, acas_phi8, memory_budget, warm_start):
+    def test_acas_cached_matches_uncached(self, acas_phi8, memory_budget):
         network, spec = acas_phi8
         with served_batches() as served:
-            cached = self.run(
-                network, spec, memory_budget=memory_budget, warm_start=warm_start
-            )
+            cached = self.run(network, spec, memory_budget=memory_budget)
         with prefix_cache_off():
-            uncached = self.run(
-                network, spec, memory_budget=memory_budget, warm_start=warm_start
-            )
+            uncached = self.run(network, spec, memory_budget=memory_budget)
         assert cached.status == "certified"
         assert served
         assert_same_outcome(cached, uncached)

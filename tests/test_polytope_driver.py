@@ -6,7 +6,7 @@ Three layers of pinning:
   bugs (equal counterexamples must never evade dedup, or the driver's stall
   detection can be fooled forever), activation-pattern-aware region keys,
   and the region checkpoint/resume round-trip;
-* a **differential matrix** (backend × oracle assembly × workers × chunk
+* a **differential matrix** (solver × oracle assembly × workers × chunk
   budget) pinning the polytope driver's round-1 repair byte-identical to
   one-shot :func:`~repro.core.polytope_repair.polytope_repair` on the same
   spec — the two must build the same LP row for row when every region is
@@ -49,7 +49,7 @@ from repro.verify import (
     SyrennVerifier,
     VerificationSpec,
 )
-from tests.conftest import make_random_relu_network
+from tests.conftest import lp_solver, make_random_relu_network
 from tests.oracle import oracle_point_repair
 
 CONSTRAINT = HPolytope([[1.0, 0.0]], [0.5])
@@ -86,8 +86,8 @@ def polytope_scenario():
     on it and re-assert it as a precondition.
     """
     rng = ensure_rng(3)
-    # Small enough that the educational simplex backend solves the one-shot
-    # LP too (the differential matrix covers both backends).
+    # Small enough that the reference simplex solves the one-shot LP too
+    # (the differential matrix covers both solvers).
     network = make_random_relu_network(rng, (2, 6, 5, 3))
     predictions = network.predict(rng.uniform(-1.0, 1.0, size=(500, 2)))
     loser = int(np.argmin(np.bincount(predictions, minlength=3)))
@@ -319,18 +319,18 @@ class TestPolytopeDriverDifferential:
     On an all-regions-violated spec the round-1 pool expands to exactly the
     key points ``reduce_to_key_points`` generates, in the same order, so the
     repair LP — and therefore the applied delta — must be byte-identical,
-    across LP backends, chunk budgets (``budgeted`` streams the rows in tiny
+    on the solver and the reference simplex, across chunk budgets (``budgeted`` streams the rows in tiny
     chunks) and a pooled 4-worker engine.  The one-shot repair itself is
     checked against the per-point oracle once, assembled dense and sparse.
     """
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_one_shot_matches_oracle(self, polytope_scenario, sparse):
-        # The LP itself is pinned on scipy: the educational simplex lands on
+        # The LP itself is pinned on scipy: the reference simplex lands on
         # last-bit-different LPs at visibly different (inexact) optima.
         network, spec = polytope_scenario
         layer = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
-        one_shot = polytope_repair(network, layer, spec, backend="scipy")
+        one_shot = polytope_repair(network, layer, spec)
         assert one_shot.feasible
         points, activations, constraints = reduce_to_key_points(network, spec)
         oracle = oracle_point_repair(
@@ -341,7 +341,6 @@ class TestPolytopeDriverDifferential:
                 constraints=constraints,
                 activation_points=np.array(activations),
             ),
-            backend="scipy",
             sparse=sparse,
         )
         assert oracle.objective_value == pytest.approx(
@@ -361,7 +360,8 @@ class TestPolytopeDriverDifferential:
     def test_round1_matches_one_shot(self, polytope_scenario, backend, budgeted, pooled):
         network, spec = polytope_scenario
         layer = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
-        one_shot = polytope_repair(network, layer, spec, backend=backend)
+        with lp_solver(backend):
+            one_shot = polytope_repair(network, layer, spec)
         assert one_shot.feasible
 
         def run(engine=None):
@@ -374,17 +374,17 @@ class TestPolytopeDriverDifferential:
                     layer_schedule=[layer],
                     max_rounds=1,
                     repair_margin=0.0,
-                    backend=backend,
                     memory_budget=4_096 if budgeted else None,
                 ),
                 engine=engine,
             ).run()
 
-        if pooled:
-            with ShardedSyrennEngine(workers=4, cache=False) as engine:
-                report = run(engine)
-        else:
-            report = run()
+        with lp_solver(backend):
+            if pooled:
+                with ShardedSyrennEngine(workers=4, cache=False) as engine:
+                    report = run(engine)
+            else:
+                report = run()
 
         # Precondition: the pool expanded to one-shot's exact key points.
         assert report.rounds[0].pool_key_points == one_shot.num_key_points

@@ -79,11 +79,11 @@ def imagenet_document(*, results: list[dict] | None = None) -> dict:
     return {"benchmark": "imagenet_scaling", "results": results}
 
 
-def backend_entry(slug: str, round_seconds: float, *, available: bool = True) -> dict:
-    """One per-backend portfolio entry as bench_incremental records it."""
+def backend_entry(slug: str, round_seconds: float) -> dict:
+    """One per-backend portfolio entry as bench_incremental once recorded it."""
     return {
         "slug": slug,
-        "available": available,
+        "available": True,
         "warm_start_is_exact": True,
         "cold_mean_round_seconds": round_seconds * 2.0,
         "incremental_mean_round_seconds": round_seconds,
@@ -114,39 +114,18 @@ class TestExtract:
         # older artifacts still carrying it must not resurrect the series.
         assert "incremental_round_speedup" not in series
 
-    def test_per_backend_round_cost_series(self):
+    def test_legacy_backend_tables_are_ignored(self):
+        """Artifacts from before the single LP solver carried per-backend
+        tables; they still grade, on the overall series only."""
         document = incremental_document(
             backends={
                 "scipy": backend_entry("scipy", 0.2),
-                "race:highs_native,scipy": backend_entry(
-                    "race_highs_native_scipy", 0.3, available=False
-                ),
+                "race:highs_native,scipy": backend_entry("race_highs_native_scipy", 0.3),
             }
         )
         series = sentinel.extract(document)
-        assert series["incremental_backend_scipy_round_seconds"] == {
-            "value": 0.2,
-            "direction": "lower",
-        }
-        # Degraded portfolio entries still grade — they measure the spec's
-        # real cost (racing overhead included) in this environment.
-        assert series["incremental_backend_race_highs_native_scipy_round_seconds"][
-            "value"
-        ] == pytest.approx(0.3)
-
-    def test_per_backend_series_average_across_rations(self):
-        document = incremental_document(
-            backends={"scipy": backend_entry("scipy", 0.2)}
-        )
-        document["results"].append(
-            {
-                "incremental": {"mean_round_seconds": 0.5},
-                "round_speedup": 2.0,
-                "backends": {"scipy": backend_entry("scipy", 0.4)},
-            }
-        )
-        series = sentinel.extract(document)
-        assert series["incremental_backend_scipy_round_seconds"]["value"] == pytest.approx(0.3)
+        assert series["incremental_mean_round_seconds"]["value"] == 0.5
+        assert not any(name.startswith("incremental_backend_") for name in series)
 
     def test_documents_without_backend_tables_extract_cleanly(self):
         document = incremental_document()

@@ -342,12 +342,17 @@ class TestHTTPEndToEnd:
         """A job naming a removed driver knob is a 400, never a failed job."""
         client, _ = http_server
         network, spec = plane_scenario(7)
-        job = make_job("repair", network, spec)
-        job["config"] = {"sparse": True}  # past the client-side validation
         known = {entry["id"] for entry in client.jobs()}
-        with pytest.raises(ServiceError, match="removed") as rejected:
-            client.submit(job)
-        assert rejected.value.status == 400
+        for config in (
+            {"sparse": True},
+            {"backend": "simplex"},
+            {"backend": "race:scipy,simplex"},
+        ):
+            job = make_job("repair", network, spec)
+            job["config"] = config  # past the client-side validation
+            with pytest.raises(ServiceError, match="removed") as rejected:
+                client.submit(job)
+            assert rejected.value.status == 400
         assert {entry["id"] for entry in client.jobs()} == known
 
 
