@@ -6,7 +6,8 @@ verification region) and runs the CEGIS repair driver over each scenario.
 Every round, verification takes the value-only fast path (one batched
 re-evaluation of the cached vertex stack), repair appends only the new
 counterexamples' rows to the driver's standing LP session, and each
-round's LP is a cold scipy/HiGHS solve.
+round's LP re-solves the session's retained HiGHS model warm over the rows
+row generation admitted.
 
 Round counts are scaled by rationing counterexample intake
 (``max_new_counterexamples``): a smaller ration means more, smaller rounds —
@@ -14,11 +15,12 @@ the regime the standing session exists for.  Round 0 builds the caches, so
 the headline metric is the **mean per-round cost over rounds ≥ 1**; the
 report also carries end-to-end totals.
 
-The cross-check is strict and always on: the run must certify, leave every
-pooled counterexample satisfied, and end at value-channel parameters
-**byte-identical** to a one-shot ``point_repair(base, layer, final pool)``
-(every solve is cold, so appending rows round by round must not change a
-single bit).
+The cross-check is always on: the run must certify, leave every pooled
+counterexample satisfied, and end at a delta whose ℓ∞ norm equals the
+objective of a one-shot ``point_repair(base, layer, final pool)`` to 1e-9
+relative.  The bytes may differ: the session admitted its rows round by
+round and re-solved warm, so it may stop at another optimal vertex of the
+same LP.
 
 Results are written as JSON with the same report shape as
 ``bench_lp_scaling.py`` (default ``BENCH_incremental.json``) so CI can
@@ -100,7 +102,7 @@ def run_driver(network, spec: VerificationSpec, *, ration: int) -> dict:
 
 
 def cross_check(network, run: dict) -> None:
-    """Byte-level equivalence with a one-shot repair of the final pool."""
+    """Outcome-level equivalence with a one-shot repair of the final pool."""
     report = run["report"]
     if not report.certified:
         raise AssertionError(f"the driver ended {report.status!r}, not certified")
@@ -108,13 +110,12 @@ def cross_check(network, run: dict) -> None:
         raise AssertionError("the final network violates pooled counterexamples")
     layer = [r.layer_index for r in report.rounds if r.repair_feasible][-1]
     one_shot = point_repair(network, layer, run["pool_spec"])
-    for layer_index in report.network.repairable_layer_indices():
-        driver_flat = report.network.value.layers[layer_index].get_parameters()
-        one_shot_flat = one_shot.network.value.layers[layer_index].get_parameters()
-        if driver_flat.tobytes() != one_shot_flat.tobytes():
-            raise AssertionError(
-                f"layer {layer_index} is not byte-identical to the one-shot repair"
-            )
+    final = [r for r in report.rounds if r.repair_feasible][-1]
+    if not np.isclose(final.delta_linf, one_shot.objective_value, rtol=1e-9, atol=0.0):
+        raise AssertionError(
+            f"driver delta norm {final.delta_linf!r} vs one-shot objective "
+            f"{one_shot.objective_value!r}"
+        )
 
 
 def strip(run: dict) -> dict:

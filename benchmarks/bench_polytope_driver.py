@@ -22,14 +22,14 @@ Cross-checks are strict and always on.  A ``workers=4`` engine-backed run
 must be **byte-identical** to ``workers=1`` on both workloads (round
 counts, verdicts, margins, value-channel parameters).  The driver's final
 network is also checked against a one-shot ``point_repair(base, layer,
-final pool)``, in two tiers matching where the determinism contracts
-actually hold.  On the narrow ACAS value channel the two must be
-**byte-identical**.  On the wide (64-input) digit value channel BLAS rounds
-full-pool and micro-batch matmuls differently in the last bit, so the two
-are only equal to ~1e-14 per coefficient; there the contract is
-outcome-level: the run certifies, every pooled counterexample is satisfied,
-and the norm objective matches to ``1e-9`` relative.
-``one_shot_byte_identical`` records which regime a run landed in.
+final pool)`` at the outcome level: the run certifies, every pooled
+counterexample is satisfied, and the norm objective matches to ``1e-9``
+relative.  Bytes are not compared: the driver's LP session admitted its
+rows round by round and re-solved warm, so it may end at a different
+optimal vertex of the same LP (and on the wide 64-input digit value
+channel BLAS also rounds full-pool and micro-batch matmuls differently in
+the last bit).  ``one_shot_byte_identical`` records whether a run happened
+to land on the same bytes.
 
 Results are written as JSON with the same report shape as the other benches
 (default ``BENCH_polytope_driver.json``) so CI can archive the trajectory.
@@ -214,17 +214,12 @@ def check_workers(serial: dict, parallel: dict, label: str) -> None:
         raise AssertionError(f"{label}: runs are not byte-identical")
 
 
-def check_one_shot(
-    network, run: dict, layer: int, norm: str, label: str, strict: bool
-) -> bool:
+def check_one_shot(network, run: dict, layer: int, norm: str, label: str) -> bool:
     """The driver's final network vs a one-shot repair of its final pool.
 
-    ``strict=True`` (the narrow ACAS channel) demands byte identity.
-    ``strict=False`` (the wide digit channel, where BLAS batch-shape
-    rounding skews the two by ~1e-14 per coefficient) demands the outcome:
-    certified, every pooled counterexample satisfied, and the norm
-    objective within ``1e-9`` relative.  Returns whether the two were
-    byte-identical.
+    Demands the outcome: certified, every pooled counterexample satisfied,
+    and the norm objective within ``1e-9`` relative.  Returns whether the
+    two were also byte-identical.
     """
     report = run["report"]
     if report.status != "certified":
@@ -232,10 +227,6 @@ def check_one_shot(
     if report.unsatisfied_pool_indices:
         raise AssertionError(f"{label}: the final network violates pooled counterexamples")
     one_shot = point_repair(network, layer, run["pool_spec"], norm=norm)
-    if value_parameters(report.network) == value_parameters(one_shot.network):
-        return True
-    if strict:
-        raise AssertionError(f"{label}: driver and one-shot are not byte-identical")
     base = DecoupledNetwork.from_network(network).value.layers[layer].get_parameters()
     delta = report.network.value.layers[layer].get_parameters() - base
     objective = norm_objective(delta, norm)
@@ -243,7 +234,7 @@ def check_one_shot(
         raise AssertionError(
             f"{label}: objective {objective!r} vs one-shot {one_shot.objective_value!r}"
         )
-    return False
+    return value_parameters(report.network) == value_parameters(one_shot.network)
 
 
 def run_workload(
@@ -254,22 +245,17 @@ def run_workload(
     *,
     norm: str,
     ration: int | None,
-    strict_one_shot: bool,
     repeats: int = 1,
 ) -> dict:
     """Benchmark one workload; returns the JSON-ready record.
 
-    ``strict_one_shot`` demands byte identity between the driver and a
-    one-shot repair of its final pool (the ACAS workload: narrow value
-    channel, the substrate the determinism contracts are pinned on);
-    otherwise the comparison is outcome-level (see :func:`check_one_shot`).
+    The driver is checked against a one-shot repair of its final pool
+    (see :func:`check_one_shot`).
     """
     total_key_points = count_key_points(network, spec)
     one_shot = run_one_shot(network, spec, layer, norm)
     driver = run_driver(network, spec, layer, norm, ration=ration)
-    byte_identical = check_one_shot(
-        network, driver, layer, norm, f"{name}: driver vs one-shot", strict_one_shot
-    )
+    byte_identical = check_one_shot(network, driver, layer, norm, f"{name}: driver vs one-shot")
     # Wall-clock is noisy on shared machines; re-time and keep the fastest
     # per-round mean (the computation is deterministic, so repeats only
     # strip scheduler jitter — the standard min-of-N estimator).  The
@@ -400,12 +386,12 @@ def main() -> None:
     records = [
         run_workload(
             "mnist_fog_lines", mnist_network, mnist_spec, mnist_layer,
-            norm=args.norm, ration=args.ration, strict_one_shot=False,
+            norm=args.norm, ration=args.ration,
             repeats=args.repeats,
         ),
         run_workload(
             "acas_planes", acas_network, acas_spec, acas_layer,
-            norm=args.norm, ration=args.acas_ration, strict_one_shot=True,
+            norm=args.norm, ration=args.acas_ration,
             repeats=args.repeats,
         ),
     ]

@@ -128,12 +128,15 @@ class IncrementalPointRepairSession:
     points, not the pool), and :meth:`solve` re-solves through an
     :class:`~repro.lp.model.LPSession`.
 
-    The norm rows go in first, so constraint rows always occupy the tail of
-    the inequality block in append order: a session fed the points in any
-    number of appends builds the same standard form, row for row, as one
-    fed them all at once — so, every solve being cold, a driver's final
-    delta is byte-identical to a one-shot :func:`point_repair` of the final
-    pool.
+    The norm rows go in first and are always in the solver's model; the
+    constraint rows follow in append order and enter it by row generation
+    (see :class:`~repro.lp.model.LPSession`).  A session fed the points in
+    any number of appends builds the same LP, row for row, as one fed them
+    all at once, and the same appends give the same bytes.  Solving between
+    appends changes which rows were admitted and where the warm re-solves
+    start, so a driver's final delta matches a one-shot :func:`point_repair`
+    of the final pool in verdict and objective (1e-9 relative), not in
+    bytes.
 
     The session encodes against a private copy of the base network and never
     mutates it; each feasible :meth:`solve` returns a *fresh* repaired copy.

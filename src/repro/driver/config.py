@@ -32,7 +32,7 @@ REMOVED_KNOBS = {
     "incremental": "the driver always repairs through its standing LP session",
     "batched": "constraint rows are always encoded by the batched chunk stream",
     "sparse": "the LP standard form is always CSR",
-    "warm_start": "every LP solve is a cold scipy/HiGHS solve",
+    "warm_start": "every LP session re-solves its retained HiGHS model warm",
     "backend": "scipy/HiGHS is the only LP solver",
     "lp_backend": "scipy/HiGHS is the only LP solver",
 }

@@ -37,15 +37,15 @@ set tracks drawdown per round via :mod:`repro.experiments.metrics`.
 The superset property is also what makes every round cheap: the LP of
 round *k* is round *k-1*'s plus the new counterexamples' rows, so the driver
 keeps one :class:`~repro.core.point_repair.IncrementalPointRepairSession`
-alive per scheduled layer (append-only rows, each round a cold solve), and —
+alive per scheduled layer (append-only rows; each round re-solves the
+session's retained HiGHS model warm, admitting only violated rows), and —
 because value-channel repair never moves linear-region boundaries — enables
 the exact verifier's value-only fast path, which re-evaluates cached vertex
-sets instead of re-decomposing.  The final delta is byte-identical to a
-one-shot :func:`~repro.core.point_repair.point_repair` of the final pool on
-narrow ACAS-style value channels; on very wide value channels BLAS may
-round the suffix-append and full-pool Jacobian batches differently in the
-last bit, leaving the two equal to ~1e-15 per LP coefficient rather than per byte
-(``bench_polytope_driver`` records which regime a workload lands in).
+sets instead of re-decomposing.  The final delta matches a one-shot
+:func:`~repro.core.point_repair.point_repair` of the final pool in verdict
+and objective (1e-9 relative) with every pooled row satisfied, but not in
+bytes: the warm re-solves may stop at another optimum of the same LP.  Runs
+stay byte-identical to each other across worker counts and memory budgets.
 """
 
 from __future__ import annotations
@@ -126,12 +126,13 @@ class RoundRecord:
 
     ``seconds`` is the round's verification wall-clock and
     ``repair_seconds`` its repair wall-clock (benchmarks compare per-round
-    costs from these).  The last four fields describe the incremental
+    costs from these).  The last five fields describe the incremental
     machinery: how many LP rows this round appended to the standing repair
-    LP, whether the LP solve started from retained solver state (never, yet:
-    every solve is cold), the solver's iteration count, and whether
-    verification took the value-only fast path (cached decomposition,
-    batched re-evaluation).
+    LP, how many rows the solver held after the solve (row generation admits
+    only the violated ones), whether the LP solve started from retained
+    solver state (every solve of a layer's session but its first), the
+    solver's iteration count, and whether verification took the value-only
+    fast path (cached decomposition, batched re-evaluation).
     """
 
     round_index: int
@@ -151,6 +152,7 @@ class RoundRecord:
     seconds: float = 0.0
     repair_seconds: float = 0.0
     lp_rows_appended: int = 0
+    lp_rows_admitted: int = 0
     warm_start_used: bool = False
     lp_iterations: int | None = None
     verify_value_only: bool = False
@@ -210,6 +212,11 @@ class DriverReport:
         return sum(record.lp_rows_appended for record in self.rounds)
 
     @property
+    def lp_rows_admitted(self) -> int:
+        """Most rows the LP solver held after any round's solve."""
+        return max((record.lp_rows_admitted for record in self.rounds), default=0)
+
+    @property
     def warm_started_rounds(self) -> int:
         """Rounds whose LP solve started from retained solver state."""
         return sum(record.warm_start_used for record in self.rounds)
@@ -237,6 +244,7 @@ class DriverReport:
             "remaining_violations": self.remaining_violations,
             "unsatisfied_pool_counterexamples": len(self.unsatisfied_pool_indices),
             "lp_rows_appended": self.lp_rows_appended,
+            "lp_rows_admitted": self.lp_rows_admitted,
             "warm_started_rounds": self.warm_started_rounds,
             "value_only_rounds": self.value_only_rounds,
             "lp_iterations": self.lp_iterations,
@@ -692,6 +700,7 @@ class RepairDriver:
             record.lp_rows_appended += appended
         result = session.solve()
         solution = session.last_solution
+        record.lp_rows_admitted = solution.rows_admitted
         record.warm_start_used = bool(solution.warm_start_used)
         record.lp_iterations = solution.iterations
         return result

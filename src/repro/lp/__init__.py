@@ -1,9 +1,12 @@
 """Linear-programming substrate.
 
 The paper uses Gurobi to solve the repair LPs.  This package solves them
-with one solver, scipy's HiGHS
-(:class:`repro.lp.backends.scipy_backend.ScipyBackend`): every solve is a
-cold ``linprog`` call on the CSR standard form.
+with one solver, scipy's vendored HiGHS
+(:class:`repro.lp.backends.scipy_backend.ScipyBackend`).  A one-shot
+:meth:`LPModel.solve` is a cold solve of every row; an
+:class:`LPSession` keeps one HiGHS model alive across its solves, adds
+constraint rows to it only when the current solution violates them (row
+generation), and re-solves warm from the basis HiGHS holds.
 
 The modelling layer (:class:`repro.lp.model.LPModel`) supports named scalar
 and vector variables, ``≤``/``≥``/``=`` constraints, box bounds, linear

@@ -1,7 +1,8 @@
 """The LP solver.
 
-There is one: :class:`~repro.lp.backends.scipy_backend.ScipyBackend`, a cold
-scipy/HiGHS solve of the CSR standard form.  ``_BACKENDS`` is the single
+There is one: :class:`~repro.lp.backends.scipy_backend.ScipyBackend`, an
+in-process HiGHS model that an instance keeps across its solves (cold on
+the first, warm after appended rows).  ``_BACKENDS`` is the single
 seam — :func:`get_backend` instantiates whatever class it maps ``"scipy"``
 to, which is how the test-suite substitutes its reference simplex or a
 fault-injection stub.

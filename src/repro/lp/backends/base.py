@@ -31,6 +31,11 @@ class LPBackend(abc.ABC):
     ) -> LPSolution:
         """Solve ``min c@x  s.t.  a_ub@x<=b_ub, a_eq@x==b_eq, bounds``.
 
+        Successive calls on one instance from an :class:`~repro.lp.model.LPSession`
+        pass forms whose rows extend the previous call's (rows are only
+        appended, to either sense); a solver may keep state across calls to
+        exploit that, and a stateless one simply solves each form.
+
         ``a_ub`` and ``a_eq`` may be dense arrays or ``scipy.sparse``
         matrices (``LPModel.standard_form`` gives CSR); ``bounds`` is an
         ``(n, 2)`` array of per-variable ``(lower, upper)`` pairs whose

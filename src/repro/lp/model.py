@@ -21,7 +21,7 @@ dense rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,16 @@ from repro.exceptions import LPError
 from repro.lp.expression import LinearExpression
 from repro.lp.status import LPStatus
 from repro.utils.timing import wall_cpu_now
+
+#: Pending rows an :class:`LPSession`'s first solve admits: the ones most
+#: violated at the origin clipped to the variable bounds.
+SEED_ROWS = 300
+#: Most pending rows an :class:`LPSession` admits before each re-solve.
+ROWS_PER_RESOLVE = 500
+#: A pending row is violated when ``A_i x - b_i`` exceeds this — HiGHS's
+#: primal feasibility tolerance, so an admitted row is one the solver can
+#: see as violated.
+VIOLATION_TOLERANCE = 1e-7
 
 
 def _observed_solve(solver, solve_callable):
@@ -87,8 +97,13 @@ class LPSolution:
     iterations:
         Solver iteration count, when the solver reports one.
     warm_start_used:
-        Whether the solve started from retained solver state.  Always
-        ``False``: every solve is cold today.
+        Whether the solve started from retained solver state: true for
+        every re-solve of an :class:`LPSession`'s retained HiGHS model,
+        false for a cold solve.
+    rows_admitted:
+        Constraint rows in the solver's model after the solve.  A cold
+        :meth:`LPModel.solve` holds every row; an :class:`LPSession` holds
+        only the rows row generation admitted.
     """
 
     status: LPStatus
@@ -97,6 +112,7 @@ class LPSolution:
     message: str = ""
     iterations: int | None = None
     warm_start_used: bool = False
+    rows_admitted: int = 0
 
     def value_of(self, indices) -> np.ndarray:
         """Extract the assignment of a block of variables by index array."""
@@ -270,6 +286,10 @@ class LPModel:
         if np.unique(columns).size != columns.size:
             # Duplicates would be silently summed by the CSR assembly.
             raise LPError("constraint block columns must be unique")
+        entries = matrix.data if sp.issparse(matrix) else matrix
+        if not (np.isfinite(entries).all() and np.isfinite(rhs).all()):
+            # HiGHS would take a NaN coefficient without complaint.
+            raise LPError("constraint coefficients and rhs must be finite")
 
     # ------------------------------------------------------------------
     # Objective
@@ -278,6 +298,8 @@ class LPModel:
         """Set the objective coefficient of variable ``index``."""
         if not 0 <= index < self._num_variables:
             raise LPError(f"unknown variable index {index}")
+        if not np.isfinite(coefficient):
+            raise LPError(f"objective coefficient {coefficient} is not finite")
         if coefficient == 0.0:
             self._objective.pop(index, None)
         else:
@@ -358,21 +380,22 @@ class LPModel:
         return sum(block.matrix.shape[0] for block in self._blocks)
 
     def solve(self) -> LPSolution:
-        """Solve the model (a cold scipy/HiGHS solve of its CSR form)."""
+        """Solve the model: one cold HiGHS solve of every row of its CSR form."""
         from repro.lp.backends import get_backend
 
         form = self.standard_form()
         if self._num_variables == 0:
             return _solve_without_variables(form[2], form[4])
         solver = get_backend()
-        return _observed_solve(solver, lambda: solver.solve(*form))
+        solution = _observed_solve(solver, lambda: solver.solve(*form))
+        return replace(solution, rows_admitted=self.num_constraints)
 
-    def incremental_session(self, *, tail_blocks: int = 0) -> "LPSession":
+    def incremental_session(self) -> "LPSession":
         """Open an :class:`LPSession` over this model's current blocks.
 
-        See :class:`LPSession` for the incremental-assembly contract.
+        See :class:`LPSession` for the row-generation contract.
         """
-        return LPSession(self, tail_blocks=tail_blocks)
+        return LPSession(self)
 
 
 def _solve_without_variables(b_ub: np.ndarray, b_eq: np.ndarray) -> LPSolution:
@@ -409,69 +432,73 @@ def _widen_block(block: _ConstraintBlock, num_variables: int) -> sp.csr_matrix:
 
 
 class LPSession:
-    """An incremental solve session over a growing :class:`LPModel`.
+    """An incremental, row-generating solve session over a growing :class:`LPModel`.
 
     A CEGIS repair driver solves the *same* LP round after round, each time
     with a few more constraint rows (every round's LP is a superset of the
-    last).  Re-running :meth:`LPModel.standard_form` each round walks every
-    block again; a session instead assembles the standard form once, keeps
-    the widened per-block matrices, and :meth:`append_rows` converts only
-    the blocks added to the model since the previous call — so per-round
-    assembly cost scales with the *new* rows, not the whole model.
+    last).  A session keeps the widened per-block matrices, so
+    :meth:`append_rows` converts only the blocks added to the model since
+    the previous call, and it keeps one solver instance alive, so a re-solve
+    hands the solver only the rows it has not seen (for the HiGHS solver: an
+    ``addRows`` and a warm re-run from the basis it holds).
 
-    ``tail_blocks`` pins the last ``tail_blocks`` blocks present at session
-    creation to the bottom of the inequality/equality matrices forever:
-    rows appended later are inserted *above* them.  This exists for the
-    repair LPs, whose norm-objective rows (``-t ≤ Δ_i ≤ t``) are added once
-    after the initial constraint rows; pinning them last makes the session's
-    standard form row-for-row identical to what a cold
-    :meth:`LPModel.standard_form` over the same model would produce — which
-    is what keeps incremental and cold solves byte-identical.
+    The solver never sees every row.  The inequality rows the model had
+    when the session opened (the repair LPs' norm rows) and every equality
+    row are always in the solver's model; an inequality row appended later
+    stays *pending* in the session's CSR parts until the current solution
+    violates it by more than :data:`VIOLATION_TOLERANCE`.  :meth:`solve`
+    admits up to :data:`SEED_ROWS` pending rows violated at the origin
+    (clipped to the bounds), or, once a solution exists, up to
+    :data:`ROWS_PER_RESOLVE` rows violated at it, most violated first with
+    ties broken by row index; it re-solves until no pending row is
+    violated.  The admitted rows form a relaxation of the full LP, so an
+    infeasible relaxation proves the full LP infeasible, and an optimum
+    that violates no pending row is an optimum of the full LP.  An
+    unbounded relaxation admits every pending row and re-solves.
+
+    Contract: the objective equals a cold :meth:`LPModel.solve` within
+    1e-9 relative and the status is the same, but the vertex may differ —
+    the repair LPs have many optima, and which one a warm re-solve reaches
+    depends on the rows seen so far and the order they were appended in.
+    Admission is a deterministic function of the appended rows, so equal
+    appends give byte-identical solutions.
 
     Sessions do not support adding variables after creation
     (:meth:`append_rows` raises); the repair LPs fix their delta and
     auxiliary variables up front.
     """
 
-    def __init__(self, model: LPModel, *, tail_blocks: int = 0) -> None:
+    def __init__(self, model: LPModel) -> None:
         from repro.lp.backends import get_backend
 
         self.model = model
         self._solver = get_backend()
-        if not 0 <= tail_blocks <= len(model._blocks):
-            raise LPError(
-                f"tail_blocks is {tail_blocks}, model has {len(model._blocks)} blocks"
-            )
         self._num_variables = model.num_variables
-        # Widened per-block parts, in row order: head parts grow via
-        # append_rows, tail parts are pinned to the bottom.
+        # Widened per-block parts, in row order.
         self._ub_parts: list = []
         self._ub_rhs: list[np.ndarray] = []
         self._eq_parts: list = []
         self._eq_rhs: list[np.ndarray] = []
-        self._ub_tail: list = []
-        self._ub_tail_rhs: list[np.ndarray] = []
-        self._eq_tail: list = []
-        self._eq_tail_rhs: list[np.ndarray] = []
-        self._consumed = 0
         self.rows_appended = 0
         self._cached_matrices: tuple | None = None
-        head_count = len(model._blocks) - tail_blocks
-        self._consume(model._blocks[:head_count], tail=False)
-        self._consume(model._blocks[head_count:], tail=True)
+        self._consume(model._blocks)
         self._consumed = len(model._blocks)
+        # Inequality rows in the solver's model, in its row order: the rows
+        # present at creation, then admitted pending rows as admitted.
+        self._in_solver = np.arange(sum(rhs.shape[0] for rhs in self._ub_rhs))
+        # The last optimal solution, where the next solve looks for violations.
+        self._values: np.ndarray | None = None
 
-    def _consume(self, blocks: list[_ConstraintBlock], tail: bool) -> int:
+    def _consume(self, blocks: list[_ConstraintBlock]) -> int:
         rows = 0
-        n = self._num_variables
         for block in blocks:
-            widened = _widen_block(block, n)
+            widened = _widen_block(block, self._num_variables)
             if block.equality:
-                (self._eq_tail if tail else self._eq_parts).append(widened)
-                (self._eq_tail_rhs if tail else self._eq_rhs).append(block.rhs)
+                self._eq_parts.append(widened)
+                self._eq_rhs.append(block.rhs)
             else:
-                (self._ub_tail if tail else self._ub_parts).append(widened)
-                (self._ub_tail_rhs if tail else self._ub_rhs).append(block.rhs)
+                self._ub_parts.append(widened)
+                self._ub_rhs.append(block.rhs)
             rows += block.matrix.shape[0]
         return rows
 
@@ -484,8 +511,8 @@ class LPSession:
         one chunk of the stream is in flight at a time.  This is the
         ingestion point for :class:`~repro.core.jacobian.JacobianChunkStream`:
         the model still records every block (cold re-assembly of the same
-        model stays byte-identical), but no dense full-width intermediate
-        ever exists.
+        model builds the same rows in the same order), but no dense
+        full-width intermediate ever exists.
 
         Returns the number of constraint rows appended.  Raises
         :class:`LPError` if variables were added after session creation —
@@ -497,7 +524,7 @@ class LPSession:
                 f"{self._num_variables} to {self.model.num_variables} variables; "
                 "incremental sessions only support appending constraint rows"
             )
-        rows = self._consume(self.model._blocks[self._consumed :], tail=False)
+        rows = self._consume(self.model._blocks[self._consumed :])
         self._consumed = len(self.model._blocks)
         if stream is not None:
             for matrix, rhs, columns in stream:
@@ -508,7 +535,7 @@ class LPSession:
                         "being consumed; incremental sessions only support "
                         "appending constraint rows"
                     )
-                rows += self._consume(self.model._blocks[self._consumed :], tail=False)
+                rows += self._consume(self.model._blocks[self._consumed :])
                 self._consumed = len(self.model._blocks)
         if rows:
             self.rows_appended += rows
@@ -517,9 +544,8 @@ class LPSession:
 
     @property
     def num_rows(self) -> int:
-        """Constraint rows currently assembled (head plus pinned tail)."""
-        return sum(int(rhs.shape[0]) for rhs in
-                   (*self._ub_rhs, *self._ub_tail_rhs, *self._eq_rhs, *self._eq_tail_rhs))
+        """Constraint rows currently assembled, pending rows included."""
+        return sum(int(rhs.shape[0]) for rhs in (*self._ub_rhs, *self._eq_rhs))
 
     def _stack(self, parts: list, rhs_parts: list[np.ndarray]):
         n = self._num_variables
@@ -529,12 +555,13 @@ class LPSession:
         return matrix.tocsr(), np.concatenate(rhs_parts)
 
     def standard_form(self):
-        """The assembled ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
+        """The full ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``, pending rows included.
 
-        The constraint matrices are cached between :meth:`append_rows`
-        calls; ``c`` and ``bounds`` are rebuilt from the model each time
-        (both are O(variables) and objective coefficients may legally change
-        between solves).
+        The rows are in append order, the same as :meth:`LPModel.standard_form`
+        of the session's model.  The constraint matrices are cached between
+        :meth:`append_rows` calls; ``c`` and ``bounds`` are rebuilt from the
+        model each time (both are O(variables) and objective coefficients may
+        legally change between solves).
         """
         if self.model.num_variables != self._num_variables:
             raise LPError(
@@ -543,8 +570,8 @@ class LPSession:
             )
         if self._cached_matrices is None:
             self._cached_matrices = (
-                self._stack(self._ub_parts + self._ub_tail, self._ub_rhs + self._ub_tail_rhs),
-                self._stack(self._eq_parts + self._eq_tail, self._eq_rhs + self._eq_tail_rhs),
+                self._stack(self._ub_parts, self._ub_rhs),
+                self._stack(self._eq_parts, self._eq_rhs),
             )
         (a_ub, b_ub), (a_eq, b_eq) = self._cached_matrices
         n = self._num_variables
@@ -559,8 +586,57 @@ class LPSession:
         return c, a_ub, b_ub, a_eq, b_eq, bounds
 
     def solve(self) -> LPSolution:
-        """Solve the current form (a cold scipy/HiGHS solve)."""
-        form = self.standard_form()
+        """Solve the current LP by row generation (see the class docstring).
+
+        The returned solution is the last solve's, with ``iterations``
+        summed over the solves this call made, ``warm_start_used`` from the
+        first of them, and ``rows_admitted`` the rows the solver held at the
+        end.
+        """
+        c, a_ub, b_ub, a_eq, b_eq, bounds = self.standard_form()
         if self._num_variables == 0:
-            return _solve_without_variables(form[2], form[4])
-        return _observed_solve(self._solver, lambda: self._solver.solve(*form))
+            return _solve_without_variables(b_ub, b_eq)
+        if self._values is None:
+            self._admit(a_ub, b_ub, np.clip(0.0, bounds[:, 0], bounds[:, 1]), SEED_ROWS)
+        else:
+            self._admit(a_ub, b_ub, self._values, ROWS_PER_RESOLVE)
+        solutions = []
+        while True:
+            rows = self._in_solver
+            form = (c, a_ub[rows], b_ub[rows], a_eq, b_eq, bounds)
+            solution = _observed_solve(self._solver, lambda: self._solver.solve(*form))
+            solutions.append(solution)
+            if solution.status is LPStatus.UNBOUNDED and rows.size < b_ub.shape[0]:
+                self._admit(a_ub, b_ub, None, b_ub.shape[0])
+            elif not (
+                solution.status.is_optimal
+                and self._admit(a_ub, b_ub, solution.values, ROWS_PER_RESOLVE)
+            ):
+                break
+        self._values = solution.values
+        iterations = [s.iterations for s in solutions if s.iterations is not None]
+        return replace(
+            solution,
+            iterations=sum(iterations) if iterations else None,
+            warm_start_used=solutions[0].warm_start_used,
+            rows_admitted=int(self._in_solver.size + b_eq.shape[0]),
+        )
+
+    def _admit(self, a_ub, b_ub, values, limit: int) -> int:
+        """Admit up to ``limit`` pending rows violated at ``values``.
+
+        ``values=None`` admits every pending row.  Returns how many rows were
+        admitted; they join the solver's model most violated first, ties
+        broken by row index.
+        """
+        pending = np.ones(b_ub.shape[0], dtype=bool)
+        pending[self._in_solver] = False
+        if values is None:
+            chosen = np.flatnonzero(pending)
+        else:
+            violation = a_ub @ values - b_ub
+            candidates = np.flatnonzero(pending & (violation > VIOLATION_TOLERANCE))
+            order = np.argsort(-violation[candidates], kind="stable")
+            chosen = candidates[order[:limit]]
+        self._in_solver = np.concatenate([self._in_solver, chosen])
+        return int(chosen.size)

@@ -38,6 +38,26 @@ def specification_jacobians(
     return np.array(outputs), np.array(jacobians)
 
 
+def max_row_violation(network, layer_index: int, spec: PointRepairSpec, delta) -> float:
+    """Largest ``A_x (N(x) + J_x Δ) - b_x`` over every constraint row of ``spec``.
+
+    ``N`` and ``J`` are the unrepaired network's, one point at a time, so
+    this is the repair LP's own row check for a delta of layer
+    ``layer_index``; a delta satisfies every row when the result is ≤ the
+    solver's feasibility tolerance.
+    """
+    ddnn = (
+        network.copy()
+        if isinstance(network, DecoupledNetwork)
+        else DecoupledNetwork.from_network(network)
+    )
+    outputs, jacobians = specification_jacobians(ddnn, layer_index, spec)
+    return max(
+        float(np.max(constraint.a @ (outputs[index] + jacobians[index] @ delta) - constraint.b))
+        for index, constraint in enumerate(spec.constraints)
+    )
+
+
 def dense_standard_form(model: LPModel):
     """``model.standard_form()`` with full-width dense constraint matrices.
 

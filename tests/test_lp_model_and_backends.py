@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import LPError
@@ -59,6 +60,20 @@ class TestLPModelConstruction:
         model.add_variable()
         with pytest.raises(LPError):
             model.set_objective_coefficient(5, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        model = LPModel()
+        model.add_variables(2)
+        with pytest.raises(LPError):
+            model.add_leq_block(np.array([[1.0, value]]), [1.0])
+        with pytest.raises(LPError):
+            model.add_eq_block(sp.csr_matrix([[1.0, value]]), [1.0])
+        with pytest.raises(LPError):
+            model.add_leq_block(np.ones((1, 2)), [value])
+        with pytest.raises(LPError):
+            model.set_objective_coefficient(0, value)
+        assert model.num_constraints == 0
 
     def test_empty_model_solves_trivially(self):
         solution = LPModel().solve()

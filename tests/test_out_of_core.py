@@ -8,9 +8,10 @@ Four layers of pinning:
   MNIST-fog digits spec, including with a 4-worker engine sharding chunk
   production;
 * a **property-based oracle** (hypothesis): *any* chunk partition of the
-  Jacobian→LP row stream yields the same LP solution bytes as one dense
-  block solved cold — the determinism contract of
-  :class:`~repro.core.jacobian.JacobianChunkStream`;
+  Jacobian→LP row stream yields the same LP solution bytes as one chunk —
+  the determinism contract of
+  :class:`~repro.core.jacobian.JacobianChunkStream` — and the verdict and
+  objective of one dense block solved cold;
 * unit tests for the new tiers: chunk-stream assembly and telemetry, the
   batched finite-difference checker against the closed-form Jacobians,
   pool spill semantics (windowing, dedup across spilled segments,
@@ -68,7 +69,7 @@ from repro.utils.rng import ensure_rng
 from repro.verify.base import Counterexample, RegionStatus, VerificationSpec
 from repro.verify.sampling import GridVerifier
 from tests.conftest import make_random_relu_network, prefix_cache_off
-from tests.oracle import dense_standard_form
+from tests.oracle import dense_standard_form, max_row_violation
 from tests.test_incremental import assert_reports_identical, value_parameters
 
 #: A budget so small every tier degenerates: single-point chunk batches,
@@ -207,8 +208,8 @@ class TestFiniteDifferenceBatch:
         assert ddnn.value.layers[layer].get_parameters().tobytes() == before.tobytes()
 
 
-def one_block_delta(ddnn, layer, spec, *, sparse: bool):
-    """The whole spec's rows as one dense LP block, solved cold (or ``None``).
+def one_block_solution(ddnn, layer, spec, *, sparse: bool):
+    """The whole spec's rows as one dense LP block, solved cold.
 
     ``sparse=False`` solves the dense by-eye standard form instead of CSR.
     """
@@ -218,33 +219,47 @@ def one_block_delta(ddnn, layer, spec, *, sparse: bool):
     lhs, rhs = _encode_batch(ddnn, layer, spec)
     model.add_leq_block(lhs, rhs, delta)
     if sparse:
-        solution = model.solve()
-    else:
-        solution = get_backend().solve(*dense_standard_form(model))
-    return solution.value_of(delta) if solution.status.is_optimal else None
+        return model.solve()
+    return get_backend().solve(*dense_standard_form(model))
+
+
+def assert_matches_one_block(repair, ddnn, layer, spec, *, sparse: bool) -> None:
+    """A repair vs the one-block LP solved cold: verdict, objective, rows.
+
+    Not bytes: ``point_repair`` admits rows by row generation and re-solves
+    warm, which may reach a different optimal vertex of the same LP.
+    """
+    cold = one_block_solution(ddnn, layer, spec, sparse=sparse)
+    assert repair.feasible == cold.status.is_optimal
+    if repair.feasible:
+        assert repair.objective_value == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+        assert max_row_violation(ddnn, layer, spec, repair.delta) <= 1e-7
 
 
 class TestChunkedRepairDifferential:
-    """point_repair with any chunk budget solves the one-block LP, byte for byte."""
+    """point_repair with any chunk budget returns the same bytes, and the
+    one-block LP's verdict and objective."""
 
     @pytest.mark.parametrize("chunk_bytes", [1, 2_048, HUGE_BUDGET])
     @pytest.mark.parametrize("sparse", [True, False])
     def test_chunked_matches_dense(self, chunk_bytes, sparse):
         ddnn, layer, spec = small_workload()
-        dense = one_block_delta(ddnn, layer, spec, sparse=sparse)
         chunked = point_repair(ddnn, layer, spec, max_chunk_bytes=chunk_bytes)
-        assert chunked.feasible and dense is not None
-        assert chunked.delta.tobytes() == dense.tobytes()
+        one_chunk = point_repair(ddnn, layer, spec, max_chunk_bytes=HUGE_BUDGET)
+        assert chunked.feasible
+        assert chunked.delta.tobytes() == one_chunk.delta.tobytes()
+        assert_matches_one_block(chunked, ddnn, layer, spec, sparse=sparse)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), chunk_bytes=st.integers(1, 1 << 16))
     def test_any_partition_yields_identical_solutions(self, seed, chunk_bytes):
         ddnn, layer, spec = small_workload(seed=seed, num_points=5)
-        dense = one_block_delta(ddnn, layer, spec, sparse=True)
         chunked = point_repair(ddnn, layer, spec, max_chunk_bytes=chunk_bytes)
-        assert chunked.feasible == (dense is not None)
+        one_chunk = point_repair(ddnn, layer, spec, max_chunk_bytes=HUGE_BUDGET)
+        assert chunked.feasible == one_chunk.feasible
         if chunked.feasible:
-            assert chunked.delta.tobytes() == dense.tobytes()
+            assert chunked.delta.tobytes() == one_chunk.delta.tobytes()
+        assert_matches_one_block(chunked, ddnn, layer, spec, sparse=True)
 
 
 def make_counterexample(rng, dimension: int = 6, outputs: int = 3) -> Counterexample:
