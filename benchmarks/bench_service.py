@@ -113,27 +113,26 @@ def run_phase(client: ServiceClient, jobs: list[dict], label: str) -> dict:
         )
     phase_seconds = time.perf_counter() - phase_start
     latencies = np.array([entry["latency_seconds"] for entry in results])
-    # Quantiles come from the same fixed-bucket histogram estimator the live
-    # window store uses — np.percentile over a handful of jobs interpolates
-    # a "p99" no job ever experienced.  The honest sample count n rides
-    # along so downstream consumers (the sentinel, humans) can judge how
-    # much each quantile is worth.
-    quantiles = obs.quantiles_with_count(latencies, (0.5, 0.99), obs.DEFAULT_BUCKETS)
+    # Exact order statistics: each quantile is a latency some job actually
+    # had (interpolating over a handful of jobs would report a "p99" no job
+    # ever experienced).  The sample count n rides along so downstream
+    # consumers (the sentinel, humans) can judge how much each is worth.
+    p50, p99 = np.quantile(latencies, (0.5, 0.99), method="inverted_cdf")
     stats = {
         "jobs": len(jobs),
         "phase_seconds": phase_seconds,
         "jobs_per_second": len(jobs) / phase_seconds,
         "latency_mean_ms": float(latencies.mean() * 1e3),
-        "latency_p50_ms": quantiles["p50"] * 1e3,
-        "latency_p99_ms": quantiles["p99"] * 1e3,
-        "latency_quantile_n": quantiles["n"],
+        "latency_p50_ms": float(p50 * 1e3),
+        "latency_p99_ms": float(p99 * 1e3),
+        "latency_quantile_n": len(latencies),
         "latencies_ms": [float(value * 1e3) for value in latencies],
         "rounds": [entry["rounds"] for entry in results],
     }
     print(
         f"{label:>4}: {stats['jobs_per_second']:6.2f} jobs/s  "
         f"p50={stats['latency_p50_ms']:7.1f}ms  p99={stats['latency_p99_ms']:7.1f}ms  "
-        f"mean={stats['latency_mean_ms']:7.1f}ms  (n={quantiles['n']} jobs)"
+        f"mean={stats['latency_mean_ms']:7.1f}ms  (n={len(latencies)} jobs)"
     )
     return {"stats": stats, "results": results}
 

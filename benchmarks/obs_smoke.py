@@ -2,21 +2,18 @@
 
 Boots a real repair daemon, pushes a cold/warm job pair through it (same
 network twice, so the second job hits the shared partition cache), then
-exercises the two telemetry surfaces end to end:
+exercises its telemetry surfaces end to end:
 
 * ``GET /metrics`` — asserts the key series exist: partition-cache hits,
   the LP solve-time histogram, and per-status job counters;
 * ``GET /jobs/<id>/trace`` — asserts the warm job's span tree is present
   and rooted at the job, with verify/repair spans underneath;
-* ``GET /healthz`` / ``GET /readyz`` / ``GET /slo`` — asserts the daemon
-  grades itself healthy and ready after serving real traffic, with every
-  SLO carrying a verdict and reason;
-* ``GET /jobs/<id>/profile`` — asserts the warm job's sampled folded-stack
-  profile exists and its stacks reach the daemon's job-execution frames.
+* ``GET /readyz`` — asserts the daemon reports ready, with every check
+  passing.
 
 The payloads are written to disk (``OBS_metrics.txt``, ``OBS_trace.json``,
-``OBS_health.json``, ``OBS_profile.folded``) so CI can archive them as
-artifacts.
+and ``OBS_readyz.json`` next to the metrics file) so CI can archive them
+as artifacts.
 
 Usage::
 
@@ -56,10 +53,6 @@ def main() -> None:
                         help="where to write the scraped Prometheus exposition")
     parser.add_argument("--trace-out", type=Path, default=Path("OBS_trace.json"),
                         help="where to write the warm job's span tree")
-    parser.add_argument("--health-out", type=Path, default=Path("OBS_health.json"),
-                        help="where to write the healthz/readyz/slo documents")
-    parser.add_argument("--profile-out", type=Path, default=Path("OBS_profile.folded"),
-                        help="where to write the warm job's folded-stack profile")
     args = parser.parse_args()
 
     with TemporaryDirectory() as state_dir:
@@ -74,9 +67,6 @@ def main() -> None:
             warm_id = run_job(client, build_job(0, args.width))  # same fingerprint
             metrics = client.metrics()
             trace = client.trace(warm_id)
-            healthz = client.healthz()
-            slo = client.slo()
-            profile = client.profile(warm_id)
         finally:
             server.shutdown()
             server.server_close()
@@ -85,10 +75,8 @@ def main() -> None:
 
     args.metrics_out.write_text(metrics)
     args.trace_out.write_text(json.dumps(trace, indent=2) + "\n")
-    args.health_out.write_text(
-        json.dumps({"readyz": ready, "healthz": healthz, "slo": slo}, indent=2) + "\n"
-    )
-    args.profile_out.write_text(profile["folded"] + "\n")
+    readyz_out = args.metrics_out.with_name("OBS_readyz.json")
+    readyz_out.write_text(json.dumps(ready, indent=2) + "\n")
 
     # --- the assertions CI actually cares about -------------------------
     required_series = [
@@ -111,23 +99,11 @@ def main() -> None:
 
     if not ready["ready"] or not all(ready["checks"].values()):
         raise AssertionError(f"daemon not ready: {ready}")
-    if healthz["status"] not in ("healthy", "degraded"):
-        raise AssertionError(f"daemon unhealthy after a clean job pair: {healthz}")
-    slo_names = {entry["name"] for entry in slo["slos"]}
-    if "job_p99_seconds" not in slo_names or "job_failure_ratio" not in slo_names:
-        raise AssertionError(f"/slo is missing stock objectives: {sorted(slo_names)}")
-    if any(entry["status"] == "unhealthy" for entry in slo["slos"]):
-        raise AssertionError(f"an SLO grades unhealthy after clean traffic: {slo}")
-    if profile["samples"] < 1 or not profile["folded"]:
-        raise AssertionError(f"profile empty for {warm_id}: {profile['samples']} samples")
-    if "_execute" not in profile["folded"]:
-        raise AssertionError("profile stacks never reached the job-execution frames")
 
     print(f"cold={cold_id} warm={warm_id}")
     print(f"wrote {args.metrics_out} ({len(metrics.splitlines())} lines)")
     print(f"wrote {args.trace_out} ({len(names)} spans)")
-    print(f"wrote {args.health_out} (status={healthz['status']}, ready={ready['ready']})")
-    print(f"wrote {args.profile_out} ({profile['samples']} samples)")
+    print(f"wrote {readyz_out} (ready={ready['ready']})")
     print("obs smoke OK")
 
 

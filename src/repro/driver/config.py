@@ -140,8 +140,14 @@ class DriverConfig:
         a knob must fail loudly, not silently run with the default.  A
         removed knob whose value the single repair path reproduces
         (:data:`SINGLE_PATH_VALUES`) is dropped, so a config saved before the
-        removal still decodes; any other value is rejected.
+        removal still decodes; any other value is rejected.  A payload that
+        is not a mapping, or a field that does not coerce to its type, is a
+        :class:`RepairError` too.
         """
+        if not isinstance(payload, dict):
+            raise RepairError(
+                f"a driver config must be a JSON object, got {type(payload).__name__}"
+            )
         payload = {
             key: value
             for key, value in payload.items()
@@ -157,7 +163,10 @@ class DriverConfig:
             raise RepairError(
                 f"unknown driver config keys {sorted(unknown)}; known keys: {sorted(known)}"
             )
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except (TypeError, ValueError) as error:
+            raise RepairError(f"malformed driver config field: {error}") from error
 
     def replace(self, **changes) -> "DriverConfig":
         """A copy with the given fields changed (re-validated)."""

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs.health import DEGRADED, HEALTHY, UNHEALTHY, SloSpec, evaluate
 from repro.obs.logs import LEVELS, JsonLogger
-from repro.obs.profile import SamplingProfiler
 from repro.obs.prometheus import CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus as _render_prometheus
 from repro.obs.prometheus import render_summary as _render_summary
@@ -37,29 +35,17 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.trace import Span, Trace, current_trace, use_trace
-from repro.obs.window import (
-    WindowStore,
-    histogram_quantile,
-    quantiles_with_count,
-    snapshot_delta,
-)
 
 __all__ = [
     "CONTENT_TYPE",
     "DEFAULT_BUCKETS",
-    "DEGRADED",
-    "HEALTHY",
     "JOB_SECONDS_BUCKETS",
     "LEVELS",
-    "UNHEALTHY",
     "JsonLogger",
     "MetricFamily",
     "MetricsRegistry",
-    "SamplingProfiler",
-    "SloSpec",
     "Span",
     "Trace",
-    "WindowStore",
     "absorb",
     "capture",
     "counter",
@@ -67,18 +53,14 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "evaluate",
     "gauge",
     "histogram",
-    "histogram_quantile",
     "isolated",
-    "quantiles_with_count",
     "registry",
     "render_prometheus",
     "render_summary",
     "reset",
     "snapshot",
-    "snapshot_delta",
     "span",
     "use_trace",
 ]

@@ -10,7 +10,6 @@
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import (
-    DEFAULT_SLOS,
     JobRecord,
     RepairService,
     ServiceHTTPServer,
@@ -26,7 +25,6 @@ from repro.service.protocol import (
 )
 
 __all__ = [
-    "DEFAULT_SLOS",
     "JobRecord",
     "ParsedJob",
     "RepairService",

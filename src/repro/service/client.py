@@ -14,6 +14,7 @@ wraps the whole submit→wait round trip)::
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -41,7 +42,14 @@ class ServiceClient:
         self.timeout = timeout
 
     # ------------------------------------------------------------------
-    def _request(self, path: str, body: dict | None = None, *, body_on: tuple[int, ...] = ()) -> dict:
+    def _fetch(self, path: str, body: dict | None = None, *, body_on: tuple[int, ...] = ()) -> bytes:
+        """One HTTP exchange; every failure surfaces as :class:`ServiceError`.
+
+        Statuses in ``body_on`` return their body like a 200: ``/readyz``
+        answers 503 *with* its checks document, and for it the body is the
+        point.  Transport failures — unreachable host, a connection dropped
+        mid-exchange — carry ``status=None``, which :meth:`wait` retries.
+        """
         request = urllib.request.Request(
             f"{self.base_url}{path}",
             data=None if body is None else json.dumps(body).encode("utf-8"),
@@ -50,16 +58,11 @@ class ServiceClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                return response.read()
         except urllib.error.HTTPError as error:
             payload = error.read()
             if error.code in body_on:
-                # Routes like /healthz answer 503 *with* their verdict
-                # document; for these the body is the point.
-                try:
-                    return json.loads(payload.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    pass
+                return payload
             try:
                 detail = json.loads(payload.decode("utf-8")).get("error", "")
             except (ValueError, UnicodeDecodeError):
@@ -71,6 +74,11 @@ class ServiceClient:
             ) from error
         except urllib.error.URLError as error:
             raise ServiceError(f"cannot reach daemon at {self.base_url}: {error.reason}") from error
+        except (OSError, http.client.HTTPException) as error:
+            raise ServiceError(f"lost connection to daemon at {self.base_url}: {error!r}") from error
+
+    def _request(self, path: str, body: dict | None = None, *, body_on: tuple[int, ...] = ()) -> dict:
+        return json.loads(self._fetch(path, body, body_on=body_on).decode("utf-8"))
 
     # ------------------------------------------------------------------
     def submit(self, job: dict) -> str:
@@ -91,16 +99,7 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """The daemon's live metrics in Prometheus text exposition format."""
-        request = urllib.request.Request(f"{self.base_url}/metrics", method="GET")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            raise ServiceError(
-                f"GET /metrics -> HTTP {error.code}", status=error.code
-            ) from error
-        except urllib.error.URLError as error:
-            raise ServiceError(f"cannot reach daemon at {self.base_url}: {error.reason}") from error
+        return self._fetch("/metrics").decode("utf-8")
 
     def jobs(self) -> list[dict]:
         """Summaries of every job the daemon knows about."""
@@ -110,21 +109,9 @@ class ServiceClient:
         """The daemon's liveness/statistics document."""
         return self._request("/health")
 
-    def healthz(self) -> dict:
-        """The SLO-graded health verdict (parsed even when it is a 503)."""
-        return self._request("/healthz", body_on=(503,))
-
     def readyz(self) -> dict:
         """The readiness document (parsed even when it is a 503)."""
         return self._request("/readyz", body_on=(503,))
-
-    def slo(self) -> dict:
-        """The full SLO evaluation document."""
-        return self._request("/slo")
-
-    def profile(self, job_id: str) -> dict:
-        """The job's sampled folded-stack profile (HTTP 409 until it starts)."""
-        return self._request(f"/jobs/{job_id}/profile")
 
     def wait(
         self,

@@ -32,25 +32,15 @@ resumes from the checkpointed pool instead of rediscovering it.
                           the finished result (409 while still running)
     GET  /jobs/<id>/trace
                           the job's span tree (409 until the job starts)
-    GET  /jobs/<id>/profile
-                          the job's sampled folded-stack profile (409 until
-                          the job starts)
     GET  /health          liveness + job counts + engine/cache statistics
-    GET  /healthz         SLO-graded health (healthy/degraded -> 200,
-                          unhealthy -> 503) with human-readable reasons
     GET  /readyz          readiness: engine pool warm + state dir writable
                           (200, else 503)
-    GET  /slo             the full SLO evaluation document
     GET  /metrics         Prometheus text exposition of the live registry
 
-Health interpretation is windowed: each ``/healthz``/``/slo`` request folds
-a fresh registry snapshot into a rolling :class:`~repro.obs.WindowStore`
-and grades the :class:`~repro.obs.SloSpec` list (:data:`DEFAULT_SLOS`
-unless the service was built with its own) against the recent deltas — so
-verdicts reflect what the daemon did lately, not since boot.  When
-telemetry is enabled each job also runs under a
-:class:`~repro.obs.SamplingProfiler` aimed at its worker thread, giving
-``/jobs/<id>/profile`` sub-span resolution at a bounded sampling cost.
+Those are the daemon's only telemetry surfaces: ``/health`` and ``/readyz``
+are point-in-time probes, ``/metrics`` is the cumulative registry for an
+external scraper to window and alert on, and a job's span tree is its only
+clock.
 
 The service owns the telemetry lifecycle: constructing one enables
 :mod:`repro.obs` (and ``stop()`` restores the prior state), each job runs
@@ -82,63 +72,17 @@ import repro.obs as obs
 from repro.driver.driver import RepairDriver, RoundRecord
 from repro.engine import PartitionCache, ShardedSyrennEngine
 from repro.exceptions import SpecificationError
-from repro.obs import (
-    JOB_SECONDS_BUCKETS,
-    UNHEALTHY,
-    JsonLogger,
-    SamplingProfiler,
-    SloSpec,
-    Trace,
-    WindowStore,
-    evaluate,
-    use_trace,
-)
+from repro.obs import JOB_SECONDS_BUCKETS, JsonLogger, Trace, use_trace
 from repro.service.protocol import ParsedJob, encode_network_b64, parse_job
 from repro.verify.registry import make_verifier
 
 __all__ = [
-    "DEFAULT_SLOS",
     "JobRecord",
     "RepairService",
     "ServiceHTTPServer",
     "SharedEngine",
     "serve",
 ]
-
-#: The daemon's stock objectives, graded over the last five minutes of
-#: window deltas.  Deployments with different latency envelopes pass their
-#: own list (or :meth:`~repro.obs.SloSpec.from_dict` documents) to
-#: :class:`RepairService`.
-DEFAULT_SLOS = (
-    # Whole-job latency: p99 of the run-time histogram.  Repairs on this
-    # service are seconds-scale; half a minute is degraded, two minutes of
-    # p99 means the queue is in real trouble.
-    SloSpec(
-        name="job_p99_seconds",
-        series="repro_service_job_seconds",
-        agg="p99",
-        degraded=30.0,
-        unhealthy=120.0,
-    ),
-    # Job failure share over all terminal transitions.
-    SloSpec(
-        name="job_failure_ratio",
-        series="repro_service_jobs_total",
-        agg="ratio",
-        numerator={"status": "failed"},
-        degraded=0.1,
-        unhealthy=0.5,
-    ),
-    # HTTP 5xx share of all handled requests (4xx are the client's fault).
-    SloSpec(
-        name="http_5xx_ratio",
-        series="repro_service_requests_total",
-        agg="ratio",
-        numerator={"code": "500"},
-        degraded=0.02,
-        unhealthy=0.2,
-    ),
-)
 
 #: Job lifecycle states (``queued`` → ``running`` → ``done``/``failed``).
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -282,12 +226,6 @@ class RepairService:
     log_stream:
         Where JSON log lines go (default ``sys.stderr``); tests pass a
         ``StringIO``.
-    slos:
-        The :class:`~repro.obs.SloSpec` list ``/healthz`` and ``/slo``
-        grade (default :data:`DEFAULT_SLOS`).
-    profile_interval:
-        Per-job sampling-profiler interval in seconds (``0`` disables
-        profiling even with telemetry on).
     """
 
     def __init__(
@@ -299,8 +237,6 @@ class RepairService:
         cache: PartitionCache | None = None,
         log_level: str = "off",
         log_stream=None,
-        slos: tuple[SloSpec, ...] | list[SloSpec] | None = None,
-        profile_interval: float = 0.005,
     ) -> None:
         self.state_dir = Path(state_dir)
         self.jobs_dir = self.state_dir / "jobs"
@@ -312,11 +248,6 @@ class RepairService:
         self._obs_was_enabled = obs.enabled()
         obs.enable()
         self._traces: dict[str, Trace] = {}
-        self._profiles: dict[str, SamplingProfiler] = {}
-        self.profile_interval = float(profile_interval)
-        self.slos = tuple(slos) if slos is not None else DEFAULT_SLOS
-        self.window = WindowStore()
-        self._window_lock = threading.Lock()
         if cache is None:
             cache = PartitionCache(directory=self.state_dir / "cache")
         self.cache = cache
@@ -397,36 +328,6 @@ class RepairService:
                 counts[record.status] = counts.get(record.status, 0) + 1
         return {"ok": True, "jobs": counts, "engine": self.engine.stats()}
 
-    def observe_window(self) -> None:
-        """Fold a fresh registry snapshot into the rolling window store."""
-        with self._window_lock:
-            self.window.observe(obs.snapshot(), at=time.monotonic())
-
-    def slo(self) -> dict:
-        """Grade the service's SLOs against the rolling telemetry window."""
-        self.observe_window()
-        with self._window_lock:
-            return evaluate(list(self.slos), self.window)
-
-    def healthz(self) -> dict:
-        """The operator-facing verdict: SLO grade + job counts.
-
-        ``degraded`` still answers HTTP 200 (the service works, but someone
-        should look); only ``unhealthy`` becomes 503 — that mapping lives in
-        the HTTP layer, keyed off this document's ``status``.
-        """
-        verdict = self.slo()
-        with self._lock:
-            counts: dict[str, int] = {}
-            for record in self._records.values():
-                counts[record.status] = counts.get(record.status, 0) + 1
-        return {
-            "status": verdict["status"],
-            "reasons": verdict["reasons"],
-            "jobs": counts,
-            "window_seconds": verdict["window_seconds"],
-        }
-
     def readyz(self) -> dict:
         """Readiness: the engine answers and the state dir takes writes.
 
@@ -448,22 +349,6 @@ class RepairService:
         except OSError:
             checks["state_dir_writable"] = False
         return {"ready": all(checks.values()), "checks": checks}
-
-    def profile(self, job_id: str) -> dict:
-        """The job's sampled profile (raises :class:`_JobUnfinished` until it starts).
-
-        Profiles are in-memory only, like traces: a job recovered from a
-        previous daemon's disk state has no profile until it runs again.
-        """
-        self._get(job_id)  # 404 semantics for unknown ids
-        with self._lock:
-            profiler = self._profiles.get(job_id)
-        if profiler is None:
-            record = self._get(job_id)
-            raise _JobUnfinished(job_id, record.status)
-        document = profiler.as_dict()
-        document["job_id"] = job_id
-        return document
 
     def trace(self, job_id: str) -> dict:
         """The job's span tree (raises :class:`_JobUnfinished` until it starts).
@@ -539,27 +424,12 @@ class RepairService:
         # job documents, and GET /jobs/<id>/trace all correlate trivially.
         trace = Trace(name=f"job.{parsed.kind}", trace_id=f"{record.job_id}-trace")
         trace.root.attributes["job_id"] = record.job_id
-        # One sampling profiler per job, aimed at this worker thread only —
-        # observational (reads interpreter frames, never numeric state), so
-        # the job's bytes are identical with and without it.
-        profiler = None
-        if obs.enabled() and self.profile_interval > 0:
-            profiler = SamplingProfiler(
-                interval=self.profile_interval,
-                thread_ids=(threading.get_ident(),),
-            )
         with self._lock:
             self._traces[record.job_id] = trace
-            if profiler is not None:
-                self._profiles[record.job_id] = profiler
         try:
-            if profiler is not None:
-                profiler.start()
             with use_trace(trace):
                 return self._execute_traced(record, parsed)
         finally:
-            if profiler is not None:
-                profiler.stop()
             trace.finish()
 
     def _execute_traced(self, record: JobRecord, parsed: ParsedJob) -> dict:
@@ -778,10 +648,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.path == "/health":
                 self._reply(200, self.service.health(), started_mono=started_mono)
-            elif self.path == "/healthz":
-                document = self.service.healthz()
-                code = 503 if document["status"] == UNHEALTHY else 200
-                self._reply(code, document, started_mono=started_mono)
             elif self.path == "/readyz":
                 document = self.service.readyz()
                 self._reply(
@@ -789,8 +655,6 @@ class _Handler(BaseHTTPRequestHandler):
                     document,
                     started_mono=started_mono,
                 )
-            elif self.path == "/slo":
-                self._reply(200, self.service.slo(), started_mono=started_mono)
             elif self.path == "/metrics":
                 self._reply_text(
                     200,
@@ -801,7 +665,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/jobs":
                 self._reply(200, {"jobs": self.service.jobs()}, started_mono=started_mono)
             else:
-                match = re.fullmatch(r"/jobs/([\w-]+)(/result|/trace|/profile)?", self.path)
+                match = re.fullmatch(r"/jobs/([\w-]+)(/result|/trace)?", self.path)
                 if match is None:
                     self._reply(
                         404,
@@ -815,10 +679,6 @@ class _Handler(BaseHTTPRequestHandler):
                 elif match.group(2) == "/trace":
                     self._reply(
                         200, self.service.trace(match.group(1)), started_mono=started_mono
-                    )
-                elif match.group(2) == "/profile":
-                    self._reply(
-                        200, self.service.profile(match.group(1)), started_mono=started_mono
                     )
                 else:
                     self._reply(
@@ -867,8 +727,6 @@ def serve(
     job_workers: int = 2,
     log_level: str = "off",
     log_stream=None,
-    slos: tuple[SloSpec, ...] | list[SloSpec] | None = None,
-    profile_interval: float = 0.005,
 ) -> ServiceHTTPServer:
     """Build a service and bind its HTTP server (does not start serving).
 
@@ -884,7 +742,5 @@ def serve(
         job_workers=job_workers,
         log_level=log_level,
         log_stream=log_stream,
-        slos=slos,
-        profile_interval=profile_interval,
     )
     return ServiceHTTPServer((host, port), service)

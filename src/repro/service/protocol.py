@@ -36,7 +36,7 @@ from repro.exceptions import RepairError, SpecificationError
 from repro.nn.network import Network
 from repro.utils.serialization import decode_network, encode_network
 from repro.verify.base import VerificationSpec
-from repro.verify.registry import verifier_kinds
+from repro.verify.registry import make_verifier
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -137,11 +137,12 @@ def parse_job(payload: dict) -> ParsedJob:
         raise SpecificationError('"verifier" must be a kind string or an object')
     verifier = dict(verifier)
     verifier_kind = verifier.pop("kind", "syrenn")
-    if verifier_kind not in verifier_kinds():
-        raise SpecificationError(
-            f"unknown verifier kind {verifier_kind!r}; registered kinds: "
-            f"{verifier_kinds()}"
-        )
+    if "engine" in verifier:
+        raise SpecificationError('"engine" is the daemon\'s runtime resource, not a verifier parameter')
+    # Build (and drop) the verifier once so an unknown kind or a parameter
+    # its constructor refuses is a 400 at submit, never a failed job; the
+    # daemon rebuilds it around its shared engine when the job runs.
+    make_verifier(verifier_kind, **verifier)
 
     config_payload = payload.get("config")
     if config_payload is not None and kind != "repair":

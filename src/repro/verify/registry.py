@@ -56,6 +56,8 @@ def make_verifier(
     ``engine`` is threaded into the constructor separately because it is a
     runtime resource, not configuration: the daemon passes its shared warm
     engine here while the job's verifier dictionary stays serializable.
+    Unknown kinds and parameters a constructor refuses (wrong names, types
+    or values) all raise :class:`~repro.exceptions.SpecificationError`.
     """
     cls = _REGISTRY.get(kind)
     if cls is None:
@@ -64,7 +66,7 @@ def make_verifier(
         )
     try:
         return cls(engine=engine, **params)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise SpecificationError(
             f"bad parameters for verifier kind {kind!r}: {error}"
         ) from error

@@ -3,7 +3,9 @@
 The cross-cutting guarantees — telemetry never changes repair bytes, and
 worker-merged registries are deterministic — live in
 ``tests/test_obs_differential.py``; this module pins the local behaviour of
-each piece.
+each piece, including the algebra that makes worker merges deterministic:
+``merge_snapshot`` is associative and commutative for counters and
+histograms.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.obs import JsonLogger, MetricsRegistry, Trace, current_trace, use_trace
@@ -135,6 +139,55 @@ class TestMetricsRegistry:
         registry.counter("n_total").inc()
         registry.reset()
         assert registry.snapshot() == {}
+
+
+# Histogram observations are quarter-integers (dyadic rationals): their
+# sums are exact in binary floating point, so the associativity and
+# commutativity assertions below compare for strict equality instead of
+# hiding behind a tolerance.
+BOUNDS = (0.5, 2.0, 8.0)
+
+
+@st.composite
+def registry_snapshots(draw):
+    """A snapshot of a small registry with one counter and one histogram."""
+    registry = MetricsRegistry()
+    counter = registry.counter("c_total", "Counts.", labels=("kind",))
+    hist = registry.histogram("h_seconds", "Seconds.", labels=("kind",), buckets=BOUNDS)
+    pair = st.tuples(st.sampled_from(("a", "b")), st.integers(0, 64))
+    for kind, amount in draw(st.lists(pair, max_size=8)):
+        counter.inc(float(amount), kind=kind)
+    for kind, quarters in draw(st.lists(pair, max_size=8)):
+        hist.observe(quarters / 4.0, kind=kind)
+    return registry.snapshot()
+
+
+class TestMergeSnapshotProperties:
+    """:func:`repro.obs.absorb` merges worker deltas; order must not matter."""
+
+    @given(registry_snapshots(), registry_snapshots())
+    def test_merge_is_commutative(self, a, b):
+        """A+B == B+A for counters and histograms (gauges are last-write)."""
+        ab, ba = MetricsRegistry(), MetricsRegistry()
+        ab.merge_snapshot(a)
+        ab.merge_snapshot(b)
+        ba.merge_snapshot(b)
+        ba.merge_snapshot(a)
+        assert ab.snapshot() == ba.snapshot()
+
+    @given(registry_snapshots(), registry_snapshots(), registry_snapshots())
+    def test_merge_is_associative(self, a, b, c):
+        """(A+B)+C == A+(B+C): worker deltas can merge in any grouping."""
+        left = MetricsRegistry()
+        for part in (a, b, c):
+            left.merge_snapshot(part)
+        inner = MetricsRegistry()
+        inner.merge_snapshot(b)
+        inner.merge_snapshot(c)
+        right = MetricsRegistry()
+        right.merge_snapshot(a)
+        right.merge_snapshot(inner.snapshot())
+        assert left.snapshot() == right.snapshot()
 
 
 class TestTrace:

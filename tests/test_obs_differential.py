@@ -1,6 +1,6 @@
 """The observability hard constraint: telemetry never touches numerics.
 
-Three pins, all run over the same CEGIS repair workload:
+Two pins, both run over the same CEGIS repair workload:
 
 1. **Byte identity.**  The repaired parameters are byte-for-byte identical
    with telemetry enabled and disabled, at ``workers=1`` (inline tasks) and
@@ -12,10 +12,6 @@ Three pins, all run over the same CEGIS repair workload:
    capture deltas absorbed in task order reconstruct the serial counts —
    modulo the explicitly worker-count-dependent ``repro_worker_*`` families.
    (Histograms are excluded: their bucket placement depends on wall-clock.)
-3. **Profiler passivity.**  The same bytes again with a
-   :class:`~repro.obs.SamplingProfiler` actively sampling the repair — the
-   profiler reads interpreter frames, so a divergence here would mean
-   sampling perturbed numeric state.
 
 The byte-identity matrix is also run with the frozen-prefix cache switched
 off (:func:`tests.conftest.prefix_cache_off`): cached and uncached layer
@@ -34,7 +30,7 @@ from repro.engine import ShardedSyrennEngine
 from repro.nn.activations import ReLULayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
-from repro.obs import SamplingProfiler, Trace, use_trace
+from repro.obs import Trace, use_trace
 from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
 from repro.verify import SyrennVerifier, VerificationSpec
@@ -67,42 +63,27 @@ def build_workload() -> tuple[Network, VerificationSpec]:
     return network, spec
 
 
-def run_repair(
-    workers: int, with_obs: bool, with_profiler: bool = False, prefix_cache: bool = True
-) -> tuple[list[bytes], dict]:
+def run_repair(workers: int, with_obs: bool, prefix_cache: bool = True) -> tuple[list[bytes], dict]:
     """One full driver run; returns (repaired parameter bytes, obs snapshot).
 
-    ``with_profiler`` runs the whole repair under an aggressively-sampling
-    :class:`SamplingProfiler` (1ms interval) and asserts it actually
-    collected stacks, so the byte-identity comparison is made against a
-    profiler that demonstrably ran.  ``prefix_cache=False`` evaluates every
-    batch through the full layer loop.
+    ``prefix_cache=False`` evaluates every batch through the full layer loop.
     """
     network, spec = build_workload()
-    profiler = SamplingProfiler(interval=0.001) if with_profiler else None
     cache_context = nullcontext() if prefix_cache else prefix_cache_off()
     with cache_context, obs.isolated(start_enabled=with_obs):
         trace = Trace("differential") if with_obs else None
         context = use_trace(trace) if trace is not None else nullcontext()
-        if profiler is not None:
-            profiler.start()
-        try:
-            with context:
-                with ShardedSyrennEngine(workers=workers, cache=False) as engine:
-                    driver = RepairDriver(
-                        network,
-                        spec,
-                        SyrennVerifier(engine=engine),
-                        config=DriverConfig(max_rounds=6),
-                        engine=engine,
-                    )
-                    outcome = driver.run()
-        finally:
-            if profiler is not None:
-                profiler.stop()
+        with context:
+            with ShardedSyrennEngine(workers=workers, cache=False) as engine:
+                driver = RepairDriver(
+                    network,
+                    spec,
+                    SyrennVerifier(engine=engine),
+                    config=DriverConfig(max_rounds=6),
+                    engine=engine,
+                )
+                outcome = driver.run()
         snapshot = obs.snapshot()
-    if profiler is not None:
-        assert profiler.sample_count >= 1 and profiler.folded()
     assert outcome.status == "certified"
     parameters = [
         outcome.network.value.layers[index].get_parameters().tobytes()
@@ -152,16 +133,6 @@ class TestTelemetryNeverTouchesNumerics:
                 assert parameters == reference, (
                     f"uncached repair bytes diverged at workers={workers} obs={with_obs}"
                 )
-
-    def test_byte_identity_with_profiler_sampling(self):
-        """A 1ms-interval profiler over the repair changes nothing."""
-        reference, _ = run_repair(workers=1, with_obs=False)
-        for workers in (1, 4):
-            parameters, snapshot = run_repair(workers, with_obs=True, with_profiler=True)
-            assert parameters == reference, (
-                f"repair bytes diverged under profiling at workers={workers}"
-            )
-            assert "repro_driver_rounds_total" in snapshot
 
     def test_worker_merge_reconstructs_serial_counters(self):
         """workers=4 counters ≡ workers=1 counters, modulo repro_worker_*."""

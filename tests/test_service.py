@@ -14,6 +14,8 @@ Three layers, in increasing integration depth:
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import os
 import subprocess
@@ -28,7 +30,6 @@ import pytest
 import repro.obs as obs
 from repro.driver import DriverConfig, RepairDriver
 from repro.exceptions import SpecificationError
-from repro.obs import SloSpec
 from repro.nn.activations import ReLULayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
@@ -179,6 +180,12 @@ class TestProtocol:
             (lambda job: job.update(verifier={"kind": "exhaustive"}), "unknown verifier"),
             (lambda job: job.update(version=99), "protocol version"),
             (lambda job: job.update(config={"max_round": 1}), "unknown driver config"),
+            (lambda job: job.update(config=5), "must be a JSON object, got int"),
+            (lambda job: job.update(config={"max_rounds": "x"}), "malformed driver config field"),
+            (lambda job: job.update(verifier={"kind": "syrenn", "bogus": 1}), "'bogus'"),
+            (lambda job: job.update(verifier={"kind": "grid", "resolution": 1}), "resolution must be"),
+            (lambda job: job.update(verifier={"kind": "random", "num_samples": 0}), "num_samples must"),
+            (lambda job: job.update(verifier={"kind": "syrenn", "engine": 1}), "runtime resource"),
         ],
     )
     def test_malformed_jobs_rejected(self, mutate, match):
@@ -355,6 +362,16 @@ class TestHTTPEndToEnd:
             assert rejected.value.status == 400
         assert {entry["id"] for entry in client.jobs()} == known
 
+    def test_malformed_config_is_a_400_not_a_dropped_connection(self, http_server):
+        client, _ = http_server
+        network, spec = plane_scenario(7)
+        job = make_job("repair", network, spec)
+        job["config"] = 5
+        with pytest.raises(ServiceError, match="JSON object") as rejected:
+            client.submit(job)
+        assert rejected.value.status == 400
+        assert client.health()["jobs"] == {}
+
 
 @pytest.mark.slow
 class TestDaemonCrashRecovery:
@@ -522,7 +539,7 @@ class TestTelemetrySurfaces:
 
 
 class TestHealthSurfaces:
-    """/healthz, /readyz, /slo, and /jobs/<id>/profile on a live daemon."""
+    """/readyz on a live daemon, and the routes that no longer exist."""
 
     def test_readyz_reports_engine_and_state_dir(self, http_server):
         client, _ = http_server
@@ -530,97 +547,31 @@ class TestHealthSurfaces:
         assert ready["ready"] is True
         assert ready["checks"] == {"engine_pool": True, "state_dir_writable": True}
 
-    def test_healthz_and_slo_after_clean_traffic(self, http_server):
-        client, _ = http_server
-        network, spec = plane_scenario(12345)
-        job_id = client.submit(make_job("verify", network, spec))
-        assert client.wait(job_id, timeout=60)["status"] == "done"
-        verdict = client.healthz()
-        # One fast, successful job can only be healthy (or vacuously so,
-        # if the first window observation just anchored).
-        assert verdict["status"] == "healthy"
-        assert verdict["reasons"] == []
-        assert verdict["jobs"].get("done", 0) >= 1
-        assert verdict["window_seconds"] >= 0.0
-        document = client.slo()
-        names = {entry["name"] for entry in document["slos"]}
-        assert {"job_p99_seconds", "job_failure_ratio", "http_5xx_ratio"} <= names
-        for entry in document["slos"]:
-            assert entry["status"] in ("healthy", "degraded", "unhealthy")
-            assert entry["reason"]
-            # The served spec is config, not prose: it rebuilds losslessly.
-            assert SloSpec.from_dict(entry["spec"]).name == entry["name"]
-
-    def test_unhealthy_verdict_maps_to_503_with_parsed_body(self, tmp_path):
-        # A hostile SLO that grades *any* request traffic unhealthy, so the
-        # 503 path is reachable from a perfectly functional daemon.
-        slos = (
-            SloSpec(
-                name="no_traffic_allowed",
-                series="repro_service_requests_total",
-                agg="total",
-                degraded=0.0,
-                unhealthy=1.0,
-            ),
-        )
-        server = serve(tmp_path / "state", port=0, slos=slos)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        client = ServiceClient(f"http://{host}:{port}")
-        try:
-            # First call anchors the window: no deltas yet, vacuously healthy.
-            assert client.healthz()["status"] == "healthy"
-            client.health()
-            client.health()
-            verdict = client.healthz()  # served as a 503; body still parsed
-            assert verdict["status"] == "unhealthy"
-            assert any("no_traffic_allowed" in reason for reason in verdict["reasons"])
-        finally:
-            server.shutdown()
-            server.server_close()
-            server.service.stop()
-            thread.join(timeout=10)
-
-    def test_profile_of_a_finished_job(self, http_server):
-        client, _ = http_server
-        network, spec = plane_scenario(12345)
-        job_id = client.submit(make_job("repair", network, spec, config={"max_rounds": 8}))
-        assert client.wait(job_id, timeout=240)["status"] == "done"
-        profile = client.profile(job_id)
-        assert profile["job_id"] == job_id
-        assert profile["samples"] >= 1
-        # The forced start sample guarantees the stacks reach the daemon's
-        # job-execution frames even for sub-interval jobs.
-        assert "_execute" in profile["folded"]
-        assert sum(profile["stacks"].values()) >= 1
-        with pytest.raises(ServiceError) as missing:
-            client.profile("job-424242")
-        assert missing.value.status == 404
-
-    def test_profile_is_409_for_a_recovered_never_rerun_job(self, tmp_path):
-        """Profiles are in-memory, like traces: disk recovery has none."""
-        network, spec = plane_scenario(12345)
-        service = RepairService(tmp_path / "state")
-        try:
-            job_id = service.submit(make_job("verify", network, spec))
-            assert service.wait(job_id, timeout=60)["status"] == "done"
-        finally:
-            service.stop()
+    def test_readyz_on_a_stopped_service_is_a_parsed_503(self, tmp_path):
         server = serve(tmp_path / "state", port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         client = ServiceClient(f"http://{host}:{port}")
         try:
-            with pytest.raises(ServiceError) as conflict:
-                client.profile(job_id)
-            assert conflict.value.status == 409
+            server.service.stop()
+            ready = client.readyz()  # served as a 503; body still parsed
+            assert ready["ready"] is False
+            assert ready["checks"]["engine_pool"] is False
+            with pytest.raises(ServiceError) as unready:
+                client._request("/readyz")  # without body_on a 503 is an error
+            assert unready.value.status == 503
         finally:
             server.shutdown()
             server.server_close()
-            server.service.stop()
             thread.join(timeout=10)
+
+    @pytest.mark.parametrize("path", ["/healthz", "/slo", "/jobs/job-000001/profile"])
+    def test_retired_routes_are_404(self, http_server, path):
+        client, _ = http_server
+        with pytest.raises(ServiceError, match="no such route") as missing:
+            client._request(path)
+        assert missing.value.status == 404
 
 
 class TestClientBackoff:
@@ -638,6 +589,26 @@ class TestClientBackoff:
         assert result == {"status": "done"}
         assert sleeps == [0.05, 0.1, 0.2, 0.4, 0.4]
         assert polls == 6.0
+
+    def test_wait_retries_a_dropped_connection(self, monkeypatch):
+        """A RemoteDisconnected mid-poll is a retried transport error."""
+        client = ServiceClient("http://127.0.0.1:1")
+        requested: list[str] = []
+
+        def urlopen(request, timeout):
+            requested.append(request.full_url)
+            if len(requested) == 1:
+                raise http.client.RemoteDisconnected("Remote end closed connection")
+            return io.BytesIO(b'{"status": "done"}')
+
+        monkeypatch.setattr("repro.service.client.urllib.request.urlopen", urlopen)
+        monkeypatch.setattr("repro.service.client.time.sleep", lambda seconds: None)
+        assert client.wait("job-1") == {"status": "done"}
+        assert requested == [
+            "http://127.0.0.1:1/jobs/job-1",  # dropped, retried
+            "http://127.0.0.1:1/jobs/job-1",
+            "http://127.0.0.1:1/jobs/job-1/result",
+        ]
 
     def test_service_owns_obs_lifecycle(self, tmp_path):
         was_enabled = obs.enabled()
