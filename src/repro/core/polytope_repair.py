@@ -28,7 +28,7 @@ from repro.exceptions import NotPiecewiseLinearError, SpecificationError
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
-from repro.syrenn.plane import transform_plane
+from repro.syrenn.plane import transform_planes
 from repro.syrenn.regions import LinearRegion
 from repro.utils.timing import Stopwatch
 
@@ -106,17 +106,35 @@ def decompose_spec_entry(
     network: Network, region: LineSegment | np.ndarray
 ) -> list[LinearRegion]:
     """The linear regions of one specification polytope (line or plane)."""
-    if isinstance(region, LineSegment):
-        partition = transform_line(network, region)
-        return [
-            LinearRegion(vertices=piece.vertices, interior=piece.interior_point)
-            for piece in partition.regions
-        ]
-    partition = transform_plane(network, region)
-    return [
-        LinearRegion(vertices=piece.input_vertices, interior=piece.interior_point)
-        for piece in partition.regions
-    ]
+    return decompose_spec_entries(network, [region])[0]
+
+
+def decompose_spec_entries(
+    network: Network, regions: list[LineSegment | np.ndarray]
+) -> list[list[LinearRegion]]:
+    """The linear regions of every specification polytope, in order.
+
+    Segments go through :func:`transform_line` one at a time; all planes
+    share one batched :func:`transform_planes` call.
+    """
+    decomposed: list[list[LinearRegion] | None] = [None] * len(regions)
+    planes = []
+    for index, region in enumerate(regions):
+        if isinstance(region, LineSegment):
+            decomposed[index] = [
+                LinearRegion(vertices=piece.vertices, interior=piece.interior_point)
+                for piece in transform_line(network, region).regions
+            ]
+        else:
+            planes.append(index)
+    if planes:
+        partitions = transform_planes(network, [regions[index] for index in planes])
+        for index, partition in zip(planes, partitions):
+            decomposed[index] = [
+                LinearRegion(vertices=piece.input_vertices, interior=piece.interior_point)
+                for piece in partition.regions
+            ]
+    return decomposed
 
 
 def reduce_to_key_points(
@@ -131,8 +149,9 @@ def reduce_to_key_points(
     key_points: list[np.ndarray] = []
     activation_points: list[np.ndarray] = []
     constraints: list[OutputConstraint] = []
-    for entry in spec.entries:
-        for region in decompose_spec_entry(network, entry.region):
+    decomposed = decompose_spec_entries(network, [entry.region for entry in spec.entries])
+    for entry, linear_regions in zip(spec.entries, decomposed):
+        for region in linear_regions:
             points, activations, region_constraints = region_key_points(
                 region.vertices, region.interior, entry.constraint
             )

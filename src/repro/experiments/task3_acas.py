@@ -28,7 +28,7 @@ from repro.driver import DriverConfig, DriverReport, RepairDriver
 from repro.polytope.hpolytope import HPolytope
 from repro.models.zoo import ModelZoo
 from repro.nn.network import Network
-from repro.syrenn.plane import transform_plane
+from repro.syrenn.plane import transform_planes
 from repro.utils.rng import ensure_rng
 from repro.verify import SyrennVerifier, VerificationSpec, Verifier
 
@@ -188,8 +188,7 @@ def strengthened_specification(
     start = time.perf_counter()
     allowed = setup.safety_property.allowed
     points, activation_points, constraints = [], [], []
-    for slice_vertices in setup.repair_slices:
-        partition = transform_plane(network, slice_vertices)
+    for partition in transform_planes(network, setup.repair_slices):
         for region in partition.regions:
             interior = region.interior_point
             scores = network.compute(interior)
@@ -233,10 +232,7 @@ def strengthened_verification_spec(
     if engine is not None:
         partitions = engine.transform_planes(network, setup.repair_slices)
     else:
-        partitions = [
-            transform_plane(network, slice_vertices)
-            for slice_vertices in setup.repair_slices
-        ]
+        partitions = transform_planes(network, setup.repair_slices)
     for slice_index, partition in enumerate(partitions):
         for region_index, region in enumerate(partition.regions):
             scores = network.compute(region.interior_point)

@@ -198,9 +198,5 @@ class VertexPolygon:
 
         return build(positive), build(negative)
 
-    def replace_attributes(self, attributes: np.ndarray) -> "VertexPolygon":
-        """A copy of the polygon with new per-vertex attributes."""
-        return VertexPolygon(self.plane_points.copy(), np.asarray(attributes, dtype=np.float64))
-
     def __repr__(self) -> str:
         return f"VertexPolygon(vertices={self.num_vertices}, area={self.area:.4g})"

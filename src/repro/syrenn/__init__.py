@@ -8,9 +8,12 @@ two-dimensional ``P``; this package re-implements that capability:
 
 * :func:`repro.syrenn.line.transform_line` — the ExactLine algorithm for 1-D
   segments.
-* :func:`repro.syrenn.plane.transform_plane` — the polygon-splitting
+* :func:`repro.syrenn.plane.transform_planes` — the polygon-splitting
   algorithm for 2-D planes (restricted to convex planar polygons embedded in
-  the input space).
+  the input space), run over a whole batch of polygons at once: one
+  ``forward`` per layer for every piece of every polygon, and the clipper
+  only for pieces whose vertices straddle a breakpoint.
+  :func:`repro.syrenn.plane.transform_plane` is its batch of one.
 
 Both return region objects that expose (a) the region's vertices in input
 space and (b) a representative interior point, which the repair algorithm
@@ -18,7 +21,7 @@ uses as the activation point of each key point (Appendix B of the paper).
 """
 
 from repro.syrenn.line import LinePartition, LineRegion, transform_line
-from repro.syrenn.plane import PlanePartition, PlaneRegion, transform_plane
+from repro.syrenn.plane import PlanePartition, PlaneRegion, transform_plane, transform_planes
 from repro.syrenn.regions import LinearRegion, geometry_digest
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "LinePartition",
     "LineRegion",
     "transform_plane",
+    "transform_planes",
     "PlanePartition",
     "PlaneRegion",
     "LinearRegion",

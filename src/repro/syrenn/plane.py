@@ -10,6 +10,9 @@ coordinate ``k`` and every activation breakpoint; within a polygon the value
 is an affine function of the plane coordinates, so the zero set is a line and
 half-plane clipping with linear interpolation is exact.  After processing all
 layers the surviving polygons are exactly ``LinRegions(N, P)``.
+
+:func:`transform_planes` runs this for a batch of polygons at once, with
+every live polygon of every input in one stacked store (see its docstring).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import repro.obs as obs
 from repro.exceptions import NotPiecewiseLinearError, ShapeError
 from repro.nn.layer import LayerKind
 from repro.nn.network import Network
@@ -99,9 +103,42 @@ def transform_plane(network: Network, plane_vertices: np.ndarray) -> PlanePartit
 
     ``plane_vertices`` is a ``(k, n)`` array of input-space points that are
     the ordered vertices of a convex polygon lying inside a 2-D affine
-    subspace of the input space.
+    subspace of the input space.  This is :func:`transform_planes` on a
+    batch of one.
+    """
+    return transform_planes(network, [plane_vertices])[0]
+
+
+def transform_planes(network: Network, polygons: list[np.ndarray]) -> list[PlanePartition]:
+    """``LinRegions(network, polygon)`` for every polygon of a batch, in order.
+
+    Every live piece of every polygon sits in one ragged store (stacked
+    vertex rows, CSR ``offsets``, an ``owner`` index back to the input
+    polygon), so each layer runs **one** ``forward`` over the whole batch.
+    At each activation breakpoint a piece whose vertices all lie on one side
+    of every coordinate's threshold cannot be cut (SyReNN's vertex test:
+    Sotoudeh & Thakur, NeurIPS 2019), and only the straddling pieces go
+    through the per-polygon split, spliced back in place.  Split order and
+    vertex order therefore match a polygon-at-a-time decomposition; the
+    float bits match too wherever each layer's forward is row-wise
+    independent of batch height.
     """
     _check_supported(network)
+    polygons = [_validated(network, vertices) for vertices in polygons]
+    with obs.span("syrenn.transform_planes", polygons=len(polygons)) as span:
+        partitions = _transform_stacked(network, polygons) if polygons else []
+        if obs.enabled():
+            regions = sum(partition.num_regions for partition in partitions)
+            if isinstance(span, obs.Span):
+                span.attributes["regions"] = regions
+            obs.counter(
+                "repro_syrenn_regions_total",
+                "Linear regions returned by the 2-D SyReNN decomposition.",
+            ).inc(regions)
+    return partitions
+
+
+def _validated(network: Network, plane_vertices) -> np.ndarray:
     plane_vertices = np.asarray(plane_vertices, dtype=np.float64)
     if plane_vertices.ndim != 2 or plane_vertices.shape[0] < 3:
         raise ShapeError("plane_vertices must be a (k >= 3, n) array of polygon vertices")
@@ -110,33 +147,109 @@ def transform_plane(network: Network, plane_vertices: np.ndarray) -> PlanePartit
             f"plane vertices have dimension {plane_vertices.shape[1]}, "
             f"network expects {network.input_size}"
         )
+    return plane_vertices
 
-    plane_coordinates = _plane_coordinates(plane_vertices)
-    # Attribute layout per vertex: [input point (n), current values (varies)].
-    initial_attributes = np.hstack([plane_vertices, plane_vertices])
-    polygons = [VertexPolygon(plane_coordinates, initial_attributes)]
-    input_dim = plane_vertices.shape[1]
 
+@dataclass
+class _PieceStack:
+    """Every live piece of a batch of polygons, stacked row-wise.
+
+    Piece ``p`` owns rows ``offsets[p]:offsets[p + 1]`` of ``plane`` (2-D
+    plane coordinates), ``inputs`` (input-space points) and ``values``
+    (current-layer values), and belongs to input polygon ``owner[p]``.
+    Pieces of one polygon are contiguous and in split order.
+    """
+
+    plane: np.ndarray
+    inputs: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    owner: np.ndarray
+
+    def rows(self, piece: int) -> slice:
+        return slice(int(self.offsets[piece]), int(self.offsets[piece + 1]))
+
+
+def _transform_stacked(network: Network, polygons: list[np.ndarray]) -> list[PlanePartition]:
+    input_dim = network.input_size
+    inputs = np.vstack(polygons)
+    store = _PieceStack(
+        plane=np.vstack([_plane_coordinates(vertices) for vertices in polygons]),
+        inputs=inputs,
+        values=inputs,
+        offsets=np.cumsum([0] + [vertices.shape[0] for vertices in polygons]),
+        owner=np.arange(len(polygons)),
+    )
     for layer in network.layers:
         if layer.kind is LayerKind.ACTIVATION:
-            breakpoints = layer.piecewise_breakpoints()
-            polygons = _split_all(polygons, input_dim, breakpoints)
-            polygons = [
-                _apply_to_values(polygon, input_dim, layer.forward) for polygon in polygons
-            ]
-        else:
-            polygons = [
-                _apply_to_values(polygon, input_dim, layer.forward) for polygon in polygons
-            ]
+            for threshold in layer.piecewise_breakpoints():
+                store = _split_straddling(store, input_dim, threshold)
+        store.values = layer.forward(store.values)
 
-    regions = [
-        PlaneRegion(
-            input_vertices=polygon.attributes[:, :input_dim].copy(),
-            plane_vertices=polygon.plane_points.copy(),
+    partitions = [PlanePartition(regions=[]) for _ in polygons]
+    for piece, owner in enumerate(store.owner):
+        rows = store.rows(piece)
+        partitions[owner].regions.append(
+            PlaneRegion(
+                input_vertices=store.inputs[rows].copy(),
+                plane_vertices=store.plane[rows].copy(),
+            )
         )
-        for polygon in polygons
-    ]
-    return PlanePartition(regions=regions)
+    return partitions
+
+
+def _split_straddling(store: _PieceStack, input_dim: int, threshold: float) -> _PieceStack:
+    """Split every piece that some value coordinate's ``threshold`` cuts.
+
+    ``min < -tol and max > tol`` over a piece's rows is exactly the negation
+    of :func:`_split_one`'s per-coordinate skip, so the pieces that pass the
+    test unchanged are those ``_split_one`` would have returned as is.
+    """
+    shifted = store.values - threshold
+    starts = store.offsets[:-1]
+    low = np.minimum.reduceat(shifted, starts, axis=0)
+    high = np.maximum.reduceat(shifted, starts, axis=0)
+    straddling = np.flatnonzero(
+        np.any((low < -SPLIT_TOLERANCE) & (high > SPLIT_TOLERANCE), axis=1)
+    )
+    if straddling.size == 0:
+        return store
+
+    planes, inputs, values, counts, owners = [], [], [], [], []
+
+    def keep(first: int, stop: int) -> None:
+        """Carry pieces ``first:stop`` over unchanged."""
+        if stop <= first:
+            return
+        rows = slice(int(store.offsets[first]), int(store.offsets[stop]))
+        planes.append(store.plane[rows])
+        inputs.append(store.inputs[rows])
+        values.append(store.values[rows])
+        counts.append(np.diff(store.offsets[first : stop + 1]))
+        owners.append(store.owner[first:stop])
+
+    cursor = 0
+    for piece in straddling:
+        keep(cursor, piece)
+        rows = store.rows(piece)
+        polygon = VertexPolygon(
+            store.plane[rows], np.hstack([store.inputs[rows], store.values[rows]])
+        )
+        for part in _split_one(polygon, input_dim, threshold):
+            planes.append(part.plane_points)
+            inputs.append(part.attributes[:, :input_dim])
+            values.append(part.attributes[:, input_dim:])
+            counts.append([part.num_vertices])
+            owners.append([store.owner[piece]])
+        cursor = piece + 1
+    keep(cursor, len(store.owner))
+    return _PieceStack(
+        plane=np.vstack(planes),
+        inputs=np.vstack(inputs),
+        values=np.vstack(values),
+        offsets=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+        owner=np.concatenate(owners),
+    )
 
 
 def _plane_coordinates(plane_vertices: np.ndarray) -> np.ndarray:
@@ -150,26 +263,6 @@ def _plane_coordinates(plane_vertices: np.ndarray) -> np.ndarray:
         raise ShapeError("plane vertices do not lie in a 2-D affine subspace")
     basis = basis[:2] if basis.shape[0] >= 2 else np.vstack([basis, np.zeros_like(basis[:1])])
     return offsets @ basis.T
-
-
-def _apply_to_values(polygon: VertexPolygon, input_dim: int, function) -> VertexPolygon:
-    """Apply ``function`` to the value part of a polygon's attributes."""
-    inputs_part = polygon.attributes[:, :input_dim]
-    values_part = polygon.attributes[:, input_dim:]
-    new_values = function(values_part)
-    return polygon.replace_attributes(np.hstack([inputs_part, new_values]))
-
-
-def _split_all(
-    polygons: list[VertexPolygon], input_dim: int, breakpoints: tuple[float, ...]
-) -> list[VertexPolygon]:
-    """Split every polygon on every coordinate/breakpoint combination."""
-    for threshold in breakpoints:
-        updated: list[VertexPolygon] = []
-        for polygon in polygons:
-            updated.extend(_split_one(polygon, input_dim, threshold))
-        polygons = updated
-    return polygons
 
 
 def _split_one(

@@ -4,7 +4,7 @@ Within one linear region of a piecewise-linear network, the output is an
 affine function of the input, so the largest violation of an output
 half-space constraint over the region is attained at one of the region's
 vertices.  Decomposing a specification region into linear regions
-(``transform_line``/``transform_plane`` — the SyReNN substrate) and checking
+(``transform_line``/``transform_planes`` — the SyReNN substrate) and checking
 every linear region's vertices therefore either *certifies* the region or
 produces a true counterexample, with nothing in between.
 
@@ -15,6 +15,11 @@ activation point, because the DDNN's value channel may be discontinuous
 across region boundaries.  Since the activation channel is unchanged by
 repair, the decomposition of each specification region is cached across the
 repeated verification rounds of a repair driver.
+
+Every pass stacks the vertices of all linear regions of all spec regions
+(each row pinned to its region's interior) and evaluates them in one
+forward pass; all of a spec's uncached planes are decomposed by one batched
+``transform_planes`` call.
 
 Decomposition can also be delegated to a
 :class:`repro.engine.ShardedSyrennEngine`: all of a spec's regions are
@@ -37,7 +42,7 @@ from repro.engine.jobs import contiguous_spans
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
-from repro.syrenn.plane import transform_plane
+from repro.syrenn.plane import transform_planes
 from repro.syrenn.regions import LinearRegion, geometry_digest
 from repro.utils.serialization import network_fingerprint
 from repro.verify.base import (
@@ -109,7 +114,7 @@ class SyrennVerifier(Verifier):
         # pass's decomposition plus its vertex/activation stacks, keyed by
         # (activation fingerprint, per-region geometry digests).  One slot
         # suffices: a repair driver re-verifies the same spec every round.
-        self._value_only_slot: tuple | None = None
+        self._value_only_slot: _RegionStack | None = None
 
     def verify(
         self, network: Network | DecoupledNetwork, spec: VerificationSpec
@@ -138,93 +143,33 @@ class SyrennVerifier(Verifier):
             slot = self._value_only_slot
             if slot is not None and slot.key == fast_key:
                 self.value_only_verifications += 1
-                return self._verify_value_only(network, spec, slot, start)
-        decomposed = self._decompose_all(activation_network, normalized)
+                return self._report(network, spec, slot, start, value_only=True)
+        stack = _RegionStack.build(fast_key, self._decompose_all(activation_network, normalized))
         if fast_key is not None:
-            self._value_only_slot = _ValueOnlyCache.build(fast_key, decomposed)
-
-        statuses: list[RegionStatus] = []
-        margins: list[float] = []
-        counterexamples: list[Counterexample] = []
-        points_checked = 0
-        linear_regions_checked = 0
-        for region_index, entry in enumerate(spec.regions):
-            linear_regions = decomposed[region_index]
-            if linear_regions is None:  # a box the 1-D/2-D substrate cannot decompose
-                statuses.append(RegionStatus.UNKNOWN)
-                margins.append(float("-inf"))
-                continue
-            linear_regions_checked += len(linear_regions)
-            region_margin = float("-inf")
-            region_violated = False
-            # Vertex checks stay in-process even with an engine: each linear
-            # region is a micro-batch of 2-8 points whose forward pass is far
-            # cheaper than shipping it to a worker, and decomposition — not
-            # evaluation — dominates exact-verification wall-clock.
-            for linear_region in linear_regions:
-                points_checked += linear_region.vertices.shape[0]
-                outputs = self._evaluate(network, linear_region.vertices, linear_region.interior)
-                vertex_margins = entry.constraint.violation_batch(outputs)
-                region_margin = max(region_margin, float(np.max(vertex_margins)))
-                violating = np.where(vertex_margins > self.tolerance)[0]
-                if violating.size == 0:
-                    continue
-                region_violated = True
-                if self.region_counterexamples:
-                    worst = int(np.argmax(vertex_margins))
-                    counterexamples.append(
-                        RegionCounterexample(
-                            point=linear_region.vertices[worst].copy(),
-                            constraint=entry.constraint,
-                            margin=float(vertex_margins[worst]),
-                            region_index=region_index,
-                            activation_point=linear_region.interior.copy(),
-                            vertices=linear_region.vertices.copy(),
-                        )
-                    )
-                    continue
-                for vertex_index in violating:
-                    counterexamples.append(
-                        Counterexample(
-                            point=linear_region.vertices[vertex_index].copy(),
-                            constraint=entry.constraint,
-                            margin=float(vertex_margins[vertex_index]),
-                            region_index=region_index,
-                            activation_point=linear_region.interior.copy(),
-                        )
-                    )
-            statuses.append(
-                RegionStatus.VIOLATED if region_violated else RegionStatus.CERTIFIED
-            )
-            margins.append(region_margin)
-        return self._publish_report(
-            VerificationReport(
-                verifier=self.name,
-                region_statuses=statuses,
-                region_margins=margins,
-                counterexamples=counterexamples,
-                points_checked=points_checked,
-                linear_regions_checked=linear_regions_checked,
-                seconds=time.perf_counter() - start,
-            )
-        )
+            self._value_only_slot = stack
+        return self._report(network, spec, stack, start, value_only=False)
 
     # ------------------------------------------------------------------
-    # The value-only fast path
+    # Reporting over the stacked linear regions
     # ------------------------------------------------------------------
-    def _verify_value_only(
-        self, network, spec: VerificationSpec, cache: "_ValueOnlyCache", start: float
+    def _report(
+        self,
+        network,
+        spec: VerificationSpec,
+        stack: "_RegionStack",
+        start: float,
+        value_only: bool,
     ) -> VerificationReport:
-        """Re-verify from cached decomposition with batched evaluation.
+        """Verdicts, margins and counterexamples from one stacked evaluation.
 
-        Produces byte-identical verdicts, margins, and counterexamples (in
-        identical order) to the slow path: all arithmetic is row-wise — one
-        stacked forward pass, one ``violation_batch`` per distinct output
-        constraint over its regions' gathered rows, and per-region maxima
-        via ``np.maximum.reduceat`` (max is exact, so the grouping cannot
-        change any value).
+        All arithmetic is row-wise — one stacked forward pass, one
+        ``violation_batch`` per distinct output constraint over its regions'
+        gathered rows, and per-region maxima via ``np.maximum.reduceat``
+        (max is exact, so the grouping cannot change any value) — and
+        counterexamples come out in stack order: spec regions, then linear
+        regions, then vertices.
         """
-        outputs = self._evaluate_stacked(network, cache.vertices, cache.activations)
+        outputs = self._evaluate_stacked(network, stack, use_engine=value_only)
         margins_all = np.empty(outputs.shape[0])
         # One batched margin computation per *distinct* constraint: the
         # strengthened ACAS specs reuse a handful of output polytopes across
@@ -232,8 +177,8 @@ class SyrennVerifier(Verifier):
         # into a few large matmuls.
         groups: dict[bytes, tuple] = {}
         for region_index, entry in enumerate(spec.regions):
-            span = cache.region_spans[region_index]
-            if span is None:
+            span = stack.region_spans[region_index]
+            if span is None or span[0] == span[1]:
                 continue
             digest = entry.constraint.a.tobytes() + entry.constraint.b.tobytes()
             if digest not in groups:
@@ -243,54 +188,59 @@ class SyrennVerifier(Verifier):
             rows = np.concatenate([np.arange(s, e) for s, e in spans])
             margins_all[rows] = constraint.violation_batch(outputs[rows])
 
-        supported = [i for i, span in enumerate(cache.region_spans) if span is not None]
+        # A region with no linear regions has nothing to violate: margin -inf
+        # and certified.  ``reduceat`` has no empty slices (it would return
+        # the next row's value), so only non-empty spans go through it.
         statuses: list[RegionStatus] = [RegionStatus.UNKNOWN] * spec.num_regions
         margins: list[float] = [float("-inf")] * spec.num_regions
-        if supported:
-            starts = np.array([cache.region_spans[i][0] for i in supported])
+        nonempty = []
+        for region_index, span in enumerate(stack.region_spans):
+            if span is None:
+                continue
+            statuses[region_index] = RegionStatus.CERTIFIED
+            if span[0] < span[1]:
+                nonempty.append(region_index)
+        if nonempty:
+            starts = np.array([stack.region_spans[i][0] for i in nonempty])
             region_maxes = np.maximum.reduceat(margins_all, starts)
-            for position, region_index in enumerate(supported):
+            for position, region_index in enumerate(nonempty):
                 margin = float(region_maxes[position])
                 margins[region_index] = margin
-                statuses[region_index] = (
-                    RegionStatus.VIOLATED if margin > self.tolerance else RegionStatus.CERTIFIED
-                )
+                if margin > self.tolerance:
+                    statuses[region_index] = RegionStatus.VIOLATED
 
         counterexamples: list[Counterexample] = []
         if self.region_counterexamples:
-            # One counterexample per violating *linear region*: rows of a
-            # linear region are contiguous in the cached stack (they were
-            # built region by region), so the per-region grouping is exactly
-            # the contiguous spans of the row → interior mapping — the same
-            # regions, in the same order, as the slow path walks.
-            for span_start, span_stop in contiguous_spans(cache.row_interior):
+            # One counterexample per violating *linear region*: its rows are
+            # the contiguous spans of the row → interior mapping.
+            for span_start, span_stop in contiguous_spans(stack.row_interior):
                 span_margins = margins_all[span_start:span_stop]
                 worst = int(np.argmax(span_margins))
                 if span_margins[worst] <= self.tolerance:
                     continue
-                region_index = int(cache.row_region[span_start])
+                region_index = int(stack.row_region[span_start])
                 counterexamples.append(
                     RegionCounterexample(
-                        point=cache.vertices[span_start + worst].copy(),
+                        point=stack.vertices[span_start + worst].copy(),
                         constraint=spec.regions[region_index].constraint,
                         margin=float(span_margins[worst]),
                         region_index=region_index,
-                        activation_point=cache.interiors[
-                            cache.row_interior[span_start]
+                        activation_point=stack.interiors[
+                            stack.row_interior[span_start]
                         ].copy(),
-                        vertices=cache.vertices[span_start:span_stop].copy(),
+                        vertices=stack.vertices[span_start:span_stop].copy(),
                     )
                 )
         else:
             for row in np.where(margins_all > self.tolerance)[0]:
-                region_index = int(cache.row_region[row])
+                region_index = int(stack.row_region[row])
                 counterexamples.append(
                     Counterexample(
-                        point=cache.vertices[row].copy(),
+                        point=stack.vertices[row].copy(),
                         constraint=spec.regions[region_index].constraint,
                         margin=float(margins_all[row]),
                         region_index=region_index,
-                        activation_point=cache.interiors[cache.row_interior[row]].copy(),
+                        activation_point=stack.interiors[stack.row_interior[row]].copy(),
                     )
                 )
         return self._publish_report(
@@ -299,36 +249,41 @@ class SyrennVerifier(Verifier):
                 region_statuses=statuses,
                 region_margins=margins,
                 counterexamples=counterexamples,
-                points_checked=int(cache.vertices.shape[0]),
-                linear_regions_checked=cache.total_linear_regions,
+                points_checked=int(stack.vertices.shape[0]),
+                linear_regions_checked=len(stack.interiors),
                 seconds=time.perf_counter() - start,
-                value_only=True,
+                value_only=value_only,
             )
         )
 
     # ------------------------------------------------------------------
     def _evaluate_stacked(
-        self, network, vertex_stack: np.ndarray, activation_stack: np.ndarray
+        self, network, stack: "_RegionStack", use_engine: bool
     ) -> np.ndarray:
-        """Outputs for every cached vertex, with per-row pinned activations.
+        """Outputs for every stacked vertex, with per-row pinned activations.
 
-        With an engine the stack runs as one batched ``evaluate_regions``
-        job (chunked across the worker pool); without one it is a single
-        in-process batched forward pass — either way replacing the
-        per-linear-region evaluation loop of the slow path.
+        The first pass of a spec always evaluates in-process: it follows a
+        decomposition, whose cost dwarfs one batched forward.  A value-only
+        re-verification with an engine attached ships the stack as one
+        chunked ``evaluate_regions`` job instead.
         """
-        if vertex_stack.shape[0] == 0:
+        if stack.vertices.shape[0] == 0:
             return np.zeros((0, network.output_size))
-        if self.engine is not None:
-            return self.engine.evaluate_regions(network, vertex_stack, activation_stack)
+        if use_engine and self.engine is not None:
+            return self.engine.evaluate_regions(network, stack.vertices, stack.activations)
         if isinstance(network, DecoupledNetwork):
-            return np.atleast_2d(network.compute(vertex_stack, activation_stack))
-        return np.atleast_2d(network.compute(vertex_stack))
+            return np.atleast_2d(network.compute(stack.vertices, stack.activations))
+        return np.atleast_2d(network.compute(stack.vertices))
 
     def _decompose_all(
         self, activation_network: Network, normalized: list
     ) -> list[list[LinearRegion] | None]:
-        """Linear regions per normalized spec region (``None`` for 3D+ boxes)."""
+        """Linear regions per normalized spec region (``None`` for 3D+ boxes).
+
+        Without an engine, every uncached plane region goes through one
+        batched :func:`transform_planes` call; segments and single points
+        are decomposed one at a time.
+        """
         supported = [index for index, region in enumerate(normalized) if region is not None]
         decomposed: list[list[LinearRegion] | None] = [None] * len(normalized)
         if self.engine is not None:
@@ -341,100 +296,97 @@ class SyrennVerifier(Verifier):
                 decomposed[index] = linear_regions
             return decomposed
         fingerprint = network_fingerprint(activation_network) if self.cache_partitions else None
+        keys: dict[int, tuple] = {}
+        planes: dict = {}
         for index in supported:
             region = normalized[index]
-            decomposed[index] = self._decompose(
-                activation_network, region, (geometry_digest(region), fingerprint)
+            key = keys[index] = (geometry_digest(region), fingerprint)
+            if self.cache_partitions and key in self._cache:
+                decomposed[index] = self._cache[key]
+            elif isinstance(region, LineSegment):
+                pieces = transform_line(activation_network, region).regions
+                decomposed[index] = self._remember(
+                    key, [LinearRegion(piece.vertices, piece.interior_point) for piece in pieces]
+                )
+            elif region.ndim == 1:
+                # A fully degenerate box: a single point is its own linear region.
+                decomposed[index] = [LinearRegion(vertices=region[None, :], interior=region)]
+            else:
+                # With caching on, equal geometries in one spec decompose once.
+                planes.setdefault(key if self.cache_partitions else index, []).append(index)
+        groups = list(planes.values())
+        if groups:
+            partitions = transform_planes(
+                activation_network, [normalized[group[0]] for group in groups]
             )
+            for group, partition in zip(groups, partitions):
+                linear_regions = self._remember(
+                    keys[group[0]],
+                    [LinearRegion(piece.input_vertices, piece.interior_point) for piece in partition.regions],
+                )
+                for index in group:
+                    decomposed[index] = linear_regions
         return decomposed
 
-    def _decompose(
-        self, activation_network: Network, region, cache_key: tuple
-    ) -> list[LinearRegion]:
-        if self.cache_partitions and cache_key in self._cache:
-            return self._cache[cache_key]
-        if isinstance(region, LineSegment):
-            partition = transform_line(activation_network, region)
-            linear_regions = [
-                LinearRegion(vertices=piece.vertices, interior=piece.interior_point)
-                for piece in partition.regions
-            ]
-        elif isinstance(region, np.ndarray) and region.ndim == 1:
-            # A fully degenerate box: a single point is its own linear region.
-            linear_regions = [LinearRegion(vertices=region[None, :], interior=region)]
-        else:
-            partition = transform_plane(activation_network, region)
-            linear_regions = [
-                LinearRegion(vertices=piece.input_vertices, interior=piece.interior_point)
-                for piece in partition.regions
-            ]
+    def _remember(self, key: tuple, linear_regions: list[LinearRegion]) -> list[LinearRegion]:
         if self.cache_partitions:
-            self._cache[cache_key] = linear_regions
+            self._cache[key] = linear_regions
         return linear_regions
 
 
 @dataclass
-class _ValueOnlyCache:
-    """Everything the value-only fast path needs from a decomposition.
+class _RegionStack:
+    """A spec's linear regions stacked row-wise for one batched evaluation.
 
-    Rows follow the slow path's iteration order (spec regions in order,
-    linear regions in order, vertices in order), so batched results map back
-    by row index.  ``row_region``/``row_interior`` resolve a violating row to
-    its spec region and its linear region's interior point; unsupported
-    (3D+ box) regions have a ``None`` span and contribute no rows.
+    Rows follow spec regions in order, linear regions in order, vertices in
+    order, so batched results map back by row index.  ``row_region`` /
+    ``row_interior`` resolve a row to its spec region and its linear
+    region's interior point; unsupported (3D+ box) regions have a ``None``
+    span and contribute no rows.  The value-only fast path keeps the last
+    stack, keyed by ``key``.
     """
 
-    key: tuple
+    key: tuple | None
     vertices: np.ndarray
     activations: np.ndarray
     region_spans: list[tuple[int, int] | None]
     row_region: np.ndarray
     row_interior: np.ndarray
     interiors: list[np.ndarray]
-    total_linear_regions: int
 
     @classmethod
-    def build(cls, key: tuple, decomposed: list) -> "_ValueOnlyCache":
-        vertices: list[np.ndarray] = []
-        activations: list[np.ndarray] = []
+    def build(cls, key: tuple | None, decomposed: list) -> "_RegionStack":
         region_spans: list[tuple[int, int] | None] = []
-        row_region: list[int] = []
-        row_interior: list[int] = []
-        interiors: list[np.ndarray] = []
-        total_linear_regions = 0
+        flat: list[LinearRegion] = []
+        owners: list[int] = []
         cursor = 0
         for region_index, linear_regions in enumerate(decomposed):
             if linear_regions is None:
                 region_spans.append(None)
                 continue
-            total_linear_regions += len(linear_regions)
             span_start = cursor
             for linear_region in linear_regions:
-                count = linear_region.vertices.shape[0]
-                vertices.append(linear_region.vertices)
-                activations.append(
-                    np.broadcast_to(linear_region.interior, linear_region.vertices.shape)
-                )
-                row_region.extend([region_index] * count)
-                row_interior.extend([len(interiors)] * count)
-                interiors.append(linear_region.interior)
-                cursor += count
+                flat.append(linear_region)
+                owners.append(region_index)
+                cursor += linear_region.vertices.shape[0]
             region_spans.append((span_start, cursor))
-        if vertices:
-            vertex_stack = np.vstack(vertices)
-            activation_stack = np.ascontiguousarray(np.vstack(activations))
+        interiors = [linear_region.interior for linear_region in flat]
+        if flat:
+            counts = np.array([linear_region.vertices.shape[0] for linear_region in flat])
+            vertices = np.vstack([linear_region.vertices for linear_region in flat])
+            activations = np.repeat(np.array(interiors), counts, axis=0)
         else:
-            vertex_stack = np.zeros((0, 0))
-            activation_stack = np.zeros((0, 0))
+            counts = np.zeros(0, dtype=int)
+            vertices = np.zeros((0, 0))
+            activations = np.zeros((0, 0))
         return cls(
             key=key,
-            vertices=vertex_stack,
-            activations=activation_stack,
+            vertices=vertices,
+            activations=activations,
             region_spans=region_spans,
-            row_region=np.array(row_region, dtype=int),
-            row_interior=np.array(row_interior, dtype=int),
+            row_region=np.repeat(np.array(owners, dtype=int), counts),
+            row_interior=np.repeat(np.arange(len(flat)), counts),
             interiors=interiors,
-            total_linear_regions=total_linear_regions,
         )
 
 

@@ -1,15 +1,21 @@
-"""Reference implementations the single repair data path is checked against.
+"""Reference implementations the optimized data paths are checked against.
 
-The library has one encoder (the batched chunk stream) and one LP driver
-path (the repair session).  These oracles are the straightforward per-point
-versions of the same math — one :meth:`DecoupledNetwork.parameter_jacobian`
-call per point, one dense constraint block per point, a fresh
-:class:`LPModel` solved once, optionally from a dense standard form
-assembled block by block — kept here so the tests can compare the optimized
-path against code simple enough to check by eye.
+The library has one encoder (the batched chunk stream), one LP driver
+path (the repair session), one 2-D SyReNN transform (the ragged batch of
+:func:`repro.syrenn.plane.transform_planes`) and one exact-verifier report
+(one stacked evaluation of every linear region).  These oracles are the
+straightforward versions of the same math — one
+:meth:`DecoupledNetwork.parameter_jacobian` call per point, one dense
+constraint block per point, a fresh :class:`LPModel` solved once,
+optionally from a dense standard form assembled block by block; one
+polygon at a time through every layer; one network evaluation per linear
+region — kept here so the tests can compare the optimized paths against
+code simple enough to check by eye.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,10 +23,32 @@ import scipy.sparse as sp
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.result import RepairResult
 from repro.core.specs import PointRepairSpec
+from repro.exceptions import ShapeError
 from repro.lp.backends import get_backend
 from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
+from repro.nn.layer import LayerKind
+from repro.polytope.polygon import VertexPolygon
+from repro.polytope.segment import LineSegment
+from repro.syrenn.line import transform_line
+from repro.syrenn.plane import (
+    SPLIT_TOLERANCE,
+    PlanePartition,
+    PlaneRegion,
+    _check_supported,
+    _plane_coordinates,
+)
+from repro.syrenn.regions import LinearRegion
+from repro.verify.base import (
+    DEFAULT_TOLERANCE,
+    Counterexample,
+    RegionCounterexample,
+    RegionStatus,
+    VerificationReport,
+    Verifier,
+)
+from repro.verify.exact import _normalize_region
 
 
 def specification_jacobians(
@@ -150,4 +178,193 @@ def oracle_point_repair(
         lp_status=solution.status,
         objective_value=solution.objective,
         **common,
+    )
+
+
+# ----------------------------------------------------------------------
+# 2-D SyReNN, one polygon at a time
+# ----------------------------------------------------------------------
+def oracle_transform_plane(network, plane_vertices: np.ndarray) -> PlanePartition:
+    """``LinRegions(network, polygon)`` with one ``forward`` per piece per layer.
+
+    Every piece of the polygon goes through every layer on its own, and
+    every piece is offered to :func:`_oracle_split_one` at every breakpoint.
+    """
+    _check_supported(network)
+    plane_vertices = np.asarray(plane_vertices, dtype=np.float64)
+    if plane_vertices.ndim != 2 or plane_vertices.shape[0] < 3:
+        raise ShapeError("plane_vertices must be a (k >= 3, n) array of polygon vertices")
+    if plane_vertices.shape[1] != network.input_size:
+        raise ShapeError(
+            f"plane vertices have dimension {plane_vertices.shape[1]}, "
+            f"network expects {network.input_size}"
+        )
+
+    plane_coordinates = _plane_coordinates(plane_vertices)
+    # Attribute layout per vertex: [input point (n), current values (varies)].
+    initial_attributes = np.hstack([plane_vertices, plane_vertices])
+    polygons = [VertexPolygon(plane_coordinates, initial_attributes)]
+    input_dim = plane_vertices.shape[1]
+
+    for layer in network.layers:
+        if layer.kind is LayerKind.ACTIVATION:
+            breakpoints = layer.piecewise_breakpoints()
+            polygons = _oracle_split_all(polygons, input_dim, breakpoints)
+            polygons = [
+                _apply_to_values(polygon, input_dim, layer.forward) for polygon in polygons
+            ]
+        else:
+            polygons = [
+                _apply_to_values(polygon, input_dim, layer.forward) for polygon in polygons
+            ]
+
+    regions = [
+        PlaneRegion(
+            input_vertices=polygon.attributes[:, :input_dim].copy(),
+            plane_vertices=polygon.plane_points.copy(),
+        )
+        for polygon in polygons
+    ]
+    return PlanePartition(regions=regions)
+
+
+def _apply_to_values(polygon: VertexPolygon, input_dim: int, function) -> VertexPolygon:
+    """Apply ``function`` to the value part of a polygon's attributes."""
+    inputs_part = polygon.attributes[:, :input_dim]
+    values_part = polygon.attributes[:, input_dim:]
+    new_values = function(values_part)
+    return VertexPolygon(polygon.plane_points.copy(), np.hstack([inputs_part, new_values]))
+
+
+def _oracle_split_all(
+    polygons: list[VertexPolygon], input_dim: int, breakpoints: tuple[float, ...]
+) -> list[VertexPolygon]:
+    """Split every polygon on every coordinate/breakpoint combination."""
+    for threshold in breakpoints:
+        updated: list[VertexPolygon] = []
+        for polygon in polygons:
+            updated.extend(_oracle_split_one(polygon, input_dim, threshold))
+        polygons = updated
+    return polygons
+
+
+def _oracle_split_one(
+    polygon: VertexPolygon, input_dim: int, threshold: float
+) -> list[VertexPolygon]:
+    """Split one polygon on every value coordinate crossing ``threshold``."""
+    pending = [polygon]
+    num_values = polygon.attributes.shape[1] - input_dim
+    for coordinate in range(num_values):
+        next_pending: list[VertexPolygon] = []
+        for piece in pending:
+            function_values = piece.attributes[:, input_dim + coordinate] - threshold
+            if np.all(function_values >= -SPLIT_TOLERANCE) or np.all(
+                function_values <= SPLIT_TOLERANCE
+            ):
+                next_pending.append(piece)
+                continue
+            positive, negative = piece.split(function_values)
+            if positive is not None:
+                next_pending.append(positive)
+            if negative is not None:
+                next_pending.append(negative)
+            if positive is None and negative is None:
+                next_pending.append(piece)
+        pending = next_pending
+    return pending
+
+
+# ----------------------------------------------------------------------
+# Exact verification, one linear region at a time
+# ----------------------------------------------------------------------
+def _oracle_linear_regions(activation_network, region) -> list[LinearRegion]:
+    if isinstance(region, LineSegment):
+        partition = transform_line(activation_network, region)
+        return [
+            LinearRegion(vertices=piece.vertices, interior=piece.interior_point)
+            for piece in partition.regions
+        ]
+    if isinstance(region, np.ndarray) and region.ndim == 1:
+        return [LinearRegion(vertices=region[None, :], interior=region)]
+    partition = oracle_transform_plane(activation_network, region)
+    return [
+        LinearRegion(vertices=piece.input_vertices, interior=piece.interior_point)
+        for piece in partition.regions
+    ]
+
+
+def oracle_verify(
+    network,
+    spec,
+    *,
+    tolerance: float = DEFAULT_TOLERANCE,
+    region_counterexamples: bool = False,
+) -> VerificationReport:
+    """What :meth:`SyrennVerifier.verify` reports, one linear region at a time.
+
+    Each spec region is decomposed on its own (planes through
+    :func:`oracle_transform_plane`) and each linear region's vertices are
+    evaluated in their own network call, pinned to the region's interior.
+    """
+    start = time.perf_counter()
+    activation_network = (
+        network.activation if isinstance(network, DecoupledNetwork) else network
+    )
+    statuses: list[RegionStatus] = []
+    margins: list[float] = []
+    counterexamples: list[Counterexample] = []
+    points_checked = 0
+    linear_regions_checked = 0
+    for region_index, entry in enumerate(spec.regions):
+        normalized = _normalize_region(entry.region)
+        if normalized is None:  # a box the 1-D/2-D substrate cannot decompose
+            statuses.append(RegionStatus.UNKNOWN)
+            margins.append(float("-inf"))
+            continue
+        linear_regions = _oracle_linear_regions(activation_network, normalized)
+        linear_regions_checked += len(linear_regions)
+        region_margin = float("-inf")
+        region_violated = False
+        for linear_region in linear_regions:
+            points_checked += linear_region.vertices.shape[0]
+            outputs = Verifier._evaluate(network, linear_region.vertices, linear_region.interior)
+            vertex_margins = entry.constraint.violation_batch(outputs)
+            region_margin = max(region_margin, float(np.max(vertex_margins)))
+            violating = np.where(vertex_margins > tolerance)[0]
+            if violating.size == 0:
+                continue
+            region_violated = True
+            if region_counterexamples:
+                worst = int(np.argmax(vertex_margins))
+                counterexamples.append(
+                    RegionCounterexample(
+                        point=linear_region.vertices[worst].copy(),
+                        constraint=entry.constraint,
+                        margin=float(vertex_margins[worst]),
+                        region_index=region_index,
+                        activation_point=linear_region.interior.copy(),
+                        vertices=linear_region.vertices.copy(),
+                    )
+                )
+                continue
+            for vertex_index in violating:
+                counterexamples.append(
+                    Counterexample(
+                        point=linear_region.vertices[vertex_index].copy(),
+                        constraint=entry.constraint,
+                        margin=float(vertex_margins[vertex_index]),
+                        region_index=region_index,
+                        activation_point=linear_region.interior.copy(),
+                    )
+                )
+        statuses.append(RegionStatus.VIOLATED if region_violated else RegionStatus.CERTIFIED)
+        margins.append(region_margin)
+    return VerificationReport(
+        verifier="syrenn",
+        region_statuses=statuses,
+        region_margins=margins,
+        counterexamples=counterexamples,
+        points_checked=points_checked,
+        linear_regions_checked=linear_regions_checked,
+        seconds=time.perf_counter() - start,
     )

@@ -45,7 +45,12 @@ from repro.utils.rng import ensure_rng
 from repro.utils.serialization import network_fingerprint
 from repro.verify import SyrennVerifier
 from tests.conftest import lp_solver, make_random_relu_network
-from tests.oracle import dense_standard_form, max_row_violation, oracle_point_repair
+from tests.oracle import (
+    dense_standard_form,
+    max_row_violation,
+    oracle_point_repair,
+    oracle_verify,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +140,7 @@ class TestPartitionInvariance:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_value_only_fast_path_is_exact_on_random_networks(self, seed):
-        """Fast-path reports equal slow-path reports on the repaired DDNN."""
+        """First-pass and fast-path reports equal the per-region oracle's."""
         rng = ensure_rng(seed)
         network = make_random_relu_network(rng, (2, 8, 6, 3))
         ddnn = DecoupledNetwork.from_network(network)
@@ -154,12 +159,58 @@ class TestPartitionInvariance:
         repaired.apply_parameter_delta(layer_index, delta)
 
         fast = SyrennVerifier(value_only=True)
-        fast.verify(ddnn, spec)  # populate the fast-path slot
+        first_report = fast.verify(ddnn, spec)  # populate the fast-path slot
         fast_report = fast.verify(repaired, spec)
-        slow_report = SyrennVerifier().verify(repaired, spec)
+        assert not first_report.value_only
         assert fast_report.value_only
         assert fast.value_only_verifications == 1
-        assert_reports_identical(slow_report, fast_report)
+        assert_reports_identical(oracle_verify(ddnn, spec), first_report)
+        assert_reports_identical(oracle_verify(repaired, spec), fast_report)
+
+
+class TestSyrennWorkCounters:
+    """The verifier's first pass does one forward per layer, not per polygon.
+
+    A regression to per-polygon (or per-linear-region) forwards fails here.
+    """
+
+    def test_first_pass_forwards_once_per_layer(self, acas_phi8, monkeypatch):
+        import repro.syrenn.plane as plane_module
+        import repro.verify.exact as exact_module
+
+        network, spec = acas_phi8
+        forwards = {"inside": 0, "outside": 0}
+        state = {"inside": False, "calls": 0, "splits": 0}
+        for layer in network.layers:
+            def counting(values, _forward=layer.forward):
+                forwards["inside" if state["inside"] else "outside"] += 1
+                return _forward(values)
+
+            monkeypatch.setattr(layer, "forward", counting)
+        transform_planes, split_one = exact_module.transform_planes, plane_module._split_one
+
+        def counted_transform(*args, **kwargs):
+            state["calls"] += 1
+            state["inside"] = True
+            try:
+                return transform_planes(*args, **kwargs)
+            finally:
+                state["inside"] = False
+
+        def counted_split(*args, **kwargs):
+            state["splits"] += 1
+            return split_one(*args, **kwargs)
+
+        monkeypatch.setattr(exact_module, "transform_planes", counted_transform)
+        monkeypatch.setattr(plane_module, "_split_one", counted_split)
+        report = SyrennVerifier().verify(network, spec)
+        assert spec.num_regions > 1
+        assert report.linear_regions_checked == spec.num_regions  # already linear
+        assert state["calls"] == 1
+        assert forwards["inside"] == len(network.layers)
+        assert state["splits"] == 0
+        # ... and one stacked evaluation of every linear region's vertices.
+        assert forwards["outside"] == len(network.layers)
 
 
 class TestIncrementalDifferential:

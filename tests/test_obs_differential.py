@@ -15,7 +15,9 @@ Two pins, both run over the same CEGIS repair workload:
 
 The byte-identity matrix is also run with the frozen-prefix cache switched
 off (:func:`tests.conftest.prefix_cache_off`): cached and uncached layer
-loops must produce the same repair bytes at every worker count.
+loops must produce the same repair bytes at every worker count.  The
+serial exact verifier — whose ragged-batch SyReNN call emits its own span
+and region counter — is pinned the same way, report by report.
 """
 
 from __future__ import annotations
@@ -142,3 +144,49 @@ class TestTelemetryNeverTouchesNumerics:
         # The pooled run really did go through the capture/absorb path.
         assert any(name.startswith("repro_worker_") for name in pooled)
         assert "repro_engine_batches_total" in pooled
+
+
+def verify_twice(with_obs: bool) -> tuple[list, dict, Trace | None]:
+    """A serial first pass and a value-only pass of the exact verifier."""
+    network, spec = build_workload()
+    with obs.isolated(start_enabled=with_obs):
+        trace = Trace("verify") if with_obs else None
+        with use_trace(trace) if trace is not None else nullcontext():
+            verifier = SyrennVerifier(value_only=True)
+            reports = [verifier.verify(network, spec), verifier.verify(network, spec)]
+        snapshot = obs.snapshot()
+    return reports, snapshot, trace
+
+
+def report_bytes(report) -> tuple:
+    return (
+        report.region_statuses,
+        report.region_margins,
+        report.points_checked,
+        report.linear_regions_checked,
+        report.value_only,
+        [
+            (
+                example.point.tobytes(),
+                example.margin,
+                example.region_index,
+                example.resolved_activation_point().tobytes(),
+            )
+            for example in report.counterexamples
+        ],
+    )
+
+
+class TestVerifierTelemetry:
+    def test_verifier_reports_identical_with_obs_on_and_off(self):
+        quiet, quiet_snapshot, _ = verify_twice(with_obs=False)
+        traced, snapshot, trace = verify_twice(with_obs=True)
+        assert [report.value_only for report in quiet] == [False, True]
+        assert [report_bytes(r) for r in traced] == [report_bytes(r) for r in quiet]
+        assert quiet_snapshot == {}
+        # Only the first pass decomposes: one span, four planes, one counter.
+        spans = [child for child in trace.root.children if child.name == "syrenn.transform_planes"]
+        assert len(spans) == 1
+        assert spans[0].attributes["polygons"] == 4
+        regions = snapshot["repro_syrenn_regions_total"]["series"][0]["value"]
+        assert regions == spans[0].attributes["regions"] == quiet[0].linear_regions_checked

@@ -50,7 +50,7 @@ from repro.verify import (
     VerificationSpec,
 )
 from tests.conftest import lp_solver, make_random_relu_network
-from tests.oracle import oracle_point_repair
+from tests.oracle import oracle_point_repair, oracle_verify
 
 CONSTRAINT = HPolytope([[1.0, 0.0]], [0.5])
 
@@ -514,24 +514,25 @@ class TestPolytopeDriverLoop:
     def test_value_only_region_counterexamples_match_slow_path(self, polytope_scenario):
         network, spec = polytope_scenario
         vspec = VerificationSpec.from_polytope_spec(spec)
-        slow = SyrennVerifier(region_counterexamples=True).verify(network, vspec)
+        slow = oracle_verify(network, vspec, region_counterexamples=True)
         fast_verifier = SyrennVerifier(region_counterexamples=True, value_only=True)
-        fast_verifier.verify(network, vspec)  # populate the fast-path slot
+        first = fast_verifier.verify(network, vspec)  # populate the fast-path slot
         fast = fast_verifier.verify(network, vspec)
         assert fast.value_only
-        assert slow.region_statuses == fast.region_statuses
-        assert slow.region_margins == fast.region_margins
-        assert len(slow.counterexamples) == len(fast.counterexamples)
-        for a, b in zip(slow.counterexamples, fast.counterexamples):
-            assert isinstance(b, RegionCounterexample)
-            assert a.point.tobytes() == b.point.tobytes()
-            assert a.vertices.tobytes() == b.vertices.tobytes()
-            assert a.margin == b.margin
-            assert a.region_index == b.region_index
-            assert (
-                a.resolved_activation_point().tobytes()
-                == b.resolved_activation_point().tobytes()
-            )
+        for report in (first, fast):
+            assert slow.region_statuses == report.region_statuses
+            assert slow.region_margins == report.region_margins
+            assert len(slow.counterexamples) == len(report.counterexamples)
+            for a, b in zip(slow.counterexamples, report.counterexamples):
+                assert isinstance(b, RegionCounterexample)
+                assert a.point.tobytes() == b.point.tobytes()
+                assert a.vertices.tobytes() == b.vertices.tobytes()
+                assert a.margin == b.margin
+                assert a.region_index == b.region_index
+                assert (
+                    a.resolved_activation_point().tobytes()
+                    == b.resolved_activation_point().tobytes()
+                )
 
     def test_mode_validation(self, polytope_scenario):
         network, spec = polytope_scenario

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.obs as obs
+import repro.syrenn.plane as plane_module
 from repro.exceptions import NotPiecewiseLinearError, ShapeError
-from repro.nn.activations import HardTanhLayer
+from repro.nn.activations import HardTanhLayer, LeakyReLULayer, ReLULayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
-from repro.syrenn.plane import transform_plane
+from repro.syrenn.plane import transform_plane, transform_planes
+from repro.utils.rng import ensure_rng
 from tests.conftest import make_random_relu_network, make_random_tanh_network
+from tests.oracle import oracle_transform_plane
 
 
 class TestTransformLine:
@@ -188,3 +192,131 @@ class TestTransformPlane:
         for region in partition.regions:
             interior = region.interior_point
             assert np.all(interior >= lower) and np.all(interior <= upper)
+
+
+ACTIVATIONS = {
+    "relu": ReLULayer,
+    "leaky_relu": lambda size: LeakyReLULayer(size, negative_slope=0.1),
+    "hard_tanh": HardTanhLayer,
+}
+
+
+def make_pwl_network(rng, sizes: tuple[int, ...], activation: str, scale: float = 1.0) -> Network:
+    """A random fully-connected network with one PWL activation kind."""
+    layers = []
+    for index in range(len(sizes) - 1):
+        layer = FullyConnectedLayer.from_shape(sizes[index], sizes[index + 1], rng)
+        layer.weights *= scale
+        layers.append(layer)
+        if index < len(sizes) - 2:
+            layers.append(ACTIVATIONS[activation](sizes[index + 1]))
+    return Network(layers)
+
+
+def random_convex_polygon(rng, dim: int, num_vertices: int, scale: float) -> np.ndarray:
+    """``num_vertices`` points in convex position on an ellipse in a random 2-D plane."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=num_vertices))
+    angles += np.arange(num_vertices) * 1e-3  # keep the vertices distinct
+    axes = rng.normal(size=(2, dim))
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return rng.normal(size=dim) + scale * circle @ axes
+
+
+def assert_partitions_identical(expected, actual) -> None:
+    assert actual.num_regions == expected.num_regions
+    for ours, theirs in zip(actual.regions, expected.regions):
+        assert ours.input_vertices.shape == theirs.input_vertices.shape
+        assert ours.input_vertices.tobytes() == theirs.input_vertices.tobytes()
+        assert ours.plane_vertices.tobytes() == theirs.plane_vertices.tobytes()
+
+
+class TestTransformPlanesOracle:
+    """The ragged batch against the one-polygon-at-a-time oracle, bit for bit.
+
+    Byte identity holds wherever each layer's forward gives every row the
+    same bits at any batch height: element-wise activations always, affine
+    layers under the usual BLAS kernels.  OpenBLAS switches kernels by
+    problem size once a layer has 32 or more inputs, which moves last bits
+    between a 4-row and a 4000-row product; the wide-layer test below pins
+    what still holds there.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        activation=st.sampled_from(sorted(ACTIVATIONS)),
+        depth=st.integers(1, 3),
+        batch=st.integers(1, 20),
+    )
+    def test_matches_oracle_byte_for_byte(self, seed, activation, depth, batch):
+        rng = ensure_rng(seed)
+        dim = int(rng.integers(2, 6))
+        sizes = (dim, *rng.integers(2, 11, size=depth).tolist(), 3)
+        network = make_pwl_network(rng, sizes, activation, scale=2.0)
+        polygons = [
+            random_convex_polygon(
+                rng, dim, int(rng.integers(3, 9)), float(rng.uniform(0.01, 1.0))
+            )
+            for _ in range(batch)
+        ]
+        partitions = transform_planes(network, polygons)
+        assert len(partitions) == batch
+        for vertices, partition in zip(polygons, partitions):
+            assert_partitions_identical(oracle_transform_plane(network, vertices), partition)
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_splits_in_several_layers_match_oracle(self, activation, monkeypatch):
+        """Pieces cut in one layer are cut again (and spliced) in later ones."""
+        rng = ensure_rng(3)
+        network = make_pwl_network(rng, (3, 7, 9, 11, 2), activation, scale=2.0)
+        polygons = [random_convex_polygon(rng, 3, 3 + index % 6, 1.0) for index in range(6)]
+        split_widths = set()
+        original = plane_module._split_one
+
+        def recording(polygon, input_dim, threshold):
+            split_widths.add(polygon.attributes.shape[1] - input_dim)
+            return original(polygon, input_dim, threshold)
+
+        monkeypatch.setattr(plane_module, "_split_one", recording)
+        partitions = transform_planes(network, polygons)
+        assert split_widths == {7, 9, 11}  # every activation layer split something
+        assert sum(partition.num_regions for partition in partitions) > 3 * len(polygons)
+        for vertices, partition in zip(polygons, partitions):
+            assert_partitions_identical(oracle_transform_plane(network, vertices), partition)
+
+    def test_wide_layers_match_oracle_to_rounding(self):
+        """With 40 inputs per layer only the last bits may move."""
+        rng = ensure_rng(11)
+        network = make_pwl_network(rng, (40, 40, 40, 3), "relu")
+        polygons = [random_convex_polygon(rng, 40, 3 + index % 6, 1.0) for index in range(4)]
+        for vertices, partition in zip(polygons, transform_planes(network, polygons)):
+            expected = oracle_transform_plane(network, vertices)
+            assert partition.num_regions == expected.num_regions
+            for ours, theirs in zip(partition.regions, expected.regions):
+                np.testing.assert_allclose(
+                    ours.input_vertices, theirs.input_vertices, rtol=0, atol=1e-9
+                )
+
+    def test_empty_batch(self, rng):
+        assert transform_planes(make_random_relu_network(rng, (3, 4, 2)), []) == []
+
+    def test_any_bad_polygon_rejects_the_batch(self, rng):
+        network = make_random_relu_network(rng, (3, 6, 2))
+        good = random_convex_polygon(rng, 3, 4, 1.0)
+        with pytest.raises(ShapeError):
+            transform_planes(network, [good, rng.normal(size=(4, 2))])
+
+    def test_span_and_region_counter_under_trace(self, rng):
+        network = make_random_relu_network(rng, (3, 8, 2))
+        polygons = [random_convex_polygon(rng, 3, 4, 2.0) for _ in range(3)]
+        trace = obs.Trace("test")
+        with obs.isolated(), obs.use_trace(trace):
+            partitions = transform_planes(network, polygons)
+            counted = obs.snapshot()
+        regions = sum(partition.num_regions for partition in partitions)
+        spans = [child for child in trace.root.children if child.name == "syrenn.transform_planes"]
+        assert len(spans) == 1
+        assert spans[0].attributes == {"polygons": 3, "regions": regions}
+        assert counted["repro_syrenn_regions_total"]["series"] == [
+            {"labels": {}, "value": float(regions)}
+        ]

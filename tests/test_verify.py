@@ -22,6 +22,7 @@ from repro.verify import (
     SyrennVerifier,
     VerificationSpec,
 )
+from tests.oracle import oracle_verify
 
 @pytest.fixture
 def plane_network(rng) -> Network:
@@ -190,6 +191,83 @@ class TestSyrennVerifier:
         assert result.feasible
         after = SyrennVerifier().verify(result.network, spec)
         assert after.certified
+
+
+class TestStackedReport:
+    """The single stacked evaluation against the per-linear-region oracle."""
+
+    @staticmethod
+    def mixed_spec() -> VerificationSpec:
+        spec = VerificationSpec()
+        for target in range(3):
+            constraint = HPolytope.argmax_region(3, target)
+            spec.add_box([0.3, 0.3], [0.3, 0.3], constraint)  # a single point
+            spec.add_plane([[-1, -1], [1, -1], [1, 1], [-1, 1]], constraint)
+            spec.add_segment(LineSegment([-1.0, 0.5], [1.0, -0.5]), constraint)
+            spec.add_plane([[0, 0], [1, 0], [0, 1]], constraint)
+            spec.add_plane([[-1, -1], [1, -1], [1, 1], [-1, 1]], constraint)  # a repeat
+        return spec
+
+    @pytest.mark.parametrize("region_counterexamples", [False, True])
+    @pytest.mark.parametrize("cache_partitions", [False, True])
+    def test_matches_oracle(self, plane_network, rng, region_counterexamples, cache_partitions):
+        ddnn = DecoupledNetwork.from_network(plane_network)
+        layer = ddnn.repairable_layer_indices()[-1]
+        ddnn.apply_parameter_delta(
+            layer, 0.3 * rng.normal(size=ddnn.value.layers[layer].num_parameters)
+        )
+        spec = self.mixed_spec()
+        for network in (plane_network, ddnn):
+            report = SyrennVerifier(
+                cache_partitions=cache_partitions,
+                region_counterexamples=region_counterexamples,
+            ).verify(network, spec)
+            expected = oracle_verify(
+                network, spec, region_counterexamples=region_counterexamples
+            )
+            assert report.region_statuses == expected.region_statuses
+            assert report.region_margins == expected.region_margins
+            assert report.points_checked == expected.points_checked
+            assert report.linear_regions_checked == expected.linear_regions_checked
+            assert not report.value_only
+            assert len(report.counterexamples) == len(expected.counterexamples) > 0
+            for ours, theirs in zip(report.counterexamples, expected.counterexamples):
+                assert type(ours) is type(theirs)
+                assert ours.point.tobytes() == theirs.point.tobytes()
+                assert ours.margin == theirs.margin
+                assert ours.region_index == theirs.region_index
+                assert ours.activation_point.tobytes() == theirs.activation_point.tobytes()
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_region_without_linear_regions_is_certified(self, plane_network, empty):
+        """A zero-region decomposition reports -inf, never a neighbour's margin."""
+        spec = VerificationSpec()
+        for _ in range(3):
+            spec.add_plane(
+                [[-1, -1], [1, -1], [1, 1], [-1, 1]], HPolytope.argmax_region(3, 0)
+            )
+        reference = SyrennVerifier().verify(plane_network, spec)
+        assert reference.region_statuses == [RegionStatus.VIOLATED] * 3
+        verifier = SyrennVerifier()
+        decompose_all = verifier._decompose_all
+
+        def with_empty_region(*args):
+            decomposed = list(decompose_all(*args))
+            decomposed[empty] = []
+            return decomposed
+
+        verifier._decompose_all = with_empty_region
+        report = verifier.verify(plane_network, spec)
+        for index in range(3):
+            if index == empty:
+                assert report.region_statuses[index] is RegionStatus.CERTIFIED
+                assert report.region_margins[index] == float("-inf")
+            else:
+                assert report.region_statuses[index] is reference.region_statuses[index]
+                assert report.region_margins[index] == reference.region_margins[index]
+        assert {example.region_index for example in report.counterexamples} == (
+            {0, 1, 2} - {empty}
+        )
 
 
 class TestSamplingVerifiers:
