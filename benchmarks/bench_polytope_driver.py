@@ -18,10 +18,8 @@ For each workload the script compares:
   iterates to a certified verdict through the standing LP session and
   value-only re-verification.
 
-Cross-checks are strict and always on.  A ``workers=4`` engine-backed run
-must be **byte-identical** to ``workers=1`` on both workloads (round
-counts, verdicts, margins, value-channel parameters).  The driver's final
-network is also checked against a one-shot ``point_repair(base, layer,
+Cross-checks are strict and always on.  The driver's final network is
+checked against a one-shot ``point_repair(base, layer,
 final pool)`` at the outcome level: the run certifies, every pooled
 counterexample is satisfied, and the norm objective matches to ``1e-9``
 relative.  Bytes are not compared: the driver's LP session admitted its
@@ -58,7 +56,6 @@ from repro.core.polytope_repair import count_key_points, polytope_repair
 from repro.core.specs import PolytopeRepairSpec
 from repro.datasets.acas import phi8_property
 from repro.driver import DriverConfig, RepairDriver
-from repro.engine import ShardedSyrennEngine
 from repro.experiments.task2_mnist_lines import (
     setup_task2,
     strengthened_line_specification,
@@ -135,29 +132,22 @@ def run_driver(
     norm: str,
     *,
     ration: int | None,
-    workers: int = 1,
 ) -> dict:
     """One full polytope-mode driver run; keeps the report for cross-checks."""
-    engine = ShardedSyrennEngine(workers=workers) if workers > 1 else None
     start = time.perf_counter()
-    try:
-        driver = RepairDriver(
-            network,
-            spec,
-            SyrennVerifier(),
-            config=DriverConfig(
-                mode="polytope",
-                layer_schedule=[layer],
-                norm=norm,
-                max_rounds=MAX_ROUNDS,
-                max_new_counterexamples=ration,
-            ),
-            engine=engine,
-        )
-        report = driver.run()
-    finally:
-        if engine is not None:
-            engine.close()
+    driver = RepairDriver(
+        network,
+        spec,
+        SyrennVerifier(),
+        config=DriverConfig(
+            mode="polytope",
+            layer_schedule=[layer],
+            norm=norm,
+            max_rounds=MAX_ROUNDS,
+            max_new_counterexamples=ration,
+        ),
+    )
+    report = driver.run()
     total = time.perf_counter() - start
     per_round = [record.seconds + record.repair_seconds for record in report.rounds]
     later = per_round[1:]  # round 0 builds the caches
@@ -173,7 +163,6 @@ def run_driver(
         "lp_rows_appended": report.lp_rows_appended,
         "warm_started_rounds": report.warm_started_rounds,
         "value_only_rounds": report.value_only_rounds,
-        "workers": workers,
         "timing": report.timing.as_dict(),
         "report": report,
         "pool_spec": driver.pool.point_spec(margin=driver.repair_margin),
@@ -191,27 +180,6 @@ def norm_objective(delta: np.ndarray, norm: str) -> float:
     """The LP objective :func:`repro.lp.norms.add_norm_objective` minimizes."""
     linf, l1 = float(np.abs(delta).max()), float(np.abs(delta).sum())
     return {"linf": linf, "l1": l1, "l1+linf": delta.size * linf + l1}[norm]
-
-
-def trajectory(report) -> list[tuple]:
-    """Per-round pool intake: which regions were pooled when."""
-    return [
-        (record.new_counterexamples, record.pool_size, record.pool_key_points)
-        for record in report.rounds
-    ]
-
-
-def check_workers(serial: dict, parallel: dict, label: str) -> None:
-    """workers=4 must reproduce workers=1 byte for byte."""
-    ref, cand = serial["report"], parallel["report"]
-    if trajectory(ref) != trajectory(cand):
-        raise AssertionError(f"{label}: round trajectories diverged")
-    if (
-        ref.final_report.region_statuses != cand.final_report.region_statuses
-        or ref.final_report.region_margins != cand.final_report.region_margins
-        or value_parameters(ref.network) != value_parameters(cand.network)
-    ):
-        raise AssertionError(f"{label}: runs are not byte-identical")
 
 
 def check_one_shot(network, run: dict, layer: int, norm: str, label: str) -> bool:
@@ -266,11 +234,8 @@ def run_workload(
             driver.update(
                 {k: again[k] for k in ("mean_round_seconds", "per_round_seconds", "total_seconds")}
             )
-    parallel = run_driver(network, spec, layer, norm, ration=ration, workers=4)
-    check_workers(driver, parallel, f"{name}: workers=1 vs workers=4")
-    for run in (driver, parallel):
-        run.pop("report")
-        run.pop("pool_spec")
+    driver.pop("report")
+    driver.pop("pool_spec")
 
     print(
         f"{name}: regions-keypoints={total_key_points}  "
@@ -278,7 +243,7 @@ def run_workload(
         f"(certified={one_shot['certified']})  rounds={driver['rounds']}  "
         f"driver/round={driver['mean_round_seconds'] * 1e3:7.1f}ms  "
         f"driver-total={driver['total_seconds']:.2f}s  "
-        f"workers4=byte-identical  one-shot-byte-identical={byte_identical}"
+        f"one-shot-byte-identical={byte_identical}"
     )
     return {
         "workload": name,
@@ -289,8 +254,6 @@ def run_workload(
         "ration": ration,
         "one_shot": one_shot,
         "driver": driver,
-        "workers4": parallel,
-        "workers4_byte_identical": True,
         "one_shot_byte_identical": byte_identical,
     }
 

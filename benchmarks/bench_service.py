@@ -22,7 +22,7 @@ wall-clock adjustments pollute p50/p99.  Jobs are submitted sequentially; throug
 phase wall-clock.
 
 The cross-checks are strict and always on: every job must certify, and all
-warm jobs — identical inputs through a concurrently-shared engine — must
+warm jobs — identical inputs through the daemon's shared partition cache — must
 return **byte-identical** repaired parameters.  The wall-clock assertion
 (``--min-warm-speedup``) is disabled in CI, where shared runners make
 timing ratios unreliable.
@@ -146,7 +146,7 @@ def cross_check_warm_identical(results: list[dict]) -> None:
         for candidate in networks[1:]:
             if candidate.value.layers[layer_index].get_parameters().tobytes() != reference_bytes:
                 raise AssertionError(
-                    f"warm jobs disagree at layer {layer_index}: the shared engine "
+                    f"warm jobs disagree at layer {layer_index}: the shared cache "
                     "changed a job's bytes"
                 )
 
@@ -169,7 +169,7 @@ def run_benchmark(
             run_phase(client, warm_jobs[:1], "prim")
             warm = run_phase(client, warm_jobs, "warm")
             cross_check_warm_identical(warm["results"])
-            engine_stats = client.health()["engine"]
+            cache_stats = client.health()["cache"]
         finally:
             server.shutdown()
             server.server_close()
@@ -195,7 +195,7 @@ def run_benchmark(
         "cold": cold["stats"],
         "warm": warm["stats"],
         "warm_speedup": warm_speedup,
-        "engine": engine_stats,
+        "cache": cache_stats,
     }
 
 

@@ -22,7 +22,8 @@ The package is organized as:
     scipy's HiGHS.
 ``repro.syrenn``
     Exact linear-region decompositions of piecewise-linear networks
-    restricted to 1-D lines and 2-D planes.
+    restricted to 1-D lines and 2-D planes, batched over every polygon of
+    a verification pass, and the two-tier partition cache that keeps them.
 ``repro.polytope``
     Convex-geometry helpers used by ``repro.syrenn``.
 ``repro.verify``
@@ -31,9 +32,6 @@ The package is organized as:
 ``repro.driver``
     The counterexample-guided (CEGIS) repair driver that closes the loop
     between verification and repair.
-``repro.engine``
-    The parallel execution engine: sharded SyReNN decomposition across a
-    worker pool, priority job scheduling, and a two-tier partition cache.
 ``repro.api``
     The one-import facade: :func:`repro.api.repair`,
     :func:`repro.api.verify`, and :func:`repro.api.submit` (jobs to a
@@ -45,7 +43,7 @@ The package is organized as:
 ``repro.service``
     Repair-as-a-service: a long-lived daemon that accepts declarative
     repair/verify jobs over a small stdlib HTTP API and multiplexes them
-    over one warm engine and shared partition cache.
+    over one shared partition cache.
 ``repro.datasets``, ``repro.models``
     Synthetic stand-ins for the paper's three evaluation tasks.
 ``repro.baselines``
@@ -89,7 +87,7 @@ from repro.verify import (
     make_verifier,
 )
 from repro.driver import CounterexamplePool, DriverConfig, DriverReport, RepairDriver
-from repro.engine import JobScheduler, PartitionCache, ShardedSyrennEngine
+from repro.syrenn.cache import PartitionCache
 from repro import api
 from repro import obs
 
@@ -130,9 +128,7 @@ __all__ = [
     "RepairDriver",
     "DriverConfig",
     "DriverReport",
-    "ShardedSyrennEngine",
     "PartitionCache",
-    "JobScheduler",
     "api",
     "obs",
     "__version__",

@@ -25,20 +25,15 @@ algorithm knobs as a :class:`~repro.driver.config.DriverConfig` or its
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.driver.config import DriverConfig
 from repro.driver.driver import DriverReport, RepairDriver
 from repro.verify.base import VerificationReport, VerificationSpec, Verifier
 from repro.verify.registry import make_verifier
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.engine import Engine
-
 __all__ = ["repair", "submit", "verify"]
 
 
-def _resolve_verifier(verifier, params: dict, engine) -> Verifier:
+def _resolve_verifier(verifier, params: dict) -> Verifier:
     if isinstance(verifier, Verifier):
         if params:
             raise TypeError(
@@ -46,7 +41,7 @@ def _resolve_verifier(verifier, params: dict, engine) -> Verifier:
                 f"kind, not when an instance is passed (got {sorted(params)})"
             )
         return verifier
-    return make_verifier(verifier, engine=engine, **params)
+    return make_verifier(verifier, **params)
 
 
 def _resolve_config(config: DriverConfig | dict | None) -> DriverConfig:
@@ -62,11 +57,10 @@ def verify(
     spec: VerificationSpec,
     *,
     verifier: str | Verifier = "syrenn",
-    engine: Engine | None = None,
     **verifier_params,
 ) -> VerificationReport:
     """One verification pass of ``network`` against ``spec``."""
-    return _resolve_verifier(verifier, verifier_params, engine).verify(network, spec)
+    return _resolve_verifier(verifier, verifier_params).verify(network, spec)
 
 
 def repair(
@@ -76,7 +70,6 @@ def repair(
     verifier: str | Verifier = "syrenn",
     verifier_params: dict | None = None,
     config: DriverConfig | dict | None = None,
-    engine: Engine | None = None,
     holdout: tuple | None = None,
     checkpoint_path=None,
     on_round=None,
@@ -90,9 +83,8 @@ def repair(
     driver = RepairDriver(
         network,
         spec,
-        _resolve_verifier(verifier, dict(verifier_params or {}), engine),
+        _resolve_verifier(verifier, dict(verifier_params or {})),
         config=_resolve_config(config),
-        engine=engine,
         holdout=holdout,
         checkpoint_path=checkpoint_path,
         on_round=on_round,

@@ -331,7 +331,7 @@ class DecoupledNetwork:
         the activation channel.  The result is numerically identical (up to
         floating-point association) to calling :meth:`parameter_jacobian`
         once per point, but the per-point Python overhead is eliminated —
-        this is the hot path of the batched repair engine.
+        this is the hot path of batched repair.
         """
         layer_index = self._check_repairable(layer_index)
         activation_inputs, value_inputs = self.batch_channel_traces(

@@ -8,8 +8,8 @@ The vectorized multi-point computation lives on
 single-point version on :meth:`~repro.core.ddnn.DecoupledNetwork.parameter_jacobian`);
 this module turns them into repair constraint rows.  :class:`JacobianChunkStream`
 is the one encoder of the repair data path: it walks a specification in
-point batches, encodes each with the partition-invariant batch encoder (which
-the engine workers share), and yields bounded CSR row blocks ready for LP
+point batches, encodes each with the partition-invariant batch encoder, and
+yields bounded CSR row blocks ready for LP
 ingestion.  A specification that fits the chunk budget is simply the
 one-chunk case.  The module also provides a finite-difference checker used
 by the test-suite to validate the closed-form Jacobians.
@@ -49,8 +49,7 @@ def _encode_batch(
     differs.  Since the grouped einsums contract only over the output
     dimension, any batch of ≥2 points produces rows bit-identical to the
     same points inside a larger batch, so this encoder is partition
-    invariant — the property :class:`JacobianChunkStream` and the engine
-    workers rely on.  Callers keep batches at most
+    invariant — the property :class:`JacobianChunkStream` relies on.  Callers keep batches at most
     :data:`~repro.core.ddnn.POINT_BATCH` points.
     """
     if spec.num_points == 1:
@@ -131,12 +130,6 @@ class JacobianChunkStream:
     padded), column slicing is pure indexing, and vertically stacking
     canonical CSR pieces equals the CSR of the whole.  The differential
     matrix in ``tests/test_out_of_core.py`` pins this.
-
-    With ``engine`` given (a :class:`~repro.engine.engine.ShardedSyrennEngine`
-    with ``workers > 1``) and more than one point batch, batches are encoded
-    worker-side in bounded windows and merged in input order — same bytes,
-    produced in parallel.  A single batch always encodes in-process: shipping
-    it to a worker would add a round trip and parallelize nothing.
     """
 
     def __init__(
@@ -147,12 +140,10 @@ class JacobianChunkStream:
         *,
         max_chunk_bytes: int | None = None,
         points_per_batch: int | None = None,
-        engine=None,
     ) -> None:
         self.ddnn = ddnn
         self.layer_index = ddnn._check_repairable(layer_index)
         self.spec = spec
-        self.engine = engine
         self.max_chunk_bytes = int(
             DEFAULT_CHUNK_BYTES if max_chunk_bytes is None else max_chunk_bytes
         )
@@ -210,29 +201,12 @@ class JacobianChunkStream:
         block.sort_indices()
         return block
 
-    def _encoded_batches(self):
-        """Yield the dense ``(lhs, rhs)`` of every point batch, in order."""
-        workers = getattr(self.engine, "workers", 1) if self.engine is not None else 1
-        if workers <= 1 or len(self._spans) <= 1:
-            for start, stop in self._spans:
-                yield _encode_batch(
-                    self.ddnn, self.layer_index, _slice_spec(self.spec, start, stop)
-                )
-            return
-        # Worker-side encoding, dispatched in bounded windows so at most
-        # ~2 batches per worker of dense output are in flight at once; the
-        # engine's gather already merges results in input order.
-        window = 2 * workers
-        for group_start in range(0, len(self._spans), window):
-            group = self._spans[group_start : group_start + window]
-            specs = [_slice_spec(self.spec, start, stop) for start, stop in group]
-            yield from self.engine.encode_point_batches(
-                self.ddnn, self.layer_index, specs
-            )
-
     def __iter__(self):
         """Yield ``(csr_block, rhs)`` per point batch, in specification order."""
-        for lhs, rhs in self._encoded_batches():
+        for start, stop in self._spans:
+            lhs, rhs = _encode_batch(
+                self.ddnn, self.layer_index, _slice_spec(self.spec, start, stop)
+            )
             yield self._assemble(lhs), rhs
 
 

@@ -51,7 +51,6 @@ def point_repair(
     delta_bound: float | None = None,
     timing: RepairTiming | None = None,
     max_chunk_bytes: int | None = None,
-    engine=None,
 ) -> RepairResult:
     """Repair one (value-channel) layer so every spec point satisfies its constraint.
 
@@ -80,10 +79,6 @@ def point_repair(
         :data:`~repro.core.jacobian.DEFAULT_CHUNK_BYTES`).  Any budget
         assembles the same standard form byte for byte; a small one bounds
         the dense intermediate of very large specifications.
-    engine:
-        Optional :class:`~repro.engine.engine.ShardedSyrennEngine` used to
-        shard chunk encoding across workers (merged in input order, so
-        results stay byte-identical to serial).
     """
     session = IncrementalPointRepairSession(
         network,
@@ -91,7 +86,6 @@ def point_repair(
         norm=norm,
         delta_bound=delta_bound,
         max_chunk_bytes=max_chunk_bytes,
-        engine=engine,
     )
     session.append_points(spec)
     result = session.solve(final=True)
@@ -150,13 +144,11 @@ class IncrementalPointRepairSession:
         norm: str = "linf",
         delta_bound: float | None = None,
         max_chunk_bytes: int | None = None,
-        engine=None,
     ) -> None:
         self.ddnn = _working_copy(network)
         self.layer_index = self.ddnn._check_repairable(layer_index)
         self.norm = norm
         self.max_chunk_bytes = max_chunk_bytes
-        self.engine = engine
         num_parameters = self.ddnn.value.layers[self.layer_index].num_parameters
         self.model = LPModel()
         bound = np.inf if delta_bound is None else float(delta_bound)
@@ -191,7 +183,6 @@ class IncrementalPointRepairSession:
                 self.layer_index,
                 spec,
                 max_chunk_bytes=self.max_chunk_bytes,
-                engine=self.engine,
             )
             rows = self.session.append_rows(
                 stream=((matrix, rhs, self.delta_indices) for matrix, rhs in stream)

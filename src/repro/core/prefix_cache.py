@@ -29,7 +29,8 @@ have produced, never an approximation of them:
 <repro.driver.driver.RepairDriver.run>` and one repaired layer.  Networks
 reach it only through :meth:`bind`; :meth:`close` drops every feature and
 unbinds every network it was bound to.  ``DecoupledNetwork.copy()`` and
-pickling never carry a binding, so engine workers always evaluate uncached.
+pickling never carry a binding, so a copy always evaluates uncached until
+it is bound.
 
 **Cost.**  A lookup hashes the batch and compares the prefix state, so it
 pays off only for batches whose prefix evaluation outweighs that: a batch

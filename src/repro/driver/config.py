@@ -3,7 +3,7 @@
 :class:`DriverConfig` captures every *algorithm* knob of
 :class:`~repro.driver.driver.RepairDriver` — mode, layer schedule, margins,
 budgets, norm — as one frozen dataclass that round-trips through JSON.
-Runtime resources (the network, the spec, the verifier, an engine, a pool,
+Runtime resources (the network, the spec, the verifier, a pool,
 a checkpoint path, a holdout set) deliberately stay out: a config describes
 *how* to run a repair, not *what* to repair, which is what lets the same
 dictionary travel from a client, through the job daemon's JSON API, into

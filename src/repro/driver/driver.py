@@ -25,7 +25,7 @@ point), the pool dedups regions by activation-pattern-aware keys, and every
 pooled region expands to one repair point per vertex under the region's
 pinned activation pattern.  A certified final round then proves the repaired
 network correct on the infinitely many points of every specification
-polytope, with all the loop's machinery — engine-sharded decomposition,
+polytope, with all the loop's machinery — batched decomposition,
 partition caching, the standing LP session, value-only re-verification,
 checkpoint/resume — applying unchanged.
 
@@ -45,7 +45,7 @@ sets instead of re-decomposing.  The final delta matches a one-shot
 :func:`~repro.core.point_repair.point_repair` of the final pool in verdict
 and objective (1e-9 relative) with every pooled row satisfied, but not in
 bytes: the warm re-solves may stop at another optimum of the same LP.  Runs
-stay byte-identical to each other across worker counts and memory budgets.
+stay byte-identical to each other across memory budgets.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource
@@ -75,9 +74,6 @@ from repro.lp.status import LPStatus
 from repro.nn.network import Network
 from repro.utils.timing import Stopwatch, TimeBudget
 from repro.verify.base import VerificationReport, VerificationSpec, Verifier
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.engine import Engine
 
 __all__ = [
     "DEFAULT_REPAIR_MARGIN",
@@ -190,7 +186,6 @@ class DriverReport:
     counterexamples_found: int = 0
     unsatisfied_pool_indices: list[int] = field(default_factory=list)
     timing: DriverTiming = field(default_factory=DriverTiming)
-    engine_stats: dict | None = None
     mode: str = "point"
     #: Full metrics-registry snapshot taken as the run finished (``None``
     #: when telemetry is disabled).
@@ -253,7 +248,6 @@ class DriverReport:
             ),
             "rounds": [record.as_dict() for record in self.rounds],
             "timing": self.timing.as_dict(),
-            **({"engine": self.engine_stats} if self.engine_stats is not None else {}),
             **({"telemetry": self.telemetry} if self.telemetry is not None else {}),
         }
 
@@ -264,7 +258,7 @@ class RepairDriver:
     The primary constructor is ``RepairDriver(network, spec, verifier,
     config=DriverConfig(...))``: every *algorithm* knob lives in the frozen,
     JSON-serializable :class:`~repro.driver.config.DriverConfig`, while
-    runtime resources (``engine``, ``pool``, ``checkpoint_path``,
+    runtime resources (``pool``, ``checkpoint_path``,
     ``holdout``, ``on_round``) stay keyword arguments of the driver itself.
     The config fields are documented here alongside the runtime arguments.
 
@@ -308,12 +302,6 @@ class RepairDriver:
     checkpoint_path:
         When given, the pool is checkpointed here after every verification
         and reloaded (resume) if the file already exists at start.
-    engine:
-        Optional :class:`repro.engine.ShardedSyrennEngine`.  When given, it
-        is attached to the verifier (if the verifier supports one and has
-        none yet) so every round's verification runs through the engine's
-        worker pool and partition cache, and the engine's scheduler/cache
-        statistics are included in the final :class:`DriverReport`.
     max_new_counterexamples:
         Per-round cap on pool growth.  ``None`` (default) pools everything
         a verification pass found; a small cap rations counterexamples the
@@ -360,7 +348,6 @@ class RepairDriver:
         holdout: tuple | None = None,
         checkpoint_path: str | Path | None = None,
         pool: CounterexamplePool | None = None,
-        engine: Engine | None = None,
         on_round: Callable[[RoundRecord], None] | None = None,
     ) -> None:
         config = config if config is not None else DriverConfig()
@@ -378,7 +365,6 @@ class RepairDriver:
         self.buggy = network
         self.spec = spec
         self.verifier = verifier
-        self.engine = engine
         self.on_round = on_round
         self.layer_schedule = (
             list(config.layer_schedule)
@@ -419,32 +405,21 @@ class RepairDriver:
     def run(self) -> DriverReport:
         """Execute the CEGIS loop and return the final report.
 
-        A driver-level ``engine`` is attached to the verifier for the
-        duration of the run only (and only if the verifier supports one and
-        has none of its own), so a caller-owned verifier is never left
-        mutated.  The reported ``engine_stats`` always describe the engine
-        the verification actually ran through.
-
-        The driver likewise enables the verifier's ``value_only`` fast path
-        (when the verifier exposes that flag and does not already have it
-        on) for the duration of the run only.
+        The driver enables the verifier's ``value_only`` fast path (when the
+        verifier exposes that flag and does not already have it on) for the
+        duration of the run only, so a caller-owned verifier is never left
+        mutated.
 
         A ``mode="polytope"`` driver additionally enables the verifier's
         ``region_counterexamples`` granularity (again: only when the
         verifier exposes that flag and had it off), so violations arrive as
         whole linear regions ready for key-point expansion.
         """
-        attach = (
-            self.engine is not None
-            and getattr(self.verifier, "engine", False) is None
-        )
         attach_value_only = getattr(self.verifier, "value_only", None) is False
         attach_regions = (
             self.mode == "polytope"
             and getattr(self.verifier, "region_counterexamples", None) is False
         )
-        if attach:
-            self.verifier.engine = self.engine
         if attach_value_only:
             self.verifier.value_only = True
         if attach_regions:
@@ -456,8 +431,6 @@ class RepairDriver:
             if self._prefix_cache is not None:
                 self._prefix_cache.close()
                 self._prefix_cache = None
-            if attach:
-                self.verifier.engine = None
             if attach_value_only:
                 self.verifier.value_only = False
             if attach_regions:
@@ -590,7 +563,6 @@ class RepairDriver:
             counterexamples_found=counterexamples_found,
             unsatisfied_pool_indices=unsatisfied,
             timing=timing,
-            engine_stats=self._engine_stats(),
             mode=self.mode,
             telemetry=obs.snapshot() if obs.enabled() else None,
         )
@@ -686,7 +658,6 @@ class RepairDriver:
                 norm=self.norm,
                 delta_bound=self.delta_bound,
                 max_chunk_bytes=self.max_chunk_bytes,
-                engine=self.engine,
             )
             self._session_entries = 0
         session = self._session
@@ -704,16 +675,6 @@ class RepairDriver:
         record.warm_start_used = bool(solution.warm_start_used)
         record.lp_iterations = solution.iterations
         return result
-
-    def _engine_stats(self) -> dict | None:
-        """Stats of the engine verification actually ran through.
-
-        While a run is in flight, a driver-level engine is visible as
-        ``verifier.engine``; a verifier that cannot hold an engine means no
-        engine was used, so no stats are reported — even if one was passed.
-        """
-        active = getattr(self.verifier, "engine", None)
-        return active.stats() if active is not None else None
 
 
 def _peak_rss_bytes() -> int | None:

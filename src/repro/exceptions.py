@@ -32,10 +32,3 @@ class UnsupportedLayerError(RepairError):
 class NotPiecewiseLinearError(RepairError):
     """Polytope repair was requested on a non-piecewise-linear network."""
 
-
-class EngineError(ReproError):
-    """The parallel execution engine was configured or used incorrectly."""
-
-
-class JobCancelledError(EngineError):
-    """A scheduled job was cancelled (explicitly or by an exhausted budget)."""

@@ -450,7 +450,6 @@ def driver_certified_repair(
     workload: PointwiseRepairWorkload,
     *,
     memory_budget: int | None = None,
-    engine=None,
     max_rounds: int = 4,
     budget_seconds: float | None = None,
     checkpoint_path=None,
@@ -479,7 +478,6 @@ def driver_certified_repair(
         workload.verification_spec(),
         verifier,
         config=config,
-        engine=engine,
         checkpoint_path=checkpoint_path,
         on_round=on_round,
     )

@@ -214,7 +214,6 @@ def strengthened_verification_spec(
     setup: Task3Setup,
     *,
     margin: float = CLASSIFICATION_MARGIN,
-    engine=None,
 ) -> VerificationSpec:
     """The repair slices as verification targets, strengthened per linear region.
 
@@ -229,10 +228,7 @@ def strengthened_verification_spec(
     """
     allowed = setup.safety_property.allowed
     spec = VerificationSpec()
-    if engine is not None:
-        partitions = engine.transform_planes(network, setup.repair_slices)
-    else:
-        partitions = transform_planes(network, setup.repair_slices)
+    partitions = transform_planes(network, setup.repair_slices)
     for slice_index, partition in enumerate(partitions):
         for region_index, region in enumerate(partition.regions):
             scores = network.compute(region.interior_point)
@@ -253,7 +249,6 @@ def strengthened_polytope_spec(
     setup: Task3Setup,
     *,
     margin: float = CLASSIFICATION_MARGIN,
-    engine=None,
 ) -> PolytopeRepairSpec:
     """The strengthened φ8 slices as a *polytope repair* specification.
 
@@ -263,13 +258,9 @@ def strengthened_polytope_spec(
     one-shot :func:`~repro.core.polytope_repair.polytope_repair` and the
     polytope-mode CEGIS driver on identical obligations (the
     ``bench_polytope_driver`` comparison).  Each strengthened region is a
-    planar polygon; decomposing it again inside Algorithm 2 is exact and,
-    with a shared ``engine``, hits the same partition-cache entries the
-    verification rounds use.
+    planar polygon; decomposing it again inside Algorithm 2 is exact.
     """
-    verification = strengthened_verification_spec(
-        network, setup, margin=margin, engine=engine
-    )
+    verification = strengthened_verification_spec(network, setup, margin=margin)
     spec = PolytopeRepairSpec()
     for region in verification.regions:
         spec.add_plane(region.region, region.constraint)
@@ -285,7 +276,6 @@ def driver_slice_repair(
     max_rounds: int = 5,
     budget_seconds: float | None = None,
     checkpoint_path=None,
-    engine=None,
     efficacy_samples_per_slice: int = 64,
 ) -> tuple[dict, DriverReport]:
     """Closed-loop CEGIS repair of the repair slices (strengthened φ8).
@@ -296,11 +286,6 @@ def driver_slice_repair(
     repair, iterating verify → pool → repair until the exact verifier
     certifies every region.  Returns ``(record, driver_report)`` where
     ``record`` has the same safety-metric keys as the other Task 3 methods.
-
-    ``engine`` routes both the strengthened-spec decomposition and every
-    driver round's verification through a
-    :class:`repro.engine.ShardedSyrennEngine` worker pool (its partition
-    cache makes the spec decomposition and round 0 share work).
     """
     chosen = layer_index if layer_index is not None else setup.last_layer_index
     schedule = [chosen] + [
@@ -308,7 +293,7 @@ def driver_slice_repair(
         for index in reversed(setup.network.parameterized_layer_indices())
         if index != chosen
     ]
-    spec = strengthened_verification_spec(setup.network, setup, engine=engine)
+    spec = strengthened_verification_spec(setup.network, setup)
     # Drawdown is tracked per round as prediction churn on the already-safe
     # holdout encounters (the buggy network's own advisories are the labels).
     holdout_labels = np.atleast_1d(setup.network.predict(setup.drawdown_points))
@@ -324,7 +309,6 @@ def driver_slice_repair(
         ),
         holdout=(setup.drawdown_points, holdout_labels),
         checkpoint_path=checkpoint_path,
-        engine=engine,
     )
     report = driver.run()
     record = {

@@ -8,9 +8,8 @@ state during ``import repro`` can't bite).  Three pieces:
   through :func:`counter` / :func:`gauge` / :func:`histogram`;
 * span-based tracing — ``with span("lp.solve", backend=...)`` — recording
   into the contextvar-carried current :class:`~repro.obs.trace.Trace`;
-* renderers (:func:`render_prometheus`, :func:`render_summary`) and the
-  worker-side :func:`capture` / parent-side :func:`absorb` pair that moves
-  telemetry across spawn process boundaries deterministically.
+* renderers (:func:`render_prometheus`, :func:`render_summary`), plus
+  :func:`isolated` for tests that need a private registry.
 
 **Telemetry is off by default** and the disabled path is near-zero cost:
 every instrumented call site is guarded by a single ``if enabled():``
@@ -46,8 +45,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Trace",
-    "absorb",
-    "capture",
     "counter",
     "current_trace",
     "disable",
@@ -87,7 +84,7 @@ def disable() -> None:
 
 
 def registry() -> MetricsRegistry:
-    """The active registry (process-wide, unless inside :func:`capture`)."""
+    """The active registry (process-wide, unless inside :func:`isolated`)."""
     return _REGISTRY
 
 
@@ -165,63 +162,7 @@ def span(name: str, **attributes):
 
 
 # ----------------------------------------------------------------------
-# Cross-process propagation (spawn workers) and test isolation
-class _Capture:
-    """Handle yielded by :func:`capture`: the task-local registry and trace."""
-
-    __slots__ = ("registry", "trace")
-
-    def __init__(self, captured_registry: MetricsRegistry, trace: Trace) -> None:
-        self.registry = captured_registry
-        self.trace = trace
-
-    def telemetry(self) -> dict:
-        """The captured delta, ready to pickle back to the parent."""
-        return {
-            "metrics": self.registry.snapshot(),
-            "trace": self.trace.root.export(),
-        }
-
-
-@contextmanager
-def capture(root_name: str = "worker.task", **attributes):
-    """Record into a fresh registry + trace for the extent of the block.
-
-    Worker processes run this around each telemetry-wrapped engine task:
-    the yielded handle's :meth:`~_Capture.telemetry` holds only that task's
-    delta (workers are reused across batches — a cumulative snapshot would
-    double-count on the parent).  Swaps the module-global registry, so it
-    must not run concurrently with other instrumented work in the same
-    process; engine workers execute one task at a time, which satisfies
-    that.
-    """
-    global _REGISTRY, _ENABLED
-    fresh = MetricsRegistry()
-    trace = Trace(root_name)
-    trace.root.attributes.update(attributes)
-    previous_registry, previous_enabled = _REGISTRY, _ENABLED
-    _REGISTRY, _ENABLED = fresh, True
-    try:
-        with use_trace(trace):
-            yield _Capture(fresh, trace)
-    finally:
-        trace.finish()
-        _REGISTRY, _ENABLED = previous_registry, previous_enabled
-
-
-def absorb(telemetry: dict) -> None:
-    """Fold a :meth:`_Capture.telemetry` payload into the parent's state.
-
-    Metrics merge into the active registry; the worker's span tree is
-    adopted under the current span of the active trace (if any).  Callers
-    absorb payloads in task order, making the result deterministic.
-    """
-    _REGISTRY.merge_snapshot(telemetry["metrics"])
-    trace = current_trace()
-    if trace is not None:
-        trace.adopt(telemetry["trace"])
-
-
+# Test isolation
 @contextmanager
 def isolated(start_enabled: bool = True):
     """A private registry + enabled flag for tests; restores both on exit."""

@@ -10,10 +10,9 @@ Design constraints, in order:
 
 1. **Determinism.**  :meth:`MetricsRegistry.snapshot` is a pure function of
    the recorded values: families and series are emitted in sorted order,
-   label names are sorted at family creation, and merging two snapshots is
-   associative (counters and histograms add; gauges take the last write).
-   This is what lets the engine merge worker-process telemetry in task
-   order and get the same registry content at any worker count.
+   label names are sorted at family creation, so two runs that record the
+   same values produce the same document whatever order the series were
+   first touched in.
 2. **stdlib only.**  No prometheus_client; the text exposition lives in
    :mod:`repro.obs.prometheus`.
 3. **Cheap.**  All mutation runs under one registry lock; the hot paths
@@ -158,25 +157,6 @@ class MetricFamily:
             return series.value if series is not None else 0.0
 
     # ------------------------------------------------------------------
-    def _merge_series(self, key: tuple[str, ...], payload: dict) -> None:
-        """Fold one snapshot series into this family (caller holds the lock)."""
-        series = self._child(key)
-        if self.kind == COUNTER:
-            series.value += float(payload["value"])
-        elif self.kind == GAUGE:
-            series.value = float(payload["value"])
-        else:
-            counts = payload["buckets"]
-            if len(counts) != len(series.bucket_counts):
-                raise ValueError(
-                    f"histogram {self.name!r}: snapshot has {len(counts)} buckets, "
-                    f"family has {len(series.bucket_counts)}"
-                )
-            for index, count in enumerate(counts):
-                series.bucket_counts[index] += int(count)
-            series.sum += float(payload["sum"])
-            series.count += int(payload["count"])
-
     def snapshot_series(self) -> list[dict]:
         """All series as JSON-ready dictionaries, sorted by label values."""
         with self._lock:
@@ -199,7 +179,7 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """All metric families of one process (or one captured worker task)."""
+    """All metric families of one process (or one :func:`repro.obs.isolated` block)."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
@@ -288,30 +268,6 @@ class MetricsRegistry:
                 entry["bounds"] = list(family.buckets)
             document[family.name] = entry
         return document
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` document into this registry.
-
-        Counters and histograms add; gauges take the snapshot's value.
-        Merging is associative and — because families and series are keyed,
-        not ordered — independent of the order snapshots arrive in, which
-        is what makes worker-telemetry merges deterministic.
-        """
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            family = self._family(
-                name,
-                entry["kind"],
-                entry.get("help", ""),
-                tuple(entry.get("labels", ())),
-                tuple(entry["bounds"]) if "bounds" in entry else None,
-            )
-            with self._lock:
-                for payload in entry["series"]:
-                    key = tuple(
-                        str(payload["labels"][label]) for label in family.label_names
-                    )
-                    family._merge_series(key, payload)
 
     def reset(self) -> None:
         """Drop every family (tests and bench harness isolation)."""

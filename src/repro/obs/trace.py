@@ -10,12 +10,6 @@ Durations come from :func:`repro.utils.timing.wall_cpu_now` — wall time on
 ``perf_counter`` and CPU time on ``process_time`` — never ``time.time()``
 deltas.  The single wall-clock timestamp (``started_unix`` on the root) is
 informational only and never subtracted from anything.
-
-Worker propagation: spawn-started engine workers cannot share the parent's
-tree, so each worker task records into a fresh local trace, exports it with
-:meth:`Trace.export`, and the parent grafts the exported children under its
-own active span with :meth:`Span.adopt` — in task order, which is what
-keeps the merged tree deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -61,14 +55,6 @@ class Span:
         self.wall_seconds = wall - self._start_wall
         self.cpu_seconds = cpu - self._start_cpu
 
-    def adopt(self, exported: dict) -> None:
-        """Graft an exported span (from :meth:`export`) as a child.
-
-        Used by the engine to merge worker-side traces into the parent tree;
-        callers adopt in task order so the tree is deterministic.
-        """
-        self.children.append(_from_export(exported))
-
     def export(self) -> dict:
         """This span (and its subtree) as a JSON-ready dict."""
         document: dict = {
@@ -83,15 +69,6 @@ class Span:
         if self.children:
             document["children"] = [child.export() for child in self.children]
         return document
-
-
-def _from_export(document: dict) -> Span:
-    span = Span(document["name"], document.get("attributes"))
-    span.wall_seconds = float(document.get("wall_seconds", 0.0))
-    span.cpu_seconds = float(document.get("cpu_seconds", 0.0))
-    for child in document.get("children", ()):
-        span.children.append(_from_export(child))
-    return span
 
 
 _TRACE_IDS = itertools.count(1)
@@ -139,11 +116,6 @@ class Trace:
     def finish(self) -> None:
         """Close the root span (idempotent enough for the daemon's purposes)."""
         self.root._close()
-
-    def adopt(self, exported: dict) -> None:
-        """Graft an exported worker span under the innermost open span."""
-        with self._lock:
-            self._stack[-1].adopt(exported)
 
     def export(self) -> dict:
         """The whole trace as a JSON-ready dict (``/jobs/<id>/trace`` body)."""

@@ -107,33 +107,6 @@ def clip_by_function(vertices: np.ndarray, function_values: np.ndarray, keep_pos
     return kept
 
 
-def fan_wedges(vertices: np.ndarray, num_wedges: int) -> list[np.ndarray]:
-    """Subdivide a convex polygon into contiguous convex wedges sharing vertex 0.
-
-    The polygon's fan triangulation has ``k - 2`` triangles; grouping runs of
-    consecutive triangles yields at most ``k - 2`` convex sub-polygons
-    ``[v0, v_a, ..., v_b]`` whose union is the original polygon and whose
-    interiors are disjoint.  This is the geometry-sharding primitive of the
-    execution engine: each wedge can be decomposed independently and the
-    results concatenated.  The cut indices are a pure function of
-    ``(k, num_wedges)``, so the subdivision is deterministic.
-    """
-    vertices = np.asarray(vertices, dtype=np.float64)
-    if vertices.ndim != 2 or vertices.shape[0] < 3:
-        raise ShapeError("fan_wedges expects a (k >= 3, d) vertex array")
-    if num_wedges < 1:
-        raise ValueError("num_wedges must be positive")
-    count = vertices.shape[0]
-    wedges = min(num_wedges, count - 2)
-    if wedges == 1:
-        return [vertices]
-    cuts = np.unique(np.linspace(1, count - 1, wedges + 1).round().astype(int))
-    return [
-        np.vstack([vertices[:1], vertices[start : stop + 1]])
-        for start, stop in zip(cuts[:-1], cuts[1:])
-    ]
-
-
 def split_by_function(vertices: np.ndarray, function_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split an ordered polygon into its ``>= 0`` and ``<= 0`` parts."""
     positive = clip_by_function(vertices, function_values, keep_positive=True)

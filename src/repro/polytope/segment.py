@@ -55,16 +55,5 @@ class LineSegment:
         """The point at ``t = 0.5``."""
         return self.point_at(0.5)
 
-    def subdivide(self, count: int) -> list["LineSegment"]:
-        """``count`` equal sub-segments, in order from ``start`` to ``end``.
-
-        All breakpoints come from one vectorized :meth:`points_at` call, so
-        sharding a segment does not cost a per-vertex Python loop.
-        """
-        if count < 1:
-            raise ValueError("count must be positive")
-        points = self.points_at(np.linspace(0.0, 1.0, count + 1))
-        return [LineSegment(points[i], points[i + 1]) for i in range(count)]
-
     def __repr__(self) -> str:
         return f"LineSegment(dim={self.dimension}, length={self.length:.4g})"

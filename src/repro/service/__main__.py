@@ -27,8 +27,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="bind address (keep it loopback: jobs carry pickled networks)")
     parser.add_argument("--port", type=int, default=8642,
                         help="bind port (0 picks an ephemeral port)")
-    parser.add_argument("--engine-workers", type=int, default=1,
-                        help="worker processes of the shared SyReNN engine")
     parser.add_argument("--job-workers", type=int, default=2,
                         help="how many jobs run concurrently")
     parser.add_argument("--log-level", default="info", choices=LEVELS,
@@ -39,7 +37,6 @@ def main(argv: list[str] | None = None) -> int:
         options.state_dir,
         host=options.host,
         port=options.port,
-        engine_workers=options.engine_workers,
         job_workers=options.job_workers,
         log_level=options.log_level,
     )

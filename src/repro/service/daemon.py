@@ -1,20 +1,20 @@
 """Repair-as-a-service: the long-lived job daemon.
 
 :class:`RepairService` owns the warm state that makes a shared daemon worth
-running — one :class:`~repro.engine.engine.ShardedSyrennEngine` worker pool
-and one fingerprint-keyed :class:`~repro.engine.cache.PartitionCache` — and
-multiplexes any number of concurrent repair/verify jobs over them from a
-small thread pool.  Because value-channel repair never moves linear regions,
-decompositions cached by one job are hits for every later job on the same
-network fingerprint, which is where the warm-versus-cold speedup of
-``benchmarks/bench_service.py`` comes from.
+running — one fingerprint-keyed :class:`~repro.syrenn.cache.PartitionCache`
+(memory tier in front of ``state_dir/cache``) — and multiplexes any number
+of concurrent repair/verify jobs over it from a small thread pool.  Every
+``syrenn`` job's verifier is built around that one cache.  Because
+value-channel repair never moves linear regions, decompositions cached by
+one job are hits for every later job on the same network fingerprint, which
+is where the warm-versus-cold speedup of ``benchmarks/bench_service.py``
+comes from.
 
-The engine is *not* thread-safe (its :class:`~repro.engine.jobs.JobScheduler`
-keeps per-dispatch state), so jobs reach it through :class:`SharedEngine`, a
-proxy that serializes every engine call under one lock.  Each call is
-self-contained and deterministic — results depend only on the inputs and the
-(value-independent) cache — so interleaving calls from concurrent jobs
-changes nothing about any job's bytes, only their wall-clock.
+A job runs exactly the verifier and driver a standalone caller would build
+from the same document, so its result bytes equal a standalone run's for
+every verifier kind.  The cache locks its own tiers, and a cached
+decomposition is byte-identical to a fresh one, so concurrent jobs change
+nothing about each other's bytes, only their wall-clock.
 
 Every job is durably persisted under ``state_dir/jobs`` as a JSON document
 (atomically: temp file + ``os.replace``) at every state transition *and*
@@ -32,8 +32,8 @@ resumes from the checkpointed pool instead of rediscovering it.
                           the finished result (409 while still running)
     GET  /jobs/<id>/trace
                           the job's span tree (409 until the job starts)
-    GET  /health          liveness + job counts + engine/cache statistics
-    GET  /readyz          readiness: engine pool warm + state dir writable
+    GET  /health          liveness + job counts + partition-cache statistics
+    GET  /readyz          readiness: accepting jobs + state dir writable
                           (200, else 503)
     GET  /metrics         Prometheus text exposition of the live registry
 
@@ -57,7 +57,6 @@ network only.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import queue
@@ -70,73 +69,21 @@ from pathlib import Path
 
 import repro.obs as obs
 from repro.driver.driver import RepairDriver, RoundRecord
-from repro.engine import PartitionCache, ShardedSyrennEngine
 from repro.exceptions import SpecificationError
 from repro.obs import JOB_SECONDS_BUCKETS, JsonLogger, Trace, use_trace
 from repro.service.protocol import ParsedJob, encode_network_b64, parse_job
+from repro.syrenn.cache import PartitionCache
 from repro.verify.registry import make_verifier
 
 __all__ = [
     "JobRecord",
     "RepairService",
     "ServiceHTTPServer",
-    "SharedEngine",
     "serve",
 ]
 
 #: Job lifecycle states (``queued`` → ``running`` → ``done``/``failed``).
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
-
-_ENGINE_CALLS = (
-    "transform_line",
-    "transform_lines",
-    "transform_plane",
-    "transform_planes",
-    "decompose",
-    "evaluate_batches",
-    "evaluate_regions",
-    "sample_regions",
-    "stats",
-)
-
-
-class SharedEngine:
-    """A lock-serializing proxy that makes one engine safe to share.
-
-    The wrapped engine's scheduler is single-threaded state; this proxy
-    funnels every engine entry point through one lock so concurrent jobs
-    interleave *between* engine calls, never inside one.  It duck-types
-    :class:`~repro.engine.Engine` for the verifiers and the driver.
-    """
-
-    def __init__(self, engine: ShardedSyrennEngine) -> None:
-        self._engine = engine
-        self._lock = threading.Lock()
-
-    @property
-    def cache(self) -> PartitionCache | None:
-        return self._engine.cache
-
-    @property
-    def workers(self) -> int:
-        return self._engine.workers
-
-    def close(self) -> None:
-        with self._lock:
-            self._engine.close()
-
-    def __getattr__(self, name: str):
-        if name not in _ENGINE_CALLS:
-            raise AttributeError(name)
-        method = getattr(self._engine, name)
-
-        @functools.wraps(method)
-        def locked(*args, **kwargs):
-            with self._lock:
-                return method(*args, **kwargs)
-
-        return locked
-
 
 @dataclass
 class JobRecord:
@@ -201,7 +148,7 @@ class JobRecord:
 
 
 class RepairService:
-    """The job daemon's core: shared warm engine + durable job queue.
+    """The job daemon's core: shared partition cache + durable job queue.
 
     Parameters
     ----------
@@ -210,15 +157,12 @@ class RepairService:
         partition cache's disk tier in ``state_dir/cache`` (unless an
         explicit ``cache`` is given).  Restarting a service on the same
         directory requeues every job that was queued or running.
-    engine_workers:
-        Worker processes of the shared engine (``1`` runs engine tasks
-        inline, which is the right default for small jobs and tests).
     job_workers:
-        How many jobs run concurrently (each on its own thread, multiplexed
-        over the one shared engine).
+        How many jobs run concurrently (each on its own thread, sharing the
+        one partition cache).
     cache:
         An explicit :class:`PartitionCache` to share, for embedding the
-        service in-process next to other engine users.
+        service in-process next to other verifiers.
     log_level:
         Structured-logging threshold (``"debug"``/``"info"``/``"warning"``/
         ``"error"``/``"off"``).  The default ``"off"`` keeps embedded and
@@ -232,7 +176,6 @@ class RepairService:
         self,
         state_dir: str | Path,
         *,
-        engine_workers: int = 1,
         job_workers: int = 2,
         cache: PartitionCache | None = None,
         log_level: str = "off",
@@ -251,9 +194,6 @@ class RepairService:
         if cache is None:
             cache = PartitionCache(directory=self.state_dir / "cache")
         self.cache = cache
-        self.engine = SharedEngine(
-            ShardedSyrennEngine(workers=engine_workers, cache=cache)
-        )
         self._records: dict[str, JobRecord] = {}
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
@@ -321,26 +261,21 @@ class RepairService:
             ]
 
     def health(self) -> dict:
-        """Liveness document: job counts plus engine/cache statistics."""
+        """Liveness document: job counts plus partition-cache statistics."""
         with self._lock:
             counts: dict[str, int] = {}
             for record in self._records.values():
                 counts[record.status] = counts.get(record.status, 0) + 1
-        return {"ok": True, "jobs": counts, "engine": self.engine.stats()}
+        return {"ok": True, "jobs": counts, "cache": self.cache.as_dict()}
 
     def readyz(self) -> dict:
-        """Readiness: the engine answers and the state dir takes writes.
+        """Readiness: jobs are accepted and the state dir takes writes.
 
         A load balancer should not route jobs here until both hold — a
-        daemon with a dead worker pool or a read-only state volume accepts
+        stopped daemon or one on a read-only state volume accepts
         submissions it can never durably run.
         """
-        checks: dict[str, bool] = {}
-        try:
-            stats = self.engine.stats()
-            checks["engine_pool"] = stats["workers"] >= 1 and not self._stop.is_set()
-        except Exception:  # noqa: BLE001 - any engine failure is "not ready"
-            checks["engine_pool"] = False
+        checks = {"accepting_jobs": not self._stop.is_set()}
         probe = self.jobs_dir / ".readyz-probe"
         try:
             probe.write_text("ok")
@@ -382,7 +317,7 @@ class RepairService:
             time.sleep(poll)
 
     def stop(self) -> None:
-        """Stop accepting work, let idle workers exit, shut the engine down.
+        """Stop accepting work and let idle workers exit.
 
         A job already running finishes (there is no safe preemption point
         inside an LP solve); its completion is persisted as usual.
@@ -392,7 +327,6 @@ class RepairService:
             self._queue.put(None)
         for thread in self._threads:
             thread.join(timeout=30.0)
-        self.engine.close()
         self.log.info("service_stopped", state_dir=str(self.state_dir))
         if not self._obs_was_enabled:
             obs.disable()
@@ -433,9 +367,10 @@ class RepairService:
             trace.finish()
 
     def _execute_traced(self, record: JobRecord, parsed: ParsedJob) -> dict:
-        verifier = make_verifier(
-            parsed.verifier_kind, engine=self.engine, **parsed.verifier_params
-        )
+        params = dict(parsed.verifier_params)
+        if parsed.verifier_kind == "syrenn":
+            params["cache"] = self.cache
+        verifier = make_verifier(parsed.verifier_kind, **params)
         if parsed.kind == "verify":
             with obs.span("job.verify", job_id=record.job_id):
                 report = verifier.verify(parsed.network, parsed.spec)
@@ -463,7 +398,6 @@ class RepairService:
             parsed.spec,
             verifier,
             config=parsed.config,
-            engine=self.engine,
             checkpoint_path=self._checkpoint_path(record.job_id),
             on_round=on_round,
         )
@@ -723,7 +657,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8642,
-    engine_workers: int = 1,
     job_workers: int = 2,
     log_level: str = "off",
     log_stream=None,
@@ -738,7 +671,6 @@ def serve(
     """
     service = RepairService(
         state_dir,
-        engine_workers=engine_workers,
         job_workers=job_workers,
         log_level=log_level,
         log_stream=log_stream,

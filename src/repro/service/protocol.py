@@ -137,11 +137,11 @@ def parse_job(payload: dict) -> ParsedJob:
         raise SpecificationError('"verifier" must be a kind string or an object')
     verifier = dict(verifier)
     verifier_kind = verifier.pop("kind", "syrenn")
-    if "engine" in verifier:
-        raise SpecificationError('"engine" is the daemon\'s runtime resource, not a verifier parameter')
+    if "cache" in verifier:
+        raise SpecificationError('"cache" is the daemon\'s runtime resource, not a verifier parameter')
     # Build (and drop) the verifier once so an unknown kind or a parameter
     # its constructor refuses is a 400 at submit, never a failed job; the
-    # daemon rebuilds it around its shared engine when the job runs.
+    # daemon rebuilds it around its shared cache when the job runs.
     make_verifier(verifier_kind, **verifier)
 
     config_payload = payload.get("config")

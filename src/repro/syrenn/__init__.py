@@ -18,8 +18,11 @@ two-dimensional ``P``; this package re-implements that capability:
 Both return region objects that expose (a) the region's vertices in input
 space and (b) a representative interior point, which the repair algorithm
 uses as the activation point of each key point (Appendix B of the paper).
+:class:`repro.syrenn.cache.PartitionCache` keeps decompositions across
+verification passes, in memory and optionally on disk.
 """
 
+from repro.syrenn.cache import PartitionCache
 from repro.syrenn.line import LinePartition, LineRegion, transform_line
 from repro.syrenn.plane import PlanePartition, PlaneRegion, transform_plane, transform_planes
 from repro.syrenn.regions import LinearRegion, geometry_digest
@@ -33,5 +36,6 @@ __all__ = [
     "PlanePartition",
     "PlaneRegion",
     "LinearRegion",
+    "PartitionCache",
     "geometry_digest",
 ]

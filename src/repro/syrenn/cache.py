@@ -1,4 +1,4 @@
-"""The two-tier partition cache of the execution engine.
+"""The two-tier partition cache of SyReNN decompositions.
 
 SyReNN decompositions are the dominant cost of exact verification, and the
 repair driver recomputes them constantly: every round re-verifies the same
@@ -11,20 +11,26 @@ depends on — never changes under value-channel repair (Theorem 4.6).  The
   rounds of a single driver run;
 * an optional disk tier of ``.npz`` files under ``REPRO_CACHE_DIR`` (the
   same root the model zoo and counterexample checkpoints use), which
-  survives process restarts and is shared by concurrent workers.
+  survives process restarts and is shared by every process pointing at the
+  same directory.
 
 Payloads are flat ``name → array`` dictionaries (whatever
-:func:`repro.utils.serialization.save_arrays` can persist); the engine owns
-the encoding of line/plane partitions into payloads.  Hit, miss, and
+:func:`repro.utils.serialization.save_arrays` can persist); the exact
+verifier owns the encoding of linear regions into payloads.  Hit, miss, and
 eviction counters are kept per tier and surfaced through
-:meth:`PartitionCache.stats` so benchmark and driver reports can show where
-decomposition time actually went.
+:meth:`PartitionCache.as_dict` so benchmark and daemon reports can show
+where decomposition time actually went.
+
+One cache may be shared by concurrent threads (the repair daemon hands the
+same instance to every ``syrenn`` job): a lock guards both tiers and the
+counters, so every lookup is counted exactly once.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import threading
 import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -34,6 +40,8 @@ import numpy as np
 
 import repro.obs as obs
 from repro.utils.serialization import default_cache_dir, load_arrays, save_arrays
+
+__all__ = ["CacheKey", "CacheStats", "PartitionCache", "TierStats"]
 
 #: A cache key: (network fingerprint, geometry digest).
 CacheKey = tuple[str, str]
@@ -48,49 +56,12 @@ def _record_request(tier: str, result: str) -> None:
     ).inc(tier=tier, result=result)
 
 
-class BoundedLru:
-    """A small bounded LRU mapping shared by every engine-side cache.
-
-    One implementation keeps the eviction policy consistent between the
-    partition cache's memory tier, the parent's encoded-network payloads,
-    and the worker-side decoded-network cache.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = int(max_entries)
-        self._entries: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def get(self, key):
-        """The stored value (refreshed as most-recently-used), or ``None``."""
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> int:
-        """Insert/refresh an entry; returns how many entries were evicted."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        evictions = 0
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            evictions += 1
-        return evictions
-
-    def keys(self) -> list:
-        """Keys, least-recently-used first."""
-        return list(self._entries.keys())
-
-    def clear(self) -> None:
-        self._entries.clear()
+def _record_put(tier: str) -> None:
+    obs.counter(
+        "repro_cache_puts_total",
+        "Partition-cache payload stores by tier.",
+        labels=("tier",),
+    ).inc(tier=tier)
 
 
 @dataclass
@@ -142,8 +113,7 @@ class PartitionCache:
         for specs with a few thousand linear regions.
     directory:
         Root of the disk tier.  Defaults to
-        ``<REPRO_CACHE_DIR>/partitions``; pass ``None`` with
-        ``disk=False`` to run memory-only.
+        ``<REPRO_CACHE_DIR>/partitions``.
     disk:
         Whether to read/write the disk tier at all.
     """
@@ -155,12 +125,15 @@ class PartitionCache:
         *,
         disk: bool = True,
     ) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be positive")
         self.max_entries = int(max_entries)
         self.disk = bool(disk)
         self.directory = (
             Path(directory) if directory is not None else default_cache_dir() / "partitions"
         )
-        self._memory: BoundedLru = BoundedLru(max_entries)
+        self._memory: OrderedDict[CacheKey, dict[str, np.ndarray]] = OrderedDict()
+        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -168,7 +141,8 @@ class PartitionCache:
         return len(self._memory)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._memory or (self.disk and self._disk_path(key).exists())
+        with self._lock:
+            return key in self._memory or (self.disk and self._disk_path(key).exists())
 
     def _disk_path(self, key: CacheKey) -> Path:
         network_hash, geometry_hash = key
@@ -177,9 +151,14 @@ class PartitionCache:
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> dict[str, np.ndarray] | None:
         """Look up a payload, promoting disk hits into the memory tier."""
+        with self._lock:
+            return self._get_locked(key)
+
+    def _get_locked(self, key: CacheKey) -> dict[str, np.ndarray] | None:
         track = obs.enabled()
         payload = self._memory.get(key)
         if payload is not None:
+            self._memory.move_to_end(key)
             self.stats.memory.hits += 1
             if track:
                 _record_request("memory", "hit")
@@ -187,23 +166,8 @@ class PartitionCache:
         self.stats.memory.misses += 1
         if track:
             _record_request("memory", "miss")
-        if not self.disk:
-            self.stats.disk.misses += 1
-            if track:
-                _record_request("disk", "miss")
-            return None
-        path = self._disk_path(key)
-        if not path.exists():
-            self.stats.disk.misses += 1
-            if track:
-                _record_request("disk", "miss")
-            return None
-        try:
-            payload = load_arrays(path)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError):
-            # A corrupt or torn write: treat as a miss and drop the file so
-            # the next put can replace it instead of crashing forever.
-            path.unlink(missing_ok=True)
+        payload = self._load_disk(key) if self.disk else None
+        if payload is None:
             self.stats.disk.misses += 1
             if track:
                 _record_request("disk", "miss")
@@ -214,45 +178,54 @@ class PartitionCache:
         self._insert_memory(key, payload)
         return payload
 
+    def _load_disk(self, key: CacheKey) -> dict[str, np.ndarray] | None:
+        path = self._disk_path(key)
+        if not path.exists():
+            return None
+        try:
+            return load_arrays(path)
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError):
+            # A corrupt or torn write: treat as a miss and drop the file so
+            # the next put can replace it instead of crashing forever.
+            path.unlink(missing_ok=True)
+            return None
+
     def put(self, key: CacheKey, payload: dict[str, np.ndarray]) -> None:
         """Store a payload in both tiers.
 
         The disk write goes through a temporary file plus an atomic rename,
         so concurrent readers in other processes never observe a torn file.
         """
-        self._insert_memory(key, payload)
-        self.stats.memory.puts += 1
-        if obs.enabled():
-            obs.counter(
-                "repro_cache_puts_total",
-                "Partition-cache payload stores by tier.",
-                labels=("tier",),
-            ).inc(tier="memory")
-        if self.disk:
-            path = self._disk_path(key)
-            if not path.exists():
-                self.directory.mkdir(parents=True, exist_ok=True)
-                # The suffix must stay ".npz" or np.savez would append one.
-                handle, temp_name = tempfile.mkstemp(
-                    dir=self.directory, suffix=".tmp.npz"
-                )
-                os.close(handle)
-                try:
-                    save_arrays(Path(temp_name), payload)
-                    os.replace(temp_name, path)
-                finally:
-                    if os.path.exists(temp_name):
-                        os.unlink(temp_name)
+        with self._lock:
+            self._insert_memory(key, payload)
+            self.stats.memory.puts += 1
+            if obs.enabled():
+                _record_put("memory")
+            if self.disk and not self._disk_path(key).exists():
+                self._write_disk(key, payload)
                 self.stats.disk.puts += 1
                 if obs.enabled():
-                    obs.counter(
-                        "repro_cache_puts_total",
-                        "Partition-cache payload stores by tier.",
-                        labels=("tier",),
-                    ).inc(tier="disk")
+                    _record_put("disk")
+
+    def _write_disk(self, key: CacheKey, payload: dict[str, np.ndarray]) -> None:
+        self.directory.mkdir(parents=True, exist_ok=True)
+        # The suffix must stay ".npz" or np.savez would append one.
+        handle, temp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp.npz")
+        os.close(handle)
+        try:
+            save_arrays(Path(temp_name), payload)
+            os.replace(temp_name, self._disk_path(key))
+        finally:
+            if os.path.exists(temp_name):
+                os.unlink(temp_name)
 
     def _insert_memory(self, key: CacheKey, payload: dict[str, np.ndarray]) -> None:
-        evicted = self._memory.put(key, payload)
+        self._memory[key] = payload
+        self._memory.move_to_end(key)
+        evicted = 0
+        while len(self._memory) > self.max_entries:
+            self._memory.popitem(last=False)
+            evicted += 1
         self.stats.memory.evictions += evicted
         if evicted and obs.enabled():
             obs.counter(
@@ -264,17 +237,20 @@ class PartitionCache:
     # ------------------------------------------------------------------
     def memory_keys(self) -> list[CacheKey]:
         """Keys of the memory tier, least-recently-used first."""
-        return self._memory.keys()
+        with self._lock:
+            return list(self._memory)
 
     def clear_memory(self) -> None:
         """Drop the memory tier (the disk tier is left untouched)."""
-        self._memory.clear()
+        with self._lock:
+            self._memory.clear()
 
     def as_dict(self) -> dict:
         """A JSON-ready summary (tier counters plus configuration)."""
-        return {
-            "max_entries": self.max_entries,
-            "memory_entries": len(self._memory),
-            "disk_enabled": self.disk,
-            **self.stats.as_dict(),
-        }
+        with self._lock:
+            return {
+                "max_entries": self.max_entries,
+                "memory_entries": len(self._memory),
+                "disk_enabled": self.disk,
+                **self.stats.as_dict(),
+            }

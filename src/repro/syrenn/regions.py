@@ -1,10 +1,8 @@
-"""The linear-region datatype and geometry digests shared across layers.
+"""The linear-region datatype and the geometry digest of cache keys.
 
-Both the exact verifier (``repro.verify.exact``) and the execution engine
-(``repro.engine``) consume SyReNN decompositions as lists of
-:class:`LinearRegion` and key caches by :func:`geometry_digest`.  The types
-live here — below both consumers — so neither package needs to import the
-other.
+The exact verifier (``repro.verify.exact``) consumes SyReNN decompositions
+as lists of :class:`LinearRegion` and keys its
+:class:`~repro.syrenn.cache.PartitionCache` by :func:`geometry_digest`.
 """
 
 from __future__ import annotations
@@ -30,16 +28,13 @@ class LinearRegion:
     interior: np.ndarray
 
 
-def geometry_digest(region: LineSegment | np.ndarray, shards: int = 1) -> str:
-    """A digest of a region's geometry (and shard layout), for cache keying.
+def geometry_digest(region: LineSegment | np.ndarray) -> str:
+    """A digest of a region's geometry, for cache keying.
 
     Keying on the geometry itself (rather than object identity) keeps a
     partition cache correct across garbage-collected specs, in-place spec
     edits, and re-built-but-identical specs — the common case in a repair
-    driver, where every round re-verifies the same regions.  ``shards > 1``
-    changes the merged partition (shard boundaries become breakpoints), so
-    the shard count is part of the key; ``shards == 1`` keys are identical
-    to the unsharded ones.
+    driver, where every round re-verifies the same regions.
     """
     digest = hashlib.sha256()
     if isinstance(region, LineSegment):
@@ -49,6 +44,4 @@ def geometry_digest(region: LineSegment | np.ndarray, shards: int = 1) -> str:
     else:
         digest.update(b"vertices")
         digest.update(np.ascontiguousarray(region).tobytes())
-    if shards > 1:
-        digest.update(f"#shards{shards}".encode())
     return digest.hexdigest()[:24]

@@ -34,18 +34,3 @@ def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator
     seeds = rng.integers(0, 2**63 - 1, size=count)
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
-
-def derive_seeds(root_seed: int, count: int, stream: int = 0) -> list[int]:
-    """Deterministic independent child seeds for parallel workers.
-
-    Unlike :func:`spawn_rngs`, the children are a pure function of
-    ``(root_seed, stream, index)`` — not of any generator state — so a
-    sampling task dispatched to worker processes draws the same points no
-    matter how many workers there are or which worker runs it.  ``stream``
-    separates successive derivations from the same root (e.g. the repeated
-    verification rounds of a repair driver).
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    sequence = np.random.SeedSequence((int(root_seed), int(stream)))
-    return [int(child.generate_state(1, np.uint64)[0]) for child in sequence.spawn(count)]

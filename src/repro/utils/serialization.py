@@ -5,11 +5,9 @@ couple of minutes.  The model zoo (``repro.models.zoo``) caches trained
 parameters under a directory of ``.npz`` files keyed by a configuration hash
 so that repeated benchmark runs do not retrain.
 
-The module also provides the spawn-safe network encoding used by the
-parallel execution engine (``repro.engine``): worker processes started with
-the ``spawn`` method share no memory with the parent, so networks cross the
-process boundary as self-contained byte payloads keyed by a parameter
-fingerprint.
+The module also provides the self-contained network encoding the repair
+daemon's job protocol carries (``repro.service.protocol``) and the parameter
+fingerprint that keys the partition cache.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ def encode_network(network) -> bytes:
     """Encode a network (or DDNN) as a self-contained byte payload.
 
     Every layer and network class lives at module level and stores only
-    plain NumPy arrays, so the pickle payload can be decoded by a freshly
-    ``spawn``-ed worker process that imported ``repro`` on its own.
+    plain NumPy arrays, so the pickle payload can be decoded by any process
+    that imports ``repro``.
     """
     return pickle.dumps(network, protocol=pickle.HIGHEST_PROTOCOL)
 

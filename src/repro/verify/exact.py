@@ -19,28 +19,24 @@ repeated verification rounds of a repair driver.
 Every pass stacks the vertices of all linear regions of all spec regions
 (each row pinned to its region's interior) and evaluates them in one
 forward pass; all of a spec's uncached planes are decomposed by one batched
-``transform_planes`` call.
-
-Decomposition can also be delegated to a
-:class:`repro.engine.ShardedSyrennEngine`: all of a spec's regions are
-decomposed in one batched engine call (sharded, parallel across worker
-processes, and cached in the engine's two-tier partition cache).  The
-engine's merge order is deterministic, so an engine-backed verification at
-any worker count is byte-identical to the serial one.
+``transform_planes`` call.  Decompositions are cached in a
+:class:`~repro.syrenn.cache.PartitionCache` keyed by ``(activation network
+fingerprint, geometry digest)``: a private memory-only one by default, or
+one shared with other verifiers (the repair daemon shares its disk-backed
+cache across jobs).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.ddnn import DecoupledNetwork
-from repro.engine.jobs import contiguous_spans
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
+from repro.syrenn.cache import PartitionCache
 from repro.syrenn.line import transform_line
 from repro.syrenn.plane import transform_planes
 from repro.syrenn.regions import LinearRegion, geometry_digest
@@ -56,9 +52,6 @@ from repro.verify.base import (
     Verifier,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.engine import Engine
-
 
 class SyrennVerifier(Verifier):
     """Exact verification of line/plane regions via SyReNN decompositions.
@@ -68,20 +61,22 @@ class SyrennVerifier(Verifier):
     in three or more dimensions are beyond the 1-D/2-D SyReNN substrate and
     are reported ``UNKNOWN``.
 
-    With an ``engine``, region decomposition runs as one batched engine
-    call and the engine's partition cache replaces the verifier's private
-    in-memory cache; ``cache_partitions=False`` bypasses the engine cache
-    for this verifier's calls without clearing it for other consumers.
+    Decompositions go through ``cache``, a
+    :class:`~repro.syrenn.cache.PartitionCache` (a runtime resource, like
+    the network: pass one to share decompositions between verifiers or
+    across processes through its disk tier).  Without one the verifier
+    builds a private memory-only cache.  ``cache_partitions=False`` makes
+    no lookups and no stores, leaving a shared cache untouched for other
+    consumers.
 
     ``value_only=True`` enables the **value-only re-verification fast
     path**: when a pass finds the activation network's fingerprint and the
     spec's geometry digests unchanged since the previous pass, it skips
     decomposition (and even cache lookups) entirely and re-evaluates the
-    cached vertex stack through the updated network — as one in-process
-    batched forward pass, or as a chunked ``evaluate_regions`` engine job
-    when an engine is attached.  This is sound exactly because value-channel
-    repairs never move linear-region boundaries (Theorem 4.6); the
-    repair driver enables the flag for the duration of its run.
+    cached vertex stack through the updated network in one batched forward
+    pass.  This is sound exactly because value-channel repairs never move
+    linear-region boundaries (Theorem 4.6); the repair driver enables the
+    flag for the duration of its run.
 
     ``region_counterexamples=True`` switches counterexample granularity from
     vertices to linear regions: each violating linear region is reported as
@@ -99,17 +94,16 @@ class SyrennVerifier(Verifier):
         self,
         tolerance: float = DEFAULT_TOLERANCE,
         cache_partitions: bool = True,
-        engine: Engine | None = None,
+        cache: PartitionCache | None = None,
         value_only: bool = False,
         region_counterexamples: bool = False,
     ) -> None:
         super().__init__(tolerance)
         self.cache_partitions = cache_partitions
-        self.engine = engine
+        self.cache = cache if cache is not None else PartitionCache(disk=False)
         self.value_only = value_only
         self.region_counterexamples = region_counterexamples
         self.value_only_verifications = 0
-        self._cache: dict[tuple, list[LinearRegion]] = {}
         # Single-slot cache backing the value-only fast path: the previous
         # pass's decomposition plus its vertex/activation stacks, keyed by
         # (activation fingerprint, per-region geometry digests).  One slot
@@ -169,7 +163,7 @@ class SyrennVerifier(Verifier):
         counterexamples come out in stack order: spec regions, then linear
         regions, then vertices.
         """
-        outputs = self._evaluate_stacked(network, stack, use_engine=value_only)
+        outputs = self._evaluate_stacked(network, stack)
         margins_all = np.empty(outputs.shape[0])
         # One batched margin computation per *distinct* constraint: the
         # strengthened ACAS specs reuse a handful of output polytopes across
@@ -257,20 +251,10 @@ class SyrennVerifier(Verifier):
         )
 
     # ------------------------------------------------------------------
-    def _evaluate_stacked(
-        self, network, stack: "_RegionStack", use_engine: bool
-    ) -> np.ndarray:
-        """Outputs for every stacked vertex, with per-row pinned activations.
-
-        The first pass of a spec always evaluates in-process: it follows a
-        decomposition, whose cost dwarfs one batched forward.  A value-only
-        re-verification with an engine attached ships the stack as one
-        chunked ``evaluate_regions`` job instead.
-        """
+    def _evaluate_stacked(self, network, stack: "_RegionStack") -> np.ndarray:
+        """Outputs for every stacked vertex, with per-row pinned activations."""
         if stack.vertices.shape[0] == 0:
             return np.zeros((0, network.output_size))
-        if use_engine and self.engine is not None:
-            return self.engine.evaluate_regions(network, stack.vertices, stack.activations)
         if isinstance(network, DecoupledNetwork):
             return np.atleast_2d(network.compute(stack.vertices, stack.activations))
         return np.atleast_2d(network.compute(stack.vertices))
@@ -280,37 +264,30 @@ class SyrennVerifier(Verifier):
     ) -> list[list[LinearRegion] | None]:
         """Linear regions per normalized spec region (``None`` for 3D+ boxes).
 
-        Without an engine, every uncached plane region goes through one
-        batched :func:`transform_planes` call; segments and single points
-        are decomposed one at a time.
+        Every uncached plane region goes through one batched
+        :func:`transform_planes` call; segments and single points are
+        decomposed one at a time.
         """
-        supported = [index for index, region in enumerate(normalized) if region is not None]
         decomposed: list[list[LinearRegion] | None] = [None] * len(normalized)
-        if self.engine is not None:
-            results = self.engine.decompose(
-                activation_network,
-                [normalized[index] for index in supported],
-                use_cache=self.cache_partitions,
-            )
-            for index, linear_regions in zip(supported, results):
-                decomposed[index] = linear_regions
-            return decomposed
         fingerprint = network_fingerprint(activation_network) if self.cache_partitions else None
         keys: dict[int, tuple] = {}
         planes: dict = {}
-        for index in supported:
-            region = normalized[index]
-            key = keys[index] = (geometry_digest(region), fingerprint)
-            if self.cache_partitions and key in self._cache:
-                decomposed[index] = self._cache[key]
+        for index, region in enumerate(normalized):
+            if region is None:
+                continue
+            if not isinstance(region, LineSegment) and region.ndim == 1:
+                # A fully degenerate box: a single point is its own linear region.
+                decomposed[index] = [LinearRegion(vertices=region[None, :], interior=region)]
+                continue
+            key = keys[index] = (fingerprint, geometry_digest(region))
+            cached = self._lookup(key)
+            if cached is not None:
+                decomposed[index] = cached
             elif isinstance(region, LineSegment):
                 pieces = transform_line(activation_network, region).regions
                 decomposed[index] = self._remember(
                     key, [LinearRegion(piece.vertices, piece.interior_point) for piece in pieces]
                 )
-            elif region.ndim == 1:
-                # A fully degenerate box: a single point is its own linear region.
-                decomposed[index] = [LinearRegion(vertices=region[None, :], interior=region)]
             else:
                 # With caching on, equal geometries in one spec decompose once.
                 planes.setdefault(key if self.cache_partitions else index, []).append(index)
@@ -328,10 +305,42 @@ class SyrennVerifier(Verifier):
                     decomposed[index] = linear_regions
         return decomposed
 
+    def _lookup(self, key: tuple) -> list[LinearRegion] | None:
+        if not self.cache_partitions:
+            return None
+        payload = self.cache.get(key)
+        # A payload this verifier did not write (another format sharing the
+        # directory) is a miss: the fresh decomposition replaces it in memory.
+        if payload is None or "num_regions" not in payload:
+            return None
+        return [
+            LinearRegion(payload[f"vertices_{index}"], payload[f"interior_{index}"])
+            for index in range(int(payload["num_regions"]))
+        ]
+
     def _remember(self, key: tuple, linear_regions: list[LinearRegion]) -> list[LinearRegion]:
         if self.cache_partitions:
-            self._cache[key] = linear_regions
+            payload = {"num_regions": len(linear_regions)}
+            for index, region in enumerate(linear_regions):
+                payload[f"vertices_{index}"] = region.vertices
+                payload[f"interior_{index}"] = region.interior
+            self.cache.put(key, payload)
         return linear_regions
+
+
+def contiguous_spans(ids) -> list[tuple[int, int]]:
+    """``(start, stop)`` spans of equal consecutive values in ``ids``.
+
+    Recovers the grouping already present in a stacked result: which rows
+    of a vertex stack belong to the same linear region.
+    """
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        return []
+    boundaries = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    starts = np.concatenate([[0], boundaries])
+    stops = np.concatenate([boundaries, [ids.size]])
+    return list(zip(starts.tolist(), stops.tolist()))
 
 
 @dataclass

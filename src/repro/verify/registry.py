@@ -7,9 +7,9 @@ closes that gap: a job names its verifier declaratively::
 
     {"verifier": {"kind": "syrenn", "value_only": true}}
 
-and :func:`make_verifier` turns the dictionary into the configured instance
-(attaching the daemon's shared engine, which is a runtime resource and never
-part of the wire format).
+and :func:`make_verifier` turns the dictionary into the configured instance.
+Runtime resources (the daemon's shared partition cache) are passed as extra
+keywords by the caller and are never part of the wire format.
 
 The built-in kinds are ``"syrenn"`` (:class:`~repro.verify.exact.SyrennVerifier`),
 ``"grid"`` (:class:`~repro.verify.sampling.GridVerifier`), and ``"random"``
@@ -19,15 +19,10 @@ adds project-specific ones without touching the daemon.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.exceptions import SpecificationError
 from repro.verify.base import Verifier
 from repro.verify.exact import SyrennVerifier
 from repro.verify.sampling import GridVerifier, RandomVerifier
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.engine import Engine
 
 _REGISTRY: dict[str, type[Verifier]] = {}
 
@@ -36,7 +31,7 @@ def register_verifier(kind: str, cls: type[Verifier]) -> None:
     """Register a verifier class under ``kind`` (overwrites an existing kind).
 
     The class must be constructible from keyword arguments that are all
-    JSON-representable, plus the optional ``engine`` runtime keyword.
+    JSON-representable.
     """
     if not (isinstance(cls, type) and issubclass(cls, Verifier)):
         raise SpecificationError(f"{cls!r} is not a Verifier subclass")
@@ -48,14 +43,9 @@ def verifier_kinds() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def make_verifier(
-    kind: str = "syrenn", *, engine: Engine | None = None, **params
-) -> Verifier:
-    """Build the verifier named ``kind`` from JSON-representable ``params``.
+def make_verifier(kind: str = "syrenn", **params) -> Verifier:
+    """Build the verifier named ``kind`` from keyword ``params``.
 
-    ``engine`` is threaded into the constructor separately because it is a
-    runtime resource, not configuration: the daemon passes its shared warm
-    engine here while the job's verifier dictionary stays serializable.
     Unknown kinds and parameters a constructor refuses (wrong names, types
     or values) all raise :class:`~repro.exceptions.SpecificationError`.
     """
@@ -65,7 +55,7 @@ def make_verifier(
             f"unknown verifier kind {kind!r}; registered kinds: {verifier_kinds()}"
         )
     try:
-        return cls(engine=engine, **params)
+        return cls(**params)
     except (TypeError, ValueError) as error:
         raise SpecificationError(
             f"bad parameters for verifier kind {kind!r}: {error}"

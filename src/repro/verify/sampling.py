@@ -10,28 +10,20 @@ violations the exact verifier proves.
 The hot path is fully batched: all sample points of a region go through the
 network in one forward pass and through
 :meth:`repro.polytope.hpolytope.HPolytope.violation_batch` in one matmul.
-
-Both verifiers also accept an ``engine``
-(:class:`repro.engine.ShardedSyrennEngine`), which routes the per-region
-sweeps through the engine's worker pool.  :class:`GridVerifier` keeps its
-points deterministic, so engine and serial sweeps are identical;
-:class:`RandomVerifier` switches to *worker-side* sampling with per-region
-seeds derived from its root seed (:func:`repro.utils.rng.derive_seeds`), so
-its results are identical at any worker count — though, by design, not to
-the engine-less sequential stream.
+Regions are swept one at a time, so only one region's samples and outputs
+are alive at once.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
-from repro.utils.rng import derive_seeds, ensure_rng
+from repro.utils.rng import ensure_rng
 from repro.verify.base import (
     DEFAULT_TOLERANCE,
     Box,
@@ -41,9 +33,6 @@ from repro.verify.base import (
     VerificationSpec,
     Verifier,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.engine import Engine
 
 
 def grid_region_points(region, resolution: int, max_points: int) -> np.ndarray:
@@ -56,11 +45,7 @@ def grid_region_points(region, resolution: int, max_points: int) -> np.ndarray:
 
 
 def random_region_points(region, num_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """``num_samples`` random points of one region, drawn from ``rng``.
-
-    Module-level so the engine's worker processes can draw the points
-    themselves from a per-region derived seed.
-    """
+    """``num_samples`` random points of one region, drawn from ``rng``."""
     if isinstance(region, LineSegment):
         return region.sample(num_samples, rng)
     if isinstance(region, Box):
@@ -77,12 +62,10 @@ class _SamplingVerifier(Verifier):
         self,
         tolerance: float = DEFAULT_TOLERANCE,
         max_counterexamples_per_region: int | None = 32,
-        engine: Engine | None = None,
         certify_exhaustive: bool = False,
     ) -> None:
         super().__init__(tolerance)
         self.max_counterexamples_per_region = max_counterexamples_per_region
-        self.engine = engine
         self.certify_exhaustive = bool(certify_exhaustive)
 
     def _sample_region(self, region) -> np.ndarray:
@@ -127,21 +110,11 @@ class _SamplingVerifier(Verifier):
         )
 
     def _sweep(self, network: Network | DecoupledNetwork, spec: VerificationSpec):
-        """Per-region (points, outputs) pairs; subclasses may route via the engine.
-
-        Without an engine this *streams* — one region's samples and outputs
-        are alive at a time, as before the engine existed — so large
-        engine-less sweeps keep their old peak memory.  The engine path
-        materializes all regions up front: that is the batch the worker
-        pool parallelizes over.
-        """
+        """Per-region (points, outputs) pairs, streamed one region at a time."""
         if self.certify_exhaustive and all(
             self._region_is_exhaustive(entry.region) for entry in spec.regions
         ):
             return self._sweep_degenerate(network, spec)
-        if self.engine is not None:
-            points_list = [self._sample_region(entry.region) for entry in spec.regions]
-            return zip(points_list, self.engine.evaluate_batches(network, points_list))
         return (
             (points, self._evaluate(network, points))
             for points in (self._sample_region(entry.region) for entry in spec.regions)
@@ -212,10 +185,6 @@ class GridVerifier(_SamplingVerifier):
     total points (the per-axis count shrinks with the number of varying
     dimensions, so high-dimensional boxes stay tractable).
 
-    With an ``engine``, region evaluations run as engine jobs; the sweep
-    points are computed deterministically either way, so the engine-backed
-    sweep produces byte-identical reports.
-
     ``certify_exhaustive=True`` lets the verifier *certify* single-point
     regions (fully-degenerate boxes): the sweep evaluates the region's only
     point, so a clean result is a proof.  Pointwise specifications made
@@ -234,10 +203,9 @@ class GridVerifier(_SamplingVerifier):
         tolerance: float = DEFAULT_TOLERANCE,
         max_points_per_region: int = 4096,
         max_counterexamples_per_region: int | None = 32,
-        engine: Engine | None = None,
         certify_exhaustive: bool = False,
     ) -> None:
-        super().__init__(tolerance, max_counterexamples_per_region, engine, certify_exhaustive)
+        super().__init__(tolerance, max_counterexamples_per_region, certify_exhaustive)
         if resolution < 2:
             raise ValueError("grid resolution must be at least 2")
         self.resolution = int(resolution)
@@ -252,10 +220,7 @@ class RandomVerifier(_SamplingVerifier):
 
     Each call draws fresh samples, so repeated rounds of a repair driver
     probe different points while the whole run stays reproducible from the
-    seed.  Serially the verifier consumes one sequential generator; with an
-    ``engine`` each region draws worker-side from a seed derived from
-    ``(root seed, sweep index, region index)``, which makes the results a
-    pure function of the seed — identical at any worker count.
+    seed: every sweep draws from one sequential generator.
     """
 
     name = "random"
@@ -267,38 +232,15 @@ class RandomVerifier(_SamplingVerifier):
         *,
         tolerance: float = DEFAULT_TOLERANCE,
         max_counterexamples_per_region: int | None = 32,
-        engine: Engine | None = None,
     ) -> None:
-        super().__init__(tolerance, max_counterexamples_per_region, engine)
+        super().__init__(tolerance, max_counterexamples_per_region)
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
         self.num_samples = int(num_samples)
         self._rng = ensure_rng(seed)
-        # Root seed for worker-side sampling; for a non-integer seed it is
-        # drawn lazily so the engine-less sequential stream stays untouched.
-        self._root_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
-        self._sweep_index = 0
-
-    def _engine_root_seed(self) -> int:
-        if self._root_seed is None:
-            self._root_seed = int(self._rng.integers(0, 2**63 - 1))
-        return self._root_seed
 
     def _sample_region(self, region) -> np.ndarray:
         return random_region_points(region, self.num_samples, self._rng)
-
-    def _sweep(self, network: Network | DecoupledNetwork, spec: VerificationSpec):
-        if self.engine is None:
-            return super()._sweep(network, spec)
-        seeds = derive_seeds(
-            self._engine_root_seed(), spec.num_regions, stream=self._sweep_index
-        )
-        self._sweep_index += 1
-        return iter(
-            self.engine.sample_regions(
-                network, [entry.region for entry in spec.regions], seeds, self.num_samples
-            )
-        )
 
 
 def _box_lattice(box: Box, resolution: int, max_points: int) -> np.ndarray:

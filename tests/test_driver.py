@@ -18,6 +18,7 @@ from repro.lp.status import LPStatus
 from repro.nn.activations import ReLULayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
+from repro.obs import Trace, use_trace
 from repro.polytope.hpolytope import HPolytope
 from repro.verify import (
     Counterexample,
@@ -233,9 +234,9 @@ class TestRepairDriver:
         driver = RepairDriver(
             network, spec, SyrennVerifier(), config=DriverConfig(max_rounds=1)
         )
-        with obs.capture("test.root") as captured:
+        with obs.isolated(), use_trace(Trace("test.root")) as active:
             report = driver.run()
-            trace = captured.telemetry()["trace"]
+        trace = active.export()["root"]
         assert report.num_rounds == 1 and report.rounds[0].repair_feasible
         (run_span,) = [c for c in trace["children"] if c["name"] == "driver.run"]
         verifies = [c for c in run_span["children"] if c["name"] == "driver.verify"]

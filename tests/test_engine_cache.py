@@ -1,16 +1,17 @@
-"""Tests for the two-tier partition cache (repro.engine.cache)."""
+"""Tests for the memory and disk tiers of PartitionCache (repro.syrenn.cache).
+
+Each test drives :class:`PartitionCache` directly: LRU order and bounds of
+the memory tier, and round trips, torn or corrupt files and promotion of the
+disk tier. How :class:`SyrennVerifier` uses the cache, and the cache under
+concurrent threads, is tested in ``tests/test_partition_cache.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.engine import PartitionCache, ShardedSyrennEngine
-from repro.nn.activations import ReLULayer
-from repro.nn.linear import FullyConnectedLayer
-from repro.nn.network import Network
-from repro.polytope.segment import LineSegment
-
+from repro.syrenn.cache import PartitionCache
 
 def payload(value: float) -> dict[str, np.ndarray]:
     return {"ratios": np.array([0.0, value, 1.0])}
@@ -137,30 +138,3 @@ class TestDiskTier:
         assert summary["disk_enabled"] is True
         assert summary["memory"]["hits"] == 1
         assert summary["disk"]["puts"] == 1
-
-
-class TestCrossProcessReuse:
-    def test_engine_reuses_partitions_across_instances(self, tmp_path, monkeypatch, rng):
-        """Two engines sharing a tmp REPRO_CACHE_DIR share decompositions."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        network = Network(
-            [
-                FullyConnectedLayer.from_shape(2, 6, rng),
-                ReLULayer(6),
-                FullyConnectedLayer.from_shape(6, 2, rng),
-            ]
-        )
-        segment = LineSegment([-1.0, -1.0], [1.0, 1.0])
-
-        first_engine = ShardedSyrennEngine(workers=1)
-        first = first_engine.transform_line(network, segment)
-        assert first_engine.cache.stats.misses == 1
-        assert first_engine.cache.stats.disk.puts == 1
-
-        # A fresh engine (as another process would build it) hits the disk
-        # tier instead of re-decomposing, and returns identical ratios.
-        second_engine = ShardedSyrennEngine(workers=1)
-        second = second_engine.transform_line(network, segment)
-        assert second_engine.cache.stats.disk.hits == 1
-        assert second_engine.scheduler.jobs_executed == 0
-        assert second.ratios.tobytes() == first.ratios.tobytes()

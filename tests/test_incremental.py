@@ -7,12 +7,11 @@ Three layers of pinning:
   activation network's linear-region geometry, which is what makes the
   value-only re-verification fast path sound by construction;
 * a **differential matrix** (``parametrize`` over solver × oracle
-  assembly × workers) asserting the driver's final repair matches a
+  assembly) asserting the driver's final repair matches a
   one-shot ``point_repair`` of its final pool on the strengthened ACAS φ8
   spec — same verdict, same objective, every pooled row satisfied;
-* unit tests for the new pieces: :class:`LPSession` append/solve, the
-  engine's ``evaluate_regions`` job, and the driver's incremental
-  bookkeeping.
+* unit tests for the new pieces: :class:`LPSession` append/solve and the
+  driver's incremental bookkeeping.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from repro.core.point_repair import IncrementalPointRepairSession, point_repair
 from repro.core.specs import PointRepairSpec
 from repro.datasets.acas import phi8_property
 from repro.driver import DriverConfig, RepairDriver
-from repro.engine import ShardedSyrennEngine
-from repro.engine.jobs import chunk_spans
-from repro.exceptions import EngineError, LPError
+from repro.exceptions import LPError
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
 from repro.lp.backends import get_backend
 from repro.lp.model import LPModel
@@ -217,16 +214,10 @@ class TestIncrementalDifferential:
     """The driver's final repair must match a one-shot repair of its final pool."""
 
     @pytest.mark.parametrize(
-        "backend,sparse,workers",
-        [
-            ("scipy", True, 1),
-            ("scipy", False, 1),
-            ("scipy", True, 2),
-            ("simplex", False, 1),
-            ("simplex", True, 1),
-        ],
+        "backend,sparse",
+        [("scipy", True), ("scipy", False), ("simplex", False), ("simplex", True)],
     )
-    def test_incremental_matches_cold(self, acas_phi8, backend, sparse, workers):
+    def test_incremental_matches_cold(self, acas_phi8, backend, sparse):
         """Driver vs one-shot ``point_repair(base, layer, final pool)``.
 
         Same verdict and objective (1e-9 relative) on either solver, with
@@ -238,20 +229,9 @@ class TestIncrementalDifferential:
         """
         network, spec = acas_phi8
         config = DriverConfig(max_rounds=20, max_new_counterexamples=4)
-
-        def run(engine=None):
-            driver = RepairDriver(
-                network, spec, SyrennVerifier(engine=engine), config=config, engine=engine
-            )
-            return driver, driver.run()
-
         with lp_solver(backend):
-            if workers > 1:
-                with ShardedSyrennEngine(workers=workers, cache=False) as engine:
-                    driver, report = run(engine)
-            else:
-                driver, report = run()
-
+            driver = RepairDriver(network, spec, SyrennVerifier(), config=config)
+            report = driver.run()
             assert report.status == "certified"
             assert report.value_only_rounds > 0
             assert report.unsatisfied_pool_indices == []
@@ -461,25 +441,3 @@ class TestLPSession:
         solution = session.solve()
         assert solution.status is LPStatus.OPTIMAL
         assert solution.values.size == 0
-
-
-class TestEvaluateRegionsJob:
-    def test_chunk_spans_cover_and_validate(self):
-        assert chunk_spans(5, 2) == [(0, 2), (2, 4), (4, 5)]
-        assert chunk_spans(0, 4) == []
-        with pytest.raises(EngineError):
-            chunk_spans(3, 0)
-
-    def test_evaluate_regions_matches_inprocess_ddnn(self, rng):
-        network = make_random_relu_network(rng, (2, 8, 6, 3))
-        ddnn = DecoupledNetwork.from_network(network)
-        vertices = rng.uniform(-1, 1, size=(37, 2))
-        activations = rng.uniform(-1, 1, size=(37, 2))
-        expected = ddnn.compute(vertices, activations)
-        engine = ShardedSyrennEngine(workers=1, cache=False)
-        outputs = engine.evaluate_regions(ddnn, vertices, activations, chunk_rows=8)
-        np.testing.assert_array_equal(outputs, expected)
-        # Chunking is deterministic: 37 rows in 8-row chunks is 5 tasks.
-        assert engine.scheduler.jobs_executed == 5
-        with pytest.raises(EngineError):
-            engine.evaluate_regions(ddnn, vertices, activations[:5])

@@ -1,11 +1,8 @@
 """Unit tests for :mod:`repro.obs`: registry, traces, renderers, logging.
 
-The cross-cutting guarantees — telemetry never changes repair bytes, and
-worker-merged registries are deterministic — live in
-``tests/test_obs_differential.py``; this module pins the local behaviour of
-each piece, including the algebra that makes worker merges deterministic:
-``merge_snapshot`` is associative and commutative for counters and
-histograms.
+The cross-cutting guarantee — telemetry never changes repair bytes — lives
+in ``tests/test_obs_differential.py``; this module pins the local behaviour
+of each piece.
 """
 
 from __future__ import annotations
@@ -14,8 +11,6 @@ import io
 import json
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.obs import JsonLogger, MetricsRegistry, Trace, current_trace, use_trace
@@ -101,93 +96,11 @@ class TestMetricsRegistry:
         assert list(snapshot) == ["a_total", "b_gauge", "c_seconds"]
         assert list(registry.snapshot(kinds=("counter",))) == ["a_total"]
 
-    def test_merge_adds_counters_and_histograms_last_writes_gauges(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        for registry, amount in ((left, 1), (right, 2)):
-            registry.counter("n_total", labels=("k",)).inc(amount, k="x")
-            registry.gauge("g").set(float(amount))
-            registry.histogram("h", buckets=(1.0,)).observe(amount / 10)
-        left.merge_snapshot(right.snapshot())
-        assert left.counter("n_total", labels=("k",)).value(k="x") == 3.0
-        assert left.gauge("g").value() == 2.0
-        (series,) = left.snapshot()["h"]["series"]
-        assert series["buckets"] == [2, 0]
-        assert series["count"] == 2
-
-    def test_merge_is_order_independent_for_counters(self):
-        parts = []
-        for index in range(3):
-            registry = MetricsRegistry()
-            registry.counter("n_total", labels=("w",)).inc(index + 1, w=str(index % 2))
-            parts.append(registry.snapshot())
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for part in parts:
-            forward.merge_snapshot(part)
-        for part in reversed(parts):
-            backward.merge_snapshot(part)
-        assert forward.snapshot() == backward.snapshot()
-
-    def test_merge_rejects_bucket_count_mismatch(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.histogram("h", buckets=(1.0,)).observe(0.5)
-        right.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        with pytest.raises(ValueError):
-            left.merge_snapshot(right.snapshot())
-
     def test_reset_drops_everything(self):
         registry = MetricsRegistry()
         registry.counter("n_total").inc()
         registry.reset()
         assert registry.snapshot() == {}
-
-
-# Histogram observations are quarter-integers (dyadic rationals): their
-# sums are exact in binary floating point, so the associativity and
-# commutativity assertions below compare for strict equality instead of
-# hiding behind a tolerance.
-BOUNDS = (0.5, 2.0, 8.0)
-
-
-@st.composite
-def registry_snapshots(draw):
-    """A snapshot of a small registry with one counter and one histogram."""
-    registry = MetricsRegistry()
-    counter = registry.counter("c_total", "Counts.", labels=("kind",))
-    hist = registry.histogram("h_seconds", "Seconds.", labels=("kind",), buckets=BOUNDS)
-    pair = st.tuples(st.sampled_from(("a", "b")), st.integers(0, 64))
-    for kind, amount in draw(st.lists(pair, max_size=8)):
-        counter.inc(float(amount), kind=kind)
-    for kind, quarters in draw(st.lists(pair, max_size=8)):
-        hist.observe(quarters / 4.0, kind=kind)
-    return registry.snapshot()
-
-
-class TestMergeSnapshotProperties:
-    """:func:`repro.obs.absorb` merges worker deltas; order must not matter."""
-
-    @given(registry_snapshots(), registry_snapshots())
-    def test_merge_is_commutative(self, a, b):
-        """A+B == B+A for counters and histograms (gauges are last-write)."""
-        ab, ba = MetricsRegistry(), MetricsRegistry()
-        ab.merge_snapshot(a)
-        ab.merge_snapshot(b)
-        ba.merge_snapshot(b)
-        ba.merge_snapshot(a)
-        assert ab.snapshot() == ba.snapshot()
-
-    @given(registry_snapshots(), registry_snapshots(), registry_snapshots())
-    def test_merge_is_associative(self, a, b, c):
-        """(A+B)+C == A+(B+C): worker deltas can merge in any grouping."""
-        left = MetricsRegistry()
-        for part in (a, b, c):
-            left.merge_snapshot(part)
-        inner = MetricsRegistry()
-        inner.merge_snapshot(b)
-        inner.merge_snapshot(c)
-        right = MetricsRegistry()
-        right.merge_snapshot(a)
-        right.merge_snapshot(inner.snapshot())
-        assert left.snapshot() == right.snapshot()
 
 
 class TestTrace:
@@ -225,21 +138,6 @@ class TestTrace:
         # "after" is a sibling of "doomed", not its child: the stack popped.
         assert [child["name"] for child in root["children"]] == ["doomed", "after"]
 
-    def test_adopt_grafts_under_current_span(self):
-        parent = Trace("parent")
-        child = Trace("worker.task")
-        with child.span("engine.task"):
-            pass
-        child.finish()
-        with use_trace(parent):
-            with parent.span("engine.batch"):
-                parent.adopt(child.export()["root"])
-        parent.finish()
-        batch = parent.export()["root"]["children"][0]
-        assert batch["name"] == "engine.batch"
-        assert [grand["name"] for grand in batch["children"]] == ["worker.task"]
-        assert batch["children"][0]["children"][0]["name"] == "engine.task"
-
     def test_use_trace_scopes_the_contextvar(self):
         assert current_trace() is None
         trace = Trace("scoped")
@@ -272,28 +170,6 @@ class TestFacade:
         assert obs.enabled() == before_enabled
         assert obs.registry() is before_registry
         assert "repro_test_total" not in obs.snapshot()
-
-    def test_capture_and_absorb_round_trip(self):
-        with obs.isolated():
-            parent_trace = Trace("parent")
-            with use_trace(parent_trace):
-                obs.counter("repro_parent_total").inc()
-                with obs.capture("worker.task", task_kind="line") as captured:
-                    obs.counter("repro_child_total").inc(2)
-                    with obs.span("engine.task"):
-                        pass
-                    payload = captured.telemetry()
-                # Worker-side counts never leaked into the parent registry.
-                assert "repro_child_total" not in obs.snapshot()
-                payload = json.loads(json.dumps(payload))  # survives the pickle/json trip
-                obs.absorb(payload)
-            parent_trace.finish()
-            assert obs.counter("repro_child_total").value() == 2.0
-            assert obs.counter("repro_parent_total").value() == 1.0
-            adopted = parent_trace.export()["root"]["children"][0]
-            assert adopted["name"] == "worker.task"
-            assert adopted["attributes"] == {"task_kind": "line"}
-
 
 class TestPrometheusExposition:
     def test_golden_document(self):

@@ -5,8 +5,7 @@ Four layers of pinning:
 * a **differential matrix**: driver runs with a ``memory_budget`` — tiny
   (single-point chunks plus pool spilling), ragged (a few points per
   chunk), and huge (one chunk) — reproduce the unbudgeted run byte for byte on the strengthened ACAS φ8 spec and on an
-  MNIST-fog digits spec, including with a 4-worker engine sharding chunk
-  production;
+  MNIST-fog digits spec;
 * a **property-based oracle** (hypothesis): *any* chunk partition of the
   Jacobian→LP row stream yields the same LP solution bytes as one chunk —
   the determinism contract of
@@ -24,7 +23,7 @@ Four layers of pinning:
 Every driver matrix is also run with the frozen-prefix cache switched off
 (:func:`tests.conftest.prefix_cache_off`): cached runs must reproduce the
 uncached verdicts and delta bytes on φ8, MNIST-fog and SqueezeNet-mini,
-budgeted or not, serial or through a 2-worker engine.
+budgeted or not.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.datasets.corruptions import fog_corrupt
 from repro.datasets.digits import render_digit
 from repro.driver import DriverConfig, RepairDriver
 from repro.driver.pool import CounterexamplePool
-from repro.engine import ShardedSyrennEngine
 from repro.experiments.task1_imagenet import (
     classifier_perturbation_workload,
     driver_certified_repair,
@@ -66,7 +64,7 @@ from repro.lp.norms import add_norm_objective
 from repro.models.acas_models import build_acas_network
 from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
-from repro.verify.base import Counterexample, RegionStatus, VerificationSpec
+from repro.verify.base import Counterexample, RegionStatus
 from repro.verify.sampling import GridVerifier
 from tests.conftest import make_random_relu_network, prefix_cache_off
 from tests.oracle import dense_standard_form, max_row_violation
@@ -145,25 +143,6 @@ class TestChunkStreamAssembly:
         blocks = list(stream)
         assert len(blocks) == spec.num_points
         assert_same_standard_form(blocks, dense_lhs, dense_rhs)
-
-    def test_engine_sharded_production_matches_serial(self):
-        ddnn, layer, spec = small_workload(num_points=9)
-        serial = list(
-            JacobianChunkStream(ddnn, layer, spec, points_per_batch=2)
-        )
-        with ShardedSyrennEngine(workers=4, cache=False) as engine:
-            sharded = list(
-                JacobianChunkStream(
-                    ddnn, layer, spec, points_per_batch=2, engine=engine
-                )
-            )
-        assert len(sharded) == len(serial)
-        for (serial_block, serial_rhs), (shard_block, shard_rhs) in zip(
-            serial, sharded
-        ):
-            assert shard_block.data.tobytes() == serial_block.data.tobytes()
-            assert shard_block.indices.tobytes() == serial_block.indices.tobytes()
-            assert shard_rhs.tobytes() == serial_rhs.tobytes()
 
     def test_chunk_telemetry_counts_pieces_by_layer(self):
         ddnn, layer, spec = small_workload()
@@ -398,13 +377,13 @@ class TestAtomicCheckpoint:
 class TestDriverDifferential:
     """Budgeted driver runs reproduce unbudgeted runs byte for byte."""
 
-    def run(self, network, spec, *, memory_budget=None, engine=None):
+    def run(self, network, spec, *, memory_budget=None):
         from repro.verify import SyrennVerifier
 
         return RepairDriver(
             network,
             spec,
-            SyrennVerifier(engine=engine),
+            SyrennVerifier(),
             config=DriverConfig(
                 max_rounds=20,
                 max_new_counterexamples=4,
@@ -429,17 +408,6 @@ class TestDriverDifferential:
         ):
             assert budgeted_round.pool_size == reference_round.pool_size
             assert budgeted_round.lp_rows_appended == reference_round.lp_rows_appended
-
-    def test_budgeted_four_worker_engine_matches_serial(self, acas_phi8):
-        network, spec = acas_phi8
-        reference = self.run(network, spec)
-        with ShardedSyrennEngine(workers=4, cache=False) as engine:
-            budgeted = self.run(
-                network, spec, memory_budget=RAGGED_BUDGET, engine=engine
-            )
-        assert budgeted.status == "certified"
-        assert value_parameters(budgeted) == value_parameters(reference)
-        assert_reports_identical(budgeted.final_report, reference.final_report)
 
     def test_budgeted_matches_unbudgeted_on_fogged_digits(self):
         # The MNIST-fog flavor of the matrix: fog-corrupted rendered digits
@@ -657,17 +625,6 @@ class TestPrefixCacheDifferential:
         assert served
         assert_same_outcome(cached, uncached)
 
-    def test_acas_two_worker_engine_matches_uncached_serial(self, acas_phi8):
-        network, spec = acas_phi8
-        with ShardedSyrennEngine(workers=2, cache=False) as engine:
-            cached = self.run(
-                network, spec, memory_budget=RAGGED_BUDGET, engine=engine
-            )
-        with prefix_cache_off():
-            uncached = self.run(network, spec, memory_budget=RAGGED_BUDGET)
-        assert cached.status == "certified"
-        assert_same_outcome(cached, uncached)
-
     @pytest.mark.parametrize("memory_budget", [None, TINY_BUDGET])
     def test_fogged_digits_cached_matches_uncached(self, memory_budget):
         network, spec = fogged_digits_scenario()
@@ -688,19 +645,12 @@ class TestPrefixCacheDifferential:
         assert served
         assert_same_outcome(cached, uncached)
 
-    @pytest.mark.parametrize(
-        "memory_budget, workers", [(None, 1), (64 * 1024, 1), (64 * 1024, 2)]
-    )
-    def test_squeezenet_cached_matches_uncached(self, memory_budget, workers):
+    @pytest.mark.parametrize("memory_budget", [None, 64 * 1024])
+    def test_squeezenet_cached_matches_uncached(self, memory_budget):
         workload = classifier_perturbation_workload(24, side=8, seed=1)
 
         def run():
-            if workers == 1:
-                return driver_certified_repair(workload, memory_budget=memory_budget)
-            with ShardedSyrennEngine(workers=workers, cache=False) as engine:
-                return driver_certified_repair(
-                    workload, memory_budget=memory_budget, engine=engine
-                )
+            return driver_certified_repair(workload, memory_budget=memory_budget)
 
         with served_batches() as served:
             cached, driver = run()

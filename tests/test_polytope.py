@@ -301,32 +301,3 @@ class TestVectorizedClipping:
     def test_empty_input(self):
         empty = clip_by_function(np.zeros((0, 2)), np.zeros(0), keep_positive=True)
         assert empty.shape == (0, 2)
-
-
-class TestSubdivisionHelpers:
-    def test_segment_subdivide_matches_points_at(self):
-        segment = LineSegment([0.0, -2.0], [1.0, 2.0])
-        pieces = segment.subdivide(4)
-        boundaries = segment.points_at(np.linspace(0.0, 1.0, 5))
-        for index, piece in enumerate(pieces):
-            np.testing.assert_array_equal(piece.start, boundaries[index])
-            np.testing.assert_array_equal(piece.end, boundaries[index + 1])
-        with pytest.raises(ValueError):
-            segment.subdivide(0)
-
-    def test_fan_wedges_partition_area_and_orientation(self):
-        from repro.polytope.polygon import fan_wedges
-
-        hexagon = np.array(
-            [[np.cos(a), np.sin(a)] for a in np.linspace(0, 2 * np.pi, 7)[:-1]]
-        )
-        wedges = fan_wedges(hexagon, 3)
-        assert len(wedges) == 3
-        total = sum(polygon_area(wedge) for wedge in wedges)
-        assert total == pytest.approx(polygon_area(hexagon))
-        for wedge in wedges:
-            np.testing.assert_array_equal(wedge[0], hexagon[0])
-        with pytest.raises(ValueError):
-            fan_wedges(hexagon, 0)
-        with pytest.raises(ShapeError):
-            fan_wedges(hexagon[:2], 2)

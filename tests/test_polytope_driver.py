@@ -6,13 +6,13 @@ Three layers of pinning:
   bugs (equal counterexamples must never evade dedup, or the driver's stall
   detection can be fooled forever), activation-pattern-aware region keys,
   and the region checkpoint/resume round-trip;
-* a **differential matrix** (solver × oracle assembly × workers × chunk
-  budget) pinning the polytope driver's round-1 repair byte-identical to
+* a **differential matrix** (solver × oracle assembly × chunk budget)
+  pinning the polytope driver's round-1 repair byte-identical to
   one-shot :func:`~repro.core.polytope_repair.polytope_repair` on the same
   spec — the two must build the same LP row for row when every region is
   violated — and the one-shot LP to the per-point oracle, dense or sparse;
-* **loop tests** for certification end to end: rationed vs unrationed and
-  serial vs engine-parallel runs, region counterexamples flowing through
+* **loop tests** for certification end to end: rationed vs unrationed
+  runs, region counterexamples flowing through
   checkpoint/resume, and the per-region key-point reduction.
 """
 
@@ -36,8 +36,6 @@ from repro.core.specs import (
     dedupe_exact_vertices,
 )
 from repro.driver import CounterexamplePool, DriverConfig, RepairDriver
-from repro.engine import ShardedSyrennEngine
-from repro.engine.jobs import contiguous_spans
 from repro.exceptions import RepairError, SpecificationError
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
@@ -49,6 +47,7 @@ from repro.verify import (
     SyrennVerifier,
     VerificationSpec,
 )
+from repro.verify.exact import contiguous_spans
 from tests.conftest import lp_solver, make_random_relu_network
 from tests.oracle import oracle_point_repair, oracle_verify
 
@@ -320,7 +319,7 @@ class TestPolytopeDriverDifferential:
     key points ``reduce_to_key_points`` generates, in the same order, so the
     repair LP — and therefore the applied delta — must be byte-identical,
     on the solver and the reference simplex, across chunk budgets (``budgeted`` streams the rows in tiny
-    chunks) and a pooled 4-worker engine.  The one-shot repair itself is
+    chunks).  The one-shot repair itself is
     checked against the per-point oracle once, assembled dense and sparse.
     """
 
@@ -348,24 +347,18 @@ class TestPolytopeDriverDifferential:
         )
 
     @pytest.mark.parametrize(
-        "backend,budgeted,pooled",
-        [
-            ("scipy", False, False),
-            ("scipy", True, False),
-            ("scipy", True, True),
-            ("simplex", False, False),
-            ("simplex", True, False),
-        ],
+        "backend,budgeted",
+        [("scipy", False), ("scipy", True), ("simplex", False), ("simplex", True)],
     )
-    def test_round1_matches_one_shot(self, polytope_scenario, backend, budgeted, pooled):
+    def test_round1_matches_one_shot(self, polytope_scenario, backend, budgeted):
         network, spec = polytope_scenario
         layer = DecoupledNetwork.from_network(network).repairable_layer_indices()[-1]
         with lp_solver(backend):
             one_shot = polytope_repair(network, layer, spec)
         assert one_shot.feasible
 
-        def run(engine=None):
-            return RepairDriver(
+        with lp_solver(backend):
+            report = RepairDriver(
                 network,
                 spec,
                 SyrennVerifier(),
@@ -376,15 +369,7 @@ class TestPolytopeDriverDifferential:
                     repair_margin=0.0,
                     memory_budget=4_096 if budgeted else None,
                 ),
-                engine=engine,
             ).run()
-
-        with lp_solver(backend):
-            if pooled:
-                with ShardedSyrennEngine(workers=4, cache=False) as engine:
-                    report = run(engine)
-            else:
-                report = run()
 
         # Precondition: the pool expanded to one-shot's exact key points.
         assert report.rounds[0].pool_key_points == one_shot.num_key_points
@@ -435,39 +420,6 @@ class TestPolytopeDriverLoop:
         summary = unrationed.as_dict()
         assert summary["mode"] == "polytope"
         assert summary["rounds"][0]["pool_key_points"] >= summary["rounds"][0]["pool_size"]
-
-    def test_incremental_engine_run_matches_cold_serial(self, polytope_scenario):
-        """A 4-worker engine run reproduces the serial run byte for byte."""
-        network, spec = polytope_scenario
-        serial = RepairDriver(
-            network,
-            spec,
-            SyrennVerifier(),
-            config=DriverConfig(
-                mode="polytope",
-                max_rounds=10,
-                max_new_counterexamples=8,
-            ),
-        ).run()
-        with ShardedSyrennEngine(workers=4, cache=False) as engine:
-            parallel = RepairDriver(
-                network,
-                spec,
-                SyrennVerifier(),
-                config=DriverConfig(
-                    mode="polytope",
-                    max_rounds=10,
-                    max_new_counterexamples=8,
-                ),
-                engine=engine,
-            ).run()
-        assert serial.status == parallel.status == "certified"
-        assert serial.num_rounds == parallel.num_rounds
-        assert (
-            serial.final_report.region_statuses == parallel.final_report.region_statuses
-        )
-        assert serial.final_report.region_margins == parallel.final_report.region_margins
-        assert layer_bytes(serial.network) == layer_bytes(parallel.network)
 
     def test_region_checkpoint_resume_through_driver(self, polytope_scenario, tmp_path):
         network, spec = polytope_scenario

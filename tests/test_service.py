@@ -4,8 +4,8 @@ Three layers, in increasing integration depth:
 
 * the JSON wire protocol (jobs validate and round-trip losslessly);
 * the in-process :class:`RepairService` (a daemon job is byte-identical to
-  the same run executed standalone — including with two jobs multiplexed
-  concurrently over the shared engine);
+  the same run executed standalone, for every verifier kind — including
+  with two jobs multiplexed concurrently over the shared partition cache);
 * the HTTP daemon end-to-end (submit → poll → result via
   :class:`ServiceClient`, and crash recovery: SIGKILL the daemon mid-job,
   restart it on the same state directory, and watch the job resume from the
@@ -44,7 +44,7 @@ from repro.service import (
     serve,
 )
 from repro.utils.rng import ensure_rng
-from repro.verify import SyrennVerifier, VerificationSpec
+from repro.verify import SyrennVerifier, VerificationSpec, make_verifier
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -132,7 +132,7 @@ TIMING_KEYS = {
 
 def comparable(summary: dict) -> dict:
     """A report dictionary's run-defining content, wall-clock stripped."""
-    summary = {k: v for k, v in summary.items() if k not in TIMING_KEYS and k != "engine"}
+    summary = {k: v for k, v in summary.items() if k not in TIMING_KEYS}
     if summary.get("final_report"):
         summary["final_report"] = {
             k: v for k, v in summary["final_report"].items() if k != "seconds"
@@ -185,7 +185,8 @@ class TestProtocol:
             (lambda job: job.update(verifier={"kind": "syrenn", "bogus": 1}), "'bogus'"),
             (lambda job: job.update(verifier={"kind": "grid", "resolution": 1}), "resolution must be"),
             (lambda job: job.update(verifier={"kind": "random", "num_samples": 0}), "num_samples must"),
-            (lambda job: job.update(verifier={"kind": "syrenn", "engine": 1}), "runtime resource"),
+            (lambda job: job.update(verifier={"kind": "syrenn", "engine": 1}), "'engine'"),
+            (lambda job: job.update(verifier={"kind": "syrenn", "cache": 1}), "runtime resource"),
         ],
     )
     def test_malformed_jobs_rejected(self, mutate, match):
@@ -210,7 +211,7 @@ class TestProtocol:
 
 class TestRepairServiceInProcess:
     def test_concurrent_jobs_match_standalone_runs_byte_for_byte(self, tmp_path):
-        """Two jobs multiplexed over one shared engine == two standalone runs."""
+        """Two jobs multiplexed over one shared cache == two standalone runs."""
         scenarios = [plane_scenario(12345), plane_scenario(999)]
         config = DriverConfig(max_rounds=8)
         baselines = [
@@ -233,6 +234,33 @@ class TestRepairServiceInProcess:
             assert comparable(served_report) == comparable(baseline.as_dict())
             served_network = decode_network_b64(result["result"]["network"])
             assert parameter_bytes(served_network) == parameter_bytes(baseline.network)
+
+    @pytest.mark.parametrize(
+        "verifier",
+        [
+            {"kind": "random", "num_samples": 64, "seed": 3},
+            {"kind": "grid", "resolution": 8},
+            {"kind": "syrenn"},
+        ],
+        ids=lambda verifier: verifier["kind"],
+    )
+    def test_verify_job_matches_standalone(self, tmp_path, verifier):
+        """A verify job reports exactly what the same verifier does standalone."""
+        network, spec = plane_scenario(12345)
+        params = {key: value for key, value in verifier.items() if key != "kind"}
+        standalone = make_verifier(verifier["kind"], **params).verify(network, spec)
+        service = RepairService(tmp_path / "state")
+        try:
+            job_id = service.submit(make_job("verify", network, spec, verifier=verifier))
+            result = service.wait(job_id, timeout=60)
+        finally:
+            service.stop()
+        assert result["status"] == "done"
+        served = dict(result["result"]["report"])
+        expected = standalone.as_dict()
+        served.pop("seconds")
+        expected.pop("seconds")
+        assert served == expected
 
     def test_verify_job(self, tmp_path):
         network, spec = plane_scenario(12345)
@@ -541,11 +569,17 @@ class TestTelemetrySurfaces:
 class TestHealthSurfaces:
     """/readyz on a live daemon, and the routes that no longer exist."""
 
-    def test_readyz_reports_engine_and_state_dir(self, http_server):
+    def test_readyz_reports_accepting_jobs_and_state_dir(self, http_server):
         client, _ = http_server
         ready = client.readyz()
         assert ready["ready"] is True
-        assert ready["checks"] == {"engine_pool": True, "state_dir_writable": True}
+        assert ready["checks"] == {"accepting_jobs": True, "state_dir_writable": True}
+
+    def test_health_reports_partition_cache(self, http_server):
+        client, _ = http_server
+        cache = client.health()["cache"]
+        assert cache["disk_enabled"] is True
+        assert set(cache) >= {"max_entries", "memory_entries", "memory", "disk"}
 
     def test_readyz_on_a_stopped_service_is_a_parsed_503(self, tmp_path):
         server = serve(tmp_path / "state", port=0)
@@ -557,7 +591,7 @@ class TestHealthSurfaces:
             server.service.stop()
             ready = client.readyz()  # served as a 503; body still parsed
             assert ready["ready"] is False
-            assert ready["checks"]["engine_pool"] is False
+            assert ready["checks"]["accepting_jobs"] is False
             with pytest.raises(ServiceError) as unready:
                 client._request("/readyz")  # without body_on a 503 is an error
             assert unready.value.status == 503

@@ -321,15 +321,3 @@ class TestNetworkSerialization:
             np.full_like(edited.value.layers[layer_index].get_parameters(), 0.25),
         )
         assert network_fingerprint(edited) != base
-
-
-class TestDeriveSeeds:
-    def test_pure_function_of_root_stream_index(self):
-        from repro.utils.rng import derive_seeds
-
-        assert derive_seeds(7, 3) == derive_seeds(7, 3)
-        assert derive_seeds(7, 3) != derive_seeds(8, 3)
-        assert derive_seeds(7, 3, stream=2) != derive_seeds(7, 3, stream=1)
-        assert len(set(derive_seeds(7, 100))) == 100
-        with pytest.raises(ValueError):
-            derive_seeds(7, -1)

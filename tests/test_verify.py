@@ -149,17 +149,17 @@ class TestSyrennVerifier:
         spec = toy_spec(violated=True)
         ddnn = DecoupledNetwork.from_network(toy_network)
         verifier.verify(ddnn, spec)
-        assert len(verifier._cache) == 1
+        assert len(verifier.cache) == 1
         # A value-channel edit keeps the activation channel (and the cache key).
         ddnn.apply_parameter_delta(2, np.zeros(ddnn.value.layers[2].num_parameters))
         verifier.verify(ddnn, spec)
-        assert len(verifier._cache) == 1
+        assert len(verifier.cache) == 1
         # A rebuilt-but-identical spec hits the same cache entry, while a
         # geometrically different region gets its own.
         verifier.verify(ddnn, toy_spec(violated=True))
-        assert len(verifier._cache) == 1
+        assert len(verifier.cache) == 1
         verifier.verify(ddnn, toy_spec(violated=False))
-        assert len(verifier._cache) == 2
+        assert len(verifier.cache) == 2
 
     def test_cache_keyed_by_geometry_not_object_identity(self, toy_network):
         """Mutating a spec in place must not serve stale decompositions."""
@@ -345,6 +345,17 @@ class TestSamplingVerifiers:
         ]
         first, second = (np.array([c.point for c in r.counterexamples]) for r in reports)
         np.testing.assert_array_equal(first, second)
+
+    def test_successive_sweeps_probe_fresh_points(self, toy_network):
+        """One verifier's repeated sweeps continue its stream: new points each pass."""
+        verifier = RandomVerifier(16, seed=5)
+        first = verifier.verify(toy_network, toy_spec(True))
+        second = verifier.verify(toy_network, toy_spec(True))
+        assert first.counterexamples and second.counterexamples
+        assert (
+            first.counterexamples[0].point.tobytes()
+            != second.counterexamples[0].point.tobytes()
+        )
 
 
 class TestVerificationReport:
