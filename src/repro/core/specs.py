@@ -25,6 +25,11 @@ from repro.polytope.segment import LineSegment
 OutputConstraint = HPolytope
 
 
+#: Vertex arrays up to this many rows are first checked for duplicates by
+#: comparing every pair of rows, which is cheaper than sorting them.
+PAIRWISE_DEDUPE_ROWS = 64
+
+
 def dedupe_exact_vertices(vertices: np.ndarray) -> np.ndarray:
     """Drop exact-duplicate rows of a vertex array, preserving first-seen order.
 
@@ -32,13 +37,39 @@ def dedupe_exact_vertices(vertices: np.ndarray) -> np.ndarray:
     not free: every duplicate becomes a duplicate (key point, activation
     point, constraint) row in Algorithm 2's reduction, bloating the repair
     LP.  Only *exact* duplicates are dropped — nearby-but-distinct vertices
-    are kept, since collapsing those would change the polygon.
+    are kept, since collapsing those would change the polygon.  Rows are
+    compared with ``==`` (so ``0.0`` and ``-0.0`` are duplicates and NaN
+    rows never are), as :func:`numpy.unique` does; an array with nothing
+    to drop is returned as is.
     """
     vertices = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
+    if vertices.shape[0] <= PAIRWISE_DEDUPE_ROWS:
+        equal = (vertices[:, None, :] == vertices[None, :, :]).all(axis=2)
+        np.fill_diagonal(equal, False)
+        if not equal.any():
+            return vertices
     _, first_seen = np.unique(vertices, axis=0, return_index=True)
     if first_seen.size == vertices.shape[0]:
         return vertices
     return vertices[np.sort(first_seen)]
+
+
+def checked_plane_vertices(vertices) -> np.ndarray:
+    """A planar polygon's vertex array, validated and deduplicated.
+
+    The vertices must form a 2-D array of finite values with at least three
+    distinct rows (:func:`dedupe_exact_vertices`; an array with nothing to
+    drop comes back as is).
+    """
+    vertices = np.asarray(vertices, dtype=np.float64)
+    if vertices.ndim != 2:
+        raise SpecificationError("a planar polytope's vertices must be a (k, n) array")
+    if not np.all(np.isfinite(vertices)):
+        raise SpecificationError("a planar polytope's vertices must be finite")
+    vertices = dedupe_exact_vertices(vertices)
+    if vertices.shape[0] < 3:
+        raise SpecificationError("a planar polytope needs at least three vertices")
+    return vertices
 
 
 def classification_constraint(num_classes: int, label: int, margin: float = 0.0) -> HPolytope:
@@ -143,7 +174,7 @@ class PointRepairSpec:
 
 
 @dataclass
-class _PolytopeEntry:
+class PolytopeEntry:
     """One input polytope and the output constraint it must map into."""
 
     region: LineSegment | np.ndarray
@@ -158,7 +189,7 @@ class PolytopeRepairSpec:
     or ``(k, n)`` vertex arrays of convex planar polygons (2-D polytopes).
     """
 
-    entries: list[_PolytopeEntry] = field(default_factory=list)
+    entries: list[PolytopeEntry] = field(default_factory=list)
 
     @property
     def num_polytopes(self) -> int:
@@ -167,7 +198,7 @@ class PolytopeRepairSpec:
 
     def add_segment(self, segment: LineSegment, constraint: OutputConstraint) -> None:
         """Require every point of ``segment`` to map into ``constraint``."""
-        self.entries.append(_PolytopeEntry(segment, constraint))
+        self.entries.append(PolytopeEntry(segment, constraint))
 
     def add_plane(self, vertices, constraint: OutputConstraint) -> None:
         """Require every point of the convex planar polygon to map into ``constraint``.
@@ -176,12 +207,9 @@ class PolytopeRepairSpec:
         a 2-D affine subspace; they are stored in convex position.  Exact
         duplicate vertices are dropped here, at construction — repeated
         vertices would otherwise turn into duplicate key-point rows in every
-        LP built from this specification.
+        LP built from this specification (:func:`checked_plane_vertices`).
         """
-        vertices = dedupe_exact_vertices(vertices)
-        if vertices.shape[0] < 3:
-            raise SpecificationError("a planar polytope needs at least three vertices")
-        self.entries.append(_PolytopeEntry(vertices, constraint))
+        self.entries.append(PolytopeEntry(checked_plane_vertices(vertices), constraint))
 
     @classmethod
     def from_segments(

@@ -22,13 +22,13 @@ from repro.baselines.fine_tune import fine_tune
 from repro.baselines.modified_fine_tune import modified_fine_tune
 from repro.core.point_repair import point_repair
 from repro.core.result import RepairTiming
-from repro.core.specs import PointRepairSpec, PolytopeRepairSpec
+from repro.core.specs import PointRepairSpec, PolytopeEntry, PolytopeRepairSpec
 from repro.datasets.acas import SafetyProperty, phi8_property
 from repro.driver import DriverConfig, DriverReport, RepairDriver
 from repro.polytope.hpolytope import HPolytope
 from repro.models.zoo import ModelZoo
 from repro.nn.network import Network
-from repro.syrenn.plane import transform_planes
+from repro.syrenn.plane import PlaneRegion, transform_planes
 from repro.utils.rng import ensure_rng
 from repro.verify import SyrennVerifier, VerificationSpec, Verifier
 
@@ -186,20 +186,13 @@ def strengthened_specification(
     as in the paper's RQ4 analysis).
     """
     start = time.perf_counter()
-    allowed = setup.safety_property.allowed
     points, activation_points, constraints = [], [], []
-    for partition in transform_planes(network, setup.repair_slices):
-        for region in partition.regions:
-            interior = region.interior_point
-            scores = network.compute(interior)
-            winner = max(allowed, key=lambda advisory: scores[advisory])
-            constraint = safe_advisory_constraint(
-                network.output_size, winner, allowed, margin
-            )
-            for vertex in region.input_vertices:
-                points.append(vertex)
-                activation_points.append(interior)
-                constraints.append(constraint)
+    for _, region, constraint in _strengthened_regions(network, setup, margin):
+        interior = region.interior_point
+        for vertex in region.input_vertices:
+            points.append(vertex)
+            activation_points.append(interior)
+            constraints.append(constraint)
     linregions_seconds = time.perf_counter() - start
     spec = PointRepairSpec(
         points=np.array(points),
@@ -226,22 +219,36 @@ def strengthened_verification_spec(
     DDNN's activation channel — and therefore the linear-region geometry —
     never changes under value-channel repair (Theorem 4.6).
     """
-    allowed = setup.safety_property.allowed
     spec = VerificationSpec()
-    partitions = transform_planes(network, setup.repair_slices)
-    for slice_index, partition in enumerate(partitions):
-        for region_index, region in enumerate(partition.regions):
-            scores = network.compute(region.interior_point)
-            winner = max(allowed, key=lambda advisory: scores[advisory])
-            constraint = safe_advisory_constraint(
-                network.output_size, winner, allowed, margin
-            )
-            spec.add_plane(
-                region.input_vertices,
-                constraint,
-                name=f"slice{slice_index}/region{region_index}",
-            )
+    for name, region, constraint in _strengthened_regions(network, setup, margin):
+        spec.add_plane(region.input_vertices, constraint, name=name)
     return spec
+
+
+def _strengthened_regions(
+    network: Network, setup: Task3Setup, margin: float
+) -> list[tuple[str, PlaneRegion, HPolytope]]:
+    """Every linear region of the repair slices, named, with its strengthened constraint.
+
+    The winner is the allowed advisory ``network`` scores highest at the
+    region's interior point (ties go to the one listed first in
+    ``allowed``); one ``compute`` scores every interior point.
+    """
+    allowed = setup.safety_property.allowed
+    named = [
+        (f"slice{slice_index}/region{region_index}", region)
+        for slice_index, partition in enumerate(transform_planes(network, setup.repair_slices))
+        for region_index, region in enumerate(partition.regions)
+    ]
+    if not named:
+        return []
+    scores = network.compute(np.array([region.interior_point for _, region in named]))
+    strengthened = []
+    for (name, region), row in zip(named, scores):
+        winner = max(allowed, key=lambda advisory: row[advisory])
+        constraint = safe_advisory_constraint(network.output_size, winner, allowed, margin)
+        strengthened.append((name, region, constraint))
+    return strengthened
 
 
 def strengthened_polytope_spec(
@@ -261,10 +268,11 @@ def strengthened_polytope_spec(
     planar polygon; decomposing it again inside Algorithm 2 is exact.
     """
     verification = strengthened_verification_spec(network, setup, margin=margin)
-    spec = PolytopeRepairSpec()
-    for region in verification.regions:
-        spec.add_plane(region.region, region.constraint)
-    return spec
+    # VerificationSpec.add_plane already deduplicated and checked every
+    # region's vertices, so they are adopted as they are.
+    return PolytopeRepairSpec(
+        entries=[PolytopeEntry(region.region, region.constraint) for region in verification.regions]
+    )
 
 
 def driver_slice_repair(

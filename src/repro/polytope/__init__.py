@@ -5,29 +5,20 @@ repair specifications:
 
 * :mod:`repro.polytope.segment` — line segments in input space (the 1-D
   polytopes used by the MNIST fog-line repair task).
-* :mod:`repro.polytope.polygon` — planar convex polygons with arbitrary
-  per-vertex attribute vectors, plus half-plane clipping (used by the 2-D
-  SyReNN decomposition and the ACAS Xu task).
+* :mod:`repro.polytope.polygon` — the area and convex hull of planar
+  polygons (the 2-D SyReNN decomposition clips its pieces itself, in
+  :mod:`repro.syrenn.plane`).
 * :mod:`repro.polytope.hpolytope` — output-space polytopes in half-space
   representation ``{y : A y ≤ b}`` (the right-hand side of every repair
   specification).
 """
 
 from repro.polytope.segment import LineSegment
-from repro.polytope.polygon import (
-    VertexPolygon,
-    clip_by_function,
-    split_by_function,
-    polygon_area,
-    convex_hull,
-)
+from repro.polytope.polygon import polygon_area, convex_hull
 from repro.polytope.hpolytope import HPolytope
 
 __all__ = [
     "LineSegment",
-    "VertexPolygon",
-    "clip_by_function",
-    "split_by_function",
     "polygon_area",
     "convex_hull",
     "HPolytope",

@@ -35,7 +35,7 @@ from repro.driver.config import DriverConfig
 from repro.exceptions import RepairError, SpecificationError
 from repro.nn.network import Network
 from repro.utils.serialization import decode_network, encode_network
-from repro.verify.base import VerificationSpec
+from repro.verify.base import VerificationSpec, check_spec_dimensions
 from repro.verify.registry import make_verifier
 
 __all__ = [
@@ -129,6 +129,7 @@ def parse_job(payload: dict) -> ParsedJob:
         raise SpecificationError('a job needs a "spec" document')
     network = decode_network_b64(payload["network"])
     spec = VerificationSpec.from_dict(payload["spec"])
+    check_spec_dimensions(network, spec)
 
     verifier = payload.get("verifier", {"kind": "syrenn"})
     if isinstance(verifier, str):

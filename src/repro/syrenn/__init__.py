@@ -11,8 +11,8 @@ two-dimensional ``P``; this package re-implements that capability:
 * :func:`repro.syrenn.plane.transform_planes` — the polygon-splitting
   algorithm for 2-D planes (restricted to convex planar polygons embedded in
   the input space), run over a whole batch of polygons at once: one
-  ``forward`` per layer for every piece of every polygon, and the clipper
-  only for pieces whose vertices straddle a breakpoint.
+  ``forward`` per layer for every piece of every polygon, and one
+  vectorized clip pass per straddled coordinate for every piece it cuts.
   :func:`repro.syrenn.plane.transform_plane` is its batch of one.
 
 Both return region objects that expose (a) the region's vertices in input

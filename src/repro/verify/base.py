@@ -30,7 +30,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.specs import PolytopeRepairSpec, dedupe_exact_vertices
+from repro.core.specs import PolytopeRepairSpec, checked_plane_vertices
 from repro.exceptions import SpecificationError
 from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
@@ -109,10 +109,7 @@ class VerificationSpec:
         verification spec and the repair spec it was built from decompose
         the same geometry (and share partition-cache entries).
         """
-        vertices = dedupe_exact_vertices(vertices)
-        if vertices.shape[0] < 3:
-            raise SpecificationError("a planar region needs at least three vertices")
-        self.regions.append(SpecRegion(vertices, constraint, name))
+        self.regions.append(SpecRegion(checked_plane_vertices(vertices), constraint, name))
 
     def add_box(self, lower, upper, constraint: HPolytope, name: str = "") -> None:
         """Require every point of the axis-aligned box to map into ``constraint``."""
@@ -148,7 +145,7 @@ class VerificationSpec:
         for index, entry in enumerate(payload["regions"]):
             try:
                 spec.regions.append(_region_entry_from_dict(entry))
-            except (KeyError, TypeError) as error:
+            except (KeyError, TypeError, ValueError) as error:
                 raise SpecificationError(
                     f"malformed spec region {index}: {error}"
                 ) from error
@@ -389,22 +386,27 @@ class Verifier(abc.ABC):
         return report
 
     def _check_spec(self, network: Network | DecoupledNetwork, spec: VerificationSpec) -> None:
-        """Validate region dimensions against the network's input size."""
+        """Validate a non-empty spec's dimensions against the network."""
         if spec.num_regions == 0:
             raise SpecificationError("the verification specification has no regions")
-        for index, entry in enumerate(spec.regions):
-            dimension = _region_dimension(entry.region)
-            if dimension != network.input_size:
-                raise SpecificationError(
-                    f"region {index} has input dimension {dimension}, "
-                    f"network expects {network.input_size}"
-                )
-            if entry.constraint.output_dimension != network.output_size:
-                raise SpecificationError(
-                    f"region {index}'s constraint is over dimension "
-                    f"{entry.constraint.output_dimension}, network outputs "
-                    f"{network.output_size}"
-                )
+        check_spec_dimensions(network, spec)
+
+
+def check_spec_dimensions(network: Network | DecoupledNetwork, spec: VerificationSpec) -> None:
+    """Every region must live in the network's input space, every constraint in its outputs."""
+    for index, entry in enumerate(spec.regions):
+        dimension = _region_dimension(entry.region)
+        if dimension != network.input_size:
+            raise SpecificationError(
+                f"region {index} has input dimension {dimension}, "
+                f"network expects {network.input_size}"
+            )
+        if entry.constraint.output_dimension != network.output_size:
+            raise SpecificationError(
+                f"region {index}'s constraint is over dimension "
+                f"{entry.constraint.output_dimension}, network outputs "
+                f"{network.output_size}"
+            )
 
 
 def _region_dimension(region: InputRegion) -> int:
@@ -446,11 +448,10 @@ def _region_entry_from_dict(entry: dict) -> SpecRegion:
     elif kind == "box":
         region = Box(payload["lower"], payload["upper"])
     elif kind == "plane":
-        # SpecRegion is built directly (not via add_plane) so the stored
-        # vertex array — already deduplicated when the spec was authored —
-        # is reproduced exactly, keeping geometry digests and partition-cache
-        # keys identical across the wire.
-        region = np.atleast_2d(np.asarray(payload["vertices"], dtype=np.float64))
+        # add_plane's checks.  A vertex array deduplicated when the spec was
+        # authored comes back unchanged, keeping geometry digests and
+        # partition-cache keys identical across the wire.
+        region = checked_plane_vertices(payload["vertices"])
     else:
         raise SpecificationError(f"unknown region kind {kind!r}")
     return SpecRegion(region, constraint, entry.get("name", ""))

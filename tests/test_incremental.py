@@ -177,14 +177,14 @@ class TestSyrennWorkCounters:
 
         network, spec = acas_phi8
         forwards = {"inside": 0, "outside": 0}
-        state = {"inside": False, "calls": 0, "splits": 0}
+        state = {"inside": False, "calls": 0, "clips": 0}
         for layer in network.layers:
             def counting(values, _forward=layer.forward):
                 forwards["inside" if state["inside"] else "outside"] += 1
                 return _forward(values)
 
             monkeypatch.setattr(layer, "forward", counting)
-        transform_planes, split_one = exact_module.transform_planes, plane_module._split_one
+        transform_planes, clip = exact_module.transform_planes, plane_module._clip_coordinate
 
         def counted_transform(*args, **kwargs):
             state["calls"] += 1
@@ -194,18 +194,18 @@ class TestSyrennWorkCounters:
             finally:
                 state["inside"] = False
 
-        def counted_split(*args, **kwargs):
-            state["splits"] += 1
-            return split_one(*args, **kwargs)
+        def counted_clip(*args, **kwargs):
+            state["clips"] += 1
+            return clip(*args, **kwargs)
 
         monkeypatch.setattr(exact_module, "transform_planes", counted_transform)
-        monkeypatch.setattr(plane_module, "_split_one", counted_split)
+        monkeypatch.setattr(plane_module, "_clip_coordinate", counted_clip)
         report = SyrennVerifier().verify(network, spec)
         assert spec.num_regions > 1
         assert report.linear_regions_checked == spec.num_regions  # already linear
         assert state["calls"] == 1
         assert forwards["inside"] == len(network.layers)
-        assert state["splits"] == 0
+        assert state["clips"] == 0
         # ... and one stacked evaluation of every linear region's vertices.
         assert forwards["outside"] == len(network.layers)
 

@@ -1,4 +1,9 @@
-"""Tests for the convex-geometry substrate (segments, polygons, H-polytopes)."""
+"""Tests for the convex-geometry substrate (segments, polygons, H-polytopes).
+
+The per-polygon half-plane clip (``clip_by_function``, ``VertexPolygon``)
+is the reference the batched SyReNN clip is checked against; it lives in
+``tests/oracle.py`` and is pinned here.
+"""
 
 from __future__ import annotations
 
@@ -8,14 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ShapeError, SpecificationError
 from repro.polytope.hpolytope import HPolytope
-from repro.polytope.polygon import (
-    VertexPolygon,
-    clip_by_function,
-    convex_hull,
-    polygon_area,
-    split_by_function,
-)
+from repro.polytope.polygon import convex_hull, polygon_area
 from repro.polytope.segment import LineSegment
+from tests.oracle import CLIP_TOLERANCE, VertexPolygon, clip_by_function, split_by_function
 
 
 class TestLineSegment:
@@ -250,8 +250,6 @@ class TestHPolytope:
 
 def _reference_clip(vertices, function_values, keep_positive):
     """The pre-vectorization per-vertex clipping loop, kept as an oracle."""
-    from repro.polytope.polygon import CLIP_TOLERANCE
-
     vertices = np.asarray(vertices, dtype=np.float64)
     values = np.asarray(function_values, dtype=np.float64)
     if not keep_positive:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.polytope_repair import (
@@ -305,6 +306,29 @@ class TestKeyPointReduction:
         )
         clean = np.array([[3.0, 1.0], [0.0, 1.0]])
         assert dedupe_exact_vertices(clean) is clean
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        rows=st.integers(1, 100),
+        columns=st.integers(1, 4),
+    )
+    def test_dedupe_exact_vertices_matches_unique(self, seed, rows, columns):
+        """Same rows as a first-seen ``np.unique``, on both sides of the pairwise cut-off.
+
+        Entries come from a small pool with ``0.0``/``-0.0`` and a value
+        next to ``1.0``, so exact, signed-zero and near duplicates all occur.
+        """
+        rng = ensure_rng(seed)
+        pool = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), -2.5])
+        vertices = pool[rng.integers(0, pool.size, size=(rows, columns))]
+        if rng.random() < 0.3:  # mostly-distinct rows
+            vertices = vertices + rng.permutation(rows)[:, None].astype(float)
+        _, first_seen = np.unique(vertices, axis=0, return_index=True)
+        expected = vertices[np.sort(first_seen)]
+        deduped = dedupe_exact_vertices(vertices)
+        assert deduped.tobytes() == expected.tobytes()
+        assert (deduped is vertices) == (expected.shape[0] == rows)
 
     def test_contiguous_spans(self):
         assert contiguous_spans([]) == []

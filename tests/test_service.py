@@ -34,6 +34,7 @@ from repro.nn.activations import ReLULayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
+from repro.polytope.segment import LineSegment
 from repro.service import (
     RepairService,
     ServiceClient,
@@ -43,8 +44,9 @@ from repro.service import (
     parse_job,
     serve,
 )
+from repro.syrenn.regions import geometry_digest
 from repro.utils.rng import ensure_rng
-from repro.verify import SyrennVerifier, VerificationSpec, make_verifier
+from repro.verify import Box, SyrennVerifier, VerificationSpec, make_verifier
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -70,6 +72,11 @@ def plane_scenario(seed: int) -> tuple[Network, VerificationSpec]:
     )
     spec.add_box([-0.5, -1.0], [0.5, 1.0], HPolytope.argmax_region(3, winner, 1e-4))
     return network, spec
+
+
+def plane_payload(job: dict) -> dict:
+    """The wire payload of a ``plane_scenario`` job's plane region."""
+    return job["spec"]["regions"][0]["region"]
 
 
 def slow_grid_job(seed: int = 12345) -> dict:
@@ -187,6 +194,26 @@ class TestProtocol:
             (lambda job: job.update(verifier={"kind": "random", "num_samples": 0}), "num_samples must"),
             (lambda job: job.update(verifier={"kind": "syrenn", "engine": 1}), "'engine'"),
             (lambda job: job.update(verifier={"kind": "syrenn", "cache": 1}), "runtime resource"),
+            (lambda job: plane_payload(job).update(vertices=[[-1, -1], [1, -1]]), "at least three"),
+            (
+                lambda job: plane_payload(job).update(vertices=[[-1, -1], [1, 1], [-1, -1], [1, 1]]),
+                "at least three",
+            ),
+            (
+                lambda job: plane_payload(job).update(vertices=[[-1, -1, 0], [1, -1, 0], [1, 1, 0]]),
+                "region 0 has input dimension 3",
+            ),
+            (lambda job: plane_payload(job)["vertices"][1].__setitem__(0, float("nan")), "finite"),
+            (lambda job: plane_payload(job).update(vertices=[[-1, -1], [1], [1, 1]]), "malformed spec"),
+            (lambda job: plane_payload(job).update(vertices=[-1, -1, 1]), r"\(k, n\) array"),
+            (
+                lambda job: job["spec"]["regions"][1]["region"].update(lower=[-1] * 3, upper=[1] * 3),
+                "region 1 has input dimension 3",
+            ),
+            (
+                lambda job: job["spec"]["regions"][0].update(constraint={"a": [[1.0, -1.0]], "b": [0.0]}),
+                "constraint is over dimension 2",
+            ),
         ],
     )
     def test_malformed_jobs_rejected(self, mutate, match):
@@ -195,6 +222,24 @@ class TestProtocol:
         mutate(job)
         with pytest.raises(SpecificationError, match=match):
             parse_job(job)
+
+    def test_plane_vertices_deduplicated_on_the_wire(self):
+        network, spec = plane_scenario(7)
+        job = make_job("verify", network, spec)
+        square = plane_payload(job)["vertices"]
+        plane_payload(job)["vertices"] = square + square[:2]
+        parsed = parse_job(job).spec.regions[0].region
+        assert parsed.tobytes() == np.asarray(square, dtype=np.float64).tobytes()
+
+    def test_spec_round_trip_keeps_geometry_digests(self):
+        network, spec = plane_scenario(7)
+        spec.add_plane([[0.0, -0.0], [0.5, 0.0], [0.0, 0.5]], spec.regions[0].constraint)
+        spec.add_segment(LineSegment([-1.0, 0.25], [1.0, -0.0]), spec.regions[0].constraint)
+        decoded = VerificationSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
+        for entry, back in zip(spec.regions, decoded.regions):
+            if not isinstance(entry.region, Box):
+                assert geometry_digest(back.region) == geometry_digest(entry.region)
+        assert parse_job(make_job("verify", network, spec)).spec.num_regions == 4
 
     def test_config_only_applies_to_repair_jobs(self):
         network, spec = plane_scenario(7)
@@ -278,10 +323,13 @@ class TestRepairServiceInProcess:
         assert report["num_regions"] == spec.num_regions
 
     def test_runtime_failure_marks_job_failed(self, tmp_path):
-        """A job that explodes mid-run fails that job, not the worker."""
+        """A job that explodes mid-run fails that job, not the worker.
+
+        A spec with no regions passes submit (its dimensions are vacuously
+        right) and only the verifier refuses it.
+        """
         network, _ = plane_scenario(12345)
         bad_spec = VerificationSpec()
-        bad_spec.add_box([-1.0] * 3, [1.0] * 3, HPolytope.argmax_region(3, 0, 0.0))
         service = RepairService(tmp_path / "state")
         try:
             job_id = service.submit(make_job("verify", network, bad_spec))

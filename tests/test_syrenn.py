@@ -10,6 +10,7 @@ import repro.obs as obs
 import repro.syrenn.plane as plane_module
 from repro.exceptions import NotPiecewiseLinearError, ShapeError
 from repro.nn.activations import HardTanhLayer, LeakyReLULayer, ReLULayer
+from repro.nn.layer import LayerKind
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
@@ -222,6 +223,24 @@ def random_convex_polygon(rng, dim: int, num_vertices: int, scale: float) -> np.
     return rng.normal(size=dim) + scale * circle @ axes
 
 
+#: log10 ranges of the polygon scales the oracle property draws from.
+POLYGON_SCALES = {"unit": (-2.0, 0.0), "tiny": (-7.0, -5.0), "large": (0.5, 1.5)}
+
+
+def pin_vertices_on_breakpoint(network: Network, polygons: list[np.ndarray]) -> None:
+    """Make the first hidden unit sit exactly on a breakpoint at vertex 0 of each polygon.
+
+    The unit reads input coordinate 0 alone, with the breakpoint as its
+    bias, and each polygon is shifted along that axis so its first vertex
+    has coordinate exactly 0: the unit's value there is the breakpoint.
+    """
+    first, activation = network.layers[0], network.layers[1]
+    first.weights[0, 1:] = 0.0
+    first.biases[0] = activation.piecewise_breakpoints()[0]
+    for vertices in polygons:
+        vertices[:, 0] -= vertices[0, 0]
+
+
 def assert_partitions_identical(expected, actual) -> None:
     assert actual.num_regions == expected.num_regions
     for ours, theirs in zip(actual.regions, expected.regions):
@@ -241,24 +260,34 @@ class TestTransformPlanesOracle:
     what still holds there.
     """
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
         activation=st.sampled_from(sorted(ACTIVATIONS)),
         depth=st.integers(1, 3),
         batch=st.integers(1, 20),
+        size=st.sampled_from(sorted(POLYGON_SCALES)),
+        on_breakpoint=st.booleans(),
     )
-    def test_matches_oracle_byte_for_byte(self, seed, activation, depth, batch):
+    def test_matches_oracle_byte_for_byte(
+        self, seed, activation, depth, batch, size, on_breakpoint
+    ):
+        """Also for slivers near the degenerate-area cut-off (``tiny``),
+        parents whose area sets that cut-off (``large``, area > 1) and
+        vertices exactly on an activation breakpoint."""
         rng = ensure_rng(seed)
         dim = int(rng.integers(2, 6))
         sizes = (dim, *rng.integers(2, 11, size=depth).tolist(), 3)
         network = make_pwl_network(rng, sizes, activation, scale=2.0)
+        low, high = POLYGON_SCALES[size]
         polygons = [
             random_convex_polygon(
-                rng, dim, int(rng.integers(3, 9)), float(rng.uniform(0.01, 1.0))
+                rng, dim, int(rng.integers(3, 9)), float(10 ** rng.uniform(low, high))
             )
             for _ in range(batch)
         ]
+        if on_breakpoint:
+            pin_vertices_on_breakpoint(network, polygons)
         partitions = transform_planes(network, polygons)
         assert len(partitions) == batch
         for vertices, partition in zip(polygons, partitions):
@@ -271,18 +300,74 @@ class TestTransformPlanesOracle:
         network = make_pwl_network(rng, (3, 7, 9, 11, 2), activation, scale=2.0)
         polygons = [random_convex_polygon(rng, 3, 3 + index % 6, 1.0) for index in range(6)]
         split_widths = set()
-        original = plane_module._split_one
+        original = plane_module._clip_coordinate
 
-        def recording(polygon, input_dim, threshold):
-            split_widths.add(polygon.attributes.shape[1] - input_dim)
-            return original(polygon, input_dim, threshold)
+        def recording(store, *args):
+            split_widths.add(store.values.shape[1])
+            return original(store, *args)
 
-        monkeypatch.setattr(plane_module, "_split_one", recording)
+        monkeypatch.setattr(plane_module, "_clip_coordinate", recording)
         partitions = transform_planes(network, polygons)
         assert split_widths == {7, 9, 11}  # every activation layer split something
         assert sum(partition.num_regions for partition in partitions) > 3 * len(polygons)
         for vertices, partition in zip(polygons, partitions):
             assert_partitions_identical(oracle_transform_plane(network, vertices), partition)
+
+    def test_clip_passes_bounded_by_coordinates_not_pieces(self, monkeypatch):
+        """At most one clip pass per (coordinate, breakpoint), for any batch size."""
+        rng = ensure_rng(5)
+        network = make_pwl_network(rng, (3, 8, 8, 2), "hard_tanh", scale=2.0)
+        polygons = [random_convex_polygon(rng, 3, 6, 1.5) for _ in range(40)]
+        passes, clipped = [], []
+        original = plane_module._clip_coordinate
+
+        def counting(store, straddles, column, threshold, pieces):
+            passes.append(column)
+            clipped.append(pieces.size)
+            return original(store, straddles, column, threshold, pieces)
+
+        monkeypatch.setattr(plane_module, "_clip_coordinate", counting)
+        transform_planes(network, polygons)
+        bound = sum(
+            layer.output_size * len(layer.piecewise_breakpoints())
+            for layer in network.layers
+            if layer.kind is LayerKind.ACTIVATION
+        )
+        assert 0 < len(passes) <= bound
+        # Per-piece clipping would need a pass per clipped piece.
+        assert sum(clipped) > bound
+
+    def test_sliver_at_the_cutoff_takes_the_exact_fallback(self, monkeypatch):
+        """A child whose area is within rounding of the cut-off is decided exactly.
+
+        The triangle's apex pokes ``h`` past the ReLU's zero line; the
+        clipped-off sliver has area ``h**2 / (1 + h)``, which for this ``h``
+        equals the cut-off ``DEGENERATE_AREA * (1 + h)`` (the parent's area)
+        up to rounding.  The sliver lies far from the plane's origin, so the
+        vectorized shoelace's rounding exceeds that gap: on its own it keeps
+        a sliver the oracle drops.  The scalar :func:`polygon_area` must
+        decide, exactly as the oracle does.
+        """
+        h = 1.0000009998e-6
+        network = Network(
+            [
+                FullyConnectedLayer(np.array([[1.0, 0.0]]), np.array([0.0])),
+                ReLULayer(1),
+                FullyConnectedLayer(np.array([[1.0], [-1.0]]), np.zeros(2)),
+            ]
+        )
+        triangle = np.array([[1.0, -1.0], [1.0, 1.0], [-h, 0.0]])
+        areas = []
+        original = plane_module.polygon_area
+
+        def recording(points):
+            areas.append(original(points))
+            return areas[-1]
+
+        monkeypatch.setattr(plane_module, "polygon_area", recording)
+        partition = transform_plane(network, triangle)
+        assert any(area < 1e-9 for area in areas), areas  # the sliver's fallback ran
+        assert_partitions_identical(oracle_transform_plane(network, triangle), partition)
 
     def test_wide_layers_match_oracle_to_rounding(self):
         """With 40 inputs per layer only the last bits may move."""
@@ -305,6 +390,15 @@ class TestTransformPlanesOracle:
         good = random_convex_polygon(rng, 3, 4, 1.0)
         with pytest.raises(ShapeError):
             transform_planes(network, [good, rng.normal(size=(4, 2))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_rejects_the_batch(self, rng, bad):
+        network = make_random_relu_network(rng, (3, 6, 2))
+        good = random_convex_polygon(rng, 3, 4, 1.0)
+        broken = random_convex_polygon(rng, 3, 4, 1.0)
+        broken[2, 1] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            transform_planes(network, [good, broken])
 
     def test_span_and_region_counter_under_trace(self, rng):
         network = make_random_relu_network(rng, (3, 8, 2))
