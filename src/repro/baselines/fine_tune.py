@@ -9,11 +9,11 @@ FT diverging and timing out for some hyperparameter choices, which the
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+import repro.obs as obs
 from repro.nn.network import Network
 from repro.nn.train import SGDTrainer, TrainingConfig
 
@@ -52,24 +52,24 @@ def fine_tune(
     without reaching 100% accuracy on the repair set (the paper's "timed
     out / diverged" outcome).
     """
-    start = time.perf_counter()
-    tuned = network.copy()
-    config = TrainingConfig(
-        learning_rate=learning_rate,
-        momentum=momentum,
-        batch_size=batch_size,
-        epochs=max_epochs,
-        seed=seed,
-    )
-    trainer = SGDTrainer(tuned, config)
-    history = trainer.train(
-        repair_inputs, repair_labels, epochs=max_epochs, stop_at_full_accuracy=True
-    )
+    with obs.timed("baseline.fine_tune") as span:
+        tuned = network.copy()
+        config = TrainingConfig(
+            learning_rate=learning_rate,
+            momentum=momentum,
+            batch_size=batch_size,
+            epochs=max_epochs,
+            seed=seed,
+        )
+        trainer = SGDTrainer(tuned, config)
+        history = trainer.train(
+            repair_inputs, repair_labels, epochs=max_epochs, stop_at_full_accuracy=True
+        )
     accuracy = history.final_accuracy
     return FineTuneResult(
         network=tuned,
         converged=accuracy >= 1.0,
         epochs_run=len(history.losses),
         final_accuracy=accuracy,
-        seconds=time.perf_counter() - start,
+        seconds=span.wall_seconds,
     )

@@ -14,11 +14,11 @@ trade-off the paper's Tables 1 and 3 report.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+import repro.obs as obs
 from repro.nn.network import Network
 from repro.nn.train import SGDTrainer, TrainingConfig
 from repro.utils.rng import ensure_rng
@@ -58,59 +58,59 @@ def modified_fine_tune(
     epochs of non-improving holdout accuracy trigger early stopping and the
     best-so-far parameters are restored.
     """
-    start = time.perf_counter()
-    rng = ensure_rng(seed)
-    repair_inputs = np.atleast_2d(np.asarray(repair_inputs, dtype=np.float64))
-    repair_labels = np.asarray(repair_labels, dtype=int)
+    with obs.timed("baseline.modified_fine_tune", layer=layer_index) as span:
+        rng = ensure_rng(seed)
+        repair_inputs = np.atleast_2d(np.asarray(repair_inputs, dtype=np.float64))
+        repair_labels = np.asarray(repair_labels, dtype=int)
 
-    order = rng.permutation(repair_inputs.shape[0])
-    holdout_size = max(1, int(round(holdout_fraction * order.size)))
-    holdout_idx, train_idx = order[:holdout_size], order[holdout_size:]
-    if train_idx.size == 0:
-        train_idx = holdout_idx
-    train_inputs, train_labels = repair_inputs[train_idx], repair_labels[train_idx]
-    holdout_inputs, holdout_labels = repair_inputs[holdout_idx], repair_labels[holdout_idx]
+        order = rng.permutation(repair_inputs.shape[0])
+        holdout_size = max(1, int(round(holdout_fraction * order.size)))
+        holdout_idx, train_idx = order[:holdout_size], order[holdout_size:]
+        if train_idx.size == 0:
+            train_idx = holdout_idx
+        train_inputs, train_labels = repair_inputs[train_idx], repair_labels[train_idx]
+        holdout_inputs, holdout_labels = repair_inputs[holdout_idx], repair_labels[holdout_idx]
 
-    tuned = network.copy()
-    original_parameters = tuned.layers[layer_index].get_parameters()
-    config = TrainingConfig(
-        learning_rate=learning_rate,
-        momentum=momentum,
-        batch_size=batch_size,
-        epochs=max_epochs,
-        only_layer=layer_index,
-        weight_decay=0.0,
-        seed=seed,
-    )
-    trainer = SGDTrainer(tuned, config)
+        tuned = network.copy()
+        original_parameters = tuned.layers[layer_index].get_parameters()
+        config = TrainingConfig(
+            learning_rate=learning_rate,
+            momentum=momentum,
+            batch_size=batch_size,
+            epochs=max_epochs,
+            only_layer=layer_index,
+            weight_decay=0.0,
+            seed=seed,
+        )
+        trainer = SGDTrainer(tuned, config)
 
-    best_holdout = tuned.accuracy(holdout_inputs, holdout_labels)
-    best_parameters = original_parameters.copy()
-    epochs_without_improvement = 0
-    epochs_run = 0
-    for _ in range(max_epochs):
-        trainer.train_epoch(train_inputs, train_labels, rng=rng)
-        # Pull the layer back toward its original parameters (change penalty).
-        if change_penalty > 0.0:
-            layer = tuned.layers[layer_index]
-            current = layer.get_parameters()
-            layer.set_parameters(current - change_penalty * (current - original_parameters))
-        epochs_run += 1
-        holdout_accuracy = tuned.accuracy(holdout_inputs, holdout_labels)
-        if holdout_accuracy > best_holdout + 1e-9:
-            best_holdout = holdout_accuracy
-            best_parameters = tuned.layers[layer_index].get_parameters()
-            epochs_without_improvement = 0
-        else:
-            epochs_without_improvement += 1
-            if epochs_without_improvement >= patience:
-                break
-    tuned.layers[layer_index].set_parameters(best_parameters)
-    efficacy = tuned.accuracy(repair_inputs, repair_labels)
+        best_holdout = tuned.accuracy(holdout_inputs, holdout_labels)
+        best_parameters = original_parameters.copy()
+        epochs_without_improvement = 0
+        epochs_run = 0
+        for _ in range(max_epochs):
+            trainer.train_epoch(train_inputs, train_labels, rng=rng)
+            # Pull the layer back toward its original parameters (change penalty).
+            if change_penalty > 0.0:
+                layer = tuned.layers[layer_index]
+                current = layer.get_parameters()
+                layer.set_parameters(current - change_penalty * (current - original_parameters))
+            epochs_run += 1
+            holdout_accuracy = tuned.accuracy(holdout_inputs, holdout_labels)
+            if holdout_accuracy > best_holdout + 1e-9:
+                best_holdout = holdout_accuracy
+                best_parameters = tuned.layers[layer_index].get_parameters()
+                epochs_without_improvement = 0
+            else:
+                epochs_without_improvement += 1
+                if epochs_without_improvement >= patience:
+                    break
+        tuned.layers[layer_index].set_parameters(best_parameters)
+        efficacy = tuned.accuracy(repair_inputs, repair_labels)
     return ModifiedFineTuneResult(
         network=tuned,
         layer_index=layer_index,
         efficacy=efficacy,
         epochs_run=epochs_run,
-        seconds=time.perf_counter() - start,
+        seconds=span.wall_seconds,
     )

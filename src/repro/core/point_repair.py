@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.jacobian import JacobianChunkStream
 from repro.core.result import RepairResult, RepairTiming
@@ -39,7 +40,6 @@ from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from repro.nn.network import Network
-from repro.utils.timing import Stopwatch
 
 
 def point_repair(
@@ -49,7 +49,6 @@ def point_repair(
     *,
     norm: str = "linf",
     delta_bound: float | None = None,
-    timing: RepairTiming | None = None,
     max_chunk_bytes: int | None = None,
 ) -> RepairResult:
     """Repair one (value-channel) layer so every spec point satisfies its constraint.
@@ -70,28 +69,26 @@ def point_repair(
         variable; occasionally useful to keep very large repairs numerically
         tame.  ``None`` (the default, and the paper's setting) leaves the
         deltas free.
-    timing:
-        An existing :class:`RepairTiming` to accumulate into (used by the
-        polytope repair algorithm, which has already spent time computing
-        linear regions).
     max_chunk_bytes:
         Per-chunk budget of the constraint-row stream (``None`` =
         :data:`~repro.core.jacobian.DEFAULT_CHUNK_BYTES`).  Any budget
         assembles the same standard form byte for byte; a small one bounds
         the dense intermediate of very large specifications.
+
+    The result's ``timing`` is the split of this call's ``repair.point``
+    span (see :meth:`RepairTiming.from_spans`).
     """
-    session = IncrementalPointRepairSession(
-        network,
-        layer_index,
-        norm=norm,
-        delta_bound=delta_bound,
-        max_chunk_bytes=max_chunk_bytes,
-    )
-    session.append_points(spec)
-    result = session.solve(final=True)
-    if timing is not None:
-        timing.add(result.timing)
-        result.timing = timing
+    with obs.timed("repair.point", layer=layer_index) as span:
+        session = IncrementalPointRepairSession(
+            network,
+            layer_index,
+            norm=norm,
+            delta_bound=delta_bound,
+            max_chunk_bytes=max_chunk_bytes,
+        )
+        session.append_points(spec)
+        result = session.solve(final=True)
+    result.timing = RepairTiming.from_spans(span)
     return result
 
 
@@ -160,7 +157,6 @@ class IncrementalPointRepairSession:
         self.num_points = 0
         self.constraint_rows = 0
         self.last_solution = None
-        self._pending_timing = RepairTiming()
 
     def append_points(self, spec: PointRepairSpec) -> int:
         """Encode and append the constraint rows of ``spec``'s points.
@@ -170,14 +166,15 @@ class IncrementalPointRepairSession:
         so no more than one chunk is ever in flight.  Returns the number of
         LP rows appended.  ``spec`` must contain only points *not*
         previously appended — the caller (the driver) slices its pool.
+        Encoding and ingestion run in one ``repair.encode`` span, the
+        Jacobian time of :class:`RepairTiming`.
         """
         if spec.input_dimension != self.ddnn.input_size:
             raise SpecificationError(
                 f"specification points have dimension {spec.input_dimension}, "
                 f"network expects {self.ddnn.input_size}"
             )
-        watch = Stopwatch()
-        with watch.phase("jacobian"):
+        with obs.span("repair.encode", points=spec.num_points):
             stream = JacobianChunkStream(
                 self.ddnn,
                 self.layer_index,
@@ -189,8 +186,6 @@ class IncrementalPointRepairSession:
             )
         self.num_points += spec.num_points
         self.constraint_rows += rows
-        self._pending_timing.jacobian_seconds += watch.total("jacobian")
-        self._pending_timing.other_seconds += watch.other()
         return rows
 
     def solve(self, *, final: bool = False) -> RepairResult:
@@ -200,15 +195,11 @@ class IncrementalPointRepairSession:
         delta is applied to the working copy itself, which becomes the
         repaired network, instead of to a fresh copy.  The one-shot
         :func:`point_repair` uses it; the session must not be used after.
+        The result carries no ``timing``: the caller's span tree times the
+        session (each backend solve is an ``lp.solve`` span).
         """
-        watch = Stopwatch()
-        with watch.phase("lp"):
-            solution = self.session.solve()
+        solution = self.session.solve()
         self.last_solution = solution
-        timing = self._pending_timing
-        timing.lp_seconds += watch.total("lp")
-        timing.other_seconds += watch.other()
-        self._pending_timing = RepairTiming()
 
         if not solution.status.is_optimal:
             status = solution.status
@@ -220,7 +211,6 @@ class IncrementalPointRepairSession:
                 delta=None,
                 layer_index=self.layer_index,
                 lp_status=status,
-                timing=timing,
                 num_key_points=self.num_points,
                 num_constraint_rows=self.constraint_rows,
                 num_variables=self.model.num_variables,
@@ -235,7 +225,6 @@ class IncrementalPointRepairSession:
             delta=delta,
             layer_index=self.layer_index,
             lp_status=solution.status,
-            timing=timing,
             num_key_points=self.num_points,
             num_constraint_rows=self.constraint_rows,
             num_variables=self.model.num_variables,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.point_repair import point_repair
 from repro.core.result import RepairResult, RepairTiming
@@ -30,7 +31,6 @@ from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
 from repro.syrenn.plane import transform_planes
 from repro.syrenn.regions import LinearRegion
-from repro.utils.timing import Stopwatch
 
 
 def polytope_repair(
@@ -47,6 +47,8 @@ def polytope_repair(
     repair of ``layer_index`` satisfies the specification.  Raises
     :class:`NotPiecewiseLinearError` if the network uses activation functions
     that are not piecewise linear (the paper's assumption for Algorithm 2).
+    The result's ``timing`` is the split of this call's ``repair.polytope``
+    span, whose ``repair.linregions`` child is the decomposition.
     """
     if spec.num_polytopes == 0:
         raise SpecificationError("the polytope specification has no polytopes")
@@ -58,27 +60,21 @@ def polytope_repair(
             "polytope repair requires piecewise-linear activation functions"
         )
 
-    watch = Stopwatch()
-    timing = RepairTiming()
-    with watch.phase("linregions"):
-        key_points, activation_points, constraints = reduce_to_key_points(
-            activation_network, spec
+    with obs.timed("repair.polytope", layer=layer_index) as span:
+        with obs.span("repair.linregions"):
+            key_points, activation_points, constraints = reduce_to_key_points(
+                activation_network, spec
+            )
+        point_spec = PointRepairSpec(
+            points=np.array(key_points),
+            constraints=constraints,
+            activation_points=np.array(activation_points),
         )
-    timing.linregions_seconds += watch.total("linregions")
-
-    point_spec = PointRepairSpec(
-        points=np.array(key_points),
-        constraints=constraints,
-        activation_points=np.array(activation_points),
-    )
-    return point_repair(
-        network,
-        layer_index,
-        point_spec,
-        norm=norm,
-        delta_bound=delta_bound,
-        timing=timing,
-    )
+        result = point_repair(
+            network, layer_index, point_spec, norm=norm, delta_bound=delta_bound
+        )
+    result.timing = RepairTiming.from_spans(span)
+    return result
 
 
 def region_key_points(

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.core.ddnn import DecoupledNetwork
 from repro.lp.status import LPStatus
+from repro.obs import Span
 
 
 @dataclass
@@ -16,7 +17,8 @@ class RepairTiming:
 
     The paper reports time spent computing linear regions, computing
     Jacobians, inside the LP solver (Gurobi), and "other"; Figure 7(b) and
-    §7.2/§7.3 use exactly this split.
+    §7.2/§7.3 use exactly this split.  It is a view of the repair's span
+    tree (:meth:`from_spans`), not a clock of its own.
     """
 
     linregions_seconds: float = 0.0
@@ -34,12 +36,21 @@ class RepairTiming:
             + self.other_seconds
         )
 
-    def add(self, other: "RepairTiming") -> None:
-        """Accumulate ``other``'s phases into this breakdown."""
-        self.linregions_seconds += other.linregions_seconds
-        self.jacobian_seconds += other.jacobian_seconds
-        self.lp_seconds += other.lp_seconds
-        self.other_seconds += other.other_seconds
+    @classmethod
+    def from_spans(cls, *spans: Span) -> "RepairTiming":
+        """The split of the finished ``spans``' summed wall time.
+
+        LinRegions is the time in ``repair.linregions`` spans, Jacobian in
+        ``repair.encode`` (constraint-row encoding and LP row ingestion), LP
+        in ``lp.solve`` (the three never nest in one another); "other" is
+        the remainder, so the total is the spans' wall time.
+        """
+        linregions, jacobian, lp = (
+            sum((span.seconds_in(name) for span in spans), 0.0)
+            for name in ("repair.linregions", "repair.encode", "lp.solve")
+        )
+        wall = sum((span.wall_seconds for span in spans), 0.0)
+        return cls(linregions, jacobian, lp, wall - linregions - jacobian - lp)
 
     def as_dict(self) -> dict[str, float]:
         """The breakdown as a plain dictionary (used by the reporting code)."""
@@ -72,7 +83,9 @@ class RepairResult:
     lp_status:
         Raw status of the LP solve.
     timing:
-        Wall-clock breakdown.
+        Wall-clock breakdown, set by :func:`~repro.core.point_repair.point_repair`
+        and :func:`~repro.core.polytope_repair.polytope_repair` from their
+        span (all zero on a bare session solve, which a caller's span times).
     num_key_points, num_constraint_rows, num_variables:
         LP size statistics (for the efficiency analyses of RQ4).
     objective_value:

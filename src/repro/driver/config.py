@@ -18,9 +18,11 @@ keyword sprawl applied), so a malformed job fails at decode time with a
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 from repro.exceptions import RepairError
+from repro.lp.norms import SUPPORTED_NORMS
 
 #: How much every pooled constraint is tightened when building the repair LP,
 #: so repaired outputs survive re-verification strictly.
@@ -121,6 +123,20 @@ class DriverConfig:
             raise RepairError("the layer schedule is empty")
         if self.memory_budget is not None and self.memory_budget < 1:
             raise RepairError("memory_budget must be positive bytes (or None)")
+        if self.norm not in SUPPORTED_NORMS:
+            raise RepairError(f"norm must be one of {SUPPORTED_NORMS}, got {self.norm!r}")
+        if not (math.isfinite(self.repair_margin) and self.repair_margin >= 0.0):
+            raise RepairError(f"repair_margin must be finite and >= 0, got {self.repair_margin}")
+        if self.delta_bound is not None and not (
+            math.isfinite(self.delta_bound) and self.delta_bound > 0.0
+        ):
+            raise RepairError(f"delta_bound must be finite and > 0 (or None), got {self.delta_bound}")
+        if self.budget_seconds is not None and not (
+            math.isfinite(self.budget_seconds) and self.budget_seconds >= 0.0
+        ):
+            raise RepairError(
+                f"budget_seconds must be finite and >= 0 (or None), got {self.budget_seconds}"
+            )
 
     # ------------------------------------------------------------------
     # Serialization

@@ -39,9 +39,9 @@ round *k* is round *k-1*'s plus the new counterexamples' rows, so the driver
 keeps one :class:`~repro.core.point_repair.IncrementalPointRepairSession`
 alive per scheduled layer (append-only rows; each round re-solves the
 session's retained HiGHS model warm, admitting only violated rows), and —
-because value-channel repair never moves linear-region boundaries — enables
-the exact verifier's value-only fast path, which re-evaluates cached vertex
-sets instead of re-decomposing.  The final delta matches a one-shot
+because value-channel repair never moves linear-region boundaries — lets
+the exact verifier take its value-only fast path, which re-evaluates cached
+vertex sets instead of re-decomposing.  The final delta matches a one-shot
 :func:`~repro.core.point_repair.point_repair` of the final pool in verdict
 and objective (1e-9 relative) with every pooled row satisfied, but not in
 bytes: the warm re-solves may stop at another optimum of the same LP.  Runs
@@ -72,7 +72,8 @@ from repro.exceptions import RepairError
 from repro.experiments.metrics import drawdown as drawdown_metric
 from repro.lp.status import LPStatus
 from repro.nn.network import Network
-from repro.utils.timing import Stopwatch, TimeBudget
+from repro.obs import Span
+from repro.utils.timing import TimeBudget
 from repro.verify.base import VerificationReport, VerificationSpec, Verifier
 
 __all__ = [
@@ -87,19 +88,27 @@ __all__ = [
 
 @dataclass
 class DriverTiming:
-    """Wall-clock split of a driver run, built on :class:`RepairTiming`.
+    """Wall-clock split of a driver run, a view of its ``driver.run`` span.
 
-    ``repair`` accumulates the per-phase breakdown of every repair round
-    (LinRegions/Jacobian/LP/other, as in the paper's RQ4 analysis);
-    ``verify_seconds`` is the total verification time across rounds; and
-    ``other_seconds`` is driver overhead (pool bookkeeping, checkpointing,
-    holdout evaluation, the final check of the pool against the returned
-    network).
+    ``verify_seconds`` is the time in ``driver.verify`` spans; ``repair``
+    is the :class:`RepairTiming` of the ``driver.repair`` spans (their
+    LinRegions/Jacobian/LP/other split, as in the paper's RQ4 analysis,
+    with session construction and pool encoding in "other"); and
+    ``other_seconds`` is the remainder, driver overhead (pool intake,
+    checkpointing, holdout evaluation, the final check of the pool against
+    the returned network).  The total is the run span's wall time.
     """
 
     verify_seconds: float = 0.0
     repair: RepairTiming = field(default_factory=RepairTiming)
     other_seconds: float = 0.0
+
+    @classmethod
+    def from_span(cls, run: Span) -> "DriverTiming":
+        """The split of a finished ``driver.run`` span."""
+        verify = run.seconds_in("driver.verify")
+        repair = RepairTiming.from_spans(*run.find("driver.repair"))
+        return cls(verify, repair, run.wall_seconds - verify - repair.total_seconds)
 
     @property
     def total_seconds(self) -> float:
@@ -120,15 +129,15 @@ class DriverTiming:
 class RoundRecord:
     """What happened in one verify→repair round.
 
-    ``seconds`` is the round's verification wall-clock and
-    ``repair_seconds`` its repair wall-clock (benchmarks compare per-round
-    costs from these).  The last five fields describe the incremental
-    machinery: how many LP rows this round appended to the standing repair
-    LP, how many rows the solver held after the solve (row generation admits
-    only the violated ones), whether the LP solve started from retained
-    solver state (every solve of a layer's session but its first), the
-    solver's iteration count, and whether verification took the value-only
-    fast path (cached decomposition, batched re-evaluation).
+    ``seconds`` is the wall time of the round's ``driver.verify`` span and
+    ``repair_seconds`` that of its ``driver.repair`` spans (benchmarks
+    compare per-round costs from these).  The last five fields describe the
+    incremental machinery: how many LP rows this round appended to the
+    standing repair LP, how many rows the solver held after the solve (row
+    generation admits only the violated ones), whether the LP solve started
+    from retained solver state (every solve of a layer's session but its
+    first), the solver's iteration count, and whether verification took the
+    value-only fast path (cached decomposition, batched re-evaluation).
     """
 
     round_index: int
@@ -405,41 +414,35 @@ class RepairDriver:
     def run(self) -> DriverReport:
         """Execute the CEGIS loop and return the final report.
 
-        The driver enables the verifier's ``value_only`` fast path (when the
-        verifier exposes that flag and does not already have it on) for the
-        duration of the run only, so a caller-owned verifier is never left
-        mutated.
+        A ``mode="polytope"`` driver enables the verifier's
+        ``region_counterexamples`` granularity (only when the verifier
+        exposes that flag and had it off) for the duration of the run, so
+        violations arrive as whole linear regions ready for key-point
+        expansion; a caller-owned verifier is never left mutated.
 
-        A ``mode="polytope"`` driver additionally enables the verifier's
-        ``region_counterexamples`` granularity (again: only when the
-        verifier exposes that flag and had it off), so violations arrive as
-        whole linear regions ready for key-point expansion.
+        The run is one ``driver.run`` span (:func:`repro.obs.timed`); the
+        report's :class:`DriverTiming` is computed from it.
         """
-        attach_value_only = getattr(self.verifier, "value_only", None) is False
         attach_regions = (
             self.mode == "polytope"
             and getattr(self.verifier, "region_counterexamples", None) is False
         )
-        if attach_value_only:
-            self.verifier.value_only = True
         if attach_regions:
             self.verifier.region_counterexamples = True
         try:
-            with obs.span("driver.run", mode=self.mode):
-                return self._run()
+            with obs.timed("driver.run", mode=self.mode) as span:
+                report = self._run()
+            report.timing = DriverTiming.from_span(span)
+            return report
         finally:
             if self._prefix_cache is not None:
                 self._prefix_cache.close()
                 self._prefix_cache = None
-            if attach_value_only:
-                self.verifier.value_only = False
             if attach_regions:
                 self.verifier.region_counterexamples = False
 
     def _run(self) -> DriverReport:
         budget = TimeBudget(self.budget_seconds)
-        watch = Stopwatch()
-        timing = DriverTiming()
         rounds: list[RoundRecord] = []
         current = self.base.copy()
         layer_cursor = 0
@@ -460,7 +463,7 @@ class RepairDriver:
                 break
             if layer_cursor < len(self.layer_schedule):
                 self._serve_prefix(self.layer_schedule[layer_cursor], current)
-            with watch.phase("verify"), obs.span("driver.verify", round=round_index):
+            with obs.span("driver.verify", round=round_index) as verify_span:
                 report = self.verifier.verify(current, self.spec)
             final_report = report
             report_is_stale = False
@@ -472,7 +475,7 @@ class RepairDriver:
                 new_counterexamples=0,
                 pool_size=len(self.pool),
                 pool_key_points=self.pool.num_key_points,
-                seconds=report.seconds,
+                seconds=verify_span.wall_seconds,
                 verify_value_only=getattr(report, "value_only", False),
             )
             rounds.append(record)
@@ -482,7 +485,8 @@ class RepairDriver:
                 self._emit(record)
                 break
 
-            new = self._pool_intake(report.counterexamples)
+            with obs.span("driver.pool_intake"):
+                new = self._pool_intake(report.counterexamples)
             counterexamples_found += new
             record.new_counterexamples = new
             record.pool_size = len(self.pool)
@@ -504,13 +508,12 @@ class RepairDriver:
             while layer_cursor < len(self.layer_schedule):
                 layer_index = self.layer_schedule[layer_cursor]
                 self._serve_prefix(layer_index, current)
-                with obs.span("driver.repair", round=round_index, layer=layer_index):
+                with obs.span("driver.repair", round=round_index, layer=layer_index) as repair_span:
                     result = self._repair(layer_index, record)
-                timing.repair.add(result.timing)
                 record.repair_attempted = True
                 record.repair_feasible = result.feasible
                 record.layer_index = result.layer_index
-                record.repair_seconds += result.timing.total_seconds
+                record.repair_seconds += repair_span.wall_seconds
                 repaired_at_cursor = True
                 if result.feasible:
                     break
@@ -536,17 +539,13 @@ class RepairDriver:
             # The loop ran out of rounds (or budget) right after a repair:
             # re-verify so the report describes the network actually returned,
             # and upgrade the status if that last repair finished the job.
-            with watch.phase("verify"), obs.span("driver.verify", round="final"):
+            with obs.span("driver.verify", round="final"):
                 final_report = self.verifier.verify(current, self.spec)
             if final_report.num_violated == 0:
                 status = "certified" if final_report.certified else "clean"
 
         with obs.span("driver.pool_check"):
             unsatisfied = self.pool.unsatisfied(current) if len(self.pool) else []
-        timing.verify_seconds = watch.total("verify")
-        timing.other_seconds = max(
-            0.0, watch.elapsed() - timing.verify_seconds - timing.repair.total_seconds
-        )
         if obs.enabled():
             obs.counter(
                 "repro_driver_runs_total",
@@ -562,7 +561,6 @@ class RepairDriver:
             pool_size=len(self.pool),
             counterexamples_found=counterexamples_found,
             unsatisfied_pool_indices=unsatisfied,
-            timing=timing,
             mode=self.mode,
             telemetry=obs.snapshot() if obs.enabled() else None,
         )

@@ -13,11 +13,11 @@ strengthened specification also satisfies the property.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+import repro.obs as obs
 from repro.baselines.fine_tune import fine_tune
 from repro.baselines.modified_fine_tune import modified_fine_tune
 from repro.core.point_repair import point_repair
@@ -175,17 +175,14 @@ def safe_advisory_constraint(
 
 def strengthened_specification(
     network: Network, setup: Task3Setup, *, margin: float = CLASSIFICATION_MARGIN
-) -> tuple[PointRepairSpec, float]:
+) -> PointRepairSpec:
     """Reduce the repair slices to key points with per-region strengthened labels.
 
     Each linear region of each repair slice chooses, as its "winner", the
     allowed advisory the buggy network already scores higher at the region's
     interior point; the region's vertices are then constrained with
-    :func:`safe_advisory_constraint`.  Returns the pointwise specification
-    plus the seconds spent computing the linear regions (reported separately,
-    as in the paper's RQ4 analysis).
+    :func:`safe_advisory_constraint`.
     """
-    start = time.perf_counter()
     points, activation_points, constraints = [], [], []
     for _, region, constraint in _strengthened_regions(network, setup, margin):
         interior = region.interior_point
@@ -193,13 +190,11 @@ def strengthened_specification(
             points.append(vertex)
             activation_points.append(interior)
             constraints.append(constraint)
-    linregions_seconds = time.perf_counter() - start
-    spec = PointRepairSpec(
+    return PointRepairSpec(
         points=np.array(points),
         constraints=constraints,
         activation_points=np.array(activation_points),
     )
-    return spec, linregions_seconds
 
 
 def strengthened_verification_spec(
@@ -349,11 +344,17 @@ def provable_slice_repair(
     norm: str = "linf",
     efficacy_samples_per_slice: int = 64,
 ) -> dict:
-    """Provable Polytope Repair of the repair slices (strengthened φ8)."""
+    """Provable Polytope Repair of the repair slices (strengthened φ8).
+
+    The record's time split covers the decomposition (LinRegions) as well
+    as the pointwise repair of its key points.
+    """
     layer_index = layer_index if layer_index is not None else setup.last_layer_index
-    spec, linregions_seconds = strengthened_specification(setup.network, setup)
-    timing = RepairTiming(linregions_seconds=linregions_seconds)
-    result = point_repair(setup.network, layer_index, spec, norm=norm, timing=timing)
+    with obs.timed("repair.polytope", layer=layer_index) as span:
+        with obs.span("repair.linregions"):
+            spec = strengthened_specification(setup.network, setup)
+        result = point_repair(setup.network, layer_index, spec, norm=norm)
+    result.timing = RepairTiming.from_spans(span)
     record = {
         "method": "PR",
         "layer_index": layer_index,

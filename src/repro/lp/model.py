@@ -30,7 +30,6 @@ import repro.obs as obs
 from repro.exceptions import LPError
 from repro.lp.expression import LinearExpression
 from repro.lp.status import LPStatus
-from repro.utils.timing import wall_cpu_now
 
 #: Pending rows an :class:`LPSession`'s first solve admits: the ones most
 #: violated at the origin clipped to the variable bounds.
@@ -44,24 +43,24 @@ VIOLATION_TOLERANCE = 1e-7
 
 
 def _observed_solve(solver, solve_callable):
-    """Run one solve, mirroring it into the telemetry layer.
+    """Run one solve in an ``lp.solve`` span, mirroring it into the metrics.
 
-    The shared wrapper for :meth:`LPModel.solve` and :meth:`LPSession.solve`:
-    an ``lp.solve`` span plus the solve-time histogram and
-    solve/iteration counters.  Telemetry reads the finished solution only —
-    it never influences what the solver returns.
+    The shared wrapper for :meth:`LPModel.solve` and :meth:`LPSession.solve`.
+    The span is what a repair's ``lp`` time sums; with the metrics registry
+    on, the solve-time histogram reads its wall and the solve/iteration
+    counters the finished solution.  Telemetry never influences what the
+    solver returns.
     """
     if not obs.enabled():
-        return solve_callable()
-    start_wall, _ = wall_cpu_now()
-    with obs.span("lp.solve", backend=solver.name):
+        with obs.span("lp.solve", backend=solver.name):
+            return solve_callable()
+    with obs.timed("lp.solve", backend=solver.name) as span:
         solution = solve_callable()
-    elapsed = wall_cpu_now()[0] - start_wall
     obs.histogram(
         "repro_lp_solve_seconds",
         "Wall-clock seconds per LP solve, by backend.",
         labels=("backend",),
-    ).observe(elapsed, backend=solver.name)
+    ).observe(span.wall_seconds, backend=solver.name)
     obs.counter(
         "repro_lp_solves_total",
         "LP solves by backend, outcome, and warm-start use.",

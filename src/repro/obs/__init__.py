@@ -11,12 +11,20 @@ state during ``import repro`` can't bite).  Three pieces:
 * renderers (:func:`render_prometheus`, :func:`render_summary`), plus
   :func:`isolated` for tests that need a private registry.
 
-**Telemetry is off by default** and the disabled path is near-zero cost:
-every instrumented call site is guarded by a single ``if enabled():``
-branch, and :func:`span` returns a shared no-op context manager.  Nothing
-in this package reads or writes network parameters, LP tableaus, or any
-other numeric state — enabling it must never change a repair's bytes, and
-the differential tests in ``tests/test_obs_differential.py`` pin that.
+**The span tree is the repair stack's only clock.**  :func:`span` records
+whenever a trace is active and returns a shared no-op context manager when
+none is.  :func:`timed` is for the entry points that report a duration
+(a repair, a driver run, a verification pass, a baseline): it opens its
+span in the active trace, or as the root of a private trace for the
+block, so the duration and every nested span's are always measured.
+:class:`~repro.core.result.RepairTiming` and
+:class:`~repro.driver.driver.DriverTiming` are sums over such a tree.
+
+**The metrics registry is off by default**: every call site that records
+a metric is guarded by a single ``if enabled():`` branch.  Nothing in this
+package reads or writes network parameters, LP tableaus, or any other
+numeric state — tracing and metrics must never change a repair's bytes,
+and the differential tests in ``tests/test_obs_differential.py`` pin that.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ __all__ = [
     "reset",
     "snapshot",
     "span",
+    "timed",
     "use_trace",
 ]
 
@@ -67,18 +76,18 @@ _REGISTRY = MetricsRegistry()
 
 
 def enabled() -> bool:
-    """The one branch every instrumented call site guards on."""
+    """The one branch every metric-recording call site guards on."""
     return _ENABLED
 
 
 def enable() -> None:
-    """Turn telemetry on for this process."""
+    """Turn the metrics registry on for this process."""
     global _ENABLED
     _ENABLED = True
 
 
 def disable() -> None:
-    """Turn telemetry off (the registry keeps whatever it has recorded)."""
+    """Turn the metrics registry off (it keeps whatever it has recorded)."""
     global _ENABLED
     _ENABLED = False
 
@@ -131,7 +140,7 @@ def render_summary(document: dict | None = None) -> str:
 # ----------------------------------------------------------------------
 # Spans
 class _NoopSpan:
-    """Shared do-nothing span so the disabled path allocates nothing."""
+    """Shared do-nothing span so the untraced path allocates nothing."""
 
     __slots__ = ()
 
@@ -146,19 +155,38 @@ _NOOP = _NoopSpan()
 
 
 def span(name: str, **attributes):
-    """Open a traced span, or the shared no-op when telemetry can't record.
+    """Open a span in the active trace, or the shared no-op when none is active.
 
-    No-op when telemetry is disabled *or* no trace is active in this
-    context — so library code can call it unconditionally and only pays a
-    real span when someone (daemon job, bench harness, test) installed a
-    :class:`Trace` via :func:`use_trace`.
+    Library code calls it unconditionally: it records whenever someone (a
+    :func:`timed` entry point, the daemon's job, a bench harness, a test)
+    installed a :class:`Trace`, whether or not the metrics registry is on.
     """
-    if not _ENABLED:
-        return _NOOP
     trace = current_trace()
     if trace is None:
         return _NOOP
     return trace.span(name, **attributes)
+
+
+@contextmanager
+def timed(name: str, **attributes):
+    """Open a span that always records, yielding the :class:`Span`.
+
+    Inside an active trace this is :func:`span`; without one, the span is
+    the root of a private trace that is active for the block, so the spans
+    nested in it record too.  Read ``wall_seconds`` after the block exits.
+    """
+    trace = current_trace()
+    if trace is not None:
+        with trace.span(name, **attributes) as node:
+            yield node
+        return
+    trace = Trace(name)
+    trace.root.attributes.update(attributes)
+    try:
+        with use_trace(trace):
+            yield trace.root
+    finally:
+        trace.finish()
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Span-based tracing: per-run span trees with wall and CPU time.
 
 A :class:`Trace` is one tree of :class:`Span` nodes — one per traced run
-(a repair job, a bench sweep, a CLI invocation).  Spans are opened with
+(a repair job, a driver run, a bench sweep).  Spans are opened with
 ``obs.span("lp.solve", backend="scipy")`` and nest via a per-trace stack;
 the *current* trace is carried in a :mod:`contextvars` variable so each
 daemon job thread gets its own tree without any global mutable handoff.
 
-Durations come from :func:`repro.utils.timing.wall_cpu_now` — wall time on
-``perf_counter`` and CPU time on ``process_time`` — never ``time.time()``
-deltas.  The single wall-clock timestamp (``started_unix`` on the root) is
+The tree is the only clock of the repair stack: a repair's or a driver
+run's time split is :meth:`Span.seconds_in` over named spans of its
+subtree (see :class:`~repro.core.result.RepairTiming`).
+
+Durations come from :func:`repro.utils.timing.wall_cpu_now` — the
+monotonic wall and process-CPU clocks — never ``time.time()`` deltas.  The single wall-clock timestamp (``started_unix`` on the root) is
 informational only and never subtracted from anything.
 """
 
@@ -54,6 +57,23 @@ class Span:
         wall, cpu = wall_cpu_now()
         self.wall_seconds = wall - self._start_wall
         self.cpu_seconds = cpu - self._start_cpu
+
+    def find(self, name: str) -> list["Span"]:
+        """The outermost spans called ``name`` below this one, in order."""
+        found: list[Span] = []
+        for child in self.children:
+            if child.name == name:
+                found.append(child)
+            else:
+                found.extend(child.find(name))
+        return found
+
+    def seconds_in(self, name: str) -> float:
+        """Wall seconds spent in spans called ``name`` below this one.
+
+        Nested spans of the same name count once, through the outermost.
+        """
+        return sum((node.wall_seconds for node in self.find(name)), 0.0)
 
     def export(self) -> dict:
         """This span (and its subtree) as a JSON-ready dict."""

@@ -134,10 +134,10 @@ def transform_planes(network: Network, polygons: list[np.ndarray]) -> list[Plane
     polygons = [_validated(network, vertices) for vertices in polygons]
     with obs.span("syrenn.transform_planes", polygons=len(polygons)) as span:
         partitions = _transform_stacked(network, polygons) if polygons else []
+        regions = sum(partition.num_regions for partition in partitions)
+        if isinstance(span, obs.Span):
+            span.attributes["regions"] = regions
         if obs.enabled():
-            regions = sum(partition.num_regions for partition in partitions)
-            if isinstance(span, obs.Span):
-                span.attributes["regions"] = regions
             obs.counter(
                 "repro_syrenn_regions_total",
                 "Linear regions returned by the 2-D SyReNN decomposition.",

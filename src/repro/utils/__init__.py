@@ -1,7 +1,7 @@
 """Small shared utilities: RNG handling, validation, timing, serialization."""
 
 from repro.utils.rng import ensure_rng
-from repro.utils.timing import Stopwatch, TimeBudget
+from repro.utils.timing import TimeBudget
 from repro.utils.validation import (
     check_matrix,
     check_vector,
@@ -11,7 +11,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "ensure_rng",
-    "Stopwatch",
     "TimeBudget",
     "check_matrix",
     "check_vector",

@@ -1,15 +1,17 @@
-"""Timing utilities for the repair algorithms and experiment harness.
+"""The clock reads of the repair stack.
 
-The paper reports a per-repair breakdown of where time is spent (computing
-LinRegions, computing Jacobians, solving the LP, and "other"); Figure 7(b)
-plots that split per repaired layer.  :class:`Stopwatch` accumulates named
-phases and :class:`TimeBudget` lets long sweeps (benchmarks) stop early.
+Every duration in ``src/`` is read here: :func:`wall_cpu_now` is what
+:class:`~repro.obs.trace.Span` times itself with, and :class:`TimeBudget`
+is the driver's soft deadline.  The paper's per-repair split of where time
+goes (LinRegions, Jacobian, LP, other; Figure 7(b)) is not measured by a
+clock of its own: :class:`~repro.core.result.RepairTiming` sums named spans
+of the repair's span tree.  The repair daemon's HTTP and queue latencies
+are service timings that cross threads and stay on ``time.monotonic``.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
 
 def wall_cpu_now() -> tuple[float, float]:
@@ -20,69 +22,6 @@ def wall_cpu_now() -> tuple[float, float]:
     ``time.time()`` is for timestamps only and must never be subtracted.
     """
     return time.perf_counter(), time.process_time()
-
-
-class Stopwatch:
-    """Accumulates wall-clock and CPU time per named phase.
-
-    Usage::
-
-        watch = Stopwatch()
-        with watch.phase("jacobian"):
-            ...
-        with watch.phase("lp"):
-            ...
-        watch.totals()       # {"jacobian": 0.12, "lp": 1.3}
-        watch.cpu_totals()   # {"jacobian": 0.11, "lp": 1.2}
-    """
-
-    def __init__(self) -> None:
-        self._totals: dict[str, float] = {}
-        self._cpu_totals: dict[str, float] = {}
-        self._started = time.perf_counter()
-
-    @contextmanager
-    def phase(self, name: str):
-        """Context manager that adds the elapsed wall/CPU time to phase ``name``."""
-        start_wall, start_cpu = wall_cpu_now()
-        try:
-            yield self
-        finally:
-            end_wall, end_cpu = wall_cpu_now()
-            self._totals[name] = self._totals.get(name, 0.0) + (end_wall - start_wall)
-            self._cpu_totals[name] = self._cpu_totals.get(name, 0.0) + (end_cpu - start_cpu)
-
-    def add(self, name: str, seconds: float, cpu_seconds: float = 0.0) -> None:
-        """Manually add wall (and optionally CPU) ``seconds`` to phase ``name``."""
-        if seconds < 0 or cpu_seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-        if cpu_seconds:
-            self._cpu_totals[name] = self._cpu_totals.get(name, 0.0) + cpu_seconds
-
-    def total(self, name: str) -> float:
-        """Total seconds recorded for phase ``name`` (0.0 if never used)."""
-        return self._totals.get(name, 0.0)
-
-    def totals(self) -> dict[str, float]:
-        """A copy of the per-phase wall-clock totals."""
-        return dict(self._totals)
-
-    def cpu_total(self, name: str) -> float:
-        """Total CPU seconds recorded for phase ``name`` (0.0 if never used)."""
-        return self._cpu_totals.get(name, 0.0)
-
-    def cpu_totals(self) -> dict[str, float]:
-        """A copy of the per-phase CPU-time totals."""
-        return dict(self._cpu_totals)
-
-    def elapsed(self) -> float:
-        """Seconds since the stopwatch was created."""
-        return time.perf_counter() - self._started
-
-    def other(self) -> float:
-        """Elapsed time not attributed to any named phase."""
-        return max(0.0, self.elapsed() - sum(self._totals.values()))
 
 
 class TimeBudget:

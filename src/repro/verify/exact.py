@@ -28,11 +28,11 @@ cache across jobs).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
@@ -65,18 +65,16 @@ class SyrennVerifier(Verifier):
     :class:`~repro.syrenn.cache.PartitionCache` (a runtime resource, like
     the network: pass one to share decompositions between verifiers or
     across processes through its disk tier).  Without one the verifier
-    builds a private memory-only cache.  ``cache_partitions=False`` makes
-    no lookups and no stores, leaving a shared cache untouched for other
-    consumers.
+    builds a private memory-only cache.
 
-    ``value_only=True`` enables the **value-only re-verification fast
-    path**: when a pass finds the activation network's fingerprint and the
-    spec's geometry digests unchanged since the previous pass, it skips
-    decomposition (and even cache lookups) entirely and re-evaluates the
-    cached vertex stack through the updated network in one batched forward
-    pass.  This is sound exactly because value-channel repairs never move
-    linear-region boundaries (Theorem 4.6); the repair driver enables the
-    flag for the duration of its run.
+    Every pass may take the **value-only re-verification fast path**: when
+    it finds the activation network's fingerprint and the spec's geometry
+    digests unchanged since the previous pass, it skips decomposition (and
+    even cache lookups) entirely and re-evaluates the cached vertex stack
+    through the updated network in one batched forward pass.  This is sound
+    exactly because value-channel repairs never move linear-region
+    boundaries (Theorem 4.6); a repair driver's rounds after the first take
+    it, and its reports say so in ``value_only``.
 
     ``region_counterexamples=True`` switches counterexample granularity from
     vertices to linear regions: each violating linear region is reported as
@@ -93,15 +91,11 @@ class SyrennVerifier(Verifier):
     def __init__(
         self,
         tolerance: float = DEFAULT_TOLERANCE,
-        cache_partitions: bool = True,
         cache: PartitionCache | None = None,
-        value_only: bool = False,
         region_counterexamples: bool = False,
     ) -> None:
         super().__init__(tolerance)
-        self.cache_partitions = cache_partitions
         self.cache = cache if cache is not None else PartitionCache(disk=False)
-        self.value_only = value_only
         self.region_counterexamples = region_counterexamples
         self.value_only_verifications = 0
         # Single-slot cache backing the value-only fast path: the previous
@@ -115,33 +109,33 @@ class SyrennVerifier(Verifier):
     ) -> VerificationReport:
         """Certify each region or return counterexamples at region vertices."""
         self._check_spec(network, spec)
-        start = time.perf_counter()
-        activation_network = (
-            network.activation if isinstance(network, DecoupledNetwork) else network
-        )
-        normalized = [_normalize_region(entry.region) for entry in spec.regions]
-
-        fast_key = None
-        if self.value_only:
+        with obs.timed("verify", verifier=self.name) as span:
+            activation_network = (
+                network.activation if isinstance(network, DecoupledNetwork) else network
+            )
+            normalized = [_normalize_region(entry.region) for entry in spec.regions]
             # The fast path is gated on the *activation* network fingerprint:
             # value-channel edits (what repair applies) never move linear
             # region boundaries (Theorem 4.6), so an unchanged fingerprint
             # means the cached decomposition is exact for this network too.
+            fingerprint = network_fingerprint(activation_network)
             fast_key = (
-                network_fingerprint(activation_network),
+                fingerprint,
                 tuple(
                     geometry_digest(region) if region is not None else None
                     for region in normalized
                 ),
             )
-            slot = self._value_only_slot
-            if slot is not None and slot.key == fast_key:
+            stack = self._value_only_slot
+            value_only = stack is not None and stack.key == fast_key
+            if value_only:
                 self.value_only_verifications += 1
-                return self._report(network, spec, slot, start, value_only=True)
-        stack = _RegionStack.build(fast_key, self._decompose_all(activation_network, normalized))
-        if fast_key is not None:
-            self._value_only_slot = stack
-        return self._report(network, spec, stack, start, value_only=False)
+            else:
+                decomposed = self._decompose_all(activation_network, fingerprint, normalized)
+                stack = self._value_only_slot = _RegionStack.build(fast_key, decomposed)
+            report = self._report(network, spec, stack, value_only)
+        report.seconds = span.wall_seconds
+        return self._publish_report(report)
 
     # ------------------------------------------------------------------
     # Reporting over the stacked linear regions
@@ -151,7 +145,6 @@ class SyrennVerifier(Verifier):
         network,
         spec: VerificationSpec,
         stack: "_RegionStack",
-        start: float,
         value_only: bool,
     ) -> VerificationReport:
         """Verdicts, margins and counterexamples from one stacked evaluation.
@@ -237,17 +230,14 @@ class SyrennVerifier(Verifier):
                         activation_point=stack.interiors[stack.row_interior[row]].copy(),
                     )
                 )
-        return self._publish_report(
-            VerificationReport(
-                verifier=self.name,
-                region_statuses=statuses,
-                region_margins=margins,
-                counterexamples=counterexamples,
-                points_checked=int(stack.vertices.shape[0]),
-                linear_regions_checked=len(stack.interiors),
-                seconds=time.perf_counter() - start,
-                value_only=value_only,
-            )
+        return VerificationReport(
+            verifier=self.name,
+            region_statuses=statuses,
+            region_margins=margins,
+            counterexamples=counterexamples,
+            points_checked=int(stack.vertices.shape[0]),
+            linear_regions_checked=len(stack.interiors),
+            value_only=value_only,
         )
 
     # ------------------------------------------------------------------
@@ -260,16 +250,16 @@ class SyrennVerifier(Verifier):
         return np.atleast_2d(network.compute(stack.vertices))
 
     def _decompose_all(
-        self, activation_network: Network, normalized: list
+        self, activation_network: Network, fingerprint: str, normalized: list
     ) -> list[list[LinearRegion] | None]:
         """Linear regions per normalized spec region (``None`` for 3D+ boxes).
 
         Every uncached plane region goes through one batched
         :func:`transform_planes` call; segments and single points are
-        decomposed one at a time.
+        decomposed one at a time.  ``fingerprint`` is the activation
+        network's, the first half of every cache key.
         """
         decomposed: list[list[LinearRegion] | None] = [None] * len(normalized)
-        fingerprint = network_fingerprint(activation_network) if self.cache_partitions else None
         keys: dict[int, tuple] = {}
         planes: dict = {}
         for index, region in enumerate(normalized):
@@ -289,8 +279,8 @@ class SyrennVerifier(Verifier):
                     key, [LinearRegion(piece.vertices, piece.interior_point) for piece in pieces]
                 )
             else:
-                # With caching on, equal geometries in one spec decompose once.
-                planes.setdefault(key if self.cache_partitions else index, []).append(index)
+                # Equal geometries in one spec decompose once.
+                planes.setdefault(key, []).append(index)
         groups = list(planes.values())
         if groups:
             partitions = transform_planes(
@@ -306,8 +296,6 @@ class SyrennVerifier(Verifier):
         return decomposed
 
     def _lookup(self, key: tuple) -> list[LinearRegion] | None:
-        if not self.cache_partitions:
-            return None
         payload = self.cache.get(key)
         # A payload this verifier did not write (another format sharing the
         # directory) is a miss: the fresh decomposition replaces it in memory.
@@ -319,12 +307,11 @@ class SyrennVerifier(Verifier):
         ]
 
     def _remember(self, key: tuple, linear_regions: list[LinearRegion]) -> list[LinearRegion]:
-        if self.cache_partitions:
-            payload = {"num_regions": len(linear_regions)}
-            for index, region in enumerate(linear_regions):
-                payload[f"vertices_{index}"] = region.vertices
-                payload[f"interior_{index}"] = region.interior
-            self.cache.put(key, payload)
+        payload = {"num_regions": len(linear_regions)}
+        for index, region in enumerate(linear_regions):
+            payload[f"vertices_{index}"] = region.vertices
+            payload[f"interior_{index}"] = region.interior
+        self.cache.put(key, payload)
         return linear_regions
 
 
@@ -355,7 +342,7 @@ class _RegionStack:
     stack, keyed by ``key``.
     """
 
-    key: tuple | None
+    key: tuple
     vertices: np.ndarray
     activations: np.ndarray
     region_spans: list[tuple[int, int] | None]
@@ -364,7 +351,7 @@ class _RegionStack:
     interiors: list[np.ndarray]
 
     @classmethod
-    def build(cls, key: tuple | None, decomposed: list) -> "_RegionStack":
+    def build(cls, key: tuple, decomposed: list) -> "_RegionStack":
         region_spans: list[tuple[int, int] | None] = []
         flat: list[LinearRegion] = []
         owners: list[int] = []

@@ -5,7 +5,7 @@ which is the right interface in-process — but a job submitted to the repair
 daemon is a JSON document, and JSON cannot carry an instance.  The registry
 closes that gap: a job names its verifier declaratively::
 
-    {"verifier": {"kind": "syrenn", "value_only": true}}
+    {"verifier": {"kind": "syrenn", "tolerance": 1e-9}}
 
 and :func:`make_verifier` turns the dictionary into the configured instance.
 Runtime resources (the daemon's shared partition cache) are passed as extra

@@ -16,10 +16,9 @@ are alive at once.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+import repro.obs as obs
 from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
@@ -131,39 +130,39 @@ class _SamplingVerifier(Verifier):
         exactly that point, and a clean result is therefore a proof.
         """
         self._check_spec(network, spec)
-        start = time.perf_counter()
-        statuses: list[RegionStatus] = []
-        margins: list[float] = []
-        counterexamples: list[Counterexample] = []
-        points_checked = 0
-        sweep = self._sweep(network, spec)
-        for (region_index, entry), (points, outputs) in zip(enumerate(spec.regions), sweep):
-            points_checked += points.shape[0]
-            point_margins = entry.constraint.violation_batch(outputs)
-            margins.append(float(np.max(point_margins)))
-            violating = np.where(point_margins > self.tolerance)[0]
-            if violating.size == 0:
-                statuses.append(
-                    RegionStatus.CERTIFIED
-                    if self.certify_exhaustive
-                    and self._region_is_exhaustive(entry.region)
-                    else RegionStatus.UNKNOWN
+        with obs.timed("verify", verifier=self.name) as span:
+            statuses: list[RegionStatus] = []
+            margins: list[float] = []
+            counterexamples: list[Counterexample] = []
+            points_checked = 0
+            sweep = self._sweep(network, spec)
+            for (region_index, entry), (points, outputs) in zip(enumerate(spec.regions), sweep):
+                points_checked += points.shape[0]
+                point_margins = entry.constraint.violation_batch(outputs)
+                margins.append(float(np.max(point_margins)))
+                violating = np.where(point_margins > self.tolerance)[0]
+                if violating.size == 0:
+                    statuses.append(
+                        RegionStatus.CERTIFIED
+                        if self.certify_exhaustive
+                        and self._region_is_exhaustive(entry.region)
+                        else RegionStatus.UNKNOWN
+                    )
+                    continue
+                statuses.append(RegionStatus.VIOLATED)
+                # Keep the worst offenders first; cap to keep reports small.
+                order = violating[np.argsort(-point_margins[violating])]
+                if self.max_counterexamples_per_region is not None:
+                    order = order[: self.max_counterexamples_per_region]
+                counterexamples.extend(
+                    Counterexample(
+                        point=points[index].copy(),
+                        constraint=entry.constraint,
+                        margin=float(point_margins[index]),
+                        region_index=region_index,
+                    )
+                    for index in order
                 )
-                continue
-            statuses.append(RegionStatus.VIOLATED)
-            # Keep the worst offenders first; cap to keep reports small.
-            order = violating[np.argsort(-point_margins[violating])]
-            if self.max_counterexamples_per_region is not None:
-                order = order[: self.max_counterexamples_per_region]
-            counterexamples.extend(
-                Counterexample(
-                    point=points[index].copy(),
-                    constraint=entry.constraint,
-                    margin=float(point_margins[index]),
-                    region_index=region_index,
-                )
-                for index in order
-            )
         return self._publish_report(
             VerificationReport(
                 verifier=self.name,
@@ -171,7 +170,7 @@ class _SamplingVerifier(Verifier):
                 region_margins=margins,
                 counterexamples=counterexamples,
                 points_checked=points_checked,
-                seconds=time.perf_counter() - start,
+                seconds=span.wall_seconds,
             )
         )
 

@@ -101,6 +101,33 @@ class TestDriverConfig:
         with pytest.raises(RepairError):
             DriverConfig(max_new_counterexamples=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("norm", "l7"),
+            ("repair_margin", -1e-6),
+            ("repair_margin", float("nan")),
+            ("repair_margin", float("inf")),
+            ("delta_bound", -1.0),
+            ("delta_bound", 0.0),
+            ("delta_bound", float("nan")),
+            ("delta_bound", float("inf")),
+            ("budget_seconds", -1.0),
+            ("budget_seconds", float("nan")),
+            ("budget_seconds", float("inf")),
+        ],
+    )
+    def test_values_that_fail_or_are_ignored_later_are_rejected(self, field, value):
+        """Each of these used to decode, then fail (or be ignored) rounds later."""
+        with pytest.raises(RepairError, match=f"{field} must be"):
+            DriverConfig(**{field: value})
+        with pytest.raises(RepairError, match=f"{field} must be"):
+            DriverConfig.from_dict({field: value})
+
+    def test_zero_margin_and_budget_stay_valid(self):
+        config = DriverConfig(repair_margin=0.0, budget_seconds=0.0, delta_bound=1.0)
+        assert (config.repair_margin, config.budget_seconds) == (0.0, 0.0)
+
     def test_removed_knobs_fail_loudly(self):
         """The knobs that chose repair paths or solvers are errors, not no-ops."""
         with pytest.raises(RepairError, match="'incremental'.*removed"):

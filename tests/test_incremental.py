@@ -16,6 +16,8 @@ Three layers of pinning:
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.point_repair import IncrementalPointRepairSession, point_repair
+from repro.core.result import RepairTiming
 from repro.core.specs import PointRepairSpec
 from repro.datasets.acas import phi8_property
 from repro.driver import DriverConfig, RepairDriver
@@ -34,6 +37,7 @@ from repro.lp.model import LPModel
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from repro.models.acas_models import build_acas_network
+from repro.obs import Trace, use_trace
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
 from repro.syrenn.plane import transform_plane
@@ -155,7 +159,7 @@ class TestPartitionInvariance:
         repaired = ddnn.copy()
         repaired.apply_parameter_delta(layer_index, delta)
 
-        fast = SyrennVerifier(value_only=True)
+        fast = SyrennVerifier()
         first_report = fast.verify(ddnn, spec)  # populate the fast-path slot
         fast_report = fast.verify(repaired, spec)
         assert not first_report.value_only
@@ -320,12 +324,55 @@ class TestIncrementalDifferential:
         warm_solves = sum(s["value"] for s in solves if s["labels"]["warm"] == "true")
         assert warm_solves >= report.warm_started_rounds
 
-    def test_driver_restores_callers_value_only_flag(self, acas_phi8):
+
+class TestDriverClock:
+    """The span tree is the driver's only clock, and its times add up."""
+
+    @pytest.mark.parametrize("mode", ["point", "polytope"])
+    def test_timing_views_add_up_to_span_walls(self, acas_phi8, mode):
         network, spec = acas_phi8
-        verifier = SyrennVerifier()
-        assert verifier.value_only is False
-        RepairDriver(network, spec, verifier, config=DriverConfig(max_rounds=20)).run()
-        assert verifier.value_only is False
+        trace = Trace("test")
+        # A collection pause lands in whichever span is open, or in none;
+        # the coverage bound below is about instrumented driver code.
+        gc.collect()
+        gc.disable()
+        try:
+            with use_trace(trace):
+                report = RepairDriver(
+                    network,
+                    spec,
+                    SyrennVerifier(),
+                    config=DriverConfig(mode=mode, max_rounds=20, max_new_counterexamples=4),
+                ).run()
+        finally:
+            gc.enable()
+        assert report.status == "certified"
+        (run,) = trace.root.children
+        assert run.name == "driver.run"
+        assert report.timing.total_seconds == pytest.approx(run.wall_seconds, rel=1e-12)
+        assert report.timing.verify_seconds == run.seconds_in("driver.verify")
+
+        repairs = run.find("driver.repair")
+        assert repairs and all(node in run.children for node in repairs)
+        totals = dict.fromkeys(report.timing.repair.as_dict(), 0.0)
+        for record in report.rounds:
+            spans = [node for node in repairs if node.attributes["round"] == record.round_index]
+            assert bool(spans) == record.repair_attempted
+            assert record.repair_seconds == sum(node.wall_seconds for node in spans)
+            round_timing = RepairTiming.from_spans(*spans)
+            assert round_timing.total_seconds == pytest.approx(record.repair_seconds, rel=1e-12)
+            if spans:
+                assert round_timing.jacobian_seconds > 0.0 and round_timing.lp_seconds > 0.0
+                assert round_timing.other_seconds >= 0.0
+            for key, value in round_timing.as_dict().items():
+                totals[key] += value
+        assert report.timing.repair.as_dict() == pytest.approx(totals, rel=1e-9)
+        verifies = [node for node in run.children if node.name == "driver.verify"]
+        assert [record.seconds for record in report.rounds] == [
+            node.wall_seconds for node in verifies[: len(report.rounds)]
+        ]
+        covered = sum(node.wall_seconds for node in run.children)
+        assert covered >= 0.95 * run.wall_seconds
 
 
 class TestIncrementalRepairSession:

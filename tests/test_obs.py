@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
 import repro.obs as obs
+from repro.core.result import RepairTiming
 from repro.obs import JsonLogger, MetricsRegistry, Trace, current_trace, use_trace
 from repro.obs.prometheus import render_prometheus, render_summary
 
@@ -159,6 +161,23 @@ class TestFacade:
                     pass
             trace.finish()
             assert trace.export()["root"]["children"][0]["name"] == "real"
+        with obs.isolated(start_enabled=False):
+            # A disabled registry does not silence an active trace.
+            trace = Trace("run")
+            with use_trace(trace):
+                with obs.span("recorded"):
+                    pass
+            assert [child.name for child in trace.root.children] == ["recorded"]
+            # ``timed`` without a trace records into a private one, which
+            # is active only for its block.
+            with obs.timed("private", key="value") as root:
+                assert current_trace() is not None
+                with obs.span("inner"):
+                    pass
+            assert current_trace() is None
+            assert root.name == "private" and root.attributes == {"key": "value"}
+            assert [child.name for child in root.children] == ["inner"]
+            assert root.wall_seconds >= root.children[0].wall_seconds > 0.0
 
     def test_isolated_swaps_registry_and_flag(self):
         before_enabled = obs.enabled()
@@ -170,6 +189,66 @@ class TestFacade:
         assert obs.enabled() == before_enabled
         assert obs.registry() is before_registry
         assert "repro_test_total" not in obs.snapshot()
+
+class TestSpanClock:
+    """The span tree as the repair stack's clock: sums of named spans."""
+
+    def test_timed_nests_inside_an_active_trace(self):
+        trace = Trace("run")
+        with use_trace(trace):
+            with obs.timed("entry") as node:
+                pass
+            assert current_trace() is trace
+        assert trace.root.children == [node]
+
+    def test_seconds_in_sums_outermost_named_spans(self):
+        with obs.timed("run") as root:
+            for _ in range(2):
+                with obs.span("phase"):
+                    time.sleep(0.01)
+                    with obs.span("phase"):  # nested: counted once, via its parent
+                        pass
+            with obs.span("other"):
+                with obs.span("phase"):
+                    pass
+        phases = root.find("phase")
+        assert len(phases) == 3
+        assert root.seconds_in("phase") == sum(node.wall_seconds for node in phases)
+        assert root.seconds_in("phase") >= 0.02
+        assert root.seconds_in("missing") == 0.0
+
+    def test_spans_record_cpu_time(self):
+        with obs.timed("run") as root:
+            with obs.span("spin"):
+                total = 0
+                for value in range(200_000):
+                    total += value
+            with obs.span("sleep"):
+                time.sleep(0.02)
+        spin, sleep = root.children
+        assert spin.cpu_seconds > 0.0
+        # Sleeping burns wall-clock but (almost) no CPU.
+        assert sleep.wall_seconds >= 0.02
+        assert sleep.cpu_seconds < sleep.wall_seconds
+
+    def test_repair_timing_other_is_the_remainder(self):
+        with obs.timed("repair") as root:
+            with obs.span("repair.linregions"):
+                time.sleep(0.01)
+            with obs.span("repair.encode"):
+                pass
+            with obs.span("lp.solve"):
+                time.sleep(0.01)
+            time.sleep(0.02)  # unattributed
+        timing = RepairTiming.from_spans(root)
+        assert timing.linregions_seconds == root.seconds_in("repair.linregions") >= 0.01
+        assert timing.jacobian_seconds == root.seconds_in("repair.encode")
+        assert timing.lp_seconds == root.children[2].wall_seconds >= 0.01
+        assert timing.other_seconds >= 0.015
+        assert timing.total_seconds == pytest.approx(root.wall_seconds, rel=1e-12)
+        twice = RepairTiming.from_spans(root, root)
+        assert twice.total_seconds == pytest.approx(2 * root.wall_seconds, rel=1e-12)
+
 
 class TestPrometheusExposition:
     def test_golden_document(self):

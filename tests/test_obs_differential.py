@@ -104,7 +104,7 @@ def verify_twice(with_obs: bool) -> tuple[list, dict, Trace | None]:
     with obs.isolated(start_enabled=with_obs):
         trace = Trace("verify") if with_obs else None
         with use_trace(trace) if trace is not None else nullcontext():
-            verifier = SyrennVerifier(value_only=True)
+            verifier = SyrennVerifier()
             reports = [verifier.verify(network, spec), verifier.verify(network, spec)]
         snapshot = obs.snapshot()
     return reports, snapshot, trace
@@ -137,8 +137,10 @@ class TestVerifierTelemetry:
         assert [report_bytes(r) for r in traced] == [report_bytes(r) for r in quiet]
         assert quiet_snapshot == {}
         # Only the first pass decomposes: one span, four planes, one counter.
-        spans = [child for child in trace.root.children if child.name == "syrenn.transform_planes"]
+        assert [child.name for child in trace.root.children] == ["verify", "verify"]
+        spans = trace.root.find("syrenn.transform_planes")
         assert len(spans) == 1
+        assert spans[0] in trace.root.children[0].children
         assert spans[0].attributes["polygons"] == 4
         regions = snapshot["repro_syrenn_regions_total"]["series"][0]["value"]
         assert regions == spans[0].attributes["regions"] == quiet[0].linear_regions_checked

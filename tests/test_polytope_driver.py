@@ -491,7 +491,7 @@ class TestPolytopeDriverLoop:
         network, spec = polytope_scenario
         vspec = VerificationSpec.from_polytope_spec(spec)
         slow = oracle_verify(network, vspec, region_counterexamples=True)
-        fast_verifier = SyrennVerifier(region_counterexamples=True, value_only=True)
+        fast_verifier = SyrennVerifier(region_counterexamples=True)
         first = fast_verifier.verify(network, vspec)  # populate the fast-path slot
         fast = fast_verifier.verify(network, vspec)
         assert fast.value_only

@@ -194,6 +194,16 @@ class TestProtocol:
             (lambda job: job.update(verifier={"kind": "random", "num_samples": 0}), "num_samples must"),
             (lambda job: job.update(verifier={"kind": "syrenn", "engine": 1}), "'engine'"),
             (lambda job: job.update(verifier={"kind": "syrenn", "cache": 1}), "runtime resource"),
+            (lambda job: job.update(verifier={"kind": "syrenn", "value_only": True}), "'value_only'"),
+            (
+                lambda job: job.update(verifier={"kind": "syrenn", "cache_partitions": False}),
+                "'cache_partitions'",
+            ),
+            (lambda job: job.update(config={"delta_bound": -1.0}), "delta_bound must be"),
+            (lambda job: job.update(config={"delta_bound": float("nan")}), "delta_bound must be"),
+            (lambda job: job.update(config={"repair_margin": float("nan")}), "repair_margin must be"),
+            (lambda job: job.update(config={"norm": "l7"}), "norm must be"),
+            (lambda job: job.update(config={"budget_seconds": float("nan")}), "budget_seconds must be"),
             (lambda job: plane_payload(job).update(vertices=[[-1, -1], [1, -1]]), "at least three"),
             (
                 lambda job: plane_payload(job).update(vertices=[[-1, -1], [1, 1], [-1, -1], [1, 1]]),

@@ -15,7 +15,7 @@ from repro.utils.serialization import (
     load_arrays,
     save_arrays,
 )
-from repro.utils.timing import Stopwatch, TimeBudget
+from repro.utils.timing import TimeBudget, wall_cpu_now
 from repro.utils.validation import (
     check_finite,
     check_matrix,
@@ -103,72 +103,8 @@ class TestValidation:
             check_probability(1.5)
 
 
-class TestStopwatch:
-    def test_phases_accumulate(self):
-        watch = Stopwatch()
-        with watch.phase("a"):
-            time.sleep(0.01)
-        with watch.phase("a"):
-            time.sleep(0.01)
-        with watch.phase("b"):
-            pass
-        totals = watch.totals()
-        assert totals["a"] >= 0.02
-        assert "b" in totals
-
-    def test_add_and_total(self):
-        watch = Stopwatch()
-        watch.add("x", 1.5)
-        watch.add("x", 0.5)
-        assert watch.total("x") == pytest.approx(2.0)
-        assert watch.total("missing") == 0.0
-
-    def test_add_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Stopwatch().add("x", -1.0)
-
-    def test_other_is_nonnegative(self):
-        watch = Stopwatch()
-        watch.add("x", 1e9)  # more than elapsed
-        assert watch.other() == 0.0
-
-    def test_other_accounts_unattributed_time(self):
-        watch = Stopwatch()
-        with watch.phase("a"):
-            time.sleep(0.01)
-        time.sleep(0.02)  # unattributed
-        unattributed = watch.other()
-        assert unattributed >= 0.015
-        # other() is elapsed-minus-phases, so it can never exceed elapsed().
-        assert unattributed <= watch.elapsed()
-
-    def test_phases_record_cpu_time(self):
-        watch = Stopwatch()
-        with watch.phase("spin"):
-            total = 0
-            for value in range(200_000):
-                total += value
-        with watch.phase("sleep"):
-            time.sleep(0.02)
-        cpu = watch.cpu_totals()
-        assert cpu["spin"] > 0.0
-        assert watch.cpu_total("spin") == cpu["spin"]
-        assert watch.cpu_total("missing") == 0.0
-        # Sleeping burns wall-clock but (almost) no CPU.
-        assert watch.total("sleep") >= 0.02
-        assert cpu["sleep"] < watch.total("sleep")
-
-    def test_add_cpu_seconds_channel(self):
-        watch = Stopwatch()
-        watch.add("x", 1.0, cpu_seconds=0.75)
-        watch.add("x", 1.0, cpu_seconds=0.25)
-        assert watch.cpu_total("x") == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            watch.add("x", 1.0, cpu_seconds=-0.5)
-
+class TestWallCpuNow:
     def test_wall_cpu_now_returns_monotonic_pair(self):
-        from repro.utils.timing import wall_cpu_now
-
         wall_a, cpu_a = wall_cpu_now()
         wall_b, cpu_b = wall_cpu_now()
         assert wall_b >= wall_a

@@ -14,6 +14,7 @@ from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
+from repro.syrenn.cache import PartitionCache
 from repro.verify import (
     Box,
     GridVerifier,
@@ -145,7 +146,7 @@ class TestSyrennVerifier:
             SyrennVerifier().verify(network, spec)
 
     def test_partition_cache_reused_across_rounds(self, toy_network):
-        verifier = SyrennVerifier(cache_partitions=True)
+        verifier = SyrennVerifier()
         spec = toy_spec(violated=True)
         ddnn = DecoupledNetwork.from_network(toy_network)
         verifier.verify(ddnn, spec)
@@ -163,7 +164,7 @@ class TestSyrennVerifier:
 
     def test_cache_keyed_by_geometry_not_object_identity(self, toy_network):
         """Mutating a spec in place must not serve stale decompositions."""
-        verifier = SyrennVerifier(cache_partitions=True)
+        verifier = SyrennVerifier()
         spec = toy_spec(violated=True)
         first = verifier.verify(toy_network, spec)
         assert first.region_statuses == [RegionStatus.VIOLATED]
@@ -209,8 +210,8 @@ class TestStackedReport:
         return spec
 
     @pytest.mark.parametrize("region_counterexamples", [False, True])
-    @pytest.mark.parametrize("cache_partitions", [False, True])
-    def test_matches_oracle(self, plane_network, rng, region_counterexamples, cache_partitions):
+    @pytest.mark.parametrize("warm_cache", [False, True])
+    def test_matches_oracle(self, plane_network, rng, region_counterexamples, warm_cache):
         ddnn = DecoupledNetwork.from_network(plane_network)
         layer = ddnn.repairable_layer_indices()[-1]
         ddnn.apply_parameter_delta(
@@ -218,10 +219,16 @@ class TestStackedReport:
         )
         spec = self.mixed_spec()
         for network in (plane_network, ddnn):
+            cache = PartitionCache(disk=False)
+            if warm_cache:
+                # Another verifier fills the shared cache, so this report is
+                # built from the decompositions the cache serves.
+                SyrennVerifier(cache=cache).verify(network, spec)
+            misses = cache.stats.memory.misses
             report = SyrennVerifier(
-                cache_partitions=cache_partitions,
-                region_counterexamples=region_counterexamples,
+                cache=cache, region_counterexamples=region_counterexamples
             ).verify(network, spec)
+            assert (cache.stats.memory.misses == misses) is warm_cache
             expected = oracle_verify(
                 network, spec, region_counterexamples=region_counterexamples
             )
