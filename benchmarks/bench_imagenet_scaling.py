@@ -35,8 +35,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 import repro.obs as obs
 from conftest import telemetry_document
 from repro.core.point_repair import point_repair

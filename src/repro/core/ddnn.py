@@ -15,6 +15,15 @@ single value-channel layer changes the output *linearly* (Theorem 4.5) and
 never moves the linear-region boundaries (Theorem 4.6) — the two facts the
 repair algorithms exploit.
 
+Theorem 4.5 is also what the repair LP encodes: for a batch of points,
+:meth:`DecoupledNetwork.batch_parameter_jacobian` returns the outputs and the
+exact Jacobians with respect to one value-channel layer's parameters, from
+one forward pass of both channels (:meth:`DecoupledNetwork.batch_channel_traces`)
+and one backward pass of a stack of per-point downstream maps through the
+value channel.  It is the library's only Jacobian computation.  The per-layer
+step of both channels (:func:`_decoupled_step`) is likewise written once and
+shared by every evaluation.
+
 Theorem 4.5 also means the inputs of the repaired layer never change during
 a single-layer repair: a :class:`~repro.core.prefix_cache.PrefixCache` bound
 to a network (its :attr:`DecoupledNetwork.prefix_cache`) lets
@@ -30,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import ShapeError, UnsupportedLayerError
-from repro.nn.layer import LayerKind, as_batch
+from repro.nn.layer import Layer, LayerKind, as_batch
 from repro.nn.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -42,6 +51,19 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: sharing one value makes those callers present identical batches, which is
 #: what the frozen-prefix cache keys on.
 POINT_BATCH = 1024
+
+
+def _decoupled_step(act_layer: Layer, val_layer: Layer, activation: np.ndarray, value: np.ndarray):
+    """One layer of both DDNN channels: ``(activation output, value output)``.
+
+    The activation channel evaluates ``act_layer`` as it is.  The value
+    channel applies ``val_layer`` — or, at an activation layer, the
+    linearization around the activation channel's pre-activation
+    (Definition 4.3 of the paper).
+    """
+    if act_layer.kind is LayerKind.ACTIVATION:
+        return act_layer.forward(activation), act_layer.decoupled_forward(activation, value)
+    return act_layer.forward(activation), val_layer.forward(value)
 
 
 class DecoupledNetwork:
@@ -139,14 +161,9 @@ class DecoupledNetwork:
             value_batch, None if activation_values is None else activation_batch
         )
         for act_layer, val_layer in zip(self.activation.layers[start:], self.value.layers[start:]):
-            if act_layer.kind is LayerKind.ACTIVATION:
-                next_activation = act_layer.forward(current_activation)
-                next_value = act_layer.decoupled_forward(current_activation, current_value)
-            else:
-                next_activation = act_layer.forward(current_activation)
-                next_value = val_layer.forward(current_value)
-            current_activation = next_activation
-            current_value = next_value
+            current_activation, current_value = _decoupled_step(
+                act_layer, val_layer, current_activation, current_value
+            )
         return current_value[0] if was_vector else current_value
 
     __call__ = compute
@@ -180,41 +197,6 @@ class DecoupledNetwork:
         return float(np.mean(self.predict(values) == labels))
 
     # ------------------------------------------------------------------
-    # Channel traces (single input vector)
-    # ------------------------------------------------------------------
-    def channel_traces(
-        self, value_point: np.ndarray, activation_point: np.ndarray | None = None
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer inputs of both channels for a single input vector.
-
-        Returns ``(activation_inputs, value_inputs)`` where each list has
-        ``num_layers + 1`` entries; entry ``i`` is the input to layer ``i``
-        and the final entry is the channel output.
-        """
-        value_point = np.asarray(value_point, dtype=np.float64).ravel()
-        activation_point = (
-            value_point
-            if activation_point is None
-            else np.asarray(activation_point, dtype=np.float64).ravel()
-        )
-        activation_inputs = [activation_point[None, :]]
-        value_inputs = [value_point[None, :]]
-        current_activation = activation_inputs[0]
-        current_value = value_inputs[0]
-        for act_layer, val_layer in zip(self.activation.layers, self.value.layers):
-            if act_layer.kind is LayerKind.ACTIVATION:
-                next_value = act_layer.decoupled_forward(current_activation, current_value)
-                next_activation = act_layer.forward(current_activation)
-            else:
-                next_value = val_layer.forward(current_value)
-                next_activation = act_layer.forward(current_activation)
-            current_activation = next_activation
-            current_value = next_value
-            activation_inputs.append(current_activation)
-            value_inputs.append(current_value)
-        return activation_inputs, value_inputs
-
-    # ------------------------------------------------------------------
     # Channel traces (batch of input vectors)
     # ------------------------------------------------------------------
     def batch_channel_traces(
@@ -226,11 +208,13 @@ class DecoupledNetwork:
     ) -> tuple[list[np.ndarray | None], list[np.ndarray | None]]:
         """Per-layer inputs of both channels for a batch of input vectors.
 
-        The batched analogue of :meth:`channel_traces`: ``value_points`` is a
-        ``(k, n)`` array (``activation_points`` likewise, defaulting to
-        ``value_points``) and each returned list entry has shape
-        ``(k, layer_input_size)``.  All ``k`` points flow through the layer
-        stack together, so the cost of the Python layer loop is paid once per
+        ``value_points`` is a ``(k, n)`` array (``activation_points``
+        likewise, defaulting to ``value_points``).  Returns
+        ``(activation_inputs, value_inputs)``, each a list of
+        ``num_layers + 1`` entries: entry ``i`` is the ``(k,
+        layer_input_size)`` input of layer ``i`` and the final entry is the
+        channel output.  All ``k`` points flow through the layer stack
+        together, so the cost of the Python layer loop is paid once per
         layer instead of once per point.
 
         With a :attr:`prefix_cache` serving the batch, evaluation starts at
@@ -259,14 +243,9 @@ class DecoupledNetwork:
         activation_inputs = [None] * start + [current_activation]
         value_inputs = [None] * start + [current_value]
         for act_layer, val_layer in zip(self.activation.layers[start:], self.value.layers[start:]):
-            if act_layer.kind is LayerKind.ACTIVATION:
-                next_value = act_layer.decoupled_forward(current_activation, current_value)
-                next_activation = act_layer.forward(current_activation)
-            else:
-                next_value = val_layer.forward(current_value)
-                next_activation = act_layer.forward(current_activation)
-            current_activation = next_activation
-            current_value = next_value
+            current_activation, current_value = _decoupled_step(
+                act_layer, val_layer, current_activation, current_value
+            )
             activation_inputs.append(current_activation)
             value_inputs.append(current_value)
         return activation_inputs, value_inputs
@@ -274,43 +253,6 @@ class DecoupledNetwork:
     # ------------------------------------------------------------------
     # Parameter Jacobian (Theorem 4.5)
     # ------------------------------------------------------------------
-    def parameter_jacobian(
-        self,
-        layer_index: int,
-        value_point: np.ndarray,
-        activation_point: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Output and Jacobian of the DDNN w.r.t. one value layer's parameters.
-
-        Returns ``(output, jacobian)`` where ``output = N(value_point)`` and
-        ``jacobian`` has shape ``(output_size, num_parameters_of_layer)``.
-        Because the DDNN output is exactly affine in the chosen value-channel
-        layer's parameters (Theorem 4.5), for any parameter delta ``Δ``::
-
-            N_Δ(value_point) = output + jacobian @ Δ
-        """
-        layer_index = self._check_repairable(layer_index)
-        activation_inputs, value_inputs = self.channel_traces(value_point, activation_point)
-        output = value_inputs[-1][0]
-
-        # Downstream linear map A from the repaired layer's output to the
-        # network output, computed by pushing the identity matrix backwards
-        # through the value channel (with activations linearized around the
-        # activation channel's pre-activations).
-        downstream = np.eye(self.output_size)
-        for index in range(self.num_layers - 1, layer_index, -1):
-            act_layer = self.activation.layers[index]
-            val_layer = self.value.layers[index]
-            if act_layer.kind is LayerKind.ACTIVATION:
-                linearization = act_layer.linearize(activation_inputs[index][0])
-                downstream = linearization.backward(downstream)
-            else:
-                downstream = val_layer.backward_input(downstream, value_inputs[index])
-
-        layer = self.value.layers[layer_index]
-        jacobian = layer.parameter_jacobian(downstream, value_inputs[layer_index][0])
-        return output, jacobian
-
     def batch_parameter_jacobian(
         self,
         layer_index: int,
@@ -319,19 +261,20 @@ class DecoupledNetwork:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Outputs and parameter Jacobians of the DDNN at many points at once.
 
-        The vectorized analogue of :meth:`parameter_jacobian`: ``points`` is
-        a ``(k, n)`` array of value-channel inputs (``activation_points``
-        likewise, defaulting to ``points``), and the return value is
-        ``(outputs, jacobians)`` with shapes ``(k, output_size)`` and
-        ``(k, output_size, num_parameters_of_layer)``.
+        ``points`` is a ``(k, n)`` array of value-channel inputs
+        (``activation_points`` likewise, defaulting to ``points``), and the
+        return value is ``(outputs, jacobians)`` with shapes
+        ``(k, output_size)`` and ``(k, output_size, num_parameters_of_layer)``.
+        Because the DDNN output is exactly affine in the chosen value-channel
+        layer's parameters (Theorem 4.5), for any parameter delta ``Δ`` and
+        every point ``i``::
+
+            N_Δ(points[i]) = outputs[i] + jacobians[i] @ Δ
 
         All ``k`` points share one forward pass (:meth:`batch_channel_traces`)
         and one backward pass that pushes a stack of identity matrices
         through the value channel, using each point's own linearizations from
-        the activation channel.  The result is numerically identical (up to
-        floating-point association) to calling :meth:`parameter_jacobian`
-        once per point, but the per-point Python overhead is eliminated —
-        this is the hot path of batched repair.
+        the activation channel, so no Python loop runs per point.
         """
         layer_index = self._check_repairable(layer_index)
         activation_inputs, value_inputs = self.batch_channel_traces(

@@ -3,16 +3,14 @@
 The repair algorithms need, for every repair point ``x``, the pair
 ``(N(x), J_x)`` where ``J_x`` is the Jacobian of the DDNN output with respect
 to the repaired value-channel layer's parameters (line 5 of Algorithm 1).
-The vectorized multi-point computation lives on
-:meth:`repro.core.ddnn.DecoupledNetwork.batch_parameter_jacobian` (the
-single-point version on :meth:`~repro.core.ddnn.DecoupledNetwork.parameter_jacobian`);
-this module turns them into repair constraint rows.  :class:`JacobianChunkStream`
-is the one encoder of the repair data path: it walks a specification in
-point batches, encodes each with the partition-invariant batch encoder, and
-yields bounded CSR row blocks ready for LP
-ingestion.  A specification that fits the chunk budget is simply the
-one-chunk case.  The module also provides a finite-difference checker used
-by the test-suite to validate the closed-form Jacobians.
+Both come from one vectorized multi-point pass,
+:meth:`repro.core.ddnn.DecoupledNetwork.batch_parameter_jacobian` — the
+library's only Jacobian computation; this module turns them into repair
+constraint rows.  :class:`JacobianChunkStream` is the one encoder of the
+repair data path: it walks a specification in point batches, encodes each
+with the partition-invariant batch encoder, and yields bounded CSR row
+blocks ready for LP ingestion.  A specification that fits the chunk budget
+is simply the one-chunk case.
 """
 
 from __future__ import annotations
@@ -208,67 +206,3 @@ class JacobianChunkStream:
                 self.ddnn, self.layer_index, _slice_spec(self.spec, start, stop)
             )
             yield self._assemble(lhs), rhs
-
-
-def finite_difference_jacobians(
-    ddnn: DecoupledNetwork,
-    layer_index: int,
-    value_points: np.ndarray,
-    activation_points: np.ndarray | None = None,
-    epsilon: float = 1e-6,
-    columns: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numerically estimate parameter Jacobians for a *batch* of points.
-
-    Central differences, two batched forward passes per parameter: every
-    point in ``value_points`` shares the same ±ε parameter pokes, so the
-    cost is ``2 · len(columns)`` network evaluations total instead of
-    ``2 · len(columns)`` *per point* — which is what lets the chunk-stream
-    oracle tests afford conv layers.  ``columns`` restricts the estimate to
-    a parameter slice (default: all parameters); the result has shape
-    ``(num_points, output_size, len(columns))``.
-
-    Only used for testing — it is exact up to floating point for DDNNs since
-    the output is affine in the layer's parameters (Theorem 4.5), which is
-    precisely what the tests verify against the closed form.
-    """
-    layer = ddnn.value.layers[layer_index]
-    base = layer.get_parameters()
-    value_points = np.atleast_2d(np.asarray(value_points, dtype=np.float64))
-    if activation_points is not None:
-        activation_points = np.atleast_2d(np.asarray(activation_points, dtype=np.float64))
-    if columns is None:
-        columns = np.arange(base.size)
-    columns = np.asarray(columns, dtype=int)
-    jacobians = np.zeros((value_points.shape[0], ddnn.output_size, columns.size))
-    try:
-        for slot, column in enumerate(columns):
-            perturbed = base.copy()
-            perturbed[column] += epsilon
-            layer.set_parameters(perturbed)
-            plus = np.atleast_2d(ddnn.compute(value_points, activation_points))
-            perturbed[column] -= 2 * epsilon
-            layer.set_parameters(perturbed)
-            minus = np.atleast_2d(ddnn.compute(value_points, activation_points))
-            jacobians[:, :, slot] = (plus - minus) / (2 * epsilon)
-    finally:
-        layer.set_parameters(base)
-    return jacobians
-
-
-def finite_difference_jacobian(
-    ddnn: DecoupledNetwork,
-    layer_index: int,
-    value_point: np.ndarray,
-    activation_point: np.ndarray | None = None,
-    epsilon: float = 1e-6,
-) -> np.ndarray:
-    """Single-point wrapper over :func:`finite_difference_jacobians`."""
-    return finite_difference_jacobians(
-        ddnn,
-        layer_index,
-        np.asarray(value_point, dtype=np.float64)[None, :],
-        None if activation_point is None else
-        np.asarray(activation_point, dtype=np.float64)[None, :],
-        epsilon=epsilon,
-    )[0]

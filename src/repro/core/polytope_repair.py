@@ -98,13 +98,6 @@ def region_key_points(
     return key_points, [interior] * len(key_points), [constraint] * len(key_points)
 
 
-def decompose_spec_entry(
-    network: Network, region: LineSegment | np.ndarray
-) -> list[LinearRegion]:
-    """The linear regions of one specification polytope (line or plane)."""
-    return decompose_spec_entries(network, [region])[0]
-
-
 def decompose_spec_entries(
     network: Network, regions: list[LineSegment | np.ndarray]
 ) -> list[list[LinearRegion]]:

@@ -51,6 +51,7 @@ import hashlib
 
 import numpy as np
 
+from repro.core.ddnn import _decoupled_step
 from repro.nn.layer import LayerKind
 
 
@@ -207,11 +208,8 @@ class PrefixCache:
                 else:
                     current_value = next_activation
                 current_activation = next_activation
-            elif act_layer.kind is LayerKind.ACTIVATION:
-                next_activation = act_layer.forward(current_activation)
-                current_value = act_layer.decoupled_forward(current_activation, current_value)
-                current_activation = next_activation
             else:
-                current_activation = act_layer.forward(current_activation)
-                current_value = val_layer.forward(current_value)
+                current_activation, current_value = _decoupled_step(
+                    act_layer, val_layer, current_activation, current_value
+                )
         return current_activation, current_value

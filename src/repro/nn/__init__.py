@@ -8,8 +8,9 @@ The paper's experiments require a DNN framework capable of:
 * backpropagation and SGD training (to train the buggy networks and to run
   the FT/MFT fine-tuning baselines);
 * exposing, for each layer, the linear structure required by the Decoupled
-  DNN construction of the paper (input Jacobians, parameter Jacobians, and
-  linearizations of activation functions around a point).
+  DNN construction of the paper, for a whole batch of points at once
+  (transposed input Jacobians, parameter Jacobians, and the value-channel
+  linearizations of activation functions and their transposes).
 
 Every layer maps a batch of flat vectors ``(batch, n_in) → (batch, n_out)``;
 convolution and pooling layers carry their own spatial metadata and reshape

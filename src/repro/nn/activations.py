@@ -3,9 +3,12 @@
 Each activation layer knows how to:
 
 * evaluate itself (``forward``),
-* apply its transposed input Jacobian at a point (``backward_input``), and
-* produce the affine map ``Linearize[σ, z₀]`` used by the value channel of a
-  Decoupled DNN (``linearize``; Definition 4.2 of the paper).
+* apply its transposed input Jacobian at a point (``backward_input``),
+* apply the affine map ``Linearize[σ, z₀]`` of the value channel of a
+  Decoupled DNN row by row (``decoupled_forward``; Definitions 4.2 and 4.3
+  of the paper), and
+* apply the transpose of its linear part to a stack of downstream maps
+  (``batch_linearize_backward``).
 
 Piecewise-linear activations additionally expose their breakpoints so the
 SyReNN substrate can locate linear-region boundaries.
@@ -15,13 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layer import (
-    ElementwiseLinearization,
-    Layer,
-    LayerKind,
-    Linearization,
-    free_of_nan_and_negative_zero,
-)
+from repro.nn.layer import Layer, LayerKind, free_of_nan_and_negative_zero
 
 
 class _ElementwiseActivation(Layer):
@@ -56,12 +53,6 @@ class _ElementwiseActivation(Layer):
         return np.asarray(grad_output, dtype=np.float64) * self._derivative(
             np.asarray(forward_input, dtype=np.float64)
         )
-
-    def linearize(self, preactivation: np.ndarray) -> Linearization:
-        z0 = np.asarray(preactivation, dtype=np.float64).ravel()
-        slope = self._derivative(z0)
-        intercept = self._value(z0) - slope * z0
-        return ElementwiseLinearization(slope, intercept)
 
     def decoupled_forward(
         self, activation_preactivation: np.ndarray, value_preactivation: np.ndarray

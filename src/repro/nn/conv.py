@@ -217,34 +217,17 @@ class Conv2DLayer(Layer):
         self.kernels = flat[:split].reshape(self.kernels.shape).copy()
         self.biases = flat[split:].copy()
 
-    def parameter_jacobian(self, downstream: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
-        """See :meth:`Layer.parameter_jacobian`.
-
-        With ``Z[c, p] = Σ_q K[c, q] · cols[q, p] + b[c]`` and downstream map
-        ``A`` (reshaped to ``(m, out_ch, P)``) we get
-        ``∂(A z)/∂K[c, q] = Σ_p A[:, c, p] · cols[q, p]`` and
-        ``∂(A z)/∂b[c] = Σ_p A[:, c, p]``.
-        """
-        downstream = np.asarray(downstream, dtype=np.float64)
-        if downstream.shape[1] != self.output_size:
-            raise ShapeError(
-                f"downstream map has {downstream.shape[1]} columns, expected {self.output_size}"
-            )
-        u = np.asarray(forward_input, dtype=np.float64).reshape(1, -1)
-        cols = self._im2col(u)[0]
-        reshaped = downstream.reshape(downstream.shape[0], self.out_channels, -1)
-        kernel_block = np.einsum("mcp,qp->mcq", reshaped, cols)
-        kernel_block = kernel_block.reshape(downstream.shape[0], -1)
-        bias_block = reshaped.sum(axis=2)
-        return np.hstack([kernel_block, bias_block])
-
     def batch_parameter_jacobian(
         self, downstream: np.ndarray, forward_inputs: np.ndarray
     ) -> np.ndarray:
         """See :meth:`Layer.batch_parameter_jacobian`.
 
-        The im2col patches of all points are gathered in one shot and a
-        single einsum contracts them against the stacked downstream maps.
+        With ``Z[c, p] = Σ_q K[c, q] · cols[q, p] + b[c]`` and downstream map
+        ``A`` (reshaped to ``(m, out_ch, P)``) we get
+        ``∂(A z)/∂K[c, q] = Σ_p A[:, c, p] · cols[q, p]`` and
+        ``∂(A z)/∂b[c] = Σ_p A[:, c, p]``.  The im2col patches of all points
+        are gathered in one shot and a single einsum contracts them against
+        the stacked downstream maps.
         """
         downstream = np.asarray(downstream, dtype=np.float64)
         forward_inputs = np.atleast_2d(np.asarray(forward_inputs, dtype=np.float64))

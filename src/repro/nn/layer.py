@@ -1,4 +1,4 @@
-"""Layer base classes and the linearization abstraction.
+"""Layer base classes.
 
 Three kinds of layers exist (see :class:`LayerKind`):
 
@@ -9,9 +9,9 @@ Three kinds of layers exist (see :class:`LayerKind`):
     Possibly non-linear functions of their input with no trainable
     parameters (ReLU, Tanh, max-pooling, ...).  The Decoupled DNN replaces
     them in the value channel by their linearization around the activation
-    channel's pre-activation (Definition 4.2 of the paper); the
-    :class:`Linearization` objects returned by :meth:`Layer.linearize`
-    implement that replacement.
+    channel's pre-activation (Definition 4.2 of the paper), evaluated by
+    :meth:`Layer.decoupled_forward` and transposed by
+    :meth:`Layer.batch_linearize_backward`.
 ``STATIC``
     Fixed affine maps (flatten, average-pooling, input normalization); they
     behave identically in both channels.
@@ -35,61 +35,19 @@ class LayerKind(enum.Enum):
     STATIC = "static"
 
 
-class Linearization(abc.ABC):
-    """The affine map ``Linearize[σ, z₀]`` around a pre-activation ``z₀``."""
-
-    @abc.abstractmethod
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Apply the linearized activation to a ``(batch, n)`` array."""
-
-    @abc.abstractmethod
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Apply the transpose of the linear part to a ``(batch, n)`` array."""
-
-
-class ElementwiseLinearization(Linearization):
-    """``out = slope * z + intercept`` applied element-wise."""
-
-    def __init__(self, slope: np.ndarray, intercept: np.ndarray) -> None:
-        self.slope = np.asarray(slope, dtype=np.float64)
-        self.intercept = np.asarray(intercept, dtype=np.float64)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values * self.slope + self.intercept
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self.slope
-
-
-class SelectionLinearization(Linearization):
-    """``out[j] = z[indices[j]]`` — the linearization of max-pooling.
-
-    ``indices`` maps each output coordinate to the input coordinate selected
-    by the pooling window around the activation channel's pre-activation.
-    """
-
-    def __init__(self, indices: np.ndarray, input_size: int) -> None:
-        self.indices = np.asarray(indices, dtype=int)
-        self.input_size = int(input_size)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values[:, self.indices]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_input = np.zeros((grad_output.shape[0], self.input_size))
-        np.add.at(grad_input, (slice(None), self.indices), grad_output)
-        return grad_input
-
-
 class Layer(abc.ABC):
     """Base class for all layers.
 
     Every layer maps ``(batch, input_size) → (batch, output_size)``.
-    Subclasses implement :meth:`forward` and :meth:`backward_input`;
-    parameterized layers additionally implement the parameter API
-    (:meth:`get_parameters`, :meth:`set_parameters`, :meth:`parameter_jacobian`,
-    :meth:`backward_parameters`); activation layers implement
-    :meth:`linearize`.
+    Subclasses implement :meth:`forward` and :meth:`backward_input`.
+    The Decoupled DNN's Jacobian (Theorem 4.5) is computed for a whole batch
+    of points at once through three kind-specific methods:
+    parameterized layers implement the parameter API
+    (:meth:`get_parameters`, :meth:`set_parameters`,
+    :meth:`batch_parameter_jacobian`, :meth:`backward_parameters`);
+    parameterized and static layers push downstream maps back through
+    :meth:`batch_backward_input`; activation layers implement
+    :meth:`decoupled_forward` and :meth:`batch_linearize_backward`.
     """
 
     #: Layer kind; overridden by subclasses.
@@ -136,17 +94,6 @@ class Layer(abc.ABC):
         """Overwrite the layer's parameters from a flat vector."""
         raise LayerError(f"{type(self).__name__} has no parameters to set")
 
-    def parameter_jacobian(self, downstream: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
-        """Jacobian of ``downstream @ layer(input)`` with respect to parameters.
-
-        ``downstream`` is an ``(m, output_size)`` matrix representing the
-        linear map from this layer's output to the network output (in the
-        value channel); ``forward_input`` is the single input vector
-        ``(input_size,)`` seen by this layer.  Returns ``(m, num_parameters)``
-        with parameters flattened in the order of :meth:`get_parameters`.
-        """
-        raise LayerError(f"{type(self).__name__} does not support parameter Jacobians")
-
     def backward_parameters(self, grad_output: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
         """Gradient of a scalar loss with respect to the flat parameters.
 
@@ -158,26 +105,19 @@ class Layer(abc.ABC):
     def batch_parameter_jacobian(
         self, downstream: np.ndarray, forward_inputs: np.ndarray
     ) -> np.ndarray:
-        """Multi-point version of :meth:`parameter_jacobian`.
+        """Jacobians of ``downstream[i] @ layer(input)`` with respect to parameters.
 
-        ``downstream`` has shape ``(k, m, output_size)`` — one downstream
-        linear map per point — and ``forward_inputs`` has shape
-        ``(k, input_size)``.  Returns ``(k, m, num_parameters)``.  The default
-        implementation loops over the points; :class:`FullyConnectedLayer`
-        and :class:`Conv2DLayer` override it with a single einsum so the
-        batched repair engine never drops into a Python loop.
+        ``downstream`` has shape ``(k, m, output_size)`` — for every point
+        the linear map from this layer's output to the network output (in
+        the value channel) — and ``forward_inputs`` has shape
+        ``(k, input_size)``, the input each point presents to this layer.
+        Returns ``(k, m, num_parameters)`` with parameters flattened in the
+        order of :meth:`get_parameters`.
         """
-        downstream = np.asarray(downstream, dtype=np.float64)
-        forward_inputs = np.atleast_2d(np.asarray(forward_inputs, dtype=np.float64))
-        return np.stack(
-            [
-                self.parameter_jacobian(downstream[index], forward_inputs[index])
-                for index in range(downstream.shape[0])
-            ]
-        )
+        raise LayerError(f"{type(self).__name__} does not support parameter Jacobians")
 
     # ------------------------------------------------------------------
-    # Batched downstream maps (batched repair engine)
+    # Batched downstream maps
     # ------------------------------------------------------------------
     def batch_backward_input(self, grad_output: np.ndarray, forward_inputs: np.ndarray) -> np.ndarray:
         """Apply the transposed input Jacobian to a stack of matrices.
@@ -198,20 +138,14 @@ class Layer(abc.ABC):
     ) -> np.ndarray:
         """Apply per-point transposed linearizations to a stack of matrices.
 
-        For every point ``i``, applies ``Linearize[σ, preactivations[i]]``
-        transposed to ``grad_output[i]`` (shape ``(m, output_size)``); the
-        result has shape ``(k, m, input_size)``.  The default implementation
-        builds one :class:`Linearization` per point; element-wise activations
-        and max-pooling override it with fully vectorized versions.
+        For every point ``i``, applies the transpose of
+        ``Linearize[σ, preactivations[i]]`` (the linear part of the map
+        :meth:`decoupled_forward` applies to row ``i``) to ``grad_output[i]``
+        (shape ``(m, output_size)``); the result has shape
+        ``(k, m, input_size)``.  Activation layers override this with
+        vectorized versions; other layer kinds never call it.
         """
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        preactivations = np.atleast_2d(np.asarray(preactivations, dtype=np.float64))
-        return np.stack(
-            [
-                self.linearize(preactivations[index]).backward(grad_output[index])
-                for index in range(grad_output.shape[0])
-            ]
-        )
+        raise LayerError(f"{type(self).__name__} is not an activation layer")
 
     # ------------------------------------------------------------------
     # Activation API (activation layers only)
@@ -220,10 +154,6 @@ class Layer(abc.ABC):
     def is_piecewise_linear(self) -> bool:
         """Whether this layer is a piecewise-linear function of its input."""
         return True
-
-    def linearize(self, preactivation: np.ndarray) -> Linearization:
-        """Linearization of the layer around ``preactivation`` (a vector)."""
-        raise LayerError(f"{type(self).__name__} is not an activation layer")
 
     def piecewise_breakpoints(self) -> tuple[float, ...]:
         """Input thresholds where an element-wise PWL activation changes piece.

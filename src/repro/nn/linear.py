@@ -15,8 +15,8 @@ class FullyConnectedLayer(Layer):
     Parameters are flattened as the weight matrix in row-major order followed
     by the bias vector, i.e. ``[W[0,0], W[0,1], ..., W[out-1,in-1], b[0], ...,
     b[out-1]]``.  This ordering is relied upon by
-    :meth:`parameter_jacobian` and by the repair algorithms when they add the
-    LP solution back into the layer.
+    :meth:`batch_parameter_jacobian` and by the repair algorithms when they
+    add the LP solution back into the layer.
     """
 
     kind = LayerKind.PARAMETERIZED
@@ -91,28 +91,13 @@ class FullyConnectedLayer(Layer):
         self.weights = flat[:split].reshape(self.weights.shape).copy()
         self.biases = flat[split:].copy()
 
-    def parameter_jacobian(self, downstream: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
-        """See :meth:`Layer.parameter_jacobian`.
-
-        With ``z = W u + b`` and downstream linear map ``A`` we have
-        ``∂(A z)/∂W[k, l] = A[:, k] * u[l]`` and ``∂(A z)/∂b[k] = A[:, k]``.
-        """
-        downstream = np.asarray(downstream, dtype=np.float64)
-        u = np.asarray(forward_input, dtype=np.float64).ravel()
-        if downstream.shape[1] != self.output_size:
-            raise ShapeError(
-                f"downstream map has {downstream.shape[1]} columns, expected {self.output_size}"
-            )
-        if u.size != self.input_size:
-            raise ShapeError(f"forward input has size {u.size}, expected {self.input_size}")
-        weight_block = np.einsum("mk,l->mkl", downstream, u).reshape(downstream.shape[0], -1)
-        return np.hstack([weight_block, downstream])
-
     def batch_parameter_jacobian(
         self, downstream: np.ndarray, forward_inputs: np.ndarray
     ) -> np.ndarray:
         """See :meth:`Layer.batch_parameter_jacobian`.
 
+        With ``z = W u + b`` and downstream linear map ``A`` we have
+        ``∂(A z)/∂W[k, l] = A[:, k] * u[l]`` and ``∂(A z)/∂b[k] = A[:, k]``.
         One einsum builds the weight blocks of all points at once; the bias
         blocks are the downstream maps themselves.
         """

@@ -2,7 +2,8 @@
 
 ``MaxPool2DLayer`` is a piecewise-linear *activation* layer: in a Decoupled
 DNN its value-channel replacement is the selection map determined by the
-activation channel's argmax (a :class:`SelectionLinearization`).
+activation channel's argmax (each window passes on the value-channel entry
+at the position where the activation channel's window is maximal).
 ``AvgPool2DLayer`` is a fixed linear map and therefore a *static* layer.
 """
 
@@ -12,13 +13,7 @@ import numpy as np
 
 from repro.exceptions import ShapeError
 from repro.nn.conv import window_indices
-from repro.nn.layer import (
-    Layer,
-    LayerKind,
-    Linearization,
-    SelectionLinearization,
-    free_of_nan_and_negative_zero,
-)
+from repro.nn.layer import Layer, LayerKind, free_of_nan_and_negative_zero
 
 
 class _Pool2DBase(Layer):
@@ -78,10 +73,6 @@ class MaxPool2DLayer(_Pool2DBase):
         windows = self._windows(values)
         return windows.max(axis=2).reshape(values.shape[0], -1)
 
-    def _argmax_flat_indices(self, vector: np.ndarray) -> np.ndarray:
-        """Flat input index selected by each output coordinate at ``vector``."""
-        return self._argmax_flat_indices_batch(vector.reshape(1, -1))[0]
-
     def _argmax_flat_indices_batch(self, batch: np.ndarray) -> np.ndarray:
         """Flat input index selected by each output coordinate, per batch row.
 
@@ -100,15 +91,10 @@ class MaxPool2DLayer(_Pool2DBase):
     def backward_input(self, grad_output: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
         grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
         forward_input = np.atleast_2d(np.asarray(forward_input, dtype=np.float64))
+        selected = self._argmax_flat_indices_batch(forward_input)  # (B, output_size)
         grad_input = np.zeros_like(forward_input)
-        for row in range(forward_input.shape[0]):
-            indices = self._argmax_flat_indices(forward_input[row])
-            np.add.at(grad_input[row], indices, grad_output[row])
+        np.add.at(grad_input, (np.arange(forward_input.shape[0])[:, None], selected), grad_output)
         return grad_input
-
-    def linearize(self, preactivation: np.ndarray) -> Linearization:
-        indices = self._argmax_flat_indices(np.asarray(preactivation, dtype=np.float64).ravel())
-        return SelectionLinearization(indices, self.input_size)
 
     def batch_linearize_backward(
         self, grad_output: np.ndarray, preactivations: np.ndarray

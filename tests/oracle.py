@@ -1,17 +1,20 @@
 """Reference implementations the optimized data paths are checked against.
 
-The library has one encoder (the batched chunk stream), one LP driver
-path (the repair session), one 2-D SyReNN transform (the ragged batch of
+The library has one Jacobian computation (the batched
+:meth:`DecoupledNetwork.batch_parameter_jacobian`), one encoder (the
+batched chunk stream), one LP driver path (the repair session), one 2-D
+SyReNN transform (the ragged batch of
 :func:`repro.syrenn.plane.transform_planes`) and one exact-verifier report
 (one stacked evaluation of every linear region).  These oracles are the
-straightforward versions of the same math — one
-:meth:`DecoupledNetwork.parameter_jacobian` call per point, one dense
-constraint block per point, a fresh :class:`LPModel` solved once,
-optionally from a dense standard form assembled block by block; one
-polygon at a time through every layer, each piece clipped on its own by
-this module's copy of the per-polygon half-plane clip
-(:func:`clip_by_function`, :class:`VertexPolygon`); one network
-evaluation per linear region — kept here so the tests can compare the
+straightforward versions of the same math — Jacobian columns from two
+network evaluations per parameter (exact by Theorem 4.5, and sharing no
+code with the backward pass they check), one dense constraint block per
+point, a fresh :class:`LPModel` solved once, optionally from a dense
+standard form assembled block by block; one polygon at a time through every
+layer, each piece clipped on its own by this module's copy of the
+per-polygon half-plane clip (:func:`clip_by_function`,
+:class:`VertexPolygon`); one network evaluation per linear region; one
+max-pool backward per batch row — kept here so the tests can compare the
 optimized paths against code simple enough to check by eye.
 """
 
@@ -53,19 +56,76 @@ from repro.verify.base import (
 from repro.verify.exact import _normalize_region
 
 
+def finite_difference_jacobians(
+    ddnn: DecoupledNetwork,
+    layer_index: int,
+    value_points: np.ndarray,
+    activation_points: np.ndarray | None = None,
+    epsilon: float = 1e-6,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """Central-difference parameter Jacobians for a batch of points.
+
+    Two batched :meth:`DecoupledNetwork.compute` calls per parameter: every
+    point in ``value_points`` shares the same ±ε parameter pokes, so the
+    cost is ``2 · len(columns)`` network evaluations in total, not per
+    point.  ``columns`` restricts the estimate to a parameter slice
+    (default: all parameters); the result has shape ``(num_points,
+    output_size, len(columns))``.  The layer's parameters are restored on
+    exit.
+
+    The DDNN output is affine in the layer's parameters (Theorem 4.5), so
+    the difference quotient is exact up to rounding for every ``epsilon``.
+    """
+    layer = ddnn.value.layers[layer_index]
+    base = layer.get_parameters()
+    value_points = np.atleast_2d(np.asarray(value_points, dtype=np.float64))
+    if activation_points is not None:
+        activation_points = np.atleast_2d(np.asarray(activation_points, dtype=np.float64))
+    if columns is None:
+        columns = np.arange(base.size)
+    columns = np.asarray(columns, dtype=int)
+    jacobians = np.zeros((value_points.shape[0], ddnn.output_size, columns.size))
+    try:
+        for slot, column in enumerate(columns):
+            perturbed = base.copy()
+            perturbed[column] += epsilon
+            layer.set_parameters(perturbed)
+            plus = np.atleast_2d(ddnn.compute(value_points, activation_points))
+            perturbed[column] -= 2 * epsilon
+            layer.set_parameters(perturbed)
+            minus = np.atleast_2d(ddnn.compute(value_points, activation_points))
+            jacobians[:, :, slot] = (plus - minus) / (2 * epsilon)
+    finally:
+        layer.set_parameters(base)
+    return jacobians
+
+
+def exact_jacobians(
+    ddnn: DecoupledNetwork,
+    layer_index: int,
+    points: np.ndarray,
+    activation_points: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs ``(k, m)`` and Jacobians ``(k, m, P)`` from ``compute`` alone.
+
+    Column ``j`` is ``(N_{+e_j}(x) - N_{-e_j}(x)) / 2``: the exact-difference
+    form of Theorem 4.5 (:func:`finite_difference_jacobians` with
+    ``epsilon=1``), exact up to rounding.
+    """
+    layer_index = ddnn._check_repairable(layer_index)
+    outputs = np.atleast_2d(ddnn.compute(points, activation_points))
+    jacobians = finite_difference_jacobians(
+        ddnn, layer_index, points, activation_points, epsilon=1.0
+    )
+    return outputs, jacobians
+
+
 def specification_jacobians(
     ddnn: DecoupledNetwork, layer_index: int, spec: PointRepairSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs ``(k, m)`` and Jacobians ``(k, m, P)``, one point at a time."""
-    outputs = []
-    jacobians = []
-    for index in range(spec.num_points):
-        output, jacobian = ddnn.parameter_jacobian(
-            layer_index, spec.points[index], spec.activation_point(index)
-        )
-        outputs.append(output)
-        jacobians.append(jacobian)
-    return np.array(outputs), np.array(jacobians)
+    """:func:`exact_jacobians` at a specification's points."""
+    return exact_jacobians(ddnn, layer_index, spec.points, spec.activation_points)
 
 
 def max_row_violation(network, layer_index: int, spec: PointRepairSpec, delta) -> float:
@@ -181,6 +241,21 @@ def oracle_point_repair(
         objective_value=solution.objective,
         **common,
     )
+
+
+def maxpool_backward_per_row(layer, grad_output: np.ndarray, forward_input: np.ndarray):
+    """:meth:`MaxPool2DLayer.backward_input`, one batch row at a time.
+
+    Each row's gradient is scattered onto the input coordinates that row's
+    pooling windows select, with its own ``np.add.at``.
+    """
+    grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
+    forward_input = np.atleast_2d(np.asarray(forward_input, dtype=np.float64))
+    grad_input = np.zeros_like(forward_input)
+    for row in range(forward_input.shape[0]):
+        indices = layer._argmax_flat_indices_batch(forward_input[row : row + 1])[0]
+        np.add.at(grad_input[row], indices, grad_output[row])
+    return grad_input
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The one repair path (vectorized multi-point Jacobians, batched constraint
 encoding streamed as CSR chunks into an LP session) must be observationally
-identical to the per-point oracle in :mod:`tests.oracle` — a loop of
-single-point Jacobians solved as one cold LP from a dense by-eye standard
-form: same Jacobians, same LP rows, same statuses, same deltas.  These
+identical to the oracle in :mod:`tests.oracle` — Jacobians from the
+exact-difference form of Theorem 4.5 and one dense constraint block per
+point, solved as one cold LP from a dense by-eye standard form: same
+Jacobians, same LP rows, same statuses, same deltas.  These
 tests pin that equivalence at every level — layer, DDNN, LP model, and the
 two repair algorithms.
 """
@@ -34,7 +35,12 @@ from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 
 from tests.conftest import lp_solver, make_random_relu_network, make_random_tanh_network
-from tests.oracle import dense_standard_form, oracle_point_repair, specification_jacobians
+from tests.oracle import (
+    dense_standard_form,
+    exact_jacobians,
+    oracle_point_repair,
+    specification_jacobians,
+)
 
 
 def make_conv_network(rng: np.random.Generator) -> Network:
@@ -53,7 +59,7 @@ def make_conv_network(rng: np.random.Generator) -> Network:
 
 
 class TestBatchedJacobians:
-    """batch_parameter_jacobian == one parameter_jacobian per point."""
+    """batch_parameter_jacobian == the exact-difference oracle of Theorem 4.5."""
 
     @pytest.mark.parametrize("use_activation_points", [False, True])
     def test_fully_connected_network(self, rng, use_activation_points):
@@ -67,24 +73,20 @@ class TestBatchedJacobians:
             outputs, jacobians = ddnn.batch_parameter_jacobian(
                 layer_index, points, activation_points
             )
-            for index in range(points.shape[0]):
-                output, jacobian = ddnn.parameter_jacobian(
-                    layer_index,
-                    points[index],
-                    None if activation_points is None else activation_points[index],
-                )
-                np.testing.assert_allclose(outputs[index], output, atol=1e-12)
-                np.testing.assert_allclose(jacobians[index], jacobian, atol=1e-12)
+            expected_outputs, expected_jacobians = exact_jacobians(
+                ddnn, layer_index, points, activation_points
+            )
+            np.testing.assert_allclose(outputs, expected_outputs, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(jacobians, expected_jacobians, atol=1e-12, rtol=0)
 
     def test_tanh_network(self, rng):
         network = make_random_tanh_network(rng)
         ddnn = DecoupledNetwork.from_network(network)
         points = rng.normal(size=(5, network.input_size))
         outputs, jacobians = ddnn.batch_parameter_jacobian(0, points)
-        for index in range(points.shape[0]):
-            output, jacobian = ddnn.parameter_jacobian(0, points[index])
-            np.testing.assert_allclose(outputs[index], output, atol=1e-12)
-            np.testing.assert_allclose(jacobians[index], jacobian, atol=1e-12)
+        expected_outputs, expected_jacobians = exact_jacobians(ddnn, 0, points)
+        np.testing.assert_allclose(outputs, expected_outputs, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(jacobians, expected_jacobians, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("layer_index", [0, 4])
     def test_conv_maxpool_network(self, rng, layer_index):
@@ -95,12 +97,11 @@ class TestBatchedJacobians:
         outputs, jacobians = ddnn.batch_parameter_jacobian(
             layer_index, points, activation_points
         )
-        for index in range(points.shape[0]):
-            output, jacobian = ddnn.parameter_jacobian(
-                layer_index, points[index], activation_points[index]
-            )
-            np.testing.assert_allclose(outputs[index], output, atol=1e-12)
-            np.testing.assert_allclose(jacobians[index], jacobian, atol=1e-12)
+        expected_outputs, expected_jacobians = exact_jacobians(
+            ddnn, layer_index, points, activation_points
+        )
+        np.testing.assert_allclose(outputs, expected_outputs, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(jacobians, expected_jacobians, atol=1e-12, rtol=0)
 
     def test_specification_jacobians_dispatch(self, rng):
         network = make_random_relu_network(rng)
@@ -131,7 +132,7 @@ class TestBatchedJacobians:
         points = rng.normal(size=(3, network.input_size))
         batched_act, batched_val = ddnn.batch_channel_traces(points)
         for index in range(3):
-            single_act, single_val = ddnn.channel_traces(points[index])
+            single_act, single_val = ddnn.batch_channel_traces(points[index : index + 1])
             for entry, batch_entry in zip(single_act, batched_act):
                 np.testing.assert_allclose(entry[0], batch_entry[index], atol=1e-12)
             for entry, batch_entry in zip(single_val, batched_val):

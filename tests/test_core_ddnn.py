@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.jacobian import finite_difference_jacobian
-from repro.core.linearize import linearization_exact_at_center, linearize_activation
 from repro.core.specs import PointRepairSpec
 from repro.exceptions import ShapeError, UnsupportedLayerError
-from repro.nn.activations import ReLULayer, SigmoidLayer, TanhLayer
+from repro.nn.activations import (
+    HardTanhLayer,
+    LeakyReLULayer,
+    ReLULayer,
+    SigmoidLayer,
+    TanhLayer,
+)
 from repro.nn.conv import Conv2DLayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
@@ -20,7 +24,11 @@ from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
 from tests.conftest import make_random_relu_network, make_random_tanh_network
-from tests.oracle import specification_jacobians
+from tests.oracle import (
+    exact_jacobians,
+    finite_difference_jacobians,
+    specification_jacobians,
+)
 
 
 def make_conv_network(rng) -> Network:
@@ -36,13 +44,16 @@ def make_conv_network(rng) -> Network:
 
 
 class TestLinearize:
-    def test_linearize_activation_requires_activation_layer(self, rng):
-        with pytest.raises(TypeError):
-            linearize_activation(FullyConnectedLayer.from_shape(2, 2, rng), np.zeros(2))
-
     @pytest.mark.parametrize("layer", [ReLULayer(4), TanhLayer(4), SigmoidLayer(4)])
     def test_exact_at_center(self, layer, rng):
-        assert linearization_exact_at_center(layer, rng.normal(size=4))
+        # The only property of a linearization Theorems 4.4 and 4.5 rely on
+        # (Appendix C): Linearize[σ, z](z) = σ(z).
+        preactivation = rng.normal(size=(1, 4))
+        np.testing.assert_allclose(
+            layer.decoupled_forward(preactivation, preactivation),
+            layer.forward(preactivation),
+            atol=1e-9,
+        )
 
 
 class TestTheorem44Equivalence:
@@ -103,14 +114,14 @@ class TestDDNNInterface:
     def test_check_repairable_rejects_activation_layer(self, toy_network):
         ddnn = DecoupledNetwork.from_network(toy_network)
         with pytest.raises(UnsupportedLayerError):
-            ddnn.parameter_jacobian(1, np.array([0.5]))
+            ddnn.batch_parameter_jacobian(1, np.array([[0.5]]))
         with pytest.raises(UnsupportedLayerError):
-            ddnn.parameter_jacobian(17, np.array([0.5]))
+            ddnn.batch_parameter_jacobian(17, np.array([[0.5]]))
 
     def test_negative_layer_index(self, toy_network):
         ddnn = DecoupledNetwork.from_network(toy_network)
-        output, jacobian = ddnn.parameter_jacobian(-1, np.array([0.5]))
-        assert jacobian.shape == (1, 4)
+        outputs, jacobians = ddnn.batch_parameter_jacobian(-1, np.array([[0.5]]))
+        assert jacobians.shape == (1, 1, 4)
 
     def test_apply_parameter_delta_validates_size(self, toy_network):
         ddnn = DecoupledNetwork.from_network(toy_network)
@@ -143,11 +154,11 @@ class TestTheorem45Linearity:
     def test_paper_jacobian_values(self, toy_network):
         """The overview's Jacobians: N'(X1) row [·, -0.5, ·] and N'(X2) row [·, -1.5, 1.5, ·, ·, 1]."""
         ddnn = DecoupledNetwork.from_network(toy_network)
-        output, jacobian = ddnn.parameter_jacobian(0, np.array([0.5]))
+        (output,), (jacobian,) = ddnn.batch_parameter_jacobian(0, np.array([[0.5]]))
         assert output == pytest.approx(-0.5)
         # Weight columns: x→h1, x→h2, x→h3; bias columns: b1, b2, b3.
         np.testing.assert_allclose(jacobian, [[0.0, -0.5, 0.0, 0.0, -1.0, 0.0]])
-        output, jacobian = ddnn.parameter_jacobian(0, np.array([1.5]))
+        (output,), (jacobian,) = ddnn.batch_parameter_jacobian(0, np.array([[1.5]]))
         assert output == pytest.approx(-1.0)
         np.testing.assert_allclose(jacobian, [[0.0, -1.5, 1.5, 0.0, -1.0, 1.0]])
 
@@ -159,7 +170,7 @@ class TestTheorem45Linearity:
         ddnn = DecoupledNetwork.from_network(network)
         layer_index = ddnn.repairable_layer_indices()[layer_choice]
         point = rng.normal(size=3)
-        output, jacobian = ddnn.parameter_jacobian(layer_index, point)
+        (output,), (jacobian,) = ddnn.batch_parameter_jacobian(layer_index, point[None, :])
         # Apply a random (large!) delta: the affine prediction must be exact.
         delta = rng.normal(size=jacobian.shape[1]) * 3.0
         predicted = output + jacobian @ delta
@@ -172,7 +183,7 @@ class TestTheorem45Linearity:
         ddnn = DecoupledNetwork.from_network(network)
         point = rng.normal(size=3)
         for layer_index in ddnn.repairable_layer_indices():
-            output, jacobian = ddnn.parameter_jacobian(layer_index, point)
+            (output,), (jacobian,) = ddnn.batch_parameter_jacobian(layer_index, point[None, :])
             delta = rng.normal(size=jacobian.shape[1])
             modified = ddnn.copy()
             modified.apply_parameter_delta(layer_index, delta)
@@ -185,7 +196,7 @@ class TestTheorem45Linearity:
         ddnn = DecoupledNetwork.from_network(network)
         point = rng.normal(size=network.input_size)
         for layer_index in ddnn.repairable_layer_indices():
-            output, jacobian = ddnn.parameter_jacobian(layer_index, point)
+            (output,), (jacobian,) = ddnn.batch_parameter_jacobian(layer_index, point[None, :])
             delta = rng.normal(size=jacobian.shape[1])
             modified = ddnn.copy()
             modified.apply_parameter_delta(layer_index, delta)
@@ -198,8 +209,8 @@ class TestTheorem45Linearity:
         ddnn = DecoupledNetwork.from_network(network)
         point = rng.normal(size=3)
         for layer_index in ddnn.repairable_layer_indices():
-            _, analytic = ddnn.parameter_jacobian(layer_index, point)
-            numeric = finite_difference_jacobian(ddnn, layer_index, point)
+            _, analytic = ddnn.batch_parameter_jacobian(layer_index, point[None, :])
+            numeric = finite_difference_jacobians(ddnn, layer_index, point[None, :])
             np.testing.assert_allclose(analytic, numeric, atol=1e-4)
 
     def test_specification_jacobians_shapes(self, toy_network):
@@ -211,10 +222,71 @@ class TestTheorem45Linearity:
         outputs, jacobians = specification_jacobians(ddnn, 0, spec)
         assert outputs.shape == (2, 1)
         assert jacobians.shape == (2, 1, 6)
-        # The repair path's vectorized pass agrees with the per-point oracle.
+        # The repair path's vectorized pass agrees with the exact-difference oracle.
         batch_outputs, batch_jacobians = ddnn.batch_parameter_jacobian(0, spec.points)
         np.testing.assert_allclose(batch_outputs, outputs, atol=1e-12)
         np.testing.assert_allclose(batch_jacobians, jacobians, atol=1e-12)
+
+
+#: Element-wise activations the property below builds networks from.
+ELEMENTWISE_ACTIVATIONS = {
+    "relu": ReLULayer,
+    "leaky_relu": lambda size: LeakyReLULayer(size, negative_slope=0.1),
+    "hardtanh": HardTanhLayer,
+    "tanh": TanhLayer,
+    "sigmoid": SigmoidLayer,
+}
+
+
+def make_property_network(rng, kind: str) -> Network:
+    """A small random network of one activation kind, with random biases."""
+    if kind == "conv_maxpool":
+        return make_conv_network(rng)
+    sizes = (3, 6, 5, 2)
+    layers = []
+    for index in range(len(sizes) - 1):
+        dense = FullyConnectedLayer.from_shape(sizes[index], sizes[index + 1], rng)
+        dense.biases = 0.5 * rng.normal(size=sizes[index + 1])
+        layers.append(dense)
+        if index < len(sizes) - 2:
+            layers.append(ELEMENTWISE_ACTIVATIONS[kind](sizes[index + 1]))
+    return Network(layers)
+
+
+class TestJacobianOracleProperty:
+    """batch_parameter_jacobian against ``compute`` alone, on every activation kind."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from([*ELEMENTWISE_ACTIVATIONS, "conv_maxpool"]),
+        layer_choice=st.integers(0, 2),
+    )
+    def test_batch_jacobian_matches_exact_difference_oracle(self, seed, kind, layer_choice):
+        rng = np.random.default_rng(seed)
+        network = make_property_network(rng, kind)
+        ddnn = DecoupledNetwork.from_network(network)
+        repairable = ddnn.repairable_layer_indices()
+        layer_index = repairable[layer_choice % len(repairable)]
+        points = rng.normal(size=(3, network.input_size))
+        # Activation points apart from the value points: the value channel
+        # is linearized around somewhere other than where it is evaluated.
+        activation_points = rng.normal(size=points.shape)
+        outputs, jacobians = ddnn.batch_parameter_jacobian(
+            layer_index, points, activation_points
+        )
+        expected_outputs, expected_jacobians = exact_jacobians(
+            ddnn, layer_index, points, activation_points
+        )
+        np.testing.assert_allclose(outputs, expected_outputs, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(jacobians, expected_jacobians, atol=1e-12, rtol=0)
+        # Theorem 4.5: the affine prediction holds for a large delta.
+        delta = 3.0 * rng.normal(size=jacobians.shape[2])
+        modified = ddnn.copy()
+        modified.apply_parameter_delta(layer_index, delta)
+        np.testing.assert_allclose(
+            modified.compute(points, activation_points), outputs + jacobians @ delta, atol=1e-7
+        )
 
 
 class TestTheorem46RegionsPreserved:

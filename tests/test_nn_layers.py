@@ -19,6 +19,7 @@ from repro.nn.layer import LayerKind
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.pooling import AvgPool2DLayer, GlobalAvgPoolLayer, MaxPool2DLayer
 from repro.nn.reshape import FlattenLayer, NormalizeLayer
+from tests.oracle import maxpool_backward_per_row
 
 
 class TestFullyConnectedLayer:
@@ -64,7 +65,7 @@ class TestFullyConnectedLayer:
         layer = FullyConnectedLayer.from_shape(3, 2, rng)
         downstream = rng.normal(size=(4, 2))
         u = rng.normal(size=3)
-        jacobian = layer.parameter_jacobian(downstream, u)
+        (jacobian,) = layer.batch_parameter_jacobian(downstream[None, :, :], u[None, :])
         assert jacobian.shape == (4, layer.num_parameters)
         # Column for weight (k, l) must equal downstream[:, k] * u[l].
         np.testing.assert_allclose(jacobian[:, 0 * 3 + 1], downstream[:, 0] * u[1])
@@ -146,25 +147,33 @@ class TestActivationLayers:
         with pytest.raises(LayerError):
             FlattenLayer(1).piecewise_breakpoints()
 
+    def test_kind_specific_jacobian_methods_reject_other_kinds(self, rng):
+        stack = np.zeros((1, 2, 3))
+        with pytest.raises(LayerError):
+            ReLULayer(3).batch_parameter_jacobian(stack, np.zeros((1, 3)))
+        with pytest.raises(LayerError):
+            FullyConnectedLayer.from_shape(3, 3, rng).batch_linearize_backward(
+                stack, np.zeros((1, 3))
+            )
+
     @pytest.mark.parametrize(
         "layer",
         [ReLULayer(5), LeakyReLULayer(5), HardTanhLayer(5), TanhLayer(5), SigmoidLayer(5)],
         ids=["relu", "leaky", "hardtanh", "tanh", "sigmoid"],
     )
     def test_linearization_exact_at_center(self, layer, rng):
-        preactivation = rng.normal(size=5) * 2.0
-        linearization = layer.linearize(preactivation)
+        preactivation = rng.normal(size=(1, 5)) * 2.0
         np.testing.assert_allclose(
-            linearization.apply(preactivation[None, :]),
-            layer.forward(preactivation[None, :]),
+            layer.decoupled_forward(preactivation, preactivation),
+            layer.forward(preactivation),
             atol=1e-9,
         )
 
     def test_relu_linearization_masks(self):
         layer = ReLULayer(3)
-        linearization = layer.linearize(np.array([-1.0, 2.0, -0.5]))
+        activation = np.array([[-1.0, 2.0, -0.5]])
         values = np.array([[10.0, 10.0, 10.0]])
-        np.testing.assert_allclose(linearization.apply(values), [[0.0, 10.0, 0.0]])
+        np.testing.assert_allclose(layer.decoupled_forward(activation, values), [[0.0, 10.0, 0.0]])
 
     def test_decoupled_forward_matches_linearize(self, rng):
         layer = TanhLayer(4)
@@ -172,9 +181,11 @@ class TestActivationLayers:
         value_preactivation = rng.normal(size=(3, 4))
         batched = layer.decoupled_forward(activation_preactivation, value_preactivation)
         for row in range(3):
-            linearization = layer.linearize(activation_preactivation[row])
+            # Linearize[tanh, z0](z) = tanh(z0) + tanh'(z0) · (z - z0).
+            z0 = activation_preactivation[row]
+            slope = 1.0 - np.tanh(z0) ** 2
             np.testing.assert_allclose(
-                batched[row], linearization.apply(value_preactivation[row][None, :])[0]
+                batched[row], np.tanh(z0) + slope * (value_preactivation[row] - z0)
             )
 
     def test_invalid_size_rejected(self):
@@ -270,7 +281,7 @@ class TestConv2DLayer:
         layer = Conv2DLayer.from_shape(1, 2, 2, input_height=3, input_width=3, rng=rng)
         downstream = rng.normal(size=(2, layer.output_size))
         u = rng.normal(size=layer.input_size)
-        analytic = layer.parameter_jacobian(downstream, u)
+        (analytic,) = layer.batch_parameter_jacobian(downstream[None, :, :], u[None, :])
         params = layer.get_parameters()
         numeric = np.zeros_like(analytic)
         eps = 1e-6
@@ -305,15 +316,16 @@ class TestPoolingLayers:
         layer = MaxPool2DLayer(1, 4, 4, pool_size=2)
         assert layer.kind is LayerKind.ACTIVATION
         assert layer.is_piecewise_linear
-        preactivation = np.arange(16.0)
-        linearization = layer.linearize(preactivation)
+        preactivation = np.arange(16.0)[None, :]
         # The linearization selects the same entries max pooling selected.
         np.testing.assert_allclose(
-            linearization.apply(preactivation[None, :]), layer.forward(preactivation[None, :])
+            layer.decoupled_forward(preactivation, preactivation), layer.forward(preactivation)
         )
         # Applied to different values it still selects positions 5, 7, 13, 15.
-        other = np.linspace(0.0, 1.5, 16)[None, :]
-        np.testing.assert_allclose(linearization.apply(other), other[:, [5, 7, 13, 15]])
+        other = np.linspace(1.5, 0.0, 16)[None, :]
+        np.testing.assert_allclose(
+            layer.decoupled_forward(preactivation, other), other[:, [5, 7, 13, 15]]
+        )
 
     def test_maxpool_decoupled_forward_uses_activation_argmax(self):
         layer = MaxPool2DLayer(1, 2, 2, pool_size=2)
@@ -326,6 +338,18 @@ class TestPoolingLayers:
         forward_input = np.array([[1.0, 4.0, 2.0, 3.0]])
         grad = layer.backward_input(np.array([[1.0]]), forward_input)
         np.testing.assert_allclose(grad, [[0.0, 1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("pool_size,stride,side", [(2, 2, 8), (3, 1, 7), (3, 2, 7)])
+    def test_maxpool_backward_matches_per_row_loop(self, rng, pool_size, stride, side):
+        # Overlapping windows (stride < pool size) route several outputs to
+        # one input, and zeros mixed into the input make windows tie.
+        layer = MaxPool2DLayer(2, side, side, pool_size=pool_size, stride=stride)
+        forward_input = rng.normal(size=(5, layer.input_size))
+        forward_input[rng.random(forward_input.shape) < 0.3] = 0.0
+        grad_output = rng.normal(size=(5, layer.output_size))
+        batched = layer.backward_input(grad_output, forward_input)
+        expected = maxpool_backward_per_row(layer, grad_output, forward_input)
+        assert batched.tobytes() == expected.tobytes()
 
     def test_avgpool_forward_and_kind(self):
         layer = AvgPool2DLayer(1, 4, 4, pool_size=2)

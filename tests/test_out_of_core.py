@@ -38,12 +38,7 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
-from repro.core.jacobian import (
-    DEFAULT_CHUNK_BYTES,
-    JacobianChunkStream,
-    _encode_batch,
-    finite_difference_jacobians,
-)
+from repro.core.jacobian import DEFAULT_CHUNK_BYTES, JacobianChunkStream, _encode_batch
 from repro.core.point_repair import point_repair
 from repro.core.prefix_cache import PrefixCache
 from repro.core.specs import PointRepairSpec
@@ -67,7 +62,7 @@ from repro.utils.rng import ensure_rng
 from repro.verify.base import Counterexample, RegionStatus
 from repro.verify.sampling import GridVerifier
 from tests.conftest import make_random_relu_network, prefix_cache_off
-from tests.oracle import dense_standard_form, max_row_violation
+from tests.oracle import dense_standard_form, finite_difference_jacobians, max_row_violation
 from tests.test_incremental import assert_reports_identical, value_parameters
 
 #: A budget so small every tier degenerates: single-point chunk batches,

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.polytope_repair import (
     count_key_points,
-    decompose_spec_entry,
+    decompose_spec_entries,
     polytope_repair,
     reduce_to_key_points,
     region_key_points,
@@ -261,7 +261,7 @@ class TestKeyPointReduction:
         key_points, activations, constraints = reduce_to_key_points(network, spec)
         rebuilt_points, rebuilt_activations = [], []
         for entry in spec.entries:
-            for region in decompose_spec_entry(network, entry.region):
+            for region in decompose_spec_entries(network, [entry.region])[0]:
                 points, acts, cons = region_key_points(
                     region.vertices, region.interior, entry.constraint
                 )
