@@ -74,7 +74,6 @@ from repro.core.specs import (
 from repro.core.point_repair import point_repair
 from repro.core.polytope_repair import polytope_repair
 from repro.core.result import RepairResult, RepairTiming
-from repro.lp.model import LPModel
 from repro.lp.status import LPStatus
 from repro.verify import (
     Counterexample,
@@ -114,7 +113,6 @@ __all__ = [
     "polytope_repair",
     "RepairResult",
     "RepairTiming",
-    "LPModel",
     "LPStatus",
     "Verifier",
     "VerificationSpec",

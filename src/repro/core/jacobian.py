@@ -114,20 +114,19 @@ class JacobianChunkStream:
     transient dense work stays under ``max_chunk_bytes`` (default
     :data:`DEFAULT_CHUNK_BYTES`, and never more than
     :data:`~repro.core.ddnn.POINT_BATCH` points); each batch is encoded
-    with the partition-invariant batch encoder, cut into per-parameter-slice CSR pieces (each also bounded by
-    ``max_chunk_bytes``, and counted in ``repro_jacobian_chunks_total``),
-    and the pieces of one batch are reassembled into a full-width CSR row
-    block.  Iterating yields ``(csr_block, rhs)`` pairs in specification
-    order, ready for :meth:`repro.lp.model.LPSession.append_rows` streaming
-    ingestion.
+    with the partition-invariant batch encoder into one canonical CSR row
+    block over the layer's parameters (counted in
+    ``repro_jacobian_chunks_total``).  Iterating yields ``(csr_block, rhs)``
+    pairs in specification order, ready for
+    :meth:`repro.lp.model.LPSession.append_rows` streaming ingestion.
 
     **Determinism contract.**  The CSR blocks assemble into exactly the same
     standard-form arrays whatever the budget: batches of ≥2 points
     encode bit-identically to the same points inside a whole-pool encode
     (the einsums contract only over the output dimension; single points are
-    padded), column slicing is pure indexing, and vertically stacking
-    canonical CSR pieces equals the CSR of the whole.  The differential
-    matrix in ``tests/test_out_of_core.py`` pins this.
+    padded), and vertically stacking canonical CSR blocks equals the CSR of
+    the whole.  The differential matrix in ``tests/test_out_of_core.py``
+    pins this.
     """
 
     def __init__(
@@ -150,7 +149,7 @@ class JacobianChunkStream:
         self.num_parameters = ddnn.value.layers[self.layer_index].num_parameters
         if points_per_batch is None:
             # Transient dense footprint per point: the (m, P) Jacobian plus
-            # the largest encoded (rows, P) slice of a point, in float64.
+            # the point's largest encoded (rows, P) block, in float64.
             max_rows = max(
                 (constraint.num_constraints for constraint in spec.constraints), default=1
             )
@@ -166,43 +165,19 @@ class JacobianChunkStream:
         """Number of row blocks the stream will yield."""
         return len(self._spans)
 
-    def _column_slices(self, rows: int) -> list[tuple[int, int]]:
-        """Parameter-slice spans keeping each CSR piece under budget."""
-        width = self.max_chunk_bytes // max(1, 8 * rows)
-        width = int(min(max(1, width), self.num_parameters))
-        return [
-            (start, min(start + width, self.num_parameters))
-            for start in range(0, self.num_parameters, width)
-        ]
-
-    def _pieces(self, lhs: np.ndarray) -> list[sp.csr_matrix]:
-        """One encoded batch as per-parameter-slice canonical CSR pieces."""
-        pieces = [
-            sp.csr_matrix(lhs[:, start:stop]) for start, stop in self._column_slices(lhs.shape[0])
-        ]
-        self.chunks_produced += len(pieces)
-        if obs.enabled():
-            obs.counter(
-                "repro_jacobian_chunks_total",
-                "CSR Jacobian chunks produced by the streamed repair path, "
-                "per (point-batch × parameter-slice), by repaired layer.",
-                labels=("layer",),
-            ).inc(len(pieces), layer=str(self.layer_index))
-        return pieces
-
-    def _assemble(self, lhs: np.ndarray) -> sp.csr_matrix:
-        pieces = self._pieces(lhs)
-        if len(pieces) == 1:
-            return pieces[0]
-        block = sp.hstack(pieces).tocsr()
-        block.sum_duplicates()
-        block.sort_indices()
-        return block
-
     def __iter__(self):
         """Yield ``(csr_block, rhs)`` per point batch, in specification order."""
         for start, stop in self._spans:
             lhs, rhs = _encode_batch(
                 self.ddnn, self.layer_index, _slice_spec(self.spec, start, stop)
             )
-            yield self._assemble(lhs), rhs
+            block = sp.csr_matrix(lhs)
+            self.chunks_produced += 1
+            if obs.enabled():
+                obs.counter(
+                    "repro_jacobian_chunks_total",
+                    "CSR Jacobian chunks (one per point batch) produced by the "
+                    "streamed repair path, by repaired layer.",
+                    labels=("layer",),
+                ).inc(layer=str(self.layer_index))
+            yield block, rhs

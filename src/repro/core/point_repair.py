@@ -16,14 +16,15 @@ specification with a minimal single-layer change, or a proof (LP
 infeasibility) that no single-layer repair of layer ``i`` exists.
 
 There is one implementation of steps 2–4.  An
-:class:`IncrementalPointRepairSession` holds the LP (delta variables plus
-the norm objective); :meth:`~IncrementalPointRepairSession.append_points`
-streams the constraint rows of a batch of points as bounded CSR blocks
+:class:`IncrementalPointRepairSession` holds the LP, an
+:class:`~repro.lp.model.LPSession` with the delta variables and the norm
+objective; :meth:`~IncrementalPointRepairSession.append_points` streams
+the constraint rows of a batch of points into it as bounded CSR blocks
 (:class:`~repro.core.jacobian.JacobianChunkStream`, vectorized multi-point
-Jacobians) into an :class:`~repro.lp.model.LPSession`, and
-:meth:`~IncrementalPointRepairSession.solve` solves it.  :func:`point_repair`
-is the one-shot case — one append, one solve — and the CEGIS driver keeps a
-session alive across rounds, appending only each round's new points.
+Jacobians), and :meth:`~IncrementalPointRepairSession.solve` solves it.
+:func:`point_repair` is the one-shot case — one append, one solve — and
+the CEGIS driver keeps a session alive across rounds, appending only each
+round's new points.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.core.jacobian import JacobianChunkStream
 from repro.core.result import RepairResult, RepairTiming
 from repro.core.specs import PointRepairSpec
 from repro.exceptions import SpecificationError
-from repro.lp.model import LPModel
+from repro.lp.model import LPSession
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from repro.nn.network import Network
@@ -113,21 +114,22 @@ class IncrementalPointRepairSession:
     A repair driver solves ``point_repair(base, layer, pool)`` every round
     with a pool that only ever grows, so round *k*'s LP is round *k-1*'s
     plus the new counterexamples' rows.  This session exploits that: it
-    keeps one :class:`~repro.lp.model.LPModel` (delta variables plus the
-    norm objective) alive, :meth:`append_points` encodes **only the new
-    points'** Jacobian rows (the per-round Jacobian cost scales with the new
-    points, not the pool), and :meth:`solve` re-solves through an
-    :class:`~repro.lp.model.LPSession`.
+    keeps one :class:`~repro.lp.model.LPSession` (delta variables, the norm
+    objective and every row appended so far) alive, :meth:`append_points`
+    encodes **only the new points'** Jacobian rows (the per-round Jacobian
+    cost scales with the new points, not the pool), and :meth:`solve`
+    re-solves it warm.
 
-    The norm rows go in first and are always in the solver's model; the
-    constraint rows follow in append order and enter it by row generation
-    (see :class:`~repro.lp.model.LPSession`).  A session fed the points in
-    any number of appends builds the same LP, row for row, as one fed them
-    all at once, and the same appends give the same bytes.  Solving between
-    appends changes which rows were admitted and where the warm re-solves
-    start, so a driver's final delta matches a one-shot :func:`point_repair`
-    of the final pool in verdict and objective (1e-9 relative), not in
-    bytes.
+    The delta variables come first, so every Jacobian row block covers the
+    leading variables.  The norm rows go in first and are always in the
+    solver's model; the constraint rows follow in append order and enter it
+    by row generation (see :class:`~repro.lp.model.LPSession`).  A session
+    fed the points in any number of appends builds the same LP, row for
+    row, as one fed them all at once, and the same appends give the same
+    bytes.  Solving between appends changes which rows were admitted and
+    where the warm re-solves start, so a driver's final delta matches a
+    one-shot :func:`point_repair` of the final pool in verdict and
+    objective (1e-9 relative), not in bytes.
 
     The session encodes against a private copy of the base network and never
     mutates it; each feasible :meth:`solve` returns a *fresh* repaired copy.
@@ -147,13 +149,12 @@ class IncrementalPointRepairSession:
         self.norm = norm
         self.max_chunk_bytes = max_chunk_bytes
         num_parameters = self.ddnn.value.layers[self.layer_index].num_parameters
-        self.model = LPModel()
+        self.session = LPSession()
         bound = np.inf if delta_bound is None else float(delta_bound)
-        self.delta_indices = self.model.add_variables(
-            num_parameters, "delta", lower=-bound, upper=bound
+        self.delta_indices = self.session.add_variables(
+            num_parameters, lower=-bound, upper=bound
         )
-        add_norm_objective(self.model, self.delta_indices, norm)
-        self.session = self.model.incremental_session()
+        add_norm_objective(self.session, self.delta_indices, norm)
         self.num_points = 0
         self.constraint_rows = 0
         self.last_solution = None
@@ -181,9 +182,7 @@ class IncrementalPointRepairSession:
                 spec,
                 max_chunk_bytes=self.max_chunk_bytes,
             )
-            rows = self.session.append_rows(
-                stream=((matrix, rhs, self.delta_indices) for matrix, rhs in stream)
-            )
+            rows = self.session.append_rows(stream)
         self.num_points += spec.num_points
         self.constraint_rows += rows
         return rows
@@ -213,7 +212,7 @@ class IncrementalPointRepairSession:
                 lp_status=status,
                 num_key_points=self.num_points,
                 num_constraint_rows=self.constraint_rows,
-                num_variables=self.model.num_variables,
+                num_variables=self.session.num_variables,
                 norm=self.norm,
             )
         delta = solution.value_of(self.delta_indices)
@@ -227,7 +226,7 @@ class IncrementalPointRepairSession:
             lp_status=solution.status,
             num_key_points=self.num_points,
             num_constraint_rows=self.constraint_rows,
-            num_variables=self.model.num_variables,
+            num_variables=self.session.num_variables,
             objective_value=solution.objective,
             norm=self.norm,
         )

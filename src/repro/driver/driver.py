@@ -62,6 +62,7 @@ except ImportError:  # pragma: no cover
 
 import repro.obs as obs
 from repro.core.ddnn import DecoupledNetwork
+from repro.core.jacobian import DEFAULT_CHUNK_BYTES
 from repro.core.point_repair import IncrementalPointRepairSession
 from repro.core.prefix_cache import PrefixCache
 from repro.core.result import RepairTiming
@@ -328,7 +329,7 @@ class RepairDriver:
         atomic npz segments on disk while dedup keys stay resident, and
         (2) streams repair constraints through the
         :class:`~repro.core.jacobian.JacobianChunkStream` with a matching
-        ``max_chunk_bytes`` instead of the default chunk budget
+        ``max_chunk_bytes``, never above the default chunk budget
         (byte-identical either way), and (3) caps the frozen-prefix features
         cached for the run (see below).  Each tier gets a quarter of the
         budget; the rest is headroom for the LP itself.  ``None`` (default)
@@ -390,9 +391,10 @@ class RepairDriver:
         self.memory_budget = config.memory_budget
         # A quarter of the budget each for the pool's resident window, for
         # Jacobian chunks and for prefix features; the remaining quarter is
-        # headroom for the LP.
+        # headroom for the LP.  A budget only ever shrinks the chunks below
+        # the unbudgeted default.
         tier = max(1, config.memory_budget // 4) if config.memory_budget else None
-        self.max_chunk_bytes = tier
+        self.max_chunk_bytes = min(tier, DEFAULT_CHUNK_BYTES) if tier else None
         self.max_prefix_bytes = tier
         self._prefix_cache: PrefixCache | None = None
         if pool is not None:

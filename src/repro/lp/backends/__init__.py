@@ -2,10 +2,11 @@
 
 There is one: :class:`~repro.lp.backends.scipy_backend.ScipyBackend`, an
 in-process HiGHS model that an instance keeps across its solves (cold on
-the first, warm after appended rows).  ``_BACKENDS`` is the single
-seam — :func:`get_backend` instantiates whatever class it maps ``"scipy"``
-to, which is how the test-suite substitutes its reference simplex or a
-fault-injection stub.
+the first, warm after appended rows).  Each
+:class:`~repro.lp.model.LPSession` holds one instance for its whole life.
+``_BACKENDS`` is the single seam — :func:`get_backend` instantiates
+whatever class it maps ``"scipy"`` to, which is how the test-suite
+substitutes its reference simplex or a fault-injection stub.
 """
 
 from __future__ import annotations

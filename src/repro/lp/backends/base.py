@@ -10,7 +10,7 @@ from repro.lp.model import LPSolution
 
 
 class LPBackend(abc.ABC):
-    """Solves LPs given in the standard form produced by ``LPModel``.
+    """Solves LPs given in the standard form of ``LPSession.standard_form``.
 
     The library has one implementation (scipy/HiGHS); the test-suite's
     reference simplex and fault-injection stubs implement it too.
@@ -37,8 +37,8 @@ class LPBackend(abc.ABC):
         exploit that, and a stateless one simply solves each form.
 
         ``a_ub`` and ``a_eq`` may be dense arrays or ``scipy.sparse``
-        matrices (``LPModel.standard_form`` gives CSR); ``bounds`` is an
-        ``(n, 2)`` array of per-variable ``(lower, upper)`` pairs whose
-        entries may be ``±inf``.
+        matrices (``LPSession.standard_form`` gives CSR and an empty
+        ``a_eq``); ``bounds`` is an ``(n, 2)`` array of per-variable
+        ``(lower, upper)`` pairs whose entries may be ``±inf``.
         """
         raise NotImplementedError

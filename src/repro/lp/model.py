@@ -1,34 +1,31 @@
-"""LP modelling layer.
+"""The repair LP: one session holding variables, objective and rows.
 
-:class:`LPModel` collects variables, linear constraints, bounds, and a linear
-objective, and hands a standard-form problem to the solver in
-:mod:`repro.lp.backends`.  The repair algorithms use it through the helpers
-in :mod:`repro.lp.norms`, which add the auxiliary variables needed for
-ℓ1/ℓ∞ norm minimization.
+:class:`LPSession` holds an LP's variables (box bounds and objective
+coefficients) and its constraint rows, each row once, as full-width
+``scipy.sparse`` CSR, and solves it by row generation on one retained
+solver from :mod:`repro.lp.backends`.  The repair algorithms add the
+ℓ1/ℓ∞ norm rows through :mod:`repro.lp.norms`, then stream the
+``A_x (N(x) + J_x Δ) ≤ b_x`` rows in with :meth:`LPSession.append_rows`.
 
 Standard form passed to the solver::
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
-                A_eq @ x == b_eq
                 lb <= x <= ub        (entries may be ±inf)
 
-Constraint blocks are stored narrow — each block keeps only the columns it
-actually touches — and :meth:`LPModel.standard_form` assembles them into
-``scipy.sparse`` CSR matrices directly, never materializing full-width
-dense rows.
+(The solver interface also takes an equality block ``A_eq @ x == b_eq``;
+a session's is always empty.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 import repro.obs as obs
 from repro.exceptions import LPError
-from repro.lp.expression import LinearExpression
 from repro.lp.status import LPStatus
 
 #: Pending rows an :class:`LPSession`'s first solve admits: the ones most
@@ -45,7 +42,6 @@ VIOLATION_TOLERANCE = 1e-7
 def _observed_solve(solver, solve_callable):
     """Run one solve in an ``lp.solve`` span, mirroring it into the metrics.
 
-    The shared wrapper for :meth:`LPModel.solve` and :meth:`LPSession.solve`.
     The span is what a repair's ``lp`` time sums; with the metrics registry
     on, the solve-time histogram reads its wall and the solve/iteration
     counters the finished solution.  Telemetry never influences what the
@@ -81,7 +77,7 @@ def _observed_solve(solver, solve_callable):
 
 @dataclass
 class LPSolution:
-    """Result of solving an :class:`LPModel`.
+    """Result of an LP solve.
 
     Attributes
     ----------
@@ -100,9 +96,8 @@ class LPSolution:
         every re-solve of an :class:`LPSession`'s retained HiGHS model,
         false for a cold solve.
     rows_admitted:
-        Constraint rows in the solver's model after the solve.  A cold
-        :meth:`LPModel.solve` holds every row; an :class:`LPSession` holds
-        only the rows row generation admitted.
+        Constraint rows in the solver's model after an
+        :meth:`LPSession.solve`: only the rows row generation admitted.
     """
 
     status: LPStatus
@@ -120,469 +115,179 @@ class LPSolution:
         return self.values[np.asarray(indices, dtype=int)]
 
 
-@dataclass
-class _ConstraintBlock:
-    """A block of constraints ``matrix @ x[columns] (sense) rhs``.
+def _widen(matrix: sp.csr_matrix, num_variables: int) -> sp.csr_matrix:
+    """``matrix`` over the leading columns, as a CSR over ``num_variables``.
 
-    ``matrix`` is either a dense float64 array or a canonical CSR matrix;
-    every consumer branches on :func:`scipy.sparse.issparse`.
+    The same ``data``/``indices``/``indptr`` with a wider shape: the
+    columns a block touches keep their indices, so no entry moves.
     """
-
-    matrix: np.ndarray | sp.csr_matrix
-    rhs: np.ndarray
-    columns: np.ndarray
-    equality: bool = False
-
-
-def _coerce_block_matrix(matrix):
-    """Normalize a block matrix: canonical float64 CSR, or dense 2-D array.
-
-    Sparse inputs stay sparse — densifying here would defeat the streamed
-    row pipeline, whose whole point is that full-width dense blocks never
-    exist.  ``sum_duplicates``/``sort_indices`` pin the canonical form so
-    equality of two CSR matrices reduces to equality of their three arrays.
-    """
-    if sp.issparse(matrix):
-        csr = matrix.tocsr().astype(np.float64, copy=False)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return csr
-    return np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    return sp.csr_matrix(
+        (matrix.data, matrix.indices, matrix.indptr),
+        shape=(matrix.shape[0], num_variables),
+    )
 
 
-@dataclass
-class LPModel:
-    """An LP under construction.
-
-    Variables are created with :meth:`add_variable` / :meth:`add_variables`
-    and identified by integer index.  Constraints may be added either one at
-    a time from :class:`LinearExpression` objects, or as dense blocks
-    (matrix form), which is how the repair algorithms add the
-    ``A_x (N(x) + J_x Δ) ≤ b_x`` rows.
-    """
-
-    _num_variables: int = 0
-    _names: list[str] = field(default_factory=list)
-    _lower: list[float] = field(default_factory=list)
-    _upper: list[float] = field(default_factory=list)
-    _objective: dict[int, float] = field(default_factory=dict)
-    _blocks: list[_ConstraintBlock] = field(default_factory=list)
-
-    # ------------------------------------------------------------------
-    # Variables
-    # ------------------------------------------------------------------
-    @property
-    def num_variables(self) -> int:
-        """Number of variables added so far."""
-        return self._num_variables
-
-    def add_variable(
-        self,
-        name: str | None = None,
-        lower: float = -np.inf,
-        upper: float = np.inf,
-    ) -> int:
-        """Add one variable and return its index."""
-        if lower > upper:
-            raise LPError(f"variable lower bound {lower} exceeds upper bound {upper}")
-        index = self._num_variables
-        self._names.append(name if name is not None else f"x{index}")
-        self._lower.append(float(lower))
-        self._upper.append(float(upper))
-        self._num_variables += 1
-        return index
-
-    def add_variables(
-        self,
-        count: int,
-        name: str | None = None,
-        lower: float = -np.inf,
-        upper: float = np.inf,
-    ) -> np.ndarray:
-        """Add ``count`` variables and return their indices as an array.
-
-        The whole block is appended in one vectorized extend — repair LPs
-        create tens of thousands of delta variables at once, so this must
-        not fall back to per-variable :meth:`add_variable` calls.
-        """
-        if count < 0:
-            raise LPError("count must be non-negative")
-        if lower > upper:
-            raise LPError(f"variable lower bound {lower} exceeds upper bound {upper}")
-        base = name if name is not None else "x"
-        start = self._num_variables
-        self._names.extend(f"{base}[{offset}]" for offset in range(count))
-        self._lower.extend([float(lower)] * count)
-        self._upper.extend([float(upper)] * count)
-        self._num_variables += count
-        return np.arange(start, start + count, dtype=int)
-
-    def variable_name(self, index: int) -> str:
-        """Name of variable ``index``."""
-        return self._names[index]
-
-    # ------------------------------------------------------------------
-    # Constraints
-    # ------------------------------------------------------------------
-    def add_leq_block(self, matrix, rhs, columns=None) -> None:
-        """Add constraints ``matrix @ x[columns] <= rhs``.
-
-        ``columns`` defaults to all variables currently in the model, in
-        which case ``matrix`` must have ``num_variables`` columns.  The
-        block matrix may be a ``scipy.sparse`` matrix; it is stored as
-        canonical CSR without ever being densified, which is what the
-        chunked Jacobian stream relies on to keep blocks out of core.
-        """
-        matrix = _coerce_block_matrix(matrix)
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-        if columns is None:
-            columns = np.arange(self._num_variables)
-        columns = np.asarray(columns, dtype=int)
-        self._check_block(matrix, rhs, columns)
-        self._blocks.append(_ConstraintBlock(matrix, rhs, columns, equality=False))
-
-    def add_eq_block(self, matrix, rhs, columns=None) -> None:
-        """Add constraints ``matrix @ x[columns] == rhs``."""
-        matrix = _coerce_block_matrix(matrix)
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-        if columns is None:
-            columns = np.arange(self._num_variables)
-        columns = np.asarray(columns, dtype=int)
-        self._check_block(matrix, rhs, columns)
-        self._blocks.append(_ConstraintBlock(matrix, rhs, columns, equality=True))
-
-    def add_leq(self, expression: LinearExpression, rhs: float) -> None:
-        """Add a single constraint ``expression <= rhs``."""
-        row, columns = self._expression_row(expression)
-        self.add_leq_block(row[None, :], [rhs - expression.constant], columns)
-
-    def add_geq(self, expression: LinearExpression, rhs: float) -> None:
-        """Add a single constraint ``expression >= rhs``."""
-        self.add_leq(expression * -1.0, -float(rhs))
-
-    def add_eq(self, expression: LinearExpression, rhs: float) -> None:
-        """Add a single constraint ``expression == rhs``."""
-        row, columns = self._expression_row(expression)
-        self.add_eq_block(row[None, :], [rhs - expression.constant], columns)
-
-    def _expression_row(self, expression: LinearExpression):
-        coefficients = expression.coefficients
-        if not coefficients:
-            raise LPError("constraint expression has no variables")
-        columns = np.array(sorted(coefficients), dtype=int)
-        row = np.array([coefficients[index] for index in columns], dtype=np.float64)
-        return row, columns
-
-    def _check_block(self, matrix: np.ndarray, rhs: np.ndarray, columns: np.ndarray) -> None:
-        if matrix.ndim != 2:
-            raise LPError("constraint matrix must be 2-D")
-        if rhs.ndim != 1 or rhs.shape[0] != matrix.shape[0]:
-            raise LPError("constraint rhs length must match the number of rows")
-        if columns.ndim != 1 or columns.shape[0] != matrix.shape[1]:
-            raise LPError("columns length must match the number of matrix columns")
-        if columns.size and (columns.min() < 0 or columns.max() >= self._num_variables):
-            raise LPError("constraint references an unknown variable index")
-        if np.unique(columns).size != columns.size:
-            # Duplicates would be silently summed by the CSR assembly.
-            raise LPError("constraint block columns must be unique")
-        entries = matrix.data if sp.issparse(matrix) else matrix
-        if not (np.isfinite(entries).all() and np.isfinite(rhs).all()):
-            # HiGHS would take a NaN coefficient without complaint.
-            raise LPError("constraint coefficients and rhs must be finite")
-
-    # ------------------------------------------------------------------
-    # Objective
-    # ------------------------------------------------------------------
-    def set_objective_coefficient(self, index: int, coefficient: float) -> None:
-        """Set the objective coefficient of variable ``index``."""
-        if not 0 <= index < self._num_variables:
-            raise LPError(f"unknown variable index {index}")
-        if not np.isfinite(coefficient):
-            raise LPError(f"objective coefficient {coefficient} is not finite")
-        if coefficient == 0.0:
-            self._objective.pop(index, None)
-        else:
-            self._objective[index] = float(coefficient)
-
-    def add_objective_term(self, index: int, coefficient: float) -> None:
-        """Add ``coefficient`` to the objective coefficient of ``index``."""
-        current = self._objective.get(index, 0.0)
-        self.set_objective_coefficient(index, current + coefficient)
-
-    def set_objective(self, expression: LinearExpression) -> None:
-        """Replace the objective with the given linear expression."""
-        self._objective = {}
-        for index, coefficient in expression.coefficients.items():
-            self.set_objective_coefficient(index, coefficient)
-
-    # ------------------------------------------------------------------
-    # Standard form assembly & solving
-    # ------------------------------------------------------------------
-    def standard_form(self):
-        """Assemble ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``.
-
-        The constraint matrices are ``scipy.sparse`` CSR matrices assembled
-        directly from the narrow constraint blocks; ``c``, the right-hand
-        sides and ``bounds`` are dense.
-        """
-        n = self._num_variables
-        c = np.zeros(n)
-        for index, coefficient in self._objective.items():
-            c[index] = coefficient
-        bounds = np.column_stack([self._lower, self._upper]) if n else np.zeros((0, 2))
-        a_ub, b_ub = self._assemble(equality=False)
-        a_eq, b_eq = self._assemble(equality=True)
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
-
-    def _assemble(self, equality: bool) -> tuple[sp.csr_matrix, np.ndarray]:
-        """CSR matrix and rhs of all blocks with the given sense."""
-        n = self._num_variables
-        data_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        rhs_parts: list[np.ndarray] = []
-        row_offset = 0
-        for block in self._blocks:
-            if block.equality is not equality:
-                continue
-            if sp.issparse(block.matrix):
-                # Canonical CSR → COO keeps entries in row-major order,
-                # exactly the order np.nonzero produces on the dense
-                # equivalent — so sparse and dense blocks assemble the
-                # same final CSR arrays byte for byte.
-                coo = block.matrix.tocoo()
-                data_parts.append(coo.data)
-                row_parts.append(row_offset + coo.row)
-                col_parts.append(block.columns[coo.col])
-            else:
-                local_rows, local_cols = np.nonzero(block.matrix)
-                data_parts.append(block.matrix[local_rows, local_cols])
-                row_parts.append(row_offset + local_rows)
-                col_parts.append(block.columns[local_cols])
-            rhs_parts.append(block.rhs)
-            row_offset += block.matrix.shape[0]
-        rhs = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0)
-        if not data_parts:
-            return sp.csr_matrix((row_offset, n)), rhs
-        matrix = sp.coo_matrix(
-            (
-                np.concatenate(data_parts),
-                (np.concatenate(row_parts), np.concatenate(col_parts)),
-            ),
-            shape=(row_offset, n),
-        )
-        return matrix.tocsr(), rhs
-
-    @property
-    def num_constraints(self) -> int:
-        """Total number of constraint rows added so far."""
-        return sum(block.matrix.shape[0] for block in self._blocks)
-
-    def solve(self) -> LPSolution:
-        """Solve the model: one cold HiGHS solve of every row of its CSR form."""
-        from repro.lp.backends import get_backend
-
-        form = self.standard_form()
-        if self._num_variables == 0:
-            return _solve_without_variables(form[2], form[4])
-        solver = get_backend()
-        solution = _observed_solve(solver, lambda: solver.solve(*form))
-        return replace(solution, rows_admitted=self.num_constraints)
-
-    def incremental_session(self) -> "LPSession":
-        """Open an :class:`LPSession` over this model's current blocks.
-
-        See :class:`LPSession` for the row-generation contract.
-        """
-        return LPSession(self)
-
-
-def _solve_without_variables(b_ub: np.ndarray, b_eq: np.ndarray) -> LPSolution:
-    """An LP with no variables: every row reads ``0 ≤ b_ub`` or ``0 = b_eq``."""
-    if np.any(b_ub < 0) or np.any(b_eq != 0):
+def _solve_without_variables(b_ub: np.ndarray) -> LPSolution:
+    """An LP with no variables: every row reads ``0 ≤ b_ub``."""
+    if np.any(b_ub < 0):
         return LPSolution(LPStatus.INFEASIBLE, message="empty model with an unsatisfiable row")
     return LPSolution(LPStatus.OPTIMAL, np.zeros(0), 0.0, "empty model")
 
 
-def _widen_block(block: _ConstraintBlock, num_variables: int) -> sp.csr_matrix:
-    """One narrow constraint block as a full-width CSR matrix."""
-    if sp.issparse(block.matrix):
-        matrix = block.matrix
-        if matrix.shape[1] == num_variables and np.array_equal(
-            block.columns, np.arange(num_variables)
-        ):
-            # Identity column map (the repair LPs' delta-variable prefix):
-            # the narrow CSR *is* the widened CSR.  Sharing its arrays keeps
-            # the streamed path zero-copy per appended chunk.
-            return sp.csr_matrix(
-                (matrix.data, matrix.indices, matrix.indptr),
-                shape=(matrix.shape[0], num_variables),
-            )
-        coo = matrix.tocoo()
-        return sp.coo_matrix(
-            (coo.data, (coo.row, block.columns[coo.col])),
-            shape=(matrix.shape[0], num_variables),
-        ).tocsr()
-    local_rows, local_cols = np.nonzero(block.matrix)
-    return sp.coo_matrix(
-        (block.matrix[local_rows, local_cols], (local_rows, block.columns[local_cols])),
-        shape=(block.matrix.shape[0], num_variables),
-    ).tocsr()
-
-
 class LPSession:
-    """An incremental, row-generating solve session over a growing :class:`LPModel`.
+    """An LP solved by row generation on one retained solver.
 
     A CEGIS repair driver solves the *same* LP round after round, each time
     with a few more constraint rows (every round's LP is a superset of the
-    last).  A session keeps the widened per-block matrices, so
-    :meth:`append_rows` converts only the blocks added to the model since
-    the previous call, and it keeps one solver instance alive, so a re-solve
-    hands the solver only the rows it has not seen (for the HiGHS solver: an
-    ``addRows`` and a warm re-run from the basis it holds).
+    last).  A session holds every row once, as full-width CSR, and keeps
+    one solver instance alive, so a re-solve hands the solver only the rows
+    it has not seen (for the HiGHS solver: an ``addRows`` and a warm re-run
+    from the basis it holds).
 
-    The solver never sees every row.  The inequality rows the model had
-    when the session opened (the repair LPs' norm rows) and every equality
-    row are always in the solver's model; an inequality row appended later
-    stays *pending* in the session's CSR parts until the current solution
-    violates it by more than :data:`VIOLATION_TOLERANCE`.  :meth:`solve`
-    admits up to :data:`SEED_ROWS` pending rows violated at the origin
-    (clipped to the bounds), or, once a solution exists, up to
-    :data:`ROWS_PER_RESOLVE` rows violated at it, most violated first with
-    ties broken by row index; it re-solves until no pending row is
-    violated.  The admitted rows form a relaxation of the full LP, so an
-    infeasible relaxation proves the full LP infeasible, and an optimum
-    that violates no pending row is an optimum of the full LP.  An
-    unbounded relaxation admits every pending row and re-solves.
+    Variables come first (:meth:`add_variables`, each with its bounds and
+    objective coefficient) and are fixed once the session has solved.
+    Rows come in two kinds.  Rows added with :meth:`add_rows` (the repair
+    LPs' norm rows) are always in the solver's model.  Rows appended with
+    :meth:`append_rows` stay *pending* until the current solution violates
+    them by more than :data:`VIOLATION_TOLERANCE`: :meth:`solve` admits up
+    to :data:`SEED_ROWS` pending rows violated at the origin (clipped to
+    the bounds), or, once a solution exists, up to :data:`ROWS_PER_RESOLVE`
+    rows violated at it, most violated first with ties broken by row index;
+    it re-solves until no pending row is violated.  The admitted rows form
+    a relaxation of the full LP, so an infeasible relaxation proves the
+    full LP infeasible, and an optimum that violates no pending row is an
+    optimum of the full LP.  An unbounded relaxation admits every pending
+    row and re-solves.
 
-    Contract: the objective equals a cold :meth:`LPModel.solve` within
-    1e-9 relative and the status is the same, but the vertex may differ —
-    the repair LPs have many optima, and which one a warm re-solve reaches
-    depends on the rows seen so far and the order they were appended in.
-    Admission is a deterministic function of the appended rows, so equal
-    appends give byte-identical solutions.
-
-    Sessions do not support adding variables after creation
-    (:meth:`append_rows` raises); the repair LPs fix their delta and
-    auxiliary variables up front.
+    Contract: the objective equals a cold solve of :meth:`standard_form`
+    within 1e-9 relative and the status is the same, but the vertex may
+    differ — the repair LPs have many optima, and which one a warm re-solve
+    reaches depends on the rows seen so far and the order they were
+    appended in.  Admission is a deterministic function of the appended
+    rows, so equal appends give byte-identical solutions.
     """
 
-    def __init__(self, model: LPModel) -> None:
+    def __init__(self) -> None:
         from repro.lp.backends import get_backend
 
-        self.model = model
         self._solver = get_backend()
-        self._num_variables = model.num_variables
-        # Widened per-block parts, in row order.
-        self._ub_parts: list = []
-        self._ub_rhs: list[np.ndarray] = []
-        self._eq_parts: list = []
-        self._eq_rhs: list[np.ndarray] = []
-        self.rows_appended = 0
-        self._cached_matrices: tuple | None = None
-        self._consume(model._blocks)
-        self._consumed = len(model._blocks)
-        # Inequality rows in the solver's model, in its row order: the rows
-        # present at creation, then admitted pending rows as admitted.
-        self._in_solver = np.arange(sum(rhs.shape[0] for rhs in self._ub_rhs))
+        self._cost = np.zeros(0)
+        self._lower = np.zeros(0)
+        self._upper = np.zeros(0)
+        # Full-width CSR row blocks and their rhs, in row order;
+        # standard_form() stacks them into one block, so each row is held
+        # once.
+        self._rows: list[sp.csr_matrix] = []
+        self._rhs: list[np.ndarray] = []
+        # Rows in the solver's model, in its row order: held rows as added,
+        # pending rows as admitted.
+        self._in_solver = np.zeros(0, dtype=np.intp)
+        self._solved = False
         # The last optimal solution, where the next solve looks for violations.
         self._values: np.ndarray | None = None
 
-    def _consume(self, blocks: list[_ConstraintBlock]) -> int:
-        rows = 0
-        for block in blocks:
-            widened = _widen_block(block, self._num_variables)
-            if block.equality:
-                self._eq_parts.append(widened)
-                self._eq_rhs.append(block.rhs)
-            else:
-                self._ub_parts.append(widened)
-                self._ub_rhs.append(block.rhs)
-            rows += block.matrix.shape[0]
-        return rows
-
-    def append_rows(self, stream=None) -> int:
-        """Widen the blocks added to the model since the last call.
-
-        With ``stream`` given — an iterator of ``(matrix, rhs, columns)``
-        triples, where ``matrix`` may be dense or CSR — each item is added
-        to the model and consumed into the session *immediately*, so only
-        one chunk of the stream is in flight at a time.  This is the
-        ingestion point for :class:`~repro.core.jacobian.JacobianChunkStream`:
-        the model still records every block (cold re-assembly of the same
-        model builds the same rows in the same order), but no dense
-        full-width intermediate ever exists.
-
-        Returns the number of constraint rows appended.  Raises
-        :class:`LPError` if variables were added after session creation —
-        widened matrices from earlier rounds would be too narrow.
-        """
-        if self.model.num_variables != self._num_variables:
-            raise LPError(
-                "the model grew from "
-                f"{self._num_variables} to {self.model.num_variables} variables; "
-                "incremental sessions only support appending constraint rows"
-            )
-        rows = self._consume(self.model._blocks[self._consumed :])
-        self._consumed = len(self.model._blocks)
-        if stream is not None:
-            for matrix, rhs, columns in stream:
-                self.model.add_leq_block(matrix, rhs, columns)
-                if self.model.num_variables != self._num_variables:
-                    raise LPError(
-                        "the model grew variables while a row stream was "
-                        "being consumed; incremental sessions only support "
-                        "appending constraint rows"
-                    )
-                rows += self._consume(self.model._blocks[self._consumed :])
-                self._consumed = len(self.model._blocks)
-        if rows:
-            self.rows_appended += rows
-            self._cached_matrices = None
-        return rows
+    @property
+    def num_variables(self) -> int:
+        """Number of variables added so far."""
+        return int(self._cost.size)
 
     @property
     def num_rows(self) -> int:
-        """Constraint rows currently assembled, pending rows included."""
-        return sum(int(rhs.shape[0]) for rhs in (*self._ub_rhs, *self._eq_rhs))
+        """Constraint rows held, pending rows included."""
+        return sum(int(rhs.shape[0]) for rhs in self._rhs)
 
-    def _stack(self, parts: list, rhs_parts: list[np.ndarray]):
-        n = self._num_variables
-        if not parts:
-            return sp.csr_matrix((0, n)), np.zeros(0)
-        matrix = sp.vstack(parts) if len(parts) > 1 else parts[0]
-        return matrix.tocsr(), np.concatenate(rhs_parts)
+    def add_variables(
+        self,
+        count: int,
+        *,
+        lower: float = -np.inf,
+        upper: float = np.inf,
+        cost: float = 0.0,
+    ) -> np.ndarray:
+        """Add ``count`` variables with one bound pair and objective coefficient.
+
+        Returns their indices.  The rows already held are widened by shape;
+        once the session has solved, its variables are fixed.
+        """
+        if self._solved:
+            raise LPError("a session's variables are fixed once it has solved")
+        if count < 0:
+            raise LPError("count must be non-negative")
+        if lower > upper:
+            raise LPError(f"variable lower bound {lower} exceeds upper bound {upper}")
+        if not np.isfinite(cost):
+            raise LPError(f"objective coefficient {cost} is not finite")
+        start = self.num_variables
+        self._cost = np.concatenate([self._cost, np.full(count, float(cost))])
+        self._lower = np.concatenate([self._lower, np.full(count, float(lower))])
+        self._upper = np.concatenate([self._upper, np.full(count, float(upper))])
+        self._rows = [_widen(rows, self.num_variables) for rows in self._rows]
+        return np.arange(start, start + count, dtype=int)
+
+    def _block(self, matrix, rhs) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Check a row block over the leading variables; return it as full-width CSR.
+
+        ``matrix`` may be dense or sparse; it comes back canonical, with
+        ``rhs`` as a float64 vector.
+        """
+        matrix = sp.csr_matrix(matrix, dtype=np.float64)
+        matrix.sum_duplicates()
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
+        if rhs.ndim != 1 or rhs.shape[0] != matrix.shape[0]:
+            raise LPError("constraint rhs length must match the number of rows")
+        if matrix.shape[1] > self.num_variables:
+            raise LPError("constraint references an unknown variable index")
+        if not (np.isfinite(matrix.data).all() and np.isfinite(rhs).all()):
+            # HiGHS would take a NaN coefficient without complaint.
+            raise LPError("constraint coefficients and rhs must be finite")
+        return _widen(matrix, self.num_variables), rhs
+
+    def add_rows(self, matrix, rhs) -> None:
+        """Add rows ``matrix @ x[:k] <= rhs`` that the solver always holds.
+
+        ``matrix`` covers the leading ``k ≤ num_variables`` variables.
+        """
+        matrix, rhs = self._block(matrix, rhs)
+        start = self.num_rows
+        self._rows.append(matrix)
+        self._rhs.append(rhs)
+        self._in_solver = np.concatenate(
+            [self._in_solver, np.arange(start, start + rhs.shape[0])]
+        )
+
+    def append_rows(self, stream) -> int:
+        """Append pending rows from ``(matrix, rhs)`` blocks; return the row count.
+
+        Each ``matrix`` covers the leading variables (the repair LPs' delta
+        variables) and is taken in as it arrives, so only one block of the
+        stream is in flight at a time.  This is the ingestion point for
+        :class:`~repro.core.jacobian.JacobianChunkStream`.
+        """
+        rows = 0
+        for matrix, rhs in stream:
+            matrix, rhs = self._block(matrix, rhs)
+            self._rows.append(matrix)
+            self._rhs.append(rhs)
+            rows += rhs.shape[0]
+        return rows
 
     def standard_form(self):
         """The full ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``, pending rows included.
 
-        The rows are in append order, the same as :meth:`LPModel.standard_form`
-        of the session's model.  The constraint matrices are cached between
-        :meth:`append_rows` calls; ``c`` and ``bounds`` are rebuilt from the
-        model each time (both are O(variables) and objective coefficients may
-        legally change between solves).
+        ``A_ub`` is CSR with the rows in the order they were added; ``A_eq``
+        and ``b_eq`` are empty.  The stacked matrix replaces the blocks it
+        was stacked from, so each row stays held once.
         """
-        if self.model.num_variables != self._num_variables:
-            raise LPError(
-                "the model grew variables after session creation; "
-                "incremental sessions only support appending constraint rows"
-            )
-        if self._cached_matrices is None:
-            self._cached_matrices = (
-                self._stack(self._ub_parts, self._ub_rhs),
-                self._stack(self._eq_parts, self._eq_rhs),
-            )
-        (a_ub, b_ub), (a_eq, b_eq) = self._cached_matrices
-        n = self._num_variables
-        c = np.zeros(n)
-        for index, coefficient in self.model._objective.items():
-            c[index] = coefficient
-        bounds = (
-            np.column_stack([self.model._lower[:n], self.model._upper[:n]])
-            if n
-            else np.zeros((0, 2))
-        )
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
+        n = self.num_variables
+        if len(self._rows) > 1:
+            self._rows = [sp.vstack(self._rows).tocsr()]
+            self._rhs = [np.concatenate(self._rhs)]
+        if self._rows:
+            a_ub, b_ub = self._rows[0], self._rhs[0]
+        else:
+            a_ub, b_ub = sp.csr_matrix((0, n)), np.zeros(0)
+        bounds = np.column_stack([self._lower, self._upper])
+        return self._cost.copy(), a_ub, b_ub, sp.csr_matrix((0, n)), np.zeros(0), bounds
 
     def solve(self) -> LPSolution:
         """Solve the current LP by row generation (see the class docstring).
@@ -593,8 +298,9 @@ class LPSession:
         end.
         """
         c, a_ub, b_ub, a_eq, b_eq, bounds = self.standard_form()
-        if self._num_variables == 0:
-            return _solve_without_variables(b_ub, b_eq)
+        self._solved = True
+        if self.num_variables == 0:
+            return _solve_without_variables(b_ub)
         if self._values is None:
             self._admit(a_ub, b_ub, np.clip(0.0, bounds[:, 0], bounds[:, 1]), SEED_ROWS)
         else:
@@ -618,7 +324,7 @@ class LPSession:
             solution,
             iterations=sum(iterations) if iterations else None,
             warm_start_used=solutions[0].warm_start_used,
-            rows_admitted=int(self._in_solver.size + b_eq.shape[0]),
+            rows_admitted=int(self._in_solver.size),
         )
 
     def _admit(self, a_ub, b_ub, values, limit: int) -> int:

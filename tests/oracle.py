@@ -9,8 +9,8 @@ SyReNN transform (the ragged batch of
 straightforward versions of the same math — Jacobian columns from two
 network evaluations per parameter (exact by Theorem 4.5, and sharing no
 code with the backward pass they check), one dense constraint block per
-point, a fresh :class:`LPModel` solved once, optionally from a dense
-standard form assembled block by block; one polygon at a time through every
+point, the repair LP's standard form written out by eye as dense arrays
+and solved once, cold, on a fresh solver; one polygon at a time through every
 layer, each piece clipped on its own by this module's copy of the
 per-polygon half-plane clip (:func:`clip_by_function`,
 :class:`VertexPolygon`); one network evaluation per linear region; one
@@ -30,8 +30,6 @@ from repro.core.result import RepairResult
 from repro.core.specs import PointRepairSpec
 from repro.exceptions import ShapeError
 from repro.lp.backends import get_backend
-from repro.lp.model import LPModel
-from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from repro.nn.layer import LayerKind
 from repro.polytope.polygon import polygon_area
@@ -148,31 +146,52 @@ def max_row_violation(network, layer_index: int, spec: PointRepairSpec, delta) -
     )
 
 
-def dense_standard_form(model: LPModel):
-    """``model.standard_form()`` with full-width dense constraint matrices.
+def repair_standard_form(num_parameters: int, norm: str, delta_bound, blocks):
+    """The repair LP's ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``, dense, by eye.
 
-    Each narrow block is widened into a dense array of its own and the
-    arrays are stacked in block order: the reference the CSR assembly is
-    checked against.
+    Variables: the ``num_parameters`` deltas, then the ℓ∞ bound ``t``
+    and/or the ℓ1 auxiliaries ``t_i`` (``"l1+linf"``: ``t`` weighted by
+    the delta count, then the ``t_i``).  Rows: ``Δ_i - t ≤ 0`` then
+    ``-Δ_i - t ≤ 0`` per auxiliary kind, then each ``(lhs, rhs)`` of
+    ``blocks`` over the deltas, in order.  No equality rows.
     """
-    n = model.num_variables
-    c, _, _, _, _, bounds = model.standard_form()
-    rows = {False: [], True: []}
-    rhs = {False: [], True: []}
-    for block in model._blocks:
-        narrow = block.matrix.toarray() if sp.issparse(block.matrix) else block.matrix
-        wide = np.zeros((narrow.shape[0], n))
-        wide[:, block.columns] = narrow
-        rows[block.equality].append(wide)
-        rhs[block.equality].append(block.rhs)
+    p = num_parameters
+    kinds = {
+        "linf": [("linf", 1.0)],
+        "l1": [("l1", 1.0)],
+        "l1+linf": [("linf", float(p)), ("l1", 1.0)],
+    }[norm]
+    n = p + sum(1 if kind == "linf" else p for kind, _ in kinds)
+    c = np.zeros(n)
+    rows, rhs = [], []
+    column = p
+    for kind, weight in kinds:
+        width = 1 if kind == "linf" else p
+        c[column:column + width] = weight
+        aux = np.zeros((p, n))
+        aux[:, column:column + width] = np.ones((p, 1)) if kind == "linf" else np.eye(p)
+        for sign in (1.0, -1.0):
+            row = -aux
+            row[:, :p] = sign * np.eye(p)
+            rows.append(row)
+            rhs.append(np.zeros(p))
+        column += width
+    for lhs, block_rhs in blocks:
+        wide = np.zeros((lhs.shape[0], n))
+        wide[:, :p] = lhs
+        rows.append(wide)
+        rhs.append(np.asarray(block_rhs, dtype=np.float64))
+    bound = np.inf if delta_bound is None else float(delta_bound)
+    bounds = np.array([[-bound, bound]] * p + [[0.0, np.inf]] * (n - p))
+    return c, np.vstack(rows), np.concatenate(rhs), np.zeros((0, n)), np.zeros(0), bounds
 
-    def stack(equality: bool):
-        if not rows[equality]:
-            return np.zeros((0, n)), np.zeros(0)
-        return np.vstack(rows[equality]), np.concatenate(rhs[equality])
 
-    (a_ub, b_ub), (a_eq, b_eq) = stack(False), stack(True)
-    return c, a_ub, b_ub, a_eq, b_eq, bounds
+def solve_cold(form, *, sparse: bool = True):
+    """One cold solve of a standard form on a fresh solver (CSR if ``sparse``)."""
+    c, a_ub, b_ub, a_eq, b_eq, bounds = form
+    if sparse:
+        a_ub, a_eq = sp.csr_matrix(a_ub), sp.csr_matrix(a_eq)
+    return get_backend().solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
 
 
 def oracle_point_repair(
@@ -187,9 +206,9 @@ def oracle_point_repair(
     """Algorithm 1 with a per-point encoding loop and one cold LP solve.
 
     Builds the same LP as :func:`repro.core.point_repair.point_repair` (norm
-    rows first, then each point's rows in specification order) and solves
-    it from its CSR standard form (:meth:`LPModel.solve`) or, with
-    ``sparse=False``, from :func:`dense_standard_form`.
+    rows first, then each point's rows in specification order) by eye with
+    :func:`repair_standard_form`, and solves it with :func:`solve_cold`,
+    handing the solver CSR or, with ``sparse=False``, dense matrices.
     """
     ddnn = (
         network.copy()
@@ -197,31 +216,20 @@ def oracle_point_repair(
         else DecoupledNetwork.from_network(network)
     )
     layer_index = ddnn._check_repairable(layer_index)
-    model = LPModel()
-    bound = np.inf if delta_bound is None else float(delta_bound)
-    delta_indices = model.add_variables(
-        ddnn.value.layers[layer_index].num_parameters, "delta", lower=-bound, upper=bound
-    )
-    add_norm_objective(model, delta_indices, norm)
+    num_parameters = ddnn.value.layers[layer_index].num_parameters
     outputs, jacobians = specification_jacobians(ddnn, layer_index, spec)
-    rows = 0
-    for index, constraint in enumerate(spec.constraints):
-        # A_x (N(x) + J Δ) ≤ b_x   ⇔   (A_x J) Δ ≤ b_x - A_x N(x)
-        model.add_leq_block(
-            constraint.a @ jacobians[index],
-            constraint.b - constraint.a @ outputs[index],
-            delta_indices,
-        )
-        rows += constraint.num_constraints
-    if sparse:
-        solution = model.solve()
-    else:
-        solution = get_backend().solve(*dense_standard_form(model))
+    # A_x (N(x) + J Δ) ≤ b_x   ⇔   (A_x J) Δ ≤ b_x - A_x N(x)
+    blocks = [
+        (constraint.a @ jacobians[index], constraint.b - constraint.a @ outputs[index])
+        for index, constraint in enumerate(spec.constraints)
+    ]
+    form = repair_standard_form(num_parameters, norm, delta_bound, blocks)
+    solution = solve_cold(form, sparse=sparse)
     common = dict(
         layer_index=layer_index,
         num_key_points=spec.num_points,
-        num_constraint_rows=rows,
-        num_variables=model.num_variables,
+        num_constraint_rows=sum(block_rhs.size for _, block_rhs in blocks),
+        num_variables=form[0].size,
         norm=norm,
     )
     if not solution.status.is_optimal:
@@ -231,7 +239,7 @@ def oracle_point_repair(
         return RepairResult(
             feasible=False, network=None, delta=None, lp_status=status, **common
         )
-    delta = solution.value_of(delta_indices)
+    delta = solution.values[:num_parameters]
     ddnn.apply_parameter_delta(layer_index, delta)
     return RepairResult(
         feasible=True,

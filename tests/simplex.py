@@ -3,9 +3,10 @@
 The library solves every LP with scipy/HiGHS.  This independent, deliberately
 simple solver is what the tests compare it against: substituted for the
 library's solver through ``repro.lp.backends._BACKENDS`` (see
-``tests.conftest.use_solver``) or called directly on a standard form.  It
-converts the general standard form produced by :class:`repro.lp.model.LPModel`
-into equational form (all variables non-negative, equality constraints only)
+``tests.conftest.lp_solver``) or called directly on a standard form.  It
+converts the general standard form the solver interface takes (what
+:meth:`repro.lp.model.LPSession.standard_form` returns, or a hand-written
+form with equality rows) into equational form (all variables non-negative, equality constraints only)
 and runs a textbook two-phase primal simplex with Bland's anti-cycling rule.
 It is meant for the small LPs of the test-suite.
 
@@ -41,7 +42,7 @@ class _EquationalProblem:
 
 
 def _to_equational(c, a_ub, b_ub, a_eq, b_eq, bounds) -> _EquationalProblem:
-    """Convert the LPModel standard form into ``min c@y, A y = b, y >= 0``."""
+    """Convert a general standard form into ``min c@y, A y = b, y >= 0``."""
     n = c.shape[0]
     lower = bounds[:, 0].copy()
     upper = bounds[:, 1].copy()

@@ -6,7 +6,7 @@ identical to the oracle in :mod:`tests.oracle` — Jacobians from the
 exact-difference form of Theorem 4.5 and one dense constraint block per
 point, solved as one cold LP from a dense by-eye standard form: same
 Jacobians, same LP rows, same statuses, same deltas.  These
-tests pin that equivalence at every level — layer, DDNN, LP model, and the
+tests pin that equivalence at every level — layer, DDNN, LP session, and the
 two repair algorithms.
 """
 
@@ -15,14 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.jacobian import JacobianChunkStream
 from repro.core.point_repair import point_repair
 from repro.core.polytope_repair import polytope_repair, reduce_to_key_points
 from repro.core.specs import PointRepairSpec, PolytopeRepairSpec
-from repro.lp.backends import get_backend
-from repro.lp.model import LPModel
+from repro.exceptions import LPError
+from repro.lp.model import LPSession
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from repro.nn.activations import ReLULayer
@@ -36,9 +38,10 @@ from repro.polytope.segment import LineSegment
 
 from tests.conftest import lp_solver, make_random_relu_network, make_random_tanh_network
 from tests.oracle import (
-    dense_standard_form,
     exact_jacobians,
     oracle_point_repair,
+    repair_standard_form,
+    solve_cold,
     specification_jacobians,
 )
 
@@ -240,112 +243,129 @@ class TestDifferentialPolytopeRepair:
             np.testing.assert_allclose(batched.delta, legacy.delta, atol=1e-6)
 
 
-def random_lp_model(rng: np.random.Generator) -> LPModel:
-    """A random LPModel mixing narrow blocks, eq rows, bounds, and norms."""
-    model = LPModel()
-    delta = model.add_variables(int(rng.integers(2, 6)), "delta", lower=-10.0, upper=10.0)
-    extra = model.add_variables(int(rng.integers(1, 4)), "extra")
-    for _ in range(int(rng.integers(1, 4))):
-        columns = delta if rng.random() < 0.5 else extra
-        matrix = rng.normal(size=(int(rng.integers(1, 4)), columns.size))
-        matrix[rng.random(size=matrix.shape) < 0.3] = 0.0  # structural zeros
-        rhs = rng.normal(size=matrix.shape[0]) + 5.0
-        if rng.random() < 0.3:
-            model.add_eq_block(matrix, rhs, columns)
-        else:
-            model.add_leq_block(matrix, rhs, columns)
-    add_norm_objective(model, delta, "l1+linf")
-    return model
+@st.composite
+def repair_lps(draw):
+    """A repair-shaped LP: a session and its appends, plus the by-eye form.
+
+    Deltas with an optional box bound, a norm objective, then Jacobian-like
+    row blocks (structural zeros, sometimes an inconsistent pair) cut at
+    random rows into blocks, handed to ``append_rows`` in random groups,
+    as dense arrays or CSR, with the standard form sometimes stacked
+    between appends.
+    """
+    num_deltas = draw(st.integers(1, 6))
+    norm = draw(st.sampled_from(["linf", "l1", "l1+linf"]))
+    delta_bound = draw(st.one_of(st.none(), st.floats(0.1, 10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lhs = rng.normal(size=(draw(st.integers(0, 12)), num_deltas))
+    lhs[rng.random(lhs.shape) < 0.3] = 0.0
+    rhs = rng.normal(size=lhs.shape[0]) + 1.0
+    if draw(st.booleans()):
+        # sum(Δ) <= t and sum(Δ) >= t + 1: infeasible.
+        row = np.ones((1, num_deltas))
+        lhs = np.vstack([lhs, row, -row])
+        rhs = np.concatenate([rhs, [0.5, -1.5]])
+    cuts = sorted(draw(st.lists(st.integers(0, lhs.shape[0]), max_size=4)))
+    bounds = [0, *cuts, lhs.shape[0]]
+    blocks = [(lhs[a:b], rhs[a:b]) for a, b in zip(bounds, bounds[1:])]
+    session = LPSession()
+    delta = session.add_variables(
+        num_deltas,
+        lower=-np.inf if delta_bound is None else -delta_bound,
+        upper=np.inf if delta_bound is None else delta_bound,
+    )
+    add_norm_objective(session, delta, norm)
+    group = []
+    for matrix, block_rhs in blocks:
+        group.append((sp.csr_matrix(matrix) if draw(st.booleans()) else matrix, block_rhs))
+        if draw(st.booleans()):
+            session.append_rows(group)
+            group = []
+            if draw(st.booleans()):
+                session.standard_form()
+    session.append_rows(group)
+    return session, repair_standard_form(num_deltas, norm, delta_bound, blocks)
 
 
 class TestSparseStandardForm:
-    """The CSR standard form must equal the dense by-eye assembly exactly."""
+    """The session's CSR standard form equals the by-eye dense assembly exactly."""
 
-    def test_random_models_agree(self, rng):
-        for _ in range(25):
-            model = random_lp_model(rng)
-            c, a_ub, b_ub, a_eq, b_eq, bounds = dense_standard_form(model)
-            c_s, a_ub_s, b_ub_s, a_eq_s, b_eq_s, bounds_s = model.standard_form()
-            assert sp.issparse(a_ub_s) and sp.issparse(a_eq_s)
-            np.testing.assert_array_equal(c, c_s)
-            np.testing.assert_array_equal(b_ub, b_ub_s)
-            np.testing.assert_array_equal(b_eq, b_eq_s)
-            np.testing.assert_array_equal(bounds, bounds_s)
-            np.testing.assert_array_equal(a_ub, a_ub_s.toarray())
-            np.testing.assert_array_equal(a_eq, a_eq_s.toarray())
+    @settings(max_examples=60, deadline=None)
+    @given(lp=repair_lps())
+    def test_random_models_agree(self, lp):
+        session, (c, a_ub, b_ub, a_eq, b_eq, bounds) = lp
+        c_s, a_ub_s, b_ub_s, a_eq_s, b_eq_s, bounds_s = session.standard_form()
+        assert sp.isspmatrix_csr(a_ub_s) and a_ub_s.has_canonical_format
+        assert sp.issparse(a_eq_s) and a_eq_s.shape == a_eq.shape
+        np.testing.assert_array_equal(c, c_s)
+        np.testing.assert_array_equal(a_ub, a_ub_s.toarray())
+        np.testing.assert_array_equal(b_ub, b_ub_s)
+        np.testing.assert_array_equal(b_eq, b_eq_s)
+        np.testing.assert_array_equal(bounds, bounds_s)
+        assert session.num_rows == b_ub.size
+
+    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
+    @settings(max_examples=25, deadline=None)
+    @given(lp=repair_lps())
+    def test_solve_sparse_matches_dense(self, backend, lp):
+        """Row generation on the session vs one cold solve of the dense form."""
+        session, form = lp
+        with lp_solver(backend):
+            sparse = session.solve()
+            dense = solve_cold(form, sparse=False)
+        assert dense.status == sparse.status
+        if dense.status is LPStatus.OPTIMAL:
+            assert sparse.objective == pytest.approx(dense.objective, rel=1e-9, abs=1e-12)
 
     def test_empty_model_sparse(self):
-        model = LPModel()
-        model.add_variables(3)
-        _, a_ub, b_ub, a_eq, b_eq, _ = model.standard_form()
+        session = LPSession()
+        session.add_variables(3)
+        _, a_ub, b_ub, a_eq, b_eq, _ = session.standard_form()
         assert sp.issparse(a_ub) and sp.issparse(a_eq)
         assert a_ub.shape == (0, 3) and a_eq.shape == (0, 3)
         assert b_ub.size == 0 and b_eq.size == 0
 
     def test_all_zero_rows_preserved(self):
         # A zero row with a non-trivial rhs must survive sparse assembly:
-        # "0 @ x == 1" is infeasible and dropping it would change the answer.
-        model = LPModel()
-        indices = model.add_variables(2)
-        model.add_eq_block(np.zeros((1, 2)), [1.0], indices)
-        _, _, _, a_eq, b_eq, _ = model.standard_form()
-        assert a_eq.shape == (1, 2)
-        np.testing.assert_array_equal(b_eq, [1.0])
-        solution = model.solve()
-        assert solution.status is LPStatus.INFEASIBLE
-
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    def test_solve_sparse_matches_dense(self, rng, backend):
-        for _ in range(5):
-            model = random_lp_model(rng)
-            with lp_solver(backend):
-                dense = get_backend().solve(*dense_standard_form(model))
-                sparse = model.solve()
-            assert dense.status == sparse.status
-            if dense.status is LPStatus.OPTIMAL:
-                assert dense.objective == pytest.approx(sparse.objective, abs=1e-7)
+        # "0 @ x <= -1" is infeasible and dropping it would change the answer.
+        session = LPSession()
+        session.add_variables(2)
+        session.append_rows([(np.zeros((1, 2)), [-1.0])])
+        _, a_ub, b_ub, _, _, _ = session.standard_form()
+        assert a_ub.shape == (1, 2) and a_ub.nnz == 0
+        np.testing.assert_array_equal(b_ub, [-1.0])
+        assert session.solve().status is LPStatus.INFEASIBLE
 
 
 class TestVectorizedAddVariables:
-    """The vectorized add_variables must match the old per-variable loop."""
+    """``add_variables`` appends one block of bounds and costs at once."""
 
     def test_block_indices_names_and_bounds(self):
-        model = LPModel()
-        model.add_variable("first")
-        indices = model.add_variables(3, "delta", lower=-2.0, upper=4.0)
+        session = LPSession()
+        session.add_variables(1)
+        indices = session.add_variables(3, lower=-2.0, upper=4.0, cost=1.5)
         np.testing.assert_array_equal(indices, [1, 2, 3])
-        assert model.num_variables == 4
-        assert [model.variable_name(i) for i in indices] == ["delta[0]", "delta[1]", "delta[2]"]
-        _, _, _, _, _, bounds = model.standard_form()
+        assert session.num_variables == 4
+        c, _, _, _, _, bounds = session.standard_form()
+        np.testing.assert_array_equal(c, [0.0, 1.5, 1.5, 1.5])
         np.testing.assert_array_equal(bounds[1:], [[-2.0, 4.0]] * 3)
 
     def test_default_name_and_empty_block(self):
-        model = LPModel()
-        empty = model.add_variables(0)
-        assert empty.size == 0 and model.num_variables == 0
-        indices = model.add_variables(2)
-        assert [model.variable_name(i) for i in indices] == ["x[0]", "x[1]"]
+        session = LPSession()
+        empty = session.add_variables(0)
+        assert empty.size == 0 and session.num_variables == 0
+        indices = session.add_variables(2)
+        np.testing.assert_array_equal(indices, [0, 1])
+        c, _, _, _, _, bounds = session.standard_form()
+        np.testing.assert_array_equal(c, [0.0, 0.0])
+        np.testing.assert_array_equal(bounds, [[-np.inf, np.inf]] * 2)
 
     def test_invalid_bounds_rejected(self):
-        from repro.exceptions import LPError
-
-        model = LPModel()
+        session = LPSession()
         with pytest.raises(LPError):
-            model.add_variables(2, lower=1.0, upper=-1.0)
-        assert model.num_variables == 0
+            session.add_variables(2, lower=1.0, upper=-1.0)
+        assert session.num_variables == 0
 
     def test_negative_count_rejected(self):
-        from repro.exceptions import LPError
-
         with pytest.raises(LPError):
-            LPModel().add_variables(-1)
-
-    def test_duplicate_block_columns_rejected(self):
-        # Duplicate columns would be silently summed by the CSR assembly;
-        # the model must refuse them outright.
-        from repro.exceptions import LPError
-
-        model = LPModel()
-        model.add_variables(2)
-        with pytest.raises(LPError):
-            model.add_leq_block(np.array([[1.0, 1.0]]), [1.0], columns=[0, 0])
+            LPSession().add_variables(-1)

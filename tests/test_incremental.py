@@ -32,8 +32,7 @@ from repro.datasets.acas import phi8_property
 from repro.driver import DriverConfig, RepairDriver
 from repro.exceptions import LPError
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
-from repro.lp.backends import get_backend
-from repro.lp.model import LPModel
+from repro.lp.model import LPSession
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from repro.models.acas_models import build_acas_network
@@ -47,10 +46,10 @@ from repro.utils.serialization import network_fingerprint
 from repro.verify import SyrennVerifier
 from tests.conftest import lp_solver, make_random_relu_network
 from tests.oracle import (
-    dense_standard_form,
     max_row_violation,
     oracle_point_repair,
     oracle_verify,
+    solve_cold,
 )
 
 
@@ -425,66 +424,55 @@ class TestIncrementalRepairSession:
 
 
 class TestLPSession:
-    def build_model(self, rows, rng, num_variables=5):
-        model = LPModel()
-        delta = model.add_variables(num_variables, "d")
-        add_norm_objective(model, delta, "linf")
-        model.add_leq_block(
-            rng.normal(size=(rows, num_variables)), rng.normal(size=rows) + 3.0, delta
+    def build_session(self, rows, rng, num_variables=5):
+        session = LPSession()
+        delta = session.add_variables(num_variables)
+        add_norm_objective(session, delta, "linf")
+        session.append_rows(
+            [(rng.normal(size=(rows, num_variables)), rng.normal(size=rows) + 3.0)]
         )
-        return model, delta
+        return session
 
     @pytest.mark.parametrize("backend", ["scipy", "simplex"])
     @pytest.mark.parametrize("sparse", [True, False])
     def test_appended_session_matches_cold_model(self, rng, backend, sparse):
-        """The session vs a cold solve of its model, from CSR or dense form.
+        """The session vs a fresh solver's cold solve of its standard form,
+        handed over as CSR or dense.
 
         Same status and objective (1e-9 relative), every row satisfied; the
         vertex may differ, since the session re-solves warm over the rows it
         admitted.
         """
 
-        def cold_solve(model):
-            if sparse:
-                return model.solve()
-            return get_backend().solve(*dense_standard_form(model))
-
-        def assert_matches_cold(solution, cold, model):
+        def assert_matches_cold(solution):
+            c, a_ub, b_ub, a_eq, b_eq, bounds = session.standard_form()
+            dense = (c, a_ub.toarray(), b_ub, a_eq.toarray(), b_eq, bounds)
+            cold = solve_cold(dense, sparse=sparse)
             assert solution.status is cold.status is LPStatus.OPTIMAL
             assert solution.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
-            _, a_ub, b_ub, *_ = model.standard_form()
             assert np.all(a_ub @ solution.values - b_ub <= 1e-7)
 
         with lp_solver(backend):
-            model, delta = self.build_model(6, rng)
-            session = model.incremental_session()
-            first = session.solve()
+            session = self.build_session(6, rng)
+            assert_matches_cold(session.solve())
             extra = rng.normal(size=(3, 5))
             rhs = rng.normal(size=3) + 4.0
-            model.add_leq_block(extra, rhs, delta)
-            assert session.append_rows() == 3
-            second = session.solve()
-
-            cold_rng = ensure_rng(12345)
-            cold_model, cold_delta = self.build_model(6, cold_rng)
-            cold_first = cold_solve(cold_model)
-            assert_matches_cold(first, cold_first, cold_model)
-            cold_model.add_leq_block(extra, rhs, cold_delta)
-            cold_second = cold_solve(cold_model)
-            assert_matches_cold(second, cold_second, cold_model)
-        assert session.num_rows == cold_model.num_constraints
+            assert session.append_rows([(extra, rhs)]) == 3
+            assert_matches_cold(session.solve())
+        assert session.num_rows == 2 * 5 + 6 + 3
 
     def test_append_rows_rejects_new_variables(self, rng):
-        model, _ = self.build_model(4, rng)
-        session = model.incremental_session()
-        model.add_variable("late")
+        session = self.build_session(4, rng)
         with pytest.raises(LPError):
-            session.append_rows()
+            # Wider than the session's variables.
+            session.append_rows([(np.ones((1, 7)), [1.0])])
+        session.solve()
         with pytest.raises(LPError):
-            session.standard_form()
+            session.add_variables(1)
+        assert session.num_variables == 6
 
     def test_empty_model_session_solves(self):
-        session = LPModel().incremental_session()
+        session = LPSession()
         solution = session.solve()
         assert solution.status is LPStatus.OPTIMAL
         assert solution.values.size == 0

@@ -6,10 +6,10 @@
 * the solver's **retained model**: a cold solve reproduces ``linprog``, a
   re-solve after appended rows is warm;
 * a **property** over small repair-shaped LPs grown over several solves:
-  after every solve the session agrees with a cold :meth:`LPModel.solve`
-  on status and objective, satisfies every row, and two sessions fed the
-  same appends return the same bytes — on the real solver and on the
-  reference simplex.
+  after every solve the session agrees with a fresh solver's cold solve of
+  its :meth:`~repro.lp.model.LPSession.standard_form` on status and
+  objective, satisfies every row, and two sessions fed the same appends
+  return the same bytes — on the real solver and on the reference simplex.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from scipy.optimize._highspy import _core
 
 import repro.lp.model as lp_model
 from repro.lp.backends import ScipyBackend
-from repro.lp.model import LPModel
+from repro.lp.model import LPSession
 from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from tests.conftest import lp_solver
+from tests.oracle import solve_cold
 
 #: Every ``_core._Highs`` method the solver calls.
 HIGHS_METHODS = (
@@ -77,20 +78,20 @@ class TestHighsSurface:
         assert lp_model.VIOLATION_TOLERANCE == tolerance
 
 
-def repair_shaped_model(rng, num_deltas: int, norm: str) -> tuple[LPModel, np.ndarray]:
-    model = LPModel()
-    delta = model.add_variables(num_deltas, "delta")
-    add_norm_objective(model, delta, norm)
-    return model, delta
+def repair_shaped_session(num_deltas: int, norm: str) -> LPSession:
+    session = LPSession()
+    delta = session.add_variables(num_deltas)
+    add_norm_objective(session, delta, norm)
+    return session
 
 
-def feasible_block(rng, rows: int, delta: np.ndarray, slack: float, point=None):
+def feasible_block(rng, rows: int, num_deltas: int, slack: float, point=None):
     """``rows`` random ``≤`` rows satisfied, with room, at ``point`` (default random)."""
     if point is None:
-        point = rng.normal(size=delta.size)
-    matrix = rng.normal(size=(rows, delta.size))
+        point = rng.normal(size=num_deltas)
+    matrix = rng.normal(size=(rows, num_deltas))
     rhs = matrix @ point + rng.uniform(0.1, slack, size=rows)
-    return matrix, rhs, delta
+    return matrix, rhs
 
 
 def random_block(rng, num_deltas: int, infeasible: bool):
@@ -109,9 +110,9 @@ def random_block(rng, num_deltas: int, infeasible: bool):
 
 class TestRetainedModel:
     def test_cold_solve_reproduces_linprog(self, rng):
-        model, delta = repair_shaped_model(rng, 6, "linf")
-        model.add_leq_block(*feasible_block(rng, 20, delta, 1.0))
-        c, a_ub, b_ub, a_eq, b_eq, bounds = model.standard_form()
+        session = repair_shaped_session(6, "linf")
+        session.append_rows([feasible_block(rng, 20, 6, 1.0)])
+        c, a_ub, b_ub, a_eq, b_eq, bounds = session.standard_form()
         expected = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(map(tuple, bounds)),
                            method="highs")
         solution = ScipyBackend().solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
@@ -121,42 +122,44 @@ class TestRetainedModel:
         assert solution.iterations == expected.nit
 
     def test_appended_rows_resolve_warm(self, rng):
-        model, delta = repair_shaped_model(rng, 6, "linf")
-        model.add_leq_block(*feasible_block(rng, 20, delta, 1.0))
+        session = repair_shaped_session(6, "linf")
+        session.append_rows([feasible_block(rng, 20, 6, 1.0)])
         solver = ScipyBackend()
-        assert not solver.solve(*model.standard_form()).warm_start_used
-        model.add_leq_block(*feasible_block(rng, 5, delta, 1.0))
-        warm = solver.solve(*model.standard_form())
-        cold = model.solve()
+        assert not solver.solve(*session.standard_form()).warm_start_used
+        session.append_rows([feasible_block(rng, 5, 6, 1.0)])
+        warm = solver.solve(*session.standard_form())
+        cold = solve_cold(session.standard_form())
         assert warm.warm_start_used and not cold.warm_start_used
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
         # Changing the objective is not an extension: the model is passed anew.
-        model.set_objective_coefficient(int(delta[0]), 0.5)
-        assert not solver.solve(*model.standard_form()).warm_start_used
+        c, *rest = session.standard_form()
+        c[0] = 0.5
+        assert not solver.solve(c, *rest).warm_start_used
 
     def test_session_admits_only_violated_rows(self, rng, monkeypatch):
         monkeypatch.setattr(lp_model, "SEED_ROWS", 3)
         monkeypatch.setattr(lp_model, "ROWS_PER_RESOLVE", 4)
-        model, delta = repair_shaped_model(rng, 4, "linf")
-        norm_rows = model.num_constraints
-        session = model.incremental_session()
+        session = repair_shaped_session(4, "linf")
+        norm_rows = session.num_rows
         # 40 rows with room around (2, 0, 0, 0), most of them slack at the
         # optimum, and one that the origin violates: delta_0 >= 1.
-        model.add_leq_block(*feasible_block(rng, 40, delta, 10.0, point=[2.0, 0, 0, 0]))
-        model.add_leq_block(-np.eye(4)[:1], [-1.0], delta)
-        session.append_rows()
+        session.append_rows([
+            feasible_block(rng, 40, 4, 10.0, point=[2.0, 0, 0, 0]),
+            (-np.eye(4)[:1], [-1.0]),
+        ])
         first = session.solve()
-        cold = model.solve()
+        cold = solve_cold(session.standard_form())
         assert first.status is LPStatus.OPTIMAL
         assert first.objective == pytest.approx(cold.objective, rel=1e-9)
         assert not first.warm_start_used
-        assert norm_rows < first.rows_admitted < cold.rows_admitted == norm_rows + 41
-        model.add_leq_block(*feasible_block(rng, 3, delta, 1.0, point=[2.0, 0, 0, 0]))
-        session.append_rows()
+        assert norm_rows < first.rows_admitted < session.num_rows == norm_rows + 41
+        session.append_rows([feasible_block(rng, 3, 4, 1.0, point=[2.0, 0, 0, 0])])
         second = session.solve()
         assert second.warm_start_used
         assert second.rows_admitted >= first.rows_admitted
-        assert second.objective == pytest.approx(model.solve().objective, rel=1e-9)
+        assert second.objective == pytest.approx(
+            solve_cold(session.standard_form()).objective, rel=1e-9
+        )
 
 
 @pytest.mark.parametrize("solver", ["scipy", "simplex"])
@@ -184,20 +187,18 @@ class TestSessionProperty:
                 patch.setattr(lp_model, "ROWS_PER_RESOLVE", limits[1])
             runs = []
             for _ in range(2):
-                model, delta = repair_shaped_model(rng, num_deltas, norm)
-                session = model.incremental_session()
+                session = repair_shaped_session(num_deltas, norm)
                 solutions = []
                 for matrix, rhs in blocks:
-                    model.add_leq_block(matrix, rhs, delta)
-                    session.append_rows()
+                    session.append_rows([(matrix, rhs)])
                     solution = session.solve()
-                    cold = model.solve()
+                    cold = solve_cold(session.standard_form())
                     assert solution.status is cold.status
                     if cold.status is LPStatus.OPTIMAL:
                         assert solution.objective == pytest.approx(
                             cold.objective, rel=1e-9, abs=1e-12
                         )
-                        _, a_ub, b_ub, *_ = model.standard_form()
+                        _, a_ub, b_ub, *_ = session.standard_form()
                         assert np.all(a_ub @ solution.values - b_ub <= 1e-7)
                     solutions.append(solution)
                 runs.append(solutions)

@@ -28,6 +28,7 @@ budgeted or not.
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,20 +54,22 @@ from repro.experiments.task1_imagenet import (
     pointwise_verification_spec,
 )
 from repro.experiments.task3_acas import Task3Setup, strengthened_verification_spec
-from repro.lp.backends import get_backend
-from repro.lp.model import LPModel
-from repro.lp.norms import add_norm_objective
 from repro.models.acas_models import build_acas_network
 from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
 from repro.verify.base import Counterexample, RegionStatus
 from repro.verify.sampling import GridVerifier
 from tests.conftest import make_random_relu_network, prefix_cache_off
-from tests.oracle import dense_standard_form, finite_difference_jacobians, max_row_violation
+from tests.oracle import (
+    finite_difference_jacobians,
+    max_row_violation,
+    repair_standard_form,
+    solve_cold,
+)
 from tests.test_incremental import assert_reports_identical, value_parameters
 
-#: A budget so small every tier degenerates: single-point chunk batches,
-#: single-column CSR pieces, and a pool window that spills on every add.
+#: A budget so small every tier degenerates: single-point chunk batches
+#: and a pool window that spills on every add.
 TINY_BUDGET = 4_096
 #: A budget producing ragged chunk batches (a few points each).
 RAGGED_BUDGET = 262_144
@@ -148,7 +151,8 @@ class TestChunkStreamAssembly:
             (series,) = snapshot["series"]
             assert series["labels"] == {"layer": str(layer)}
             assert series["value"] == float(stream.chunks_produced)
-        assert stream.chunks_produced >= len(stream)
+        # One CSR chunk per point batch.
+        assert stream.chunks_produced == len(stream)
 
     def test_rejects_nonpositive_budget(self):
         ddnn, layer, spec = small_workload()
@@ -185,16 +189,12 @@ class TestFiniteDifferenceBatch:
 def one_block_solution(ddnn, layer, spec, *, sparse: bool):
     """The whole spec's rows as one dense LP block, solved cold.
 
-    ``sparse=False`` solves the dense by-eye standard form instead of CSR.
+    The standard form is written out by eye; ``sparse=False`` hands it to
+    the solver dense instead of as CSR.
     """
-    model = LPModel()
-    delta = model.add_variables(ddnn.value.layers[layer].num_parameters, "delta")
-    add_norm_objective(model, delta, "linf")
-    lhs, rhs = _encode_batch(ddnn, layer, spec)
-    model.add_leq_block(lhs, rhs, delta)
-    if sparse:
-        return model.solve()
-    return get_backend().solve(*dense_standard_form(model))
+    num_parameters = ddnn.value.layers[layer].num_parameters
+    form = repair_standard_form(num_parameters, "linf", None, [_encode_batch(ddnn, layer, spec)])
+    return solve_cold(form, sparse=sparse)
 
 
 def assert_matches_one_block(repair, ddnn, layer, spec, *, sparse: bool) -> None:
@@ -403,6 +403,31 @@ class TestDriverDifferential:
         ):
             assert budgeted_round.pool_size == reference_round.pool_size
             assert budgeted_round.lp_rows_appended == reference_round.lp_rows_appended
+
+    def test_huge_budget_streams_at_most_default_chunks(self, acas_phi8, monkeypatch):
+        """A budget's chunk quarter only ever shrinks the unbudgeted chunks."""
+        from repro.verify import SyrennVerifier
+
+        # The module, not the same-named function ``repro.core`` exports.
+        point_repair_module = importlib.import_module("repro.core.point_repair")
+
+        budgets = []
+
+        class RecordingStream(JacobianChunkStream):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                budgets.append(self.max_chunk_bytes)
+
+        monkeypatch.setattr(point_repair_module, "JacobianChunkStream", RecordingStream)
+        network, spec = acas_phi8
+        expected = {}
+        for memory_budget in (HUGE_BUDGET, 1 << 40, RAGGED_BUDGET):
+            config = DriverConfig(max_rounds=2, memory_budget=memory_budget)
+            RepairDriver(network, spec, SyrennVerifier(), config=config).run()
+            expected[memory_budget] = set(budgets)
+            budgets.clear()
+        assert expected[HUGE_BUDGET] == expected[1 << 40] == {DEFAULT_CHUNK_BYTES}
+        assert expected[RAGGED_BUDGET] == {RAGGED_BUDGET // 4}
 
     def test_budgeted_matches_unbudgeted_on_fogged_digits(self):
         # The MNIST-fog flavor of the matrix: fog-corrupted rendered digits

@@ -6,15 +6,22 @@
 find there is skipped silently (it never lands in the tracer's ``missing``
 list), so a refactor of the solver classes could zero ``lp.solve_s``,
 ``lp.solves`` and ``lp.iterations`` unnoticed.  This test runs a small
-repair under the benchmark's own wrappers and checks the LP spans fired.
+repair under the benchmark's own wrappers and checks the LP spans fired,
+and pins what those wrappers read of ``LPSession``: ``append_rows``
+returns the row count, and ``standard_form`` a six-tuple whose items 1
+and 3 (the constraint matrices) are sparse.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sp
+
 from repro.core.point_repair import point_repair
 from repro.core.specs import PointRepairSpec
+from repro.lp.model import LPSession
 from tests.conftest import make_random_relu_network
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +49,13 @@ def test_traced_point_repair_records_lp_solves(rng, monkeypatch):
     assert tracer.counts["lp.rows"] > 0
     assert tracer.self_s["lp.solve"] > 0
     assert not [name for name in tracer.missing if name.startswith("LPSession.")]
+
+
+def test_session_interface_the_wrappers_read():
+    session = LPSession()
+    session.add_variables(3)
+    assert session.append_rows([(np.ones((2, 3)), np.ones(2)), (np.eye(3), np.ones(3))]) == 5
+    form = session.standard_form()
+    assert len(form) == 6
+    assert sp.issparse(form[1]) and sp.issparse(form[3])
+    assert form[1].nnz + form[3].nnz == 9
