@@ -51,6 +51,7 @@ stay byte-identical to each other across memory budgets.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,7 +76,7 @@ from repro.lp.status import LPStatus
 from repro.nn.network import Network
 from repro.obs import Span
 from repro.utils.timing import TimeBudget
-from repro.verify.base import VerificationReport, VerificationSpec, Verifier
+from repro.verify.base import RegionStatus, VerificationReport, VerificationSpec, Verifier
 
 __all__ = [
     "DEFAULT_REPAIR_MARGIN",
@@ -95,9 +96,10 @@ class DriverTiming:
     is the :class:`RepairTiming` of the ``driver.repair`` spans (their
     LinRegions/Jacobian/LP/other split, as in the paper's RQ4 analysis,
     with session construction and pool encoding in "other"); and
-    ``other_seconds`` is the remainder, driver overhead (pool intake,
-    checkpointing, holdout evaluation, the final check of the pool against
-    the returned network).  The total is the run span's wall time.
+    ``other_seconds`` is the remainder, driver overhead (the run's network
+    copy, prefix-cache builds and bindings, pool intake, checkpointing,
+    holdout evaluation, the final check of the pool against the returned
+    network).  The total is the run span's wall time.
     """
 
     verify_seconds: float = 0.0
@@ -446,7 +448,8 @@ class RepairDriver:
     def _run(self) -> DriverReport:
         budget = TimeBudget(self.budget_seconds)
         rounds: list[RoundRecord] = []
-        current = self.base.copy()
+        with obs.span("driver.setup"):
+            current = self.base.copy()
         layer_cursor = 0
         status = "max_rounds_reached"
         final_report: VerificationReport | None = None
@@ -467,22 +470,23 @@ class RepairDriver:
                 self._serve_prefix(self.layer_schedule[layer_cursor], current)
             with obs.span("driver.verify", round=round_index) as verify_span:
                 report = self.verifier.verify(current, self.spec)
+                verdicts = Counter(report.region_statuses)
+                record = RoundRecord(
+                    round_index=round_index,
+                    regions_certified=verdicts[RegionStatus.CERTIFIED],
+                    regions_violated=verdicts[RegionStatus.VIOLATED],
+                    regions_unknown=verdicts[RegionStatus.UNKNOWN],
+                    new_counterexamples=0,
+                    pool_size=len(self.pool),
+                    pool_key_points=self.pool.num_key_points,
+                    verify_value_only=getattr(report, "value_only", False),
+                )
+            record.seconds = verify_span.wall_seconds
             final_report = report
             report_is_stale = False
-            record = RoundRecord(
-                round_index=round_index,
-                regions_certified=report.num_certified,
-                regions_violated=report.num_violated,
-                regions_unknown=report.num_unknown,
-                new_counterexamples=0,
-                pool_size=len(self.pool),
-                pool_key_points=self.pool.num_key_points,
-                seconds=verify_span.wall_seconds,
-                verify_value_only=getattr(report, "value_only", False),
-            )
             rounds.append(record)
 
-            if report.num_violated == 0:
+            if record.regions_violated == 0:
                 status = "certified" if report.certified else "clean"
                 self._emit(record)
                 break
@@ -529,7 +533,8 @@ class RepairDriver:
 
             current = result.network
             if self._prefix_cache is not None:
-                self._prefix_cache.bind(current)
+                with obs.span("driver.prefix"):
+                    self._prefix_cache.bind(current)
             report_is_stale = True
             record.delta_linf = result.delta_linf_norm
             if self.holdout is not None:
@@ -572,21 +577,23 @@ class RepairDriver:
 
         A different layer retires the previous cache (features and
         bindings).  Layer 0 has no frozen prefix, so it gets no cache.
+        Cache builds and bindings are timed as ``driver.prefix`` spans.
         """
-        if layer_index < 0:
-            layer_index += self.base.num_layers
-        cache = self._prefix_cache
-        if cache is None or cache.layer_index != layer_index:
-            if cache is not None:
-                cache.close()
-                self._prefix_cache = None
-            if not 0 < layer_index < self.base.num_layers:
-                return
-            cache = self._prefix_cache = PrefixCache(
-                self.base, layer_index, max_bytes=self.max_prefix_bytes
-            )
-            cache.bind(self.base)
-        cache.bind(current)
+        with obs.span("driver.prefix"):
+            if layer_index < 0:
+                layer_index += self.base.num_layers
+            cache = self._prefix_cache
+            if cache is None or cache.layer_index != layer_index:
+                if cache is not None:
+                    cache.close()
+                    self._prefix_cache = None
+                if not 0 < layer_index < self.base.num_layers:
+                    return
+                cache = self._prefix_cache = PrefixCache(
+                    self.base, layer_index, max_bytes=self.max_prefix_bytes
+                )
+                cache.bind(self.base)
+            cache.bind(current)
 
     def _emit(self, record: RoundRecord) -> None:
         """Hand a finished round record to the ``on_round`` progress callback.

@@ -1,9 +1,14 @@
-"""2-D convolution layers (im2col based).
+"""2-D convolution layers (im2col on strided views, contracted with BLAS).
 
 The layer operates on flat vectors like every other layer in the framework;
 it carries its own ``(channels, height, width)`` metadata and reshapes
-internally.  The im2col/col2im index arrays are precomputed once per layer so
-forward evaluation, input backward, and parameter Jacobians all reuse them.
+internally.  Patches are read from a strided sliding-window view of the
+padded images and copied once into an im2col block, and every contraction
+(forward, input backward, parameter Jacobian, parameter gradient) is a
+matrix product, so it runs in BLAS GEMM.  The forward, input backward and
+Jacobian run one GEMM per batch row, which keeps each row's result
+independent of the batch height.  col2im scatters patch gradients back with
+one strided-slice add per kernel offset.
 """
 
 from __future__ import annotations
@@ -15,7 +20,12 @@ from repro.nn.layer import Layer, LayerKind
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    """Spatial output size of a convolution along one dimension."""
+    """Spatial output size of a convolution (or pooling) along one dimension."""
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise LayerError(
+            f"invalid convolution geometry: kernel={kernel}, stride={stride}, "
+            f"padding={padding} (kernel and stride must be >= 1, padding >= 0)"
+        )
     usable = size + 2 * padding - kernel
     if usable < 0 or usable % stride != 0:
         raise LayerError(
@@ -25,29 +35,17 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return usable // stride + 1
 
 
-def window_indices(
-    height: int,
-    width: int,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Row/column gather indices for im2col over a padded image.
+def window_slices(maps: np.ndarray, kernel_h: int, kernel_w: int, stride: int, out_h: int, out_w: int):
+    """Yield one strided view of ``maps`` per window offset, in row-major order.
 
-    Returns ``(rows, cols, out_h, out_w)`` where ``rows`` and ``cols`` have
-    shape ``(kernel_h * kernel_w, out_h * out_w)`` and index into the padded
-    image.
+    ``maps`` is ``(..., height, width)``; the view for offset ``(i, j)`` is
+    ``(..., out_h, out_w)`` and holds, for every output position, the window
+    entry at that offset.  Views write through to ``maps``.
     """
-    out_h = conv_output_size(height, kernel_h, stride, padding)
-    out_w = conv_output_size(width, kernel_w, stride, padding)
-    kernel_rows = np.repeat(np.arange(kernel_h), kernel_w)
-    kernel_cols = np.tile(np.arange(kernel_w), kernel_h)
-    start_rows = stride * np.repeat(np.arange(out_h), out_w)
-    start_cols = stride * np.tile(np.arange(out_w), out_h)
-    rows = kernel_rows[:, None] + start_rows[None, :]
-    cols = kernel_cols[:, None] + start_cols[None, :]
-    return rows, cols, out_h, out_w
+    rows, cols = stride * out_h, stride * out_w
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            yield maps[..., i:i + rows:stride, j:j + cols:stride]
 
 
 class Conv2DLayer(Layer):
@@ -85,18 +83,12 @@ class Conv2DLayer(Layer):
         self.input_width = int(input_width)
         self.stride = int(stride)
         self.padding = int(padding)
-        rows, cols, out_h, out_w = window_indices(
-            self.input_height,
-            self.input_width,
-            self.kernel_h,
-            self.kernel_w,
-            self.stride,
-            self.padding,
+        self.output_height = conv_output_size(
+            self.input_height, self.kernel_h, self.stride, self.padding
         )
-        self._rows = rows
-        self._cols = cols
-        self.output_height = out_h
-        self.output_width = out_w
+        self.output_width = conv_output_size(
+            self.input_width, self.kernel_w, self.stride, self.padding
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -156,20 +148,34 @@ class Conv2DLayer(Layer):
         """Return im2col patches of shape ``(batch, in_ch * kh * kw, P)``."""
         batch = values.shape[0]
         images = values.reshape(batch, self.in_channels, self.input_height, self.input_width)
-        padded = self._pad(images)
-        patches = padded[:, :, self._rows, self._cols]
+        stride = self.stride
+        windows = np.lib.stride_tricks.sliding_window_view(
+            self._pad(images), (self.kernel_h, self.kernel_w), axis=(2, 3)
+        )[:, :, ::stride, ::stride]                                   # (b, c, oh, ow, kh, kw)
+        patches = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
         return patches.reshape(batch, self.in_channels * self.kernel_h * self.kernel_w, -1)
 
     def _col2im(self, grad_patches: np.ndarray) -> np.ndarray:
-        """Scatter patch gradients back to flat input gradients."""
+        """Scatter patch gradients back to flat input gradients.
+
+        One strided-slice add per kernel offset, in row-major kernel order,
+        so every input element sums its contributions in the same order an
+        index scatter over the im2col gather would.
+        """
         batch = grad_patches.shape[0]
         padded_h = self.input_height + 2 * self.padding
         padded_w = self.input_width + 2 * self.padding
         grad_padded = np.zeros((batch, self.in_channels, padded_h, padded_w))
         grad_patches = grad_patches.reshape(
-            batch, self.in_channels, self.kernel_h * self.kernel_w, -1
+            batch, self.in_channels, self.kernel_h * self.kernel_w,
+            self.output_height, self.output_width,
         )
-        np.add.at(grad_padded, (slice(None), slice(None), self._rows, self._cols), grad_patches)
+        windows = window_slices(
+            grad_padded, self.kernel_h, self.kernel_w, self.stride,
+            self.output_height, self.output_width,
+        )
+        for offset, window in enumerate(windows):
+            window += grad_patches[:, :, offset]
         if self.padding:
             pad = self.padding
             grad_padded = grad_padded[:, :, pad:-pad, pad:-pad]
@@ -188,16 +194,14 @@ class Conv2DLayer(Layer):
             raise ShapeError(
                 f"expected input of size {self.input_size}, got {values.shape[1]}"
             )
-        patches = self._im2col(values)
-        response = np.einsum("oq,bqp->bop", self._kernel_matrix(), patches)
+        response = self._kernel_matrix() @ self._im2col(values)       # (b, o, P)
         response += self.biases[None, :, None]
         return response.reshape(values.shape[0], -1)
 
     def backward_input(self, grad_output: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
         grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
         grad_maps = grad_output.reshape(grad_output.shape[0], self.out_channels, -1)
-        grad_patches = np.einsum("oq,bop->bqp", self._kernel_matrix(), grad_maps)
-        return self._col2im(grad_patches)
+        return self._col2im(self._kernel_matrix().T @ grad_maps)
 
     # ------------------------------------------------------------------
     # Parameters
@@ -226,8 +230,8 @@ class Conv2DLayer(Layer):
         ``A`` (reshaped to ``(m, out_ch, P)``) we get
         ``∂(A z)/∂K[c, q] = Σ_p A[:, c, p] · cols[q, p]`` and
         ``∂(A z)/∂b[c] = Σ_p A[:, c, p]``.  The im2col patches of all points
-        are gathered in one shot and a single einsum contracts them against
-        the stacked downstream maps.
+        are gathered in one shot and one batched matrix product contracts
+        them against the stacked downstream maps.
         """
         downstream = np.asarray(downstream, dtype=np.float64)
         forward_inputs = np.atleast_2d(np.asarray(forward_inputs, dtype=np.float64))
@@ -237,16 +241,19 @@ class Conv2DLayer(Layer):
             )
         k, m, _ = downstream.shape
         cols = self._im2col(forward_inputs)                                   # (k, q, P)
-        reshaped = downstream.reshape(k, m, self.out_channels, -1)            # (k, m, c, P)
-        kernel_block = np.einsum("kmcp,kqp->kmcq", reshaped, cols).reshape(k, m, -1)
-        bias_block = reshaped.sum(axis=3)
+        maps = downstream.reshape(k, m * self.out_channels, -1)               # (k, m·c, P)
+        kernel_block = (maps @ cols.transpose(0, 2, 1)).reshape(k, m, -1)     # (k, m, c·q)
+        bias_block = maps.reshape(k, m, self.out_channels, -1).sum(axis=3)
         return np.concatenate([kernel_block, bias_block], axis=2)
 
     def backward_parameters(self, grad_output: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
         grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
         forward_input = np.atleast_2d(np.asarray(forward_input, dtype=np.float64))
-        patches = self._im2col(forward_input)
+        patches = self._im2col(forward_input)                                 # (b, q, P)
         grad_maps = grad_output.reshape(grad_output.shape[0], self.out_channels, -1)
-        grad_kernels = np.einsum("bop,bqp->oq", grad_maps, patches)
+        # Σ_b Σ_p G[b, o, p] · patches[b, q, p] as one GEMM over the (b, p) axis.
+        grad_kernels = grad_maps.transpose(1, 0, 2).reshape(self.out_channels, -1) @ (
+            patches.transpose(1, 0, 2).reshape(patches.shape[1], -1).T
+        )
         grad_biases = grad_maps.sum(axis=(0, 2))
         return np.concatenate([grad_kernels.ravel(), grad_biases])

@@ -200,6 +200,9 @@ class Layer(abc.ABC):
         return f"{type(self).__name__}(in={self.input_size}, out={self.output_size})"
 
 
+_NEGATIVE_ZERO_BITS = np.float64(-0.0).view(np.int64)
+
+
 def free_of_nan_and_negative_zero(values: np.ndarray) -> bool:
     """Whether ``values`` holds no NaN and no ``-0.0`` (conservatively).
 
@@ -210,7 +213,9 @@ def free_of_nan_and_negative_zero(values: np.ndarray) -> bool:
     conservative.
     """
     values = np.asarray(values, dtype=np.float64)
-    return not np.isnan(values.sum()) and not np.signbit(values[values == 0.0]).any()
+    # -0.0 is the one float64 whose bits are the sign bit alone, so one
+    # integer comparison finds it without gathering the zeros first.
+    return not np.isnan(values.sum()) and not (values.view(np.int64) == _NEGATIVE_ZERO_BITS).any()
 
 
 def as_batch(values: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -5,6 +5,13 @@ DNN its value-channel replacement is the selection map determined by the
 activation channel's argmax (each window passes on the value-channel entry
 at the position where the activation channel's window is maximal).
 ``AvgPool2DLayer`` is a fixed linear map and therefore a *static* layer.
+
+Both read their windows as ``pool_size²`` strided slices of the input maps,
+one per window offset in row-major order: slice ``(i, j)`` holds, for every
+output position, the window entry at offset ``(i, j)``.  Reductions run over
+those slices in that order (a running maximum, a running first-argmax, a
+running sum), so each output sees its window entries in the order an index
+gather of the window would list them.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.conv import window_indices
+from repro.nn.conv import conv_output_size, window_slices
 from repro.nn.layer import Layer, LayerKind, free_of_nan_and_negative_zero
 
 
@@ -32,18 +39,8 @@ class _Pool2DBase(Layer):
         self.input_width = int(input_width)
         self.pool_size = int(pool_size)
         self.stride = int(stride) if stride is not None else self.pool_size
-        rows, cols, out_h, out_w = window_indices(
-            self.input_height,
-            self.input_width,
-            self.pool_size,
-            self.pool_size,
-            self.stride,
-            padding=0,
-        )
-        self.output_height = out_h
-        self.output_width = out_w
-        # Flat spatial index of every window element for every output position.
-        self._window_flat = rows * self.input_width + cols  # (k*k, P)
+        self.output_height = conv_output_size(self.input_height, self.pool_size, self.stride, 0)
+        self.output_width = conv_output_size(self.input_width, self.pool_size, self.stride, 0)
 
     @property
     def input_size(self) -> int:
@@ -53,11 +50,15 @@ class _Pool2DBase(Layer):
     def output_size(self) -> int:
         return self.channels * self.output_height * self.output_width
 
-    def _windows(self, values: np.ndarray) -> np.ndarray:
-        """Gather pooling windows: ``(batch, channels, k*k, P)``."""
-        batch = values.shape[0]
-        maps = values.reshape(batch, self.channels, -1)
-        return maps[:, :, self._window_flat]
+    def _window_slices(self, values: np.ndarray):
+        """Yield the window entries at each offset, in row-major offset order.
+
+        Each slice is a ``(batch, channels, out_h, out_w)`` strided view.
+        """
+        maps = values.reshape(values.shape[0], self.channels, self.input_height, self.input_width)
+        return window_slices(
+            maps, self.pool_size, self.pool_size, self.stride, self.output_height, self.output_width
+        )
 
 
 class MaxPool2DLayer(_Pool2DBase):
@@ -70,23 +71,40 @@ class MaxPool2DLayer(_Pool2DBase):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
         if values.shape[1] != self.input_size:
             raise ShapeError(f"expected input of size {self.input_size}, got {values.shape[1]}")
-        windows = self._windows(values)
-        return windows.max(axis=2).reshape(values.shape[0], -1)
+        windows = self._window_slices(values)
+        result = next(windows).copy()
+        for window in windows:
+            np.maximum(result, window, out=result)
+        return result.reshape(values.shape[0], -1)
+
+    def _first_max(self, batch: np.ndarray) -> np.ndarray:
+        """Row-major window offset of each window's first maximal entry.
+
+        Returns ``(batch, channels, out_h, out_w)`` offsets, chosen as
+        ``np.argmax`` over the window would: ties keep the earliest entry,
+        and the first NaN wins.
+        """
+        windows = self._window_slices(batch)
+        best = next(windows).copy()
+        winners = np.zeros(best.shape, dtype=np.intp)
+        for offset, window in enumerate(windows, start=1):
+            better = (window > best) | (np.isnan(window) & ~np.isnan(best))
+            np.copyto(best, window, where=better)
+            winners[better] = offset
+        return winners
 
     def _argmax_flat_indices_batch(self, batch: np.ndarray) -> np.ndarray:
         """Flat input index selected by each output coordinate, per batch row.
 
         Returns ``(batch, output_size)`` indices into the flat input.
         """
-        windows = self._windows(batch)                              # (B, C, k*k, P)
-        winners = windows.argmax(axis=2)                            # (B, C, P)
-        spatial = np.take_along_axis(
-            np.broadcast_to(self._window_flat, windows.shape), winners[:, :, None, :], axis=2
-        )[:, :, 0, :]
+        winners = self._first_max(batch)                            # (B, C, oh, ow)
+        rows = self.stride * np.arange(self.output_height)[:, None] + winners // self.pool_size
+        cols = self.stride * np.arange(self.output_width)[None, :] + winners % self.pool_size
         channel_offsets = (
-            np.arange(self.channels)[None, :, None] * self.input_height * self.input_width
+            np.arange(self.channels)[:, None, None] * self.input_height * self.input_width
         )
-        return (spatial + channel_offsets).reshape(batch.shape[0], -1)
+        return (channel_offsets + rows * self.input_width + cols).reshape(batch.shape[0], -1)
 
     def backward_input(self, grad_output: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
         grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
@@ -122,10 +140,10 @@ class MaxPool2DLayer(_Pool2DBase):
     ) -> np.ndarray:
         activation_batch = np.atleast_2d(np.asarray(activation_preactivation, dtype=np.float64))
         value_batch = np.atleast_2d(np.asarray(value_preactivation, dtype=np.float64))
-        activation_windows = self._windows(activation_batch)       # (B, C, k*k, P)
-        value_windows = self._windows(value_batch)
-        winners = activation_windows.argmax(axis=2)                 # (B, C, P)
-        selected = np.take_along_axis(value_windows, winners[:, :, None, :], axis=2)[:, :, 0, :]
+        winners = self._first_max(activation_batch)                 # (B, C, oh, ow)
+        selected = np.empty(winners.shape)
+        for offset, window in enumerate(self._window_slices(value_batch)):
+            np.copyto(selected, window, where=winners == offset)
         return selected.reshape(value_batch.shape[0], -1)
 
     def forward_matches_decoupled(self, preactivation: np.ndarray) -> bool:
@@ -143,21 +161,23 @@ class AvgPool2DLayer(_Pool2DBase):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
         if values.shape[1] != self.input_size:
             raise ShapeError(f"expected input of size {self.input_size}, got {values.shape[1]}")
-        windows = self._windows(values)
-        return windows.mean(axis=2).reshape(values.shape[0], -1)
+        # Start from +0.0, as numpy's sum does, so a window of -0.0s averages to 0.0.
+        total = np.zeros((values.shape[0], self.channels, self.output_height, self.output_width))
+        for window in self._window_slices(values):
+            total += window
+        total /= float(self.pool_size * self.pool_size)
+        return total.reshape(values.shape[0], -1)
 
     def backward_input(self, grad_output: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
         grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
         batch = grad_output.shape[0]
-        grad_maps = grad_output.reshape(batch, self.channels, -1)
-        share = grad_maps / float(self.pool_size * self.pool_size)
-        grad_input = np.zeros((batch, self.channels, self.input_height * self.input_width))
-        window = np.broadcast_to(
-            self._window_flat, (self.pool_size * self.pool_size, grad_maps.shape[2])
-        )
-        for element in range(window.shape[0]):
-            np.add.at(grad_input, (slice(None), slice(None), window[element]), share)
-        return grad_input.reshape(batch, -1)
+        share = grad_output.reshape(
+            batch, self.channels, self.output_height, self.output_width
+        ) / float(self.pool_size * self.pool_size)
+        grad_input = np.zeros((batch, self.channels * self.input_height * self.input_width))
+        for window in self._window_slices(grad_input):
+            window += share
+        return grad_input
 
 
 class GlobalAvgPoolLayer(Layer):

@@ -14,8 +14,10 @@ and solved once, cold, on a fresh solver; one polygon at a time through every
 layer, each piece clipped on its own by this module's copy of the
 per-polygon half-plane clip (:func:`clip_by_function`,
 :class:`VertexPolygon`); one network evaluation per linear region; one
-max-pool backward per batch row — kept here so the tests can compare the
-optimized paths against code simple enough to check by eye.
+max-pool backward per batch row; convolution and pooling by index gather,
+``einsum`` and ``np.add.at`` (the layers read strided views and contract
+with BLAS instead) — kept here so the tests can compare the optimized paths
+against code simple enough to check by eye.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from repro.core.specs import PointRepairSpec
 from repro.exceptions import ShapeError
 from repro.lp.backends import get_backend
 from repro.lp.status import LPStatus
+from repro.nn.conv import Conv2DLayer, conv_output_size
 from repro.nn.layer import LayerKind
+from repro.nn.network import Network
 from repro.polytope.polygon import polygon_area
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
@@ -249,6 +253,188 @@ def oracle_point_repair(
         objective_value=solution.objective,
         **common,
     )
+
+
+# ----------------------------------------------------------------------
+# Convolution and pooling by index gather, einsum and np.add.at
+# ----------------------------------------------------------------------
+def window_indices(
+    height: int,
+    width: int,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    padding: int,
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Row/column gather indices for im2col over a padded image.
+
+    Returns ``(rows, cols, out_h, out_w)`` where ``rows`` and ``cols`` have
+    shape ``(kernel_h * kernel_w, out_h * out_w)`` and index into the padded
+    image: row ``e`` lists, for every output position, the coordinates of
+    window entry ``e`` (row-major over the kernel).
+    """
+    out_h = conv_output_size(height, kernel_h, stride, padding)
+    out_w = conv_output_size(width, kernel_w, stride, padding)
+    kernel_rows = np.repeat(np.arange(kernel_h), kernel_w)
+    kernel_cols = np.tile(np.arange(kernel_w), kernel_h)
+    start_rows = stride * np.repeat(np.arange(out_h), out_w)
+    start_cols = stride * np.tile(np.arange(out_w), out_h)
+    rows = kernel_rows[:, None] + start_rows[None, :]
+    cols = kernel_cols[:, None] + start_cols[None, :]
+    return rows, cols, out_h, out_w
+
+
+def _conv_indices(layer):
+    rows, cols, _, _ = window_indices(
+        layer.input_height, layer.input_width, layer.kernel_h, layer.kernel_w,
+        layer.stride, layer.padding,
+    )
+    return rows, cols
+
+
+def oracle_im2col(layer, values: np.ndarray) -> np.ndarray:
+    """Conv im2col patches ``(batch, in_ch * kh * kw, P)`` by fancy indexing."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    batch = values.shape[0]
+    images = values.reshape(batch, layer.in_channels, layer.input_height, layer.input_width)
+    pad = layer.padding
+    padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    rows, cols = _conv_indices(layer)
+    return padded[:, :, rows, cols].reshape(batch, layer.in_channels * rows.shape[0], -1)
+
+
+def oracle_col2im(layer, grad_patches: np.ndarray) -> np.ndarray:
+    """Scatter patch gradients back to flat input gradients with ``np.add.at``."""
+    batch = grad_patches.shape[0]
+    pad = layer.padding
+    grad_padded = np.zeros(
+        (batch, layer.in_channels, layer.input_height + 2 * pad, layer.input_width + 2 * pad)
+    )
+    rows, cols = _conv_indices(layer)
+    grad_patches = grad_patches.reshape(batch, layer.in_channels, rows.shape[0], -1)
+    np.add.at(grad_padded, (slice(None), slice(None), rows, cols), grad_patches)
+    if pad:
+        grad_padded = grad_padded[:, :, pad:-pad, pad:-pad]
+    return grad_padded.reshape(batch, -1)
+
+
+def oracle_conv_forward(layer, values: np.ndarray) -> np.ndarray:
+    """:meth:`Conv2DLayer.forward` as one einsum over gathered patches."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    kernel = layer.kernels.reshape(layer.out_channels, -1)
+    response = np.einsum("oq,bqp->bop", kernel, oracle_im2col(layer, values))
+    response += layer.biases[None, :, None]
+    return response.reshape(values.shape[0], -1)
+
+
+def oracle_conv_backward_input(layer, grad_output: np.ndarray) -> np.ndarray:
+    """:meth:`Conv2DLayer.backward_input` by einsum and ``np.add.at``."""
+    grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
+    grad_maps = grad_output.reshape(grad_output.shape[0], layer.out_channels, -1)
+    kernel = layer.kernels.reshape(layer.out_channels, -1)
+    return oracle_col2im(layer, np.einsum("oq,bop->bqp", kernel, grad_maps))
+
+
+def oracle_conv_parameter_jacobian(layer, downstream: np.ndarray, forward_inputs: np.ndarray):
+    """:meth:`Conv2DLayer.batch_parameter_jacobian` as one einsum."""
+    downstream = np.asarray(downstream, dtype=np.float64)
+    k, m, _ = downstream.shape
+    cols = oracle_im2col(layer, forward_inputs)
+    reshaped = downstream.reshape(k, m, layer.out_channels, -1)
+    kernel_block = np.einsum("kmcp,kqp->kmcq", reshaped, cols).reshape(k, m, -1)
+    return np.concatenate([kernel_block, reshaped.sum(axis=3)], axis=2)
+
+
+def oracle_conv_backward_parameters(layer, grad_output: np.ndarray, forward_input: np.ndarray):
+    """:meth:`Conv2DLayer.backward_parameters` as one einsum."""
+    grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
+    grad_maps = grad_output.reshape(grad_output.shape[0], layer.out_channels, -1)
+    patches = oracle_im2col(layer, forward_input)
+    grad_kernels = np.einsum("bop,bqp->oq", grad_maps, patches)
+    return np.concatenate([grad_kernels.ravel(), grad_maps.sum(axis=(0, 2))])
+
+
+class EinsumConv2DLayer(Conv2DLayer):
+    """A :class:`Conv2DLayer` that computes through the einsum oracles above."""
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return oracle_conv_forward(self, values)
+
+    def backward_input(self, grad_output: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
+        return oracle_conv_backward_input(self, grad_output)
+
+    def batch_parameter_jacobian(self, downstream: np.ndarray, forward_inputs: np.ndarray) -> np.ndarray:
+        return oracle_conv_parameter_jacobian(self, downstream, forward_inputs)
+
+    def backward_parameters(self, grad_output: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
+        return oracle_conv_backward_parameters(self, grad_output, forward_input)
+
+
+def with_einsum_convs(network: Network) -> Network:
+    """``network`` with every convolution computed by :class:`EinsumConv2DLayer`."""
+    return Network([
+        EinsumConv2DLayer(
+            layer.kernels, layer.biases,
+            input_height=layer.input_height, input_width=layer.input_width,
+            stride=layer.stride, padding=layer.padding,
+        )
+        if isinstance(layer, Conv2DLayer) else layer.copy()
+        for layer in network.layers
+    ])
+
+
+def _pool_window_flat(layer) -> np.ndarray:
+    rows, cols, _, _ = window_indices(
+        layer.input_height, layer.input_width, layer.pool_size, layer.pool_size, layer.stride, 0
+    )
+    return rows * layer.input_width + cols                             # (k*k, P)
+
+
+def oracle_pool_windows(layer, values: np.ndarray) -> np.ndarray:
+    """Gather pooling windows by fancy indexing: ``(batch, channels, k*k, P)``."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    maps = values.reshape(values.shape[0], layer.channels, -1)
+    return maps[:, :, _pool_window_flat(layer)]
+
+
+def oracle_maxpool_forward(layer, values: np.ndarray) -> np.ndarray:
+    """:meth:`MaxPool2DLayer.forward` as a max over gathered windows."""
+    return oracle_pool_windows(layer, values).max(axis=2).reshape(np.atleast_2d(values).shape[0], -1)
+
+
+def oracle_argmax_flat_indices(layer, batch: np.ndarray) -> np.ndarray:
+    """:meth:`MaxPool2DLayer._argmax_flat_indices_batch` by ``np.argmax``."""
+    windows = oracle_pool_windows(layer, batch)
+    winners = windows.argmax(axis=2)
+    spatial = np.take_along_axis(
+        np.broadcast_to(_pool_window_flat(layer), windows.shape), winners[:, :, None, :], axis=2
+    )[:, :, 0, :]
+    channel_offsets = np.arange(layer.channels)[None, :, None] * layer.input_height * layer.input_width
+    return (spatial + channel_offsets).reshape(windows.shape[0], -1)
+
+
+def oracle_maxpool_decoupled_forward(layer, activation: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """:meth:`MaxPool2DLayer.decoupled_forward` by ``np.argmax`` and ``take_along_axis``."""
+    winners = oracle_pool_windows(layer, activation).argmax(axis=2)
+    value_windows = oracle_pool_windows(layer, value)
+    selected = np.take_along_axis(value_windows, winners[:, :, None, :], axis=2)[:, :, 0, :]
+    return selected.reshape(value_windows.shape[0], -1)
+
+
+def oracle_avgpool_forward(layer, values: np.ndarray) -> np.ndarray:
+    """:meth:`AvgPool2DLayer.forward` as a mean over gathered windows."""
+    return oracle_pool_windows(layer, values).mean(axis=2).reshape(np.atleast_2d(values).shape[0], -1)
+
+
+def oracle_avgpool_backward_input(layer, grad_output: np.ndarray) -> np.ndarray:
+    """:meth:`AvgPool2DLayer.backward_input` with one ``np.add.at`` per window entry."""
+    grad_output = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
+    batch = grad_output.shape[0]
+    share = grad_output.reshape(batch, layer.channels, -1) / float(layer.pool_size**2)
+    grad_input = np.zeros((batch, layer.channels, layer.input_height * layer.input_width))
+    for element in _pool_window_flat(layer):
+        np.add.at(grad_input, (slice(None), slice(None), element), share)
+    return grad_input.reshape(batch, -1)
 
 
 def maxpool_backward_per_row(layer, grad_output: np.ndarray, forward_input: np.ndarray):

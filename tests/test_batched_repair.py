@@ -43,6 +43,7 @@ from tests.oracle import (
     repair_standard_form,
     solve_cold,
     specification_jacobians,
+    with_einsum_convs,
 )
 
 
@@ -140,6 +141,35 @@ class TestBatchedJacobians:
                 np.testing.assert_allclose(entry[0], batch_entry[index], atol=1e-12)
             for entry, batch_entry in zip(single_val, batched_val):
                 np.testing.assert_allclose(entry[0], batch_entry[index], atol=1e-12)
+
+
+class TestConvKernelContract:
+    """BLAS conv kernels against the einsum oracle, end to end through a repair.
+
+    The kernels differ from the einsum in the last bits, so a repair through
+    them must reach the same verdict with the same LP objective (1e-9
+    relative), not the same delta bytes.
+    """
+
+    @pytest.mark.parametrize("layer_index", [0, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_repair_matches_einsum_conv_oracle(self, layer_index, seed):
+        rng = np.random.default_rng(seed)
+        network = make_conv_network(rng)
+        points = rng.normal(size=(6, network.input_size))
+        labels = rng.integers(0, network.output_size, size=6)
+        spec = PointRepairSpec.from_labels(
+            points, labels, num_classes=network.output_size, margin=1e-4
+        )
+        reference_network = with_einsum_convs(network)
+        np.testing.assert_allclose(
+            network.compute(points), reference_network.compute(points), atol=1e-12, rtol=0
+        )
+        result = point_repair(network, layer_index, spec)
+        reference = point_repair(reference_network, layer_index, spec)
+        assert result.feasible and reference.feasible
+        assert result.lp_status == reference.lp_status
+        assert result.objective_value == pytest.approx(reference.objective_value, rel=1e-9)
 
 
 class TestDifferentialPointRepair:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.exceptions import LayerError, ShapeError
 from repro.nn.activations import (
@@ -14,12 +14,13 @@ from repro.nn.activations import (
     SigmoidLayer,
     TanhLayer,
 )
-from repro.nn.conv import Conv2DLayer, conv_output_size, window_indices
+from repro.nn.conv import Conv2DLayer, conv_output_size
 from repro.nn.layer import LayerKind
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.pooling import AvgPool2DLayer, GlobalAvgPoolLayer, MaxPool2DLayer
 from repro.nn.reshape import FlattenLayer, NormalizeLayer
-from tests.oracle import maxpool_backward_per_row
+from tests import oracle
+from tests.oracle import maxpool_backward_per_row, window_indices
 
 
 class TestFullyConnectedLayer:
@@ -209,6 +210,11 @@ class TestActivationLayers:
         np.testing.assert_allclose(grad[0], numeric, atol=1e-6)
 
 
+def _conv(kernel_h: int = 2, **geometry) -> Conv2DLayer:
+    """A one-channel conv over a 4×4 input with the given geometry."""
+    return Conv2DLayer(np.ones((1, 1, kernel_h, 2)), input_height=4, input_width=4, **geometry)
+
+
 class TestConvGeometry:
     def test_conv_output_size(self):
         assert conv_output_size(16, 3, 1, 1) == 16
@@ -220,6 +226,23 @@ class TestConvGeometry:
         rows, cols, out_h, out_w = window_indices(4, 4, 2, 2, 2, 0)
         assert out_h == out_w == 2
         assert rows.shape == cols.shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: _conv(stride=0), id="conv-stride-0"),
+            pytest.param(lambda: _conv(stride=-1), id="conv-stride-negative"),
+            pytest.param(lambda: _conv(padding=-1), id="conv-padding-negative"),
+            pytest.param(lambda: _conv(kernel_h=0), id="conv-kernel-0"),
+            pytest.param(lambda: MaxPool2DLayer(1, 4, 4, pool_size=0), id="maxpool-size-0"),
+            pytest.param(lambda: MaxPool2DLayer(1, 4, 4, stride=0), id="maxpool-stride-0"),
+            pytest.param(lambda: MaxPool2DLayer(1, 4, 4, stride=-2), id="maxpool-stride-negative"),
+            pytest.param(lambda: AvgPool2DLayer(1, 4, 4, pool_size=-1), id="avgpool-size-negative"),
+        ],
+    )
+    def test_invalid_geometry_rejected_at_construction(self, build):
+        with pytest.raises(LayerError):
+            build()
 
 
 class TestConv2DLayer:
@@ -375,6 +398,137 @@ class TestPoolingLayers:
         layer = MaxPool2DLayer(1, 4, 4, pool_size=2)
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((1, 15)))
+
+
+def _awkward_values(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws with ``+0.0``, ``-0.0``, repeated values (ties) and NaN mixed in."""
+    values = rng.normal(size=shape)
+    draw = rng.random(shape)
+    values[draw < 0.15] = 0.0
+    values[(draw >= 0.15) & (draw < 0.3)] = -0.0
+    values[(draw >= 0.3) & (draw < 0.4)] = 1.0
+    values[(draw >= 0.4) & (draw < 0.45)] = np.nan
+    return values
+
+
+def _side(out: int, kernel: int, stride: int, padding: int) -> int:
+    """Input side length giving ``out`` output positions."""
+    return (out - 1) * stride + kernel - 2 * padding
+
+
+class TestStridedKernelOracleProperty:
+    """Strided-view conv and pooling kernels against the gather/einsum oracles.
+
+    Conv contractions run in BLAS, so they agree with the einsum to
+    ``atol=1e-12``; the im2col copy, ``_col2im`` and every pooling kernel
+    must match their index-gather oracles byte for byte, and every layer's
+    forward must not depend on the batch height.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kernel_h=st.integers(1, 3),
+        kernel_w=st.integers(1, 3),
+        stride=st.integers(1, 2),
+        padding=st.integers(0, 1),
+        in_channels=st.integers(1, 4),
+        out_channels=st.integers(1, 4),
+        out_h=st.integers(1, 4),
+        out_w=st.integers(1, 4),
+    )
+    def test_conv_matches_einsum_oracle(
+        self, seed, kernel_h, kernel_w, stride, padding, in_channels, out_channels, out_h, out_w
+    ):
+        height = _side(out_h, kernel_h, stride, padding)
+        width = _side(out_w, kernel_w, stride, padding)
+        assume(height >= 1 and width >= 1)
+        rng = np.random.default_rng(seed)
+        layer = Conv2DLayer(
+            rng.normal(size=(out_channels, in_channels, kernel_h, kernel_w)),
+            rng.normal(size=out_channels),
+            input_height=height, input_width=width, stride=stride, padding=padding,
+        )
+        assert (layer.output_height, layer.output_width) == (out_h, out_w)
+        batch = 5
+        values = _awkward_values(rng, (batch, layer.input_size))
+        assert layer._im2col(values).tobytes() == oracle.oracle_im2col(layer, values).tobytes()
+        np.testing.assert_allclose(
+            layer.forward(values), oracle.oracle_conv_forward(layer, values), atol=1e-12, rtol=0
+        )
+        finite = rng.normal(size=(batch, layer.input_size))
+        grad_output = _awkward_values(rng, (batch, layer.output_size))
+        np.testing.assert_allclose(
+            layer.backward_input(grad_output, finite),
+            oracle.oracle_conv_backward_input(layer, grad_output),
+            atol=1e-12, rtol=0,
+        )
+        np.testing.assert_allclose(
+            layer.backward_parameters(grad_output, finite),
+            oracle.oracle_conv_backward_parameters(layer, grad_output, finite),
+            atol=1e-12, rtol=0,
+        )
+        downstream = rng.normal(size=(batch, 3, layer.output_size))
+        np.testing.assert_allclose(
+            layer.batch_parameter_jacobian(downstream, values),
+            oracle.oracle_conv_parameter_jacobian(layer, downstream, values),
+            atol=1e-12, rtol=0,
+        )
+        grad_patches = _awkward_values(
+            rng, (batch, in_channels * kernel_h * kernel_w, layer.num_positions)
+        )
+        assert (
+            layer._col2im(grad_patches).tobytes()
+            == oracle.oracle_col2im(layer, grad_patches).tobytes()
+        )
+        rows = np.concatenate([layer.forward(values[row : row + 1]) for row in range(batch)])
+        assert layer.forward(values).tobytes() == rows.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        pool_size=st.integers(1, 3),
+        stride=st.integers(1, 2),
+        channels=st.integers(1, 4),
+        out_h=st.integers(1, 4),
+        out_w=st.integers(1, 4),
+    )
+    def test_pooling_matches_gather_oracle_bytes(
+        self, seed, pool_size, stride, channels, out_h, out_w
+    ):
+        rng = np.random.default_rng(seed)
+        height = _side(out_h, pool_size, stride, 0)
+        width = _side(out_w, pool_size, stride, 0)
+        batch = 5
+        maxpool = MaxPool2DLayer(channels, height, width, pool_size=pool_size, stride=stride)
+        avgpool = AvgPool2DLayer(channels, height, width, pool_size=pool_size, stride=stride)
+        activation = _awkward_values(rng, (batch, maxpool.input_size))
+        value = _awkward_values(rng, (batch, maxpool.input_size))
+        grad_output = _awkward_values(rng, (batch, maxpool.output_size))
+        checks = [
+            (maxpool.forward(activation), oracle.oracle_maxpool_forward(maxpool, activation)),
+            (
+                maxpool._argmax_flat_indices_batch(activation),
+                oracle.oracle_argmax_flat_indices(maxpool, activation),
+            ),
+            (
+                maxpool.decoupled_forward(activation, value),
+                oracle.oracle_maxpool_decoupled_forward(maxpool, activation, value),
+            ),
+            (avgpool.forward(activation), oracle.oracle_avgpool_forward(avgpool, activation)),
+            (
+                avgpool.backward_input(grad_output, activation),
+                oracle.oracle_avgpool_backward_input(avgpool, grad_output),
+            ),
+        ]
+        for actual, expected in checks:
+            assert actual.dtype == expected.dtype and actual.shape == expected.shape
+            assert actual.tobytes() == expected.tobytes()
+        for layer in (maxpool, avgpool):
+            rows = np.concatenate(
+                [layer.forward(activation[row : row + 1]) for row in range(batch)]
+            )
+            assert layer.forward(activation).tobytes() == rows.tobytes()
 
 
 class TestReshapeLayers:
