@@ -383,12 +383,19 @@ class CounterexamplePool:
 
         Key points are evaluated in batches of up to ``chunk_points`` rows
         (one stacked forward pass each) rather than one ``compute`` call per
-        point, which is what keeps this check cheap on 10^5-row pools.
+        point, and each batch's margins take one
+        :meth:`~repro.polytope.hpolytope.HPolytope.violation_batch` per
+        distinct constraint, which is what keeps this check cheap on
+        10^5-row pools.
         """
         decoupled = isinstance(network, DecoupledNetwork)
         batch_points: list[np.ndarray] = []
         batch_activations: list[np.ndarray] = []
-        batch_owner: list[tuple[int, HPolytope]] = []
+        batch_owner: list[int] = []
+        batch_group: list[int] = []
+        # Distinct constraints (by bytes) in first-seen order, and their ids.
+        constraints: list[HPolytope] = []
+        group_of: dict[bytes, int] = {}
         unsatisfied_indices: set[int] = set()
 
         def flush() -> None:
@@ -401,21 +408,30 @@ class CounterexamplePool:
                 )
             else:
                 outputs = np.atleast_2d(network.compute(stacked))
-            for row, (owner, constraint) in enumerate(batch_owner):
-                if owner in unsatisfied_indices:
-                    continue
-                if constraint.violation(outputs[row]) > tolerance:
-                    unsatisfied_indices.add(owner)
+            owners = np.array(batch_owner)
+            groups = np.array(batch_group)
+            for group in np.unique(groups).tolist():
+                rows = np.flatnonzero(groups == group)
+                margins = constraints[group].violation_batch(outputs[rows])
+                unsatisfied_indices.update(owners[rows[margins > tolerance]].tolist())
             batch_points.clear()
             batch_activations.clear()
             batch_owner.clear()
+            batch_group.clear()
 
         for index, counterexample in enumerate(self.iter_entries()):
             activation = counterexample.resolved_activation_point()
+            constraint = counterexample.constraint
+            key = constraint.a.tobytes() + constraint.b.tobytes()
+            if key not in group_of:
+                group_of[key] = len(constraints)
+                constraints.append(constraint)
+            group = group_of[key]
             for point in counterexample.key_points():
                 batch_points.append(np.atleast_1d(point))
                 batch_activations.append(np.atleast_1d(activation))
-                batch_owner.append((index, counterexample.constraint))
+                batch_owner.append(index)
+                batch_group.append(group)
                 if len(batch_points) >= chunk_points:
                     flush()
         flush()

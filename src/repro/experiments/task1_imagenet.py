@@ -34,8 +34,9 @@ from repro.experiments.metrics import accuracy_percent, drawdown, efficacy
 from repro.models.squeezenet_mini import build_mini_squeezenet
 from repro.models.zoo import ModelZoo
 from repro.nn.network import Network
+from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
-from repro.verify.base import VerificationSpec
+from repro.verify.base import VerificationSpec, frozen_constraint
 from repro.verify.sampling import GridVerifier
 
 #: Margin used for the "classified as label y" constraints; a small positive
@@ -290,18 +291,23 @@ def pointwise_verification_spec(
     ``certify_exhaustive=True`` can both sweep in one stacked pass and
     *certify*, so a driver run over this spec can terminate ``certified``.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    # One read-only copy of the points: every region's box holds row views
+    # of it, so the spec's regions are immutable without a copy per point.
+    points = np.array(np.atleast_2d(points), dtype=np.float64)
+    points.flags.writeable = False
     labels = np.asarray(labels, dtype=int).ravel()
     if points.shape[0] != labels.size:
         raise ValueError("one label per point is required")
+    # Points with one label share one (frozen) constraint.
+    constraints: dict[int, HPolytope] = {}
     spec = VerificationSpec()
-    for index in range(points.shape[0]):
-        spec.add_box(
-            points[index],
-            points[index],
-            classification_constraint(num_classes, int(labels[index]), margin),
-            name=f"point-{index}",
-        )
+    for index, label in enumerate(labels.tolist()):
+        if label not in constraints:
+            constraints[label] = frozen_constraint(
+                classification_constraint(num_classes, label, margin)
+            )
+        point = points[index]
+        spec.add_box(point, point, constraints[label], name=f"point-{index}")
     return spec
 
 

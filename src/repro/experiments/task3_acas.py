@@ -31,6 +31,7 @@ from repro.nn.network import Network
 from repro.syrenn.plane import PlaneRegion, transform_planes
 from repro.utils.rng import ensure_rng
 from repro.verify import SyrennVerifier, VerificationSpec, Verifier
+from repro.verify.base import frozen_constraint
 
 #: Margin for the strengthened per-region classification constraints.
 CLASSIFICATION_MARGIN = 1e-4
@@ -238,11 +239,17 @@ def _strengthened_regions(
     if not named:
         return []
     scores = network.compute(np.array([region.interior_point for _, region in named]))
+    # Regions with one winner share its (frozen) constraint.
+    constraints = {
+        winner: frozen_constraint(
+            safe_advisory_constraint(network.output_size, winner, allowed, margin)
+        )
+        for winner in allowed
+    }
     strengthened = []
     for (name, region), row in zip(named, scores):
         winner = max(allowed, key=lambda advisory: row[advisory])
-        constraint = safe_advisory_constraint(network.output_size, winner, allowed, margin)
-        strengthened.append((name, region, constraint))
+        strengthened.append((name, region, constraints[winner]))
     return strengthened
 
 

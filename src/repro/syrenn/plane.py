@@ -51,19 +51,21 @@ class PlaneRegion:
     plane_vertices:
         ``(k, 2)`` array of the same vertices in the plane's 2-D coordinate
         system (used for plotting and area computations).
+    interior_point:
+        The centroid of the region's vertices (interior for convex sets),
+        ``input_vertices.mean(axis=0)``.
+
+    :func:`transform_planes` hands out read-only views of arrays it stacked
+    for the whole batch.
     """
 
     input_vertices: np.ndarray
     plane_vertices: np.ndarray
+    interior_point: np.ndarray
 
     @property
     def num_vertices(self) -> int:
         return self.input_vertices.shape[0]
-
-    @property
-    def interior_point(self) -> np.ndarray:
-        """The centroid of the region's vertices (interior for convex sets)."""
-        return self.input_vertices.mean(axis=0)
 
     @property
     def area(self) -> float:
@@ -173,9 +175,6 @@ class _PieceStack:
     offsets: np.ndarray
     owner: np.ndarray
 
-    def rows(self, piece: int) -> slice:
-        return slice(int(self.offsets[piece]), int(self.offsets[piece + 1]))
-
 
 def _transform_stacked(network: Network, polygons: list[np.ndarray]) -> list[PlanePartition]:
     inputs = np.vstack(polygons)
@@ -183,11 +182,12 @@ def _transform_stacked(network: Network, polygons: list[np.ndarray]) -> list[Pla
     # NaN or infinite vertex fails with a LinAlgError.
     if not np.isfinite(inputs).all():
         raise ShapeError("plane vertices must be finite")
+    offsets = np.cumsum([0] + [vertices.shape[0] for vertices in polygons])
     store = _PieceStack(
-        plane=np.vstack([_plane_coordinates(vertices) for vertices in polygons]),
+        plane=_plane_coordinates_stacked(inputs, offsets),
         inputs=inputs,
         values=inputs,
-        offsets=np.cumsum([0] + [vertices.shape[0] for vertices in polygons]),
+        offsets=offsets,
         owner=np.arange(len(polygons)),
     )
     for layer in network.layers:
@@ -196,16 +196,72 @@ def _transform_stacked(network: Network, polygons: list[np.ndarray]) -> list[Pla
                 store = _split_straddling(store, threshold)
         store.values = layer.forward(store.values)
 
+    # The regions are read-only views of the final stacked arrays, which
+    # nothing else holds.
+    interiors = _piece_centroids(store.inputs, store.offsets)
+    for array in (store.inputs, store.plane, interiors):
+        array.flags.writeable = False
     partitions = [PlanePartition(regions=[]) for _ in polygons]
-    for piece, owner in enumerate(store.owner):
-        rows = store.rows(piece)
+    bounds = store.offsets.tolist()
+    for piece, owner in enumerate(store.owner.tolist()):
+        start, stop = bounds[piece], bounds[piece + 1]
         partitions[owner].regions.append(
             PlaneRegion(
-                input_vertices=store.inputs[rows].copy(),
-                plane_vertices=store.plane[rows].copy(),
+                input_vertices=store.inputs[start:stop],
+                plane_vertices=store.plane[start:stop],
+                interior_point=interiors[piece],
             )
         )
     return partitions
+
+
+def _count_groups(offsets: np.ndarray):
+    """Group pieces by size: ``(rows, members)`` for each distinct size ``k``.
+
+    ``members`` are the pieces with ``k`` rows (CSR ``offsets``), in order,
+    and ``rows`` is the ``(len(members), k)`` array of their row indices.
+    """
+    counts = np.diff(offsets)
+    for count in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == count)
+        yield offsets[members][:, None] + np.arange(count), members
+
+
+def _plane_coordinates_stacked(inputs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each polygon's vertices in an orthonormal basis of its plane, stacked.
+
+    Polygon ``p`` owns rows ``offsets[p]:offsets[p + 1]`` of ``inputs``.
+    The basis is the leading right singular vectors of the vertices' offsets
+    from the polygon's first vertex.  Polygons with equal vertex counts
+    share one stacked ``np.linalg.svd`` and one stacked projection; both run
+    the same LAPACK/BLAS call on each polygon as a polygon-at-a-time
+    projection, so every bit matches it.
+    """
+    plane = np.empty((inputs.shape[0], 2))
+    for rows, _ in _count_groups(offsets):
+        vertices = inputs[rows]
+        relative = vertices - vertices[:, :1]
+        # Build an orthonormal basis of the (at most 2-D) span of the offsets.
+        _, singular_values, basis = np.linalg.svd(relative, full_matrices=False)
+        if np.any(np.sum(singular_values > 1e-9, axis=1) > 2):
+            raise ShapeError("plane vertices do not lie in a 2-D affine subspace")
+        if basis.shape[1] >= 2:
+            basis = basis[:, :2]
+        else:
+            basis = np.concatenate([basis, np.zeros_like(basis[:, :1])], axis=1)
+        plane[rows.ravel()] = (relative @ basis.transpose(0, 2, 1)).reshape(-1, 2)
+    return plane
+
+
+def _piece_centroids(inputs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Every piece's vertex mean, one stacked ``mean`` per distinct piece size.
+
+    Bit-identical to each piece's own ``mean(axis=0)``.
+    """
+    centroids = np.empty((offsets.size - 1, inputs.shape[1]))
+    for rows, members in _count_groups(offsets):
+        centroids[members] = inputs[rows].mean(axis=1)
+    return centroids
 
 
 def _split_straddling(store: _PieceStack, threshold: float) -> _PieceStack:
@@ -383,16 +439,3 @@ def _clip_coordinate(
         np.concatenate([[0], np.cumsum(lengths[children])]),
     )
     return _PieceStack(plane, inputs, values, offsets, store.owner[parent]), new_straddles
-
-
-def _plane_coordinates(plane_vertices: np.ndarray) -> np.ndarray:
-    """Project the polygon vertices onto an orthonormal basis of their plane."""
-    origin = plane_vertices[0]
-    offsets = plane_vertices - origin
-    # Build an orthonormal basis of the (at most 2-D) span of the offsets.
-    _, singular_values, basis = np.linalg.svd(offsets, full_matrices=False)
-    rank = int(np.sum(singular_values > 1e-9))
-    if rank > 2:
-        raise ShapeError("plane vertices do not lie in a 2-D affine subspace")
-    basis = basis[:2] if basis.shape[0] >= 2 else np.vstack([basis, np.zeros_like(basis[:1])])
-    return offsets @ basis.T

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import abc
 import enum
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from repro.exceptions import SpecificationError
 from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
+from repro.syrenn.regions import geometry_digest
 
 #: A sampled output violates its constraint when the margin exceeds this.
 DEFAULT_TOLERANCE = 1e-7
@@ -48,16 +51,60 @@ class RegionStatus(enum.Enum):
     UNKNOWN = "unknown"      #: no violation found, but nothing proven
 
 
+def frozen_array(array, what: str) -> np.ndarray:
+    """``array`` as a finite, read-only float64 array.
+
+    An array this function returned before comes back at once.  An array
+    that is already read-only all the way down its ``base`` chain is
+    returned as is; anything else is copied first, so freezing never
+    changes an array its caller may still write to.  Non-finite entries
+    raise :class:`SpecificationError`: a NaN bound or vertex makes every
+    margin NaN, and ``NaN > tolerance`` is false, so a verifier would
+    certify the region.
+    """
+    array = np.asarray(array, dtype=np.float64)
+    if _FROZEN.get(id(array)) is array:
+        return array
+    if not np.isfinite(array).all():
+        raise SpecificationError(f"{what} must be finite")
+    base = array
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            array = array.copy()
+            array.flags.writeable = False
+            break
+        base = base.base
+    _FROZEN[id(array)] = array
+    return array
+
+
+#: The arrays :func:`frozen_array` returned, by ``id``: checked, and
+#: immutable, so a region built again from them (a repair spec's regions
+#: adopted as verification targets) skips the check.  An entry leaves with
+#: its array.
+_FROZEN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class Box:
-    """An axis-aligned input box ``{x : lower ≤ x ≤ upper}`` (dims may be degenerate)."""
+    """An axis-aligned input box ``{x : lower ≤ x ≤ upper}`` (dims may be degenerate).
+
+    The bounds are finite and read-only (:func:`frozen_array`).
+    """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=np.float64).ravel())
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=np.float64).ravel())
+        lower = frozen_array(np.asarray(self.lower, dtype=np.float64).ravel(), "box lower bound")
+        if self.upper is self.lower:
+            # A single-point box given as one array (as a pointwise spec's
+            # regions are) is checked and frozen once.
+            upper = lower
+        else:
+            upper = frozen_array(np.asarray(self.upper, dtype=np.float64).ravel(), "box upper bound")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         if self.lower.shape != self.upper.shape:
             raise SpecificationError("box lower and upper bounds must have the same shape")
         if np.any(self.lower > self.upper):
@@ -77,13 +124,56 @@ class Box:
 InputRegion = LineSegment | np.ndarray | Box
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpecRegion:
-    """One input region paired with the output constraint it must map into."""
+    """One input region paired with the output constraint it must map into.
+
+    Immutable: the fields cannot be reassigned, and every array the region
+    and its constraint hold is finite and read-only (:func:`frozen_array`),
+    so a write raises.  That is what lets each region compute what the
+    verifiers need of it — its normalized geometry, input dimension,
+    geometry digest, constraint key and single-point flag — lazily, once,
+    and keep it: a repair driver re-verifies the same regions every round.
+    To change a spec, replace its list entry with a new ``SpecRegion``.
+    """
 
     region: InputRegion
     constraint: HPolytope
     name: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "region", _frozen_region(self.region))
+        object.__setattr__(self, "constraint", frozen_constraint(self.constraint))
+
+    @cached_property
+    def normalized(self) -> LineSegment | np.ndarray | None:
+        """The region as the SyReNN substrate decomposes it (:func:`_normalize_region`)."""
+        return _normalize_region(self.region)
+
+    @cached_property
+    def dimension(self) -> int:
+        """Dimension of the input space the region lives in."""
+        return _region_dimension(self.region)
+
+    @cached_property
+    def digest(self) -> str | None:
+        """:func:`geometry_digest` of the normalized region (``None`` for 3D+ boxes)."""
+        normalized = self.normalized
+        return None if normalized is None else geometry_digest(normalized)
+
+    @cached_property
+    def constraint_key(self) -> bytes:
+        """The constraint's bytes: regions with equal keys share one constraint."""
+        return self.constraint.a.tobytes() + self.constraint.b.tobytes()
+
+    @cached_property
+    def is_point(self) -> bool:
+        """Whether the region is a single point (a box with no varying dimension).
+
+        A sampling verifier's sweep of such a region evaluates the region
+        itself, so with ``certify_exhaustive`` a clean sweep certifies it.
+        """
+        return isinstance(self.region, Box) and self.region.varying_dimensions().size == 0
 
 
 @dataclass
@@ -394,18 +484,18 @@ class Verifier(abc.ABC):
 
 def check_spec_dimensions(network: Network | DecoupledNetwork, spec: VerificationSpec) -> None:
     """Every region must live in the network's input space, every constraint in its outputs."""
+    input_size, output_size = network.input_size, network.output_size
     for index, entry in enumerate(spec.regions):
-        dimension = _region_dimension(entry.region)
-        if dimension != network.input_size:
+        if entry.dimension != input_size:
             raise SpecificationError(
-                f"region {index} has input dimension {dimension}, "
-                f"network expects {network.input_size}"
+                f"region {index} has input dimension {entry.dimension}, "
+                f"network expects {input_size}"
             )
-        if entry.constraint.output_dimension != network.output_size:
+        if entry.constraint.output_dimension != output_size:
             raise SpecificationError(
                 f"region {index}'s constraint is over dimension "
                 f"{entry.constraint.output_dimension}, network outputs "
-                f"{network.output_size}"
+                f"{output_size}"
             )
 
 
@@ -415,6 +505,61 @@ def _region_dimension(region: InputRegion) -> int:
     if isinstance(region, Box):
         return region.dimension
     return np.atleast_2d(np.asarray(region)).shape[1]
+
+
+def _frozen_region(region) -> InputRegion:
+    """``region`` with finite, read-only arrays (the same object if it has them)."""
+    if isinstance(region, Box):
+        return region  # a Box freezes its own bounds
+    if isinstance(region, LineSegment):
+        start = frozen_array(region.start, "segment start")
+        end = frozen_array(region.end, "segment end")
+        if start is region.start and end is region.end:
+            return region
+        return LineSegment(start, end)
+    return frozen_array(region, "plane vertices")
+
+
+def frozen_constraint(constraint: HPolytope) -> HPolytope:
+    """``constraint`` with finite, read-only arrays (the same object if it has them)."""
+    a = frozen_array(constraint.a, "constraint A")
+    b = frozen_array(constraint.b, "constraint b")
+    if a is constraint.a and b is constraint.b:
+        return constraint
+    return HPolytope(a, b)
+
+
+def _normalize_region(region) -> LineSegment | np.ndarray | None:
+    """Map a spec region onto what the SyReNN substrate can decompose.
+
+    Returns a :class:`LineSegment`, a plane-vertex array, a single point
+    (1-D array, for fully degenerate boxes), or ``None`` when the region is
+    a box varying in three or more dimensions.  The arrays it builds are
+    read-only, like the region's own.
+    """
+    if isinstance(region, LineSegment):
+        return region
+    if isinstance(region, Box):
+        varying = region.varying_dimensions()
+        if varying.size == 0:
+            return region.lower
+        if varying.size == 1:
+            end = region.lower.copy()
+            end[varying[0]] = region.upper[varying[0]]
+            end.flags.writeable = False
+            return LineSegment(region.lower, end)
+        if varying.size == 2:
+            corners = []
+            for corner in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                point = region.lower.copy()
+                for position, dim in enumerate(varying):
+                    point[dim] = region.upper[dim] if corner[position] else region.lower[dim]
+                corners.append(point)
+            corners = np.array(corners)
+            corners.flags.writeable = False
+            return corners
+        return None
+    return np.atleast_2d(np.asarray(region, dtype=np.float64))
 
 
 def _region_entry_dict(entry: SpecRegion) -> dict:

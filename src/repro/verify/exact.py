@@ -39,14 +39,14 @@ from repro.polytope.segment import LineSegment
 from repro.syrenn.cache import PartitionCache
 from repro.syrenn.line import transform_line
 from repro.syrenn.plane import transform_planes
-from repro.syrenn.regions import LinearRegion, geometry_digest
+from repro.syrenn.regions import LinearRegion
 from repro.utils.serialization import network_fingerprint
 from repro.verify.base import (
     DEFAULT_TOLERANCE,
-    Box,
     Counterexample,
     RegionCounterexample,
     RegionStatus,
+    SpecRegion,
     VerificationReport,
     VerificationSpec,
     Verifier,
@@ -113,25 +113,19 @@ class SyrennVerifier(Verifier):
             activation_network = (
                 network.activation if isinstance(network, DecoupledNetwork) else network
             )
-            normalized = [_normalize_region(entry.region) for entry in spec.regions]
             # The fast path is gated on the *activation* network fingerprint:
             # value-channel edits (what repair applies) never move linear
             # region boundaries (Theorem 4.6), so an unchanged fingerprint
             # means the cached decomposition is exact for this network too.
+            # The regions' digests are computed once and kept on the regions.
             fingerprint = network_fingerprint(activation_network)
-            fast_key = (
-                fingerprint,
-                tuple(
-                    geometry_digest(region) if region is not None else None
-                    for region in normalized
-                ),
-            )
+            fast_key = (fingerprint, tuple(entry.digest for entry in spec.regions))
             stack = self._value_only_slot
             value_only = stack is not None and stack.key == fast_key
             if value_only:
                 self.value_only_verifications += 1
             else:
-                decomposed = self._decompose_all(activation_network, fingerprint, normalized)
+                decomposed = self._decompose_all(activation_network, fingerprint, spec.regions)
                 stack = self._value_only_slot = _RegionStack.build(fast_key, decomposed)
             report = self._report(network, spec, stack, value_only)
         report.seconds = span.wall_seconds
@@ -163,16 +157,17 @@ class SyrennVerifier(Verifier):
         # hundreds of regions, so this collapses the per-region Python loop
         # into a few large matmuls.
         groups: dict[bytes, tuple] = {}
-        for region_index, entry in enumerate(spec.regions):
-            span = stack.region_spans[region_index]
+        for region_index, (entry, span) in enumerate(zip(spec.regions, stack.region_spans)):
             if span is None or span[0] == span[1]:
                 continue
-            digest = entry.constraint.a.tobytes() + entry.constraint.b.tobytes()
-            if digest not in groups:
-                groups[digest] = (entry.constraint, [])
-            groups[digest][1].append(span)
-        for constraint, spans in groups.values():
-            rows = np.concatenate([np.arange(s, e) for s, e in spans])
+            groups.setdefault(entry.constraint_key, (entry.constraint, []))[1].append(region_index)
+        # Rows ascend within a group, as the regions' spans do.
+        region_group = np.zeros(spec.num_regions, dtype=np.intp)
+        for group, (_, members) in enumerate(groups.values()):
+            region_group[members] = group
+        row_group = region_group[stack.row_region]
+        for group, (constraint, _) in enumerate(groups.values()):
+            rows = np.flatnonzero(row_group == group)
             margins_all[rows] = constraint.violation_batch(outputs[rows])
 
         # A region with no linear regions has nothing to violate: margin -inf
@@ -199,12 +194,16 @@ class SyrennVerifier(Verifier):
         counterexamples: list[Counterexample] = []
         if self.region_counterexamples:
             # One counterexample per violating *linear region*: its rows are
-            # the contiguous spans of the row → interior mapping.
-            for span_start, span_stop in contiguous_spans(stack.row_interior):
+            # the contiguous spans of the row → interior mapping.  One
+            # ``reduceat`` finds the violating ones (a NaN maximum counts as
+            # violating, as ``argmax`` would pick it).
+            spans = contiguous_spans(stack.row_interior)
+            span_starts = np.array([start for start, _ in spans], dtype=np.intp)
+            worst_margins = np.maximum.reduceat(margins_all, span_starts)
+            for index in np.flatnonzero(~(worst_margins <= self.tolerance)).tolist():
+                span_start, span_stop = spans[index]
                 span_margins = margins_all[span_start:span_stop]
                 worst = int(np.argmax(span_margins))
-                if span_margins[worst] <= self.tolerance:
-                    continue
                 region_index = int(stack.row_region[span_start])
                 counterexamples.append(
                     RegionCounterexample(
@@ -250,16 +249,18 @@ class SyrennVerifier(Verifier):
         return np.atleast_2d(network.compute(stack.vertices))
 
     def _decompose_all(
-        self, activation_network: Network, fingerprint: str, normalized: list
+        self, activation_network: Network, fingerprint: str, regions: list[SpecRegion]
     ) -> list[list[LinearRegion] | None]:
-        """Linear regions per normalized spec region (``None`` for 3D+ boxes).
+        """Linear regions per spec region (``None`` for 3D+ boxes).
 
         Every uncached plane region goes through one batched
         :func:`transform_planes` call; segments and single points are
         decomposed one at a time.  ``fingerprint`` is the activation
-        network's, the first half of every cache key.
+        network's, the first half of every cache key; the second is the
+        region's cached geometry digest.
         """
-        decomposed: list[list[LinearRegion] | None] = [None] * len(normalized)
+        decomposed: list[list[LinearRegion] | None] = [None] * len(regions)
+        normalized = [entry.normalized for entry in regions]
         keys: dict[int, tuple] = {}
         planes: dict = {}
         for index, region in enumerate(normalized):
@@ -269,7 +270,7 @@ class SyrennVerifier(Verifier):
                 # A fully degenerate box: a single point is its own linear region.
                 decomposed[index] = [LinearRegion(vertices=region[None, :], interior=region)]
                 continue
-            key = keys[index] = (fingerprint, geometry_digest(region))
+            key = keys[index] = (fingerprint, regions[index].digest)
             cached = self._lookup(key)
             if cached is not None:
                 decomposed[index] = cached
@@ -384,32 +385,3 @@ class _RegionStack:
             row_interior=np.repeat(np.arange(len(flat)), counts),
             interiors=interiors,
         )
-
-
-def _normalize_region(region) -> LineSegment | np.ndarray | None:
-    """Map a spec region onto what the SyReNN substrate can decompose.
-
-    Returns a :class:`LineSegment`, a plane-vertex array, a single point
-    (1-D array, for fully degenerate boxes), or ``None`` when the region is
-    a box varying in three or more dimensions.
-    """
-    if isinstance(region, LineSegment):
-        return region
-    if isinstance(region, Box):
-        varying = region.varying_dimensions()
-        if varying.size == 0:
-            return region.lower.copy()
-        if varying.size == 1:
-            end = region.lower.copy()
-            end[varying[0]] = region.upper[varying[0]]
-            return LineSegment(region.lower, end)
-        if varying.size == 2:
-            corners = []
-            for corner in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                point = region.lower.copy()
-                for position, dim in enumerate(varying):
-                    point[dim] = region.upper[dim] if corner[position] else region.lower[dim]
-                corners.append(point)
-            return np.array(corners)
-        return None
-    return np.atleast_2d(np.asarray(region, dtype=np.float64))

@@ -70,17 +70,6 @@ class _SamplingVerifier(Verifier):
     def _sample_region(self, region) -> np.ndarray:
         raise NotImplementedError
 
-    @staticmethod
-    def _region_is_exhaustive(region) -> bool:
-        """Whether the sample set *is* the region (a single-point box).
-
-        A fully-degenerate :class:`Box` (no varying dimension) contains
-        exactly one point, and every sampling subclass evaluates exactly
-        that point — so a clean sweep is a proof, not a heuristic, and
-        ``certify_exhaustive`` may upgrade the verdict to ``CERTIFIED``.
-        """
-        return isinstance(region, Box) and region.varying_dimensions().size == 0
-
     def _sweep_degenerate(self, network: Network | DecoupledNetwork, spec: VerificationSpec):
         """One stacked forward pass over an all-degenerate-box spec.
 
@@ -110,9 +99,7 @@ class _SamplingVerifier(Verifier):
 
     def _sweep(self, network: Network | DecoupledNetwork, spec: VerificationSpec):
         """Per-region (points, outputs) pairs, streamed one region at a time."""
-        if self.certify_exhaustive and all(
-            self._region_is_exhaustive(entry.region) for entry in spec.regions
-        ):
+        if self.certify_exhaustive and all(entry.is_point for entry in spec.regions):
             return self._sweep_degenerate(network, spec)
         return (
             (points, self._evaluate(network, points))
@@ -142,10 +129,12 @@ class _SamplingVerifier(Verifier):
                 margins.append(float(np.max(point_margins)))
                 violating = np.where(point_margins > self.tolerance)[0]
                 if violating.size == 0:
+                    # A single-point region's sample set *is* the region
+                    # (every sampling subclass evaluates exactly that
+                    # point), so a clean sweep of it is a proof.
                     statuses.append(
                         RegionStatus.CERTIFIED
-                        if self.certify_exhaustive
-                        and self._region_is_exhaustive(entry.region)
+                        if self.certify_exhaustive and entry.is_point
                         else RegionStatus.UNKNOWN
                     )
                     continue

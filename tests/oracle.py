@@ -13,8 +13,9 @@ point, the repair LP's standard form written out by eye as dense arrays
 and solved once, cold, on a fresh solver; one polygon at a time through every
 layer, each piece clipped on its own by this module's copy of the
 per-polygon half-plane clip (:func:`clip_by_function`,
-:class:`VertexPolygon`); one network evaluation per linear region; one
-max-pool backward per batch row; convolution and pooling by index gather,
+:class:`VertexPolygon`), with one SVD per polygon for its plane
+coordinates; one network evaluation per linear region; one max-pool
+backward per batch row; convolution and pooling by index gather,
 ``einsum`` and ``np.add.at`` (the layers read strided views and contract
 with BLAS instead) — kept here so the tests can compare the optimized paths
 against code simple enough to check by eye.
@@ -44,7 +45,6 @@ from repro.syrenn.plane import (
     PlanePartition,
     PlaneRegion,
     _check_supported,
-    _plane_coordinates,
 )
 from repro.syrenn.regions import LinearRegion
 from repro.verify.base import (
@@ -54,8 +54,8 @@ from repro.verify.base import (
     RegionStatus,
     VerificationReport,
     Verifier,
+    _normalize_region,
 )
-from repro.verify.exact import _normalize_region
 
 
 def finite_difference_jacobians(
@@ -575,6 +575,23 @@ class VertexPolygon:
         return f"VertexPolygon(vertices={self.num_vertices}, area={self.area:.4g})"
 
 
+def _plane_coordinates(plane_vertices: np.ndarray) -> np.ndarray:
+    """Project the polygon vertices onto an orthonormal basis of their plane.
+
+    One polygon at a time; :func:`repro.syrenn.plane._plane_coordinates_stacked`
+    runs the same SVD and projection on every polygon of a batch at once.
+    """
+    origin = plane_vertices[0]
+    offsets = plane_vertices - origin
+    # Build an orthonormal basis of the (at most 2-D) span of the offsets.
+    _, singular_values, basis = np.linalg.svd(offsets, full_matrices=False)
+    rank = int(np.sum(singular_values > 1e-9))
+    if rank > 2:
+        raise ShapeError("plane vertices do not lie in a 2-D affine subspace")
+    basis = basis[:2] if basis.shape[0] >= 2 else np.vstack([basis, np.zeros_like(basis[:1])])
+    return offsets @ basis.T
+
+
 def oracle_transform_plane(network, plane_vertices: np.ndarray) -> PlanePartition:
     """``LinRegions(network, polygon)`` with one ``forward`` per piece per layer.
 
@@ -613,6 +630,7 @@ def oracle_transform_plane(network, plane_vertices: np.ndarray) -> PlanePartitio
         PlaneRegion(
             input_vertices=polygon.attributes[:, :input_dim].copy(),
             plane_vertices=polygon.plane_points.copy(),
+            interior_point=polygon.attributes[:, :input_dim].mean(axis=0),
         )
         for polygon in polygons
     ]

@@ -17,6 +17,7 @@ Three layers of pinning:
 from __future__ import annotations
 
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from repro.syrenn.plane import transform_plane
 from repro.syrenn.regions import geometry_digest
 from repro.utils.rng import ensure_rng
 from repro.utils.serialization import network_fingerprint
-from repro.verify import SyrennVerifier
+from repro.verify import SpecRegion, SyrennVerifier, VerificationSpec
 from tests.conftest import lp_solver, make_random_relu_network
 from tests.oracle import (
     max_row_violation,
@@ -211,6 +212,77 @@ class TestSyrennWorkCounters:
         assert state["clips"] == 0
         # ... and one stacked evaluation of every linear region's vertices.
         assert forwards["outside"] == len(network.layers)
+
+
+class TestSpecPreparedOnce:
+    """A driver run prepares each spec region once and decomposes in stacked steps.
+
+    Normalization, geometry digest and input dimension are cached on the
+    immutable :class:`~repro.verify.base.SpecRegion`, so the driver's
+    repeated verifier passes (and the dimension checks in front of them)
+    never recompute them; ``transform_planes`` takes one stacked SVD per
+    distinct vertex count, not one per polygon.
+    """
+
+    def test_regions_prepared_once_and_svds_stacked(self, acas_phi8, monkeypatch):
+        import repro.syrenn.plane as plane_module
+        import repro.verify.base as base_module
+        import repro.verify.exact as exact_module
+
+        network, fixture_spec = acas_phi8
+        # Fresh regions over the fixture's (already frozen) geometry: nothing
+        # is cached on them yet.
+        spec = VerificationSpec(
+            [SpecRegion(entry.region, entry.constraint, entry.name) for entry in fixture_spec.regions]
+        )
+        calls: dict[str, Counter] = {
+            "normalize": Counter(), "digest": Counter(), "dimension": Counter()
+        }
+
+        def counting(kind, function):
+            def wrapped(region):
+                calls[kind][id(region)] += 1
+                return function(region)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            base_module, "_normalize_region", counting("normalize", base_module._normalize_region)
+        )
+        monkeypatch.setattr(
+            base_module, "geometry_digest", counting("digest", base_module.geometry_digest)
+        )
+        monkeypatch.setattr(
+            base_module, "_region_dimension", counting("dimension", base_module._region_dimension)
+        )
+        svd, transform_planes = np.linalg.svd, exact_module.transform_planes
+        svds = {"inside": False, "calls": 0, "expected": 0}
+
+        def counted_svd(*args, **kwargs):
+            svds["calls"] += svds["inside"]
+            return svd(*args, **kwargs)
+
+        def counted_transform(network, polygons):
+            svds["expected"] += len({np.shape(polygon)[0] for polygon in polygons})
+            svds["inside"] = True
+            try:
+                return transform_planes(network, polygons)
+            finally:
+                svds["inside"] = False
+
+        monkeypatch.setattr(plane_module.np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(exact_module, "transform_planes", counted_transform)
+        config = DriverConfig(mode="polytope", max_rounds=10, max_new_counterexamples=4)
+        report = RepairDriver(network, spec, SyrennVerifier(), config=config).run()
+
+        assert report.status == "certified"
+        assert len(report.rounds) > 1
+        regions = {id(entry.region) for entry in spec.regions}
+        for kind, counter in calls.items():
+            assert set(counter) == regions, kind
+            assert max(counter.values()) == 1, kind
+        assert svds["expected"] >= 1
+        assert svds["calls"] == svds["expected"]
 
 
 class TestIncrementalDifferential:

@@ -224,6 +224,14 @@ class TestProtocol:
                 lambda job: job["spec"]["regions"][0].update(constraint={"a": [[1.0, -1.0]], "b": [0.0]}),
                 "constraint is over dimension 2",
             ),
+            (lambda job: job["spec"]["regions"][1]["region"]["lower"].__setitem__(0, float("nan")), "finite"),
+            (
+                lambda job: job["spec"]["regions"][1].update(
+                    region={"kind": "segment", "start": [0.0, float("inf")], "end": [1.0, 1.0]}
+                ),
+                "finite",
+            ),
+            (lambda job: job["spec"]["regions"][0]["constraint"]["b"].__setitem__(0, float("nan")), "finite"),
         ],
     )
     def test_malformed_jobs_rejected(self, mutate, match):
@@ -446,6 +454,18 @@ class TestHTTPEndToEnd:
             with pytest.raises(ServiceError, match="removed") as rejected:
                 client.submit(job)
             assert rejected.value.status == 400
+        assert {entry["id"] for entry in client.jobs()} == known
+
+    def test_non_finite_region_is_a_400_at_submit(self, http_server):
+        """A NaN box travels as a JSON ``NaN`` literal and is refused, not certified."""
+        client, _ = http_server
+        network, spec = plane_scenario(7)
+        known = {entry["id"] for entry in client.jobs()}
+        job = make_job("verify", network, spec)
+        job["spec"]["regions"][1]["region"]["lower"][0] = float("nan")
+        with pytest.raises(ServiceError, match="finite") as rejected:
+            client.submit(job)
+        assert rejected.value.status == 400
         assert {entry["id"] for entry in client.jobs()} == known
 
     def test_malformed_config_is_a_400_not_a_dropped_connection(self, http_server):

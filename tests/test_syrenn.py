@@ -18,7 +18,7 @@ from repro.syrenn.line import transform_line
 from repro.syrenn.plane import transform_plane, transform_planes
 from repro.utils.rng import ensure_rng
 from tests.conftest import make_random_relu_network, make_random_tanh_network
-from tests.oracle import oracle_transform_plane
+from tests.oracle import _plane_coordinates, oracle_transform_plane
 
 
 class TestTransformLine:
@@ -130,7 +130,6 @@ class TestTransformPlane:
         assert partition.num_regions >= 1
         # Compare areas in the plane's own 2-D coordinates.
         from repro.polytope.polygon import polygon_area
-        from repro.syrenn.plane import _plane_coordinates
 
         total_area = polygon_area(_plane_coordinates(plane))
         region_area = sum(region.area for region in partition.regions)
@@ -247,6 +246,62 @@ def assert_partitions_identical(expected, actual) -> None:
         assert ours.input_vertices.shape == theirs.input_vertices.shape
         assert ours.input_vertices.tobytes() == theirs.input_vertices.tobytes()
         assert ours.plane_vertices.tobytes() == theirs.plane_vertices.tobytes()
+        assert ours.interior_point.tobytes() == theirs.interior_point.tobytes()
+
+
+class TestStackedPlaneCoordinatesProperty:
+    """One stacked SVD per vertex count against one SVD per polygon, bit for bit.
+
+    ``transform_planes`` projects every polygon of a batch onto its plane
+    with one ``np.linalg.svd`` and one projection per distinct vertex count
+    (``_plane_coordinates_stacked``), and takes every piece's interior point
+    in one stacked ``mean`` per piece size (``_piece_centroids``).  Both
+    must give the per-polygon oracle's bits, and a batch holding a polygon
+    that spans more than two dimensions must raise the oracle's
+    ``ShapeError``.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dim=st.integers(1, 6),
+        shapes=st.lists(
+            st.tuples(st.integers(3, 8), st.none() | st.integers(-14, 0)), min_size=1, max_size=12
+        ),
+        scale_exponent=st.integers(-4, 4),
+    )
+    def test_matches_per_polygon_oracle(self, seed, dim, shapes, scale_exponent):
+        """Each polygon is planar, or leaves its plane by ``10**bend``: around
+        the rank cut-off the two paths must still agree on which raise."""
+        rng = ensure_rng(seed)
+        polygons = []
+        for count, bend in shapes:
+            vertices = rng.normal(size=dim) + rng.normal(size=(count, 2)) @ rng.normal(size=(2, dim))
+            if bend is not None:
+                vertices = vertices + 10.0**bend * rng.normal(size=(count, dim))
+            polygons.append(vertices * 10.0**scale_exponent)
+        inputs = np.vstack(polygons)
+        offsets = np.cumsum([0] + [count for count, _ in shapes])
+        try:
+            expected = np.vstack([_plane_coordinates(vertices) for vertices in polygons])
+        except ShapeError as error:
+            with pytest.raises(ShapeError, match=str(error)):
+                plane_module._plane_coordinates_stacked(inputs, offsets)
+            return
+        actual = plane_module._plane_coordinates_stacked(inputs, offsets)
+        assert actual.tobytes() == expected.tobytes()
+        centroids = plane_module._piece_centroids(inputs, offsets)
+        means = np.array([vertices.mean(axis=0) for vertices in polygons])
+        assert centroids.tobytes() == means.tobytes()
+
+    def test_non_planar_polygon_raises_in_any_batch_position(self):
+        rng = ensure_rng(11)
+        square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+        tetra = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        network = make_random_relu_network(rng, (3, 4, 2))
+        for batch in ([tetra], [square, tetra], [tetra, square, square[:3]]):
+            with pytest.raises(ShapeError, match="2-D affine subspace"):
+                transform_planes(network, batch)
 
 
 class TestTransformPlanesOracle:

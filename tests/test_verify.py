@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.point_repair import point_repair
-from repro.core.specs import PointRepairSpec
+from repro.core.specs import PointRepairSpec, PolytopeRepairSpec
 from repro.exceptions import SpecificationError
+from repro.experiments.task1_imagenet import pointwise_verification_spec
 from repro.nn.activations import ReLULayer, TanhLayer
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
@@ -20,6 +23,7 @@ from repro.verify import (
     GridVerifier,
     RandomVerifier,
     RegionStatus,
+    SpecRegion,
     SyrennVerifier,
     VerificationSpec,
 )
@@ -72,6 +76,152 @@ class TestVerificationSpec:
         spec.add_segment(LineSegment([0.0, 0.0], [1.0, 1.0]), HPolytope([[1.0]], [1.0]))
         with pytest.raises(SpecificationError):
             GridVerifier().verify(toy_network, spec)
+
+
+NAN, INF = float("nan"), float("inf")
+WINS = HPolytope.argmax_region(3, 0)
+
+#: Ways to put a non-finite region into a spec over the plane network.
+NON_FINITE_REGIONS = {
+    "nan-box": lambda spec: spec.add_box([NAN, 0.0], [1.0, 0.0], WINS),
+    "inf-box": lambda spec: spec.add_box([0.0, -INF], [0.0, 1.0], WINS),
+    "nan-point-box": lambda spec: spec.add_box([NAN, 0.0], [NAN, 0.0], WINS),
+    "nan-segment": lambda spec: spec.add_segment(LineSegment([0.0, NAN], [1.0, 1.0]), WINS),
+    "inf-segment": lambda spec: spec.add_segment(LineSegment([0.0, 0.0], [INF, 1.0]), WINS),
+    "nan-plane": lambda spec: spec.add_plane([[0, 0], [1, NAN], [0, 1]], WINS),
+    "nan-constraint": lambda spec: spec.add_box(
+        [0.0, 0.0], [0.0, 0.0], HPolytope(WINS.a, [NAN, 0.0])
+    ),
+    "inf-constraint": lambda spec: spec.add_segment(
+        LineSegment([0.0, 0.0], [1.0, 1.0]), HPolytope([[INF, 0.0, 0.0]], [1.0])
+    ),
+    "spec-region": lambda spec: spec.regions.append(
+        SpecRegion(LineSegment([NAN, 0.0], [1.0, 1.0]), WINS)
+    ),
+    "from-polytope-spec": lambda spec: spec.regions.extend(
+        VerificationSpec.from_polytope_spec(
+            PolytopeRepairSpec.from_segments([LineSegment([0.0, 0.0], [1.0, INF])], [WINS])
+        ).regions
+    ),
+}
+
+
+class TestNonFiniteRegionsRejected:
+    """A NaN or infinite bound, vertex or constraint entry never reaches a verifier.
+
+    Every margin over such a region is NaN, and ``NaN > tolerance`` is
+    false, so a verifier handed one would certify it.
+    """
+
+    @pytest.mark.parametrize("build", sorted(NON_FINITE_REGIONS))
+    @pytest.mark.parametrize(
+        "verifier",
+        [SyrennVerifier, lambda: GridVerifier(certify_exhaustive=True)],
+        ids=["syrenn", "grid-exhaustive"],
+    )
+    def test_rejected_before_verification(self, plane_network, verifier, build):
+        spec = VerificationSpec()
+        spec.add_box([0.0, 0.0], [0.0, 0.0], WINS)
+        with pytest.raises(SpecificationError, match="finite"):
+            NON_FINITE_REGIONS[build](spec)
+            verifier().verify(plane_network, spec)
+        assert spec.num_regions == 1
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            {"kind": "box", "lower": [NAN, 0.0], "upper": [1.0, 0.0]},
+            {"kind": "segment", "start": [0.0, 0.0], "end": [1.0, -INF]},
+        ],
+        ids=["nan-box", "inf-segment"],
+    )
+    def test_rejected_from_wire_format(self, region):
+        payload = {"regions": [{"region": region, "constraint": {"a": WINS.a.tolist(), "b": WINS.b.tolist()}}]}
+        with pytest.raises(SpecificationError, match="finite"):
+            VerificationSpec.from_dict(payload)
+
+
+class TestImmutableSpecRegions:
+    """Built spec regions are frozen, and so is every array they hold."""
+
+    @staticmethod
+    def spec_of_every_kind() -> VerificationSpec:
+        spec = VerificationSpec()
+        spec.add_segment(LineSegment([0.0, 0.0], [1.0, 1.0]), HPolytope.argmax_region(3, 0))
+        spec.add_plane([[0, 0], [1, 0], [0, 1]], HPolytope.argmax_region(3, 1))
+        spec.add_box([0, 0], [1, 1], HPolytope.argmax_region(3, 2))
+        spec.add_box([0, 0], [0, 1], HPolytope.argmax_region(3, 2))
+        spec.add_box([0.5, 0.5], [0.5, 0.5], HPolytope.argmax_region(3, 2))
+        return spec
+
+    @staticmethod
+    def arrays_of(entry: SpecRegion) -> list[np.ndarray]:
+        region = entry.region
+        if isinstance(region, LineSegment):
+            arrays = [region.start, region.end]
+        elif isinstance(region, Box):
+            arrays = [region.lower, region.upper]
+        else:
+            arrays = [region]
+        normalized = entry.normalized
+        if isinstance(normalized, LineSegment):
+            arrays += [normalized.start, normalized.end]
+        elif normalized is not None:
+            arrays.append(normalized)
+        return arrays + [entry.constraint.a, entry.constraint.b]
+
+    def test_arrays_are_read_only(self):
+        for entry in self.spec_of_every_kind().regions:
+            for array in self.arrays_of(entry):
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 7.0
+
+    @pytest.mark.parametrize("attribute", ["region", "constraint", "name"])
+    def test_attributes_cannot_be_reassigned(self, attribute):
+        entry = self.spec_of_every_kind().regions[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(entry, attribute, None)
+
+    def test_callers_arrays_are_copied_not_frozen(self):
+        start, vertices = np.array([0.0, 0.0]), np.array([[0.0, 0], [1, 0], [0, 1]])
+        a, b = np.array([[1.0, -1.0, 0.0]]), np.array([0.5])
+        segment = LineSegment(start, np.array([1.0, 1.0]))
+        spec = VerificationSpec()
+        spec.add_segment(segment, HPolytope(a, b))
+        spec.add_plane(vertices, HPolytope(a, b))
+        for array in (start, vertices, a, b, segment.start):
+            array.flat[0] = 3.0
+        assert spec.regions[0].region.start[0] == 0.0
+        assert spec.regions[1].region[0, 0] == 0.0
+        assert spec.regions[1].constraint.a[0, 0] == 1.0
+        assert spec.regions[0].constraint.b[0] == 0.5
+
+    def test_frozen_inputs_are_shared_not_copied(self):
+        entry = self.spec_of_every_kind().regions[1]
+        again = SpecRegion(entry.region, entry.constraint)
+        assert again.region is entry.region
+        assert again.constraint is entry.constraint
+
+    def test_prepared_values_are_cached(self):
+        for entry in self.spec_of_every_kind().regions:
+            assert entry.normalized is entry.normalized
+            assert entry.digest is entry.digest
+            assert entry.constraint_key == entry.constraint.a.tobytes() + entry.constraint.b.tobytes()
+            assert entry.dimension == 2
+        spec = self.spec_of_every_kind()
+        assert [entry.is_point for entry in spec.regions] == [False, False, False, False, True]
+
+    def test_pointwise_spec_views_one_read_only_copy(self):
+        points = np.arange(12.0).reshape(4, 3)
+        spec = pointwise_verification_spec(points, np.array([0, 1, 0, 1]), num_classes=2)
+        bases = {id(entry.region.lower.base) for entry in spec.regions}
+        assert len(bases) == 1
+        assert bases.pop() != id(points)
+        assert spec.regions[0].constraint is spec.regions[2].constraint
+        points[0, 0] = -1.0  # the caller's points stay writable and unshared
+        assert spec.regions[0].region.lower[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.regions[3].region.upper[2] = 0.0
 
 
 class TestSyrennVerifier:
@@ -163,13 +313,14 @@ class TestSyrennVerifier:
         assert len(verifier.cache) == 2
 
     def test_cache_keyed_by_geometry_not_object_identity(self, toy_network):
-        """Mutating a spec in place must not serve stale decompositions."""
+        """Editing a spec in place must not serve stale decompositions."""
         verifier = SyrennVerifier()
         spec = toy_spec(violated=True)
         first = verifier.verify(toy_network, spec)
         assert first.region_statuses == [RegionStatus.VIOLATED]
-        # Swap the region for the clean segment inside the *same* spec object.
-        spec.regions[0].region = LineSegment([0.0], [2.0])
+        # Regions are immutable: swap the list entry for the clean segment
+        # inside the *same* spec object.
+        spec.regions[0] = SpecRegion(LineSegment([0.0], [2.0]), spec.regions[0].constraint)
         second = verifier.verify(toy_network, spec)
         assert second.region_statuses == [RegionStatus.CERTIFIED]
 
