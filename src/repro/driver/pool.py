@@ -54,11 +54,15 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
-from repro.core.polytope_repair import region_key_points
 from repro.core.specs import PointRepairSpec
 from repro.polytope.hpolytope import HPolytope
 from repro.utils.serialization import load_arrays, save_arrays_atomic
-from repro.verify.base import Counterexample, RegionCounterexample
+from repro.verify.base import (
+    ConstraintGroups,
+    Counterexample,
+    RegionCounterexample,
+    constraint_bytes,
+)
 
 
 def _pack_entry(arrays: dict, index: int, counterexample: Counterexample) -> None:
@@ -102,6 +106,16 @@ def _unpack_entry(arrays: dict, index: int) -> Counterexample:
         region_index=int(region_index),
         activation_point=arrays[f"activation_{index}"],
     )
+
+
+def _activation_rows(counterexample: Counterexample, count: int) -> np.ndarray:
+    """The activation point once per key point, as ``(count, n)`` rows.
+
+    Contiguous rows rather than a zero-stride broadcast view, which
+    ``np.vstack`` copies about three times slower.
+    """
+    activation = counterexample.resolved_activation_point()[None, :]
+    return activation if count == 1 else np.repeat(activation, count, axis=0)
 
 
 def _entry_nbytes(counterexample: Counterexample) -> int:
@@ -169,7 +183,24 @@ class CounterexamplePool:
     # ------------------------------------------------------------------
     def add(self, counterexample: Counterexample) -> bool:
         """Add one counterexample; returns ``True`` if it was new."""
-        key = self._key(counterexample)
+        return self._admit(counterexample, self._key(counterexample))
+
+    def extend(self, counterexamples: list[Counterexample]) -> int:
+        """Add many counterexamples; returns how many were new.
+
+        Equivalent to :meth:`add` on each in order (same keys, entries and
+        spills), but the key material of plain counterexamples is
+        normalized as one stacked array and each constraint's bytes are
+        read once.
+        """
+        counterexamples = list(counterexamples)
+        keys = self._keys_of(counterexamples)
+        return sum(
+            self._admit(counterexample, key)
+            for counterexample, key in zip(counterexamples, keys)
+        )
+
+    def _admit(self, counterexample: Counterexample, key: bytes) -> bool:
         if key in self._keys:
             return False
         self._keys.add(key)
@@ -182,17 +213,14 @@ class CounterexamplePool:
         self._maybe_spill()
         return True
 
-    def extend(self, counterexamples: list[Counterexample]) -> int:
-        """Add many counterexamples; returns how many were new."""
-        return sum(self.add(counterexample) for counterexample in counterexamples)
-
     def _normalized(self, array: np.ndarray) -> np.ndarray:
         """Key material for one array: contiguous float64, rounded, no ``-0.0``.
 
         Rounding can itself produce ``-0.0`` (``np.round(-1e-12, 9)`` does),
         so the ``+ 0.0`` — which maps ``-0.0`` to ``+0.0`` under IEEE-754 —
         is applied *after* rounding, covering both a literal ``-0.0`` input
-        and one minted by the rounding step.
+        and one minted by the rounding step.  Element-wise, so a stack of
+        arrays normalizes to the stack of their normalizations.
         """
         rounded = np.round(np.asarray(array, dtype=np.float64), self.decimals)
         return np.ascontiguousarray(rounded + 0.0)
@@ -212,9 +240,48 @@ class CounterexamplePool:
             digest.update(b"point:")
             digest.update(self._normalized(counterexample.point).tobytes())
             digest.update(self._normalized(counterexample.resolved_activation_point()).tobytes())
-        digest.update(np.ascontiguousarray(counterexample.constraint.a).tobytes())
-        digest.update(np.ascontiguousarray(counterexample.constraint.b).tobytes())
+        digest.update(constraint_bytes(counterexample.constraint))
         return digest.digest()
+
+    def _keys_of(self, counterexamples: list[Counterexample]) -> list[bytes]:
+        """:meth:`_key` of every counterexample, batched over plain ones.
+
+        The points of plain counterexamples (and their explicit activation
+        points) are normalized as one stacked array each, when they share a
+        shape, and each constraint object's bytes are read once.  Region
+        counterexamples and ragged batches take :meth:`_key` per entry.
+        """
+        keys: list[bytes | None] = [None] * len(counterexamples)
+        plain = [
+            index
+            for index, counterexample in enumerate(counterexamples)
+            if not isinstance(counterexample, RegionCounterexample)
+        ]
+        pinned = [
+            index for index in plain if counterexamples[index].activation_point is not None
+        ]
+        shapes = {counterexamples[index].point.shape for index in plain}
+        shapes.update(counterexamples[index].activation_point.shape for index in pinned)
+        if len(shapes) == 1 and len(next(iter(shapes))) == 1:
+            points = self._normalized(np.array([counterexamples[i].point for i in plain]))
+            activations = dict(zip(plain, points))
+            if pinned:
+                stacked = np.array([counterexamples[i].activation_point for i in pinned])
+                activations.update(zip(pinned, self._normalized(stacked)))
+            # The constraints stay referenced by the batch, so no id is reused.
+            material_of: dict[int, bytes] = {}
+            for index, point in zip(plain, points):
+                constraint = counterexamples[index].constraint
+                material = material_of.get(id(constraint))
+                if material is None:
+                    material = material_of[id(constraint)] = constraint_bytes(constraint)
+                keys[index] = hashlib.sha256(
+                    b"point:" + point.tobytes() + activations[index].tobytes() + material
+                ).digest()
+        return [
+            self._key(counterexample) if key is None else key
+            for counterexample, key in zip(counterexamples, keys)
+        ]
 
     # ------------------------------------------------------------------
     # Spill tier
@@ -328,15 +395,17 @@ class CounterexamplePool:
         """The pool (from entry index ``start``) as a pointwise repair spec.
 
         Point counterexamples contribute one repair point each; region
-        counterexamples expand through
-        :func:`~repro.core.polytope_repair.region_key_points` into one repair
-        point per region vertex, every one pinned to the region's interior
-        point — exactly the rows Algorithm 2's ``reduce_to_key_points`` would
-        emit for those regions, in the same order.
+        counterexamples expand into one repair point per region vertex, every
+        one pinned to the region's interior point — exactly the rows
+        :func:`~repro.core.polytope_repair.region_key_points` gives Algorithm
+        2's ``reduce_to_key_points`` for those regions, in the same order.
+        The points are stacked from one block per entry.
 
         ``margin`` tightens every constraint (``b → b - margin``) so the
         repaired outputs land strictly inside their polytopes and survive
-        re-verification under a stricter-than-LP-solver tolerance.
+        re-verification under a stricter-than-LP-solver tolerance; each
+        distinct constraint is tightened once, and its points share the
+        tightened copy.
         ``start`` slices off an already-encoded prefix of pool *entries*: the
         repair driver appends each round only the counterexamples
         pooled since the previous round (the pool is insertion-ordered and
@@ -349,25 +418,24 @@ class CounterexamplePool:
             )
         if start == len(self._entries):
             raise ValueError("cannot build a repair spec from an empty pool slice")
+        groups = ConstraintGroups()
+        tightened: list[HPolytope] = []
         points: list[np.ndarray] = []
         activation_points: list[np.ndarray] = []
         constraints: list[HPolytope] = []
         for counterexample in self.iter_entries(start):
-            tightened = HPolytope(
-                counterexample.constraint.a, counterexample.constraint.b - margin
-            )
-            entry_points, entry_activations, entry_constraints = region_key_points(
-                counterexample.key_points(),
-                counterexample.resolved_activation_point(),
-                tightened,
-            )
-            points.extend(entry_points)
-            activation_points.extend(entry_activations)
-            constraints.extend(entry_constraints)
+            constraint = counterexample.constraint
+            group = groups.group(constraint)
+            if group == len(tightened):
+                tightened.append(HPolytope(constraint.a, constraint.b - margin))
+            key_points = counterexample.key_points()
+            points.append(key_points)
+            activation_points.append(_activation_rows(counterexample, key_points.shape[0]))
+            constraints.extend([tightened[group]] * key_points.shape[0])
         return PointRepairSpec(
-            points=np.array(points),
+            points=np.vstack(points),
             constraints=constraints,
-            activation_points=np.array(activation_points),
+            activation_points=np.vstack(activation_points),
         )
 
     def unsatisfied(
@@ -381,60 +449,64 @@ class CounterexamplePool:
         satisfied (the LP guarantees it), so a non-empty result flags a
         numerical or encoding bug.
 
-        Key points are evaluated in batches of up to ``chunk_points`` rows
-        (one stacked forward pass each) rather than one ``compute`` call per
-        point, and each batch's margins take one
+        Key points are evaluated in batches of exactly ``chunk_points`` rows
+        (the last one shorter; one stacked forward pass each) rather than
+        one ``compute`` call per point, and each batch's margins take one
         :meth:`~repro.polytope.hpolytope.HPolytope.violation_batch` per
         distinct constraint, which is what keeps this check cheap on
-        10^5-row pools.
+        10^5-row pools.  Entries join a batch as whole key-point blocks, and
+        a constraint object already seen finds its group by identity.
         """
         decoupled = isinstance(network, DecoupledNetwork)
-        batch_points: list[np.ndarray] = []
-        batch_activations: list[np.ndarray] = []
-        batch_owner: list[int] = []
-        batch_group: list[int] = []
-        # Distinct constraints (by bytes) in first-seen order, and their ids.
-        constraints: list[HPolytope] = []
-        group_of: dict[bytes, int] = {}
+        # Pending key-point blocks, one per entry (or a carried remainder),
+        # with their activation rows (read by decoupled networks only),
+        # owning entries and constraint groups.
+        blocks: list[np.ndarray] = []
+        activation_blocks: list[np.ndarray] = []
+        owners: list[int] = []
+        groups: list[int] = []
+        constraint_groups = ConstraintGroups()
         unsatisfied_indices: set[int] = set()
 
-        def flush() -> None:
-            if not batch_points:
+        def flush(final: bool) -> None:
+            if not owners:
                 return
-            stacked = np.vstack(batch_points)
+            stacked = np.vstack(blocks)
+            activations = np.vstack(activation_blocks) if decoupled else None
+            owner_rows = np.array(owners)
+            group_rows = np.array(groups)
+            stop = owner_rows.size if final else owner_rows.size - owner_rows.size % chunk_points
+            for start in range(0, stop, chunk_points):
+                rows = slice(start, min(start + chunk_points, stop))
+                if decoupled:
+                    outputs = np.atleast_2d(network.compute(stacked[rows], activations[rows]))
+                else:
+                    outputs = np.atleast_2d(network.compute(stacked[rows]))
+                chunk_owners, chunk_groups = owner_rows[rows], group_rows[rows]
+                for group in np.unique(chunk_groups).tolist():
+                    members = np.flatnonzero(chunk_groups == group)
+                    margins = constraint_groups.constraints[group].violation_batch(
+                        outputs[members]
+                    )
+                    unsatisfied_indices.update(chunk_owners[members[margins > tolerance]].tolist())
+            blocks[:] = [stacked[stop:]]
             if decoupled:
-                outputs = np.atleast_2d(
-                    network.compute(stacked, np.vstack(batch_activations))
-                )
-            else:
-                outputs = np.atleast_2d(network.compute(stacked))
-            owners = np.array(batch_owner)
-            groups = np.array(batch_group)
-            for group in np.unique(groups).tolist():
-                rows = np.flatnonzero(groups == group)
-                margins = constraints[group].violation_batch(outputs[rows])
-                unsatisfied_indices.update(owners[rows[margins > tolerance]].tolist())
-            batch_points.clear()
-            batch_activations.clear()
-            batch_owner.clear()
-            batch_group.clear()
+                activation_blocks[:] = [activations[stop:]]
+            owners[:] = owners[stop:]
+            groups[:] = groups[stop:]
 
         for index, counterexample in enumerate(self.iter_entries()):
-            activation = counterexample.resolved_activation_point()
-            constraint = counterexample.constraint
-            key = constraint.a.tobytes() + constraint.b.tobytes()
-            if key not in group_of:
-                group_of[key] = len(constraints)
-                constraints.append(constraint)
-            group = group_of[key]
-            for point in counterexample.key_points():
-                batch_points.append(np.atleast_1d(point))
-                batch_activations.append(np.atleast_1d(activation))
-                batch_owner.append(index)
-                batch_group.append(group)
-                if len(batch_points) >= chunk_points:
-                    flush()
-        flush()
+            group = constraint_groups.group(counterexample.constraint)
+            key_points = counterexample.key_points()
+            count = key_points.shape[0]
+            blocks.append(key_points)
+            if decoupled:
+                activation_blocks.append(_activation_rows(counterexample, count))
+            owners.extend([index] * count)
+            groups.extend([group] * count)
+            if len(owners) >= chunk_points:
+                flush(final=False)
+        flush(final=True)
         return sorted(unsatisfied_indices)
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.models.zoo import ModelZoo
 from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
-from repro.verify.base import VerificationSpec, frozen_constraint
+from repro.verify.base import VerificationSpec, frozen_array, frozen_constraint
 from repro.verify.sampling import GridVerifier
 
 #: Margin used for the "classified as label y" constraints; a small positive
@@ -291,10 +291,10 @@ def pointwise_verification_spec(
     ``certify_exhaustive=True`` can both sweep in one stacked pass and
     *certify*, so a driver run over this spec can terminate ``certified``.
     """
-    # One read-only copy of the points: every region's box holds row views
-    # of it, so the spec's regions are immutable without a copy per point.
-    points = np.array(np.atleast_2d(points), dtype=np.float64)
-    points.flags.writeable = False
+    # The points are frozen (copied unless already read-only) and checked
+    # finite once: every region's box holds a row view of them, which
+    # frozen_array accepts without a copy or a check per point.
+    points = frozen_array(np.atleast_2d(points), "points")
     labels = np.asarray(labels, dtype=int).ravel()
     if points.shape[0] != labels.size:
         raise ValueError("one label per point is required")

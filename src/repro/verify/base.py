@@ -54,16 +54,20 @@ class RegionStatus(enum.Enum):
 def frozen_array(array, what: str) -> np.ndarray:
     """``array`` as a finite, read-only float64 array.
 
-    An array this function returned before comes back at once.  An array
-    that is already read-only all the way down its ``base`` chain is
-    returned as is; anything else is copied first, so freezing never
-    changes an array its caller may still write to.  Non-finite entries
-    raise :class:`SpecificationError`: a NaN bound or vertex makes every
-    margin NaN, and ``NaN > tolerance`` is false, so a verifier would
-    certify the region.
+    An array this function returned before comes back at once, and so does
+    a view of one (a row of a frozen stack of points): it is finite and
+    read-only because its base is.  An array that is already read-only all
+    the way down its ``base`` chain is returned as is; anything else is
+    copied first, so freezing never changes an array its caller may still
+    write to.  Non-finite entries raise :class:`SpecificationError`: a NaN
+    bound or vertex makes every margin NaN, and ``NaN > tolerance`` is
+    false, so a verifier would certify the region.
     """
     array = np.asarray(array, dtype=np.float64)
     if _FROZEN.get(id(array)) is array:
+        return array
+    base = array.base
+    if base is not None and _FROZEN.get(id(base)) is base:
         return array
     if not np.isfinite(array).all():
         raise SpecificationError(f"{what} must be finite")
@@ -105,6 +109,8 @@ class Box:
             upper = frozen_array(np.asarray(self.upper, dtype=np.float64).ravel(), "box upper bound")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        if upper is lower:
+            return
         if self.lower.shape != self.upper.shape:
             raise SpecificationError("box lower and upper bounds must have the same shape")
         if np.any(self.lower > self.upper):
@@ -115,8 +121,13 @@ class Box:
         """Dimension of the ambient input space."""
         return self.lower.size
 
-    def varying_dimensions(self, tolerance: float = 1e-12) -> np.ndarray:
-        """Indices of dimensions with non-degenerate extent."""
+    def varying_dimensions(self, tolerance: float = 0.0) -> np.ndarray:
+        """Indices of dimensions whose extent exceeds ``tolerance``.
+
+        By default a dimension is degenerate only when its bounds are equal:
+        a box treated as a single point is certified from one corner, so any
+        positive extent, however small, must be swept.
+        """
         return np.where(self.upper - self.lower > tolerance)[0]
 
 
@@ -164,7 +175,7 @@ class SpecRegion:
     @cached_property
     def constraint_key(self) -> bytes:
         """The constraint's bytes: regions with equal keys share one constraint."""
-        return self.constraint.a.tobytes() + self.constraint.b.tobytes()
+        return constraint_bytes(self.constraint)
 
     @cached_property
     def is_point(self) -> bool:
@@ -173,7 +184,40 @@ class SpecRegion:
         A sampling verifier's sweep of such a region evaluates the region
         itself, so with ``certify_exhaustive`` a clean sweep certifies it.
         """
-        return isinstance(self.region, Box) and self.region.varying_dimensions().size == 0
+        region = self.region
+        return isinstance(region, Box) and (
+            region.upper is region.lower or region.varying_dimensions().size == 0
+        )
+
+
+def constraint_bytes(constraint: HPolytope) -> bytes:
+    """The bytes of ``constraint``: equal bytes, equal output polytope."""
+    return constraint.a.tobytes() + constraint.b.tobytes()
+
+
+class ConstraintGroups:
+    """Distinct constraints by bytes, numbered in first-seen order.
+
+    A constraint object seen before finds its group by identity, so its
+    bytes are read once per object, not once per lookup.  The objects stay
+    referenced, so no ``id`` is reused while the groups live.
+    """
+
+    def __init__(self) -> None:
+        #: One constraint per group, in group order.
+        self.constraints: list[HPolytope] = []
+        self._by_bytes: dict[bytes, int] = {}
+        self._by_identity: dict[int, tuple[HPolytope, int]] = {}
+
+    def group(self, constraint: HPolytope) -> int:
+        """The group number of ``constraint``."""
+        known = self._by_identity.get(id(constraint))
+        if known is None:
+            group = self._by_bytes.setdefault(constraint_bytes(constraint), len(self.constraints))
+            if group == len(self.constraints):
+                self.constraints.append(constraint)
+            known = self._by_identity[id(constraint)] = (constraint, group)
+        return known[1]
 
 
 @dataclass

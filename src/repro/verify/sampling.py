@@ -7,11 +7,16 @@ can *certify* a region — a clean sweep only upgrades the region to
 the exact verifier cannot decompose), and in practice find the same
 violations the exact verifier proves.
 
-The hot path is fully batched: all sample points of a region go through the
-network in one forward pass and through
-:meth:`repro.polytope.hpolytope.HPolytope.violation_batch` in one matmul.
-Regions are swept one at a time, so only one region's samples and outputs
-are alive at once.
+The hot path is fully batched.  In general regions are swept one at a time:
+all sample points of a region go through the network in one forward pass and
+through :meth:`repro.polytope.hpolytope.HPolytope.violation_batch` in one
+matmul, so only one region's samples and outputs are alive at once.  A spec
+made only of single-point regions under ``certify_exhaustive`` (a pointwise
+repair specification) is instead reported from one stacked pass: every point
+goes through the network in ``POINT_BATCH``-row chunks, the margins take one
+``violation_batch`` per distinct constraint, and statuses and
+counterexamples are read off the margin vector — no Python work per region
+beyond building its counterexample.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
+from repro.exceptions import SpecificationError
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
 from repro.utils.rng import ensure_rng
 from repro.verify.base import (
     DEFAULT_TOLERANCE,
     Box,
+    ConstraintGroups,
     Counterexample,
     RegionStatus,
     VerificationReport,
@@ -70,42 +77,6 @@ class _SamplingVerifier(Verifier):
     def _sample_region(self, region) -> np.ndarray:
         raise NotImplementedError
 
-    def _sweep_degenerate(self, network: Network | DecoupledNetwork, spec: VerificationSpec):
-        """One stacked forward pass over an all-degenerate-box spec.
-
-        Pointwise specifications (e.g. the ImageNet-style classification
-        workload) carry tens of thousands of single-point regions; sweeping
-        them one region-sized forward pass at a time wastes minutes on
-        Python/BLAS dispatch overhead.  Here every region contributes its
-        single point to chunked batch evaluations, then the per-region
-        ``(points, outputs)`` pairs are re-sliced out — same points, same
-        verdict structure, orders of magnitude fewer passes.
-        """
-        # Chunked at POINT_BATCH points: convolutional networks expand each
-        # chunk into im2col patch tensors, so the chunk size bounds the
-        # sweep's transient memory (and matches the batches the pool check
-        # and the Jacobian encoder present to the frozen-prefix cache).
-        stacked = np.vstack([entry.region.lower[None, :] for entry in spec.regions])
-        outputs = np.vstack(
-            [
-                np.atleast_2d(self._evaluate(network, stacked[start : start + POINT_BATCH]))
-                for start in range(0, stacked.shape[0], POINT_BATCH)
-            ]
-        )
-        return (
-            (stacked[index : index + 1].copy(), outputs[index : index + 1])
-            for index in range(stacked.shape[0])
-        )
-
-    def _sweep(self, network: Network | DecoupledNetwork, spec: VerificationSpec):
-        """Per-region (points, outputs) pairs, streamed one region at a time."""
-        if self.certify_exhaustive and all(entry.is_point for entry in spec.regions):
-            return self._sweep_degenerate(network, spec)
-        return (
-            (points, self._evaluate(network, points))
-            for points in (self._sample_region(entry.region) for entry in spec.regions)
-        )
-
     def verify(
         self, network: Network | DecoupledNetwork, spec: VerificationSpec
     ) -> VerificationReport:
@@ -118,49 +89,116 @@ class _SamplingVerifier(Verifier):
         """
         self._check_spec(network, spec)
         with obs.timed("verify", verifier=self.name) as span:
-            statuses: list[RegionStatus] = []
-            margins: list[float] = []
-            counterexamples: list[Counterexample] = []
-            points_checked = 0
-            sweep = self._sweep(network, spec)
-            for (region_index, entry), (points, outputs) in zip(enumerate(spec.regions), sweep):
-                points_checked += points.shape[0]
-                point_margins = entry.constraint.violation_batch(outputs)
-                margins.append(float(np.max(point_margins)))
-                violating = np.where(point_margins > self.tolerance)[0]
-                if violating.size == 0:
-                    # A single-point region's sample set *is* the region
-                    # (every sampling subclass evaluates exactly that
-                    # point), so a clean sweep of it is a proof.
-                    statuses.append(
-                        RegionStatus.CERTIFIED
-                        if self.certify_exhaustive and entry.is_point
-                        else RegionStatus.UNKNOWN
-                    )
-                    continue
-                statuses.append(RegionStatus.VIOLATED)
-                # Keep the worst offenders first; cap to keep reports small.
-                order = violating[np.argsort(-point_margins[violating])]
-                if self.max_counterexamples_per_region is not None:
-                    order = order[: self.max_counterexamples_per_region]
-                counterexamples.extend(
-                    Counterexample(
-                        point=points[index].copy(),
-                        constraint=entry.constraint,
-                        margin=float(point_margins[index]),
-                        region_index=region_index,
-                    )
-                    for index in order
+            if self.certify_exhaustive and all(entry.is_point for entry in spec.regions):
+                report = self._point_report(network, spec)
+            else:
+                report = self._region_report(network, spec)
+        report.seconds = span.wall_seconds
+        return self._publish_report(report)
+
+    def _point_report(
+        self, network: Network | DecoupledNetwork, spec: VerificationSpec
+    ) -> VerificationReport:
+        """The report of an all-single-point spec, from one stacked pass.
+
+        Pointwise specifications (e.g. the ImageNet-style classification
+        workload) carry thousands of single-point regions.  Their points go
+        through the network in ``POINT_BATCH``-row chunks — convolutional
+        networks expand each chunk into im2col patch tensors, so the chunk
+        size bounds the transient memory, and it matches the batches the
+        pool check and the Jacobian encoder present to the frozen-prefix
+        cache — and the margins take one ``violation_batch`` per distinct
+        constraint (by bytes, as in the exact verifier's report).  Each region is
+        its own only sample, so its margin decides it: ``VIOLATED`` with
+        one counterexample above the tolerance, ``CERTIFIED`` otherwise.
+        """
+        regions = spec.regions
+        points = np.array([entry.region.lower for entry in regions])
+        outputs = np.vstack(
+            [
+                np.atleast_2d(self._evaluate(network, points[start : start + POINT_BATCH]))
+                for start in range(0, points.shape[0], POINT_BATCH)
+            ]
+        )
+        groups = ConstraintGroups()
+        region_group = np.array([groups.group(entry.constraint) for entry in regions])
+        margins = np.empty(len(regions))
+        for group, constraint in enumerate(groups.constraints):
+            rows = np.flatnonzero(region_group == group)
+            margins[rows] = constraint.violation_batch(outputs[rows])
+        violated = margins > self.tolerance
+        statuses = [
+            RegionStatus.VIOLATED if flag else RegionStatus.CERTIFIED
+            for flag in violated.tolist()
+        ]
+        counterexamples: list[Counterexample] = []
+        cap = self.max_counterexamples_per_region
+        if cap is None or cap > 0:
+            # One copy per point: a pool holding a counterexample must not
+            # keep the whole stacked batch alive after it spills the rest.
+            indices = np.flatnonzero(violated)
+            counterexamples = [
+                Counterexample(
+                    point=points[index].copy(),
+                    constraint=regions[index].constraint,
+                    margin=margin,
+                    region_index=index,
                 )
-        return self._publish_report(
-            VerificationReport(
-                verifier=self.name,
-                region_statuses=statuses,
-                region_margins=margins,
-                counterexamples=counterexamples,
-                points_checked=points_checked,
-                seconds=span.wall_seconds,
+                for index, margin in zip(indices.tolist(), margins[indices].tolist())
+            ]
+        return VerificationReport(
+            verifier=self.name,
+            region_statuses=statuses,
+            region_margins=margins.tolist(),
+            counterexamples=counterexamples,
+            points_checked=points.shape[0],
+        )
+
+    def _region_report(
+        self, network: Network | DecoupledNetwork, spec: VerificationSpec
+    ) -> VerificationReport:
+        """The report of any spec, sweeping one region's samples at a time."""
+        statuses: list[RegionStatus] = []
+        margins: list[float] = []
+        counterexamples: list[Counterexample] = []
+        points_checked = 0
+        for region_index, entry in enumerate(spec.regions):
+            points = self._sample_region(entry.region)
+            outputs = self._evaluate(network, points)
+            points_checked += points.shape[0]
+            point_margins = entry.constraint.violation_batch(outputs)
+            margins.append(float(np.max(point_margins)))
+            violating = np.where(point_margins > self.tolerance)[0]
+            if violating.size == 0:
+                # A single-point region's sample set *is* the region
+                # (every sampling subclass evaluates exactly that
+                # point), so a clean sweep of it is a proof.
+                statuses.append(
+                    RegionStatus.CERTIFIED
+                    if self.certify_exhaustive and entry.is_point
+                    else RegionStatus.UNKNOWN
+                )
+                continue
+            statuses.append(RegionStatus.VIOLATED)
+            # Keep the worst offenders first; cap to keep reports small.
+            order = violating[np.argsort(-point_margins[violating])]
+            if self.max_counterexamples_per_region is not None:
+                order = order[: self.max_counterexamples_per_region]
+            counterexamples.extend(
+                Counterexample(
+                    point=points[index].copy(),
+                    constraint=entry.constraint,
+                    margin=float(point_margins[index]),
+                    region_index=region_index,
+                )
+                for index in order
             )
+        return VerificationReport(
+            verifier=self.name,
+            region_statuses=statuses,
+            region_margins=margins,
+            counterexamples=counterexamples,
+            points_checked=points_checked,
         )
 
 
@@ -176,10 +214,15 @@ class GridVerifier(_SamplingVerifier):
     ``certify_exhaustive=True`` lets the verifier *certify* single-point
     regions (fully-degenerate boxes): the sweep evaluates the region's only
     point, so a clean result is a proof.  Pointwise specifications made
-    entirely of such regions additionally take a stacked fast path — one
-    chunked forward pass over all regions instead of one pass per region —
-    which is what makes driver-certified repairs of 10⁴–10⁵-point
-    classification specs tractable.
+    entirely of such regions additionally take a stacked path — one chunked
+    forward pass over all regions and one margin computation per distinct
+    constraint, instead of one pass per region — which is what makes
+    driver-certified repairs of 10⁴–10⁵-point classification specs
+    tractable.
+
+    A box varying in more dimensions than a lattice of two points per axis
+    can cover within ``max_points_per_region`` (more than
+    ``log2(max_points_per_region)``) raises :class:`SpecificationError`.
     """
 
     name = "grid"
@@ -236,6 +279,11 @@ def _box_lattice(box: Box, resolution: int, max_points: int) -> np.ndarray:
     varying = box.varying_dimensions()
     if varying.size == 0:
         return box.lower[None, :].copy()
+    if 2**varying.size > max_points:
+        raise SpecificationError(
+            f"a box varying in {varying.size} dimensions needs at least "
+            f"2**{varying.size} lattice points, over max_points_per_region={max_points}"
+        )
     # Cap the total lattice size by shrinking the per-axis count.
     per_axis = min(resolution, max(2, int(max_points ** (1.0 / varying.size))))
     axes = [np.linspace(box.lower[dim], box.upper[dim], per_axis) for dim in varying]

@@ -14,8 +14,10 @@ and solved once, cold, on a fresh solver; one polygon at a time through every
 layer, each piece clipped on its own by this module's copy of the
 per-polygon half-plane clip (:func:`clip_by_function`,
 :class:`VertexPolygon`), with one SVD per polygon for its plane
-coordinates; one network evaluation per linear region; one max-pool
-backward per batch row; convolution and pooling by index gather,
+coordinates; one network evaluation per linear region (and, for the sampling
+verifiers, per spec region); one max-pool backward per batch row; the
+counterexample pool's repair spec with one tightened constraint and one
+key-point expansion per entry; convolution and pooling by index gather,
 ``einsum`` and ``np.add.at`` (the layers read strided views and contract
 with BLAS instead) — kept here so the tests can compare the optimized paths
 against code simple enough to check by eye.
@@ -29,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.ddnn import DecoupledNetwork
+from repro.core.polytope_repair import region_key_points
 from repro.core.result import RepairResult
 from repro.core.specs import PointRepairSpec
 from repro.exceptions import ShapeError
@@ -37,6 +40,7 @@ from repro.lp.status import LPStatus
 from repro.nn.conv import Conv2DLayer, conv_output_size
 from repro.nn.layer import LayerKind
 from repro.nn.network import Network
+from repro.polytope.hpolytope import HPolytope
 from repro.polytope.polygon import polygon_area
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
@@ -777,3 +781,90 @@ def oracle_verify(
         linear_regions_checked=linear_regions_checked,
         seconds=time.perf_counter() - start,
     )
+
+
+def oracle_sampling_verify(verifier, network, spec) -> VerificationReport:
+    """What a sampling verifier's ``verify`` reports, one spec region at a time.
+
+    Each region's samples (``verifier._sample_region``) go through the
+    network in their own call and through ``violation_batch`` on their own;
+    a clean single-point region is certified under ``certify_exhaustive``.
+    The stacked report of an all-point spec must match this loop.
+    """
+    start = time.perf_counter()
+    statuses: list[RegionStatus] = []
+    margins: list[float] = []
+    counterexamples: list[Counterexample] = []
+    points_checked = 0
+    for region_index, entry in enumerate(spec.regions):
+        points = verifier._sample_region(entry.region)
+        outputs = Verifier._evaluate(network, points)
+        points_checked += points.shape[0]
+        point_margins = entry.constraint.violation_batch(outputs)
+        margins.append(float(np.max(point_margins)))
+        violating = np.where(point_margins > verifier.tolerance)[0]
+        if violating.size == 0:
+            statuses.append(
+                RegionStatus.CERTIFIED
+                if verifier.certify_exhaustive and entry.is_point
+                else RegionStatus.UNKNOWN
+            )
+            continue
+        statuses.append(RegionStatus.VIOLATED)
+        order = violating[np.argsort(-point_margins[violating])]
+        if verifier.max_counterexamples_per_region is not None:
+            order = order[: verifier.max_counterexamples_per_region]
+        for index in order:
+            counterexamples.append(
+                Counterexample(
+                    point=points[index].copy(),
+                    constraint=entry.constraint,
+                    margin=float(point_margins[index]),
+                    region_index=region_index,
+                )
+            )
+    return VerificationReport(
+        verifier=verifier.name,
+        region_statuses=statuses,
+        region_margins=margins,
+        counterexamples=counterexamples,
+        points_checked=points_checked,
+        seconds=time.perf_counter() - start,
+    )
+
+
+def oracle_pool_point_spec(pool, margin: float = 0.0, start: int = 0) -> PointRepairSpec:
+    """``pool.point_spec``, one tightened constraint and expansion per entry."""
+    points: list[np.ndarray] = []
+    activation_points: list[np.ndarray] = []
+    constraints: list = []
+    for counterexample in pool.iter_entries(start):
+        tightened = HPolytope(counterexample.constraint.a, counterexample.constraint.b - margin)
+        entry_points, entry_activations, entry_constraints = region_key_points(
+            counterexample.key_points(), counterexample.resolved_activation_point(), tightened
+        )
+        points.extend(entry_points)
+        activation_points.extend(entry_activations)
+        constraints.extend(entry_constraints)
+    return PointRepairSpec(
+        points=np.array(points),
+        constraints=constraints,
+        activation_points=np.array(activation_points),
+    )
+
+
+def oracle_unsatisfied(pool, network, tolerance: float = 1e-6) -> list[int]:
+    """``pool.unsatisfied``, one network call per entry."""
+    unsatisfied = []
+    for index, counterexample in enumerate(pool.iter_entries()):
+        key_points = counterexample.key_points()
+        if isinstance(network, DecoupledNetwork):
+            activations = np.broadcast_to(
+                counterexample.resolved_activation_point(), key_points.shape
+            )
+            outputs = np.atleast_2d(network.compute(key_points, np.ascontiguousarray(activations)))
+        else:
+            outputs = np.atleast_2d(network.compute(key_points))
+        if np.any(counterexample.constraint.violation_batch(outputs) > tolerance):
+            unsatisfied.append(index)
+    return unsatisfied

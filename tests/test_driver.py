@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.driver.driver as driver_module
 import repro.obs as obs
@@ -24,10 +26,13 @@ from repro.verify import (
     Counterexample,
     GridVerifier,
     RandomVerifier,
+    RegionCounterexample,
     RegionStatus,
     SyrennVerifier,
     VerificationSpec,
 )
+from tests.conftest import make_random_relu_network
+from tests.oracle import oracle_pool_point_spec, oracle_unsatisfied
 
 
 def make_counterexample(x: float = 0.0, margin: float = 1.0, region: int = 0) -> Counterexample:
@@ -138,6 +143,223 @@ class TestCounterexamplePool:
         pool.add(make_counterexample(-1.0))  # N₁(-1) = 1 > 0.5: violated
         pool.add(make_counterexample(0.5))   # N₁(0.5) = -0.5: satisfied
         assert pool.unsatisfied(toy_network) == [0]
+
+
+def mixed_intake(rng, dimension: int, count: int, earlier=(), ragged: bool = False) -> list:
+    """A pool intake batch covering every key-material case.
+
+    Plain points over two shared constraints (and bytes-equal copies of
+    them), ``-0.0`` entries and ones that round to it, float32 points (one
+    coerced at construction, one assigned afterwards), pinned activation
+    points, region counterexamples, duplicates within the batch and of
+    ``earlier`` entries (the same objects and equal copies), and with
+    ``ragged`` one point of another dimension.
+    """
+    constraints = [
+        HPolytope(rng.normal(size=(2, 3)), rng.normal(size=2)),
+        HPolytope(rng.normal(size=(1, 3)), rng.normal(size=1)),
+    ]
+    batch: list[Counterexample] = []
+    for _ in range(count):
+        constraint = constraints[int(rng.integers(2))]
+        if rng.random() < 0.2:
+            constraint = HPolytope(constraint.a.copy(), constraint.b.copy())
+        point = np.round(rng.uniform(-1.0, 1.0, dimension), 2)
+        kind = int(rng.integers(7))
+        if kind == 0:
+            point[: dimension // 2] = -0.0
+            point[dimension // 2] = -1e-12
+        activation = rng.uniform(-1.0, 1.0, dimension) if kind == 1 else None
+        if kind == 2:
+            point = point.astype(np.float32)
+        entry = (
+            RegionCounterexample(
+                point=point,
+                constraint=constraint,
+                margin=float(rng.uniform(0.1, 2.0)),
+                region_index=int(rng.integers(5)),
+                activation_point=rng.uniform(-1.0, 1.0, dimension),
+                vertices=rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), dimension)),
+            )
+            if kind == 3
+            else Counterexample(
+                point=point,
+                constraint=constraint,
+                margin=float(rng.uniform(0.1, 2.0)),
+                region_index=int(rng.integers(5)),
+                activation_point=activation,
+            )
+        )
+        if kind == 4:
+            entry.point = entry.point.astype(np.float32)
+        batch.append(entry)
+    seen = [*batch, *earlier]
+    for _ in range(count // 2):
+        repeat = seen[int(rng.integers(len(seen)))]
+        if type(repeat) is Counterexample and rng.random() < 0.5:
+            # An equal copy: zeros flipped to -0.0, another margin.
+            repeat = Counterexample(
+                point=np.where(repeat.point == 0.0, -0.0, repeat.point),
+                constraint=repeat.constraint,
+                margin=repeat.margin + 1.0,
+                region_index=repeat.region_index,
+                activation_point=repeat.activation_point,
+            )
+        batch.insert(int(rng.integers(len(batch) + 1)), repeat)
+    if ragged:
+        batch.append(make_counterexample(0.5))
+    return batch
+
+
+def assert_pools_equal(batched: CounterexamplePool, single: CounterexamplePool) -> None:
+    assert batched._keys == single._keys
+    assert len(batched) == len(single)
+    assert [entry is None for entry in batched._entries] == [
+        entry is None for entry in single._entries
+    ]
+    for ours, theirs in zip(batched._entries, single._entries):
+        assert ours is theirs
+    assert batched.num_key_points == single.num_key_points
+    assert batched.worst_margin == single.worst_margin
+    assert batched.resident_bytes == single.resident_bytes
+    assert batched.spilled_entries == single.spilled_entries
+    assert [segment[:2] for segment in batched._segments] == [
+        segment[:2] for segment in single._segments
+    ]
+    for ours, theirs in zip(batched.iter_entries(), single.iter_entries()):
+        assert ours.point.tobytes() == theirs.point.tobytes()
+        assert ours.resolved_activation_point().tobytes() == (
+            theirs.resolved_activation_point().tobytes()
+        )
+
+
+class TestBatchedPoolIntake:
+    """``extend`` admits exactly what per-entry ``add`` calls would."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        budget=st.sampled_from([None, 200, 900]),
+        decimals=st.sampled_from([3, 9]),
+        ragged=st.booleans(),
+    )
+    def test_extend_equals_per_entry_add(self, tmp_path_factory, seed, budget, decimals, ragged):
+        rng = np.random.default_rng(seed)
+        first = mixed_intake(rng, 4, 8)
+        second = mixed_intake(rng, 4, 8, earlier=first, ragged=ragged)
+        directory = tmp_path_factory.mktemp("spill")
+        batched, single = (
+            CounterexamplePool(decimals, budget, directory / name) for name in ("a", "b")
+        )
+        for batch in (first, second):
+            assert batched.extend(batch) == sum(single.add(entry) for entry in batch)
+            assert_pools_equal(batched, single)
+        if budget is not None:
+            assert batched.spilled_entries > 0
+
+    def test_keys_match_the_per_entry_key(self):
+        rng = np.random.default_rng(3)
+        pool = CounterexamplePool()
+        batch = mixed_intake(rng, 5, 12)
+        assert pool._keys_of(batch) == [pool._key(entry) for entry in batch]
+
+    def test_signed_zero_and_float32_are_duplicates(self):
+        pool = CounterexamplePool()
+        constraint = HPolytope([[1.0]], [0.5])
+        point = np.array([0.0, 0.25, -1e-12])
+        twins = [
+            Counterexample(point, constraint, 1.0, 0),
+            Counterexample(np.array([-0.0, 0.25, 0.0]), constraint, 1.0, 0),
+            Counterexample(point.astype(np.float32), constraint, 1.0, 0),
+        ]
+        twins[2].point = twins[2].point.astype(np.float32)
+        assert pool.extend(twins) == 1
+
+
+class TestPoolOracles:
+    """Repair spec and differential check against their per-entry oracles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        chunk_points=st.sampled_from([1, 2, 3, 1024]),
+        decoupled=st.booleans(),
+        budget=st.sampled_from([None, 400]),
+    )
+    def test_unsatisfied_and_point_spec_match(
+        self, tmp_path_factory, seed, chunk_points, decoupled, budget
+    ):
+        rng = np.random.default_rng(seed)
+        network = make_random_relu_network(rng, (4, 6, 3))
+        if decoupled:
+            network = DecoupledNetwork.from_network(network)
+            layer = network.repairable_layer_indices()[-1]
+            network.apply_parameter_delta(
+                layer, rng.normal(size=network.value.layers[layer].num_parameters)
+            )
+        pool = CounterexamplePool(
+            max_resident_bytes=budget, spill_dir=tmp_path_factory.mktemp("spill")
+        )
+        pool.extend(mixed_intake(rng, 4, 12))
+        assert pool.unsatisfied(network, chunk_points=chunk_points) == oracle_unsatisfied(
+            pool, network
+        )
+        for margin, start in [(0.0, 0), (0.125, len(pool) // 2)]:
+            ours = pool.point_spec(margin=margin, start=start)
+            theirs = oracle_pool_point_spec(pool, margin=margin, start=start)
+            assert ours.points.tobytes() == theirs.points.tobytes()
+            assert ours.activation_points.tobytes() == theirs.activation_points.tobytes()
+            assert len(ours.constraints) == len(theirs.constraints)
+            for left, right in zip(ours.constraints, theirs.constraints):
+                assert left.a.tobytes() == right.a.tobytes()
+                assert left.b.tobytes() == right.b.tobytes()
+
+
+class TestCappedIntake:
+    """With ``max_new_counterexamples`` the driver admits through per-entry ``add``."""
+
+    def test_duplicates_do_not_count_against_the_cap(self, plane_scenario):
+        network, spec, _ = plane_scenario
+        driver = RepairDriver(
+            network, spec, GridVerifier(), config=DriverConfig(max_new_counterexamples=2)
+        )
+        seen = make_counterexample(0.0)
+        driver.pool.add(seen)
+        intake = [
+            seen,
+            make_counterexample(0.0),
+            make_counterexample(1.0),
+            make_counterexample(1.0),
+            make_counterexample(2.0),
+            make_counterexample(3.0),
+        ]
+        assert driver._pool_intake(intake) == 2
+        assert [entry.point[0] for entry in driver.pool.counterexamples] == [0.0, 1.0, 2.0]
+
+    def test_capped_run_never_calls_extend(self, plane_scenario, monkeypatch):
+        network, spec, _ = plane_scenario
+        added = []
+        add = CounterexamplePool.add
+
+        def counting_add(pool, counterexample):
+            added.append(counterexample)
+            return add(pool, counterexample)
+
+        def no_extend(pool, counterexamples):
+            raise AssertionError("capped intake went through extend")
+
+        monkeypatch.setattr(CounterexamplePool, "add", counting_add)
+        monkeypatch.setattr(CounterexamplePool, "extend", no_extend)
+        report = RepairDriver(
+            network,
+            spec,
+            SyrennVerifier(),
+            config=DriverConfig(max_new_counterexamples=3, max_rounds=8),
+        ).run()
+        assert report.status == "certified"
+        assert added
+        assert all(record.new_counterexamples <= 3 for record in report.rounds)
+        assert report.pool_size == sum(record.new_counterexamples for record in report.rounds)
 
 
 class TestRepairDriver:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.point_repair import point_repair
@@ -20,6 +23,7 @@ from repro.polytope.segment import LineSegment
 from repro.syrenn.cache import PartitionCache
 from repro.verify import (
     Box,
+    Counterexample,
     GridVerifier,
     RandomVerifier,
     RegionStatus,
@@ -27,7 +31,8 @@ from repro.verify import (
     SyrennVerifier,
     VerificationSpec,
 )
-from tests.oracle import oracle_verify
+from tests.conftest import make_random_relu_network
+from tests.oracle import oracle_sampling_verify, oracle_verify
 
 @pytest.fixture
 def plane_network(rng) -> Network:
@@ -514,6 +519,165 @@ class TestSamplingVerifiers:
             first.counterexamples[0].point.tobytes()
             != second.counterexamples[0].point.tobytes()
         )
+
+
+class TestStackedPointReportProperty:
+    """The stacked report of an all-point spec against the per-region oracle."""
+
+    @staticmethod
+    def constraint(rng, kind: str, outputs: int, shift: float) -> HPolytope:
+        if kind == "argmax":
+            base = HPolytope.argmax_region(outputs, int(rng.integers(outputs)))
+        elif kind == "interval":
+            base = HPolytope.from_interval(outputs, int(rng.integers(outputs)), -0.5, 0.5)
+        else:
+            rows = int(rng.integers(1, 5))
+            base = HPolytope(rng.normal(size=(rows, outputs)), rng.normal(size=rows))
+        return HPolytope(base.a, base.b + shift)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_points=st.integers(1, 12),
+        violated=st.sampled_from(["none", "some", "all"]),
+        decoupled=st.booleans(),
+        cap=st.sampled_from([None, 0, 1, 32]),
+    )
+    def test_matches_per_region_oracle(self, seed, num_points, violated, decoupled, cap):
+        rng = np.random.default_rng(seed)
+        inputs, hidden, outputs = (int(size) for size in rng.integers(2, 6, size=3))
+        network = make_random_relu_network(rng, (inputs, hidden, outputs))
+        if decoupled:
+            network = DecoupledNetwork.from_network(network)
+            layer = network.repairable_layer_indices()[-1]
+            network.apply_parameter_delta(
+                layer, 0.3 * rng.normal(size=network.value.layers[layer].num_parameters)
+            )
+        # A clean shift puts every output far inside its polytope, a violating
+        # one far outside; "some" mixes both with unshifted constraints.
+        shifts = {"none": [1e3], "all": [-1e3], "some": [1e3, -1e3, 0.0]}[violated]
+        shared: dict[tuple, HPolytope] = {}
+        spec = VerificationSpec()
+        for point in rng.uniform(-1.0, 1.0, size=(num_points, inputs)):
+            kind = str(rng.choice(["argmax", "interval", "rows"]))
+            shift = float(rng.choice(shifts))
+            if (kind, shift) not in shared:
+                shared[(kind, shift)] = self.constraint(rng, kind, outputs, shift)
+            constraint = shared[(kind, shift)]
+            if rng.random() < 0.3:  # an equal constraint in a distinct object
+                constraint = HPolytope(constraint.a.copy(), constraint.b.copy())
+            upper = point if rng.random() < 0.5 else point.copy()
+            spec.add_box(point, upper, constraint)
+        verifier = GridVerifier(certify_exhaustive=True, max_counterexamples_per_region=cap)
+        report = verifier.verify(network, spec)
+        expected = oracle_sampling_verify(verifier, network, spec)
+
+        assert report.region_statuses == expected.region_statuses
+        np.testing.assert_allclose(
+            report.region_margins, expected.region_margins, atol=1e-12, rtol=0
+        )
+        assert report.points_checked == expected.points_checked == num_points
+        assert len(report.counterexamples) == len(expected.counterexamples)
+        for ours, theirs in zip(report.counterexamples, expected.counterexamples):
+            assert type(ours) is type(theirs) is Counterexample
+            assert ours.point.tobytes() == theirs.point.tobytes()
+            assert ours.constraint is theirs.constraint
+            assert ours.region_index == theirs.region_index
+            assert ours.margin == pytest.approx(theirs.margin, abs=1e-12, rel=0)
+            assert ours.activation_point is theirs.activation_point is None
+        if violated == "none":
+            assert report.certified
+        elif violated == "all":
+            assert report.num_violated == num_points
+
+
+class TestNearDegenerateBoxes:
+    """A box is a single point only when its bounds are equal."""
+
+    def test_tiny_extent_is_swept_by_both_verifiers(self):
+        # The output at the upper corner is 1e13 * 5e-13 = 5, far above 0.5;
+        # a box certified from its lower corner alone would hide it.
+        network = Network([FullyConnectedLayer([[1e13]], [0.0])])
+        spec = VerificationSpec()
+        spec.add_box([0.0], [5e-13], HPolytope([[1.0]], [0.5]))
+        assert not spec.regions[0].is_point
+        assert spec.regions[0].region.varying_dimensions().tolist() == [0]
+        for verifier in (GridVerifier(certify_exhaustive=True), SyrennVerifier()):
+            report = verifier.verify(network, spec)
+            assert report.region_statuses == [RegionStatus.VIOLATED]
+            assert report.max_margin == pytest.approx(4.5)
+
+    def test_equal_bounds_stay_a_point(self):
+        spec = VerificationSpec()
+        spec.add_box([0.25, 1.0], [0.25, 1.0], HPolytope([[1.0]], [0.5]))
+        assert spec.regions[0].is_point
+        assert spec.regions[0].region.varying_dimensions().size == 0
+
+
+class TestGridLatticeCap:
+    """A box lattice never exceeds ``max_points_per_region``."""
+
+    @staticmethod
+    def unit_box_spec(dims: int) -> VerificationSpec:
+        spec = VerificationSpec()
+        spec.add_box([0.0] * dims, [1.0] * dims, HPolytope([[1.0]], [1e9]))
+        return spec
+
+    def test_twelve_dimensions_fill_the_default_cap(self, rng):
+        network = Network([FullyConnectedLayer.from_shape(12, 1, rng)])
+        report = GridVerifier().verify(network, self.unit_box_spec(12))
+        assert report.points_checked == 4096
+
+    @pytest.mark.parametrize("dims", [13, 40])
+    def test_too_many_varying_dimensions_raise_before_allocating(self, rng, dims):
+        network = Network([FullyConnectedLayer.from_shape(dims, 1, rng)])
+        spec = self.unit_box_spec(dims)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecificationError, match=rf"{dims} dimensions.*=4096"):
+                GridVerifier().verify(network, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestStackedPointPathScope:
+    """Only all-point specs under ``certify_exhaustive`` take the stacked report."""
+
+    @staticmethod
+    def point_spec(network, rng, wrong: int = 0) -> VerificationSpec:
+        points = rng.uniform(-1.0, 1.0, size=(6, 2))
+        labels = np.argmax(network.compute(points), axis=1)
+        labels[:wrong] = (labels[:wrong] + 1) % 3
+        return pointwise_verification_spec(points, labels, 3, margin=0.0)
+
+    def test_mixed_spec_takes_the_per_region_path(self, plane_network, rng, monkeypatch):
+        spec = self.point_spec(plane_network, rng)
+        spec.add_box([-1.0, -1.0], [1.0, 1.0], HPolytope.argmax_region(3, 0))
+
+        def no_stacked_report(*args):
+            raise AssertionError("a mixed spec took the stacked point report")
+
+        monkeypatch.setattr(GridVerifier, "_point_report", no_stacked_report)
+        verifier = GridVerifier(certify_exhaustive=True)
+        report = verifier.verify(plane_network, spec)
+        assert report.region_statuses[:6] == [RegionStatus.CERTIFIED] * 6
+        assert report.region_statuses[6] is not RegionStatus.CERTIFIED
+        expected = oracle_sampling_verify(verifier, plane_network, spec)
+        assert report.region_statuses == expected.region_statuses
+        assert report.region_margins == expected.region_margins
+        assert [example.point.tobytes() for example in report.counterexamples] == [
+            example.point.tobytes() for example in expected.counterexamples
+        ]
+
+    def test_random_verifier_never_certifies_points(self, plane_network, rng):
+        spec = self.point_spec(plane_network, rng, wrong=2)
+        report = RandomVerifier(8, seed=0).verify(plane_network, spec)
+        assert report.region_statuses == (
+            [RegionStatus.VIOLATED] * 2 + [RegionStatus.UNKNOWN] * 4
+        )
+        assert not report.certified
 
 
 class TestVerificationReport:
