@@ -57,8 +57,9 @@ def test_figure3_and_4_curves(benchmark):
 
     def run():
         n1, n2 = paper_network_n1(), paper_network_n2()
-        n4 = DecoupledNetwork.from_network(n1)
-        n4.apply_parameter_delta(0, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
+        n4 = DecoupledNetwork.from_network(n1).with_parameter_delta(
+            0, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        )
         return [
             _curve_row("N1 (Figure 3c)", n1),
             _curve_row("N2 (Figure 3d)", n2),

@@ -19,11 +19,6 @@ from repro.core.specs import (
     PolytopeRepairSpec,
     classification_constraint,
 )
-from repro.core.multi_layer import (
-    iterative_point_repair,
-    search_repair_layer,
-    drawdown_score,
-)
 from repro.core.point_repair import IncrementalPointRepairSession, point_repair
 from repro.core.polytope_repair import polytope_repair
 from repro.core.result import RepairResult, RepairTiming
@@ -37,9 +32,6 @@ __all__ = [
     "point_repair",
     "IncrementalPointRepairSession",
     "polytope_repair",
-    "iterative_point_repair",
-    "search_repair_layer",
-    "drawdown_score",
     "RepairResult",
     "RepairTiming",
 ]

@@ -26,8 +26,8 @@ shared by every evaluation.
 
 Theorem 4.5 also means the inputs of the repaired layer never change during
 a single-layer repair: a :class:`~repro.core.prefix_cache.PrefixCache` bound
-to a network (its :attr:`DecoupledNetwork.prefix_cache`) lets
-:meth:`DecoupledNetwork.compute` and
+to a network (its :attr:`DecoupledNetwork.prefix_cache`, inherited by the
+networks derived from it) lets :meth:`DecoupledNetwork.compute` and
 :meth:`DecoupledNetwork.batch_channel_traces` start at that layer from
 features computed once per batch, with byte-identical results.
 """
@@ -85,8 +85,8 @@ class DecoupledNetwork:
                 raise ShapeError("activation and value channel layer sizes must match")
         self.activation = activation_network
         self.value = value_network
-        #: The frozen-prefix cache batched evaluations go through, if any
-        #: (set by :meth:`PrefixCache.bind`; never copied or pickled).
+        #: The frozen-prefix cache batched evaluations go through, if any (set
+        #: by :meth:`PrefixCache.bind`, kept by :meth:`with_parameter_delta`).
         self.prefix_cache: PrefixCache | None = None
 
     def __getstate__(self) -> dict:
@@ -99,12 +99,8 @@ class DecoupledNetwork:
     # ------------------------------------------------------------------
     @classmethod
     def from_network(cls, network: Network) -> "DecoupledNetwork":
-        """The trivially equivalent DDNN of Theorem 4.4 (both channels = N)."""
+        """The trivially equivalent DDNN of Theorem 4.4 (both channels: ``network.copy()``)."""
         return cls(network.copy(), network.copy())
-
-    def copy(self) -> "DecoupledNetwork":
-        """A deep copy of both channels."""
-        return DecoupledNetwork(self.activation.copy(), self.value.copy())
 
     # ------------------------------------------------------------------
     # Shape info
@@ -315,8 +311,12 @@ class DecoupledNetwork:
     # ------------------------------------------------------------------
     # Applying a repair
     # ------------------------------------------------------------------
-    def apply_parameter_delta(self, layer_index: int, delta: np.ndarray) -> None:
-        """Add ``delta`` to the flat parameters of one value-channel layer."""
+    def with_parameter_delta(self, layer_index: int, delta: np.ndarray) -> "DecoupledNetwork":
+        """A new DDNN: this one with ``delta`` added to one value layer's parameters.
+
+        It shares the activation channel and every other value layer with
+        this one (Theorem 4.6) and keeps its :attr:`prefix_cache`.
+        """
         layer_index = self._check_repairable(layer_index)
         layer = self.value.layers[layer_index]
         delta = np.asarray(delta, dtype=np.float64).ravel()
@@ -325,7 +325,12 @@ class DecoupledNetwork:
                 f"delta has {delta.size} entries, layer {layer_index} has "
                 f"{layer.num_parameters} parameters"
             )
-        layer.set_parameters(layer.get_parameters() + delta)
+        layers = list(self.value.layers)
+        layers[layer_index] = layer.copy()
+        layers[layer_index].set_parameters(layer.get_parameters() + delta)
+        result = DecoupledNetwork(self.activation, Network(layers))
+        result.prefix_cache = self.prefix_cache
+        return result
 
     def __repr__(self) -> str:
         return f"DecoupledNetwork(layers={self.num_layers}, inputs={self.input_size}, outputs={self.output_size})"

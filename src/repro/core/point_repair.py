@@ -58,7 +58,7 @@ def point_repair(
     ----------
     network:
         The buggy network.  A plain :class:`Network` is decoupled first
-        (Theorem 4.4); an existing :class:`DecoupledNetwork` is copied.
+        (Theorem 4.4); an existing :class:`DecoupledNetwork` is used as is.
     layer_index:
         Index of the layer to repair; must be a parameterized layer.
     spec:
@@ -88,24 +88,9 @@ def point_repair(
             max_chunk_bytes=max_chunk_bytes,
         )
         session.append_points(spec)
-        result = session.solve(final=True)
+        result = session.solve()
     result.timing = RepairTiming.from_spans(span)
     return result
-
-
-def _working_copy(network: Network | DecoupledNetwork) -> DecoupledNetwork:
-    """A private DDNN copy to encode against, bound to the caller's prefix cache.
-
-    ``copy()`` never carries a binding; a repair's own working copy is the
-    one exception, so its Jacobian encoding reuses the prefix features the
-    caller's verification already computed.
-    """
-    if not isinstance(network, DecoupledNetwork):
-        return DecoupledNetwork.from_network(network)
-    ddnn = network.copy()
-    if network.prefix_cache is not None:
-        network.prefix_cache.bind(ddnn)
-    return ddnn
 
 
 class IncrementalPointRepairSession:
@@ -131,8 +116,9 @@ class IncrementalPointRepairSession:
     one-shot :func:`point_repair` of the final pool in verdict and
     objective (1e-9 relative), not in bytes.
 
-    The session encodes against a private copy of the base network and never
-    mutates it; each feasible :meth:`solve` returns a *fresh* repaired copy.
+    The session encodes against the caller's network (and its prefix cache)
+    and never modifies it; each feasible :meth:`solve` derives a *fresh*
+    repaired network from it.
     """
 
     def __init__(
@@ -144,7 +130,11 @@ class IncrementalPointRepairSession:
         delta_bound: float | None = None,
         max_chunk_bytes: int | None = None,
     ) -> None:
-        self.ddnn = _working_copy(network)
+        self.ddnn = (
+            network
+            if isinstance(network, DecoupledNetwork)
+            else DecoupledNetwork.from_network(network)
+        )
         self.layer_index = self.ddnn._check_repairable(layer_index)
         self.norm = norm
         self.max_chunk_bytes = max_chunk_bytes
@@ -187,13 +177,9 @@ class IncrementalPointRepairSession:
         self.constraint_rows += rows
         return rows
 
-    def solve(self, *, final: bool = False) -> RepairResult:
+    def solve(self) -> RepairResult:
         """Solve the accumulated LP.
 
-        ``final=True`` declares this the session's last solve: a feasible
-        delta is applied to the working copy itself, which becomes the
-        repaired network, instead of to a fresh copy.  The one-shot
-        :func:`point_repair` uses it; the session must not be used after.
         The result carries no ``timing``: the caller's span tree times the
         session (each backend solve is an ``lp.solve`` span).
         """
@@ -216,11 +202,9 @@ class IncrementalPointRepairSession:
                 norm=self.norm,
             )
         delta = solution.value_of(self.delta_indices)
-        repaired = self.ddnn if final else self.ddnn.copy()
-        repaired.apply_parameter_delta(self.layer_index, delta)
         return RepairResult(
             feasible=True,
-            network=repaired,
+            network=self.ddnn.with_parameter_delta(self.layer_index, delta),
             delta=delta,
             layer_index=self.layer_index,
             lp_status=solution.status,

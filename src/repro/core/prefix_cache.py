@@ -14,9 +14,9 @@ have produced, never an approximation of them:
   when they differ from the value rows, of the activation rows), because
   batched BLAS kernels are not row-invariant in general — a row evaluated
   inside a different batch may round differently;
-* every lookup first compares the prefix state of both channels of the
-  calling network, byte for byte, against a snapshot taken when the cache
-  was created; a network whose prefix differs is evaluated uncached;
+* every lookup first compares the prefix layers' memoized digests, both
+  channels, against a snapshot taken when the cache was created; a network
+  whose prefix differs is evaluated uncached;
 * when the activation rows equal the value rows and both channels' prefixes
   are identical, the two channels coincide below ``i`` and the prefix is run
   once.  An activation layer rejoins the channels only where its
@@ -27,16 +27,14 @@ have produced, never an approximation of them:
 
 **Lifetime.**  A cache belongs to one :meth:`RepairDriver.run
 <repro.driver.driver.RepairDriver.run>` and one repaired layer.  Networks
-reach it only through :meth:`bind`; :meth:`close` drops every feature and
-unbinds every network it was bound to.  ``DecoupledNetwork.copy()`` and
-pickling never carry a binding, so a copy always evaluates uncached until
-it is bound.
+reach it through :meth:`bind` or by derivation from a bound network;
+after :meth:`close` every lookup declines.  Pickles carry no binding.
 
-**Cost.**  A lookup hashes the batch and compares the prefix state, so it
-pays off only for batches whose prefix evaluation outweighs that: a batch
-whose prefix activations (rows × the summed input widths of the prefix
-layers) hold fewer bytes than the prefix state is evaluated uncached, never
-looked up or stored.  Convolutional prefixes (few parameters, wide
+**Cost.**  A lookup hashes the batch, so it pays off only for batches
+whose prefix evaluation outweighs that: a batch whose prefix activations
+(rows × the summed input widths of the prefix layers) hold fewer bytes
+than the prefix layers' arrays is evaluated uncached, never looked up or
+stored.  Convolutional prefixes (few parameters, wide
 activations) are cached from a single row; a wide fully-connected prefix
 only for batches of a hundred rows or so.
 
@@ -55,30 +53,10 @@ from repro.core.ddnn import _decoupled_step
 from repro.nn.layer import LayerKind
 
 
-def _channel_state(layers) -> tuple[bytes, list]:
-    """Everything the forward of ``layers`` may read.
-
-    That is each layer's type and attributes, arrays captured by their
-    bytes, so comparing two states is a memcmp: two copies of a network
-    compare equal, a parameter moved by one ulp does not.
-    """
-    arrays: list[bytes] = []
-    others: list = []
-    for layer in layers:
-        others.append(type(layer))
-        for name, value in vars(layer).items():
-            if isinstance(value, np.ndarray):
-                arrays.append(value.tobytes())
-                others.append((name, value.dtype, value.shape))
-            else:
-                others.append((name, value))
-    return b"".join(arrays), others
-
-
-def _prefix_state(network, layer_index: int) -> tuple:
-    return (
-        _channel_state(network.activation.layers[:layer_index]),
-        _channel_state(network.value.layers[:layer_index]),
+def _prefix_digests(network, layer_index: int) -> tuple:
+    return tuple(
+        tuple(layer.digest for layer in channel.layers[:layer_index])
+        for channel in (network.activation, network.value)
     )
 
 
@@ -112,50 +90,53 @@ class PrefixCache:
             raise ValueError(f"a prefix cache needs 0 < layer_index < {network.num_layers}")
         self.layer_index = int(layer_index)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self._snapshot = _prefix_state(network, self.layer_index)
+        self._snapshot = _prefix_digests(network, self.layer_index)
         self._channels_equal = self._snapshot[0] == self._snapshot[1]
-        self._state_nbytes = sum(len(arrays) for arrays, _ in self._snapshot)
+        self._state_nbytes = sum(
+            value.nbytes
+            for channel in (network.activation, network.value)
+            for layer in channel.layers[: self.layer_index]
+            for value in vars(layer).values()
+            if isinstance(value, np.ndarray)
+        )
         self._row_nbytes = 8 * sum(
             layer.input_size for layer in network.activation.layers[: self.layer_index]
         )
-        self._entries: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        self._bound: list = []
+        #: Features by batch key; ``None`` after :meth:`close`.
+        self._entries: dict[bytes, tuple[np.ndarray, np.ndarray]] | None = {}
         self.nbytes = 0
         self.hits = 0
         self.misses = 0
 
     def bind(self, network):
-        """Route ``network``'s batched evaluations through this cache."""
-        if network.prefix_cache is not self:
-            network.prefix_cache = self
-            self._bound.append(network)
+        """Route ``network``'s (and its derived networks') batched evaluations here."""
+        network.prefix_cache = self
         return network
 
     def close(self) -> None:
-        """Drop every feature and unbind every network bound so far."""
-        for network in self._bound:
-            if network.prefix_cache is self:
-                network.prefix_cache = None
-        self._bound.clear()
-        self._entries.clear()
+        """Drop every feature; every later lookup declines."""
+        self._entries = None
         self.nbytes = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries or ())
 
     def layer_inputs(
         self, network, value_batch: np.ndarray, activation_batch: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """``(activation, value)`` inputs of layer ``layer_index`` for a batch.
 
-        Returns ``None`` — evaluate uncached — for a batch too small to be
-        worth a lookup (see the module notes) and when ``network``'s prefix
-        no longer matches the snapshot.  Returned arrays are read-only and
-        may be one and the same array when the two channels coincide.
+        Returns ``None`` — evaluate uncached — once the cache is closed,
+        for a batch too small to be worth a lookup (see the module notes)
+        and when ``network``'s prefix no longer matches the snapshot.
+        Returned arrays are read-only and may be one and the same array when
+        the two channels coincide.
         """
+        if self._entries is None:
+            return None
         if value_batch.shape[0] * self._row_nbytes < self._state_nbytes:
             return None
-        if _prefix_state(network, self.layer_index) != self._snapshot:
+        if _prefix_digests(network, self.layer_index) != self._snapshot:
             return None
         if activation_batch is not None and _same_rows(activation_batch, value_batch):
             activation_batch = None

@@ -96,8 +96,8 @@ class DriverTiming:
     is the :class:`RepairTiming` of the ``driver.repair`` spans (their
     LinRegions/Jacobian/LP/other split, as in the paper's RQ4 analysis,
     with session construction and pool encoding in "other"); and
-    ``other_seconds`` is the remainder, driver overhead (the run's network
-    copy, prefix-cache builds and bindings, pool intake, checkpointing,
+    ``other_seconds`` is the remainder, driver overhead (prefix-cache
+    builds and bindings, pool intake, checkpointing,
     holdout evaluation, the final check of the pool against the returned
     network).  The total is the run span's wall time.
     """
@@ -277,7 +277,8 @@ class RepairDriver:
     Parameters
     ----------
     network:
-        The buggy network (or DDNN) to repair.
+        The buggy network (or DDNN) to repair.  It is never modified, not
+        even its ``prefix_cache``: repairs derive from a fresh wrapper.
     spec:
         The verification targets: regions plus output constraints.  In
         polytope mode a :class:`~repro.core.specs.PolytopeRepairSpec` is
@@ -370,7 +371,7 @@ class RepairDriver:
             spec = VerificationSpec.from_polytope_spec(spec)
         self.mode = config.mode
         self.base = (
-            network.copy()
+            DecoupledNetwork(network.activation, network.value)
             if isinstance(network, DecoupledNetwork)
             else DecoupledNetwork.from_network(network)
         )
@@ -448,8 +449,7 @@ class RepairDriver:
     def _run(self) -> DriverReport:
         budget = TimeBudget(self.budget_seconds)
         rounds: list[RoundRecord] = []
-        with obs.span("driver.setup"):
-            current = self.base.copy()
+        current = self.base
         layer_cursor = 0
         status = "max_rounds_reached"
         final_report: VerificationReport | None = None
@@ -532,9 +532,6 @@ class RepairDriver:
                 break
 
             current = result.network
-            if self._prefix_cache is not None:
-                with obs.span("driver.prefix"):
-                    self._prefix_cache.bind(current)
             report_is_stale = True
             record.delta_linf = result.delta_linf_norm
             if self.holdout is not None:
@@ -575,8 +572,9 @@ class RepairDriver:
     def _serve_prefix(self, layer_index: int, current: DecoupledNetwork) -> None:
         """Bind the base and ``current`` to a prefix cache for ``layer_index``.
 
-        A different layer retires the previous cache (features and
-        bindings).  Layer 0 has no frozen prefix, so it gets no cache.
+        Repairs derive from the base and inherit its cache.  A different
+        layer closes the previous cache.  Layer 0 has no frozen prefix, so
+        it gets no cache.
         Cache builds and bindings are timed as ``driver.prefix`` spans.
         """
         with obs.span("driver.prefix"):

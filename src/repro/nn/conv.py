@@ -218,8 +218,9 @@ class Conv2DLayer(Layer):
         if flat.size != self.num_parameters:
             raise LayerError(f"expected {self.num_parameters} parameters, got {flat.size}")
         split = self.kernels.size
-        self.kernels = flat[:split].reshape(self.kernels.shape).copy()
-        self.biases = flat[split:].copy()
+        # Assignment freezes: views of a writable ``flat`` are copied.
+        self.kernels = flat[:split].reshape(self.kernels.shape)
+        self.biases = flat[split:]
 
     def batch_parameter_jacobian(
         self, downstream: np.ndarray, forward_inputs: np.ndarray

@@ -20,11 +20,14 @@ Three kinds of layers exist (see :class:`LayerKind`):
 from __future__ import annotations
 
 import abc
+import copy
 import enum
+import hashlib
 
 import numpy as np
 
 from repro.exceptions import LayerError
+from repro.utils.validation import frozen
 
 
 class LayerKind(enum.Enum):
@@ -48,10 +51,40 @@ class Layer(abc.ABC):
     parameterized and static layers push downstream maps back through
     :meth:`batch_backward_input`; activation layers implement
     :meth:`decoupled_forward` and :meth:`batch_linearize_backward`.
+
+    Every ndarray assigned to an attribute is frozen
+    (:func:`~repro.utils.validation.frozen`), so layers never change in
+    place and can share arrays; any assignment drops the :attr:`digest`.
     """
 
     #: Layer kind; overridden by subclasses.
     kind: LayerKind = LayerKind.STATIC
+
+    def __setattr__(self, name: str, value) -> None:
+        self.__dict__.pop("_digest", None)
+        object.__setattr__(self, name, frozen(value) if isinstance(value, np.ndarray) else value)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled and copied layers freeze their arrays too; the memo
+        # survives because any other assignment drops it, so it comes last.
+        for name, value in state.items():
+            setattr(self, name, value)
+
+    @property
+    def digest(self) -> bytes:
+        """SHA-256 of the class, sizes, scalar configuration and array bytes (memoized)."""
+        if "_digest" not in self.__dict__:
+            hasher = hashlib.sha256(
+                f"{type(self).__name__}:{self.input_size}:{self.output_size}".encode()
+            )
+            for attr, value in sorted(vars(self).items()):
+                if isinstance(value, (bool, int, float, str, tuple)):
+                    hasher.update(f":{attr}={value}".encode())
+                elif isinstance(value, np.ndarray):
+                    hasher.update(f":{attr}{value.shape}:".encode())
+                    hasher.update(np.ascontiguousarray(value).tobytes())
+            self._digest = hasher.digest()
+        return self._digest
 
     @property
     @abc.abstractmethod
@@ -191,10 +224,8 @@ class Layer(abc.ABC):
     # Misc
     # ------------------------------------------------------------------
     def copy(self) -> "Layer":
-        """A deep copy of the layer (parameters included)."""
-        import copy as _copy
-
-        return _copy.deepcopy(self)
+        """A new layer object sharing this one's arrays (independent under :meth:`set_parameters`)."""
+        return copy.copy(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(in={self.input_size}, out={self.output_size})"

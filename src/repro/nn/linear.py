@@ -88,8 +88,9 @@ class FullyConnectedLayer(Layer):
                 f"expected {self.num_parameters} parameters, got {flat.size}"
             )
         split = self.weights.size
-        self.weights = flat[:split].reshape(self.weights.shape).copy()
-        self.biases = flat[split:].copy()
+        # Assignment freezes: views of a writable ``flat`` are copied.
+        self.weights = flat[:split].reshape(self.weights.shape)
+        self.biases = flat[split:]
 
     def batch_parameter_jacobian(
         self, downstream: np.ndarray, forward_inputs: np.ndarray

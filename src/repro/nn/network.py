@@ -142,7 +142,7 @@ class Network:
             self.layers[index].set_parameters(flat)
 
     def copy(self) -> "Network":
-        """A deep copy of the network."""
+        """New layer objects sharing this network's arrays (see :meth:`Layer.copy`)."""
         return Network([layer.copy() for layer in self.layers])
 
     # ------------------------------------------------------------------

@@ -55,11 +55,11 @@ def network_fingerprint(network) -> str:
 
     Two identical networks (e.g. the same network in two different
     processes) produce the same fingerprint, which is what lets the disk
-    tier of the partition cache be shared across processes.  The digest
-    covers every layer's class and shape — not just the parameterized
-    layers' weights — so networks that differ only in parameter-free layers
-    (a swapped activation, say) never collide.  Decoupled networks hash
-    both channels.
+    tier of the partition cache be shared across processes.  It hashes
+    every layer's memoized :attr:`~repro.nn.layer.Layer.digest`, not just
+    the parameterized layers', so networks that differ only in
+    parameter-free layers (a swapped activation, say) never collide.
+    Decoupled networks hash both channels.
     """
     digest = hashlib.sha256()
     if hasattr(network, "activation") and hasattr(network, "value"):
@@ -69,21 +69,7 @@ def network_fingerprint(network) -> str:
     for name, channel in channels:
         digest.update(name.encode())
         for layer in channel.layers:
-            digest.update(
-                f"{type(layer).__name__}:{layer.input_size}:{layer.output_size}".encode()
-            )
-            # Every layer stores its state as instance attributes: parameter
-            # arrays (weights, kernels, biases), array state of static
-            # layers (a NormalizeLayer's means/stds), and scalar
-            # configuration (a LeakyReLU slope, pooling strides).  Hashing
-            # them all covers differences the parameter vectors alone miss.
-            for attr, value in sorted(vars(layer).items()):
-                if isinstance(value, (bool, int, float, str, tuple)):
-                    digest.update(f":{attr}={value}".encode())
-                elif isinstance(value, np.ndarray):
-                    digest.update(f":{attr}:".encode())
-                    digest.update(np.ascontiguousarray(value).tobytes())
-            digest.update(b";")
+            digest.update(layer.digest)
     return digest.hexdigest()[:16]
 
 

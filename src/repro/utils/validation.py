@@ -40,6 +40,21 @@ def check_matrix(
     return array
 
 
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` if it is read-only all the way down its ``base`` chain, else a read-only copy.
+
+    The copy keeps the memory layout (``order="K"``), which BLAS rounding
+    depends on; a caller's writable array is never frozen in place.
+    """
+    base = array
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray):
+        array = array.copy(order="K")
+        array.flags.writeable = False
+    return array
+
+
 def check_finite(array: np.ndarray, name: str = "array") -> np.ndarray:
     """Raise if ``array`` contains NaN or infinity; otherwise return it."""
     if not np.all(np.isfinite(array)):

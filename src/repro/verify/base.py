@@ -38,6 +38,7 @@ from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 from repro.syrenn.regions import geometry_digest
+from repro.utils.validation import frozen
 
 #: A sampled output violates its constraint when the margin exceeds this.
 DEFAULT_TOLERANCE = 1e-7
@@ -56,12 +57,11 @@ def frozen_array(array, what: str) -> np.ndarray:
 
     An array this function returned before comes back at once, and so does
     a view of one (a row of a frozen stack of points): it is finite and
-    read-only because its base is.  An array that is already read-only all
-    the way down its ``base`` chain is returned as is; anything else is
-    copied first, so freezing never changes an array its caller may still
-    write to.  Non-finite entries raise :class:`SpecificationError`: a NaN
-    bound or vertex makes every margin NaN, and ``NaN > tolerance`` is
-    false, so a verifier would certify the region.
+    read-only because its base is.  Anything else goes through
+    :func:`~repro.utils.validation.frozen`.  Non-finite entries raise
+    :class:`SpecificationError`: a NaN bound or vertex makes every margin
+    NaN, and ``NaN > tolerance`` is false, so a verifier would certify the
+    region.
     """
     array = np.asarray(array, dtype=np.float64)
     if _FROZEN.get(id(array)) is array:
@@ -71,13 +71,7 @@ def frozen_array(array, what: str) -> np.ndarray:
         return array
     if not np.isfinite(array).all():
         raise SpecificationError(f"{what} must be finite")
-    base = array
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            array = array.copy()
-            array.flags.writeable = False
-            break
-        base = base.base
+    array = frozen(array)
     _FROZEN[id(array)] = array
     return array
 

@@ -284,8 +284,12 @@ def _box_lattice(box: Box, resolution: int, max_points: int) -> np.ndarray:
             f"a box varying in {varying.size} dimensions needs at least "
             f"2**{varying.size} lattice points, over max_points_per_region={max_points}"
         )
-    # Cap the total lattice size by shrinking the per-axis count.
-    per_axis = min(resolution, max(2, int(max_points ** (1.0 / varying.size))))
+    # Cap the total lattice size by shrinking the per-axis count to the
+    # largest n with n**k <= max_points.  The float root may land a hair
+    # below an integer root, so round it and step back if that overshoots.
+    per_axis = round(max_points ** (1.0 / varying.size))
+    per_axis -= per_axis**varying.size > max_points
+    per_axis = min(resolution, max(2, per_axis))
     axes = [np.linspace(box.lower[dim], box.upper[dim], per_axis) for dim in varying]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.broadcast_to(box.lower, (mesh[0].size, box.dimension)).copy()

@@ -134,6 +134,13 @@ def specification_jacobians(
     return exact_jacobians(ddnn, layer_index, spec.points, spec.activation_points)
 
 
+def private_ddnn(network) -> DecoupledNetwork:
+    """A DDNN of new layer objects, whose parameters an oracle may set freely."""
+    if isinstance(network, DecoupledNetwork):
+        return DecoupledNetwork(network.activation.copy(), network.value.copy())
+    return DecoupledNetwork.from_network(network)
+
+
 def max_row_violation(network, layer_index: int, spec: PointRepairSpec, delta) -> float:
     """Largest ``A_x (N(x) + J_x Δ) - b_x`` over every constraint row of ``spec``.
 
@@ -142,11 +149,7 @@ def max_row_violation(network, layer_index: int, spec: PointRepairSpec, delta) -
     ``layer_index``; a delta satisfies every row when the result is ≤ the
     solver's feasibility tolerance.
     """
-    ddnn = (
-        network.copy()
-        if isinstance(network, DecoupledNetwork)
-        else DecoupledNetwork.from_network(network)
-    )
+    ddnn = private_ddnn(network)
     outputs, jacobians = specification_jacobians(ddnn, layer_index, spec)
     return max(
         float(np.max(constraint.a @ (outputs[index] + jacobians[index] @ delta) - constraint.b))
@@ -218,11 +221,7 @@ def oracle_point_repair(
     :func:`repair_standard_form`, and solves it with :func:`solve_cold`,
     handing the solver CSR or, with ``sparse=False``, dense matrices.
     """
-    ddnn = (
-        network.copy()
-        if isinstance(network, DecoupledNetwork)
-        else DecoupledNetwork.from_network(network)
-    )
+    ddnn = private_ddnn(network)
     layer_index = ddnn._check_repairable(layer_index)
     num_parameters = ddnn.value.layers[layer_index].num_parameters
     outputs, jacobians = specification_jacobians(ddnn, layer_index, spec)
@@ -248,10 +247,9 @@ def oracle_point_repair(
             feasible=False, network=None, delta=None, lp_status=status, **common
         )
     delta = solution.values[:num_parameters]
-    ddnn.apply_parameter_delta(layer_index, delta)
     return RepairResult(
         feasible=True,
-        network=ddnn,
+        network=ddnn.with_parameter_delta(layer_index, delta),
         delta=delta,
         lp_status=solution.status,
         objective_value=solution.objective,

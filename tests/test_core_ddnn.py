@@ -123,10 +123,10 @@ class TestDDNNInterface:
         outputs, jacobians = ddnn.batch_parameter_jacobian(-1, np.array([[0.5]]))
         assert jacobians.shape == (1, 1, 4)
 
-    def test_apply_parameter_delta_validates_size(self, toy_network):
+    def test_with_parameter_delta_validates_size(self, toy_network):
         ddnn = DecoupledNetwork.from_network(toy_network)
         with pytest.raises(ShapeError):
-            ddnn.apply_parameter_delta(0, np.zeros(3))
+            ddnn.with_parameter_delta(0, np.zeros(3))
 
     def test_predict_and_accuracy(self, rng):
         network = make_random_relu_network(rng, (4, 8, 3))
@@ -135,13 +135,30 @@ class TestDDNNInterface:
         np.testing.assert_array_equal(ddnn.predict(batch), network.predict(batch))
         assert ddnn.accuracy(batch, network.predict(batch)) == 1.0
 
-    def test_copy_is_independent(self, toy_network):
+    def test_with_parameter_delta_derives_a_new_network(self, toy_network):
         ddnn = DecoupledNetwork.from_network(toy_network)
-        clone = ddnn.copy()
-        clone.apply_parameter_delta(0, np.ones(6))
+        before = [layer.get_parameters().tobytes() for layer in ddnn.value.layers]
+        repaired = ddnn.with_parameter_delta(0, np.ones(6))
         np.testing.assert_allclose(
             ddnn.compute(np.array([0.5])), toy_network.compute(np.array([0.5]))
         )
+        assert [layer.get_parameters().tobytes() for layer in ddnn.value.layers] == before
+        np.testing.assert_array_equal(
+            repaired.value.layers[0].get_parameters(), ddnn.value.layers[0].get_parameters() + 1.0
+        )
+        # Theorem 4.6: only the repaired value layer is new.
+        assert repaired.activation is ddnn.activation
+        assert repaired.value.layers[0] is not ddnn.value.layers[0]
+        assert all(
+            mine is theirs for mine, theirs in zip(repaired.value.layers[1:], ddnn.value.layers[1:])
+        )
+
+    def test_removed_in_place_api_raises(self, toy_network):
+        ddnn = DecoupledNetwork.from_network(toy_network)
+        with pytest.raises(AttributeError):
+            ddnn.apply_parameter_delta(0, np.ones(6))
+        with pytest.raises(AttributeError):
+            ddnn.copy()
 
     def test_is_piecewise_linear(self, toy_network, random_tanh_network):
         assert DecoupledNetwork.from_network(toy_network).is_piecewise_linear()
@@ -174,8 +191,7 @@ class TestTheorem45Linearity:
         # Apply a random (large!) delta: the affine prediction must be exact.
         delta = rng.normal(size=jacobian.shape[1]) * 3.0
         predicted = output + jacobian @ delta
-        modified = ddnn.copy()
-        modified.apply_parameter_delta(layer_index, delta)
+        modified = ddnn.with_parameter_delta(layer_index, delta)
         np.testing.assert_allclose(modified.compute(point), predicted, atol=1e-7)
 
     def test_affinity_for_tanh_network(self, rng):
@@ -185,8 +201,7 @@ class TestTheorem45Linearity:
         for layer_index in ddnn.repairable_layer_indices():
             (output,), (jacobian,) = ddnn.batch_parameter_jacobian(layer_index, point[None, :])
             delta = rng.normal(size=jacobian.shape[1])
-            modified = ddnn.copy()
-            modified.apply_parameter_delta(layer_index, delta)
+            modified = ddnn.with_parameter_delta(layer_index, delta)
             np.testing.assert_allclose(
                 modified.compute(point), output + jacobian @ delta, atol=1e-7
             )
@@ -198,8 +213,7 @@ class TestTheorem45Linearity:
         for layer_index in ddnn.repairable_layer_indices():
             (output,), (jacobian,) = ddnn.batch_parameter_jacobian(layer_index, point[None, :])
             delta = rng.normal(size=jacobian.shape[1])
-            modified = ddnn.copy()
-            modified.apply_parameter_delta(layer_index, delta)
+            modified = ddnn.with_parameter_delta(layer_index, delta)
             np.testing.assert_allclose(
                 modified.compute(point), output + jacobian @ delta, atol=1e-7
             )
@@ -282,8 +296,7 @@ class TestJacobianOracleProperty:
         np.testing.assert_allclose(jacobians, expected_jacobians, atol=1e-12, rtol=0)
         # Theorem 4.5: the affine prediction holds for a large delta.
         delta = 3.0 * rng.normal(size=jacobians.shape[2])
-        modified = ddnn.copy()
-        modified.apply_parameter_delta(layer_index, delta)
+        modified = ddnn.with_parameter_delta(layer_index, delta)
         np.testing.assert_allclose(
             modified.compute(points, activation_points), outputs + jacobians @ delta, atol=1e-7
         )
@@ -295,7 +308,7 @@ class TestTheorem46RegionsPreserved:
     def test_value_edit_preserves_linear_regions(self, toy_network):
         ddnn = DecoupledNetwork.from_network(toy_network)
         # A value-channel edit equivalent to the paper's N4 (x→h3 weight 1→2).
-        ddnn.apply_parameter_delta(0, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
+        ddnn = ddnn.with_parameter_delta(0, np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
         partition = transform_line(
             ddnn.activation, LineSegment(np.array([-1.0]), np.array([2.0]))
         )
@@ -324,7 +337,7 @@ class TestTheorem46RegionsPreserved:
         ddnn = DecoupledNetwork.from_network(network)
         layer_index = ddnn.repairable_layer_indices()[1]
         delta = rng.normal(size=ddnn.value.layers[layer_index].num_parameters)
-        ddnn.apply_parameter_delta(layer_index, delta)
+        ddnn = ddnn.with_parameter_delta(layer_index, delta)
         segment = LineSegment(rng.normal(size=2) * 2, rng.normal(size=2) * 2)
         partition = transform_line(ddnn.activation, segment)
         for region in partition.regions:

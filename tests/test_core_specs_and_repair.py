@@ -225,7 +225,7 @@ class TestPointRepairClassification:
         # Shrinking the found delta by 20% must violate the specification,
         # otherwise the LP's optimum was not minimal.
         ddnn = DecoupledNetwork.from_network(toy_network)
-        ddnn.apply_parameter_delta(0, 0.8 * result.delta)
+        ddnn = ddnn.with_parameter_delta(0, 0.8 * result.delta)
         assert not spec.is_satisfied_by(ddnn)
 
 

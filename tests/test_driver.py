@@ -294,7 +294,7 @@ class TestPoolOracles:
         if decoupled:
             network = DecoupledNetwork.from_network(network)
             layer = network.repairable_layer_indices()[-1]
-            network.apply_parameter_delta(
+            network = network.with_parameter_delta(
                 layer, rng.normal(size=network.value.layers[layer].num_parameters)
             )
         pool = CounterexamplePool(

@@ -156,8 +156,7 @@ class TestPartitionInvariance:
         )
         layer_index = ddnn.repairable_layer_indices()[-1]
         delta = 0.05 * rng.normal(size=ddnn.value.layers[layer_index].num_parameters)
-        repaired = ddnn.copy()
-        repaired.apply_parameter_delta(layer_index, delta)
+        repaired = ddnn.with_parameter_delta(layer_index, delta)
 
         fast = SyrennVerifier()
         first_report = fast.verify(ddnn, spec)  # populate the fast-path slot
@@ -180,6 +179,9 @@ class TestSyrennWorkCounters:
         import repro.verify.exact as exact_module
 
         network, spec = acas_phi8
+        # Patch private layer objects: monkeypatch's undo leaves each
+        # instance a bound ``forward`` that shallow copies would share.
+        network = network.copy()
         forwards = {"inside": 0, "outside": 0}
         state = {"inside": False, "calls": 0, "clips": 0}
         for layer in network.layers:

@@ -68,9 +68,14 @@ class TestNetworkContainer:
         with pytest.raises(ShapeError):
             random_relu_network.accuracy(np.zeros((0, 4)), np.zeros(0))
 
-    def test_copy_is_deep(self, toy_network):
+    def test_copy_is_independent_under_set_parameters(self, toy_network):
         clone = toy_network.copy()
-        clone.layers[0].weights[0, 0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            clone.layers[0].weights[0, 0] = 99.0
+        parameters = clone.layers[0].get_parameters()
+        parameters[0] = 99.0
+        clone.layers[0].set_parameters(parameters)
+        assert clone.layers[0].weights[0, 0] == 99.0
         assert toy_network.layers[0].weights[0, 0] != 99.0
 
     def test_activation_pattern(self, toy_network):
@@ -86,14 +91,14 @@ class TestNetworkContainer:
         path = tmp_path / "params.npz"
         toy_network.save_parameters(path)
         clone = toy_network.copy()
-        clone.layers[0].weights[:] = 0.0
+        clone.layers[0].set_parameters(np.zeros(clone.layers[0].num_parameters))
         clone.load_parameters(path)
         np.testing.assert_allclose(clone.layers[0].weights, toy_network.layers[0].weights)
 
     def test_get_set_all_parameters(self, toy_network):
         parameters = toy_network.get_all_parameters()
         clone = toy_network.copy()
-        clone.layers[0].weights[:] = 0.0
+        clone.layers[0].set_parameters(np.zeros(clone.layers[0].num_parameters))
         clone.set_all_parameters(parameters)
         np.testing.assert_allclose(
             clone.compute(np.array([0.7])), toy_network.compute(np.array([0.7]))

@@ -5,9 +5,10 @@
 * a hit is never stale: any change to a prefix parameter, in either
   channel, falls back to the full layer loop, while a change to the
   repaired layer itself keeps hits valid;
-* isolation: copies and pickles carry no features, batches pinned to other
-  activation points are cached separately, the byte budget is honoured and
-  ``close`` unbinds everything;
+* isolation: pickles carry no binding, batches pinned to other activation
+  points are cached separately, the byte budget is honoured, and after
+  ``close`` every network bound to the cache (or derived from one that was)
+  evaluates uncached;
 * exactness on a conv/max-pool network, including inputs where ReLU and
   max-pooling cannot share the two channels (``-0.0``, NaN).
 """
@@ -102,10 +103,17 @@ class TestPrefixComputedOncePerRun:
             assert report.status == "certified"
             assert report.num_rounds == 2
             assert dict(rows) == expected
-            # Nothing the run returns still holds features.
-            assert report.network.prefix_cache is None
-            assert driver.base.prefix_cache is None
-            assert driver._session.ddnn.prefix_cache is None
+            # Nothing the run returns still holds features ...
+            cache = report.network.prefix_cache
+            assert cache is driver.base.prefix_cache is driver._session.ddnn.prefix_cache
+            assert len(cache) == 0 and cache.nbytes == 0
+            # ... or evaluates cached: both channels' prefixes run again.
+            rows.clear()
+            report.network.compute(workload.points)
+            assert dict(rows) == {index: 2 * count for index, count in expected.items()}
+            assert len(cache) == 0
+            # The caller's network never saw the cache.
+            assert not hasattr(workload.buggy, "prefix_cache")
 
 
 class TestInvalidation:
@@ -131,7 +139,7 @@ class TestInvalidation:
     def test_repaired_layer_change_keeps_hits_valid(self):
         ddnn, cache, points = fc_setup()
         ddnn.compute(points)
-        ddnn.apply_parameter_delta(cache.layer_index, np.full(
+        ddnn = ddnn.with_parameter_delta(cache.layer_index, np.full(
             ddnn.value.layers[cache.layer_index].num_parameters, 0.125
         ))
         repaired = ddnn.compute(points)
@@ -141,9 +149,26 @@ class TestInvalidation:
     def test_copies_of_the_prefix_hit_by_bytes_not_identity(self):
         ddnn, cache, points = fc_setup()
         ddnn.compute(points)
-        twin = cache.bind(ddnn.copy())
+        twin = cache.bind(DecoupledNetwork(ddnn.activation.copy(), ddnn.value.copy()))
         assert twin.compute(points).tobytes() == ddnn.compute(points).tobytes()
         assert cache.hits == 2
+        # Rebuilt layers (new arrays, no memoized digest) with the same bytes.
+        rebuilt = DecoupledNetwork(ddnn.activation.copy(), ddnn.value.copy())
+        for channel in (rebuilt.activation, rebuilt.value):
+            for index in channel.parameterized_layer_indices():
+                layer = channel.layers[index]
+                layer.set_parameters(layer.get_parameters())
+        assert cache.bind(rebuilt).compute(points).tobytes() == twin.compute(points).tobytes()
+        assert cache.hits == 4
+
+    def test_derived_networks_inherit_the_cache(self):
+        ddnn, cache, points = fc_setup()
+        ddnn.compute(points)
+        derived = ddnn.with_parameter_delta(0, np.ones(ddnn.value.layers[0].num_parameters))
+        assert derived.prefix_cache is cache
+        # A derived network whose *prefix* changed evaluates uncached.
+        assert derived.compute(points).tobytes() == uncached_compute(derived, points).tobytes()
+        assert cache.hits == 0 and cache.misses == 1
 
     def test_jacobian_below_the_cached_layer_runs_uncached(self):
         ddnn, cache, points = fc_setup()
@@ -170,14 +195,13 @@ class TestInvalidation:
 
 
 class TestIsolation:
-    def test_copy_and_pickle_carry_no_features(self):
+    def test_pickles_carry_no_binding(self):
         ddnn, cache, points = fc_setup()
         ddnn.compute(points)
         assert ddnn.prefix_cache is cache
-        assert ddnn.copy().prefix_cache is None
         restored = pickle.loads(pickle.dumps(ddnn))
         assert restored.prefix_cache is None
-        unbound = ddnn.copy()
+        unbound = DecoupledNetwork(ddnn.activation, ddnn.value)
         assert len(pickle.dumps(ddnn)) == len(pickle.dumps(unbound))
         assert restored.compute(points).tobytes() == ddnn.compute(points).tobytes()
 
@@ -222,14 +246,21 @@ class TestIsolation:
             assert result.tobytes() == uncached_compute(ddnn, points[:rows]).tobytes()
         assert len(cache) == 0 and cache.hits == cache.misses == 0
 
-    def test_close_unbinds_and_drops_features(self):
+    def test_close_drops_features_and_declines_lookups(self):
         ddnn, cache, points = fc_setup()
-        twin = cache.bind(ddnn.copy())
+        twin = cache.bind(DecoupledNetwork(ddnn.activation, ddnn.value))
+        derived = ddnn.with_parameter_delta(
+            cache.layer_index, np.ones(ddnn.value.layers[cache.layer_index].num_parameters)
+        )
         ddnn.compute(points)
         assert cache.nbytes > 0
         cache.close()
-        assert ddnn.prefix_cache is None and twin.prefix_cache is None
         assert len(cache) == 0 and cache.nbytes == 0
+        for network in (ddnn, twin, derived):
+            result = network.compute(points)
+            assert result.tobytes() == uncached_compute(network, points).tobytes()
+        assert len(cache) == 0 and cache.nbytes == 0
+        assert cache.hits == 0 and cache.misses == 1
 
     def test_cached_features_are_read_only_and_never_alias_inputs(self):
         ddnn, cache, points = fc_setup()
@@ -251,7 +282,7 @@ class TestExactness:
         return DecoupledNetwork.from_network(network)
 
     def test_conv_maxpool_suffix_matches_full_loop(self, squeezenet):
-        ddnn = squeezenet.copy()
+        ddnn = DecoupledNetwork(squeezenet.activation, squeezenet.value)
         layer = ddnn.repairable_layer_indices()[-1]
         points = ensure_rng(0).uniform(0.0, 1.0, size=(6, ddnn.input_size))
         cache = PrefixCache(ddnn, layer)
@@ -266,7 +297,7 @@ class TestExactness:
         assert first.tobytes() == second.tobytes() == expected.tobytes()
 
     def test_channels_that_differ_below_the_layer_are_run_separately(self, squeezenet):
-        ddnn = squeezenet.copy()
+        ddnn = DecoupledNetwork(squeezenet.activation.copy(), squeezenet.value.copy())
         layer = ddnn.repairable_layer_indices()[-1]
         nudge(ddnn.value.layers[1])
         points = ensure_rng(1).uniform(0.0, 1.0, size=(5, ddnn.input_size))

@@ -206,7 +206,7 @@ def make_pwl_network(rng, sizes: tuple[int, ...], activation: str, scale: float 
     layers = []
     for index in range(len(sizes) - 1):
         layer = FullyConnectedLayer.from_shape(sizes[index], sizes[index + 1], rng)
-        layer.weights *= scale
+        layer.set_parameters(scale * layer.get_parameters())
         layers.append(layer)
         if index < len(sizes) - 2:
             layers.append(ACTIVATIONS[activation](sizes[index + 1]))
@@ -234,8 +234,10 @@ def pin_vertices_on_breakpoint(network: Network, polygons: list[np.ndarray]) -> 
     has coordinate exactly 0: the unit's value there is the breakpoint.
     """
     first, activation = network.layers[0], network.layers[1]
-    first.weights[0, 1:] = 0.0
-    first.biases[0] = activation.piecewise_breakpoints()[0]
+    weights, biases = first.weights.copy(), first.biases.copy()
+    weights[0, 1:] = 0.0
+    biases[0] = activation.piecewise_breakpoints()[0]
+    first.set_parameters(np.concatenate([weights.ravel(), biases]))
     for vertices in polygons:
         vertices[:, 0] -= vertices[0, 0]
 

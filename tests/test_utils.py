@@ -250,10 +250,9 @@ class TestNetworkSerialization:
 
         ddnn = DecoupledNetwork.from_network(toy_network)
         base = network_fingerprint(ddnn)
-        edited = ddnn.copy()
-        layer_index = edited.repairable_layer_indices()[0]
-        edited.apply_parameter_delta(
+        layer_index = ddnn.repairable_layer_indices()[0]
+        edited = ddnn.with_parameter_delta(
             layer_index,
-            np.full_like(edited.value.layers[layer_index].get_parameters(), 0.25),
+            np.full_like(ddnn.value.layers[layer_index].get_parameters(), 0.25),
         )
         assert network_fingerprint(edited) != base

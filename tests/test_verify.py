@@ -31,6 +31,7 @@ from repro.verify import (
     SyrennVerifier,
     VerificationSpec,
 )
+from repro.verify.sampling import _box_lattice
 from tests.conftest import make_random_relu_network
 from tests.oracle import oracle_sampling_verify, oracle_verify
 
@@ -307,7 +308,7 @@ class TestSyrennVerifier:
         verifier.verify(ddnn, spec)
         assert len(verifier.cache) == 1
         # A value-channel edit keeps the activation channel (and the cache key).
-        ddnn.apply_parameter_delta(2, np.zeros(ddnn.value.layers[2].num_parameters))
+        ddnn = ddnn.with_parameter_delta(2, np.zeros(ddnn.value.layers[2].num_parameters))
         verifier.verify(ddnn, spec)
         assert len(verifier.cache) == 1
         # A rebuilt-but-identical spec hits the same cache entry, while a
@@ -370,7 +371,7 @@ class TestStackedReport:
     def test_matches_oracle(self, plane_network, rng, region_counterexamples, warm_cache):
         ddnn = DecoupledNetwork.from_network(plane_network)
         layer = ddnn.repairable_layer_indices()[-1]
-        ddnn.apply_parameter_delta(
+        ddnn = ddnn.with_parameter_delta(
             layer, 0.3 * rng.normal(size=ddnn.value.layers[layer].num_parameters)
         )
         spec = self.mixed_spec()
@@ -550,7 +551,7 @@ class TestStackedPointReportProperty:
         if decoupled:
             network = DecoupledNetwork.from_network(network)
             layer = network.repairable_layer_indices()[-1]
-            network.apply_parameter_delta(
+            network = network.with_parameter_delta(
                 layer, 0.3 * rng.normal(size=network.value.layers[layer].num_parameters)
             )
         # A clean shift puts every output far inside its polytope, a violating
@@ -627,6 +628,22 @@ class TestGridLatticeCap:
         network = Network([FullyConnectedLayer.from_shape(12, 1, rng)])
         report = GridVerifier().verify(network, self.unit_box_spec(12))
         assert report.points_checked == 4096
+
+    @pytest.mark.parametrize("dims", [3, 6])
+    def test_exact_integer_roots_fill_the_default_cap(self, rng, dims):
+        # 4096 is 16**3 and 4**6; a floored float root used to give 15 and 3.
+        network = Network([FullyConnectedLayer.from_shape(dims, 1, rng)])
+        report = GridVerifier().verify(network, self.unit_box_spec(dims))
+        assert report.points_checked == 4096
+
+    @pytest.mark.parametrize("dims", range(1, 13))
+    @pytest.mark.parametrize("cap", [4096, 5000, 10**5])
+    def test_per_axis_count_is_the_largest_that_fits(self, dims, cap):
+        box = Box(np.zeros(dims), np.ones(dims))
+        points = _box_lattice(box, resolution=cap, max_points=cap)
+        per_axis = round(points.shape[0] ** (1.0 / dims))
+        assert per_axis**dims == points.shape[0] <= cap
+        assert (per_axis + 1) ** dims > cap
 
     @pytest.mark.parametrize("dims", [13, 40])
     def test_too_many_varying_dimensions_raise_before_allocating(self, rng, dims):
