@@ -314,8 +314,12 @@ class DecoupledNetwork:
     def with_parameter_delta(self, layer_index: int, delta: np.ndarray) -> "DecoupledNetwork":
         """A new DDNN: this one with ``delta`` added to one value layer's parameters.
 
-        It shares the activation channel and every other value layer with
-        this one (Theorem 4.6) and keeps its :attr:`prefix_cache`.
+        Its layer objects are its own (:meth:`~repro.nn.layer.Layer.copy`),
+        so a later ``set_parameters`` on either network never moves the
+        other, but they share every array and memoized digest with this
+        one's: the activation channel and the other value layers are
+        unchanged (Theorem 4.6), and it keeps this one's
+        :attr:`prefix_cache`.
         """
         layer_index = self._check_repairable(layer_index)
         layer = self.value.layers[layer_index]
@@ -325,10 +329,9 @@ class DecoupledNetwork:
                 f"delta has {delta.size} entries, layer {layer_index} has "
                 f"{layer.num_parameters} parameters"
             )
-        layers = list(self.value.layers)
-        layers[layer_index] = layer.copy()
-        layers[layer_index].set_parameters(layer.get_parameters() + delta)
-        result = DecoupledNetwork(self.activation, Network(layers))
+        value = self.value.copy()
+        value.layers[layer_index].set_parameters(layer.get_parameters() + delta)
+        result = DecoupledNetwork(self.activation.copy(), value)
         result.prefix_cache = self.prefix_cache
         return result
 

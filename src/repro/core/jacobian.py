@@ -8,7 +8,7 @@ Both come from one vectorized multi-point pass,
 library's only Jacobian computation; this module turns them into repair
 constraint rows.  :class:`JacobianChunkStream` is the one encoder of the
 repair data path: it walks a specification in point batches, encodes each
-with the partition-invariant batch encoder, and yields bounded CSR row
+with the partition-invariant batch encoder, and yields bounded dense row
 blocks ready for LP ingestion.  A specification that fits the chunk budget
 is simply the one-chunk case.
 """
@@ -16,7 +16,6 @@ is simply the one-chunk case.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 import repro.obs as obs
 from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
@@ -84,6 +83,19 @@ def _encode_batch(
     return lhs, rhs
 
 
+class DenseRows(np.ndarray):
+    """A dense row block that also reports its nonzero count, as a sparse one does.
+
+    Observers of a :class:`JacobianChunkStream` (telemetry, benchmark
+    tracers) read a block's ``shape`` and ``nnz`` whatever its format.
+    """
+
+    @property
+    def nnz(self) -> int:
+        """Entries that are not zero (``-0.0`` is zero)."""
+        return int(np.count_nonzero(self))
+
+
 def _batch_spans(num_points: int, points_per_batch: int) -> list[tuple[int, int]]:
     """``[start, stop)`` spans cutting ``num_points`` into consecutive batches."""
     return [
@@ -106,7 +118,7 @@ def _slice_spec(spec: PointRepairSpec, start: int, stop: int) -> PointRepairSpec
 
 
 class JacobianChunkStream:
-    """Stream the repair constraint rows of a specification as CSR chunks.
+    """Stream the repair constraint rows of a specification as dense chunks.
 
     Encoding a whole specification into one dense ``(total_rows,
     num_parameters)`` block would cost O(rows × params) transient memory.
@@ -114,18 +126,19 @@ class JacobianChunkStream:
     transient dense work stays under ``max_chunk_bytes`` (default
     :data:`DEFAULT_CHUNK_BYTES`, and never more than
     :data:`~repro.core.ddnn.POINT_BATCH` points); each batch is encoded
-    with the partition-invariant batch encoder into one canonical CSR row
-    block over the layer's parameters (counted in
-    ``repro_jacobian_chunks_total``).  Iterating yields ``(csr_block, rhs)``
+    with the partition-invariant batch encoder into one dense
+    :class:`DenseRows` block over the layer's parameters (counted in
+    ``repro_jacobian_chunks_total``).  Iterating yields ``(block, rhs)``
     pairs in specification order, ready for
-    :meth:`repro.lp.model.LPSession.append_rows` streaming ingestion.
+    :meth:`repro.lp.model.LPSession.append_rows` streaming ingestion, which
+    converts each block to CSR once.
 
-    **Determinism contract.**  The CSR blocks assemble into exactly the same
+    **Determinism contract.**  The blocks assemble into exactly the same
     standard-form arrays whatever the budget: batches of ≥2 points
     encode bit-identically to the same points inside a whole-pool encode
     (the einsums contract only over the output dimension; single points are
-    padded), and vertically stacking canonical CSR blocks equals the CSR of
-    the whole.  The differential matrix in ``tests/test_out_of_core.py``
+    padded), and vertically stacking the blocks' canonical CSR equals the
+    CSR of the whole.  The differential matrix in ``tests/test_out_of_core.py``
     pins this.
     """
 
@@ -166,18 +179,17 @@ class JacobianChunkStream:
         return len(self._spans)
 
     def __iter__(self):
-        """Yield ``(csr_block, rhs)`` per point batch, in specification order."""
+        """Yield ``(block, rhs)`` per point batch, in specification order."""
         for start, stop in self._spans:
             lhs, rhs = _encode_batch(
                 self.ddnn, self.layer_index, _slice_spec(self.spec, start, stop)
             )
-            block = sp.csr_matrix(lhs)
             self.chunks_produced += 1
             if obs.enabled():
                 obs.counter(
                     "repro_jacobian_chunks_total",
-                    "CSR Jacobian chunks (one per point batch) produced by the "
+                    "Jacobian chunks (one per point batch) produced by the "
                     "streamed repair path, by repaired layer.",
                     labels=("layer",),
                 ).inc(layer=str(self.layer_index))
-            yield block, rhs
+            yield lhs.view(DenseRows), rhs

@@ -1,9 +1,11 @@
 """The LP solver.
 
 There is one: :class:`~repro.lp.backends.scipy_backend.ScipyBackend`, an
-in-process HiGHS model that an instance keeps across its solves (cold on
-the first, warm after appended rows).  Each
-:class:`~repro.lp.model.LPSession` holds one instance for its whole life.
+in-process HiGHS model that an instance keeps across its solves.  Its
+protocol (:class:`~repro.lp.backends.base.LPBackend`) is incremental:
+``load`` a cold model, then ``add_rows`` only new rows between ``solve``
+calls, all on raw CSR arrays.  Each :class:`~repro.lp.model.LPSession`
+holds one instance for its whole life.
 ``_BACKENDS`` is the single seam — :func:`get_backend` instantiates
 whatever class it maps ``"scipy"`` to, which is how the test-suite
 substitutes its reference simplex or a fault-injection stub.

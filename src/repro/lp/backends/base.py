@@ -4,41 +4,38 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from repro.lp.model import LPSolution
 
 
 class LPBackend(abc.ABC):
-    """Solves LPs given in the standard form of ``LPSession.standard_form``.
+    """An LP solver holding one model that grows by rows.
 
-    The library has one implementation (scipy/HiGHS); the test-suite's
-    reference simplex and fault-injection stubs implement it too.
+    The model is ``minimize cost @ x`` subject to ``A @ x <= rhs`` and
+    ``lower <= x <= upper`` (bounds may be ``±inf``).  Rows arrive as raw
+    CSR arrays over all the columns: ``indptr`` (int64, from 0),
+    ``indices`` (int32, sorted and distinct within a row) and ``data``
+    (float64), with one finite ``rhs`` per row.  An
+    :class:`~repro.lp.model.LPSession` calls :meth:`load` for a cold model,
+    then :meth:`add_rows` with only rows the model lacks between
+    :meth:`solve` calls.  The library has one implementation
+    (scipy/HiGHS); the test-suite's reference simplex and fault stubs sit
+    behind an adapter.
     """
 
     #: Human-readable solver name (telemetry labels).
     name: str = "abstract"
 
     @abc.abstractmethod
-    def solve(
-        self,
-        c: np.ndarray,
-        a_ub,
-        b_ub: np.ndarray,
-        a_eq,
-        b_eq: np.ndarray,
-        bounds: np.ndarray,
-    ) -> LPSolution:
-        """Solve ``min c@x  s.t.  a_ub@x<=b_ub, a_eq@x==b_eq, bounds``.
+    def load(self, cost, lower, upper, indptr, indices, data, rhs) -> bool:
+        """Replace the model with a cold one; false if the solver rejected it.
 
-        Successive calls on one instance from an :class:`~repro.lp.model.LPSession`
-        pass forms whose rows extend the previous call's (rows are only
-        appended, to either sense); a solver may keep state across calls to
-        exploit that, and a stateless one simply solves each form.
-
-        ``a_ub`` and ``a_eq`` may be dense arrays or ``scipy.sparse``
-        matrices (``LPSession.standard_form`` gives CSR and an empty
-        ``a_eq``); ``bounds`` is an ``(n, 2)`` array of per-variable
-        ``(lower, upper)`` pairs whose entries may be ``±inf``.
+        A rejected model leaves none: the next :meth:`solve` is an ERROR.
         """
-        raise NotImplementedError
+
+    @abc.abstractmethod
+    def add_rows(self, indptr, indices, data, rhs) -> bool:
+        """Append rows to the model; false if the solver rejected them."""
+
+    @abc.abstractmethod
+    def solve(self) -> LPSolution:
+        """Solve the model; ``warm_start_used`` is false only right after a load."""

@@ -1,20 +1,18 @@
 """The repair LP: one session holding variables, objective and rows.
 
 :class:`LPSession` holds an LP's variables (box bounds and objective
-coefficients) and its constraint rows, each row once, as full-width
-``scipy.sparse`` CSR, and solves it by row generation on one retained
-solver from :mod:`repro.lp.backends`.  The repair algorithms add the
-ℓ1/ℓ∞ norm rows through :mod:`repro.lp.norms`, then stream the
+coefficients) and its constraint rows, each row once, as raw CSR arrays
+(``indptr``, ``indices``, ``data`` and the ``rhs``), and solves it by row
+generation on one retained solver from :mod:`repro.lp.backends`, handing
+the solver only the rows it does not hold yet.  The repair algorithms add
+the ℓ1/ℓ∞ norm rows through :mod:`repro.lp.norms`, then stream the
 ``A_x (N(x) + J_x Δ) ≤ b_x`` rows in with :meth:`LPSession.append_rows`.
 
-Standard form passed to the solver::
+The LP, in the standard form :meth:`LPSession.standard_form` reports::
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
                 lb <= x <= ub        (entries may be ±inf)
-
-(The solver interface also takes an equality block ``A_eq @ x == b_eq``;
-a session's is always empty.)
 """
 
 from __future__ import annotations
@@ -115,18 +113,6 @@ class LPSolution:
         return self.values[np.asarray(indices, dtype=int)]
 
 
-def _widen(matrix: sp.csr_matrix, num_variables: int) -> sp.csr_matrix:
-    """``matrix`` over the leading columns, as a CSR over ``num_variables``.
-
-    The same ``data``/``indices``/``indptr`` with a wider shape: the
-    columns a block touches keep their indices, so no entry moves.
-    """
-    return sp.csr_matrix(
-        (matrix.data, matrix.indices, matrix.indptr),
-        shape=(matrix.shape[0], num_variables),
-    )
-
-
 def _solve_without_variables(b_ub: np.ndarray) -> LPSolution:
     """An LP with no variables: every row reads ``0 ≤ b_ub``."""
     if np.any(b_ub < 0):
@@ -139,10 +125,9 @@ class LPSession:
 
     A CEGIS repair driver solves the *same* LP round after round, each time
     with a few more constraint rows (every round's LP is a superset of the
-    last).  A session holds every row once, as full-width CSR, and keeps
+    last).  A session holds every row once, as raw CSR arrays, and keeps
     one solver instance alive, so a re-solve hands the solver only the rows
-    it has not seen (for the HiGHS solver: an ``addRows`` and a warm re-run
-    from the basis it holds).
+    it does not hold (for HiGHS: an ``addRows`` and a warm re-run).
 
     Variables come first (:meth:`add_variables`, each with its bounds and
     objective coefficient) and are fixed once the session has solved.
@@ -174,14 +159,17 @@ class LPSession:
         self._cost = np.zeros(0)
         self._lower = np.zeros(0)
         self._upper = np.zeros(0)
-        # Full-width CSR row blocks and their rhs, in row order;
-        # standard_form() stacks them into one block, so each row is held
-        # once.
-        self._rows: list[sp.csr_matrix] = []
-        self._rhs: list[np.ndarray] = []
+        # Every row once, in row order, as canonical CSR (sorted, distinct
+        # column indices per row) and its rhs.
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._indices = np.zeros(0, dtype=np.int32)
+        self._data = np.zeros(0)
+        self._rhs = np.zeros(0)
         # Rows in the solver's model, in its row order: held rows as added,
-        # pending rows as admitted.
+        # pending rows as admitted.  The solver holds the first ``_held`` of
+        # them (``None``: no model, the next solve loads one cold).
         self._in_solver = np.zeros(0, dtype=np.intp)
+        self._held: int | None = None
         self._solved = False
         # The last optimal solution, where the next solve looks for violations.
         self._values: np.ndarray | None = None
@@ -194,7 +182,7 @@ class LPSession:
     @property
     def num_rows(self) -> int:
         """Constraint rows held, pending rows included."""
-        return sum(int(rhs.shape[0]) for rhs in self._rhs)
+        return int(self._rhs.size)
 
     def add_variables(
         self,
@@ -206,8 +194,8 @@ class LPSession:
     ) -> np.ndarray:
         """Add ``count`` variables with one bound pair and objective coefficient.
 
-        Returns their indices.  The rows already held are widened by shape;
-        once the session has solved, its variables are fixed.
+        Returns their indices.  Rows already held do not reference the new
+        variables; once the session has solved, its variables are fixed.
         """
         if self._solved:
             raise LPError("a session's variables are fixed once it has solved")
@@ -221,73 +209,87 @@ class LPSession:
         self._cost = np.concatenate([self._cost, np.full(count, float(cost))])
         self._lower = np.concatenate([self._lower, np.full(count, float(lower))])
         self._upper = np.concatenate([self._upper, np.full(count, float(upper))])
-        self._rows = [_widen(rows, self.num_variables) for rows in self._rows]
         return np.arange(start, start + count, dtype=int)
 
-    def _block(self, matrix, rhs) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Check a row block over the leading variables; return it as full-width CSR.
+    def _block(self, matrix, rhs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Check a dense or sparse row block over the leading variables.
 
-        ``matrix`` may be dense or sparse; it comes back canonical, with
-        ``rhs`` as a float64 vector.
+        Returns its canonical CSR ``(indptr, indices, data, rhs)`` (int64,
+        int32, float64, float64): a dense block's entries are the ones
+        ``sp.csr_matrix`` keeps (``-0.0`` is zero), in row-major order.
         """
-        matrix = sp.csr_matrix(matrix, dtype=np.float64)
-        matrix.sum_duplicates()
+        if sp.issparse(matrix):
+            matrix = sp.csr_matrix(matrix, dtype=np.float64)
+            matrix.sum_duplicates()
+            shape, indptr, indices, data = matrix.shape, matrix.indptr, matrix.indices, matrix.data
+        else:
+            dense = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+            if dense.ndim != 2:
+                raise LPError("a constraint block must be two-dimensional")
+            nonzero = dense != 0
+            shape = dense.shape
+            indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+            indices = np.nonzero(nonzero)[1]
+            data = dense[nonzero]
         rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-        if rhs.ndim != 1 or rhs.shape[0] != matrix.shape[0]:
+        if rhs.ndim != 1 or rhs.shape[0] != shape[0]:
             raise LPError("constraint rhs length must match the number of rows")
-        if matrix.shape[1] > self.num_variables:
+        if shape[1] > self.num_variables:
             raise LPError("constraint references an unknown variable index")
-        if not (np.isfinite(matrix.data).all() and np.isfinite(rhs).all()):
+        if not (np.isfinite(data).all() and np.isfinite(rhs).all()):
             # HiGHS would take a NaN coefficient without complaint.
             raise LPError("constraint coefficients and rhs must be finite")
-        return _widen(matrix, self.num_variables), rhs
+        return indptr.astype(np.int64, copy=False), indices.astype(np.int32, copy=False), data, rhs
+
+    def _extend(self, blocks: list) -> None:
+        """Append checked ``(indptr, indices, data, rhs)`` blocks to the rows."""
+        indptrs, offset = [self._indptr], self._indptr[-1]
+        for indptr, _, _, _ in blocks:
+            indptrs.append(indptr[1:] + offset)
+            offset += indptr[-1]
+        self._indptr = np.concatenate(indptrs)
+        self._indices = np.concatenate([self._indices, *(block[1] for block in blocks)])
+        self._data = np.concatenate([self._data, *(block[2] for block in blocks)])
+        self._rhs = np.concatenate([self._rhs, *(block[3] for block in blocks)])
 
     def add_rows(self, matrix, rhs) -> None:
         """Add rows ``matrix @ x[:k] <= rhs`` that the solver always holds.
 
         ``matrix`` covers the leading ``k ≤ num_variables`` variables.
         """
-        matrix, rhs = self._block(matrix, rhs)
+        block = self._block(matrix, rhs)
         start = self.num_rows
-        self._rows.append(matrix)
-        self._rhs.append(rhs)
-        self._in_solver = np.concatenate(
-            [self._in_solver, np.arange(start, start + rhs.shape[0])]
-        )
+        self._extend([block])
+        self._in_solver = np.concatenate([self._in_solver, np.arange(start, self.num_rows)])
 
     def append_rows(self, stream) -> int:
         """Append pending rows from ``(matrix, rhs)`` blocks; return the row count.
 
         Each ``matrix`` covers the leading variables (the repair LPs' delta
-        variables) and is taken in as it arrives, so only one block of the
-        stream is in flight at a time.  This is the ingestion point for
+        variables) and is taken in as it arrives, so only one dense block of
+        the stream is in flight at a time.  This is the ingestion point for
         :class:`~repro.core.jacobian.JacobianChunkStream`.
         """
-        rows = 0
-        for matrix, rhs in stream:
-            matrix, rhs = self._block(matrix, rhs)
-            self._rows.append(matrix)
-            self._rhs.append(rhs)
-            rows += rhs.shape[0]
-        return rows
+        blocks = [self._block(matrix, rhs) for matrix, rhs in stream]
+        self._extend(blocks)
+        return sum(int(block[3].size) for block in blocks)
+
+    def _matrix(self) -> sp.csr_matrix:
+        """All rows as one CSR matrix over the session's arrays."""
+        shape = (self.num_rows, self.num_variables)
+        return sp.csr_matrix((self._data, self._indices, self._indptr), shape=shape)
 
     def standard_form(self):
         """The full ``(c, A_ub, b_ub, A_eq, b_eq, bounds)``, pending rows included.
 
-        ``A_ub`` is CSR with the rows in the order they were added; ``A_eq``
-        and ``b_eq`` are empty.  The stacked matrix replaces the blocks it
-        was stacked from, so each row stays held once.
+        A view for tests and benchmarks; solving never builds it.  ``A_ub``
+        is CSR with the rows in the order they were added; ``A_eq`` and
+        ``b_eq`` are empty.
         """
         n = self.num_variables
-        if len(self._rows) > 1:
-            self._rows = [sp.vstack(self._rows).tocsr()]
-            self._rhs = [np.concatenate(self._rhs)]
-        if self._rows:
-            a_ub, b_ub = self._rows[0], self._rhs[0]
-        else:
-            a_ub, b_ub = sp.csr_matrix((0, n)), np.zeros(0)
         bounds = np.column_stack([self._lower, self._upper])
-        return self._cost.copy(), a_ub, b_ub, sp.csr_matrix((0, n)), np.zeros(0), bounds
+        return self._cost.copy(), self._matrix(), self._rhs, sp.csr_matrix((0, n)), np.zeros(0), bounds
 
     def solve(self) -> LPSolution:
         """Solve the current LP by row generation (see the class docstring).
@@ -297,25 +299,25 @@ class LPSession:
         first of them, and ``rows_admitted`` the rows the solver held at the
         end.
         """
-        c, a_ub, b_ub, a_eq, b_eq, bounds = self.standard_form()
         self._solved = True
         if self.num_variables == 0:
-            return _solve_without_variables(b_ub)
+            return _solve_without_variables(self._rhs)
+        # One CSR view per call for every admission matvec: scipy's CSR
+        # product sums each row's entries in order, which fixes the ties.
+        matrix = self._matrix()
         if self._values is None:
-            self._admit(a_ub, b_ub, np.clip(0.0, bounds[:, 0], bounds[:, 1]), SEED_ROWS)
+            self._admit(matrix, np.clip(0.0, self._lower, self._upper), SEED_ROWS)
         else:
-            self._admit(a_ub, b_ub, self._values, ROWS_PER_RESOLVE)
+            self._admit(matrix, self._values, ROWS_PER_RESOLVE)
         solutions = []
         while True:
-            rows = self._in_solver
-            form = (c, a_ub[rows], b_ub[rows], a_eq, b_eq, bounds)
-            solution = _observed_solve(self._solver, lambda: self._solver.solve(*form))
+            solution = _observed_solve(self._solver, self._resolve)
             solutions.append(solution)
-            if solution.status is LPStatus.UNBOUNDED and rows.size < b_ub.shape[0]:
-                self._admit(a_ub, b_ub, None, b_ub.shape[0])
+            if solution.status is LPStatus.UNBOUNDED and self._in_solver.size < self.num_rows:
+                self._admit(matrix, None, self.num_rows)
             elif not (
                 solution.status.is_optimal
-                and self._admit(a_ub, b_ub, solution.values, ROWS_PER_RESOLVE)
+                and self._admit(matrix, solution.values, ROWS_PER_RESOLVE)
             ):
                 break
         self._values = solution.values
@@ -327,19 +329,42 @@ class LPSession:
             rows_admitted=int(self._in_solver.size),
         )
 
-    def _admit(self, a_ub, b_ub, values, limit: int) -> int:
+    def _resolve(self) -> LPSolution:
+        """Hand the solver the admitted rows it does not hold, then solve.
+
+        With no model, or when the solver rejects the new rows, every
+        admitted row is loaded cold (a rejected load leaves no model).
+        """
+        rows, held, solver = self._in_solver, self._held, self._solver
+        if held is None or (held < rows.size and not solver.add_rows(*self._gather(rows[held:]))):
+            loaded = solver.load(self._cost, self._lower, self._upper, *self._gather(rows))
+            self._held = rows.size if loaded else None
+        else:
+            self._held = rows.size
+        return solver.solve()
+
+    def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, data, rhs)`` of ``rows``, in that order."""
+        starts = self._indptr[rows]
+        lengths = self._indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        positions = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return indptr, self._indices[positions], self._data[positions], self._rhs[rows]
+
+    def _admit(self, matrix, values, limit: int) -> int:
         """Admit up to ``limit`` pending rows violated at ``values``.
 
         ``values=None`` admits every pending row.  Returns how many rows were
         admitted; they join the solver's model most violated first, ties
         broken by row index.
         """
-        pending = np.ones(b_ub.shape[0], dtype=bool)
+        pending = np.ones(self.num_rows, dtype=bool)
         pending[self._in_solver] = False
         if values is None:
             chosen = np.flatnonzero(pending)
         else:
-            violation = a_ub @ values - b_ub
+            violation = matrix @ values - self._rhs
             candidates = np.flatnonzero(pending & (violation > VIOLATION_TOLERANCE))
             order = np.argsort(-violation[candidates], kind="stable")
             chosen = candidates[order[:limit]]

@@ -15,9 +15,11 @@ from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
 from repro.utils.rng import ensure_rng
 from tests.simplex import SimplexBackend
+from tests.standard_form import standard_form_backend
 
-#: The solvers a test can run the library on: its own, and the reference.
-SOLVERS = {"scipy": ScipyBackend, "simplex": SimplexBackend}
+#: The solvers a test can run the library on: its own, and the reference
+#: (a standard-form solver, behind the incremental-protocol adapter).
+SOLVERS = {"scipy": ScipyBackend, "simplex": standard_form_backend(SimplexBackend)}
 
 
 @contextmanager

@@ -60,6 +60,7 @@ from repro.verify.base import (
     Verifier,
     _normalize_region,
 )
+from tests.standard_form import solve_form
 
 
 def finite_difference_jacobians(
@@ -198,11 +199,11 @@ def repair_standard_form(num_parameters: int, norm: str, delta_bound, blocks):
 
 
 def solve_cold(form, *, sparse: bool = True):
-    """One cold solve of a standard form on a fresh solver (CSR if ``sparse``)."""
+    """One cold solve of a standard form on a fresh solver (loaded from CSR if ``sparse``)."""
     c, a_ub, b_ub, a_eq, b_eq, bounds = form
     if sparse:
         a_ub, a_eq = sp.csr_matrix(a_ub), sp.csr_matrix(a_eq)
-    return get_backend().solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    return solve_form(get_backend(), (c, a_ub, b_ub, a_eq, b_eq, bounds))
 
 
 def oracle_point_repair(

@@ -2,9 +2,10 @@
 
 The library solves every LP with scipy/HiGHS.  This independent, deliberately
 simple solver is what the tests compare it against: substituted for the
-library's solver through ``repro.lp.backends._BACKENDS`` (see
+library's solver through ``repro.lp.backends._BACKENDS`` behind the
+standard-form adapter of :mod:`tests.standard_form` (see
 ``tests.conftest.lp_solver``) or called directly on a standard form.  It
-converts the general standard form the solver interface takes (what
+converts a general standard form (what
 :meth:`repro.lp.model.LPSession.standard_form` returns, or a hand-written
 form with equality rows) into equational form (all variables non-negative, equality constraints only)
 and runs a textbook two-phase primal simplex with Bland's anti-cycling rule.
@@ -24,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.lp.backends import LPBackend
 from repro.lp.model import LPSolution
 from repro.lp.status import LPStatus
 
@@ -155,8 +155,8 @@ def _dense(matrix) -> np.ndarray:
     return matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
 
 
-class SimplexBackend(LPBackend):
-    """Two-phase dense primal simplex with Bland's rule."""
+class SimplexBackend:
+    """Two-phase dense primal simplex with Bland's rule, on whole standard forms."""
 
     name = "simplex"
 

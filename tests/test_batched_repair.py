@@ -127,7 +127,7 @@ class TestBatchedJacobians:
         expected_rhs = np.concatenate(
             [c.b - c.a @ o for c, o in zip(spec.constraints, outputs_loop)]
         )
-        np.testing.assert_allclose(block.toarray(), expected_lhs, atol=1e-12)
+        np.testing.assert_allclose(block, expected_lhs, atol=1e-12)
         np.testing.assert_allclose(rhs, expected_rhs, atol=1e-12)
 
     def test_batch_channel_traces_match_single(self, rng):

@@ -146,11 +146,21 @@ class TestDDNNInterface:
         np.testing.assert_array_equal(
             repaired.value.layers[0].get_parameters(), ddnn.value.layers[0].get_parameters() + 1.0
         )
-        # Theorem 4.6: only the repaired value layer is new.
-        assert repaired.activation is ddnn.activation
-        assert repaired.value.layers[0] is not ddnn.value.layers[0]
+        # Theorem 4.6: only the repaired value layer's parameters are new.
+        # Every layer object is the derived network's own (so editing one
+        # network never moves the other), sharing the base's arrays.
+        pairs = [
+            *zip(repaired.activation.layers, ddnn.activation.layers),
+            *zip(repaired.value.layers, ddnn.value.layers),
+        ]
+        assert all(mine is not theirs for mine, theirs in pairs)
+        assert repaired.value.layers[0].weights is not ddnn.value.layers[0].weights
         assert all(
-            mine is theirs for mine, theirs in zip(repaired.value.layers[1:], ddnn.value.layers[1:])
+            vars(mine).get(name) is array
+            for mine, theirs in pairs
+            if mine is not repaired.value.layers[0]
+            for name, array in vars(theirs).items()
+            if isinstance(array, np.ndarray)
         )
 
     def test_removed_in_place_api_raises(self, toy_network):

@@ -33,6 +33,7 @@ from repro.verify import (
 )
 from tests.conftest import make_random_relu_network
 from tests.oracle import oracle_pool_point_spec, oracle_unsatisfied
+from tests.standard_form import standard_form_backend
 
 
 def make_counterexample(x: float = 0.0, margin: float = 1.0, region: int = 0) -> Counterexample:
@@ -521,7 +522,7 @@ class TestRepairDriver:
                 solves.append(form[1].shape)
                 return LPSolution(LPStatus.ERROR, message="iteration limit (stub)")
 
-        monkeypatch.setitem(_BACKENDS, "scipy", ErrorSolver)
+        monkeypatch.setitem(_BACKENDS, "scipy", standard_form_backend(ErrorSolver))
         report = RepairDriver(
             network, spec, SyrennVerifier(), config=DriverConfig(max_rounds=4)
         ).run()
@@ -540,7 +541,7 @@ class TestRepairDriver:
             def solve(self, *form):
                 raise RuntimeError("solver crashed (stub)")
 
-        monkeypatch.setitem(_BACKENDS, "scipy", CrashingSolver)
+        monkeypatch.setitem(_BACKENDS, "scipy", standard_form_backend(CrashingSolver))
         driver = RepairDriver(network, spec, SyrennVerifier(), config=DriverConfig(max_rounds=4))
         with pytest.raises(RuntimeError, match="solver crashed"):
             driver.run()

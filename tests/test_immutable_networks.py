@@ -7,10 +7,12 @@
   round trip — and the round trip keeps the fingerprint;
 * the fingerprint (per-layer memoized digests) is equal for equal networks
   in two processes and changes with any one-ulp edit of any layer;
-* a driver run derives its networks: the repaired network shares the
-  activation channel and every unrepaired value layer with the base, the
-  caller's network keeps its attributes and bytes, and no deep copy is
-  taken anywhere.
+* a driver run derives its networks: the repaired network's layer objects
+  are its own, but share every array of the activation channel and of the
+  unrepaired value layers with the base; the caller's network keeps its
+  attributes and bytes, and no deep copy is taken anywhere;
+* a derived network and its base never move each other: ``set_parameters``
+  on a layer of either leaves the other's outputs as they were.
 """
 
 from __future__ import annotations
@@ -216,6 +218,14 @@ def run_driver(network, spec):
     return driver, driver.run()
 
 
+def shares_arrays(layer, other) -> bool:
+    """Whether two layer objects hold the very same arrays and digest."""
+    arrays = {name for name, value in vars(other).items() if isinstance(value, np.ndarray)}
+    return layer.digest == other.digest and all(
+        getattr(layer, name) is getattr(other, name) for name in arrays
+    )
+
+
 def value_bytes(network: DecoupledNetwork) -> list[bytes]:
     return [layer.get_parameters().tobytes() for layer in network.value.layers]
 
@@ -226,11 +236,13 @@ class TestDriverDerivesNetworks:
         driver, report = run_driver(network, spec)
         assert report.status == "certified"
         (repaired,) = {record.layer_index for record in report.rounds if record.repair_feasible}
-        assert report.network.activation is driver.base.activation
+        for mine, base in zip(report.network.activation.layers, driver.base.activation.layers):
+            assert mine is not base and shares_arrays(mine, base)
         for index, (mine, base) in enumerate(
             zip(report.network.value.layers, driver.base.value.layers)
         ):
-            assert (mine is base) is (index != repaired), index
+            assert mine is not base
+            assert shares_arrays(mine, base) is (index != repaired), index
 
     def test_caller_ddnn_is_never_modified(self, plane_case):
         network, spec = plane_case
@@ -248,7 +260,8 @@ class TestDriverDerivesNetworks:
             [layer.get_parameters().tobytes() for layer in channel.layers]
             for channel in (ddnn.activation, ddnn.value)
         ] == channels
-        assert report.network.activation is ddnn.activation
+        for mine, caller in zip(report.network.activation.layers, ddnn.activation.layers):
+            assert shares_arrays(mine, caller)
 
     def test_no_deep_copy_is_taken(self, plane_case, monkeypatch):
         network, spec = plane_case
@@ -262,3 +275,47 @@ class TestDriverDerivesNetworks:
         assert report.status == expected.status
         assert report.num_rounds == expected.num_rounds
         assert value_bytes(report.network) == value_bytes(expected.network)
+
+
+class TestDerivedNetworksAreIndependent:
+    """``with_parameter_delta`` gives the derived network its own layer objects."""
+
+    @staticmethod
+    def one_two_one():
+        network = Network(
+            [
+                FullyConnectedLayer(np.array([[1.0], [-1.0]]), np.zeros(2)),
+                ReLULayer(2),
+                FullyConnectedLayer(np.array([[1.0, 1.0]]), np.zeros(1)),
+            ]
+        )
+        return DecoupledNetwork.from_network(network)
+
+    def test_base_edit_leaves_the_derived_network(self):
+        ddnn = self.one_two_one()
+        repaired = ddnn.with_parameter_delta(2, np.ones(3))
+        before = repaired.compute([[0.5]]).tobytes()
+        for channel in (ddnn.value, ddnn.activation):
+            for index in (0, 2):
+                layer = channel.layers[index]
+                layer.set_parameters(layer.get_parameters() + 1.0)
+        assert repaired.compute([[0.5]]).tobytes() == before
+
+    def test_derived_edit_leaves_the_base(self):
+        ddnn = self.one_two_one()
+        before = ddnn.compute([[0.5]]).tobytes()
+        repaired = ddnn.with_parameter_delta(2, np.ones(3))
+        for channel in (repaired.value, repaired.activation):
+            for index in (0, 2):
+                layer = channel.layers[index]
+                layer.set_parameters(layer.get_parameters() + 1.0)
+        assert ddnn.compute([[0.5]]).tobytes() == before
+
+    def test_unrepaired_layers_share_arrays_and_digests(self):
+        ddnn = self.one_two_one()
+        repaired = ddnn.with_parameter_delta(2, np.ones(3))
+        for mine, base in zip(repaired.activation.layers, ddnn.activation.layers):
+            assert mine is not base and shares_arrays(mine, base)
+        for index, (mine, base) in enumerate(zip(repaired.value.layers, ddnn.value.layers)):
+            assert mine is not base
+            assert shares_arrays(mine, base) is (index != 2), index

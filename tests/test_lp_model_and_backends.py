@@ -22,6 +22,7 @@ from repro.lp.status import LPStatus
 from tests.conftest import lp_solver
 from tests.oracle import repair_standard_form
 from tests.simplex import SimplexBackend
+from tests.standard_form import solve_form
 
 BACKENDS = ("scipy", "simplex")
 
@@ -123,14 +124,14 @@ class TestLPModelConstruction:
 def solve_by_hand(c, a_ub, b_ub, bounds, a_eq=None, b_eq=None):
     """A hand-written standard form, solved once by a fresh solver."""
     n = len(c)
-    return get_backend().solve(
+    return solve_form(get_backend(), (
         np.asarray(c, dtype=float),
         np.asarray(a_ub, dtype=float).reshape(-1, n),
         np.asarray(b_ub, dtype=float),
         np.asarray(a_eq if a_eq is not None else np.zeros((0, n)), dtype=float),
         np.asarray(b_eq if b_eq is not None else np.zeros(0), dtype=float),
         np.asarray(bounds, dtype=float),
-    )
+    ))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -242,7 +243,7 @@ class TestBackendRegistry:
         assert isinstance(solver, ScipyBackend) and solver.name == "scipy"
         # The seam the test-suite substitutes through.
         with lp_solver("simplex"):
-            assert isinstance(get_backend(), SimplexBackend)
+            assert isinstance(get_backend().solver, SimplexBackend)
 
 
 class TestBackendAgreement:
@@ -333,7 +334,7 @@ class TestBackendPortfolioOracle:
         session, dense_form = self._build(kind, np.random.default_rng(seed), num_vars, num_rows)
         solutions = {
             "scipy": session.solve(),
-            "scipy-dense": ScipyBackend().solve(*dense_form),
+            "scipy-dense": solve_form(ScipyBackend(), dense_form),
             "simplex": SimplexBackend().solve(*session.standard_form()),
         }
 

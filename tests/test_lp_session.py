@@ -3,8 +3,8 @@
 * a **capability probe** pinning the private ``scipy.optimize._highspy``
   surface the solver drives, so a scipy upgrade that moves it fails here
   rather than deep inside a repair;
-* the solver's **retained model**: a cold solve reproduces ``linprog``, a
-  re-solve after appended rows is warm;
+* the solver's **retained model**: a cold ``load`` + ``solve`` reproduces
+  ``linprog``, a re-solve after ``add_rows`` is warm;
 * a **property** over small repair-shaped LPs grown over several solves:
   after every solve the session agrees with a fresh solver's cold solve of
   its :meth:`~repro.lp.model.LPSession.standard_form` on status and
@@ -28,6 +28,7 @@ from repro.lp.norms import add_norm_objective
 from repro.lp.status import LPStatus
 from tests.conftest import lp_solver
 from tests.oracle import solve_cold
+from tests.standard_form import csr_rows, solve_form
 
 #: Every ``_core._Highs`` method the solver calls.
 HIGHS_METHODS = (
@@ -72,6 +73,12 @@ class TestHighsSurface:
         assert hasattr(_core.HighsDebugLevel, "kHighsDebugLevelNone")
         assert np.isinf(_core.kHighsInf)
 
+    def test_csc_conversion_routine_exists(self):
+        """The cold model's column-wise matrix comes from scipy's own routine."""
+        from scipy.sparse._sparsetools import csr_tocsc
+
+        assert callable(csr_tocsc)
+
     def test_violation_tolerance_is_the_solvers(self):
         """Rows are admitted at exactly HiGHS's primal feasibility tolerance."""
         tolerance = _core.HighsOptions().primal_feasibility_tolerance
@@ -115,7 +122,7 @@ class TestRetainedModel:
         c, a_ub, b_ub, a_eq, b_eq, bounds = session.standard_form()
         expected = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(map(tuple, bounds)),
                            method="highs")
-        solution = ScipyBackend().solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        solution = solve_form(ScipyBackend(), session.standard_form())
         assert solution.status is LPStatus.OPTIMAL and not solution.warm_start_used
         assert solution.values.tobytes() == expected.x.tobytes()
         assert solution.objective == expected.fun
@@ -124,17 +131,22 @@ class TestRetainedModel:
     def test_appended_rows_resolve_warm(self, rng):
         session = repair_shaped_session(6, "linf")
         session.append_rows([feasible_block(rng, 20, 6, 1.0)])
+        c, a_ub, b_ub, _, _, bounds = session.standard_form()
+        held = b_ub.size
         solver = ScipyBackend()
-        assert not solver.solve(*session.standard_form()).warm_start_used
+        solver.load(c, bounds[:, 0], bounds[:, 1], *csr_rows(a_ub, b_ub))
+        assert not solver.solve().warm_start_used
         session.append_rows([feasible_block(rng, 5, 6, 1.0)])
-        warm = solver.solve(*session.standard_form())
+        _, a_ub, b_ub, *_ = session.standard_form()
+        assert solver.add_rows(*csr_rows(a_ub[held:], b_ub[held:]))
+        warm = solver.solve()
         cold = solve_cold(session.standard_form())
         assert warm.warm_start_used and not cold.warm_start_used
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
-        # Changing the objective is not an extension: the model is passed anew.
-        c, *rest = session.standard_form()
+        # A load replaces the model: the next solve is cold again.
         c[0] = 0.5
-        assert not solver.solve(c, *rest).warm_start_used
+        solver.load(c, bounds[:, 0], bounds[:, 1], *csr_rows(a_ub, b_ub))
+        assert not solver.solve().warm_start_used
 
     def test_session_admits_only_violated_rows(self, rng, monkeypatch):
         monkeypatch.setattr(lp_model, "SEED_ROWS", 3)

@@ -110,8 +110,8 @@ def canonical(matrix) -> sp.csr_matrix:
 
 
 def assert_same_standard_form(blocks, dense_lhs, dense_rhs) -> None:
-    """The stacked CSR blocks equal the canonical CSR of the dense encode."""
-    stacked = canonical(sp.vstack([block for block, _ in blocks]))
+    """The blocks' stacked CSR equals the canonical CSR of the dense encode."""
+    stacked = canonical(sp.vstack([sp.csr_matrix(block) for block, _ in blocks]))
     reference = canonical(dense_lhs)
     assert stacked.shape == reference.shape
     assert stacked.indptr.tobytes() == reference.indptr.tobytes()
