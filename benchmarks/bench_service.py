@@ -21,9 +21,10 @@ Latencies are measured *server-side* (the daemon's monotonic
 wall-clock adjustments pollute p50/p99.  Jobs are submitted sequentially; throughput is jobs divided by
 phase wall-clock.
 
-The cross-checks are strict and always on: every job must certify, and all
+The cross-checks are strict and always on: every job must certify, all
 warm jobs — identical inputs through the daemon's shared partition cache — must
-return **byte-identical** repaired parameters.  The wall-clock assertion
+return **byte-identical** repaired parameters, and the warm phase must score
+at least one partition-cache hit per job.  The wall-clock assertion
 (``--min-warm-speedup``) is disabled in CI, where shared runners make
 timing ratios unreliable.
 
@@ -151,6 +152,27 @@ def cross_check_warm_identical(results: list[dict]) -> None:
                 )
 
 
+def cache_hits(stats: dict) -> int:
+    """Hits over both tiers of a ``/health`` cache document."""
+    return stats["memory"]["hits"] + stats["disk"]["hits"]
+
+
+def check_warm_hits(primed: dict, finished: dict, num_jobs: int) -> None:
+    """Every warm job must be served by the shared cache, timing aside.
+
+    A count, not a clock: each warm job verifies geometry the priming job
+    already decomposed, so the warm phase scores at least one hit per job.
+    A cache payload the verifier stopped decoding would score none.
+    """
+    hits = cache_hits(finished) - cache_hits(primed)
+    print(f"warm-phase cache hits: {hits} over {num_jobs} jobs")
+    if hits < num_jobs:
+        raise AssertionError(
+            f"warm phase scored {hits} partition-cache hits over {num_jobs} jobs; "
+            "the shared cache stopped serving decompositions"
+        )
+
+
 def run_benchmark(
     *, num_jobs: int, width: int, job_workers: int, min_warm_speedup: float | None
 ) -> dict:
@@ -167,9 +189,11 @@ def run_benchmark(
             cold = run_phase(client, cold_jobs, "cold")
             # Prime the cache once so every measured warm job is a pure hit.
             run_phase(client, warm_jobs[:1], "prim")
+            primed = client.health()["cache"]
             warm = run_phase(client, warm_jobs, "warm")
             cross_check_warm_identical(warm["results"])
             cache_stats = client.health()["cache"]
+            check_warm_hits(primed, cache_stats, num_jobs)
         finally:
             server.shutdown()
             server.server_close()

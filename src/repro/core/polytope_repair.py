@@ -29,8 +29,8 @@ from repro.exceptions import NotPiecewiseLinearError, SpecificationError
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
 from repro.syrenn.line import transform_line
-from repro.syrenn.plane import transform_planes
-from repro.syrenn.regions import LinearRegion
+from repro.syrenn.plane import transform_plane_batch
+from repro.syrenn.regions import RegionBatch, RegionParts, line_parts
 
 
 def polytope_repair(
@@ -87,43 +87,39 @@ def region_key_points(
     Every vertex of the region becomes a key point interpreted under the
     region's activation pattern (pinned by ``interior``) and subject to
     ``constraint``.  This is the per-region unit of Algorithm 2's reduction:
-    :func:`reduce_to_key_points` applies it to every linear region of a whole
-    specification, and the counterexample pool applies it to exactly the
-    violating regions the verifier pooled — producing byte-identical rows in
-    both directions, which is what the driver-vs-one-shot differential tests
-    pin.
+    :func:`reduce_to_key_points` gives these triples for every linear region
+    of a whole specification at once, and the counterexample pool applies it
+    to exactly the violating regions the verifier pooled — producing
+    byte-identical rows in both directions, which is what the
+    driver-vs-one-shot differential tests pin.
     """
     vertices = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
     key_points = [vertices[index] for index in range(vertices.shape[0])]
     return key_points, [interior] * len(key_points), [constraint] * len(key_points)
 
 
-def decompose_spec_entries(
-    network: Network, regions: list[LineSegment | np.ndarray]
-) -> list[list[LinearRegion]]:
-    """The linear regions of every specification polytope, in order.
+def decompose_spec_entries(network: Network, regions: list[LineSegment | np.ndarray]) -> RegionBatch:
+    """The linear regions of every specification polytope, stacked in order.
 
     Segments go through :func:`transform_line` one at a time; all planes
-    share one batched :func:`transform_planes` call.
+    share one batched :func:`transform_plane_batch` call.
     """
-    decomposed: list[list[LinearRegion] | None] = [None] * len(regions)
+    sources: list[RegionParts] = []
+    picks: list[tuple[int, int, int] | None] = [None] * len(regions)
     planes = []
     for index, region in enumerate(regions):
         if isinstance(region, LineSegment):
-            decomposed[index] = [
-                LinearRegion(vertices=piece.vertices, interior=piece.interior_point)
-                for piece in transform_line(network, region).regions
-            ]
+            sources.append(line_parts(transform_line(network, region)))
+            picks[index] = (len(sources) - 1, 0, sources[-1][2].shape[0])
         else:
             planes.append(index)
     if planes:
-        partitions = transform_planes(network, [regions[index] for index in planes])
-        for index, partition in zip(planes, partitions):
-            decomposed[index] = [
-                LinearRegion(vertices=piece.input_vertices, interior=piece.interior_point)
-                for piece in partition.regions
-            ]
-    return decomposed
+        batch = transform_plane_batch(network, [regions[index] for index in planes])
+        sources.append((batch.inputs, batch.offsets, batch.interiors))
+        bounds = batch.polygon_offsets.tolist()
+        for polygon, index in enumerate(planes):
+            picks[index] = (len(sources) - 1, bounds[polygon], bounds[polygon + 1])
+    return RegionBatch.gather(sources, picks, network.input_size)
 
 
 def reduce_to_key_points(
@@ -131,25 +127,21 @@ def reduce_to_key_points(
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[OutputConstraint]]:
     """Reduce a polytope specification to (key point, activation point, constraint) triples.
 
-    Exposed separately so experiments can report the number of key points
-    (the "Points" column of Table 2) and so the FT/MFT baselines can be given
-    a comparable number of sampled points.
+    Every vertex of every linear region is a key point, in batch order, and
+    each one is :func:`region_key_points` of its own region.  Exposed
+    separately so experiments can report the number of key points (the
+    "Points" column of Table 2) and so the FT/MFT baselines can be given a
+    comparable number of sampled points.
     """
-    key_points: list[np.ndarray] = []
-    activation_points: list[np.ndarray] = []
-    constraints: list[OutputConstraint] = []
-    decomposed = decompose_spec_entries(network, [entry.region for entry in spec.entries])
-    for entry, linear_regions in zip(spec.entries, decomposed):
-        for region in linear_regions:
-            points, activations, region_constraints = region_key_points(
-                region.vertices, region.interior, entry.constraint
-            )
-            key_points.extend(points)
-            activation_points.extend(activations)
-            constraints.extend(region_constraints)
-    if not key_points:
+    batch = decompose_spec_entries(network, [entry.region for entry in spec.entries])
+    if batch.num_rows == 0:
         raise SpecificationError("the polytope specification produced no key points")
-    return key_points, activation_points, constraints
+    constraints = [entry.constraint for entry in spec.entries]
+    return (
+        list(batch.vertices),
+        list(batch.activations),
+        [constraints[region] for region in batch.row_region.tolist()],
+    )
 
 
 def count_key_points(network: Network | DecoupledNetwork, spec: PolytopeRepairSpec) -> int:

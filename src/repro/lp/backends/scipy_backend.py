@@ -44,6 +44,11 @@ def _options() -> _core.HighsOptions:
     return options
 
 
+#: The options of every model, built once: ``passOptions`` copies its
+#: argument into the model, so no model ever holds (or changes) this object.
+_OPTIONS = _options()
+
+
 def _finite(values: np.ndarray) -> np.ndarray:
     """A float64 copy with ``±inf`` replaced by HiGHS's infinity."""
     values = np.array(values, dtype=np.float64)
@@ -88,7 +93,7 @@ class ScipyBackend(LPBackend):
         lp.a_matrix_.index_ = index
         lp.a_matrix_.value_ = value
         self._highs = _Highs()
-        self._highs.passOptions(_options())
+        self._highs.passOptions(_OPTIONS)
         self._warm = False
         # On kError HiGHS kept no model; its run reports the error.
         return self._highs.passModel(lp) != _core.HighsStatus.kError

@@ -13,19 +13,30 @@ two-dimensional ``P``; this package re-implements that capability:
   the input space), run over a whole batch of polygons at once: one
   ``forward`` per layer for every piece of every polygon, and one
   vectorized clip pass per straddled coordinate for every piece it cuts.
-  :func:`repro.syrenn.plane.transform_plane` is its batch of one.
+  :func:`repro.syrenn.plane.transform_plane_batch` returns the batch as
+  one stack (:class:`~repro.syrenn.plane.PlaneBatch`); ``transform_planes``
+  and ``transform_plane`` (its batch of one) are per-region views of it.
 
-Both return region objects that expose (a) the region's vertices in input
-space and (b) a representative interior point, which the repair algorithm
-uses as the activation point of each key point (Appendix B of the paper).
+Each linear region comes as (a) its vertices in input space and (b) a
+representative interior point, which the repair algorithm uses as the
+activation point of each key point (Appendix B of the paper).
+:class:`repro.syrenn.regions.RegionBatch` stacks the linear regions of a
+whole specification for the exact verifier and Algorithm 2, and
 :class:`repro.syrenn.cache.PartitionCache` keeps decompositions across
 verification passes, in memory and optionally on disk.
 """
 
 from repro.syrenn.cache import PartitionCache
 from repro.syrenn.line import LinePartition, LineRegion, transform_line
-from repro.syrenn.plane import PlanePartition, PlaneRegion, transform_plane, transform_planes
-from repro.syrenn.regions import LinearRegion, geometry_digest
+from repro.syrenn.plane import (
+    PlaneBatch,
+    PlanePartition,
+    PlaneRegion,
+    transform_plane,
+    transform_plane_batch,
+    transform_planes,
+)
+from repro.syrenn.regions import RegionBatch, geometry_digest
 
 __all__ = [
     "transform_line",
@@ -33,9 +44,11 @@ __all__ = [
     "LineRegion",
     "transform_plane",
     "transform_planes",
+    "transform_plane_batch",
+    "PlaneBatch",
     "PlanePartition",
     "PlaneRegion",
-    "LinearRegion",
+    "RegionBatch",
     "PartitionCache",
     "geometry_digest",
 ]

@@ -15,15 +15,23 @@ depends on — never changes under value-channel repair (Theorem 4.6).  The
   same directory.
 
 Payloads are flat ``name → array`` dictionaries (whatever
-:func:`repro.utils.serialization.save_arrays` can persist); the exact
-verifier owns the encoding of linear regions into payloads.  Hit, miss, and
-eviction counters are kept per tier and surfaced through
-:meth:`PartitionCache.as_dict` so benchmark and daemon reports can show
-where decomposition time actually went.
+:func:`repro.utils.serialization.save_arrays` can persist).  The exact
+verifier stores one entry per specification region: its linear regions as
+three stacked arrays, ``vertices`` ``(v, n)``, CSR ``offsets`` ``(k + 1,)``
+over those rows and ``interiors`` ``(k, n)``, plus the 0-d string
+``format = "region-parts/1"`` (:func:`repro.syrenn.regions.parts_payload`).
+A reader passes a ``decode`` function to :meth:`PartitionCache.get_many`;
+a payload it cannot decode (another format, or the per-region
+``num_regions``/``vertices_i``/``interior_i`` entries of earlier versions)
+counts as a miss and leaves both tiers, so the fresh decomposition's
+``put`` replaces it.  Hit, miss, and eviction counters are kept per tier
+and surfaced through :meth:`PartitionCache.as_dict` so benchmark and daemon
+reports can show where decomposition time actually went.
 
 One cache may be shared by concurrent threads (the repair daemon hands the
 same instance to every ``syrenn`` job): a lock guards both tiers and the
-counters, so every lookup is counted exactly once.
+counters, so every lookup is counted exactly once.  ``get_many`` and
+``put_many`` take the lock once for a whole pass of lookups or stores.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import tempfile
 import threading
 import zipfile
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,21 +56,23 @@ __all__ = ["CacheKey", "CacheStats", "PartitionCache", "TierStats"]
 CacheKey = tuple[str, str]
 
 
-def _record_request(tier: str, result: str) -> None:
-    """Mirror one tier lookup into the metrics registry (obs-enabled only)."""
-    obs.counter(
-        "repro_cache_requests_total",
-        "Partition-cache lookups by tier and outcome.",
-        labels=("tier", "result"),
-    ).inc(tier=tier, result=result)
+def _record_requests(tier: str, result: str, count: int) -> None:
+    """Mirror ``count`` tier lookups into the metrics registry (obs-enabled only)."""
+    if count:
+        obs.counter(
+            "repro_cache_requests_total",
+            "Partition-cache lookups by tier and outcome.",
+            labels=("tier", "result"),
+        ).inc(count, tier=tier, result=result)
 
 
-def _record_put(tier: str) -> None:
-    obs.counter(
-        "repro_cache_puts_total",
-        "Partition-cache payload stores by tier.",
-        labels=("tier",),
-    ).inc(tier=tier)
+def _record_puts(tier: str, count: int) -> None:
+    if count:
+        obs.counter(
+            "repro_cache_puts_total",
+            "Partition-cache payload stores by tier.",
+            labels=("tier",),
+        ).inc(count, tier=tier)
 
 
 @dataclass
@@ -151,32 +162,55 @@ class PartitionCache:
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> dict[str, np.ndarray] | None:
         """Look up a payload, promoting disk hits into the memory tier."""
-        with self._lock:
-            return self._get_locked(key)
+        return self.get_many([key])[0]
 
-    def _get_locked(self, key: CacheKey) -> dict[str, np.ndarray] | None:
-        track = obs.enabled()
-        payload = self._memory.get(key)
-        if payload is not None:
-            self._memory.move_to_end(key)
-            self.stats.memory.hits += 1
-            if track:
-                _record_request("memory", "hit")
-            return payload
-        self.stats.memory.misses += 1
-        if track:
-            _record_request("memory", "miss")
-        payload = self._load_disk(key) if self.disk else None
+    def get_many(self, keys: list[CacheKey], decode: Callable | None = None) -> list:
+        """Look up every key under one lock, counting each as :meth:`get` does.
+
+        With ``decode``, each payload found comes back as ``decode(payload)``,
+        and a payload it cannot decode (``None``) counts as a miss: it is
+        dropped from the memory tier, and its disk file deleted so the next
+        :meth:`put` replaces it.
+        """
+        with self._lock:
+            memory, values = self._memory, []
+            memory_hits = disk_hits = 0
+            for key in keys:
+                payload = memory.get(key)
+                if payload is not None:
+                    value = payload if decode is None else decode(payload)
+                    if value is not None:
+                        memory.move_to_end(key)
+                        memory_hits += 1
+                        values.append(value)
+                        continue
+                    del memory[key]
+                value = self._get_disk(key, decode) if self.disk else None
+                disk_hits += value is not None
+                values.append(value)
+            memory_misses = len(values) - memory_hits
+            self.stats.memory.hits += memory_hits
+            self.stats.memory.misses += memory_misses
+            self.stats.disk.hits += disk_hits
+            self.stats.disk.misses += memory_misses - disk_hits
+            if obs.enabled():
+                _record_requests("memory", "hit", memory_hits)
+                _record_requests("memory", "miss", memory_misses)
+                _record_requests("disk", "hit", disk_hits)
+                _record_requests("disk", "miss", memory_misses - disk_hits)
+            return values
+
+    def _get_disk(self, key: CacheKey, decode: Callable | None):
+        """A disk-tier lookup, promoting a hit into the memory tier."""
+        payload = self._load_disk(key)
         if payload is None:
-            self.stats.disk.misses += 1
-            if track:
-                _record_request("disk", "miss")
             return None
-        self.stats.disk.hits += 1
-        if track:
-            _record_request("disk", "hit")
-        self._insert_memory(key, payload)
-        return payload
+        value = payload if decode is None else decode(payload)
+        if value is None:
+            self._disk_path(key).unlink(missing_ok=True)
+        else:
+            self._insert_memory(key, payload)
+        return value
 
     def _load_disk(self, key: CacheKey) -> dict[str, np.ndarray] | None:
         path = self._disk_path(key)
@@ -196,16 +230,22 @@ class PartitionCache:
         The disk write goes through a temporary file plus an atomic rename,
         so concurrent readers in other processes never observe a torn file.
         """
+        self.put_many([(key, payload)])
+
+    def put_many(self, items: list[tuple[CacheKey, dict[str, np.ndarray]]]) -> None:
+        """:meth:`put` every ``(key, payload)`` under one lock."""
         with self._lock:
-            self._insert_memory(key, payload)
-            self.stats.memory.puts += 1
+            disk_puts = 0
+            for key, payload in items:
+                self._insert_memory(key, payload)
+                if self.disk and not self._disk_path(key).exists():
+                    self._write_disk(key, payload)
+                    disk_puts += 1
+            self.stats.memory.puts += len(items)
+            self.stats.disk.puts += disk_puts
             if obs.enabled():
-                _record_put("memory")
-            if self.disk and not self._disk_path(key).exists():
-                self._write_disk(key, payload)
-                self.stats.disk.puts += 1
-                if obs.enabled():
-                    _record_put("disk")
+                _record_puts("memory", len(items))
+                _record_puts("disk", disk_puts)
 
     def _write_disk(self, key: CacheKey, payload: dict[str, np.ndarray]) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -220,14 +260,17 @@ class PartitionCache:
                 os.unlink(temp_name)
 
     def _insert_memory(self, key: CacheKey, payload: dict[str, np.ndarray]) -> None:
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
+        memory = self._memory
+        memory[key] = payload
+        memory.move_to_end(key)
+        if len(memory) <= self.max_entries:
+            return
         evicted = 0
-        while len(self._memory) > self.max_entries:
-            self._memory.popitem(last=False)
+        while len(memory) > self.max_entries:
+            memory.popitem(last=False)
             evicted += 1
         self.stats.memory.evictions += evicted
-        if evicted and obs.enabled():
+        if obs.enabled():
             obs.counter(
                 "repro_cache_evictions_total",
                 "Memory-tier LRU evictions from the partition cache.",

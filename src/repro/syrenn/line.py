@@ -105,28 +105,27 @@ def _check_piecewise_linear(network: Network) -> None:
 def _insert_crossings(
     ratios: np.ndarray, values: np.ndarray, breakpoints: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Insert ratios where any coordinate crosses any activation breakpoint."""
-    new_ratios: list[float] = []
-    for index in range(ratios.size - 1):
-        left_value, right_value = values[index], values[index + 1]
-        left_ratio, right_ratio = ratios[index], ratios[index + 1]
-        span = right_ratio - left_ratio
-        if span <= RATIO_TOLERANCE:
-            continue
-        for threshold in breakpoints:
-            left_side = left_value - threshold
-            right_side = right_value - threshold
-            crossing = (left_side > 0) != (right_side > 0)
-            crossing &= np.abs(left_side - right_side) > 0
-            if not np.any(crossing):
-                continue
-            fractions = left_side[crossing] / (left_side[crossing] - right_side[crossing])
-            for fraction in fractions:
-                if RATIO_TOLERANCE < fraction < 1.0 - RATIO_TOLERANCE:
-                    new_ratios.append(float(left_ratio + fraction * span))
-    if not new_ratios:
+    """Insert ratios where any coordinate crosses any activation breakpoint.
+
+    Every (piece, coordinate, breakpoint) triple at once: a piece wider
+    than ``RATIO_TOLERANCE`` whose end values lie on opposite sides of a
+    breakpoint gets the crossing ``left + fraction * span``, element-wise
+    the arithmetic of a per-piece loop, so every ratio keeps its bits.
+    """
+    spans = ratios[1:] - ratios[:-1]
+    live = np.flatnonzero(spans > RATIO_TOLERANCE)
+    thresholds = np.asarray(breakpoints, dtype=values.dtype)[:, None, None]
+    left_side = values[live] - thresholds
+    right_side = values[live + 1] - thresholds
+    crossing = ((left_side > 0) != (right_side > 0)) & (np.abs(left_side - right_side) > 0)
+    _, pieces, _ = np.nonzero(crossing)
+    fractions = left_side[crossing] / (left_side[crossing] - right_side[crossing])
+    inside = (fractions > RATIO_TOLERANCE) & (fractions < 1.0 - RATIO_TOLERANCE)
+    if not inside.any():
         return ratios, values
-    merged = np.unique(np.concatenate([ratios, np.array(new_ratios)]))
+    pieces = live[pieces[inside]]
+    new_ratios = ratios[pieces] + fractions[inside] * spans[pieces]
+    merged = np.unique(np.concatenate([ratios, new_ratios]))
     # Drop ratios that coincide (within tolerance) with an existing one.
     keep = np.concatenate([[True], np.diff(merged) > RATIO_TOLERANCE])
     merged = merged[keep]

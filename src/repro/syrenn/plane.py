@@ -30,6 +30,7 @@ from repro.exceptions import NotPiecewiseLinearError, ShapeError
 from repro.nn.layer import LayerKind
 from repro.nn.network import Network
 from repro.polytope.polygon import polygon_area
+from repro.syrenn.regions import ragged_range
 
 #: Coordinates whose absolute value stays below this on every vertex of a
 #: polygon are not split on (they are numerically on the boundary already).
@@ -120,6 +121,15 @@ def transform_plane(network: Network, plane_vertices: np.ndarray) -> PlanePartit
 def transform_planes(network: Network, polygons: list[np.ndarray]) -> list[PlanePartition]:
     """``LinRegions(network, polygon)`` for every polygon of a batch, in order.
 
+    The per-region view of :func:`transform_plane_batch`: one
+    :class:`PlanePartition` per polygon, one :class:`PlaneRegion` per piece.
+    """
+    return transform_plane_batch(network, polygons).partitions()
+
+
+def transform_plane_batch(network: Network, polygons: list[np.ndarray]) -> PlaneBatch:
+    """``LinRegions(network, polygon)`` for every polygon of a batch, as one stack.
+
     Every live piece of every polygon sits in one ragged store (stacked
     vertex rows, CSR ``offsets``, an ``owner`` index back to the input
     polygon), so each layer runs **one** ``forward`` over the whole batch.
@@ -130,13 +140,14 @@ def transform_planes(network: Network, polygons: list[np.ndarray]) -> list[Plane
     piece and splices the children back in place.  Split order, vertex
     order and every keep/drop decision therefore match a polygon-at-a-time
     decomposition; the float bits match too wherever each layer's forward
-    is row-wise independent of batch height.
+    is row-wise independent of batch height.  The final store comes back
+    as it is, a :class:`PlaneBatch`.
     """
     _check_supported(network)
-    polygons = [_validated(network, vertices) for vertices in polygons]
+    polygons = _validated(network, polygons)
     with obs.span("syrenn.transform_planes", polygons=len(polygons)) as span:
-        partitions = _transform_stacked(network, polygons) if polygons else []
-        regions = sum(partition.num_regions for partition in partitions)
+        batch = _transform_stacked(network, polygons)
+        regions = batch.num_regions
         if isinstance(span, obs.Span):
             span.attributes["regions"] = regions
         if obs.enabled():
@@ -144,19 +155,80 @@ def transform_planes(network: Network, polygons: list[np.ndarray]) -> list[Plane
                 "repro_syrenn_regions_total",
                 "Linear regions returned by the 2-D SyReNN decomposition.",
             ).inc(regions)
-    return partitions
+    return batch
 
 
-def _validated(network: Network, plane_vertices) -> np.ndarray:
-    plane_vertices = np.asarray(plane_vertices, dtype=np.float64)
-    if plane_vertices.ndim != 2 or plane_vertices.shape[0] < 3:
-        raise ShapeError("plane_vertices must be a (k >= 3, n) array of polygon vertices")
-    if plane_vertices.shape[1] != network.input_size:
-        raise ShapeError(
-            f"plane vertices have dimension {plane_vertices.shape[1]}, "
-            f"network expects {network.input_size}"
-        )
-    return plane_vertices
+def _validated(network: Network, polygons) -> list[np.ndarray]:
+    polygons = [np.asarray(vertices, dtype=np.float64) for vertices in polygons]
+    dimension = network.input_size
+    for vertices in polygons:
+        shape = vertices.shape
+        if len(shape) != 2 or shape[0] < 3:
+            raise ShapeError("plane_vertices must be a (k >= 3, n) array of polygon vertices")
+        if shape[1] != dimension:
+            raise ShapeError(
+                f"plane vertices have dimension {shape[1]}, network expects {dimension}"
+            )
+    return polygons
+
+
+@dataclass(frozen=True, eq=False)
+class PlaneBatch:
+    """The linear regions of a batch of polygons, stacked row-wise.
+
+    Piece (linear region) ``p`` owns rows ``offsets[p]:offsets[p + 1]`` of
+    ``inputs`` (input-space vertices) and ``plane`` (the same vertices in
+    its polygon's 2-D plane coordinates), has the vertex centroid
+    ``interiors[p]`` and belongs to input polygon ``owner[p]``.  Polygon
+    ``q`` owns the contiguous pieces
+    ``polygon_offsets[q]:polygon_offsets[q + 1]``, in split order.  Every
+    array is read-only.
+    """
+
+    inputs: np.ndarray
+    plane: np.ndarray
+    offsets: np.ndarray
+    owner: np.ndarray
+    interiors: np.ndarray
+    polygon_offsets: np.ndarray
+
+    @property
+    def num_regions(self) -> int:
+        return self.owner.size
+
+    def parts(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every polygon's ``(vertices, offsets, interiors)``, in order.
+
+        Read-only views of the stack, with each polygon's CSR ``offsets``
+        counted from its own first row.
+        """
+        pieces = self.polygon_offsets
+        counts = np.diff(pieces)
+        # Each polygon's slice of ``offsets`` (its end included), rebased.
+        index = ragged_range(pieces[:-1], counts + 1)
+        local = self.offsets[index] - np.repeat(self.offsets[pieces[:-1]], counts + 1)
+        local.flags.writeable = False
+        inputs, interiors = self.inputs, self.interiors
+        rows, pieces = self.offsets[pieces].tolist(), pieces.tolist()
+        return [
+            (inputs[start:stop], local[first + polygon : last + polygon + 1], interiors[first:last])
+            for polygon, (start, stop, first, last) in enumerate(zip(rows, rows[1:], pieces, pieces[1:]))
+        ]
+
+    def partitions(self) -> list[PlanePartition]:
+        """One :class:`PlanePartition` per polygon, of views of the stack."""
+        partitions = [PlanePartition(regions=[]) for _ in range(self.polygon_offsets.size - 1)]
+        bounds = self.offsets.tolist()
+        for piece, owner in enumerate(self.owner.tolist()):
+            start, stop = bounds[piece], bounds[piece + 1]
+            partitions[owner].regions.append(
+                PlaneRegion(
+                    input_vertices=self.inputs[start:stop],
+                    plane_vertices=self.plane[start:stop],
+                    interior_point=self.interiors[piece],
+                )
+            )
+        return partitions
 
 
 @dataclass
@@ -176,8 +248,9 @@ class _PieceStack:
     owner: np.ndarray
 
 
-def _transform_stacked(network: Network, polygons: list[np.ndarray]) -> list[PlanePartition]:
-    inputs = np.vstack(polygons)
+def _transform_stacked(network: Network, polygons: list[np.ndarray]) -> PlaneBatch:
+    dimension = network.input_size
+    inputs = np.concatenate(polygons) if polygons else np.zeros((0, dimension))
     # Checked once for the whole batch, before the SVD of a polygon with a
     # NaN or infinite vertex fails with a LinAlgError.
     if not np.isfinite(inputs).all():
@@ -190,29 +263,27 @@ def _transform_stacked(network: Network, polygons: list[np.ndarray]) -> list[Pla
         offsets=offsets,
         owner=np.arange(len(polygons)),
     )
-    for layer in network.layers:
-        if layer.kind is LayerKind.ACTIVATION:
-            for threshold in layer.piecewise_breakpoints():
-                store = _split_straddling(store, threshold)
-        store.values = layer.forward(store.values)
+    if polygons:
+        for layer in network.layers:
+            if layer.kind is LayerKind.ACTIVATION:
+                for threshold in layer.piecewise_breakpoints():
+                    store = _split_straddling(store, threshold)
+            store.values = layer.forward(store.values)
 
-    # The regions are read-only views of the final stacked arrays, which
-    # nothing else holds.
-    interiors = _piece_centroids(store.inputs, store.offsets)
-    for array in (store.inputs, store.plane, interiors):
+    # Pieces stay in polygon order, so ``owner`` is sorted.
+    polygon_offsets = np.searchsorted(store.owner, np.arange(len(polygons) + 1))
+    batch = PlaneBatch(
+        inputs=store.inputs,
+        plane=store.plane,
+        offsets=store.offsets,
+        owner=store.owner,
+        interiors=_piece_centroids(store.inputs, store.offsets),
+        polygon_offsets=polygon_offsets,
+    )
+    # The arrays are the final store's, which nothing else holds.
+    for array in vars(batch).values():
         array.flags.writeable = False
-    partitions = [PlanePartition(regions=[]) for _ in polygons]
-    bounds = store.offsets.tolist()
-    for piece, owner in enumerate(store.owner.tolist()):
-        start, stop = bounds[piece], bounds[piece + 1]
-        partitions[owner].regions.append(
-            PlaneRegion(
-                input_vertices=store.inputs[start:stop],
-                plane_vertices=store.plane[start:stop],
-                interior_point=interiors[piece],
-            )
-        )
-    return partitions
+    return batch
 
 
 def _count_groups(offsets: np.ndarray):
@@ -290,13 +361,6 @@ def _straddle_matrix(shifted: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return (low < -SPLIT_TOLERANCE) & (high > SPLIT_TOLERANCE)
 
 
-def _ragged_range(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts + counts - ends, counts) + np.arange(total)
-
-
 def _following(offsets: np.ndarray) -> np.ndarray:
     """Each row's next vertex within its piece, wrapping around (CSR ``offsets``)."""
     following = np.arange(1, int(offsets[-1]) + 1)
@@ -344,7 +408,7 @@ def _nondegenerate(plane: np.ndarray, offsets: np.ndarray, reference: np.ndarray
     candidates = np.flatnonzero(keep)
     if candidates.size == 0:
         return keep
-    rows = _ragged_range(offsets[candidates], counts[candidates])
+    rows = ragged_range(offsets[candidates], counts[candidates])
     area, bound = _shoelace(plane[rows], np.concatenate([[0], np.cumsum(counts[candidates])]))
     cutoff = DEGENERATE_AREA * reference[candidates]
     keep[candidates] = area > cutoff
@@ -375,7 +439,7 @@ def _clip_coordinate(
     :func:`_straddle_matrix` rows.
     """
     counts = np.diff(store.offsets)[pieces]
-    rows = _ragged_range(store.offsets[pieces], counts)
+    rows = ragged_range(store.offsets[pieces], counts)
     local = np.concatenate([[0], np.cumsum(counts)])
     following = _following(local)
     value = store.values[rows, column] - threshold
@@ -429,13 +493,13 @@ def _clip_coordinate(
     parent = np.repeat(np.arange(num_pieces), 3)[present]
     is_child = np.tile([False, True, True], num_pieces)[present]
 
-    plane, inputs, values = (array[sources[_ragged_range(starts, lengths)]] for array in table)
+    plane, inputs, values = (array[sources[ragged_range(starts, lengths)]] for array in table)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     new_straddles = np.empty((lengths.size, straddles.shape[1]), dtype=bool)
     new_straddles[~is_child] = straddles[parent[~is_child]]
     children = np.flatnonzero(is_child)
     new_straddles[children] = _straddle_matrix(
-        values[_ragged_range(offsets[children], lengths[children])] - threshold,
+        values[ragged_range(offsets[children], lengths[children])] - threshold,
         np.concatenate([[0], np.cumsum(lengths[children])]),
     )
     return _PieceStack(plane, inputs, values, offsets, store.owner[parent]), new_straddles

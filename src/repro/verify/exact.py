@@ -4,9 +4,9 @@ Within one linear region of a piecewise-linear network, the output is an
 affine function of the input, so the largest violation of an output
 half-space constraint over the region is attained at one of the region's
 vertices.  Decomposing a specification region into linear regions
-(``transform_line``/``transform_planes`` — the SyReNN substrate) and checking
-every linear region's vertices therefore either *certifies* the region or
-produces a true counterexample, with nothing in between.
+(``transform_line``/``transform_plane_batch`` — the SyReNN substrate) and
+checking every linear region's vertices therefore either *certifies* the
+region or produces a true counterexample, with nothing in between.
 
 For Decoupled DNNs the decomposition runs on the **activation channel**
 (value-channel edits never move linear-region boundaries — Theorem 4.6), and
@@ -16,19 +16,30 @@ across region boundaries.  Since the activation channel is unchanged by
 repair, the decomposition of each specification region is cached across the
 repeated verification rounds of a repair driver.
 
-Every pass stacks the vertices of all linear regions of all spec regions
-(each row pinned to its region's interior) and evaluates them in one
-forward pass; all of a spec's uncached planes are decomposed by one batched
-``transform_planes`` call.  Decompositions are cached in a
-:class:`~repro.syrenn.cache.PartitionCache` keyed by ``(activation network
-fingerprint, geometry digest)``: a private memory-only one by default, or
-one shared with other verifiers (the repair daemon shares its disk-backed
-cache across jobs).
+A pass carries one immutable :class:`~repro.syrenn.regions.RegionBatch`
+from the substrate to the report: the vertex rows of every linear region of
+every spec region (CSR ``offsets``), one interior point per linear region
+and each spec region's share.  All of a spec's uncached planes are
+decomposed by one :func:`transform_plane_batch` call, whose stacked pieces
+are sliced straight into the batch; the report is one forward pass, one
+``violation_batch`` per distinct constraint and ``reduceat`` maxima, and it
+builds counterexample objects for the violating rows or linear regions
+only.
+
+Decompositions are cached in a :class:`~repro.syrenn.cache.PartitionCache`
+keyed by ``(activation network fingerprint, geometry digest)``: a private
+memory-only one by default, or one shared with other verifiers (the repair
+daemon shares its disk-backed cache across jobs).  A pass looks every spec
+region up with one ``get_many`` and stores what it decomposed with one
+``put_many``.  Each entry is one spec region's linear regions as three
+stacked arrays — ``vertices`` ``(v, n)``, ``offsets`` ``(k + 1,)`` and
+``interiors`` ``(k, n)`` — tagged ``format = "region-parts/1"``
+(:data:`~repro.syrenn.regions.PAYLOAD_FORMAT`); an entry without that tag
+(another format, or the per-region ``vertices_i``/``interior_i`` payloads
+of earlier versions) is a miss, and the fresh decomposition replaces it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +49,14 @@ from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
 from repro.syrenn.cache import PartitionCache
 from repro.syrenn.line import transform_line
-from repro.syrenn.plane import transform_planes
-from repro.syrenn.regions import LinearRegion
+from repro.syrenn.plane import transform_plane_batch
+from repro.syrenn.regions import (
+    RegionBatch,
+    RegionParts,
+    line_parts,
+    parts_payload,
+    payload_parts,
+)
 from repro.utils.serialization import network_fingerprint
 from repro.verify.base import (
     DEFAULT_TOLERANCE,
@@ -99,10 +116,10 @@ class SyrennVerifier(Verifier):
         self.region_counterexamples = region_counterexamples
         self.value_only_verifications = 0
         # Single-slot cache backing the value-only fast path: the previous
-        # pass's decomposition plus its vertex/activation stacks, keyed by
-        # (activation fingerprint, per-region geometry digests).  One slot
-        # suffices: a repair driver re-verifies the same spec every round.
-        self._value_only_slot: _RegionStack | None = None
+        # pass's batch, keyed by (activation fingerprint, per-region
+        # geometry digests).  One slot suffices: a repair driver re-verifies
+        # the same spec every round.
+        self._value_only_slot: tuple[tuple, RegionBatch] | None = None
 
     def verify(
         self, network: Network | DecoupledNetwork, spec: VerificationSpec
@@ -120,14 +137,15 @@ class SyrennVerifier(Verifier):
             # The regions' digests are computed once and kept on the regions.
             fingerprint = network_fingerprint(activation_network)
             fast_key = (fingerprint, tuple(entry.digest for entry in spec.regions))
-            stack = self._value_only_slot
-            value_only = stack is not None and stack.key == fast_key
+            slot = self._value_only_slot
+            value_only = slot is not None and slot[0] == fast_key
             if value_only:
                 self.value_only_verifications += 1
+                batch = slot[1]
             else:
-                decomposed = self._decompose_all(activation_network, fingerprint, spec.regions)
-                stack = self._value_only_slot = _RegionStack.build(fast_key, decomposed)
-            report = self._report(network, spec, stack, value_only)
+                batch = self._decompose_all(activation_network, fingerprint, spec.regions)
+                self._value_only_slot = (fast_key, batch)
+            report = self._report(network, spec, batch, value_only)
         report.seconds = span.wall_seconds
         return self._publish_report(report)
 
@@ -138,250 +156,185 @@ class SyrennVerifier(Verifier):
         self,
         network,
         spec: VerificationSpec,
-        stack: "_RegionStack",
+        batch: RegionBatch,
         value_only: bool,
     ) -> VerificationReport:
         """Verdicts, margins and counterexamples from one stacked evaluation.
 
-        All arithmetic is row-wise — one stacked forward pass, one
+        All arithmetic is row-wise: one stacked forward pass, one
         ``violation_batch`` per distinct output constraint over its regions'
         gathered rows, and per-region maxima via ``np.maximum.reduceat``
-        (max is exact, so the grouping cannot change any value) — and
-        counterexamples come out in stack order: spec regions, then linear
-        regions, then vertices.
+        (max is exact, so the grouping cannot change any value).
+        Counterexample objects are built for the violating rows (or linear
+        regions) only, in batch order: spec regions, then linear regions,
+        then vertices.
         """
-        outputs = self._evaluate_stacked(network, stack)
-        margins_all = np.empty(outputs.shape[0])
+        outputs = self._evaluate_stacked(network, batch)
+        margins_all = np.empty(batch.num_rows)
         # One batched margin computation per *distinct* constraint: the
         # strengthened ACAS specs reuse a handful of output polytopes across
-        # hundreds of regions, so this collapses the per-region Python loop
-        # into a few large matmuls.
-        groups: dict[bytes, tuple] = {}
-        for region_index, (entry, span) in enumerate(zip(spec.regions, stack.region_spans)):
-            if span is None or span[0] == span[1]:
-                continue
-            groups.setdefault(entry.constraint_key, (entry.constraint, []))[1].append(region_index)
-        # Rows ascend within a group, as the regions' spans do.
-        region_group = np.zeros(spec.num_regions, dtype=np.intp)
-        for group, (_, members) in enumerate(groups.values()):
-            region_group[members] = group
-        row_group = region_group[stack.row_region]
-        for group, (constraint, _) in enumerate(groups.values()):
-            rows = np.flatnonzero(row_group == group)
-            margins_all[rows] = constraint.violation_batch(outputs[rows])
+        # hundreds of regions, so a few large matmuls cover every row.
+        regions = spec.regions
+        keys = tuple(entry.constraint_key for entry in regions)
+        for first, rows in batch.grouped_rows(keys):
+            margins_all[rows] = regions[first].constraint.violation_batch(outputs[rows])
 
-        # A region with no linear regions has nothing to violate: margin -inf
-        # and certified.  ``reduceat`` has no empty slices (it would return
-        # the next row's value), so only non-empty spans go through it.
-        statuses: list[RegionStatus] = [RegionStatus.UNKNOWN] * spec.num_regions
-        margins: list[float] = [float("-inf")] * spec.num_regions
-        nonempty = []
-        for region_index, span in enumerate(stack.region_spans):
-            if span is None:
-                continue
-            statuses[region_index] = RegionStatus.CERTIFIED
-            if span[0] < span[1]:
-                nonempty.append(region_index)
-        if nonempty:
-            starts = np.array([stack.region_spans[i][0] for i in nonempty])
-            region_maxes = np.maximum.reduceat(margins_all, starts)
-            for position, region_index in enumerate(nonempty):
-                margin = float(region_maxes[position])
-                margins[region_index] = margin
-                if margin > self.tolerance:
-                    statuses[region_index] = RegionStatus.VIOLATED
+        # A region with no linear regions has nothing to violate: margin
+        # -inf and certified.  An undecomposed one is unknown.
+        region_margins = np.full(spec.num_regions, -np.inf)
+        nonempty, starts = batch.region_starts
+        if nonempty.size:
+            region_margins[nonempty] = np.maximum.reduceat(margins_all, starts)
+        codes = np.where(batch.decomposed, 1 + (region_margins > self.tolerance), 0)
+        statuses = [_STATUSES[code] for code in codes.tolist()]
 
         counterexamples: list[Counterexample] = []
+        vertices, offsets = batch.vertices, batch.offsets
         if self.region_counterexamples:
-            # One counterexample per violating *linear region*: its rows are
-            # the contiguous spans of the row → interior mapping.  One
-            # ``reduceat`` finds the violating ones (a NaN maximum counts as
-            # violating, as ``argmax`` would pick it).
-            spans = contiguous_spans(stack.row_interior)
-            span_starts = np.array([start for start, _ in spans], dtype=np.intp)
-            worst_margins = np.maximum.reduceat(margins_all, span_starts)
-            for index in np.flatnonzero(~(worst_margins <= self.tolerance)).tolist():
-                span_start, span_stop = spans[index]
-                span_margins = margins_all[span_start:span_stop]
-                worst = int(np.argmax(span_margins))
-                region_index = int(stack.row_region[span_start])
-                counterexamples.append(
-                    RegionCounterexample(
-                        point=stack.vertices[span_start + worst].copy(),
-                        constraint=spec.regions[region_index].constraint,
-                        margin=float(span_margins[worst]),
-                        region_index=region_index,
-                        activation_point=stack.interiors[
-                            stack.row_interior[span_start]
-                        ].copy(),
-                        vertices=stack.vertices[span_start:span_stop].copy(),
+            # One counterexample per violating *linear region*, found by one
+            # ``reduceat`` (a NaN maximum counts as violating, as ``argmax``
+            # would pick it), at its worst vertex.
+            if batch.num_linear_regions:
+                worst_margins = np.maximum.reduceat(margins_all, offsets[:-1])
+                linear = np.flatnonzero(~(worst_margins <= self.tolerance))
+                worst = _worst_rows(margins_all, offsets[linear], offsets[linear + 1])
+                bounds = offsets.tolist()
+                for index, point, activation, margin, region_index in zip(
+                    linear.tolist(),
+                    vertices[worst],
+                    batch.interiors[linear],
+                    margins_all[worst].tolist(),
+                    batch.owner[linear].tolist(),
+                ):
+                    counterexamples.append(
+                        RegionCounterexample(
+                            point=point,
+                            constraint=regions[region_index].constraint,
+                            margin=margin,
+                            region_index=region_index,
+                            activation_point=activation,
+                            vertices=vertices[bounds[index] : bounds[index + 1]].copy(),
+                        )
                     )
-                )
         else:
-            for row in np.where(margins_all > self.tolerance)[0]:
-                region_index = int(stack.row_region[row])
+            rows = np.flatnonzero(margins_all > self.tolerance)
+            linear = np.searchsorted(offsets, rows, side="right") - 1
+            for point, activation, margin, region_index in zip(
+                vertices[rows],
+                batch.interiors[linear],
+                margins_all[rows].tolist(),
+                batch.row_region[rows].tolist(),
+            ):
                 counterexamples.append(
                     Counterexample(
-                        point=stack.vertices[row].copy(),
-                        constraint=spec.regions[region_index].constraint,
-                        margin=float(margins_all[row]),
+                        point=point,
+                        constraint=regions[region_index].constraint,
+                        margin=margin,
                         region_index=region_index,
-                        activation_point=stack.interiors[stack.row_interior[row]].copy(),
+                        activation_point=activation,
                     )
                 )
         return VerificationReport(
             verifier=self.name,
             region_statuses=statuses,
-            region_margins=margins,
+            region_margins=region_margins.tolist(),
             counterexamples=counterexamples,
-            points_checked=int(stack.vertices.shape[0]),
-            linear_regions_checked=len(stack.interiors),
+            points_checked=batch.num_rows,
+            linear_regions_checked=batch.num_linear_regions,
             value_only=value_only,
         )
 
     # ------------------------------------------------------------------
-    def _evaluate_stacked(self, network, stack: "_RegionStack") -> np.ndarray:
+    def _evaluate_stacked(self, network, batch: RegionBatch) -> np.ndarray:
         """Outputs for every stacked vertex, with per-row pinned activations."""
-        if stack.vertices.shape[0] == 0:
+        if batch.num_rows == 0:
             return np.zeros((0, network.output_size))
         if isinstance(network, DecoupledNetwork):
-            return np.atleast_2d(network.compute(stack.vertices, stack.activations))
-        return np.atleast_2d(network.compute(stack.vertices))
+            return np.atleast_2d(network.compute(batch.vertices, batch.activations))
+        return np.atleast_2d(network.compute(batch.vertices))
 
     def _decompose_all(
         self, activation_network: Network, fingerprint: str, regions: list[SpecRegion]
-    ) -> list[list[LinearRegion] | None]:
-        """Linear regions per spec region (``None`` for 3D+ boxes).
+    ) -> RegionBatch:
+        """Every spec region's linear regions, gathered in spec order.
 
-        Every uncached plane region goes through one batched
-        :func:`transform_planes` call; segments and single points are
-        decomposed one at a time.  ``fingerprint`` is the activation
-        network's, the first half of every cache key; the second is the
-        region's cached geometry digest.
+        One :meth:`PartitionCache.get_many` looks every region up; every
+        uncached plane goes through one batched :func:`transform_plane_batch`
+        call (equal geometries once), segments through
+        :func:`transform_line` one at a time, and single points are their
+        own linear region.  One :meth:`PartitionCache.put_many` stores what
+        was decomposed, and one :meth:`RegionBatch.gather` stacks it all.
+        ``fingerprint`` is the activation network's, the first half of
+        every cache key; the second is the region's cached geometry digest.
         """
-        decomposed: list[list[LinearRegion] | None] = [None] * len(regions)
-        normalized = [entry.normalized for entry in regions]
-        keys: dict[int, tuple] = {}
-        planes: dict = {}
-        for index, region in enumerate(normalized):
+        sources: list[RegionParts] = []
+        picks: list[tuple[int, int, int] | None] = [None] * len(regions)
+
+        def whole(parts: RegionParts) -> tuple[int, int, int]:
+            sources.append(parts)
+            return len(sources) - 1, 0, parts[2].shape[0]
+
+        points: list[int] = []
+        lookups: list[tuple[int, str]] = []
+        for index, entry in enumerate(regions):
+            region = entry.normalized
             if region is None:
                 continue
             if not isinstance(region, LineSegment) and region.ndim == 1:
-                # A fully degenerate box: a single point is its own linear region.
-                decomposed[index] = [LinearRegion(vertices=region[None, :], interior=region)]
-                continue
-            key = keys[index] = (fingerprint, regions[index].digest)
-            cached = self._lookup(key)
-            if cached is not None:
-                decomposed[index] = cached
-            elif isinstance(region, LineSegment):
-                pieces = transform_line(activation_network, region).regions
-                decomposed[index] = self._remember(
-                    key, [LinearRegion(piece.vertices, piece.interior_point) for piece in pieces]
-                )
+                points.append(index)
             else:
-                # Equal geometries in one spec decompose once.
-                planes.setdefault(key, []).append(index)
-        groups = list(planes.values())
-        if groups:
-            partitions = transform_planes(
-                activation_network, [normalized[group[0]] for group in groups]
-            )
-            for group, partition in zip(groups, partitions):
-                linear_regions = self._remember(
-                    keys[group[0]],
-                    [LinearRegion(piece.input_vertices, piece.interior_point) for piece in partition.regions],
-                )
-                for index in group:
-                    decomposed[index] = linear_regions
-        return decomposed
-
-    def _lookup(self, key: tuple) -> list[LinearRegion] | None:
-        payload = self.cache.get(key)
-        # A payload this verifier did not write (another format sharing the
-        # directory) is a miss: the fresh decomposition replaces it in memory.
-        if payload is None or "num_regions" not in payload:
-            return None
-        return [
-            LinearRegion(payload[f"vertices_{index}"], payload[f"interior_{index}"])
-            for index in range(int(payload["num_regions"]))
-        ]
-
-    def _remember(self, key: tuple, linear_regions: list[LinearRegion]) -> list[LinearRegion]:
-        payload = {"num_regions": len(linear_regions)}
-        for index, region in enumerate(linear_regions):
-            payload[f"vertices_{index}"] = region.vertices
-            payload[f"interior_{index}"] = region.interior
-        self.cache.put(key, payload)
-        return linear_regions
-
-
-def contiguous_spans(ids) -> list[tuple[int, int]]:
-    """``(start, stop)`` spans of equal consecutive values in ``ids``.
-
-    Recovers the grouping already present in a stacked result: which rows
-    of a vertex stack belong to the same linear region.
-    """
-    ids = np.asarray(ids)
-    if ids.size == 0:
-        return []
-    boundaries = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [ids.size]])
-    return list(zip(starts.tolist(), stops.tolist()))
-
-
-@dataclass
-class _RegionStack:
-    """A spec's linear regions stacked row-wise for one batched evaluation.
-
-    Rows follow spec regions in order, linear regions in order, vertices in
-    order, so batched results map back by row index.  ``row_region`` /
-    ``row_interior`` resolve a row to its spec region and its linear
-    region's interior point; unsupported (3D+ box) regions have a ``None``
-    span and contribute no rows.  The value-only fast path keeps the last
-    stack, keyed by ``key``.
-    """
-
-    key: tuple
-    vertices: np.ndarray
-    activations: np.ndarray
-    region_spans: list[tuple[int, int] | None]
-    row_region: np.ndarray
-    row_interior: np.ndarray
-    interiors: list[np.ndarray]
-
-    @classmethod
-    def build(cls, key: tuple, decomposed: list) -> "_RegionStack":
-        region_spans: list[tuple[int, int] | None] = []
-        flat: list[LinearRegion] = []
-        owners: list[int] = []
-        cursor = 0
-        for region_index, linear_regions in enumerate(decomposed):
-            if linear_regions is None:
-                region_spans.append(None)
-                continue
-            span_start = cursor
-            for linear_region in linear_regions:
-                flat.append(linear_region)
-                owners.append(region_index)
-                cursor += linear_region.vertices.shape[0]
-            region_spans.append((span_start, cursor))
-        interiors = [linear_region.interior for linear_region in flat]
-        if flat:
-            counts = np.array([linear_region.vertices.shape[0] for linear_region in flat])
-            vertices = np.vstack([linear_region.vertices for linear_region in flat])
-            activations = np.repeat(np.array(interiors), counts, axis=0)
-        else:
-            counts = np.zeros(0, dtype=int)
-            vertices = np.zeros((0, 0))
-            activations = np.zeros((0, 0))
-        return cls(
-            key=key,
-            vertices=vertices,
-            activations=activations,
-            region_spans=region_spans,
-            row_region=np.repeat(np.array(owners, dtype=int), counts),
-            row_interior=np.repeat(np.arange(len(flat)), counts),
-            interiors=interiors,
+                lookups.append((index, entry.digest))
+        if points:
+            # Every single point is its own linear region: one source for all.
+            stacked = np.stack([regions[index].normalized for index in points])
+            source = whole((stacked, np.arange(len(points) + 1), stacked))[0]
+            for position, index in enumerate(points):
+                picks[index] = (source, position, position + 1)
+        found = self.cache.get_many(
+            [(fingerprint, digest) for _, digest in lookups], decode=payload_parts
         )
+        fresh: dict[str, RegionParts] = {}
+        planes: dict[str, list[int]] = {}
+        for (index, digest), cached in zip(lookups, found):
+            region = regions[index].normalized
+            if cached is not None:
+                picks[index] = whole(cached)
+            elif digest in fresh:
+                picks[index] = whole(fresh[digest])
+            elif isinstance(region, LineSegment):
+                fresh[digest] = line_parts(transform_line(activation_network, region))
+                picks[index] = whole(fresh[digest])
+            else:
+                planes.setdefault(digest, []).append(index)
+        if planes:
+            polygons = [regions[group[0]].normalized for group in planes.values()]
+            batch = transform_plane_batch(activation_network, polygons)
+            source = whole((batch.inputs, batch.offsets, batch.interiors))[0]
+            bounds = batch.polygon_offsets.tolist()
+            for (digest, group), parts, start, stop in zip(planes.items(), batch.parts(), bounds, bounds[1:]):
+                fresh[digest] = parts
+                for index in group:
+                    picks[index] = (source, start, stop)
+        if fresh:
+            self.cache.put_many(
+                [((fingerprint, digest), parts_payload(parts)) for digest, parts in fresh.items()]
+            )
+        return RegionBatch.gather(sources, picks, activation_network.input_size)
+
+
+def _worst_rows(margins: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Each span's ``argmax`` row (the first maximum, or the first NaN).
+
+    One 2-D ``argmax`` per distinct span length, which picks exactly what
+    each span's own ``argmax`` picks.
+    """
+    counts = stops - starts
+    worst = np.empty(counts.size, dtype=np.intp)
+    for count in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == count)
+        rows = starts[members, None] + np.arange(count)
+        worst[members] = rows[np.arange(members.size), np.argmax(margins[rows], axis=1)]
+    return worst
+
+
+_STATUSES = (RegionStatus.UNKNOWN, RegionStatus.CERTIFIED, RegionStatus.VIOLATED)

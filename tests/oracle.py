@@ -43,14 +43,13 @@ from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.polygon import polygon_area
 from repro.polytope.segment import LineSegment
-from repro.syrenn.line import transform_line
+from repro.syrenn.line import RATIO_TOLERANCE, transform_line
 from repro.syrenn.plane import (
     SPLIT_TOLERANCE,
     PlanePartition,
     PlaneRegion,
     _check_supported,
 )
-from repro.syrenn.regions import LinearRegion
 from repro.verify.base import (
     DEFAULT_TOLERANCE,
     Counterexample,
@@ -686,23 +685,62 @@ def _oracle_split_one(
     return pending
 
 
+def oracle_insert_crossings(
+    ratios: np.ndarray, values: np.ndarray, breakpoints: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`repro.syrenn.line._insert_crossings`, one piece and breakpoint at a time."""
+    new_ratios: list[float] = []
+    for index in range(ratios.size - 1):
+        left_value, right_value = values[index], values[index + 1]
+        left_ratio, right_ratio = ratios[index], ratios[index + 1]
+        span = right_ratio - left_ratio
+        if span <= RATIO_TOLERANCE:
+            continue
+        for threshold in breakpoints:
+            left_side = left_value - threshold
+            right_side = right_value - threshold
+            crossing = (left_side > 0) != (right_side > 0)
+            crossing &= np.abs(left_side - right_side) > 0
+            if not np.any(crossing):
+                continue
+            fractions = left_side[crossing] / (left_side[crossing] - right_side[crossing])
+            for fraction in fractions:
+                if RATIO_TOLERANCE < fraction < 1.0 - RATIO_TOLERANCE:
+                    new_ratios.append(float(left_ratio + fraction * span))
+    if not new_ratios:
+        return ratios, values
+    merged = np.unique(np.concatenate([ratios, np.array(new_ratios)]))
+    keep = np.concatenate([[True], np.diff(merged) > RATIO_TOLERANCE])
+    return merged[keep], None
+
+
 # ----------------------------------------------------------------------
 # Exact verification, one linear region at a time
 # ----------------------------------------------------------------------
-def _oracle_linear_regions(activation_network, region) -> list[LinearRegion]:
+def _oracle_linear_regions(activation_network, region) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(vertices, interior)`` of each linear region, from the per-region objects."""
     if isinstance(region, LineSegment):
         partition = transform_line(activation_network, region)
-        return [
-            LinearRegion(vertices=piece.vertices, interior=piece.interior_point)
-            for piece in partition.regions
-        ]
+        return [(piece.vertices, piece.interior_point) for piece in partition.regions]
     if isinstance(region, np.ndarray) and region.ndim == 1:
-        return [LinearRegion(vertices=region[None, :], interior=region)]
+        return [(region[None, :], region)]
     partition = oracle_transform_plane(activation_network, region)
-    return [
-        LinearRegion(vertices=piece.input_vertices, interior=piece.interior_point)
-        for piece in partition.regions
-    ]
+    return [(piece.input_vertices, piece.interior_point) for piece in partition.regions]
+
+
+def contiguous_spans(ids) -> list[tuple[int, int]]:
+    """``(start, stop)`` spans of equal consecutive values in ``ids``.
+
+    Recovers the grouping already present in a stacked result: which rows
+    of a vertex stack belong to the same linear region.
+    """
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        return []
+    boundaries = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    starts = np.concatenate([[0], boundaries])
+    stops = np.concatenate([boundaries, [ids.size]])
+    return list(zip(starts.tolist(), stops.tolist()))
 
 
 def oracle_verify(
@@ -737,9 +775,9 @@ def oracle_verify(
         linear_regions_checked += len(linear_regions)
         region_margin = float("-inf")
         region_violated = False
-        for linear_region in linear_regions:
-            points_checked += linear_region.vertices.shape[0]
-            outputs = Verifier._evaluate(network, linear_region.vertices, linear_region.interior)
+        for vertices, interior in linear_regions:
+            points_checked += vertices.shape[0]
+            outputs = Verifier._evaluate(network, vertices, interior)
             vertex_margins = entry.constraint.violation_batch(outputs)
             region_margin = max(region_margin, float(np.max(vertex_margins)))
             violating = np.where(vertex_margins > tolerance)[0]
@@ -750,23 +788,23 @@ def oracle_verify(
                 worst = int(np.argmax(vertex_margins))
                 counterexamples.append(
                     RegionCounterexample(
-                        point=linear_region.vertices[worst].copy(),
+                        point=vertices[worst].copy(),
                         constraint=entry.constraint,
                         margin=float(vertex_margins[worst]),
                         region_index=region_index,
-                        activation_point=linear_region.interior.copy(),
-                        vertices=linear_region.vertices.copy(),
+                        activation_point=interior.copy(),
+                        vertices=vertices.copy(),
                     )
                 )
                 continue
             for vertex_index in violating:
                 counterexamples.append(
                     Counterexample(
-                        point=linear_region.vertices[vertex_index].copy(),
+                        point=vertices[vertex_index].copy(),
                         constraint=entry.constraint,
                         margin=float(vertex_margins[vertex_index]),
                         region_index=region_index,
-                        activation_point=linear_region.interior.copy(),
+                        activation_point=interior.copy(),
                     )
                 )
         statuses.append(RegionStatus.VIOLATED if region_violated else RegionStatus.CERTIFIED)

@@ -190,13 +190,14 @@ class TestSyrennWorkCounters:
                 return _forward(values)
 
             monkeypatch.setattr(layer, "forward", counting)
-        transform_planes, clip = exact_module.transform_planes, plane_module._clip_coordinate
+        transform_plane_batch = exact_module.transform_plane_batch
+        clip = plane_module._clip_coordinate
 
         def counted_transform(*args, **kwargs):
             state["calls"] += 1
             state["inside"] = True
             try:
-                return transform_planes(*args, **kwargs)
+                return transform_plane_batch(*args, **kwargs)
             finally:
                 state["inside"] = False
 
@@ -204,7 +205,7 @@ class TestSyrennWorkCounters:
             state["clips"] += 1
             return clip(*args, **kwargs)
 
-        monkeypatch.setattr(exact_module, "transform_planes", counted_transform)
+        monkeypatch.setattr(exact_module, "transform_plane_batch", counted_transform)
         monkeypatch.setattr(plane_module, "_clip_coordinate", counted_clip)
         report = SyrennVerifier().verify(network, spec)
         assert spec.num_regions > 1
@@ -222,7 +223,7 @@ class TestSpecPreparedOnce:
     Normalization, geometry digest and input dimension are cached on the
     immutable :class:`~repro.verify.base.SpecRegion`, so the driver's
     repeated verifier passes (and the dimension checks in front of them)
-    never recompute them; ``transform_planes`` takes one stacked SVD per
+    never recompute them; ``transform_plane_batch`` takes one stacked SVD per
     distinct vertex count, not one per polygon.
     """
 
@@ -257,7 +258,7 @@ class TestSpecPreparedOnce:
         monkeypatch.setattr(
             base_module, "_region_dimension", counting("dimension", base_module._region_dimension)
         )
-        svd, transform_planes = np.linalg.svd, exact_module.transform_planes
+        svd, transform_plane_batch = np.linalg.svd, exact_module.transform_plane_batch
         svds = {"inside": False, "calls": 0, "expected": 0}
 
         def counted_svd(*args, **kwargs):
@@ -268,12 +269,12 @@ class TestSpecPreparedOnce:
             svds["expected"] += len({np.shape(polygon)[0] for polygon in polygons})
             svds["inside"] = True
             try:
-                return transform_planes(network, polygons)
+                return transform_plane_batch(network, polygons)
             finally:
                 svds["inside"] = False
 
         monkeypatch.setattr(plane_module.np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(exact_module, "transform_planes", counted_transform)
+        monkeypatch.setattr(exact_module, "transform_plane_batch", counted_transform)
         config = DriverConfig(mode="polytope", max_rounds=10, max_new_counterexamples=4)
         report = RepairDriver(network, spec, SyrennVerifier(), config=config).run()
 

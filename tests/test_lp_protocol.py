@@ -49,12 +49,18 @@ class RecordingHighs:
 
     log: list = []
     reject: set = set()
+    #: The options object of every ``passOptions`` call (kept out of ``log``).
+    options: list = []
 
     def __init__(self) -> None:
         self._highs = _core._Highs()
 
     def __getattr__(self, name):
         return getattr(self._highs, name)
+
+    def passOptions(self, options):
+        self.options.append(options)
+        return self._highs.passOptions(options)
 
     def passModel(self, lp):
         matrix = lp.a_matrix_
@@ -104,6 +110,7 @@ def recording(monkeypatch):
     """Record every HiGHS call of the sessions built inside the test."""
     monkeypatch.setattr(RecordingHighs, "log", [])
     monkeypatch.setattr(RecordingHighs, "reject", set())
+    monkeypatch.setattr(RecordingHighs, "options", [])
     monkeypatch.setattr(scipy_backend, "_Highs", RecordingHighs)
     return RecordingHighs
 
@@ -290,6 +297,36 @@ class TestFallbacks:
         assert solution.objective == pytest.approx(
             solve_cold(session.standard_form()).objective, rel=1e-9
         )
+
+
+def option_values(options) -> dict:
+    """Every HiGHS option ``options`` holds, by name."""
+    return {name: getattr(options, name) for name in dir(options) if not name.startswith("_")}
+
+
+class TestOptionsBuiltOnce:
+    def test_every_load_passes_the_one_unchanged_options_object(
+        self, rng, recording, monkeypatch
+    ):
+        """Cold loads, a reload after rejected rows and later sessions share one options object."""
+        small_limits(monkeypatch)
+        options = scipy_backend._OPTIONS
+        before = option_values(options)
+        assert before == option_values(scipy_backend._options())
+        assert len(before) > 50
+        for session_index in range(3):
+            session = repair_session(rng)
+            assert session.solve().status is LPStatus.OPTIMAL
+            session.append_rows([random_rows(rng, 20)])
+            if session_index == 1:
+                recording.reject.add("addRows")  # the next solve reloads cold
+            assert session.solve().status is LPStatus.OPTIMAL
+        loads = sum(kind == "passModel" for kind, _ in recording.log)
+        assert loads == 4
+        assert len(recording.options) == loads
+        assert all(passed is options for passed in recording.options)
+        assert scipy_backend._OPTIONS is options
+        assert option_values(options) == before
 
 
 class TestNoSparseMatricesInTheResolveLoop:

@@ -20,6 +20,8 @@ from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 from repro.syrenn.cache import PartitionCache
+from repro.syrenn.regions import payload_parts
+from repro.utils.serialization import load_arrays
 from repro.verify import SyrennVerifier, VerificationSpec
 
 
@@ -85,17 +87,17 @@ def mixed_spec() -> VerificationSpec:
 def decompositions(monkeypatch) -> dict[str, int]:
     """Count the verifier's calls into the SyReNN substrate."""
     calls = {"planes": 0, "lines": 0}
-    transform_planes, transform_line = exact.transform_planes, exact.transform_line
+    transform_plane_batch, transform_line = exact.transform_plane_batch, exact.transform_line
 
     def counted_planes(*args, **kwargs):
         calls["planes"] += 1
-        return transform_planes(*args, **kwargs)
+        return transform_plane_batch(*args, **kwargs)
 
     def counted_line(*args, **kwargs):
         calls["lines"] += 1
         return transform_line(*args, **kwargs)
 
-    monkeypatch.setattr(exact, "transform_planes", counted_planes)
+    monkeypatch.setattr(exact, "transform_plane_batch", counted_planes)
     monkeypatch.setattr(exact, "transform_line", counted_line)
     return calls
 
@@ -169,3 +171,58 @@ class TestVerifierCache:
         second = reader.verify(plane_network, mixed_spec)
         assert decompositions == {"planes": 2, "lines": 2}
         assert_reports_identical(first, second)
+
+    @pytest.mark.parametrize("foreign", ["ratios", "per_region"])
+    def test_undecodable_disk_payload_is_replaced(
+        self, plane_network, mixed_spec, tmp_path, decompositions, foreign
+    ):
+        """A file the verifier cannot decode is a miss, and the fresh decomposition replaces it.
+
+        ``per_region`` is the format before stacked payloads: a
+        ``num_regions`` count and one ``vertices_i``/``interior_i`` pair per
+        linear region.
+        """
+        first = SyrennVerifier(cache=PartitionCache(directory=tmp_path)).verify(
+            plane_network, mixed_spec
+        )
+        for path in tmp_path.iterdir():
+            vertices, offsets, interiors = payload_parts(load_arrays(path))
+            if foreign == "ratios":
+                np.savez(path, ratios=np.array([0.0, 1.0]))
+                continue
+            old = {"num_regions": np.array(interiors.shape[0])}
+            for index, interior in enumerate(interiors):
+                old[f"vertices_{index}"] = vertices[offsets[index] : offsets[index + 1]]
+                old[f"interior_{index}"] = interior
+            np.savez(path, **old)
+        reader = PartitionCache(directory=tmp_path)
+        second = SyrennVerifier(cache=reader).verify(plane_network, mixed_spec)
+        assert decompositions == {"planes": 2, "lines": 2}
+        assert reader.stats.disk.hits == 0 and reader.stats.misses == 3
+        assert reader.stats.disk.puts == 3
+        # Another process-like cache over the directory now hits every
+        # region and decomposes nothing.
+        again = PartitionCache(directory=tmp_path)
+        third = SyrennVerifier(cache=again).verify(plane_network, mixed_spec)
+        assert decompositions == {"planes": 2, "lines": 2}
+        assert again.stats.disk.hits == 3 and again.stats.misses == 0
+        assert_reports_identical(first, second)
+        assert_reports_identical(first, third)
+
+    def test_undecodable_memory_payload_is_replaced(
+        self, plane_network, mixed_spec, decompositions
+    ):
+        cache = PartitionCache(disk=False)
+        first = SyrennVerifier(cache=cache).verify(plane_network, mixed_spec)
+        for key in cache.memory_keys():
+            cache.put(key, payload(0.5))
+        second = SyrennVerifier(cache=cache).verify(plane_network, mixed_spec)
+        assert decompositions == {"planes": 2, "lines": 2}
+        assert cache.stats.memory.misses == 6 and cache.stats.memory.hits == 0
+        assert all(payload_parts(cache.get(key)) is not None for key in cache.memory_keys())
+        hits = cache.stats.memory.hits
+        third = SyrennVerifier(cache=cache).verify(plane_network, mixed_spec)
+        assert decompositions == {"planes": 2, "lines": 2}
+        assert cache.stats.memory.hits - hits == 3
+        assert_reports_identical(first, second)
+        assert_reports_identical(first, third)

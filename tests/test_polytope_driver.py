@@ -48,9 +48,8 @@ from repro.verify import (
     SyrennVerifier,
     VerificationSpec,
 )
-from repro.verify.exact import contiguous_spans
 from tests.conftest import lp_solver, make_random_relu_network
-from tests.oracle import oracle_point_repair, oracle_verify
+from tests.oracle import contiguous_spans, oracle_point_repair, oracle_verify
 
 CONSTRAINT = HPolytope([[1.0, 0.0]], [0.5])
 
@@ -261,9 +260,11 @@ class TestKeyPointReduction:
         key_points, activations, constraints = reduce_to_key_points(network, spec)
         rebuilt_points, rebuilt_activations = [], []
         for entry in spec.entries:
-            for region in decompose_spec_entries(network, [entry.region])[0]:
+            batch = decompose_spec_entries(network, [entry.region])
+            bounds = batch.offsets.tolist()
+            for region, interior in enumerate(batch.interiors):
                 points, acts, cons = region_key_points(
-                    region.vertices, region.interior, entry.constraint
+                    batch.vertices[bounds[region] : bounds[region + 1]], interior, entry.constraint
                 )
                 rebuilt_points.extend(points)
                 rebuilt_activations.extend(acts)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.obs as obs
+import repro.syrenn.line as line_module
 import repro.syrenn.plane as plane_module
 from repro.exceptions import NotPiecewiseLinearError, ShapeError
 from repro.nn.activations import HardTanhLayer, LeakyReLULayer, ReLULayer
@@ -14,11 +15,11 @@ from repro.nn.layer import LayerKind
 from repro.nn.linear import FullyConnectedLayer
 from repro.nn.network import Network
 from repro.polytope.segment import LineSegment
-from repro.syrenn.line import transform_line
+from repro.syrenn.line import RATIO_TOLERANCE, transform_line
 from repro.syrenn.plane import transform_plane, transform_planes
 from repro.utils.rng import ensure_rng
 from tests.conftest import make_random_relu_network, make_random_tanh_network
-from tests.oracle import _plane_coordinates, oracle_transform_plane
+from tests.oracle import _plane_coordinates, oracle_insert_crossings, oracle_transform_plane
 
 
 class TestTransformLine:
@@ -471,3 +472,61 @@ class TestTransformPlanesOracle:
         assert counted["repro_syrenn_regions_total"]["series"] == [
             {"labels": {}, "value": float(regions)}
         ]
+
+
+class TestInsertCrossingsOracleProperty:
+    """The vectorized breakpoint insertion against the per-piece loop, bit for bit.
+
+    ``_insert_crossings`` takes every (piece, coordinate, breakpoint) at
+    once; ``oracle_insert_crossings`` loops over pieces and breakpoints.
+    Both must return the same ratios, whether reached through
+    ``transform_line`` on random PWL networks or handed values that sit
+    exactly on a breakpoint and pieces narrower than ``RATIO_TOLERANCE``.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        activation=st.sampled_from(sorted(ACTIVATIONS)),
+        depth=st.integers(1, 3),
+    )
+    def test_transform_line_calls_match_oracle(self, seed, activation, depth):
+        rng = ensure_rng(seed)
+        dim = int(rng.integers(1, 6))
+        sizes = (dim, *rng.integers(2, 11, size=depth).tolist(), 3)
+        network = make_pwl_network(rng, sizes, activation, scale=2.0)
+        segment = LineSegment(rng.normal(size=dim), rng.normal(size=dim))
+        original, calls = line_module._insert_crossings, []
+
+        def checked(ratios, values, breakpoints):
+            expected = oracle_insert_crossings(ratios, values, breakpoints)
+            actual = original(ratios, values, breakpoints)
+            assert actual[0].tobytes() == expected[0].tobytes()
+            assert (actual[1] is None) == (expected[1] is None)
+            calls.append(actual[0].size)
+            return actual
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(line_module, "_insert_crossings", checked)
+            partition = transform_line(network, segment)
+        assert len(calls) == depth
+        assert partition.ratios.size == calls[-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        pieces=st.integers(1, 12),
+        width=st.integers(1, 6),
+        breakpoints=st.sampled_from([(0.0,), (-1.0, 1.0)]),
+    )
+    def test_edge_values_match_oracle(self, seed, pieces, width, breakpoints):
+        rng = ensure_rng(seed)
+        steps = rng.choice([0.0, 0.5 * RATIO_TOLERANCE, RATIO_TOLERANCE, 1e-3, 0.3], size=pieces)
+        ratios = np.concatenate([[0.0], np.cumsum(steps)])
+        pool = np.array([*breakpoints, 0.0, -0.0, 1e-12, -2.0, 2.0, 0.5])
+        values = pool[rng.integers(0, pool.size, size=(pieces + 1, width))]
+        values = values + (rng.random(values.shape) < 0.3) * rng.normal(size=values.shape)
+        expected = oracle_insert_crossings(ratios, values, breakpoints)
+        actual = line_module._insert_crossings(ratios, values, breakpoints)
+        assert actual[0].tobytes() == expected[0].tobytes()
+        assert (actual[1] is None) == (expected[1] is None)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 from repro.syrenn.cache import PartitionCache
+from repro.syrenn.regions import RegionBatch
 from repro.verify import (
     Box,
     Counterexample,
@@ -33,7 +36,7 @@ from repro.verify import (
 )
 from repro.verify.sampling import _box_lattice
 from tests.conftest import make_random_relu_network
-from tests.oracle import oracle_sampling_verify, oracle_verify
+from tests.oracle import contiguous_spans, oracle_sampling_verify, oracle_verify
 
 @pytest.fixture
 def plane_network(rng) -> Network:
@@ -351,6 +354,19 @@ class TestSyrennVerifier:
         assert after.certified
 
 
+def region_parts(batch: RegionBatch, index: int):
+    """Spec region ``index``'s ``(vertices, offsets, interiors)`` in ``batch``."""
+    if not batch.decomposed[index]:
+        return None
+    first, last = batch.region_offsets[index], batch.region_offsets[index + 1]
+    offsets = batch.offsets[first : last + 1]
+    return (
+        batch.vertices[offsets[0] : offsets[-1]],
+        offsets - offsets[0],
+        batch.interiors[first:last],
+    )
+
+
 class TestStackedReport:
     """The single stacked evaluation against the per-linear-region oracle."""
 
@@ -416,9 +432,13 @@ class TestStackedReport:
         decompose_all = verifier._decompose_all
 
         def with_empty_region(*args):
-            decomposed = list(decompose_all(*args))
-            decomposed[empty] = []
-            return decomposed
+            batch = decompose_all(*args)
+            sources = [region_parts(batch, index) for index in range(spec.num_regions)]
+            picks = [(index, 0, parts[2].shape[0]) for index, parts in enumerate(sources)]
+            picks[empty] = (empty, 0, 0)
+            emptied = RegionBatch.gather(sources, picks, 2)
+            assert emptied.region_starts[0].tolist() == sorted({0, 1, 2} - {empty})
+            return emptied
 
         verifier._decompose_all = with_empty_region
         report = verifier.verify(plane_network, spec)
@@ -432,6 +452,206 @@ class TestStackedReport:
         assert {example.region_index for example in report.counterexamples} == (
             {0, 1, 2} - {empty}
         )
+
+
+def assert_matches_oracle_report(report, expected) -> None:
+    """Statuses, margins, counts and every counterexample byte for byte."""
+    assert report.region_statuses == expected.region_statuses
+    assert report.region_margins == expected.region_margins
+    assert report.points_checked == expected.points_checked
+    assert report.linear_regions_checked == expected.linear_regions_checked
+    assert len(report.counterexamples) == len(expected.counterexamples)
+    for ours, theirs in zip(report.counterexamples, expected.counterexamples):
+        assert type(ours) is type(theirs)
+        assert ours.point.tobytes() == theirs.point.tobytes()
+        assert ours.margin == theirs.margin
+        assert ours.region_index == theirs.region_index
+        assert ours.constraint is theirs.constraint
+        assert ours.activation_point.tobytes() == theirs.activation_point.tobytes()
+        assert ours.key_points().tobytes() == theirs.key_points().tobytes()
+
+
+def dyadic(network: Network) -> Network:
+    """``network`` with every parameter rounded to a multiple of 1/8."""
+    rounded = network.copy()
+    for layer in rounded.layers:
+        if layer.num_parameters:
+            layer.set_parameters(np.round(8.0 * layer.get_parameters()) / 8)
+    return rounded
+
+
+class TestStackedRegionBatchProperty:
+    """The verifier's stacked region batch against the per-linear-region oracle.
+
+    Random small ReLU networks, plain and decoupled, and specs mixing planes
+    (some with repeated geometry), segments, single-point boxes and boxes
+    varying in three dimensions (UNKNOWN).  Every pass must report what
+    ``oracle_verify`` reports, at either counterexample granularity: the
+    first pass (decomposed, cache misses), the value-only pass after a
+    value-channel edit, a second verifier served by the memory tier and a
+    fresh cache served by the disk tier.
+
+    The oracle evaluates a single-point region as a one-row product, which
+    BLAS runs through its matrix-vector kernel, whose last bits can differ
+    from the matrix-matrix kernel of the stacked evaluation.  Parameters,
+    value-channel edits and box corners are multiples of 1/8, so every
+    product and sum at a box corner is exact and no kernel can round it.
+    """
+
+    @staticmethod
+    def random_spec(rng, inputs: int, outputs: int, num_regions: int) -> VerificationSpec:
+        constraints = []
+        for shift in rng.choice([-0.5, 0.0, 2.0], size=3):
+            base = HPolytope.argmax_region(outputs, int(rng.integers(outputs)))
+            constraints.append(HPolytope(base.a, base.b + shift))
+        spec, planes = VerificationSpec(), []
+        for _ in range(num_regions):
+            constraint = constraints[int(rng.integers(len(constraints)))]
+            kind = rng.choice(["plane", "plane", "repeat", "segment", "point", "box3", "box2"])
+            if kind == "repeat" and planes:
+                spec.add_plane(planes[int(rng.integers(len(planes)))], constraint)
+            elif kind in ("plane", "repeat"):
+                count = int(rng.integers(3, 7))
+                angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=count)) + 1e-3 * np.arange(count)
+                circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+                planes.append(rng.normal(size=inputs) + circle @ rng.normal(size=(2, inputs)))
+                spec.add_plane(planes[-1], constraint)
+            elif kind == "segment":
+                spec.add_segment(LineSegment(rng.normal(size=inputs), rng.normal(size=inputs)), constraint)
+            else:
+                lower = np.round(rng.uniform(-8.0, 0.0, size=inputs)) / 8
+                upper = lower.copy()
+                varying = {"point": 0, "box2": 2, "box3": 3}[str(kind)]
+                upper[:varying] += rng.uniform(0.5, 1.0, size=varying)
+                spec.add_box(lower, upper, constraint)
+        return spec
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_regions=st.integers(1, 10),
+        decoupled=st.booleans(),
+        region_counterexamples=st.booleans(),
+    )
+    def test_every_pass_matches_oracle(self, seed, num_regions, decoupled, region_counterexamples):
+        rng = np.random.default_rng(seed)
+        inputs = int(rng.integers(3, 5))
+        outputs = int(rng.integers(2, 5))
+        hidden = tuple(int(size) for size in rng.integers(3, 9, size=int(rng.integers(1, 3))))
+        network = dyadic(make_random_relu_network(rng, (inputs, *hidden, outputs)))
+        edited = network
+        if decoupled:
+            network = DecoupledNetwork.from_network(network)
+            layer = network.repairable_layer_indices()[-1]
+            size = network.value.layers[layer].num_parameters
+            network = network.with_parameter_delta(layer, np.round(2.0 * rng.normal(size=size)) / 8)
+            edited = network.with_parameter_delta(layer, np.round(2.0 * rng.normal(size=size)) / 8)
+        spec = self.random_spec(rng, inputs, outputs, num_regions)
+        keyed = [
+            entry.digest
+            for entry in spec.regions
+            if entry.normalized is not None
+            and (isinstance(entry.normalized, LineSegment) or entry.normalized.ndim == 2)
+        ]
+        lookups = len(keyed)
+        with tempfile.TemporaryDirectory() as directory:
+            cache = PartitionCache(directory=directory)
+            first_verifier = SyrennVerifier(cache=cache, region_counterexamples=region_counterexamples)
+            reports = [first_verifier.verify(network, spec), first_verifier.verify(edited, spec)]
+            assert [report.value_only for report in reports] == [False, True]
+            assert cache.stats.misses == lookups
+            # Rows follow spec regions contiguously, in spec order.
+            batch = first_verifier._value_only_slot[1]
+            rows = batch.offsets[batch.region_offsets].tolist()
+            assert contiguous_spans(batch.row_region) == [
+                (start, stop) for start, stop in zip(rows, rows[1:]) if stop > start
+            ]
+            hits = cache.stats.memory.hits
+            reports.append(
+                SyrennVerifier(cache=cache, region_counterexamples=region_counterexamples).verify(
+                    edited, spec
+                )
+            )
+            assert cache.stats.memory.hits - hits == lookups
+            fresh = PartitionCache(directory=directory)
+            reports.append(
+                SyrennVerifier(cache=fresh, region_counterexamples=region_counterexamples).verify(
+                    network, spec
+                )
+            )
+            # A repeated geometry's first lookup promotes it into memory.
+            assert fresh.stats.disk.hits == len(set(keyed))
+            assert fresh.stats.hits == lookups and fresh.stats.misses == 0
+        for report, evaluated in zip(reports, (network, edited, edited, network)):
+            expected = oracle_verify(evaluated, spec, region_counterexamples=region_counterexamples)
+            assert_matches_oracle_report(report, expected)
+
+
+class TestRegionBatchStructure:
+    """A pass builds no per-linear-region objects and locks the cache a fixed number of times."""
+
+    @staticmethod
+    def plane_spec(count: int) -> VerificationSpec:
+        spec = VerificationSpec()
+        for index in range(count):
+            shift = 0.01 * index
+            spec.add_plane(
+                [[-1 + shift, -1], [1, -1 + shift], [1, 1], [-1, 1]], HPolytope.argmax_region(3, 0)
+            )
+        return spec
+
+    @pytest.mark.parametrize("region_counterexamples", [False, True])
+    def test_no_plane_regions_and_one_lock_per_cache_call(
+        self, plane_network, monkeypatch, region_counterexamples
+    ):
+        import repro.syrenn.plane as plane_module
+
+        built = []
+        original_init = plane_module.PlaneRegion.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(plane_module.PlaneRegion, "__init__", counting_init)
+        acquisitions = {}
+        for count in (1, 24):
+            spec = self.plane_spec(count)
+            cache = PartitionCache(disk=False)
+            cache._lock = CountingLock()
+            verifier = SyrennVerifier(cache=cache, region_counterexamples=region_counterexamples)
+            first = verifier.verify(plane_network, spec)
+            after_first = cache._lock.acquisitions
+            verifier.verify(plane_network, spec)  # value-only: no lookups at all
+            after_value_only = cache._lock.acquisitions
+            SyrennVerifier(cache=cache).verify(plane_network, spec)  # every lookup a hit
+            acquisitions[count] = (
+                after_first,
+                after_value_only - after_first,
+                cache._lock.acquisitions - after_value_only,
+            )
+            assert first.linear_regions_checked > count
+            assert cache.stats.memory.hits == count
+        # One get_many and one put_many for the first pass, one get_many for
+        # the hit pass, whatever the number of regions.
+        assert acquisitions[1] == acquisitions[24] == (2, 0, 1)
+        assert built == []
+
+
+class CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquisitions += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
 
 
 class TestSamplingVerifiers:
