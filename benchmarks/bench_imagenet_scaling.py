@@ -9,11 +9,16 @@ Jacobian→LP pipeline and old counterexamples spill from the pool to disk.
 Each record reports rows vs round-seconds vs peak RSS, plus the pool/chunk
 telemetry of the out-of-core tiers.
 
-Two cross-checks always run (they are correctness gates, not timings):
+Four cross-checks always run (they are correctness gates, not timings):
 
 * a small-chunk repair delta is byte-identical to the default one-chunk
   repair on the smallest workload;
+* every run certifies;
+* every run's final network satisfies every pooled counterexample (the
+  driver's pool check, ``report.unsatisfied_pool_indices``, is empty);
 * every run's peak RSS stays under the configured memory budget.
+
+Each record also carries the frozen-prefix cache's hits and misses.
 
 Results are written as JSON (default ``BENCH_imagenet_scaling.json``) with
 the same envelope as the other benchmarks, so the perf sentinel can track
@@ -91,6 +96,7 @@ def run_one(target_rows: int, memory_budget: int, seed: int) -> dict:
     report, driver = driver_certified_repair(workload, memory_budget=memory_budget)
     total_seconds = time.perf_counter() - start
     peak_rss = peak_rss_bytes()
+    cache = driver.base.prefix_cache
     record = {
         "target_rows": target_rows,
         "constraint_rows": workload.constraint_rows,
@@ -102,6 +108,9 @@ def run_one(target_rows: int, memory_budget: int, seed: int) -> dict:
         "pool_size": report.pool_size,
         "pool_spilled_entries": driver.pool.spilled_entries,
         "pool_resident_bytes": driver.pool.resident_bytes,
+        "unsatisfied_pool_entries": len(report.unsatisfied_pool_indices),
+        "prefix_cache_hits": cache.hits if cache is not None else 0,
+        "prefix_cache_misses": cache.misses if cache is not None else 0,
         "workload_build_seconds": build_seconds,
         "total_seconds": total_seconds,
         "round_seconds_mean": total_seconds / max(1, report.num_rounds),
@@ -113,6 +122,11 @@ def run_one(target_rows: int, memory_budget: int, seed: int) -> dict:
     if not report.certified:
         raise AssertionError(
             f"driver did not certify the {target_rows}-row repair: {report.status}"
+        )
+    if report.unsatisfied_pool_indices:
+        raise AssertionError(
+            f"the {target_rows}-row repair violates "
+            f"{len(report.unsatisfied_pool_indices)} pooled counterexamples"
         )
     if not record["budget_ok"]:
         raise AssertionError(

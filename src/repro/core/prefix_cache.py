@@ -30,13 +30,26 @@ have produced, never an approximation of them:
 reach it through :meth:`bind` or by derivation from a bound network;
 after :meth:`close` every lookup declines.  Pickles carry no binding.
 
-**Cost.**  A lookup hashes the batch, so it pays off only for batches
-whose prefix evaluation outweighs that: a batch whose prefix activations
-(rows × the summed input widths of the prefix layers) hold fewer bytes
-than the prefix layers' arrays is evaluated uncached, never looked up or
-stored.  Convolutional prefixes (few parameters, wide
-activations) are cached from a single row; a wide fully-connected prefix
-only for batches of a hundred rows or so.
+**Cost.**  A lookup needs the batch's digest.  A *frozen* batch — an
+array :func:`~repro.utils.validation.frozen_root` knows, or a view of one,
+such as the rows a verifier stacks once per spec and the pool, the repair
+encoder and the pool check all slice — is hashed at most once per cache:
+its digest is kept under its identity, the remembered array plus the
+view's byte offset, shape, strides and dtype.  That is sound because a
+frozen array is read-only all the way down its base chain, a view of a
+read-only array cannot be made writable, and nothing in the library makes
+a frozen array writable again, so the bytes behind one identity never
+change while the remembered array lives (the identity
+holds a weak reference to it, so a reused ``id`` is never mistaken for
+it).  Foreign or writable batches are hashed on every lookup.  Either way
+the entries stay keyed by the digest, so hits and misses do not depend on
+identity.  Still, a lookup pays off only for batches whose prefix
+evaluation outweighs a hash: a batch whose prefix activations (rows × the
+summed input widths of the prefix layers) hold fewer bytes than the prefix
+layers' arrays is evaluated uncached, never looked up or stored.
+Convolutional prefixes (few parameters, wide activations) are cached from
+a single row; a wide fully-connected prefix only for batches of a hundred
+rows or so.
 
 **Memory.**  Features are charged against ``max_bytes`` (the driver passes a
 share of ``memory_budget``); a batch that would not fit is simply evaluated
@@ -46,11 +59,13 @@ without being stored.
 from __future__ import annotations
 
 import hashlib
+import weakref
 
 import numpy as np
 
 from repro.core.ddnn import _decoupled_step
 from repro.nn.layer import LayerKind
+from repro.utils.validation import frozen_root
 
 
 def _prefix_digests(network, layer_index: int) -> tuple:
@@ -60,15 +75,33 @@ def _prefix_digests(network, layer_index: int) -> tuple:
     )
 
 
+def _identity(rows: np.ndarray) -> tuple[np.ndarray, tuple] | None:
+    """``(root, view)`` naming a frozen batch's bytes; ``None`` for other arrays.
+
+    ``root`` is the remembered frozen array ``rows`` is or views, and
+    ``view`` its byte offset into ``root``, shape, strides and dtype: two
+    batches with the same root and view hold the same bytes, for as long as
+    the root lives.
+    """
+    root = frozen_root(rows)
+    if root is None:
+        return None
+    offset = rows.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+    return root, (id(root), offset, rows.shape, rows.strides, rows.dtype.str)
+
+
 def _same_rows(first: np.ndarray, second: np.ndarray) -> bool:
     """Whether two batches hold the same bytes (not merely equal values)."""
-    return (
-        first is second
-        or first.shape == second.shape
-        and np.array_equal(
-            np.ascontiguousarray(first).view(np.uint8),
-            np.ascontiguousarray(second).view(np.uint8),
-        )
+    if first is second:
+        return True
+    if first.shape != second.shape:
+        return False
+    known = _identity(first)
+    if known is not None and known == _identity(second):
+        return True
+    return np.array_equal(
+        np.ascontiguousarray(first).view(np.uint8),
+        np.ascontiguousarray(second).view(np.uint8),
     )
 
 
@@ -104,6 +137,9 @@ class PrefixCache:
         )
         #: Features by batch key; ``None`` after :meth:`close`.
         self._entries: dict[bytes, tuple[np.ndarray, np.ndarray]] | None = {}
+        #: Digests of frozen batches by identity (see the module notes),
+        #: each with a weak reference to its root.
+        self._digests: dict[tuple, tuple[weakref.ref, bytes]] = {}
         self.nbytes = 0
         self.hits = 0
         self.misses = 0
@@ -116,6 +152,7 @@ class PrefixCache:
     def close(self) -> None:
         """Drop every feature; every later lookup declines."""
         self._entries = None
+        self._digests = {}
         self.nbytes = 0
 
     def __len__(self) -> int:
@@ -140,9 +177,9 @@ class PrefixCache:
             return None
         if activation_batch is not None and _same_rows(activation_batch, value_batch):
             activation_batch = None
-        key = _digest(value_batch)
+        key = self._digest(value_batch)
         if activation_batch is not None:
-            key += _digest(activation_batch)
+            key += self._digest(activation_batch)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
@@ -165,6 +202,19 @@ class PrefixCache:
             self._entries[key] = entry
             self.nbytes += size
         return entry
+
+    def _digest(self, rows: np.ndarray) -> bytes:
+        """:func:`_digest` of ``rows``, computed once per frozen batch identity."""
+        known = _identity(rows)
+        if known is None:
+            return _digest(rows)
+        root, identity = known
+        kept = self._digests.get(identity)
+        if kept is not None and kept[0]() is root:
+            return kept[1]
+        digest = _digest(rows)
+        self._digests[identity] = (weakref.ref(root), digest)
+        return digest
 
     def _run_prefix(self, network, value_batch, activation_batch):
         """The layer loop of ``DecoupledNetwork.compute``, stopped at layer ``i``."""

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,7 +66,7 @@ from repro.core.ddnn import DecoupledNetwork
 from repro.core.jacobian import DEFAULT_CHUNK_BYTES
 from repro.core.point_repair import IncrementalPointRepairSession
 from repro.core.prefix_cache import PrefixCache
-from repro.core.result import RepairTiming
+from repro.core.result import RepairResult, RepairTiming
 from repro.core.specs import PolytopeRepairSpec
 from repro.driver.config import DEFAULT_REPAIR_MARGIN, DriverConfig
 from repro.driver.pool import CounterexamplePool
@@ -533,11 +533,7 @@ class RepairDriver:
 
             current = result.network
             report_is_stale = True
-            record.delta_linf = result.delta_linf_norm
-            if self.holdout is not None:
-                inputs, labels = self.holdout
-                record.drawdown = drawdown_metric(self.buggy, current, inputs, labels)
-            self._emit(record)
+            self._emit(record, result)
 
         if report_is_stale:
             # The loop ran out of rounds (or budget) right after a repair:
@@ -593,46 +589,59 @@ class RepairDriver:
                 cache.bind(self.base)
             cache.bind(current)
 
-    def _emit(self, record: RoundRecord) -> None:
-        """Hand a finished round record to the ``on_round`` progress callback.
+    def _emit(self, record: RoundRecord, repaired: RepairResult | None = None) -> None:
+        """Finish a round record and hand it to the ``on_round`` progress callback.
 
-        With telemetry enabled, the record first picks up round counters and
+        After a feasible repair (``repaired``) the record takes the delta's
+        ℓ∞ norm and, with a holdout set, the repaired network's drawdown.
+        With telemetry enabled, the record then picks up round counters and
         a cumulative counters-only registry snapshot — the compact time
-        dimension polling clients see through ``GET /jobs/<id>``.
+        dimension polling clients see through ``GET /jobs/<id>``.  All of it
+        is one ``driver.emit`` span.
         """
-        if obs.enabled():
-            obs.counter(
-                "repro_driver_rounds_total",
-                "CEGIS verify→repair rounds completed.",
-            ).inc()
-            peak = _peak_rss_bytes()
-            if peak is not None:
-                obs.gauge(
-                    "repro_peak_rss_bytes",
-                    "Peak resident set size of this process, in bytes "
-                    "(monotone over the process lifetime).",
-                ).set(peak)
-            if record.new_counterexamples:
+        with obs.span("driver.emit", round=record.round_index):
+            if repaired is not None:
+                record.delta_linf = repaired.delta_linf_norm
+                if self.holdout is not None:
+                    inputs, labels = self.holdout
+                    record.drawdown = drawdown_metric(
+                        self.buggy, repaired.network, inputs, labels
+                    )
+            if obs.enabled():
                 obs.counter(
-                    "repro_driver_counterexamples_total",
-                    "Counterexamples newly admitted to the pool.",
-                ).inc(record.new_counterexamples)
-            if record.repair_attempted:
-                obs.counter(
-                    "repro_driver_repairs_total",
-                    "Repair attempts, by LP feasibility.",
-                    labels=("feasible",),
-                ).inc(feasible="true" if record.repair_feasible else "false")
-            record.telemetry = obs.snapshot(kinds=("counter",))
-        if self.on_round is not None:
-            self.on_round(record)
+                    "repro_driver_rounds_total",
+                    "CEGIS verify→repair rounds completed.",
+                ).inc()
+                peak = _peak_rss_bytes()
+                if peak is not None:
+                    obs.gauge(
+                        "repro_peak_rss_bytes",
+                        "Peak resident set size of this process, in bytes "
+                        "(monotone over the process lifetime).",
+                    ).set(peak)
+                if record.new_counterexamples:
+                    obs.counter(
+                        "repro_driver_counterexamples_total",
+                        "Counterexamples newly admitted to the pool.",
+                    ).inc(record.new_counterexamples)
+                if record.repair_attempted:
+                    obs.counter(
+                        "repro_driver_repairs_total",
+                        "Repair attempts, by LP feasibility.",
+                        labels=("feasible",),
+                    ).inc(feasible="true" if record.repair_feasible else "false")
+                record.telemetry = obs.snapshot(kinds=("counter",))
+            if self.on_round is not None:
+                self.on_round(record)
 
-    def _pool_intake(self, counterexamples: list) -> int:
+    def _pool_intake(self, counterexamples: Sequence) -> int:
         """Pool a verification pass's counterexamples; returns how many were new.
 
-        With ``max_new_counterexamples`` set, intake stops once that many
-        *new* entries were admitted this round — duplicates of already
-        pooled counterexamples never count against the cap.
+        The report's list or :class:`~repro.verify.base.CounterexampleBatch`
+        goes to the pool whole.  With ``max_new_counterexamples`` set, intake
+        stops once that many *new* entries were admitted this round —
+        duplicates of already pooled counterexamples never count against
+        the cap.
         """
         if self.max_new_counterexamples is None:
             return self.pool.extend(counterexamples)

@@ -3,18 +3,29 @@
 Every verification round can return counterexamples the pool has already
 seen (the exact verifier reports every violating vertex of every linear
 region, and vertices are shared between adjacent regions).  The pool keys
-each counterexample by its rounded point, rounded activation point, and a
-digest of its constraint, so re-adding an old counterexample is a no-op and
+each counterexample by its rounded point, rounded activation point, and the
+bytes of its constraint, so re-adding an old counterexample is a no-op and
 the driver can tell "the verifier found something new" from "the verifier is
 stuck".
 
-Region counterexamples (:class:`~repro.verify.base.RegionCounterexample`,
-produced by the exact verifier in the driver's polytope mode) are keyed by
-their *activation pattern* instead: the region's interior point plus its
-vertex set and constraint — never the worst-violating vertex or its margin,
-both of which move between rounds as the value channel is repaired while the
-region itself stays put.  A re-found violating region is therefore always a
-duplicate, which is what keeps the driver's stall detection sound.
+**Key material.**  A point counterexample's key is the SHA-256 of its
+normalized point and its constraint's bytes, prefixed ``point:``, when its
+activation point normalizes to the point itself (no activation point, or an
+explicit one equal to the point, as every entry reloaded from a checkpoint
+carries), so the point is hashed once and a reloaded entry still dedups
+against an unpinned one.  A counterexample pinned to another activation
+point hashes the point, then the activation point, prefixed ``pinned:``.
+The two prefixes keep the forms apart, so two counterexamples share a key
+exactly when their normalized points, normalized activation points and
+constraint bytes are equal.  Region counterexamples
+(:class:`~repro.verify.base.RegionCounterexample`, produced by the exact
+verifier in the driver's polytope mode) are keyed by their *activation
+pattern* instead: the region's interior point plus its vertex set and
+constraint, prefixed ``region:`` — never the worst-violating vertex or its
+margin, both of which move between rounds as the value channel is repaired
+while the region itself stays put.  A re-found violating region is
+therefore always a duplicate, which is what keeps the driver's stall
+detection sound.
 
 Key material is normalized before hashing — coerced to contiguous
 ``float64`` and rounded with ``-0.0`` collapsed onto ``0.0`` — because the
@@ -23,16 +34,31 @@ raw bytes of ``-0.0`` differ from ``0.0`` and ``float32`` bytes never match
 ``float32`` dataset sweep would evade dedup forever and fool the driver into
 thinking the verifier keeps finding something new.
 
+**Stacked intake.**  A sampling verifier's pointwise pass reports one
+:class:`~repro.verify.base.CounterexampleBatch` (stacked points, margins,
+region indices and constraint groups).  :meth:`CounterexamplePool.extend`
+normalizes its points as one array, hashes each row's bytes in place and
+keeps the new rows as one batch — the verifier's own batch when every row
+is new — so no object is built per point.  :meth:`~CounterexamplePool.point_spec`
+and :meth:`~CounterexamplePool.unsatisfied` read pooled batches as row
+views of those arrays, so the repair encoder and the pool check present the
+frozen-prefix cache the batches the verifier did.  Entries added one at a
+time (:meth:`~CounterexamplePool.add`, capped intake, checkpoint reloads,
+the exact verifier's lists) are kept as objects and stacked when read.
+
 **Disk-spill tier.**  With ``max_resident_bytes`` set, the pool keeps only a
 bounded suffix of entries in memory: when the resident window exceeds the
 budget, the oldest resident run is written to a segment file (the same
-per-entry npz layout the checkpoints use) and the in-memory slots are
-dropped.  Dedup keys and per-entry metadata (margins, key-point counts)
+per-entry npz layout the checkpoints use) and the in-memory entries are
+dropped; a batch cut by the spill keeps its rest as views of its arrays.
+Dedup keys and per-entry metadata (margins, key-point counts)
 always stay resident, so :meth:`add`, :meth:`worst_margin` and
 ``num_key_points`` never touch disk; consumers that need entry *contents*
 (:meth:`point_spec`, :meth:`unsatisfied`, :meth:`save`) stream them back in
-insertion order through a one-segment read cache.  Million-point pools thus
-cost O(keys) RAM, not O(entries).
+insertion order through a one-segment read cache.  Spills happen exactly
+where per-entry :meth:`add` calls would put them, however the entries
+arrived.  Million-point pools thus cost O(keys) RAM beyond what the caller
+already holds, not O(entries).
 
 The pool also persists itself through :mod:`repro.utils.serialization` so an
 interrupted driver run (CI timeout, budget exhaustion) resumes with every
@@ -48,6 +74,7 @@ import hashlib
 import shutil
 import tempfile
 import weakref
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +87,7 @@ from repro.utils.serialization import load_arrays, save_arrays_atomic
 from repro.verify.base import (
     ConstraintGroups,
     Counterexample,
+    CounterexampleBatch,
     RegionCounterexample,
     constraint_bytes,
 )
@@ -131,6 +159,23 @@ def _entry_nbytes(counterexample: Counterexample) -> int:
     return int(nbytes)
 
 
+def _joined(blocks: list[tuple]) -> tuple:
+    """``(points, activations, row_groups, owners)`` blocks stacked part by part.
+
+    One block comes back as it is.  When every block's activations are its
+    points array, the stacked activations are the stacked points array.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    points, activations, row_groups, owners = zip(*blocks)
+    points = np.concatenate(points)
+    if all(block[1] is block[0] for block in blocks):
+        activations = points
+    else:
+        activations = np.concatenate(activations)
+    return points, activations, np.concatenate(row_groups), np.concatenate(owners)
+
+
 class CounterexamplePool:
     """An insertion-ordered, deduplicating set of counterexamples.
 
@@ -162,9 +207,12 @@ class CounterexamplePool:
         self.max_resident_bytes = max_resident_bytes
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._spill_cleanup: weakref.finalize | None = None
-        # Entry slots: a spilled entry's slot holds None; its contents live
-        # in exactly one segment file.  Metadata lists stay fully resident.
-        self._entries: list[Counterexample | None] = []
+        # The resident entries, [_resident_start, len), as consecutive runs:
+        # a list of counterexample objects, or a CounterexampleBatch whose
+        # every row is an entry.  A spilled entry lives in exactly one
+        # segment file.  Metadata lists stay fully resident.
+        self._runs: list[list[Counterexample] | CounterexampleBatch] = []
+        self._run_starts: list[int] = []
         self._keys: set[bytes] = set()
         self._margins: list[float] = []
         self._key_counts: list[int] = []
@@ -185,14 +233,19 @@ class CounterexamplePool:
         """Add one counterexample; returns ``True`` if it was new."""
         return self._admit(counterexample, self._key(counterexample))
 
-    def extend(self, counterexamples: list[Counterexample]) -> int:
+    def extend(self, counterexamples: Sequence[Counterexample] | CounterexampleBatch) -> int:
         """Add many counterexamples; returns how many were new.
 
-        Equivalent to :meth:`add` on each in order (same keys, entries and
-        spills), but the key material of plain counterexamples is
+        Equivalent to :meth:`add` on each in order (same entries, keys and
+        spills).  A :class:`~repro.verify.base.CounterexampleBatch` is keyed
+        in one stacked pass and its new rows join the pool as one batch
+        (the batch itself when every row is new), with no object per
+        point.  In a list, the key material of plain counterexamples is
         normalized as one stacked array and each constraint's bytes are
         read once.
         """
+        if isinstance(counterexamples, CounterexampleBatch):
+            return self._extend_batch(counterexamples)
         counterexamples = list(counterexamples)
         keys = self._keys_of(counterexamples)
         return sum(
@@ -204,14 +257,53 @@ class CounterexamplePool:
         if key in self._keys:
             return False
         self._keys.add(key)
-        self._entries.append(counterexample)
-        self._margins.append(float(counterexample.margin))
-        self._key_counts.append(int(counterexample.key_points().shape[0]))
-        nbytes = _entry_nbytes(counterexample)
-        self._entry_bytes.append(nbytes)
-        self._resident_bytes += nbytes
-        self._maybe_spill()
+        if self._runs and isinstance(self._runs[-1], list):
+            self._runs[-1].append(counterexample)
+        else:
+            self._run_starts.append(len(self))
+            self._runs.append([counterexample])
+        self._record(
+            [float(counterexample.margin)],
+            [int(counterexample.key_points().shape[0])],
+            [_entry_nbytes(counterexample)],
+        )
         return True
+
+    def _extend_batch(self, batch: CounterexampleBatch) -> int:
+        rows = []
+        for row, key in enumerate(self._batch_keys(batch)):
+            if key not in self._keys:
+                self._keys.add(key)
+                rows.append(row)
+        if not rows:
+            return 0
+        admitted = batch.take(rows)
+        self._run_starts.append(len(self))
+        self._runs.append(admitted)
+        # Each entry's point and (resolved) activation point, and its
+        # constraint, as _entry_nbytes counts them.
+        constraint_nbytes = np.array(
+            [constraint.a.nbytes + constraint.b.nbytes for constraint in admitted.constraints]
+        )
+        self._record(
+            admitted.margins.tolist(),
+            [1] * len(rows),
+            (2 * admitted.points[0].nbytes + constraint_nbytes[admitted.groups]).tolist(),
+        )
+        return len(rows)
+
+    def _record(self, margins: list[float], key_counts: list[int], entry_bytes: list[int]) -> None:
+        """Append new entries' metadata, spilling as per-entry admission would."""
+        first = len(self._entry_bytes)
+        self._margins.extend(margins)
+        self._key_counts.extend(key_counts)
+        self._entry_bytes.extend(entry_bytes)
+        if self.max_resident_bytes is None:
+            self._resident_bytes += sum(entry_bytes)
+            return
+        for length, nbytes in enumerate(entry_bytes, first + 1):
+            self._resident_bytes += nbytes
+            self._maybe_spill(length)
 
     def _normalized(self, array: np.ndarray) -> np.ndarray:
         """Key material for one array: contiguous float64, rounded, no ``-0.0``.
@@ -222,33 +314,76 @@ class CounterexamplePool:
         and one minted by the rounding step.  Element-wise, so a stack of
         arrays normalizes to the stack of their normalizations.
         """
-        rounded = np.round(np.asarray(array, dtype=np.float64), self.decimals)
-        return np.ascontiguousarray(rounded + 0.0)
+        rounded = np.ascontiguousarray(np.round(np.asarray(array, dtype=np.float64), self.decimals))
+        rounded += 0.0
+        return rounded
 
     def _key(self, counterexample: Counterexample) -> bytes:
-        digest = hashlib.sha256()
         if isinstance(counterexample, RegionCounterexample):
             # Activation-pattern-aware key: the interior point identifies the
             # linear region (its activation pattern), and the vertex set +
             # constraint pin the geometry and obligation.  The worst vertex
             # and margin are deliberately excluded — they change across
             # repair rounds while the region does not.
-            digest.update(b"region:")
+            digest = hashlib.sha256(b"region:")
             digest.update(self._normalized(counterexample.resolved_activation_point()).tobytes())
             digest.update(self._normalized(counterexample.vertices).tobytes())
+            digest.update(constraint_bytes(counterexample.constraint))
+            return digest.digest()
+        point = self._normalized(counterexample.point).tobytes()
+        material = constraint_bytes(counterexample.constraint)
+        if counterexample.activation_point is not None:
+            activation = self._normalized(counterexample.activation_point).tobytes()
+            if activation != point:
+                return hashlib.sha256(b"pinned:" + point + activation + material).digest()
+        return hashlib.sha256(b"point:" + point + material).digest()
+
+    def _point_keys(
+        self, points: np.ndarray, activations: np.ndarray | None, materials: list[bytes]
+    ) -> list[bytes]:
+        """:meth:`_key` of plain counterexamples from their stacked key material.
+
+        ``points`` and ``activations`` are normalized ``(k, n)`` stacks
+        (``activations`` ``None`` when every activation point is the point);
+        ``materials`` holds each row's constraint bytes.  A row's point is
+        hashed once when its activation point normalizes to the same bytes.
+        """
+        width = points.shape[1] * points.itemsize
+        point_bytes = memoryview(points).cast("B")
+        if activations is None:
+            pinned = [False] * points.shape[0]
         else:
-            digest.update(b"point:")
-            digest.update(self._normalized(counterexample.point).tobytes())
-            digest.update(self._normalized(counterexample.resolved_activation_point()).tobytes())
-        digest.update(constraint_bytes(counterexample.constraint))
-        return digest.digest()
+            pinned = (activations.view(np.uint64) != points.view(np.uint64)).any(axis=1).tolist()
+            activation_bytes = memoryview(activations).cast("B")
+        keys = []
+        for row, (is_pinned, material) in enumerate(zip(pinned, materials)):
+            start = row * width
+            if is_pinned:
+                digest = hashlib.sha256(b"pinned:")
+                digest.update(point_bytes[start : start + width])
+                digest.update(activation_bytes[start : start + width])
+            else:
+                digest = hashlib.sha256(b"point:")
+                digest.update(point_bytes[start : start + width])
+            digest.update(material)
+            keys.append(digest.digest())
+        return keys
+
+    def _batch_keys(self, batch: CounterexampleBatch) -> list[bytes]:
+        """:meth:`_key` of every row of ``batch``, in one stacked pass."""
+        materials = [constraint_bytes(constraint) for constraint in batch.constraints]
+        return self._point_keys(
+            self._normalized(batch.points),
+            None if batch.activation_points is None else self._normalized(batch.activation_points),
+            [materials[group] for group in batch.groups.tolist()],
+        )
 
     def _keys_of(self, counterexamples: list[Counterexample]) -> list[bytes]:
         """:meth:`_key` of every counterexample, batched over plain ones.
 
         The points of plain counterexamples (and their explicit activation
         points) are normalized as one stacked array each, when they share a
-        shape, and each constraint object's bytes are read once.  Region
+        1-D shape, and each constraint object's bytes are read once.  Region
         counterexamples and ragged batches take :meth:`_key` per entry.
         """
         keys: list[bytes | None] = [None] * len(counterexamples)
@@ -264,20 +399,24 @@ class CounterexamplePool:
         shapes.update(counterexamples[index].activation_point.shape for index in pinned)
         if len(shapes) == 1 and len(next(iter(shapes))) == 1:
             points = self._normalized(np.array([counterexamples[i].point for i in plain]))
-            activations = dict(zip(plain, points))
+            activations = None
             if pinned:
-                stacked = np.array([counterexamples[i].activation_point for i in pinned])
-                activations.update(zip(pinned, self._normalized(stacked)))
+                row_of = {index: row for row, index in enumerate(plain)}
+                activations = points.copy()
+                activations[[row_of[i] for i in pinned]] = self._normalized(
+                    np.array([counterexamples[i].activation_point for i in pinned])
+                )
             # The constraints stay referenced by the batch, so no id is reused.
             material_of: dict[int, bytes] = {}
-            for index, point in zip(plain, points):
+            materials = []
+            for index in plain:
                 constraint = counterexamples[index].constraint
                 material = material_of.get(id(constraint))
                 if material is None:
                     material = material_of[id(constraint)] = constraint_bytes(constraint)
-                keys[index] = hashlib.sha256(
-                    b"point:" + point.tobytes() + activations[index].tobytes() + material
-                ).digest()
+                materials.append(material)
+            for index, key in zip(plain, self._point_keys(points, activations, materials)):
+                keys[index] = key
         return [
             self._key(counterexample) if key is None else key
             for counterexample, key in zip(counterexamples, keys)
@@ -298,22 +437,22 @@ class CounterexamplePool:
         self._spill_dir.mkdir(parents=True, exist_ok=True)
         return self._spill_dir / f"segment_{segment_index:05d}.npz"
 
-    def _maybe_spill(self) -> None:
+    def _maybe_spill(self, length: int) -> None:
         """Spill the oldest resident run if the window exceeds its budget.
 
-        The run is sized to bring residency down to half the budget (so
-        spills amortize instead of triggering per-add), but always leaves
-        the newest entry resident — the driver touches it immediately.
+        ``length`` is the number of entries admitted so far (a batch's
+        entries are accounted one at a time, as :meth:`add` would).  The
+        run is sized to bring residency down to half the budget (so spills
+        amortize instead of triggering per-add), but always leaves the
+        newest entry resident — the driver touches it immediately.
         """
-        if self.max_resident_bytes is None:
-            return
         if self._resident_bytes <= self.max_resident_bytes:
             return
         start = self._resident_start
         stop = start
         freed = 0
         target = self._resident_bytes - self.max_resident_bytes // 2
-        while stop < len(self._entries) - 1 and freed < target:
+        while stop < length - 1 and freed < target:
             freed += self._entry_bytes[stop]
             stop += 1
         if stop == start:
@@ -321,10 +460,9 @@ class CounterexamplePool:
         path = self._spill_path(len(self._segments))
         arrays: dict[str, np.ndarray] = {"start": np.array([start]), "count": np.array([stop - start])}
         for slot, index in enumerate(range(start, stop)):
-            _pack_entry(arrays, slot, self._entries[index])
+            _pack_entry(arrays, slot, self.entry(index))
         save_arrays_atomic(path, arrays)
-        for index in range(start, stop):
-            self._entries[index] = None
+        self._drop_resident(stop)
         self._segments.append((start, stop, path))
         self._segment_starts.append(start)
         self._resident_start = stop
@@ -336,6 +474,19 @@ class CounterexamplePool:
                 "Counterexample-pool entries spilled to disk segments.",
             ).inc(stop - start)
 
+    def _drop_resident(self, stop: int) -> None:
+        """Release the resident entries before ``stop`` (just spilled).
+
+        A batch cut by ``stop`` keeps its rest as views of its arrays.
+        """
+        while self._runs and self._run_starts[0] < stop:
+            run, start = self._runs[0], self._run_starts[0]
+            if start + len(run) > stop:
+                self._runs[0] = run[stop - start :]
+                self._run_starts[0] = stop
+                return
+            del self._runs[0], self._run_starts[0]
+
     def _load_segment(self, segment: tuple[int, int, Path]) -> dict:
         if self._segment_cache is not None and self._segment_cache[0] == segment[2]:
             return self._segment_cache[1]
@@ -344,10 +495,18 @@ class CounterexamplePool:
         return arrays
 
     def entry(self, index: int) -> Counterexample:
-        """The counterexample at ``index``, loading its spill segment if needed."""
-        resident = self._entries[index]
-        if resident is not None:
-            return resident
+        """The counterexample at ``index``, loading its spill segment if needed.
+
+        An entry of a pooled batch comes back as a new
+        :class:`~repro.verify.base.Counterexample` view of its row.
+        """
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(f"pool index {index} out of range")
+        if index >= self._resident_start:
+            slot = bisect.bisect_right(self._run_starts, index) - 1
+            return self._runs[slot][index - self._run_starts[slot]]
         slot = bisect.bisect_right(self._segment_starts, index) - 1
         segment = self._segments[slot]
         arrays = self._load_segment(segment)
@@ -359,14 +518,62 @@ class CounterexamplePool:
         Sequential access loads each spill segment at most once thanks to
         the one-segment read cache.
         """
-        for index in range(start, len(self._entries)):
+        for index in range(start, len(self)):
             yield self.entry(index)
+
+    def _blocks(self, start: int, groups: ConstraintGroups):
+        """Entries ``[start:]`` as stacked row blocks, in insertion order.
+
+        Yields ``(points, activations, row_groups, owners)``: each entry's
+        key points with its activation point once per key point, the
+        constraint group of every row in ``groups`` (by bytes) and the pool
+        index of its entry.  A pooled batch yields views of its own arrays
+        (the activations are the points array itself when unpinned); object
+        runs and spill segments yield one stack per ``POINT_BATCH`` entries,
+        so reading them holds about one batch of copies at a time.
+        """
+        index = start
+        while index < len(self):
+            if index < self._resident_start:
+                slot = bisect.bisect_right(self._segment_starts, index) - 1
+                stop = min(self._segments[slot][1], index + POINT_BATCH)
+                entries = [self.entry(position) for position in range(index, stop)]
+            else:
+                slot = bisect.bisect_right(self._run_starts, index) - 1
+                run, run_start = self._runs[slot], self._run_starts[slot]
+                stop = run_start + len(run)
+                if isinstance(run, CounterexampleBatch):
+                    part = run[index - run_start :]
+                    local = np.zeros(len(part.constraints), dtype=np.intp)
+                    for group in np.unique(part.groups).tolist():
+                        local[group] = groups.group(part.constraints[group])
+                    yield (
+                        part.points,
+                        part.resolved_activation_points,
+                        local[part.groups],
+                        np.arange(index, stop),
+                    )
+                    index = stop
+                    continue
+                stop = min(stop, index + POINT_BATCH)
+                entries = run[index - run_start : stop - run_start]
+            key_points = [entry.key_points() for entry in entries]
+            counts = [rows.shape[0] for rows in key_points]
+            yield (
+                np.vstack(key_points),
+                np.vstack(
+                    [_activation_rows(entry, count) for entry, count in zip(entries, counts)]
+                ),
+                np.repeat([groups.group(entry.constraint) for entry in entries], counts),
+                np.repeat(np.arange(index, stop), counts),
+            )
+            index = stop
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._margins)
 
     @property
     def counterexamples(self) -> list[Counterexample]:
@@ -399,7 +606,9 @@ class CounterexamplePool:
         one pinned to the region's interior point — exactly the rows
         :func:`~repro.core.polytope_repair.region_key_points` gives Algorithm
         2's ``reduce_to_key_points`` for those regions, in the same order.
-        The points are stacked from one block per entry.
+        The points are one stack: a slice that is one pooled batch hands
+        over (views of) the verifier's own arrays, so the encoder presents
+        the frozen-prefix cache the very batches the verifier did.
 
         ``margin`` tightens every constraint (``b → b - margin``) so the
         repaired outputs land strictly inside their polytopes and survive
@@ -412,30 +621,19 @@ class CounterexamplePool:
         entries are never removed, so a prefix count identifies them
         exactly).
         """
-        if not 0 <= start <= len(self._entries):
-            raise ValueError(
-                f"start index {start} outside pool of {len(self._entries)}"
-            )
-        if start == len(self._entries):
+        if not 0 <= start <= len(self):
+            raise ValueError(f"start index {start} outside pool of {len(self)}")
+        if start == len(self):
             raise ValueError("cannot build a repair spec from an empty pool slice")
         groups = ConstraintGroups()
-        tightened: list[HPolytope] = []
-        points: list[np.ndarray] = []
-        activation_points: list[np.ndarray] = []
-        constraints: list[HPolytope] = []
-        for counterexample in self.iter_entries(start):
-            constraint = counterexample.constraint
-            group = groups.group(constraint)
-            if group == len(tightened):
-                tightened.append(HPolytope(constraint.a, constraint.b - margin))
-            key_points = counterexample.key_points()
-            points.append(key_points)
-            activation_points.append(_activation_rows(counterexample, key_points.shape[0]))
-            constraints.extend([tightened[group]] * key_points.shape[0])
+        points, activations, row_groups, _ = _joined(list(self._blocks(start, groups)))
+        tightened = [
+            HPolytope(constraint.a, constraint.b - margin) for constraint in groups.constraints
+        ]
         return PointRepairSpec(
-            points=np.vstack(points),
-            constraints=constraints,
-            activation_points=np.vstack(activation_points),
+            points=points,
+            constraints=list(map(tightened.__getitem__, row_groups.tolist())),
+            activation_points=activations,
         )
 
     def unsatisfied(
@@ -454,59 +652,45 @@ class CounterexamplePool:
         one ``compute`` call per point, and each batch's margins take one
         :meth:`~repro.polytope.hpolytope.HPolytope.violation_batch` per
         distinct constraint, which is what keeps this check cheap on
-        10^5-row pools.  Entries join a batch as whole key-point blocks, and
-        a constraint object already seen finds its group by identity.
+        10^5-row pools.  A batch that lies inside one pooled
+        counterexample batch is a view of the verifier's arrays, the same
+        rows :meth:`point_spec` hands the encoder.
         """
         decoupled = isinstance(network, DecoupledNetwork)
-        # Pending key-point blocks, one per entry (or a carried remainder),
-        # with their activation rows (read by decoupled networks only),
-        # owning entries and constraint groups.
-        blocks: list[np.ndarray] = []
-        activation_blocks: list[np.ndarray] = []
-        owners: list[int] = []
-        groups: list[int] = []
-        constraint_groups = ConstraintGroups()
+        groups = ConstraintGroups()
         unsatisfied_indices: set[int] = set()
 
-        def flush(final: bool) -> None:
-            if not owners:
-                return
-            stacked = np.vstack(blocks)
-            activations = np.vstack(activation_blocks) if decoupled else None
-            owner_rows = np.array(owners)
-            group_rows = np.array(groups)
-            stop = owner_rows.size if final else owner_rows.size - owner_rows.size % chunk_points
-            for start in range(0, stop, chunk_points):
-                rows = slice(start, min(start + chunk_points, stop))
-                if decoupled:
-                    outputs = np.atleast_2d(network.compute(stacked[rows], activations[rows]))
-                else:
-                    outputs = np.atleast_2d(network.compute(stacked[rows]))
-                chunk_owners, chunk_groups = owner_rows[rows], group_rows[rows]
-                for group in np.unique(chunk_groups).tolist():
-                    members = np.flatnonzero(chunk_groups == group)
-                    margins = constraint_groups.constraints[group].violation_batch(
-                        outputs[members]
-                    )
-                    unsatisfied_indices.update(chunk_owners[members[margins > tolerance]].tolist())
-            blocks[:] = [stacked[stop:]]
+        def check(points, activations, row_groups, owners) -> None:
             if decoupled:
-                activation_blocks[:] = [activations[stop:]]
-            owners[:] = owners[stop:]
-            groups[:] = groups[stop:]
+                outputs = np.atleast_2d(network.compute(points, activations))
+            else:
+                outputs = np.atleast_2d(network.compute(points))
+            for group in np.unique(row_groups).tolist():
+                members = np.flatnonzero(row_groups == group)
+                margins = groups.constraints[group].violation_batch(outputs[members])
+                unsatisfied_indices.update(owners[members[margins > tolerance]].tolist())
 
-        for index, counterexample in enumerate(self.iter_entries()):
-            group = constraint_groups.group(counterexample.constraint)
-            key_points = counterexample.key_points()
-            count = key_points.shape[0]
-            blocks.append(key_points)
-            if decoupled:
-                activation_blocks.append(_activation_rows(counterexample, count))
-            owners.extend([index] * count)
-            groups.extend([group] * count)
-            if len(owners) >= chunk_points:
-                flush(final=False)
-        flush(final=True)
+        # Rows carried over from the previous blocks, fewer than chunk_points.
+        carried: list[tuple] = []
+        carried_rows = 0
+        for block in self._blocks(0, groups):
+            rows, position = block[0].shape[0], 0
+            if carried_rows:
+                position = min(chunk_points - carried_rows, rows)
+                carried.append(tuple(part[:position] for part in block))
+                carried_rows += position
+                if carried_rows < chunk_points:
+                    continue
+                check(*_joined(carried))
+                carried, carried_rows = [], 0
+            while rows - position >= chunk_points:
+                check(*(part[position : position + chunk_points] for part in block))
+                position += chunk_points
+            if position < rows:
+                carried.append(tuple(part[position:] for part in block))
+                carried_rows = rows - position
+        if carried_rows:
+            check(*_joined(carried))
         return sorted(unsatisfied_indices)
 
     # ------------------------------------------------------------------
@@ -523,7 +707,7 @@ class CounterexamplePool:
         """
         arrays: dict[str, np.ndarray] = {
             "decimals": np.array([self.decimals]),
-            "count": np.array([len(self._entries)]),
+            "count": np.array([len(self)]),
         }
         for index, counterexample in enumerate(self.iter_entries()):
             _pack_entry(arrays, index, counterexample)

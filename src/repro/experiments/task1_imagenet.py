@@ -34,9 +34,8 @@ from repro.experiments.metrics import accuracy_percent, drawdown, efficacy
 from repro.models.squeezenet_mini import build_mini_squeezenet
 from repro.models.zoo import ModelZoo
 from repro.nn.network import Network
-from repro.polytope.hpolytope import HPolytope
 from repro.utils.rng import ensure_rng
-from repro.verify.base import VerificationSpec, frozen_array, frozen_constraint
+from repro.verify.base import VerificationSpec, frozen_constraint
 from repro.verify.sampling import GridVerifier
 
 #: Margin used for the "classified as label y" constraints; a small positive
@@ -291,24 +290,19 @@ def pointwise_verification_spec(
     ``certify_exhaustive=True`` can both sweep in one stacked pass and
     *certify*, so a driver run over this spec can terminate ``certified``.
     """
-    # The points are frozen (copied unless already read-only) and checked
-    # finite once: every region's box holds a row view of them, which
-    # frozen_array accepts without a copy or a check per point.
-    points = frozen_array(np.atleast_2d(points), "points")
     labels = np.asarray(labels, dtype=int).ravel()
-    if points.shape[0] != labels.size:
+    if np.atleast_2d(points).shape[0] != labels.size:
         raise ValueError("one label per point is required")
     # Points with one label share one (frozen) constraint.
-    constraints: dict[int, HPolytope] = {}
-    spec = VerificationSpec()
-    for index, label in enumerate(labels.tolist()):
-        if label not in constraints:
-            constraints[label] = frozen_constraint(
-                classification_constraint(num_classes, label, margin)
-            )
-        point = points[index]
-        spec.add_box(point, point, constraints[label], name=f"point-{index}")
-    return spec
+    by_label = {
+        label: frozen_constraint(classification_constraint(num_classes, label, margin))
+        for label in dict.fromkeys(labels.tolist())
+    }
+    return VerificationSpec.from_points(
+        points,
+        [by_label[label] for label in labels.tolist()],
+        [f"point-{index}" for index in range(labels.size)],
+    )
 
 
 @dataclass

@@ -113,25 +113,14 @@ class Trace:
         self._stack: list[Span] = [self.root]
         self._lock = threading.Lock()
 
-    @contextmanager
-    def span(self, name: str, **attributes):
-        """Open a child span under the innermost open span."""
-        node = Span(name, attributes)
-        with self._lock:
-            self._stack[-1].children.append(node)
-            self._stack.append(node)
-        node._open()
-        try:
-            yield node
-        finally:
-            node._close()
-            with self._lock:
-                # Remove the innermost *matching* entry: exception unwinding
-                # can close spans out of order without corrupting the stack.
-                for index in range(len(self._stack) - 1, 0, -1):
-                    if self._stack[index] is node:
-                        del self._stack[index]
-                        break
+    def span(self, name: str, **attributes) -> "_OpenSpan":
+        """Open a child span under the innermost open span (a context manager).
+
+        The clock starts last on entry and stops first on exit, so the
+        span's own bookkeeping falls inside its parent's time, not between
+        two sibling spans.
+        """
+        return _OpenSpan(self, Span(name, attributes))
 
     def finish(self) -> None:
         """Close the root span (idempotent enough for the daemon's purposes)."""
@@ -144,6 +133,36 @@ class Trace:
             "started_unix": self.started_unix,
             "root": self.root.export(),
         }
+
+
+class _OpenSpan:
+    """The context manager :meth:`Trace.span` returns: pushes, times and pops one span."""
+
+    __slots__ = ("_trace", "_node")
+
+    def __init__(self, trace: Trace, node: Span) -> None:
+        self._trace = trace
+        self._node = node
+
+    def __enter__(self) -> Span:
+        trace, node = self._trace, self._node
+        with trace._lock:
+            trace._stack[-1].children.append(node)
+            trace._stack.append(node)
+        node._open()
+        return node
+
+    def __exit__(self, *exc_info) -> None:
+        node = self._node
+        node._close()
+        stack = self._trace._stack
+        with self._trace._lock:
+            # Remove the innermost *matching* entry: exception unwinding
+            # can close spans out of order without corrupting the stack.
+            for index in range(len(stack) - 1, 0, -1):
+                if stack[index] is node:
+                    del stack[index]
+                    break
 
 
 #: The trace the current thread/context records into (None = no tracing).

@@ -8,6 +8,8 @@ of repetitive checks.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.exceptions import ShapeError
@@ -53,6 +55,38 @@ def frozen(array: np.ndarray) -> np.ndarray:
         array = array.copy(order="K")
         array.flags.writeable = False
     return array
+
+
+def remember_frozen(array: np.ndarray) -> np.ndarray:
+    """:func:`frozen` of ``array``, remembered so :func:`frozen_root` finds it.
+
+    Every remembered array is also finite: ``repro.verify.base.frozen_array``
+    checks before it remembers, and the other callers remember stacks or
+    gathers of arrays it returned.
+    """
+    array = frozen(array)
+    _FROZEN[id(array)] = array
+    return array
+
+
+def frozen_root(array: np.ndarray) -> np.ndarray | None:
+    """The remembered array ``array`` is, or is a view of; ``None`` otherwise.
+
+    A view of a remembered array is read-only because its base is, and
+    NumPy will not make it writable again, so both can be trusted never to
+    change: a digest or a check made of them once holds for their lifetime.
+    """
+    if _FROZEN.get(id(array)) is array:
+        return array
+    base = array.base
+    if base is not None and _FROZEN.get(id(base)) is base:
+        return base
+    return None
+
+
+#: The arrays :func:`remember_frozen` returned, by ``id``.  An entry leaves
+#: with its array, so an ``id`` found here always names the live array.
+_FROZEN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def check_finite(array: np.ndarray, name: str = "array") -> np.ndarray:

@@ -20,6 +20,7 @@
 from repro.verify.base import (
     Box,
     Counterexample,
+    CounterexampleBatch,
     RegionCounterexample,
     RegionStatus,
     SpecRegion,
@@ -34,6 +35,7 @@ from repro.verify.sampling import GridVerifier, RandomVerifier
 __all__ = [
     "Box",
     "Counterexample",
+    "CounterexampleBatch",
     "RegionCounterexample",
     "RegionStatus",
     "SpecRegion",

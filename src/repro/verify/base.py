@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import enum
-import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,7 +38,7 @@ from repro.nn.network import Network
 from repro.polytope.hpolytope import HPolytope
 from repro.polytope.segment import LineSegment
 from repro.syrenn.regions import geometry_digest
-from repro.utils.validation import frozen
+from repro.utils.validation import frozen, frozen_root, remember_frozen
 
 #: A sampled output violates its constraint when the margin exceeds this.
 DEFAULT_TOLERANCE = 1e-7
@@ -57,30 +57,18 @@ def frozen_array(array, what: str) -> np.ndarray:
 
     An array this function returned before comes back at once, and so does
     a view of one (a row of a frozen stack of points): it is finite and
-    read-only because its base is.  Anything else goes through
-    :func:`~repro.utils.validation.frozen`.  Non-finite entries raise
-    :class:`SpecificationError`: a NaN bound or vertex makes every margin
-    NaN, and ``NaN > tolerance`` is false, so a verifier would certify the
-    region.
+    read-only because its base is (:func:`~repro.utils.validation.frozen_root`).
+    Anything else goes through :func:`~repro.utils.validation.frozen` and is
+    remembered.  Non-finite entries raise :class:`SpecificationError`: a NaN
+    bound or vertex makes every margin NaN, and ``NaN > tolerance`` is
+    false, so a verifier would certify the region.
     """
     array = np.asarray(array, dtype=np.float64)
-    if _FROZEN.get(id(array)) is array:
-        return array
-    base = array.base
-    if base is not None and _FROZEN.get(id(base)) is base:
+    if frozen_root(array) is not None:
         return array
     if not np.isfinite(array).all():
         raise SpecificationError(f"{what} must be finite")
-    array = frozen(array)
-    _FROZEN[id(array)] = array
-    return array
-
-
-#: The arrays :func:`frozen_array` returned, by ``id``: checked, and
-#: immutable, so a region built again from them (a repair spec's regions
-#: adopted as verification targets) skips the check.  An entry leaves with
-#: its array.
-_FROZEN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    return remember_frozen(array)
 
 
 @dataclass(frozen=True)
@@ -214,11 +202,88 @@ class ConstraintGroups:
         return known[1]
 
 
+@dataclass(frozen=True, eq=False)
+class PointStack:
+    """The regions of an all-single-point spec as stacked arrays.
+
+    ``points[i]`` is region ``i``'s point and ``constraints[groups[i]]`` its
+    constraint object: ``constraints`` holds each distinct object once, in
+    first-seen order.  ``checks`` pairs each distinct constraint *by bytes*
+    with the rows it governs, so a verifier computes every margin with one
+    ``violation_batch`` per distinct constraint.  All arrays are read-only,
+    and ``points`` is remembered by :func:`~repro.utils.validation.frozen_root`,
+    so its row views and gathers are known frozen downstream (the pool, the
+    repair encoder, the frozen-prefix cache).
+    """
+
+    points: np.ndarray
+    groups: np.ndarray
+    constraints: tuple[HPolytope, ...]
+    checks: tuple[tuple[HPolytope, np.ndarray], ...]
+
+    @classmethod
+    def of_regions(cls, regions: list[SpecRegion], points: np.ndarray | None = None) -> "PointStack":
+        """The stack of single-point ``regions``; ``points`` if they are already stacked."""
+        index_of: dict[int, int] = {}
+        constraints: list[HPolytope] = []
+        groups = np.empty(len(regions), dtype=np.intp)
+        for row, entry in enumerate(regions):
+            group = index_of.get(id(entry.constraint))
+            if group is None:
+                group = index_of[id(entry.constraint)] = len(constraints)
+                constraints.append(entry.constraint)
+            groups[row] = group
+        if points is None:
+            points = np.array([entry.region.lower for entry in regions])
+            points.flags.writeable = False
+            points = remember_frozen(points)
+        by_bytes = ConstraintGroups()
+        byte_group = np.array([by_bytes.group(constraint) for constraint in constraints])
+        row_bytes = byte_group[groups]
+        checks = tuple(
+            (constraint, _read_only(np.flatnonzero(row_bytes == group)))
+            for group, constraint in enumerate(by_bytes.constraints)
+        )
+        return cls(points, _read_only(groups), tuple(constraints), checks)
+
+    def batch(self, rows: np.ndarray, margins: np.ndarray) -> "CounterexampleBatch":
+        """The counterexamples at ``rows`` (ascending), with their ``margins``.
+
+        Their points are the stack itself when every row is taken, a row
+        view for a contiguous run, and one gather otherwise.
+        """
+        return CounterexampleBatch(
+            points=_take_rows(self.points, rows),
+            constraints=self.constraints,
+            groups=self.groups[rows],
+            margins=margins,
+            region_indices=rows,
+        )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` (which the caller just built) made read-only in place."""
+    array.flags.writeable = False
+    return array
+
+
+def _take_rows(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (ascending) of a remembered frozen array, as a view when contiguous."""
+    count = rows.size
+    if count == array.shape[0]:
+        return array
+    if count and rows[-1] - rows[0] == count - 1:
+        return array[rows[0] : rows[0] + count]
+    return remember_frozen(_read_only(array[rows]))
+
+
 @dataclass
 class VerificationSpec:
     """Finitely many input regions, each with an output polytope to satisfy."""
 
     regions: list[SpecRegion] = field(default_factory=list)
+    #: ``(regions it was built for, PointStack or None)``: see :meth:`point_stack`.
+    _point_stack: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_regions(self) -> int:
@@ -242,6 +307,48 @@ class VerificationSpec:
     def add_box(self, lower, upper, constraint: HPolytope, name: str = "") -> None:
         """Require every point of the axis-aligned box to map into ``constraint``."""
         self.regions.append(SpecRegion(Box(lower, upper), constraint, name))
+
+    @classmethod
+    def from_points(
+        cls, points, constraints: Sequence[HPolytope], names: Sequence[str] | None = None
+    ) -> "VerificationSpec":
+        """One single-point box per row of ``points``, each with its constraint.
+
+        The points are frozen (copied unless already read-only) and checked
+        finite once; every region's box holds a row view of that one array,
+        and the array is the spec's :meth:`point_stack`, so no verification
+        pass stacks the points again.
+        """
+        # C order, as a stack of the regions' points would be: BLAS rounding
+        # depends on the layout of the batches the verifier slices from it.
+        points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+        points = frozen_array(points, "points")
+        names = [""] * points.shape[0] if names is None else list(names)
+        if not len(constraints) == len(names) == points.shape[0]:
+            raise SpecificationError("one constraint (and name) per point is required")
+        spec = cls()
+        for point, constraint, name in zip(points, constraints, names):
+            spec.regions.append(SpecRegion(Box(point, point), constraint, name))
+        spec._point_stack = (list(spec.regions), PointStack.of_regions(spec.regions, points))
+        return spec
+
+    def point_stack(self) -> PointStack | None:
+        """The spec as a :class:`PointStack`, or ``None`` unless every region is a point.
+
+        Built once and kept while :attr:`regions` holds the same region
+        objects (regions are immutable, so the same objects mean the same
+        points and constraints); replacing or appending a region rebuilds it.
+        """
+        cached = self._point_stack
+        if cached is not None and cached[0] == self.regions:
+            return cached[1]
+        stack = (
+            PointStack.of_regions(self.regions)
+            if self.regions and all(entry.is_point for entry in self.regions)
+            else None
+        )
+        self._point_stack = (list(self.regions), stack)
+        return stack
 
     @classmethod
     def from_polytope_spec(cls, spec: PolytopeRepairSpec) -> "VerificationSpec":
@@ -373,6 +480,99 @@ class RegionCounterexample(Counterexample):
         return self.vertices
 
 
+@dataclass(frozen=True, eq=False)
+class CounterexampleBatch(Sequence):
+    """Point counterexamples of one verification pass, as stacked arrays.
+
+    Row ``i`` is the counterexample ``batch[i]``: point ``points[i]``,
+    constraint ``constraints[groups[i]]`` (``constraints`` holds each
+    distinct constraint object once), margin ``margins[i]``, spec region
+    ``region_indices[i]`` and activation point ``activation_points[i]``, or
+    the point itself when ``activation_points`` is ``None``.  A sampling
+    verifier reports its single-point regions this way, and the
+    counterexample pool, the repair encoder and the pool check read the
+    arrays directly; indexing or iterating builds :class:`Counterexample`
+    views of the rows for the callers that want objects.
+
+    Immutable: every array is read-only, and the points and activation
+    points are finite float64 (:func:`frozen_array`).
+    """
+
+    points: np.ndarray
+    constraints: tuple[HPolytope, ...]
+    groups: np.ndarray
+    margins: np.ndarray
+    region_indices: np.ndarray
+    activation_points: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        points = frozen_array(self.points, "counterexample points")
+        if points.ndim != 2:
+            raise SpecificationError("counterexample points must be a (k, n) array")
+        count = points.shape[0]
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "constraints", tuple(self.constraints))
+        for name, dtype in (("groups", np.intp), ("margins", np.float64), ("region_indices", np.intp)):
+            array = frozen(np.asarray(getattr(self, name), dtype=dtype))
+            if array.shape != (count,):
+                raise SpecificationError(f"counterexample {name} must hold one entry per point")
+            object.__setattr__(self, name, array)
+        if count and not 0 <= self.groups.min() <= self.groups.max() < len(self.constraints):
+            raise SpecificationError("counterexample groups must index constraints")
+        if self.activation_points is not None:
+            activations = frozen_array(self.activation_points, "activation points")
+            if activations.shape != points.shape:
+                raise SpecificationError("activation points must have the points' shape")
+            object.__setattr__(self, "activation_points", activations)
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        return Counterexample(
+            point=self.points[index],
+            constraint=self.constraints[self.groups[index]],
+            margin=float(self.margins[index]),
+            region_index=int(self.region_indices[index]),
+            activation_point=(
+                None if self.activation_points is None else self.activation_points[index]
+            ),
+        )
+
+    def __iter__(self):
+        return (self[index] for index in range(len(self)))
+
+    @property
+    def resolved_activation_points(self) -> np.ndarray:
+        """The activation points, defaulting to the points themselves (the same array)."""
+        return self.points if self.activation_points is None else self.activation_points
+
+    def take(self, rows) -> "CounterexampleBatch":
+        """The batch of rows ``rows`` (ascending indices or a slice), itself when that is every row.
+
+        Contiguous rows are views of this batch's arrays, others one gather.
+        """
+        if isinstance(rows, slice):
+            rows = np.arange(len(self))[rows]
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size == len(self):
+            return self
+        return CounterexampleBatch(
+            points=_take_rows(self.points, rows),
+            constraints=self.constraints,
+            groups=self.groups[rows],
+            margins=self.margins[rows],
+            region_indices=self.region_indices[rows],
+            activation_points=(
+                None
+                if self.activation_points is None
+                else _take_rows(self.activation_points, rows)
+            ),
+        )
+
+
 @dataclass
 class VerificationReport:
     """Outcome of one verification pass over a specification.
@@ -385,7 +585,9 @@ class VerificationReport:
     verifier: str
     region_statuses: list[RegionStatus]
     region_margins: list[float]
-    counterexamples: list[Counterexample] = field(default_factory=list)
+    #: A list, or a :class:`CounterexampleBatch` (a sequence of the same
+    #: objects, built on access) from a stacked single-point pass.
+    counterexamples: Sequence[Counterexample] = field(default_factory=list)
     points_checked: int = 0
     linear_regions_checked: int = 0
     seconds: float = 0.0

@@ -12,11 +12,12 @@ all sample points of a region go through the network in one forward pass and
 through :meth:`repro.polytope.hpolytope.HPolytope.violation_batch` in one
 matmul, so only one region's samples and outputs are alive at once.  A spec
 made only of single-point regions under ``certify_exhaustive`` (a pointwise
-repair specification) is instead reported from one stacked pass: every point
-goes through the network in ``POINT_BATCH``-row chunks, the margins take one
-``violation_batch`` per distinct constraint, and statuses and
-counterexamples are read off the margin vector — no Python work per region
-beyond building its counterexample.
+repair specification) is instead reported from one stacked pass: the spec's
+points, stacked once, go through the network in ``POINT_BATCH``-row chunks,
+the margins take one ``violation_batch`` per distinct constraint, and
+statuses and counterexamples are read off the margin vector — no Python
+work per region, and the counterexamples stay stacked as one
+:class:`~repro.verify.base.CounterexampleBatch`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.utils.rng import ensure_rng
 from repro.verify.base import (
     DEFAULT_TOLERANCE,
     Box,
-    ConstraintGroups,
     Counterexample,
     RegionStatus,
     VerificationReport,
@@ -89,7 +89,7 @@ class _SamplingVerifier(Verifier):
         """
         self._check_spec(network, spec)
         with obs.timed("verify", verifier=self.name) as span:
-            if self.certify_exhaustive and all(entry.is_point for entry in spec.regions):
+            if self.certify_exhaustive and spec.point_stack() is not None:
                 report = self._point_report(network, spec)
             else:
                 report = self._region_report(network, spec)
@@ -102,7 +102,8 @@ class _SamplingVerifier(Verifier):
         """The report of an all-single-point spec, from one stacked pass.
 
         Pointwise specifications (e.g. the ImageNet-style classification
-        workload) carry thousands of single-point regions.  Their points go
+        workload) carry thousands of single-point regions.  Their points,
+        stacked once per spec (:meth:`VerificationSpec.point_stack`), go
         through the network in ``POINT_BATCH``-row chunks — convolutional
         networks expand each chunk into im2col patch tensors, so the chunk
         size bounds the transient memory, and it matches the batches the
@@ -111,46 +112,32 @@ class _SamplingVerifier(Verifier):
         constraint (by bytes, as in the exact verifier's report).  Each region is
         its own only sample, so its margin decides it: ``VIOLATED`` with
         one counterexample above the tolerance, ``CERTIFIED`` otherwise.
+        The counterexamples are one :class:`CounterexampleBatch` whose
+        points are the stack itself, a row view of it, or one gather.
         """
-        regions = spec.regions
-        points = np.array([entry.region.lower for entry in regions])
+        stack = spec.point_stack()
+        points = stack.points
         outputs = np.vstack(
             [
                 np.atleast_2d(self._evaluate(network, points[start : start + POINT_BATCH]))
                 for start in range(0, points.shape[0], POINT_BATCH)
             ]
         )
-        groups = ConstraintGroups()
-        region_group = np.array([groups.group(entry.constraint) for entry in regions])
-        margins = np.empty(len(regions))
-        for group, constraint in enumerate(groups.constraints):
-            rows = np.flatnonzero(region_group == group)
+        margins = np.empty(points.shape[0])
+        for constraint, rows in stack.checks:
             margins[rows] = constraint.violation_batch(outputs[rows])
         violated = margins > self.tolerance
         statuses = [
             RegionStatus.VIOLATED if flag else RegionStatus.CERTIFIED
             for flag in violated.tolist()
         ]
-        counterexamples: list[Counterexample] = []
         cap = self.max_counterexamples_per_region
-        if cap is None or cap > 0:
-            # One copy per point: a pool holding a counterexample must not
-            # keep the whole stacked batch alive after it spills the rest.
-            indices = np.flatnonzero(violated)
-            counterexamples = [
-                Counterexample(
-                    point=points[index].copy(),
-                    constraint=regions[index].constraint,
-                    margin=margin,
-                    region_index=index,
-                )
-                for index, margin in zip(indices.tolist(), margins[indices].tolist())
-            ]
+        indices = np.flatnonzero(violated) if cap is None or cap > 0 else np.empty(0, np.intp)
         return VerificationReport(
             verifier=self.name,
             region_statuses=statuses,
             region_margins=margins.tolist(),
-            counterexamples=counterexamples,
+            counterexamples=stack.batch(indices, margins[indices]),
             points_checked=points.shape[0],
         )
 

@@ -16,8 +16,9 @@ per-polygon half-plane clip (:func:`clip_by_function`,
 :class:`VertexPolygon`), with one SVD per polygon for its plane
 coordinates; one network evaluation per linear region (and, for the sampling
 verifiers, per spec region); one max-pool backward per batch row; the
-counterexample pool's repair spec with one tightened constraint and one
-key-point expansion per entry; convolution and pooling by index gather,
+counterexample pool's dedup key hashed per entry from all of its key
+material, its repair spec with one tightened constraint and one key-point
+expansion per entry; convolution and pooling by index gather,
 ``einsum`` and ``np.add.at`` (the layers read strided views and contract
 with BLAS instead) — kept here so the tests can compare the optimized paths
 against code simple enough to check by eye.
@@ -25,6 +26,7 @@ against code simple enough to check by eye.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -58,6 +60,7 @@ from repro.verify.base import (
     VerificationReport,
     Verifier,
     _normalize_region,
+    constraint_bytes,
 )
 from tests.standard_form import solve_form
 
@@ -905,3 +908,48 @@ def oracle_unsatisfied(pool, network, tolerance: float = 1e-6) -> list[int]:
         if np.any(counterexample.constraint.violation_batch(outputs) > tolerance):
             unsatisfied.append(index)
     return unsatisfied
+
+
+def oracle_pool_key(counterexample, decimals: int = 9) -> bytes:
+    """The pool's dedup key of one entry, hashed from all of its key material.
+
+    Each array is normalized on its own (float64, rounded to ``decimals``,
+    ``-0.0`` folded onto ``0.0``).  A point is keyed by its point, its
+    resolved activation point and its constraint's bytes — the point twice
+    when it is its own activation point — and a region by its interior
+    point, vertices and constraint.  The pool's keys may differ in bytes;
+    they must admit the same entries.
+    """
+
+    def normalized(array) -> bytes:
+        rounded = np.round(np.asarray(array, dtype=np.float64), decimals)
+        return np.ascontiguousarray(rounded + 0.0).tobytes()
+
+    digest = hashlib.sha256()
+    if isinstance(counterexample, RegionCounterexample):
+        digest.update(b"region:")
+        digest.update(normalized(counterexample.resolved_activation_point()))
+        digest.update(normalized(counterexample.vertices))
+    else:
+        digest.update(b"point:")
+        digest.update(normalized(counterexample.point))
+        digest.update(normalized(counterexample.resolved_activation_point()))
+    digest.update(constraint_bytes(counterexample.constraint))
+    return digest.digest()
+
+
+def oracle_pool_admits(intakes, decimals: int = 9) -> list:
+    """The counterexamples a pool admits from ``intakes``, in admission order.
+
+    ``intakes`` is a list of rounds, each a sequence of counterexamples; an
+    entry is admitted when no earlier entry has its :func:`oracle_pool_key`.
+    """
+    seen: set[bytes] = set()
+    admitted = []
+    for intake in intakes:
+        for counterexample in intake:
+            key = oracle_pool_key(counterexample, decimals)
+            if key not in seen:
+                seen.add(key)
+                admitted.append(counterexample)
+    return admitted

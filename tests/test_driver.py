@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.obs import Trace, use_trace
 from repro.polytope.hpolytope import HPolytope
 from repro.verify import (
     Counterexample,
+    CounterexampleBatch,
     GridVerifier,
     RandomVerifier,
     RegionCounterexample,
@@ -31,8 +33,9 @@ from repro.verify import (
     SyrennVerifier,
     VerificationSpec,
 )
+from repro.verify.base import constraint_bytes
 from tests.conftest import make_random_relu_network
-from tests.oracle import oracle_pool_point_spec, oracle_unsatisfied
+from tests.oracle import oracle_pool_admits, oracle_pool_point_spec, oracle_unsatisfied
 from tests.standard_form import standard_form_backend
 
 
@@ -212,14 +215,79 @@ def mixed_intake(rng, dimension: int, count: int, earlier=(), ragged: bool = Fal
     return batch
 
 
+def batched_runs(intake: list) -> list:
+    """``intake`` cut into consecutive runs the pool can take in one ``extend``.
+
+    Runs of plain counterexamples sharing one point dimension become one
+    :class:`CounterexampleBatch` each (alternately with and without explicit
+    activation points, where every activation point is given); region
+    counterexamples and ragged points stay lists.
+    """
+    runs: list = []
+    for entry in intake:
+        plain = type(entry) is Counterexample
+        last = runs[-1] if runs else None
+        if (
+            plain
+            and last is not None
+            and last[0]
+            and last[1][0].point.shape == entry.point.shape
+        ):
+            last[1].append(entry)
+        else:
+            runs.append((plain, [entry]))
+    return [
+        batch_of(entries, pin=index % 2 == 1) if plain else entries
+        for index, (plain, entries) in enumerate(runs)
+    ]
+
+
+def batch_of(counterexamples: list, pin: bool = False) -> CounterexampleBatch:
+    """Plain counterexamples as one batch, rows in order.
+
+    With ``pin`` every row carries an explicit activation point, the point
+    itself where the counterexample has none.
+    """
+    constraints: list = []
+    for entry in counterexamples:
+        if not any(entry.constraint is known for known in constraints):
+            constraints.append(entry.constraint)
+    groups = [
+        next(i for i, known in enumerate(constraints) if known is entry.constraint)
+        for entry in counterexamples
+    ]
+    pinned = pin or any(entry.activation_point is not None for entry in counterexamples)
+    return CounterexampleBatch(
+        points=np.array([entry.point for entry in counterexamples]),
+        constraints=constraints,
+        groups=groups,
+        margins=[entry.margin for entry in counterexamples],
+        region_indices=[entry.region_index for entry in counterexamples],
+        activation_points=(
+            np.array([entry.resolved_activation_point() for entry in counterexamples])
+            if pinned
+            else None
+        ),
+    )
+
+
+def assert_same_entry(ours: Counterexample, theirs: Counterexample) -> None:
+    def raw(array) -> bytes:
+        return np.asarray(array, dtype=np.float64).tobytes()
+
+    assert type(ours) is type(theirs)
+    assert raw(ours.point) == raw(theirs.point)
+    assert raw(ours.resolved_activation_point()) == raw(theirs.resolved_activation_point())
+    assert constraint_bytes(ours.constraint) == constraint_bytes(theirs.constraint)
+    assert ours.margin == theirs.margin
+    assert ours.region_index == theirs.region_index
+    assert raw(ours.key_points()) == raw(theirs.key_points())
+
+
 def assert_pools_equal(batched: CounterexamplePool, single: CounterexamplePool) -> None:
     assert batched._keys == single._keys
     assert len(batched) == len(single)
-    assert [entry is None for entry in batched._entries] == [
-        entry is None for entry in single._entries
-    ]
-    for ours, theirs in zip(batched._entries, single._entries):
-        assert ours is theirs
+    assert batched._resident_start == single._resident_start
     assert batched.num_key_points == single.num_key_points
     assert batched.worst_margin == single.worst_margin
     assert batched.resident_bytes == single.resident_bytes
@@ -228,10 +296,7 @@ def assert_pools_equal(batched: CounterexamplePool, single: CounterexamplePool) 
         segment[:2] for segment in single._segments
     ]
     for ours, theirs in zip(batched.iter_entries(), single.iter_entries()):
-        assert ours.point.tobytes() == theirs.point.tobytes()
-        assert ours.resolved_activation_point().tobytes() == (
-            theirs.resolved_activation_point().tobytes()
-        )
+        assert_same_entry(ours, theirs)
 
 
 class TestBatchedPoolIntake:
@@ -249,12 +314,23 @@ class TestBatchedPoolIntake:
         first = mixed_intake(rng, 4, 8)
         second = mixed_intake(rng, 4, 8, earlier=first, ragged=ragged)
         directory = tmp_path_factory.mktemp("spill")
-        batched, single = (
-            CounterexamplePool(decimals, budget, directory / name) for name in ("a", "b")
+        batched, rows, listed, single = (
+            CounterexamplePool(decimals, budget, directory / name) for name in "abcd"
         )
-        for batch in (first, second):
-            assert batched.extend(batch) == sum(single.add(entry) for entry in batch)
-            assert_pools_equal(batched, single)
+        for intake in (first, second):
+            new = sum(single.add(entry) for entry in intake)
+            assert listed.extend(intake) == new
+            assert_pools_equal(listed, single)
+            # Entries pooled from a list are the very objects added.
+            for index in range(single._resident_start, len(single)):
+                assert listed.entry(index) is single.entry(index)
+            # A batch's rows hold float64 points, so its pool is compared
+            # with per-entry adds of those rows; it admits what the list did.
+            runs = batched_runs(intake)
+            assert sum(batched.extend(run) for run in runs) == new
+            assert new == sum(rows.add(entry) for run in runs for entry in run)
+            assert_pools_equal(batched, rows)
+            assert batched._keys == single._keys
         if budget is not None:
             assert batched.spilled_entries > 0
 
@@ -263,18 +339,123 @@ class TestBatchedPoolIntake:
         pool = CounterexamplePool()
         batch = mixed_intake(rng, 5, 12)
         assert pool._keys_of(batch) == [pool._key(entry) for entry in batch]
+        plain = [entry for entry in batch if type(entry) is Counterexample]
+        for pin in (False, True):
+            rows = batch_of(plain, pin=pin)
+            assert pool._batch_keys(rows) == [pool._key(entry) for entry in plain]
+            assert pool._batch_keys(rows) == [pool._key(entry) for entry in rows]
 
     def test_signed_zero_and_float32_are_duplicates(self):
-        pool = CounterexamplePool()
         constraint = HPolytope([[1.0]], [0.5])
         point = np.array([0.0, 0.25, -1e-12])
         twins = [
             Counterexample(point, constraint, 1.0, 0),
             Counterexample(np.array([-0.0, 0.25, 0.0]), constraint, 1.0, 0),
             Counterexample(point.astype(np.float32), constraint, 1.0, 0),
+            Counterexample(point, constraint, 1.0, 0, activation_point=[-0.0, 0.25, 0.0]),
         ]
         twins[2].point = twins[2].point.astype(np.float32)
-        assert pool.extend(twins) == 1
+        assert CounterexamplePool().extend(twins) == 1
+        assert CounterexamplePool().extend(batch_of(twins)) == 1
+        rows = batch_of(twins[:3])
+        float32 = CounterexampleBatch(
+            rows.points.astype(np.float32), rows.constraints, rows.groups, rows.margins,
+            rows.region_indices,
+        )
+        pool = CounterexamplePool()
+        assert pool.extend(float32) == 1
+        assert pool.extend(rows) == 0
+        assert not pool.add(twins[3])
+
+
+class TestBatchedDedupProperty:
+    """A pool fed batches admits the per-entry oracle's entries, in order."""
+
+    @staticmethod
+    def rounds(rng, count: int, dimension: int = 3) -> list[CounterexampleBatch]:
+        """Batches of plain points over every key-material case.
+
+        ``-0.0`` and values that round to it, float32 rows, activation
+        points equal to the point (some only after rounding, some with
+        ``-0.0`` flipped), distinct activation points, and duplicates within
+        a batch and of earlier batches (same rows, and equal rows under
+        other margins, region indices and constraint objects).
+        """
+        constraints = [
+            HPolytope(rng.normal(size=(2, 3)), rng.normal(size=2)),
+            HPolytope(rng.normal(size=(1, 3)), rng.normal(size=1)),
+        ]
+        seen: list[tuple] = []
+        batches = []
+        for _ in range(count):
+            rows: list[tuple] = []
+            for _ in range(int(rng.integers(1, 9))):
+                if seen and rng.random() < 0.3:
+                    point, activation, group = seen[int(rng.integers(len(seen)))]
+                    point = np.where(point == 0.0, -0.0, point)
+                else:
+                    point = np.round(rng.uniform(-1.0, 1.0, dimension), 1)
+                    kind = int(rng.integers(5))
+                    if kind == 0:
+                        point[0], point[-1] = -0.0, -1e-12
+                    activation = {
+                        0: point,
+                        1: point + 1e-12,
+                        2: np.where(point == 0.0, -0.0, point),
+                        3: np.round(rng.uniform(-1.0, 1.0, dimension), 1),
+                        4: point,
+                    }[kind]
+                    group = int(rng.integers(2))
+                rows.append((point, activation, group))
+                seen.append((point, activation, group))
+            pinned = rng.random() < 0.6
+            float32 = rng.random() < 0.3
+            points = np.array([row[0] for row in rows])
+            batches.append(
+                CounterexampleBatch(
+                    points=points.astype(np.float32) if float32 else points,
+                    constraints=[
+                        constraint
+                        if rng.random() < 0.7
+                        else HPolytope(constraint.a.copy(), constraint.b.copy())
+                        for constraint in constraints
+                    ],
+                    groups=[row[2] for row in rows],
+                    margins=rng.uniform(0.1, 2.0, len(rows)),
+                    region_indices=rng.integers(0, 50, len(rows)),
+                    activation_points=(
+                        np.array([row[1] for row in rows]) if pinned else None
+                    ),
+                )
+            )
+        return batches
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        budget=st.sampled_from([None, 150, 400]),
+        decimals=st.sampled_from([1, 9]),
+    )
+    def test_batches_admit_the_oracle_entries(self, tmp_path_factory, seed, budget, decimals):
+        rng = np.random.default_rng(seed)
+        rounds = self.rounds(rng, 4)
+        pool = CounterexamplePool(decimals, budget, tmp_path_factory.mktemp("spill"))
+        for index, batch in enumerate(rounds):
+            expected_new = len(oracle_pool_admits(rounds[: index + 1], decimals)) - len(pool)
+            assert pool.extend(batch) == expected_new
+        expected = oracle_pool_admits(rounds, decimals)
+        assert len(pool) == len(expected)
+        for ours, theirs in zip(pool.iter_entries(), expected):
+            assert_same_entry(ours, theirs)
+        if budget is not None and len(pool) > 1 and sum(pool._entry_bytes) > budget:
+            assert pool.spilled_entries > 0
+        # A reloaded checkpoint (explicit activation points) still dedups.
+        path = tmp_path_factory.mktemp("checkpoint") / "pool.npz"
+        pool.save(path)
+        restored = CounterexamplePool.load(path)
+        assert len(restored) == len(pool)
+        for batch in rounds:
+            assert restored.extend(batch) == 0
 
 
 class TestPoolOracles:
@@ -286,9 +467,10 @@ class TestPoolOracles:
         chunk_points=st.sampled_from([1, 2, 3, 1024]),
         decoupled=st.booleans(),
         budget=st.sampled_from([None, 400]),
+        batched=st.booleans(),
     )
     def test_unsatisfied_and_point_spec_match(
-        self, tmp_path_factory, seed, chunk_points, decoupled, budget
+        self, tmp_path_factory, seed, chunk_points, decoupled, budget, batched
     ):
         rng = np.random.default_rng(seed)
         network = make_random_relu_network(rng, (4, 6, 3))
@@ -301,7 +483,9 @@ class TestPoolOracles:
         pool = CounterexamplePool(
             max_resident_bytes=budget, spill_dir=tmp_path_factory.mktemp("spill")
         )
-        pool.extend(mixed_intake(rng, 4, 12))
+        intake = mixed_intake(rng, 4, 12)
+        for run in batched_runs(intake) if batched else [intake]:
+            pool.extend(run)
         assert pool.unsatisfied(network, chunk_points=chunk_points) == oracle_unsatisfied(
             pool, network
         )
@@ -314,6 +498,108 @@ class TestPoolOracles:
             for left, right in zip(ours.constraints, theirs.constraints):
                 assert left.a.tobytes() == right.a.tobytes()
                 assert left.b.tobytes() == right.b.tobytes()
+
+    def test_one_batch_pool_hands_over_the_verifier_arrays(self, rng):
+        network = make_random_relu_network(rng, (4, 6, 3))
+        points = rng.uniform(-1.0, 1.0, size=(7, 4))
+        labels = (np.argmax(network.compute(points), axis=1) + 1) % 3
+        spec = VerificationSpec.from_points(
+            points, [HPolytope.argmax_region(3, int(label)) for label in labels]
+        )
+        report = GridVerifier(certify_exhaustive=True).verify(network, spec)
+        batch = report.counterexamples
+        assert isinstance(batch, CounterexampleBatch) and len(batch) == 7
+        assert batch.points is spec.point_stack().points
+        pool = CounterexamplePool()
+        assert pool.extend(batch) == 7
+        repair_spec = pool.point_spec()
+        assert repair_spec.points is batch.points
+        assert repair_spec.activation_points is batch.points
+        checked: list[np.ndarray] = []
+
+        class Recording:
+            def compute(self, values):
+                checked.append(values)
+                return network.compute(values)
+
+        assert pool.unsatisfied(Recording(), chunk_points=4) == list(range(7))
+        assert [rows.base is batch.points for rows in checked] == [True, True]
+
+
+def checkpoint_entries() -> list[Counterexample]:
+    """The entries ``tests/data/pool_checkpoint.npz`` holds, in order.
+
+    The archive was written by ``CounterexamplePool(decimals=7).save`` of an
+    earlier release of the pool (per-entry keys), from these entries.
+    """
+    shared = HPolytope([[1.0, -1.0, 0.5], [0.0, 2.0, -1.0]], [0.25, 1.5])
+    other = HPolytope([[-1.0, 0.0, 1.0]], [0.125])
+    return [
+        Counterexample(np.array([0.5, -0.25, 1.0]), shared, 0.75, 0),
+        Counterexample(np.array([-0.0, 0.125, -1e-12]), shared, 0.5, 1),
+        Counterexample(
+            np.array([0.25, 0.25, -0.5]), other, 1.25, 2,
+            activation_point=np.array([0.3, 0.2, -0.5]),
+        ),
+        Counterexample(
+            np.array([1.0, 0.0, -1.0]), other, 0.25, 3,
+            activation_point=np.array([1.0, -0.0, -1.0]),
+        ),
+        Counterexample(np.array([0.1, 0.2, 0.3], dtype=np.float32), shared, 2.0, 4),
+        RegionCounterexample(
+            np.array([0.0, 1.0, 0.0]), other, 0.625, 5,
+            activation_point=np.array([0.1, 0.8, 0.05]),
+            vertices=np.array([[0.0, 1.0, 0.0], [0.2, 0.6, 0.1], [0.1, 0.9, -0.1]]),
+        ),
+        Counterexample(np.array([-0.75, 0.5, 0.25]), shared, 0.375, 6),
+    ]
+
+
+class TestCheckpointCompatibility:
+    """A checkpoint an earlier pool wrote loads, dedups and re-saves unchanged."""
+
+    PATH = Path(__file__).parent / "data" / "pool_checkpoint.npz"
+
+    def test_entries_load_byte_equal(self):
+        stored = dict(np.load(self.PATH))
+        restored = CounterexamplePool.load(self.PATH)
+        assert restored.decimals == 7 and len(restored) == 7
+        for index, (loaded, original) in enumerate(
+            zip(restored.iter_entries(), checkpoint_entries())
+        ):
+            assert type(loaded) is type(original)
+            assert loaded.point.tobytes() == stored[f"point_{index}"].tobytes()
+            assert loaded.activation_point.tobytes() == stored[f"activation_{index}"].tobytes()
+            assert loaded.constraint.a.tobytes() == stored[f"constraint_a_{index}"].tobytes()
+            assert loaded.constraint.b.tobytes() == stored[f"constraint_b_{index}"].tobytes()
+            meta = np.array([loaded.margin, float(loaded.region_index)])
+            assert meta.tobytes() == stored[f"meta_{index}"].tobytes()
+            assert_same_entry(loaded, original)
+            if isinstance(original, RegionCounterexample):
+                assert loaded.vertices.tobytes() == stored[f"vertices_{index}"].tobytes()
+
+    def test_reloaded_entries_dedup_as_before(self):
+        restored = CounterexamplePool.load(self.PATH)
+        entries = checkpoint_entries()
+        assert not any(restored.add(entry) for entry in entries)
+        assert restored.extend(entries) == 0
+        plain = [entry for entry in entries if type(entry) is Counterexample]
+        assert restored.extend(batch_of(plain)) == 0
+        # Entry 3 was pinned to an activation point that rounds to its point:
+        # it is the unpinned point.
+        unpinned = Counterexample(entries[3].point, entries[3].constraint, 9.0, 9)
+        assert not restored.add(unpinned)
+        moved = Counterexample(entries[2].point, entries[2].constraint, 1.0, 2)
+        assert restored.add(moved)
+        assert len(restored) == 8
+
+    def test_resave_writes_the_same_arrays(self, tmp_path):
+        stored = dict(np.load(self.PATH))
+        CounterexamplePool.load(self.PATH).save(tmp_path / "again.npz")
+        again = dict(np.load(tmp_path / "again.npz"))
+        assert sorted(again) == sorted(stored)
+        for name, array in stored.items():
+            assert again[name].dtype == array.dtype and again[name].tobytes() == array.tobytes()
 
 
 class TestCappedIntake:

@@ -9,6 +9,9 @@
   points are cached separately, the byte budget is honoured, and after
   ``close`` every network bound to the cache (or derived from one that was)
   evaluates uncached;
+* frozen batches (a verifier's stacked points and their views) are hashed
+  once per identity, any other batch on every lookup, with the same hits
+  and misses;
 * exactness on a conv/max-pool network, including inputs where ReLU and
   max-pooling cannot share the two channels (``-0.0``, NaN).
 """
@@ -21,6 +24,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.core.prefix_cache as prefix_cache
 from repro.core.ddnn import DecoupledNetwork
 from repro.core.prefix_cache import PrefixCache
 from repro.experiments.task1_imagenet import (
@@ -33,6 +37,7 @@ from repro.nn.layer import LayerKind
 from repro.nn.network import Network
 from repro.nn.pooling import MaxPool2DLayer
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import remember_frozen
 from tests.conftest import make_random_relu_network
 
 INDEX_ATTRIBUTE = "_test_layer_index"
@@ -273,6 +278,77 @@ class TestIsolation:
         ddnn, _, _ = fc_setup()
         with pytest.raises(ValueError):
             PrefixCache(ddnn, 0)
+
+
+class TestFrozenBatchIdentity:
+    """A frozen batch is hashed once; any other batch on every lookup."""
+
+    @staticmethod
+    def counting_digests(monkeypatch) -> list[np.ndarray]:
+        hashed: list[np.ndarray] = []
+        digest = prefix_cache._digest
+
+        def counting(rows):
+            hashed.append(rows)
+            return digest(rows)
+
+        monkeypatch.setattr(prefix_cache, "_digest", counting)
+        return hashed
+
+    def test_equal_writable_copy_hits_through_the_digest(self, monkeypatch):
+        ddnn, cache, points = fc_setup()
+        hashed = self.counting_digests(monkeypatch)
+        stack = remember_frozen(points.copy())
+        copy = points.copy()
+        features = cache.layer_inputs(ddnn, stack, None)
+        again = cache.layer_inputs(ddnn, copy, None)
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert again is features
+        assert copy.tobytes() == stack.tobytes() == points.tobytes()
+        assert copy.flags.writeable and not stack.flags.writeable
+        # The writable copy is hashed on every lookup, the frozen stack and
+        # its views once per identity.
+        cache.layer_inputs(ddnn, copy, None)
+        for _ in range(2):
+            cache.layer_inputs(ddnn, stack, None)
+            cache.layer_inputs(ddnn, stack[:12], None)
+            cache.layer_inputs(ddnn, stack[12:], None)
+        assert len(hashed) == 5
+        assert ddnn.compute(copy).tobytes() == uncached_compute(ddnn, points).tobytes()
+
+    def test_a_view_as_its_own_pinned_activation_is_no_pin(self):
+        ddnn, cache, points = fc_setup()
+        stack = remember_frozen(points.copy())
+        plain = ddnn.compute(stack[:20])
+        pinned = ddnn.compute(stack[:20], stack[:20])
+        assert pinned.tobytes() == plain.tobytes()
+        assert len(cache) == 1 and cache.hits == 1
+
+    def test_identity_never_outlives_the_array(self):
+        ddnn, cache, points = fc_setup()
+        first = remember_frozen(points.copy())
+        cache.layer_inputs(ddnn, first, None)
+        (dead, _), = cache._digests.values()
+        del first
+        assert dead() is None
+        # An array that reuses a dead array's id is hashed afresh.
+        other = remember_frozen(points[::-1].copy())
+        cache._digests[prefix_cache._identity(other)[1]] = (dead, b"stale")
+        assert cache._digest(other) == prefix_cache._digest(other)
+        assert ddnn.compute(other).tobytes() == uncached_compute(ddnn, other).tobytes()
+
+    def test_a_driver_run_hashes_each_frozen_batch_once(self, monkeypatch):
+        workload = classifier_perturbation_workload(1250, seed=1)
+        hashed = self.counting_digests(monkeypatch)
+        report, driver = driver_certified_repair(workload)
+        assert report.status == "certified" and report.num_rounds == 2
+        cache = driver.base.prefix_cache
+        # Two verifier chunks miss; the encoder, the second verification
+        # and the pool check hit them.
+        assert (cache.misses, cache.hits) == (2, 6)
+        stack = driver.spec.point_stack().points
+        assert [rows.base is stack for rows in hashed] == [True, True]
+        assert [rows.shape[0] for rows in hashed] == [1024, 226]
 
 
 class TestExactness:
