@@ -36,12 +36,15 @@ such as the rows a verifier stacks once per spec and the pool, the repair
 encoder and the pool check all slice — is hashed at most once per cache:
 its digest is kept under its identity, the remembered array plus the
 view's byte offset, shape, strides and dtype.  That is sound because a
-frozen array is read-only all the way down its base chain, a view of a
-read-only array cannot be made writable, and nothing in the library makes
-a frozen array writable again, so the bytes behind one identity never
-change while the remembered array lives (the identity
-holds a weak reference to it, so a reused ``id`` is never mistaken for
-it).  Foreign or writable batches are hashed on every lookup.  Either way
+frozen array is read-only all the way down its base chain to an array that
+owns its data (:func:`~repro.utils.validation.frozen` copies a read-only
+view of a foreign buffer, such as ``np.frombuffer`` of a ``bytearray`` or
+a memory map, whose bytes could still change), a view of a read-only
+array cannot be made writable, and nothing in the library makes a frozen
+array writable again, so the bytes behind one identity never change while
+the remembered array lives (the identity holds a weak reference to it,
+so a reused ``id`` is never mistaken for it).  Foreign or writable
+batches are hashed on every lookup.  Either way
 the entries stay keyed by the digest, so hits and misses do not depend on
 identity.  Still, a lookup pays off only for batches whose prefix
 evaluation outweighs a hash: a batch whose prefix activations (rows × the

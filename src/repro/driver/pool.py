@@ -39,18 +39,23 @@ thinking the verifier keeps finding something new.
 region indices and constraint groups).  :meth:`CounterexamplePool.extend`
 normalizes its points as one array, hashes each row's bytes in place and
 keeps the new rows as one batch — the verifier's own batch when every row
-is new — so no object is built per point.  :meth:`~CounterexamplePool.point_spec`
-and :meth:`~CounterexamplePool.unsatisfied` read pooled batches as row
-views of those arrays, so the repair encoder and the pool check present the
-frozen-prefix cache the batches the verifier did.  Entries added one at a
-time (:meth:`~CounterexamplePool.add`, capped intake, checkpoint reloads,
-the exact verifier's lists) are kept as objects and stacked when read.
+is new — so no object is built per point.  The kept rows are a row view
+only of the spec's point stack, which the spec keeps alive anyway; new
+rows of any other batch are gathered, so a pooled batch never holds more
+rows than it counts.  :meth:`~CounterexamplePool.point_spec` and
+:meth:`~CounterexamplePool.unsatisfied` read pooled batches as row views
+of those arrays, so the repair encoder and the pool check present the
+frozen-prefix cache the same arrays.  Entries of a list
+(:meth:`~CounterexamplePool.add`, capped intake, checkpoint reloads, the
+exact verifier's region lists) are keyed one by one and kept as objects,
+stacked when read.
 
 **Disk-spill tier.**  With ``max_resident_bytes`` set, the pool keeps only a
 bounded suffix of entries in memory: when the resident window exceeds the
 budget, the oldest resident run is written to a segment file (the same
 per-entry npz layout the checkpoints use) and the in-memory entries are
-dropped; a batch cut by the spill keeps its rest as views of its arrays.
+dropped; a batch cut by the spill keeps its rest as :meth:`take
+<repro.verify.base.CounterexampleBatch.take>` of it would.
 Dedup keys and per-entry metadata (margins, key-point counts)
 always stay resident, so :meth:`add`, :meth:`worst_margin` and
 ``num_key_points`` never touch disk; consumers that need entry *contents*
@@ -240,18 +245,11 @@ class CounterexamplePool:
         spills).  A :class:`~repro.verify.base.CounterexampleBatch` is keyed
         in one stacked pass and its new rows join the pool as one batch
         (the batch itself when every row is new), with no object per
-        point.  In a list, the key material of plain counterexamples is
-        normalized as one stacked array and each constraint's bytes are
-        read once.
+        point.
         """
         if isinstance(counterexamples, CounterexampleBatch):
             return self._extend_batch(counterexamples)
-        counterexamples = list(counterexamples)
-        keys = self._keys_of(counterexamples)
-        return sum(
-            self._admit(counterexample, key)
-            for counterexample, key in zip(counterexamples, keys)
-        )
+        return sum(self.add(counterexample) for counterexample in counterexamples)
 
     def _admit(self, counterexample: Counterexample, key: bytes) -> bool:
         if key in self._keys:
@@ -338,25 +336,26 @@ class CounterexamplePool:
                 return hashlib.sha256(b"pinned:" + point + activation + material).digest()
         return hashlib.sha256(b"point:" + point + material).digest()
 
-    def _point_keys(
-        self, points: np.ndarray, activations: np.ndarray | None, materials: list[bytes]
-    ) -> list[bytes]:
-        """:meth:`_key` of plain counterexamples from their stacked key material.
+    def _batch_keys(self, batch: CounterexampleBatch) -> list[bytes]:
+        """:meth:`_key` of every row of ``batch``, in one stacked pass.
 
-        ``points`` and ``activations`` are normalized ``(k, n)`` stacks
-        (``activations`` ``None`` when every activation point is the point);
-        ``materials`` holds each row's constraint bytes.  A row's point is
-        hashed once when its activation point normalizes to the same bytes.
+        The points (and activation points) are normalized as one array each,
+        every distinct constraint's bytes are read once, and a row's point
+        is hashed once when its activation point normalizes to the same
+        bytes.
         """
+        materials = [constraint_bytes(constraint) for constraint in batch.constraints]
+        points = self._normalized(batch.points)
         width = points.shape[1] * points.itemsize
         point_bytes = memoryview(points).cast("B")
-        if activations is None:
+        if batch.activation_points is None:
             pinned = [False] * points.shape[0]
         else:
+            activations = self._normalized(batch.activation_points)
             pinned = (activations.view(np.uint64) != points.view(np.uint64)).any(axis=1).tolist()
             activation_bytes = memoryview(activations).cast("B")
         keys = []
-        for row, (is_pinned, material) in enumerate(zip(pinned, materials)):
+        for row, (is_pinned, group) in enumerate(zip(pinned, batch.groups.tolist())):
             start = row * width
             if is_pinned:
                 digest = hashlib.sha256(b"pinned:")
@@ -365,62 +364,9 @@ class CounterexamplePool:
             else:
                 digest = hashlib.sha256(b"point:")
                 digest.update(point_bytes[start : start + width])
-            digest.update(material)
+            digest.update(materials[group])
             keys.append(digest.digest())
         return keys
-
-    def _batch_keys(self, batch: CounterexampleBatch) -> list[bytes]:
-        """:meth:`_key` of every row of ``batch``, in one stacked pass."""
-        materials = [constraint_bytes(constraint) for constraint in batch.constraints]
-        return self._point_keys(
-            self._normalized(batch.points),
-            None if batch.activation_points is None else self._normalized(batch.activation_points),
-            [materials[group] for group in batch.groups.tolist()],
-        )
-
-    def _keys_of(self, counterexamples: list[Counterexample]) -> list[bytes]:
-        """:meth:`_key` of every counterexample, batched over plain ones.
-
-        The points of plain counterexamples (and their explicit activation
-        points) are normalized as one stacked array each, when they share a
-        1-D shape, and each constraint object's bytes are read once.  Region
-        counterexamples and ragged batches take :meth:`_key` per entry.
-        """
-        keys: list[bytes | None] = [None] * len(counterexamples)
-        plain = [
-            index
-            for index, counterexample in enumerate(counterexamples)
-            if not isinstance(counterexample, RegionCounterexample)
-        ]
-        pinned = [
-            index for index in plain if counterexamples[index].activation_point is not None
-        ]
-        shapes = {counterexamples[index].point.shape for index in plain}
-        shapes.update(counterexamples[index].activation_point.shape for index in pinned)
-        if len(shapes) == 1 and len(next(iter(shapes))) == 1:
-            points = self._normalized(np.array([counterexamples[i].point for i in plain]))
-            activations = None
-            if pinned:
-                row_of = {index: row for row, index in enumerate(plain)}
-                activations = points.copy()
-                activations[[row_of[i] for i in pinned]] = self._normalized(
-                    np.array([counterexamples[i].activation_point for i in pinned])
-                )
-            # The constraints stay referenced by the batch, so no id is reused.
-            material_of: dict[int, bytes] = {}
-            materials = []
-            for index in plain:
-                constraint = counterexamples[index].constraint
-                material = material_of.get(id(constraint))
-                if material is None:
-                    material = material_of[id(constraint)] = constraint_bytes(constraint)
-                materials.append(material)
-            for index, key in zip(plain, self._point_keys(points, activations, materials)):
-                keys[index] = key
-        return [
-            self._key(counterexample) if key is None else key
-            for counterexample, key in zip(counterexamples, keys)
-        ]
 
     # ------------------------------------------------------------------
     # Spill tier
@@ -477,7 +423,9 @@ class CounterexamplePool:
     def _drop_resident(self, stop: int) -> None:
         """Release the resident entries before ``stop`` (just spilled).
 
-        A batch cut by ``stop`` keeps its rest as views of its arrays.
+        A batch cut by ``stop`` keeps its rest as a :meth:`take
+        <repro.verify.base.CounterexampleBatch.take>`: a gather, unless it
+        views the spec's point stack, so the spilled rows are freed.
         """
         while self._runs and self._run_starts[0] < stop:
             run, start = self._runs[0], self._run_starts[0]

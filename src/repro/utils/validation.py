@@ -45,15 +45,19 @@ def check_matrix(
 def frozen(array: np.ndarray) -> np.ndarray:
     """``array`` if it is read-only all the way down its ``base`` chain, else a read-only copy.
 
-    The copy keeps the memory layout (``order="K"``), which BLAS rounding
-    depends on; a caller's writable array is never frozen in place.
+    The chain must end in an array that owns its data: a read-only view of
+    a foreign buffer (``np.frombuffer`` of a ``bytearray``, a read-only
+    memory map) can still change under it, so it is copied too.  The copy
+    keeps the memory layout (``order="K"``), which BLAS rounding depends
+    on; a caller's writable array is never frozen in place.
     """
     base = array
     while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if base.base is None and base.flags.owndata:
+            return array
         base = base.base
-    if isinstance(base, np.ndarray):
-        array = array.copy(order="K")
-        array.flags.writeable = False
+    array = array.copy(order="K")
+    array.flags.writeable = False
     return array
 
 

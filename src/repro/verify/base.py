@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -244,21 +245,35 @@ class PointStack:
             (constraint, _read_only(np.flatnonzero(row_bytes == group)))
             for group, constraint in enumerate(by_bytes.constraints)
         )
+        owner = _owner(points)
+        _STACKED_MEMORY[id(owner)] = owner
         return cls(points, _read_only(groups), tuple(constraints), checks)
 
     def batch(self, rows: np.ndarray, margins: np.ndarray) -> "CounterexampleBatch":
-        """The counterexamples at ``rows`` (ascending), with their ``margins``.
+        """The counterexamples at ``rows`` (ascending), with every row's ``margins``.
 
         Their points are the stack itself when every row is taken, a row
         view for a contiguous run, and one gather otherwise.
         """
         return CounterexampleBatch(
-            points=_take_rows(self.points, rows),
+            points=self.points,
             constraints=self.constraints,
-            groups=self.groups[rows],
+            groups=self.groups,
             margins=margins,
-            region_indices=rows,
-        )
+            region_indices=np.arange(self.points.shape[0]),
+        ).take(rows)
+
+
+#: The arrays owning the memory of every :class:`PointStack`'s points, by
+#: ``id``.  Its spec keeps a stack alive, so a batch may hold a row view of
+#: one without holding more memory than the spec does.  An entry leaves
+#: with its array.
+_STACKED_MEMORY: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array owning ``array``'s memory (NumPy collapses a view's base onto it)."""
+    return array if array.base is None else array.base
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -268,11 +283,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _take_rows(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` (ascending) of a remembered frozen array, as a view when contiguous."""
+    """Rows ``rows`` (ascending) of a remembered frozen array.
+
+    The array itself when every row is taken, a view for a contiguous run
+    of a :class:`PointStack`'s points, and one gather otherwise: a view of
+    any other array would keep all of its rows alive for a few of them.
+    """
     count = rows.size
     if count == array.shape[0]:
         return array
-    if count and rows[-1] - rows[0] == count - 1:
+    owner = _owner(array)
+    if count and rows[-1] - rows[0] == count - 1 and _STACKED_MEMORY.get(id(owner)) is owner:
         return array[rows[0] : rows[0] + count]
     return remember_frozen(_read_only(array[rows]))
 
@@ -310,7 +331,7 @@ class VerificationSpec:
 
     @classmethod
     def from_points(
-        cls, points, constraints: Sequence[HPolytope], names: Sequence[str] | None = None
+        cls, points, constraints: Sequence[HPolytope], names: Sequence[str]
     ) -> "VerificationSpec":
         """One single-point box per row of ``points``, each with its constraint.
 
@@ -323,7 +344,7 @@ class VerificationSpec:
         # depends on the layout of the batches the verifier slices from it.
         points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
         points = frozen_array(points, "points")
-        names = [""] * points.shape[0] if names is None else list(names)
+        names = list(names)
         if not len(constraints) == len(names) == points.shape[0]:
             raise SpecificationError("one constraint (and name) per point is required")
         spec = cls()
@@ -550,12 +571,12 @@ class CounterexampleBatch(Sequence):
         return self.points if self.activation_points is None else self.activation_points
 
     def take(self, rows) -> "CounterexampleBatch":
-        """The batch of rows ``rows`` (ascending indices or a slice), itself when that is every row.
+        """The batch of rows ``rows`` (ascending indices), itself when that is every row.
 
-        Contiguous rows are views of this batch's arrays, others one gather.
+        Its points and activation points are taken by :func:`_take_rows`:
+        row views only of a :class:`PointStack`, so a batch kept for a few
+        rows of another batch holds just those rows.
         """
-        if isinstance(rows, slice):
-            rows = np.arange(len(self))[rows]
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size == len(self):
             return self

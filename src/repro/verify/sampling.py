@@ -137,7 +137,7 @@ class _SamplingVerifier(Verifier):
             verifier=self.name,
             region_statuses=statuses,
             region_margins=margins.tolist(),
-            counterexamples=stack.batch(indices, margins[indices]),
+            counterexamples=stack.batch(indices, margins),
             points_checked=points.shape[0],
         )
 

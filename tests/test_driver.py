@@ -338,7 +338,6 @@ class TestBatchedPoolIntake:
         rng = np.random.default_rng(3)
         pool = CounterexamplePool()
         batch = mixed_intake(rng, 5, 12)
-        assert pool._keys_of(batch) == [pool._key(entry) for entry in batch]
         plain = [entry for entry in batch if type(entry) is Counterexample]
         for pin in (False, True):
             rows = batch_of(plain, pin=pin)
@@ -366,6 +365,58 @@ class TestBatchedPoolIntake:
         assert pool.extend(float32) == 1
         assert pool.extend(rows) == 0
         assert not pool.add(twins[3])
+
+
+def retained_nbytes(pool: CounterexamplePool) -> int:
+    """Bytes of the arrays the pool's resident batches keep alive."""
+    owners = {}
+    for run in pool._runs:
+        assert isinstance(run, CounterexampleBatch)
+        for array in (run.points, run.activation_points):
+            if array is not None:
+                owner = array if array.base is None else array.base
+                owners[id(owner)] = owner.nbytes
+    return sum(owners.values())
+
+
+class TestBatchResidency:
+    """A pooled batch keeps alive only the rows the pool counts."""
+
+    @pytest.mark.parametrize("pin", [False, True])
+    def test_spilled_and_admitted_rows_free_their_batch(self, tmp_path, pin):
+        rng = np.random.default_rng(11)
+        constraint = HPolytope([[1.0, -1.0, 0.0, 0.5]], [0.25])
+
+        def batch(points) -> CounterexampleBatch:
+            count = points.shape[0]
+            return CounterexampleBatch(
+                points, [constraint], np.zeros(count, np.intp), np.ones(count),
+                np.arange(count), activation_points=-points if pin else None,
+            )
+
+        # Entries of 2 × 32 + 40 bytes: about 38 fit the budget, so the
+        # spill cuts the first batch.
+        pool = CounterexamplePool(max_resident_bytes=4000, spill_dir=tmp_path)
+        first = rng.uniform(-1.0, 1.0, (300, 4))
+        assert pool.extend(batch(first)) == 300
+        assert pool.spilled_entries > 0 and len(pool._runs) == 1
+        assert retained_nbytes(pool) <= pool.resident_bytes
+        # A second round whose only new rows are a contiguous run of it.
+        second = np.vstack([first, rng.uniform(-1.0, 1.0, (10, 4))])
+        assert pool.extend(batch(second)) == 10
+        assert retained_nbytes(pool) <= pool.resident_bytes
+        # Rows pooled from a spec's point stack stay views of it.
+        spec_points = rng.uniform(-1.0, 1.0, (30, 4))
+        spec = VerificationSpec.from_points(spec_points, [constraint] * 30, [""] * 30)
+        stack = spec.point_stack()
+        stacked = stack.batch(np.arange(5, 30), np.ones(30))
+        assert stacked.points.base is stack.points
+        assert pool.extend(stacked) == 25
+        assert pool._runs[-1].points.base is stack.points
+        entries = list(pool.iter_entries())
+        assert [entry.point.tobytes() for entry in entries] == [
+            row.tobytes() for row in (*first, *second[300:], *spec_points[5:])
+        ]
 
 
 class TestBatchedDedupProperty:
@@ -504,7 +555,7 @@ class TestPoolOracles:
         points = rng.uniform(-1.0, 1.0, size=(7, 4))
         labels = (np.argmax(network.compute(points), axis=1) + 1) % 3
         spec = VerificationSpec.from_points(
-            points, [HPolytope.argmax_region(3, int(label)) for label in labels]
+            points, [HPolytope.argmax_region(3, int(label)) for label in labels], [""] * 7
         )
         report = GridVerifier(certify_exhaustive=True).verify(network, spec)
         batch = report.counterexamples

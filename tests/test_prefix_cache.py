@@ -337,6 +337,26 @@ class TestFrozenBatchIdentity:
         assert cache._digest(other) == prefix_cache._digest(other)
         assert ddnn.compute(other).tobytes() == uncached_compute(ddnn, other).tobytes()
 
+    def test_a_frozen_foreign_buffer_is_copied_not_remembered(self):
+        ddnn, cache, points = fc_setup()
+        buffer = bytearray(points.tobytes())
+        foreign = np.frombuffer(buffer)
+        foreign.flags.writeable = False
+        foreign = foreign.reshape(points.shape)
+        stack = remember_frozen(foreign)
+        assert not np.shares_memory(stack, foreign)
+        assert prefix_cache._identity(foreign) is None
+        cache.layer_inputs(ddnn, foreign, None)
+        cache.layer_inputs(ddnn, stack, None)
+        assert (cache.misses, cache.hits) == (1, 1)
+        # The buffer changes under the read-only view; the copy does not.
+        buffer[:8] = np.float64(0.5).tobytes()
+        assert foreign[0, 0] == 0.5 and stack.tobytes() == points.tobytes()
+        changed = foreign.copy()
+        assert ddnn.compute(foreign).tobytes() == uncached_compute(ddnn, changed).tobytes()
+        assert ddnn.compute(stack).tobytes() == uncached_compute(ddnn, points).tobytes()
+        assert cache.misses == 2
+
     def test_a_driver_run_hashes_each_frozen_batch_once(self, monkeypatch):
         workload = classifier_perturbation_workload(1250, seed=1)
         hashed = self.counting_digests(monkeypatch)
