@@ -5,9 +5,8 @@ Sweeps the feasible-by-construction classifier-perturbation workload
 from ~10³ to ~10⁵ LP constraint rows and runs the full CEGIS
 :class:`~repro.driver.driver.RepairDriver` on each size with a configured
 ``memory_budget`` — so constraint rows stream through the chunked
-Jacobian→LP pipeline and old counterexamples spill from the pool to disk.
-Each record reports rows vs round-seconds vs peak RSS, plus the pool/chunk
-telemetry of the out-of-core tiers.
+Jacobian→LP pipeline.  Each record reports rows vs round-seconds vs peak
+RSS, plus the telemetry of the chunk stream.
 
 Four cross-checks always run (they are correctness gates, not timings):
 
@@ -106,8 +105,6 @@ def run_one(target_rows: int, memory_budget: int, seed: int) -> dict:
         "rounds": report.num_rounds,
         "lp_rows_appended": report.lp_rows_appended,
         "pool_size": report.pool_size,
-        "pool_spilled_entries": driver.pool.spilled_entries,
-        "pool_resident_bytes": driver.pool.resident_bytes,
         "unsatisfied_pool_entries": len(report.unsatisfied_pool_indices),
         "prefix_cache_hits": cache.hits if cache is not None else 0,
         "prefix_cache_misses": cache.misses if cache is not None else 0,
@@ -152,8 +149,7 @@ def run_benchmark(sizes: list[int], memory_budget: int, seed: int) -> dict:
             f"rows={record['constraint_rows']:>7}  "
             f"status={record['status']}  rounds={record['rounds']}  "
             f"round={record['round_seconds_mean']:.2f}s  "
-            f"rss={record['peak_rss_bytes'] / 1024**2:.0f}MB  "
-            f"spilled={record['pool_spilled_entries']}"
+            f"rss={record['peak_rss_bytes'] / 1024**2:.0f}MB"
         )
     return {
         "benchmark": "imagenet_scaling",

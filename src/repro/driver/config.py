@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from repro.exceptions import RepairError
@@ -60,6 +61,26 @@ def _same(value, kept) -> bool:
     return type(value) is type(kept) and value == kept
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a float with a fraction is an error.
+
+    An integral float such as ``2.0`` decodes, since JSON encoders may
+    write ints that way.
+    """
+    if isinstance(value, bool) or (
+        not isinstance(value, numbers.Integral) and not float(value).is_integer()
+    ):
+        raise RepairError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool is an error."""
+    if isinstance(value, bool):
+        raise RepairError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _reject_removed(names) -> None:
     removed = sorted(set(names) & set(REMOVED_KNOBS))
     if removed:
@@ -98,20 +119,20 @@ class DriverConfig:
         # ints-as-floats) is indistinguishable from one built in-process.
         if self.layer_schedule is not None:
             object.__setattr__(
-                self, "layer_schedule", tuple(int(index) for index in self.layer_schedule)
+                self,
+                "layer_schedule",
+                tuple(_integer("layer_schedule", index) for index in self.layer_schedule),
             )
-        object.__setattr__(self, "repair_margin", float(self.repair_margin))
-        object.__setattr__(self, "max_rounds", int(self.max_rounds))
-        if self.budget_seconds is not None:
-            object.__setattr__(self, "budget_seconds", float(self.budget_seconds))
-        if self.delta_bound is not None:
-            object.__setattr__(self, "delta_bound", float(self.delta_bound))
-        if self.max_new_counterexamples is not None:
-            object.__setattr__(
-                self, "max_new_counterexamples", int(self.max_new_counterexamples)
-            )
-        if self.memory_budget is not None:
-            object.__setattr__(self, "memory_budget", int(self.memory_budget))
+        object.__setattr__(self, "repair_margin", _real("repair_margin", self.repair_margin))
+        object.__setattr__(self, "max_rounds", _integer("max_rounds", self.max_rounds))
+        for name, convert in (
+            ("budget_seconds", _real),
+            ("delta_bound", _real),
+            ("max_new_counterexamples", _integer),
+            ("memory_budget", _integer),
+        ):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, convert(name, getattr(self, name)))
 
         if self.mode not in ("point", "polytope"):
             raise RepairError(f'mode must be "point" or "polytope", got {self.mode!r}')

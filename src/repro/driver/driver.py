@@ -327,17 +327,14 @@ class RepairDriver:
     memory_budget:
         Soft cap, in bytes, on the repair data path's resident footprint —
         the single knob of the out-of-core pipeline.  When set, the driver
-        (1) creates (and reloads) its counterexample pool with a
-        ``max_resident_bytes`` spill budget, so old entries spill to
-        atomic npz segments on disk while dedup keys stay resident, and
-        (2) streams repair constraints through the
-        :class:`~repro.core.jacobian.JacobianChunkStream` with a matching
-        ``max_chunk_bytes``, never above the default chunk budget
-        (byte-identical either way), and (3) caps the frozen-prefix features
-        cached for the run (see below).  Each tier gets a quarter of the
-        budget; the rest is headroom for the LP itself.  ``None`` (default)
-        keeps the pool and prefix features fully in memory.  A
-        caller-supplied ``pool`` is never reconfigured.
+        (1) streams repair constraints through the
+        :class:`~repro.core.jacobian.JacobianChunkStream` with a
+        ``max_chunk_bytes`` of a quarter of the budget, never above the
+        default chunk budget (byte-identical either way), and (2) caps the
+        frozen-prefix features cached for the run at another quarter (see
+        below); the rest is headroom for the counterexample pool, which
+        always stays in memory, and the LP itself.  ``None`` (default)
+        keeps every prefix feature in memory.
     on_round:
         Optional callback invoked with each :class:`RoundRecord` as the
         driver finishes with it (its fields final).  This is the progress
@@ -392,10 +389,9 @@ class RepairDriver:
         self.holdout = holdout
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path is not None else None
         self.memory_budget = config.memory_budget
-        # A quarter of the budget each for the pool's resident window, for
-        # Jacobian chunks and for prefix features; the remaining quarter is
-        # headroom for the LP.  A budget only ever shrinks the chunks below
-        # the unbudgeted default.
+        # A quarter of the budget each for Jacobian chunks and for prefix
+        # features; the rest is headroom for the pool and the LP.  A budget
+        # only ever shrinks the chunks below the unbudgeted default.
         tier = max(1, config.memory_budget // 4) if config.memory_budget else None
         self.max_chunk_bytes = min(tier, DEFAULT_CHUNK_BYTES) if tier else None
         self.max_prefix_bytes = tier
@@ -403,9 +399,9 @@ class RepairDriver:
         if pool is not None:
             self.pool = pool
         elif self.checkpoint_path is not None and self.checkpoint_path.exists():
-            self.pool = CounterexamplePool.load(self.checkpoint_path, max_resident_bytes=tier)
+            self.pool = CounterexamplePool.load(self.checkpoint_path)
         else:
-            self.pool = CounterexamplePool(max_resident_bytes=tier)
+            self.pool = CounterexamplePool()
         self.max_new_counterexamples = config.max_new_counterexamples
         self.norm = config.norm
         self.delta_bound = config.delta_bound

@@ -50,21 +50,6 @@ frozen-prefix cache the same arrays.  Entries of a list
 exact verifier's region lists) are keyed one by one and kept as objects,
 stacked when read.
 
-**Disk-spill tier.**  With ``max_resident_bytes`` set, the pool keeps only a
-bounded suffix of entries in memory: when the resident window exceeds the
-budget, the oldest resident run is written to a segment file (the same
-per-entry npz layout the checkpoints use) and the in-memory entries are
-dropped; a batch cut by the spill keeps its rest as :meth:`take
-<repro.verify.base.CounterexampleBatch.take>` of it would.
-Dedup keys and per-entry metadata (margins, key-point counts)
-always stay resident, so :meth:`add`, :meth:`worst_margin` and
-``num_key_points`` never touch disk; consumers that need entry *contents*
-(:meth:`point_spec`, :meth:`unsatisfied`, :meth:`save`) stream them back in
-insertion order through a one-segment read cache.  Spills happen exactly
-where per-entry :meth:`add` calls would put them, however the entries
-arrived.  Million-point pools thus cost O(keys) RAM beyond what the caller
-already holds, not O(entries).
-
 The pool also persists itself through :mod:`repro.utils.serialization` so an
 interrupted driver run (CI timeout, budget exhaustion) resumes with every
 counterexample it had already paid verification time for.  Checkpoints are
@@ -76,15 +61,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import shutil
-import tempfile
-import weakref
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
-import repro.obs as obs
 from repro.core.ddnn import POINT_BATCH, DecoupledNetwork
 from repro.core.specs import PointRepairSpec
 from repro.polytope.hpolytope import HPolytope
@@ -151,19 +132,6 @@ def _activation_rows(counterexample: Counterexample, count: int) -> np.ndarray:
     return activation if count == 1 else np.repeat(activation, count, axis=0)
 
 
-def _entry_nbytes(counterexample: Counterexample) -> int:
-    """Approximate resident footprint of one entry's array payloads."""
-    nbytes = (
-        counterexample.point.nbytes
-        + counterexample.resolved_activation_point().nbytes
-        + counterexample.constraint.a.nbytes
-        + counterexample.constraint.b.nbytes
-    )
-    if isinstance(counterexample, RegionCounterexample):
-        nbytes += counterexample.vertices.nbytes
-    return int(nbytes)
-
-
 def _joined(blocks: list[tuple]) -> tuple:
     """``(points, activations, row_groups, owners)`` blocks stacked part by part.
 
@@ -188,48 +156,17 @@ class CounterexamplePool:
     ----------
     decimals:
         Rounding applied to dedup-key material.
-    max_resident_bytes:
-        ``None`` (default) keeps every entry in memory — the historical
-        behavior.  A byte budget enables the disk-spill tier described in
-        the module docstring; dedup keys and per-entry metadata always stay
-        resident regardless.
-    spill_dir:
-        Directory for spill segment files.  Defaults to a private temporary
-        directory that lives as long as the pool object.
     """
 
-    def __init__(
-        self,
-        decimals: int = 9,
-        max_resident_bytes: int | None = None,
-        spill_dir: str | Path | None = None,
-    ) -> None:
+    def __init__(self, decimals: int = 9) -> None:
         self.decimals = int(decimals)
-        if max_resident_bytes is not None:
-            max_resident_bytes = int(max_resident_bytes)
-            if max_resident_bytes < 1:
-                raise ValueError("max_resident_bytes must be positive (or None)")
-        self.max_resident_bytes = max_resident_bytes
-        self._spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self._spill_cleanup: weakref.finalize | None = None
-        # The resident entries, [_resident_start, len), as consecutive runs:
-        # a list of counterexample objects, or a CounterexampleBatch whose
-        # every row is an entry.  A spilled entry lives in exactly one
-        # segment file.  Metadata lists stay fully resident.
+        # The entries as consecutive runs: a list of counterexample objects,
+        # or a CounterexampleBatch whose every row is an entry.
         self._runs: list[list[Counterexample] | CounterexampleBatch] = []
         self._run_starts: list[int] = []
         self._keys: set[bytes] = set()
         self._margins: list[float] = []
         self._key_counts: list[int] = []
-        self._entry_bytes: list[int] = []
-        self._resident_bytes = 0
-        self._resident_start = 0
-        # Spilled runs, in order: (start, stop, path) with stop == next
-        # segment's start; _segment_starts mirrors the starts for bisect.
-        self._segments: list[tuple[int, int, Path]] = []
-        self._segment_starts: list[int] = []
-        self._segment_cache: tuple[Path, dict] | None = None
-        self.spilled_entries = 0
 
     # ------------------------------------------------------------------
     # Growth
@@ -241,8 +178,8 @@ class CounterexamplePool:
     def extend(self, counterexamples: Sequence[Counterexample] | CounterexampleBatch) -> int:
         """Add many counterexamples; returns how many were new.
 
-        Equivalent to :meth:`add` on each in order (same entries, keys and
-        spills).  A :class:`~repro.verify.base.CounterexampleBatch` is keyed
+        Equivalent to :meth:`add` on each in order (same entries and
+        keys).  A :class:`~repro.verify.base.CounterexampleBatch` is keyed
         in one stacked pass and its new rows join the pool as one batch
         (the batch itself when every row is new), with no object per
         point.
@@ -260,11 +197,8 @@ class CounterexamplePool:
         else:
             self._run_starts.append(len(self))
             self._runs.append([counterexample])
-        self._record(
-            [float(counterexample.margin)],
-            [int(counterexample.key_points().shape[0])],
-            [_entry_nbytes(counterexample)],
-        )
+        self._margins.append(float(counterexample.margin))
+        self._key_counts.append(int(counterexample.key_points().shape[0]))
         return True
 
     def _extend_batch(self, batch: CounterexampleBatch) -> int:
@@ -278,30 +212,9 @@ class CounterexamplePool:
         admitted = batch.take(rows)
         self._run_starts.append(len(self))
         self._runs.append(admitted)
-        # Each entry's point and (resolved) activation point, and its
-        # constraint, as _entry_nbytes counts them.
-        constraint_nbytes = np.array(
-            [constraint.a.nbytes + constraint.b.nbytes for constraint in admitted.constraints]
-        )
-        self._record(
-            admitted.margins.tolist(),
-            [1] * len(rows),
-            (2 * admitted.points[0].nbytes + constraint_nbytes[admitted.groups]).tolist(),
-        )
+        self._margins.extend(admitted.margins.tolist())
+        self._key_counts.extend([1] * len(rows))
         return len(rows)
-
-    def _record(self, margins: list[float], key_counts: list[int], entry_bytes: list[int]) -> None:
-        """Append new entries' metadata, spilling as per-entry admission would."""
-        first = len(self._entry_bytes)
-        self._margins.extend(margins)
-        self._key_counts.extend(key_counts)
-        self._entry_bytes.extend(entry_bytes)
-        if self.max_resident_bytes is None:
-            self._resident_bytes += sum(entry_bytes)
-            return
-        for length, nbytes in enumerate(entry_bytes, first + 1):
-            self._resident_bytes += nbytes
-            self._maybe_spill(length)
 
     def _normalized(self, array: np.ndarray) -> np.ndarray:
         """Key material for one array: contiguous float64, rounded, no ``-0.0``.
@@ -368,82 +281,8 @@ class CounterexamplePool:
             keys.append(digest.digest())
         return keys
 
-    # ------------------------------------------------------------------
-    # Spill tier
-    # ------------------------------------------------------------------
-    def _spill_path(self, segment_index: int) -> Path:
-        if self._spill_dir is None:
-            # A plain mkdtemp + weakref finalizer (not TemporaryDirectory,
-            # whose implicit-cleanup finalizer raises a ResourceWarning when
-            # the pool is simply garbage collected).
-            self._spill_dir = Path(tempfile.mkdtemp(prefix="repro-pool-"))
-            self._spill_cleanup = weakref.finalize(
-                self, shutil.rmtree, str(self._spill_dir), ignore_errors=True
-            )
-        self._spill_dir.mkdir(parents=True, exist_ok=True)
-        return self._spill_dir / f"segment_{segment_index:05d}.npz"
-
-    def _maybe_spill(self, length: int) -> None:
-        """Spill the oldest resident run if the window exceeds its budget.
-
-        ``length`` is the number of entries admitted so far (a batch's
-        entries are accounted one at a time, as :meth:`add` would).  The
-        run is sized to bring residency down to half the budget (so spills
-        amortize instead of triggering per-add), but always leaves the
-        newest entry resident — the driver touches it immediately.
-        """
-        if self._resident_bytes <= self.max_resident_bytes:
-            return
-        start = self._resident_start
-        stop = start
-        freed = 0
-        target = self._resident_bytes - self.max_resident_bytes // 2
-        while stop < length - 1 and freed < target:
-            freed += self._entry_bytes[stop]
-            stop += 1
-        if stop == start:
-            return
-        path = self._spill_path(len(self._segments))
-        arrays: dict[str, np.ndarray] = {"start": np.array([start]), "count": np.array([stop - start])}
-        for slot, index in enumerate(range(start, stop)):
-            _pack_entry(arrays, slot, self.entry(index))
-        save_arrays_atomic(path, arrays)
-        self._drop_resident(stop)
-        self._segments.append((start, stop, path))
-        self._segment_starts.append(start)
-        self._resident_start = stop
-        self._resident_bytes -= freed
-        self.spilled_entries += stop - start
-        if obs.enabled():
-            obs.counter(
-                "repro_pool_spilled_entries_total",
-                "Counterexample-pool entries spilled to disk segments.",
-            ).inc(stop - start)
-
-    def _drop_resident(self, stop: int) -> None:
-        """Release the resident entries before ``stop`` (just spilled).
-
-        A batch cut by ``stop`` keeps its rest as a :meth:`take
-        <repro.verify.base.CounterexampleBatch.take>`: a gather, unless it
-        views the spec's point stack, so the spilled rows are freed.
-        """
-        while self._runs and self._run_starts[0] < stop:
-            run, start = self._runs[0], self._run_starts[0]
-            if start + len(run) > stop:
-                self._runs[0] = run[stop - start :]
-                self._run_starts[0] = stop
-                return
-            del self._runs[0], self._run_starts[0]
-
-    def _load_segment(self, segment: tuple[int, int, Path]) -> dict:
-        if self._segment_cache is not None and self._segment_cache[0] == segment[2]:
-            return self._segment_cache[1]
-        arrays = load_arrays(segment[2])
-        self._segment_cache = (segment[2], arrays)
-        return arrays
-
     def entry(self, index: int) -> Counterexample:
-        """The counterexample at ``index``, loading its spill segment if needed.
+        """The counterexample at ``index``.
 
         An entry of a pooled batch comes back as a new
         :class:`~repro.verify.base.Counterexample` view of its row.
@@ -452,20 +291,11 @@ class CounterexamplePool:
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError(f"pool index {index} out of range")
-        if index >= self._resident_start:
-            slot = bisect.bisect_right(self._run_starts, index) - 1
-            return self._runs[slot][index - self._run_starts[slot]]
-        slot = bisect.bisect_right(self._segment_starts, index) - 1
-        segment = self._segments[slot]
-        arrays = self._load_segment(segment)
-        return _unpack_entry(arrays, index - segment[0])
+        slot = bisect.bisect_right(self._run_starts, index) - 1
+        return self._runs[slot][index - self._run_starts[slot]]
 
     def iter_entries(self, start: int = 0):
-        """Iterate entries ``[start:]`` in insertion order, spill-aware.
-
-        Sequential access loads each spill segment at most once thanks to
-        the one-segment read cache.
-        """
+        """Iterate entries ``[start:]`` in insertion order."""
         for index in range(start, len(self)):
             yield self.entry(index)
 
@@ -477,34 +307,29 @@ class CounterexamplePool:
         constraint group of every row in ``groups`` (by bytes) and the pool
         index of its entry.  A pooled batch yields views of its own arrays
         (the activations are the points array itself when unpinned); object
-        runs and spill segments yield one stack per ``POINT_BATCH`` entries,
-        so reading them holds about one batch of copies at a time.
+        runs yield one stack per ``POINT_BATCH`` entries, so reading them
+        holds about one batch of copies at a time.
         """
         index = start
         while index < len(self):
-            if index < self._resident_start:
-                slot = bisect.bisect_right(self._segment_starts, index) - 1
-                stop = min(self._segments[slot][1], index + POINT_BATCH)
-                entries = [self.entry(position) for position in range(index, stop)]
-            else:
-                slot = bisect.bisect_right(self._run_starts, index) - 1
-                run, run_start = self._runs[slot], self._run_starts[slot]
-                stop = run_start + len(run)
-                if isinstance(run, CounterexampleBatch):
-                    part = run[index - run_start :]
-                    local = np.zeros(len(part.constraints), dtype=np.intp)
-                    for group in np.unique(part.groups).tolist():
-                        local[group] = groups.group(part.constraints[group])
-                    yield (
-                        part.points,
-                        part.resolved_activation_points,
-                        local[part.groups],
-                        np.arange(index, stop),
-                    )
-                    index = stop
-                    continue
-                stop = min(stop, index + POINT_BATCH)
-                entries = run[index - run_start : stop - run_start]
+            slot = bisect.bisect_right(self._run_starts, index) - 1
+            run, run_start = self._runs[slot], self._run_starts[slot]
+            stop = run_start + len(run)
+            if isinstance(run, CounterexampleBatch):
+                part = run[index - run_start :]
+                local = np.zeros(len(part.constraints), dtype=np.intp)
+                for group in np.unique(part.groups).tolist():
+                    local[group] = groups.group(part.constraints[group])
+                yield (
+                    part.points,
+                    part.resolved_activation_points,
+                    local[part.groups],
+                    np.arange(index, stop),
+                )
+                index = stop
+                continue
+            stop = min(stop, index + POINT_BATCH)
+            entries = run[index - run_start : stop - run_start]
             key_points = [entry.key_points() for entry in entries]
             counts = [rows.shape[0] for rows in key_points]
             yield (
@@ -525,7 +350,7 @@ class CounterexamplePool:
 
     @property
     def counterexamples(self) -> list[Counterexample]:
-        """The pooled counterexamples, in insertion order (materializes spills)."""
+        """The pooled counterexamples, in insertion order."""
         return list(self.iter_entries())
 
     @property
@@ -537,11 +362,6 @@ class CounterexamplePool:
     def worst_margin(self) -> float:
         """The largest violation margin in the pool (-inf when empty)."""
         return max(self._margins, default=float("-inf"))
-
-    @property
-    def resident_bytes(self) -> int:
-        """Approximate bytes of entry payloads currently held in memory."""
-        return self._resident_bytes
 
     # ------------------------------------------------------------------
     # Repair interface
@@ -650,8 +470,7 @@ class CounterexamplePool:
         The archive is written to a temp file and moved into place with
         ``os.replace``, so a reader racing the save (or a kill between
         write and rename) observes either the previous complete checkpoint
-        or the new one — never a torn file.  Spilled entries are streamed
-        back from their segments into the archive.
+        or the new one — never a torn file.
         """
         arrays: dict[str, np.ndarray] = {
             "decimals": np.array([self.decimals]),
@@ -662,24 +481,10 @@ class CounterexamplePool:
         save_arrays_atomic(Path(path), arrays)
 
     @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        max_resident_bytes: int | None = None,
-        spill_dir: str | Path | None = None,
-    ) -> "CounterexamplePool":
-        """Restore a pool checkpointed by :meth:`save`.
-
-        ``max_resident_bytes``/``spill_dir`` configure the restored pool's
-        spill tier; entries past the budget spill during the reload itself,
-        so resuming a million-point checkpoint never holds it fully in RAM.
-        """
+    def load(cls, path: str | Path) -> "CounterexamplePool":
+        """Restore a pool checkpointed by :meth:`save`."""
         arrays = load_arrays(Path(path))
-        pool = cls(
-            decimals=int(arrays["decimals"][0]),
-            max_resident_bytes=max_resident_bytes,
-            spill_dir=spill_dir,
-        )
+        pool = cls(decimals=int(arrays["decimals"][0]))
         for index in range(int(arrays["count"][0])):
             pool.add(_unpack_entry(arrays, index))
         return pool

@@ -14,8 +14,8 @@ its pointwise :class:`~repro.verify.base.VerificationSpec`
 (:func:`pointwise_verification_spec`), and the closed-loop entry point
 (:func:`driver_certified_repair`) that runs the full
 :class:`~repro.driver.driver.RepairDriver` CEGIS loop — with the out-of-core
-chunked Jacobian→LP pipeline and the spilling counterexample pool when a
-``memory_budget`` is set — to a *certified* SqueezeNet-mini repair.
+chunked Jacobian→LP pipeline when a ``memory_budget`` is set — to a
+*certified* SqueezeNet-mini repair.
 """
 
 from __future__ import annotations
@@ -461,10 +461,10 @@ def driver_certified_repair(
     exhaustively-certifying grid verifier sweeps the pointwise spec in one
     stacked pass per round, the driver's standing LP session absorbs the
     pooled points, and — when ``memory_budget`` is set — constraint rows
-    stream through :class:`~repro.core.jacobian.JacobianChunkStream` while
-    old pool entries spill to disk, keeping peak memory bounded at 10⁵+
-    rows.  Returns ``(report, driver)`` so callers can inspect the pool's
-    spill statistics alongside the report.
+    stream through :class:`~repro.core.jacobian.JacobianChunkStream` in
+    bounded chunks and the frozen-prefix cache holds a bounded share of
+    features.  Returns ``(report, driver)`` so callers can inspect the pool
+    and the prefix cache alongside the report.
     """
     verifier = GridVerifier(certify_exhaustive=True)
     config = DriverConfig(

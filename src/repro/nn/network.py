@@ -136,11 +136,6 @@ class Network:
             for index in self.parameterized_layer_indices()
         }
 
-    def set_all_parameters(self, parameters: dict[int, np.ndarray]) -> None:
-        """Overwrite parameters from a mapping produced by ``get_all_parameters``."""
-        for index, flat in parameters.items():
-            self.layers[index].set_parameters(flat)
-
     def copy(self) -> "Network":
         """New layer objects sharing this network's arrays (see :meth:`Layer.copy`)."""
         return Network([layer.copy() for layer in self.layers])

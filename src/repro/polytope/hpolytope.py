@@ -55,12 +55,6 @@ class HPolytope:
         points = check_matrix(points, "points", cols=self.output_dimension)
         return np.max(points @ self.a.T - self.b, axis=1)
 
-    def intersect(self, other: "HPolytope") -> "HPolytope":
-        """The intersection of two polytopes over the same output space."""
-        if other.output_dimension != self.output_dimension:
-            raise SpecificationError("cannot intersect polytopes of different dimensions")
-        return HPolytope(np.vstack([self.a, other.a]), np.concatenate([self.b, other.b]))
-
     # ------------------------------------------------------------------
     # Constructors for the common specification shapes
     # ------------------------------------------------------------------

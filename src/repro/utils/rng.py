@@ -26,11 +26,3 @@ def ensure_rng(seed_or_rng: int | np.random.Generator | None = None) -> np.rando
         f"expected None, int, or numpy Generator, got {type(seed_or_rng).__name__}"
     )
 
-
-def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``count`` independent child generators."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    seeds = rng.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
-

@@ -107,10 +107,3 @@ def check_positive_int(value, name: str = "value") -> int:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return as_int
 
-
-def check_probability(value: float, name: str = "probability") -> float:
-    """Return ``value`` if it lies in [0, 1], otherwise raise ``ValueError``."""
-    as_float = float(value)
-    if not 0.0 <= as_float <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return as_float

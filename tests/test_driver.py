@@ -287,14 +287,8 @@ def assert_same_entry(ours: Counterexample, theirs: Counterexample) -> None:
 def assert_pools_equal(batched: CounterexamplePool, single: CounterexamplePool) -> None:
     assert batched._keys == single._keys
     assert len(batched) == len(single)
-    assert batched._resident_start == single._resident_start
     assert batched.num_key_points == single.num_key_points
     assert batched.worst_margin == single.worst_margin
-    assert batched.resident_bytes == single.resident_bytes
-    assert batched.spilled_entries == single.spilled_entries
-    assert [segment[:2] for segment in batched._segments] == [
-        segment[:2] for segment in single._segments
-    ]
     for ours, theirs in zip(batched.iter_entries(), single.iter_entries()):
         assert_same_entry(ours, theirs)
 
@@ -305,24 +299,20 @@ class TestBatchedPoolIntake:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        budget=st.sampled_from([None, 200, 900]),
         decimals=st.sampled_from([3, 9]),
         ragged=st.booleans(),
     )
-    def test_extend_equals_per_entry_add(self, tmp_path_factory, seed, budget, decimals, ragged):
+    def test_extend_equals_per_entry_add(self, seed, decimals, ragged):
         rng = np.random.default_rng(seed)
         first = mixed_intake(rng, 4, 8)
         second = mixed_intake(rng, 4, 8, earlier=first, ragged=ragged)
-        directory = tmp_path_factory.mktemp("spill")
-        batched, rows, listed, single = (
-            CounterexamplePool(decimals, budget, directory / name) for name in "abcd"
-        )
+        batched, rows, listed, single = (CounterexamplePool(decimals) for _ in range(4))
         for intake in (first, second):
             new = sum(single.add(entry) for entry in intake)
             assert listed.extend(intake) == new
             assert_pools_equal(listed, single)
             # Entries pooled from a list are the very objects added.
-            for index in range(single._resident_start, len(single)):
+            for index in range(len(single)):
                 assert listed.entry(index) is single.entry(index)
             # A batch's rows hold float64 points, so its pool is compared
             # with per-entry adds of those rows; it admits what the list did.
@@ -331,8 +321,6 @@ class TestBatchedPoolIntake:
             assert new == sum(rows.add(entry) for run in runs for entry in run)
             assert_pools_equal(batched, rows)
             assert batched._keys == single._keys
-        if budget is not None:
-            assert batched.spilled_entries > 0
 
     def test_keys_match_the_per_entry_key(self):
         rng = np.random.default_rng(3)
@@ -368,7 +356,7 @@ class TestBatchedPoolIntake:
 
 
 def retained_nbytes(pool: CounterexamplePool) -> int:
-    """Bytes of the arrays the pool's resident batches keep alive."""
+    """Bytes of the arrays the pool's batches keep alive."""
     owners = {}
     for run in pool._runs:
         assert isinstance(run, CounterexampleBatch)
@@ -383,7 +371,7 @@ class TestBatchResidency:
     """A pooled batch keeps alive only the rows the pool counts."""
 
     @pytest.mark.parametrize("pin", [False, True])
-    def test_spilled_and_admitted_rows_free_their_batch(self, tmp_path, pin):
+    def test_admitted_rows_free_their_batch(self, pin):
         rng = np.random.default_rng(11)
         constraint = HPolytope([[1.0, -1.0, 0.0, 0.5]], [0.25])
 
@@ -394,17 +382,19 @@ class TestBatchResidency:
                 np.arange(count), activation_points=-points if pin else None,
             )
 
-        # Entries of 2 × 32 + 40 bytes: about 38 fit the budget, so the
-        # spill cuts the first batch.
-        pool = CounterexamplePool(max_resident_bytes=4000, spill_dir=tmp_path)
+        def own_nbytes(pool: CounterexamplePool) -> int:
+            """The pooled rows' own points (and activation points)."""
+            return len(pool) * 4 * 8 * (2 if pin else 1)
+
+        pool = CounterexamplePool()
         first = rng.uniform(-1.0, 1.0, (300, 4))
         assert pool.extend(batch(first)) == 300
-        assert pool.spilled_entries > 0 and len(pool._runs) == 1
-        assert retained_nbytes(pool) <= pool.resident_bytes
+        assert len(pool._runs) == 1
+        assert retained_nbytes(pool) == own_nbytes(pool)
         # A second round whose only new rows are a contiguous run of it.
         second = np.vstack([first, rng.uniform(-1.0, 1.0, (10, 4))])
         assert pool.extend(batch(second)) == 10
-        assert retained_nbytes(pool) <= pool.resident_bytes
+        assert retained_nbytes(pool) == own_nbytes(pool)
         # Rows pooled from a spec's point stack stay views of it.
         spec_points = rng.uniform(-1.0, 1.0, (30, 4))
         spec = VerificationSpec.from_points(spec_points, [constraint] * 30, [""] * 30)
@@ -484,13 +474,12 @@ class TestBatchedDedupProperty:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        budget=st.sampled_from([None, 150, 400]),
         decimals=st.sampled_from([1, 9]),
     )
-    def test_batches_admit_the_oracle_entries(self, tmp_path_factory, seed, budget, decimals):
+    def test_batches_admit_the_oracle_entries(self, tmp_path_factory, seed, decimals):
         rng = np.random.default_rng(seed)
         rounds = self.rounds(rng, 4)
-        pool = CounterexamplePool(decimals, budget, tmp_path_factory.mktemp("spill"))
+        pool = CounterexamplePool(decimals)
         for index, batch in enumerate(rounds):
             expected_new = len(oracle_pool_admits(rounds[: index + 1], decimals)) - len(pool)
             assert pool.extend(batch) == expected_new
@@ -498,8 +487,6 @@ class TestBatchedDedupProperty:
         assert len(pool) == len(expected)
         for ours, theirs in zip(pool.iter_entries(), expected):
             assert_same_entry(ours, theirs)
-        if budget is not None and len(pool) > 1 and sum(pool._entry_bytes) > budget:
-            assert pool.spilled_entries > 0
         # A reloaded checkpoint (explicit activation points) still dedups.
         path = tmp_path_factory.mktemp("checkpoint") / "pool.npz"
         pool.save(path)
@@ -517,12 +504,9 @@ class TestPoolOracles:
         seed=st.integers(0, 10_000),
         chunk_points=st.sampled_from([1, 2, 3, 1024]),
         decoupled=st.booleans(),
-        budget=st.sampled_from([None, 400]),
         batched=st.booleans(),
     )
-    def test_unsatisfied_and_point_spec_match(
-        self, tmp_path_factory, seed, chunk_points, decoupled, budget, batched
-    ):
+    def test_unsatisfied_and_point_spec_match(self, seed, chunk_points, decoupled, batched):
         rng = np.random.default_rng(seed)
         network = make_random_relu_network(rng, (4, 6, 3))
         if decoupled:
@@ -531,9 +515,7 @@ class TestPoolOracles:
             network = network.with_parameter_delta(
                 layer, rng.normal(size=network.value.layers[layer].num_parameters)
             )
-        pool = CounterexamplePool(
-            max_resident_bytes=budget, spill_dir=tmp_path_factory.mktemp("spill")
-        )
+        pool = CounterexamplePool()
         intake = mixed_intake(rng, 4, 12)
         for run in batched_runs(intake) if batched else [intake]:
             pool.extend(run)

@@ -115,6 +115,18 @@ class TestDriverConfig:
             ("budget_seconds", -1.0),
             ("budget_seconds", float("nan")),
             ("budget_seconds", float("inf")),
+            # Bools and fractions, which int() and float() would truncate.
+            ("max_rounds", 2.7),
+            ("max_rounds", True),
+            ("max_new_counterexamples", 1.5),
+            ("max_new_counterexamples", True),
+            ("memory_budget", 1024.5),
+            ("memory_budget", True),
+            ("layer_schedule", [1.9]),
+            ("layer_schedule", [2, False]),
+            ("repair_margin", True),
+            ("delta_bound", True),
+            ("budget_seconds", False),
         ],
     )
     def test_values_that_fail_or_are_ignored_later_are_rejected(self, field, value):
@@ -123,6 +135,19 @@ class TestDriverConfig:
             DriverConfig(**{field: value})
         with pytest.raises(RepairError, match=f"{field} must be"):
             DriverConfig.from_dict({field: value})
+
+    def test_integral_floats_decode_as_ints(self):
+        config = DriverConfig.from_dict(
+            {
+                "max_rounds": 2.0,
+                "max_new_counterexamples": 3.0,
+                "memory_budget": 4096.0,
+                "layer_schedule": [2.0, 0.0],
+            }
+        )
+        assert (config.max_rounds, config.max_new_counterexamples) == (2, 3)
+        assert (config.memory_budget, config.layer_schedule) == (4096, (2, 0))
+        assert type(config.max_rounds) is int and type(config.layer_schedule[0]) is int
 
     def test_zero_margin_and_budget_stay_valid(self):
         config = DriverConfig(repair_margin=0.0, budget_seconds=0.0, delta_bound=1.0)

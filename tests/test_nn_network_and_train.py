@@ -95,15 +95,6 @@ class TestNetworkContainer:
         clone.load_parameters(path)
         np.testing.assert_allclose(clone.layers[0].weights, toy_network.layers[0].weights)
 
-    def test_get_set_all_parameters(self, toy_network):
-        parameters = toy_network.get_all_parameters()
-        clone = toy_network.copy()
-        clone.layers[0].set_parameters(np.zeros(clone.layers[0].num_parameters))
-        clone.set_all_parameters(parameters)
-        np.testing.assert_allclose(
-            clone.compute(np.array([0.7])), toy_network.compute(np.array([0.7]))
-        )
-
     def test_repr_lists_layers(self, toy_network):
         assert "FullyConnectedLayer" in repr(toy_network)
 

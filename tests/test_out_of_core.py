@@ -3,9 +3,9 @@
 Four layers of pinning:
 
 * a **differential matrix**: driver runs with a ``memory_budget`` — tiny
-  (single-point chunks plus pool spilling), ragged (a few points per
-  chunk), and huge (one chunk) — reproduce the unbudgeted run byte for byte on the strengthened ACAS φ8 spec and on an
-  MNIST-fog digits spec;
+  (single-point chunks), ragged (a few points per chunk), and huge (one
+  chunk) — reproduce the unbudgeted run byte for byte on the strengthened
+  ACAS φ8 spec and on an MNIST-fog digits spec;
 * a **property-based oracle** (hypothesis): *any* chunk partition of the
   Jacobian→LP row stream yields the same LP solution bytes as one chunk —
   the determinism contract of
@@ -13,12 +13,11 @@ Four layers of pinning:
   objective of one dense block solved cold;
 * unit tests for the new tiers: chunk-stream assembly and telemetry, the
   batched finite-difference checker against the closed-form Jacobians,
-  pool spill semantics (windowing, dedup across spilled segments,
-  ``point_spec`` equality, save/load round trips, the atomic-save
-  kill-injection), and the exhaustively-certifying sampling verifier;
+  pool checkpoints (the atomic-save kill-injection), and the
+  exhaustively-certifying sampling verifier;
 * an **end-to-end** driver-certified SqueezeNet-mini repair under a small
-  memory budget, with entries spilled to disk and a certified report
-  byte-identical to the unbudgeted run.
+  memory budget, with a certified report byte-identical to the unbudgeted
+  run.
 
 Every driver matrix is also run with the frozen-prefix cache switched off
 (:func:`tests.conftest.prefix_cache_off`): cached runs must reproduce the
@@ -69,7 +68,7 @@ from tests.oracle import (
 from tests.test_incremental import assert_reports_identical, value_parameters
 
 #: A budget so small every tier degenerates: single-point chunk batches
-#: and a pool window that spills on every add.
+#: and a prefix cache that holds almost nothing.
 TINY_BUDGET = 4_096
 #: A budget producing ragged chunk batches (a few points each).
 RAGGED_BUDGET = 262_144
@@ -247,90 +246,6 @@ def make_counterexample(rng, dimension: int = 6, outputs: int = 3) -> Counterexa
         region_index=int(rng.integers(0, 100)),
         activation_point=rng.uniform(-1.0, 1.0, dimension),
     )
-
-
-class TestPoolSpill:
-    """The disk-spill tier changes residency, never contents."""
-
-    def fill(self, pool: CounterexamplePool, count: int = 40, seed: int = 3):
-        rng = ensure_rng(seed)
-        added = [make_counterexample(rng) for _ in range(count)]
-        for counterexample in added:
-            assert pool.add(counterexample)
-        return added
-
-    def test_spills_bound_residency_and_preserve_order(self, tmp_path):
-        pool = CounterexamplePool(max_resident_bytes=1_000, spill_dir=tmp_path)
-        added = self.fill(pool)
-        assert len(pool) == len(added)
-        assert pool.spilled_entries > 0
-        assert pool.resident_bytes <= 1_000
-        for stored, original in zip(pool.counterexamples, added):
-            assert stored.point.tobytes() == original.point.tobytes()
-            assert stored.margin == original.margin
-            assert stored.constraint.a.tobytes() == original.constraint.a.tobytes()
-
-    def test_point_spec_identical_to_unbounded_pool(self, tmp_path):
-        bounded = CounterexamplePool(max_resident_bytes=1_000, spill_dir=tmp_path)
-        unbounded = CounterexamplePool()
-        rng = ensure_rng(11)
-        for counterexample in [make_counterexample(rng) for _ in range(30)]:
-            bounded.add(counterexample)
-            unbounded.add(counterexample)
-        assert bounded.spilled_entries > 0 and unbounded.spilled_entries == 0
-        for margin, start in [(0.0, 0), (1e-4, 7)]:
-            a = bounded.point_spec(margin=margin, start=start)
-            b = unbounded.point_spec(margin=margin, start=start)
-            assert a.points.tobytes() == b.points.tobytes()
-            assert a.activation_points.tobytes() == b.activation_points.tobytes()
-            for left, right in zip(a.constraints, b.constraints):
-                assert left.a.tobytes() == right.a.tobytes()
-                assert left.b.tobytes() == right.b.tobytes()
-
-    def test_dedup_sees_spilled_entries(self, tmp_path):
-        pool = CounterexamplePool(max_resident_bytes=1_000, spill_dir=tmp_path)
-        added = self.fill(pool)
-        assert pool.spilled_entries > 0
-        # Every entry — including long-spilled ones — is still a duplicate:
-        # the dedup keys never leave memory.
-        for counterexample in added:
-            assert not pool.add(counterexample)
-        assert len(pool) == len(added)
-
-    def test_worst_margin_and_key_points_never_touch_disk(self, tmp_path):
-        pool = CounterexamplePool(max_resident_bytes=1_000, spill_dir=tmp_path)
-        added = self.fill(pool)
-        assert pool.worst_margin == max(entry.margin for entry in added)
-        assert pool.num_key_points == len(added)
-
-    def test_save_load_round_trip_across_spill_tiers(self, tmp_path):
-        pool = CounterexamplePool(max_resident_bytes=1_000, spill_dir=tmp_path / "a")
-        added = self.fill(pool)
-        checkpoint = tmp_path / "pool.npz"
-        pool.save(checkpoint)
-        # Reload bounded (spills during the reload itself) and unbounded.
-        bounded = CounterexamplePool.load(
-            checkpoint, max_resident_bytes=1_000, spill_dir=tmp_path / "b"
-        )
-        unbounded = CounterexamplePool.load(checkpoint)
-        assert bounded.spilled_entries > 0 and unbounded.spilled_entries == 0
-        for restored in (bounded, unbounded):
-            assert len(restored) == len(added)
-            for stored, original in zip(restored.counterexamples, added):
-                assert stored.point.tobytes() == original.point.tobytes()
-                assert (
-                    stored.resolved_activation_point().tobytes()
-                    == original.resolved_activation_point().tobytes()
-                )
-
-    def test_spill_counter_telemetry(self, tmp_path):
-        with obs.isolated() as registry:
-            pool = CounterexamplePool(max_resident_bytes=1_000, spill_dir=tmp_path)
-            self.fill(pool)
-            assert pool.spilled_entries > 0
-            snapshot = registry.snapshot()["repro_pool_spilled_entries_total"]
-            (series,) = snapshot["series"]
-            assert series["value"] == float(pool.spilled_entries)
 
 
 class TestAtomicCheckpoint:
@@ -557,13 +472,11 @@ class TestSqueezeNetWorkload:
             == workload.original.compute(workload.points).tobytes()
         )
 
-    def test_driver_certifies_under_small_budget_with_spills(self, workload):
-        report, driver = driver_certified_repair(workload, memory_budget=64 * 1024)
+    def test_driver_certifies_under_small_budget(self, workload):
+        report, _ = driver_certified_repair(workload, memory_budget=64 * 1024)
         assert report.status == "certified"
         assert report.certified
         assert report.num_rounds == 2
-        assert driver.pool.spilled_entries > 0
-        assert driver.pool.resident_bytes <= 16 * 1024
         # The repaired network satisfies the verification spec outright.
         clean = GridVerifier(certify_exhaustive=True).verify(
             report.network.value, workload.verification_spec()
@@ -673,11 +586,9 @@ class TestPrefixCacheDifferential:
             return driver_certified_repair(workload, memory_budget=memory_budget)
 
         with served_batches() as served:
-            cached, driver = run()
+            cached, _ = run()
         with prefix_cache_off():
             uncached, _ = run()
         assert cached.status == "certified"
         assert served
-        if memory_budget is not None:
-            assert driver.pool.spilled_entries > 0
         assert_same_outcome(cached, uncached)

@@ -200,20 +200,6 @@ class TestHPolytope:
         assert box.violation(np.array([2.0])) == pytest.approx(1.0)
         assert box.violation(np.array([0.5])) <= 0.0
 
-    def test_intersect(self):
-        first = HPolytope.from_interval(2, 0, 0.0, 1.0)
-        second = HPolytope.from_interval(2, 1, 0.0, 1.0)
-        both = first.intersect(second)
-        assert both.num_constraints == 4
-        assert both.contains(np.array([0.5, 0.5]))
-        assert not both.contains(np.array([0.5, 2.0]))
-
-    def test_intersect_dimension_mismatch(self):
-        with pytest.raises(SpecificationError):
-            HPolytope.from_interval(2, 0, 0.0, 1.0).intersect(
-                HPolytope.from_interval(3, 0, 0.0, 1.0)
-            )
-
     def test_contains_batch_matches_scalar(self, rng):
         region = HPolytope.argmax_region(4, winner=2, margin=0.05)
         points = rng.normal(size=(50, 4))

@@ -357,18 +357,24 @@ class TestFrozenBatchIdentity:
         assert ddnn.compute(stack).tobytes() == uncached_compute(ddnn, points).tobytes()
         assert cache.misses == 2
 
-    def test_a_driver_run_hashes_each_frozen_batch_once(self, monkeypatch):
+    @pytest.mark.parametrize("memory_budget", [None, 40 * 2**20], ids=["unbudgeted", "40MiB"])
+    def test_a_driver_run_hashes_each_frozen_batch_once(self, monkeypatch, memory_budget):
         workload = classifier_perturbation_workload(1250, seed=1)
         hashed = self.counting_digests(monkeypatch)
-        report, driver = driver_certified_repair(workload)
+        report, driver = driver_certified_repair(workload, memory_budget=memory_budget)
         assert report.status == "certified" and report.num_rounds == 2
-        cache = driver.base.prefix_cache
-        # Two verifier chunks miss; the encoder, the second verification
-        # and the pool check hit them.
-        assert (cache.misses, cache.hits) == (2, 6)
+        # The verifier, the encoder and the pool check all read views of
+        # the spec's point stack, budgeted or not, and each is hashed once.
         stack = driver.spec.point_stack().points
-        assert [rows.base is stack for rows in hashed] == [True, True]
-        assert [rows.shape[0] for rows in hashed] == [1024, 226]
+        assert all(rows.base is stack for rows in hashed)
+        views = [prefix_cache._identity(rows)[1] for rows in hashed]
+        assert len(set(views)) == len(views)
+        if memory_budget is None:
+            cache = driver.base.prefix_cache
+            # Two verifier chunks miss; the encoder, the second verification
+            # and the pool check hit them.
+            assert (cache.misses, cache.hits) == (2, 6)
+            assert [rows.shape[0] for rows in hashed] == [1024, 226]
 
 
 class TestExactness:

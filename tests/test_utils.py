@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.serialization import (
     config_digest,
     default_cache_dir,
@@ -20,7 +20,6 @@ from repro.utils.validation import (
     check_finite,
     check_matrix,
     check_positive_int,
-    check_probability,
     check_vector,
 )
 
@@ -44,16 +43,6 @@ class TestEnsureRng:
     def test_invalid_type_raises(self):
         with pytest.raises(TypeError):
             ensure_rng("not-a-seed")
-
-    def test_spawn_rngs_are_independent(self):
-        children = spawn_rngs(ensure_rng(0), 3)
-        assert len(children) == 3
-        values = [child.integers(0, 2**31) for child in children]
-        assert len(set(values)) > 1
-
-    def test_spawn_rngs_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(ensure_rng(0), -1)
 
 
 class TestValidation:
@@ -96,11 +85,6 @@ class TestValidation:
             check_positive_int(0)
         with pytest.raises(ValueError):
             check_positive_int(2.5)
-
-    def test_check_probability(self):
-        assert check_probability(0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5)
 
 
 class TestWallCpuNow:
